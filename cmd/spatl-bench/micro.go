@@ -144,7 +144,7 @@ func flRoundBench(b *testing.B) {
 // flRoundTelemetryBench is flRoundBench with full telemetry on —
 // registry, tracer and a journal draining to io.Discard — so the
 // telemetry-on/off delta is visible in the same report (the <1% round
-// overhead contract; see also TestTelemetryOverheadBudget in fl).
+// overhead contract; the benchmark reports it as telemetry.overhead_frac).
 func flRoundTelemetryBench(b *testing.B) {
 	env := experiments.BuildCIFAREnv(experiments.Tiny, "resnet20", experiments.ClientSet{Clients: 4, Ratio: 1}, 1)
 	env.EnableTelemetry(telemetry.New(io.Discard))

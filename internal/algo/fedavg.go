@@ -6,58 +6,32 @@ import (
 	"spatl/internal/comm"
 	"spatl/internal/models"
 	"spatl/internal/nn"
-	"spatl/internal/telemetry"
 	"spatl/internal/tensor"
 )
 
 // FedAvgAggregator is the server side of FedAvg (McMahan et al.):
 // data-size-weighted model averaging over dense checkpoint payloads,
 // folded on arrival through the streaming engine — each upload adds its
-// unscaled wᵢ·xᵢ term into the float64 accumulator and releases its
-// buffers; FinishRound finalizes with ÷Σw. FedProx shares it — the
-// proximal term is purely client-side.
+// unscaled wᵢ·xᵢ term into the float64 accumulator straight from its
+// wire bytes (see dense.go); FinishRound finalizes with ÷Σw. FedProx
+// shares it — the proximal term is purely client-side.
 type FedAvgAggregator struct {
-	Telemetered
-	stream[fedavgUpload]
+	denseIngest
 	Global *models.SplitModel
 
-	cfg      Config
-	acc      []float64 // unscaled Σ wᵢ·xᵢ, folded on arrival
-	sumW     float64
-	folded   int
-	curRound int
-	bcast    []byte    // reusable broadcast body
-	avgBuf   []float32 // reusable aggregate, recycled across rounds
-	dropped  telemetry.Counter
-}
-
-// fedavgUpload is one client's decoded round contribution.
-type fedavgUpload struct {
-	state []float32
-	w     float64
+	cfg    Config
+	acc    []float64 // unscaled Σ wᵢ·xᵢ, folded on arrival
+	sumW   float64
+	folded int
+	bcast  []byte    // reusable broadcast body
+	avgBuf []float32 // reusable aggregate, recycled across rounds
 }
 
 // NewFedAvgAggregator wires the aggregator around the global model.
 func NewFedAvgAggregator(global *models.SplitModel, cfg Config) *FedAvgAggregator {
 	a := &FedAvgAggregator{Global: global, cfg: cfg.WithDefaults()}
-	a.foldFn = a.fold
-	a.releaseFn = func(u fedavgUpload) { comm.PutF32(u.state) }
+	a.initDense(a.parseUpload, a.foldUploads)
 	return a
-}
-
-// Dropped reports how many malformed uploads have been discarded since
-// construction; surfaced so operators can tell a skewed aggregate from a
-// healthy one.
-func (a *FedAvgAggregator) Dropped() int64 { return a.dropped.Value() }
-
-// SetTelemetry implements Wirer, additionally exposing the drop counter
-// through the registry — the same counter Dropped reads.
-func (a *FedAvgAggregator) SetTelemetry(s *telemetry.Set) {
-	a.Telemetered.SetTelemetry(s)
-	if s != nil && s.Reg != nil {
-		s.Reg.Attach("algo.uploads_dropped", &a.dropped)
-		a.wireStream(s.Reg)
-	}
 }
 
 // Broadcast implements Aggregator.
@@ -71,83 +45,32 @@ func (a *FedAvgAggregator) Broadcast(round int) []byte {
 	return a.bcast
 }
 
-// decodeUpload decodes one dense upload into a pooled vector; the
-// shared front half of Collect, CollectLate and CollectBatch.
-func (a *FedAvgAggregator) decodeUpload(trainSize int, payload []byte) (fedavgUpload, bool) {
-	a.size("payload.up", len(payload))
-	n := a.Global.StateLen(models.ScopeAll)
-	state, err := comm.DecodeDenseAnyInto(comm.GetF32(n), payload)
-	if err != nil || len(state) != n {
-		a.dropped.Add(1)
-		comm.PutF32(state)
-		return fedavgUpload{}, false
+// parseUpload checks one upload: a single dense payload of the model's
+// state length.
+func (a *FedAvgAggregator) parseUpload(trainSize int, payload []byte) (denseUpload, bool) {
+	v, err := comm.ViewDense(payload)
+	if err != nil || v.Len() != a.Global.StateLen(models.ScopeAll) {
+		return denseUpload{}, false
 	}
-	return fedavgUpload{state: state, w: float64(trainSize)}, true
+	return denseUpload{raw: payload, part: [2]comm.DenseView{v}, w: float64(trainSize)}, true
 }
 
-// fold adds one upload's unscaled wᵢ·xᵢ term into the float64
-// accumulator. Folds run only on the collect goroutine, in the order
-// the streaming cursor dictates; per index the chunked accumulation is
-// independent, so the chain is bitwise identical at any GOMAXPROCS.
-func (a *FedAvgAggregator) fold(u fedavgUpload) {
+// foldUploads adds a run's unscaled wᵢ·xᵢ terms into the float64
+// accumulator, in run order. Folds run only on the collect goroutine,
+// in the order the streaming cursor dictates; per index the blocked
+// accumulation is independent, so the chain is bitwise identical at any
+// GOMAXPROCS.
+func (a *FedAvgAggregator) foldUploads(run []denseUpload) {
 	defer a.span(a.curRound, "agg.fold").End()
-	n := len(u.state)
 	if a.folded == 0 {
-		if cap(a.acc) < n {
-			a.acc = make([]float64, n)
-		}
-		a.acc = a.acc[:n]
-		for j := range a.acc {
-			a.acc[j] = 0
-		}
+		a.acc = zeroedAcc(a.acc, a.Global.StateLen(models.ScopeAll))
 		a.sumW = 0
 	}
-	a.folded++
-	a.sumW += u.w
-	tensor.Parallel(n, func(lo, hi int) {
-		tensor.VecAccumScaled(a.acc[lo:hi], u.state[lo:hi], u.w)
-	})
-}
-
-// Collect implements Aggregator: decode into a pooled vector and hand
-// it to the streaming engine — folded immediately at the cursor, staged
-// briefly when it arrives early. The buffer is released right after the
-// fold, not at FinishRound.
-func (a *FedAvgAggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.ingest(client, u)
+	a.folded += len(run)
+	for i := range run {
+		a.sumW += run[i].w
 	}
-}
-
-// CollectLate implements StreamingAggregator: a carried-over straggler
-// upload folds at its delivery position, outside the cursor.
-func (a *FedAvgAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.foldNow(u)
-	}
-}
-
-// CollectBatch implements BatchCollector: decode a whole batch of
-// uploads concurrently, then ingest in upload order — equivalent to
-// sequential Collect calls, with the per-upload decode parallelized.
-func (a *FedAvgAggregator) CollectBatch(round int, ups []Upload) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	type entry struct {
-		client uint32
-		u      fedavgUpload
-	}
-	entries := decodeBatch(ups, func(up Upload) (entry, bool) {
-		u, ok := a.decodeUpload(up.TrainSize, up.Payload)
-		return entry{client: up.Client, u: u}, ok
-	})
-	for _, e := range entries {
-		a.ingest(e.client, e.u)
-	}
+	a.foldDense(a.acc, run, 0)
 }
 
 // FinishRound implements Aggregator: drain anything still staged, then

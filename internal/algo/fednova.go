@@ -7,7 +7,6 @@ import (
 	"spatl/internal/comm"
 	"spatl/internal/models"
 	"spatl/internal/nn"
-	"spatl/internal/telemetry"
 	"spatl/internal/tensor"
 )
 
@@ -17,8 +16,7 @@ import (
 // their momentum buffers, the server averages and redistributes them
 // (the ≈2× per-round uplink the SPATL paper reports for FedNova).
 type FedNovaAggregator struct {
-	Telemetered
-	stream[fednovaUpload]
+	denseIngest
 	Global *models.SplitModel
 
 	cfg      Config
@@ -29,15 +27,6 @@ type FedNovaAggregator struct {
 	sumW     float64
 	sumWTau  float64 // Σ wᵢ·τᵢ (τ_eff numerator)
 	folded   int
-	curRound int
-	dropped  telemetry.Counter
-}
-
-// fednovaUpload is one client's decoded round contribution.
-type fednovaUpload struct {
-	d, v []float32
-	tau  float64 // local step count τᵢ
-	w    float64 // data-size weight
 }
 
 // NewFedNovaAggregator wires the aggregator around the global model.
@@ -47,29 +36,12 @@ func NewFedNovaAggregator(global *models.SplitModel, cfg Config) *FedNovaAggrega
 		cfg:      cfg.WithDefaults(),
 		velocity: make([]float32, nn.ParamCount(global.Params())),
 	}
-	a.foldFn = a.fold
-	a.releaseFn = func(u fednovaUpload) {
-		comm.PutF32(u.d)
-		comm.PutF32(u.v)
-	}
+	a.initDense(a.parseUpload, a.foldUploads)
 	return a
 }
 
 // Velocity exposes the server-averaged momentum (read-only use).
 func (a *FedNovaAggregator) Velocity() []float32 { return a.velocity }
-
-// Dropped reports how many malformed uploads have been discarded.
-func (a *FedNovaAggregator) Dropped() int64 { return a.dropped.Value() }
-
-// SetTelemetry implements Wirer, additionally exposing the drop counter
-// through the registry — the same counter Dropped reads.
-func (a *FedNovaAggregator) SetTelemetry(s *telemetry.Set) {
-	a.Telemetered.SetTelemetry(s)
-	if s != nil && s.Reg != nil {
-		s.Reg.Attach("algo.uploads_dropped", &a.dropped)
-		a.wireStream(s.Reg)
-	}
-}
 
 // Broadcast implements Aggregator: joined dense payloads for the model
 // state and the server momentum.
@@ -87,97 +59,38 @@ func (a *FedNovaAggregator) Broadcast(round int) []byte {
 	return a.bcast
 }
 
-// decodeUpload decodes one three-part upload — normalized update d,
-// momentum buffer, and the local step count τ as 4-byte little-endian —
-// the shared front half of Collect, CollectLate and CollectBatch.
-func (a *FedNovaAggregator) decodeUpload(trainSize int, payload []byte) (fednovaUpload, bool) {
-	a.size("payload.up", len(payload))
-	parts, err := comm.SplitPayloads(payload)
-	if err != nil || len(parts) != 3 || len(parts[2]) != 4 {
-		a.dropped.Add(1)
-		return fednovaUpload{}, false
+// parseUpload checks one three-part upload — normalized update d,
+// momentum buffer, and the local step count τ as 4-byte little-endian.
+func (a *FedNovaAggregator) parseUpload(trainSize int, payload []byte) (denseUpload, bool) {
+	var parts [3][]byte
+	if comm.SplitPayloadsInto(parts[:], payload) != nil || len(parts[2]) != 4 {
+		return denseUpload{}, false
 	}
 	steps := binary.LittleEndian.Uint32(parts[2])
-	nState := a.Global.StateLen(models.ScopeAll)
-	d, err1 := comm.DecodeDenseAnyInto(comm.GetF32(nState), parts[0])
-	v, err2 := comm.DecodeDenseAnyInto(comm.GetF32(len(a.velocity)), parts[1])
-	if err1 != nil || err2 != nil || len(d) != nState || len(v) != len(a.velocity) || steps == 0 {
-		a.dropped.Add(1)
-		comm.PutF32(d)
-		comm.PutF32(v)
-		return fednovaUpload{}, false
+	d, err1 := comm.ViewDense(parts[0])
+	v, err2 := comm.ViewDense(parts[1])
+	if err1 != nil || err2 != nil || d.Len() != a.Global.StateLen(models.ScopeAll) || v.Len() != len(a.velocity) || steps == 0 {
+		return denseUpload{}, false
 	}
-	return fednovaUpload{d: d, v: v, tau: float64(steps), w: float64(trainSize)}, true
+	return denseUpload{raw: payload, part: [2]comm.DenseView{d, v}, w: float64(trainSize), tau: float64(steps)}, true
 }
 
-// fold adds one upload's unscaled wᵢ·dᵢ and wᵢ·vᵢ terms into the
-// float64 accumulators and tallies the τ_eff numerator.
-func (a *FedNovaAggregator) fold(u fednovaUpload) {
+// foldUploads adds a run's unscaled wᵢ·dᵢ and wᵢ·vᵢ terms into the
+// float64 accumulators and tallies the τ_eff numerator, in run order.
+func (a *FedNovaAggregator) foldUploads(run []denseUpload) {
 	defer a.span(a.curRound, "agg.fold").End()
 	if a.folded == 0 {
-		if cap(a.accD) < len(u.d) {
-			a.accD = make([]float64, len(u.d))
-		}
-		a.accD = a.accD[:len(u.d)]
-		for j := range a.accD {
-			a.accD[j] = 0
-		}
-		if cap(a.accV) < len(u.v) {
-			a.accV = make([]float64, len(u.v))
-		}
-		a.accV = a.accV[:len(u.v)]
-		for j := range a.accV {
-			a.accV[j] = 0
-		}
+		a.accD = zeroedAcc(a.accD, a.Global.StateLen(models.ScopeAll))
+		a.accV = zeroedAcc(a.accV, len(a.velocity))
 		a.sumW, a.sumWTau = 0, 0
 	}
-	a.folded++
-	a.sumW += u.w
-	a.sumWTau += u.w * u.tau
-	tensor.Parallel(len(u.d), func(lo, hi int) {
-		tensor.VecAccumScaled(a.accD[lo:hi], u.d[lo:hi], u.w)
-	})
-	tensor.Parallel(len(u.v), func(lo, hi int) {
-		tensor.VecAccumScaled(a.accV[lo:hi], u.v[lo:hi], u.w)
-	})
-}
-
-// Collect implements Aggregator: decode, then fold through the
-// streaming cursor; buffers release right after the fold.
-func (a *FedNovaAggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.ingest(client, u)
+	a.folded += len(run)
+	for i := range run {
+		a.sumW += run[i].w
+		a.sumWTau += run[i].w * run[i].tau
 	}
-}
-
-// CollectLate implements StreamingAggregator: a carried-over straggler
-// upload folds at its delivery position, outside the cursor.
-func (a *FedNovaAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.foldNow(u)
-	}
-}
-
-// CollectBatch implements BatchCollector: the Collect decode run
-// concurrently over a whole batch, then ingested in upload order.
-func (a *FedNovaAggregator) CollectBatch(round int, ups []Upload) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	type entry struct {
-		client uint32
-		u      fednovaUpload
-	}
-	entries := decodeBatch(ups, func(up Upload) (entry, bool) {
-		u, ok := a.decodeUpload(up.TrainSize, up.Payload)
-		return entry{client: up.Client, u: u}, ok
-	})
-	for _, e := range entries {
-		a.ingest(e.client, e.u)
-	}
+	a.foldDense(a.accD, run, 0)
+	a.foldDense(a.accV, run, 1)
 }
 
 // FinishRound implements Aggregator: τ_eff = Σwᵢτᵢ/Σwᵢ ; x_g ← x_g −

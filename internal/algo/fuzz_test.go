@@ -22,12 +22,18 @@ func FuzzShardPayload(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var re ShardBuffer
+		var re, inPlace ShardBuffer
+		inPlace.Grow(len(entries), len(data))
 		for _, e := range entries {
 			re.Add(e.Client, e.TrainSize, e.Payload)
+			copy(inPlace.Reserve(e.Client, e.TrainSize, len(e.Payload)), e.Payload)
 		}
 		if !bytes.Equal(re.Payload(), data) {
 			t.Fatalf("accepted payload does not round-trip:\n in: %x\nout: %x", data, re.Payload())
+		}
+		// Entries written in place into reserved slots are the same bytes.
+		if !bytes.Equal(inPlace.Payload(), data) || inPlace.Len() != re.Len() {
+			t.Fatalf("Reserve does not round-trip as Add does:\n in: %x\nout: %x", data, inPlace.Payload())
 		}
 	})
 }

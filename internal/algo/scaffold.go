@@ -7,7 +7,6 @@ import (
 	"spatl/internal/comm"
 	"spatl/internal/models"
 	"spatl/internal/nn"
-	"spatl/internal/telemetry"
 	"spatl/internal/tensor"
 )
 
@@ -16,23 +15,15 @@ import (
 // the model, and folds the uploaded (Δw, Δc) pairs with
 // x += (1/|S|)·ΣΔw and c += (1/N)·ΣΔc.
 type SCAFFOLDAggregator struct {
-	Telemetered
-	stream[scaffoldUpload]
+	denseIngest
 	Global *models.SplitModel
 
-	cfg      Config
-	c        []float32 // server control variate over trainable params
-	bcast    []byte
-	accW     []float64 // unscaled ΣΔwᵢ, folded on arrival
-	accC     []float64 // unscaled ΣΔcᵢ
-	folded   int
-	curRound int
-	dropped  telemetry.Counter
-}
-
-// scaffoldUpload is one client's decoded round contribution.
-type scaffoldUpload struct {
-	dW, dC []float32
+	cfg    Config
+	c      []float32 // server control variate over trainable params
+	bcast  []byte
+	accW   []float64 // unscaled ΣΔwᵢ, folded on arrival
+	accC   []float64 // unscaled ΣΔcᵢ
+	folded int
 }
 
 // NewSCAFFOLDAggregator wires the aggregator around the global model.
@@ -48,29 +39,12 @@ func NewSCAFFOLDAggregator(global *models.SplitModel, cfg Config) *SCAFFOLDAggre
 		cfg:    cfg,
 		c:      make([]float32, nn.ParamCount(global.Params())),
 	}
-	a.foldFn = a.fold
-	a.releaseFn = func(u scaffoldUpload) {
-		comm.PutF32(u.dW)
-		comm.PutF32(u.dC)
-	}
+	a.initDense(a.parseUpload, a.foldUploads)
 	return a
 }
 
 // ControlVariate exposes the server control variate c (read-only use).
 func (a *SCAFFOLDAggregator) ControlVariate() []float32 { return a.c }
-
-// Dropped reports how many malformed uploads have been discarded.
-func (a *SCAFFOLDAggregator) Dropped() int64 { return a.dropped.Value() }
-
-// SetTelemetry implements Wirer, additionally exposing the drop counter
-// through the registry — the same counter Dropped reads.
-func (a *SCAFFOLDAggregator) SetTelemetry(s *telemetry.Set) {
-	a.Telemetered.SetTelemetry(s)
-	if s != nil && s.Reg != nil {
-		s.Reg.Attach("algo.uploads_dropped", &a.dropped)
-		a.wireStream(s.Reg)
-	}
-}
 
 // Broadcast implements Aggregator: joined dense payloads for the model
 // state and the server control variate.
@@ -88,93 +62,33 @@ func (a *SCAFFOLDAggregator) Broadcast(round int) []byte {
 	return a.bcast
 }
 
-// decodeUpload decodes one joined (Δw, Δc) upload; the shared front
-// half of Collect, CollectLate and CollectBatch.
-func (a *SCAFFOLDAggregator) decodeUpload(payload []byte) (scaffoldUpload, bool) {
-	a.size("payload.up", len(payload))
-	parts, err := comm.SplitPayloads(payload)
-	if err != nil || len(parts) != 2 {
-		a.dropped.Add(1)
-		return scaffoldUpload{}, false
+// parseUpload checks one joined (Δw, Δc) upload. SCAFFOLD weights every
+// arrived upload equally, so the fold weight is 1 whatever the data
+// size — the 1/|S| scaling happens at finalize.
+func (a *SCAFFOLDAggregator) parseUpload(_ int, payload []byte) (denseUpload, bool) {
+	var parts [2][]byte
+	if comm.SplitPayloadsInto(parts[:], payload) != nil {
+		return denseUpload{}, false
 	}
-	nState := a.Global.StateLen(models.ScopeAll)
-	dW, err1 := comm.DecodeDenseAnyInto(comm.GetF32(nState), parts[0])
-	dC, err2 := comm.DecodeDenseAnyInto(comm.GetF32(len(a.c)), parts[1])
-	if err1 != nil || err2 != nil || len(dW) != nState || len(dC) != len(a.c) {
-		a.dropped.Add(1)
-		comm.PutF32(dW)
-		comm.PutF32(dC)
-		return scaffoldUpload{}, false
+	dW, err1 := comm.ViewDense(parts[0])
+	dC, err2 := comm.ViewDense(parts[1])
+	if err1 != nil || err2 != nil || dW.Len() != a.Global.StateLen(models.ScopeAll) || dC.Len() != len(a.c) {
+		return denseUpload{}, false
 	}
-	return scaffoldUpload{dW: dW, dC: dC}, true
+	return denseUpload{raw: payload, part: [2]comm.DenseView{dW, dC}, w: 1}, true
 }
 
-// fold adds one upload's unscaled ΣΔw / ΣΔc terms into the float64
-// accumulators. SCAFFOLD weights every arrived upload equally, so the
-// fold carries no weight — the 1/|S| scaling happens at finalize.
-func (a *SCAFFOLDAggregator) fold(u scaffoldUpload) {
+// foldUploads adds a run's unscaled ΣΔw / ΣΔc terms into the float64
+// accumulators, in run order.
+func (a *SCAFFOLDAggregator) foldUploads(run []denseUpload) {
 	defer a.span(a.curRound, "agg.fold").End()
 	if a.folded == 0 {
-		if cap(a.accW) < len(u.dW) {
-			a.accW = make([]float64, len(u.dW))
-		}
-		a.accW = a.accW[:len(u.dW)]
-		for j := range a.accW {
-			a.accW[j] = 0
-		}
-		if cap(a.accC) < len(u.dC) {
-			a.accC = make([]float64, len(u.dC))
-		}
-		a.accC = a.accC[:len(u.dC)]
-		for j := range a.accC {
-			a.accC[j] = 0
-		}
+		a.accW = zeroedAcc(a.accW, a.Global.StateLen(models.ScopeAll))
+		a.accC = zeroedAcc(a.accC, len(a.c))
 	}
-	a.folded++
-	tensor.Parallel(len(u.dW), func(lo, hi int) {
-		tensor.VecAccumScaled(a.accW[lo:hi], u.dW[lo:hi], 1)
-	})
-	tensor.Parallel(len(u.dC), func(lo, hi int) {
-		tensor.VecAccumScaled(a.accC[lo:hi], u.dC[lo:hi], 1)
-	})
-}
-
-// Collect implements Aggregator: decode, then fold through the
-// streaming cursor; buffers release right after the fold.
-func (a *SCAFFOLDAggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(payload); ok {
-		a.ingest(client, u)
-	}
-}
-
-// CollectLate implements StreamingAggregator: a carried-over straggler
-// upload folds at its delivery position, outside the cursor.
-func (a *SCAFFOLDAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(payload); ok {
-		a.foldNow(u)
-	}
-}
-
-// CollectBatch implements BatchCollector: the Collect decode run
-// concurrently over a whole batch, then ingested in upload order.
-func (a *SCAFFOLDAggregator) CollectBatch(round int, ups []Upload) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	type entry struct {
-		client uint32
-		u      scaffoldUpload
-	}
-	entries := decodeBatch(ups, func(up Upload) (entry, bool) {
-		u, ok := a.decodeUpload(up.Payload)
-		return entry{client: up.Client, u: u}, ok
-	})
-	for _, e := range entries {
-		a.ingest(e.client, e.u)
-	}
+	a.folded += len(run)
+	a.foldDense(a.accW, run, 0)
+	a.foldDense(a.accC, run, 1)
 }
 
 // FinishRound implements Aggregator: x ← x_g + (ΣΔw)/|S| ; c ← c +

@@ -78,13 +78,40 @@ type ShardBuffer struct {
 // Add appends one client's upload to the shard (the payload is copied, so
 // transport buffers may be recycled immediately).
 func (s *ShardBuffer) Add(client uint32, trainSize int, payload []byte) {
-	var h [shardEntryHeader]byte
+	copy(s.Reserve(client, trainSize, len(payload)), payload)
+}
+
+// Grow makes room for entries more uploads carrying payloadBytes between
+// them, so that many Reserve or Add calls proceed without moving the
+// buffer.
+func (s *ShardBuffer) Grow(entries, payloadBytes int) {
+	if need := len(s.buf) + entries*shardEntryHeader + payloadBytes; need > cap(s.buf) {
+		buf := make([]byte, len(s.buf), need)
+		copy(buf, s.buf)
+		s.buf = buf
+	}
+}
+
+// Reserve appends one client's entry with an n-byte payload and returns
+// the payload's slot inside the buffer, for a producer that can write
+// the upload in place instead of handing Add a copy to copy again. The
+// slot's contents are unspecified until the caller fills them. It stays
+// valid until Reset — but a later Reserve or Add that outgrows the
+// buffer moves it, so a caller holding several slots at once calls Grow
+// first.
+func (s *ShardBuffer) Reserve(client uint32, trainSize, n int) []byte {
+	off := len(s.buf) + shardEntryHeader
+	if off+n > cap(s.buf) {
+		s.buf = append(s.buf, make([]byte, shardEntryHeader+n)...)
+	} else {
+		s.buf = s.buf[:off+n]
+	}
+	h := s.buf[off-shardEntryHeader : off]
 	binary.LittleEndian.PutUint32(h[0:4], client)
 	binary.LittleEndian.PutUint32(h[4:8], uint32(trainSize))
-	binary.LittleEndian.PutUint32(h[8:12], uint32(len(payload)))
-	s.buf = append(s.buf, h[:]...)
-	s.buf = append(s.buf, payload...)
+	binary.LittleEndian.PutUint32(h[8:12], uint32(n))
 	s.n++
+	return s.buf[off : off+n : off+n]
 }
 
 // Len reports how many uploads the shard holds.
@@ -92,7 +119,7 @@ func (s *ShardBuffer) Len() int { return s.n }
 
 // Payload returns the pooled shard payload — the concatenated entries in
 // arrival order, ready to forward upstream. The slice aliases the
-// buffer; it is valid until the next Add or Reset.
+// buffer; it is valid until the next Add, Reserve or Reset.
 func (s *ShardBuffer) Payload() []byte { return s.buf }
 
 // Reset clears the shard for the next round, keeping the backing buffer.

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -81,6 +82,54 @@ func TestShardPayloadRoundTrip(t *testing.T) {
 	binary.LittleEndian.PutUint32(bad[8:12], 1<<30)
 	if _, err := ShardEntries(nil, bad[:]); err == nil {
 		t.Fatal("over-long entry must error")
+	}
+}
+
+// TestShardReserveInPlace: slots reserved after a Grow stay put while
+// later entries are reserved — a producer may hold a batch of them and
+// fill them in any order — and decode exactly as Add's copies do; a
+// Reserve that outgrows the buffer still yields a well-formed payload.
+func TestShardReserveInPlace(t *testing.T) {
+	payloads := [][]byte{{1, 2, 3}, {}, bytes.Repeat([]byte{0xAB}, 300), {9}}
+	var added, reserved ShardBuffer
+	total := 0
+	for _, p := range payloads {
+		total += len(p)
+	}
+	reserved.Grow(len(payloads), total)
+	base := cap(reserved.Payload())
+	slots := make([][]byte, len(payloads))
+	for i, p := range payloads {
+		added.Add(uint32(10+i), 100+i, p)
+		slots[i] = reserved.Reserve(uint32(10+i), 100+i, len(p))
+	}
+	if cap(reserved.Payload()) != base {
+		t.Fatal("Reserve moved a buffer Grow had sized")
+	}
+	for i := len(slots) - 1; i >= 0; i-- { // fill last to first
+		if len(slots[i]) != len(payloads[i]) || cap(slots[i]) != len(payloads[i]) {
+			t.Fatalf("slot %d: len %d cap %d, want %d", i, len(slots[i]), cap(slots[i]), len(payloads[i]))
+		}
+		copy(slots[i], payloads[i])
+	}
+	if !bytes.Equal(reserved.Payload(), added.Payload()) || reserved.Len() != added.Len() {
+		t.Fatalf("reserved shard differs from added shard:\n%x\n%x", reserved.Payload(), added.Payload())
+	}
+
+	// Without Grow the buffer may move; the payload is still exact.
+	var ungrown ShardBuffer
+	for i, p := range payloads {
+		copy(ungrown.Reserve(uint32(10+i), 100+i, len(p)), p)
+	}
+	if !bytes.Equal(ungrown.Payload(), added.Payload()) {
+		t.Fatal("Reserve without Grow produced a different payload")
+	}
+	// Reset keeps the backing array and starts over.
+	ungrown.Reset()
+	copy(ungrown.Reserve(1, 2, 3), []byte{7, 8, 9})
+	ups, err := ShardEntries(nil, ungrown.Payload())
+	if err != nil || len(ups) != 1 || ups[0].Client != 1 || ups[0].TrainSize != 2 || !bytes.Equal(ups[0].Payload, []byte{7, 8, 9}) {
+		t.Fatalf("after Reset: %+v, %v", ups, err)
 	}
 }
 

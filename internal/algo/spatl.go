@@ -111,7 +111,7 @@ func NewSPATLAggregator(global *models.SplitModel, opts SPATLOptions, cfg Config
 		cfg:    cfg.WithDefaults(),
 		c:      make([]float32, nn.ParamCount(opts.CtrlParams(global))),
 	}
-	a.foldFn = a.fold
+	a.foldRun = oneByOne(a.fold)
 	a.releaseFn = func(u spatlUpload) {
 		comm.PutSparse(u.dW)
 		if u.dC != nil {

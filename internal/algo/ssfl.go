@@ -120,7 +120,7 @@ func NewSSFLAggregator(global *models.SplitModel, opts SSFLOptions, cfg Config) 
 		cfg:       cfg.WithDefaults(),
 		maskRound: -1,
 	}
-	a.foldFn = a.fold
+	a.foldRun = oneByOne(a.fold)
 	a.releaseFn = func(u ssflUpload) { comm.PutF32(u.vec) }
 	return a
 }

@@ -12,14 +12,17 @@ import (
 // not start until the last upload landed. The stream engine instead
 // keeps a cursor over the round's canonical fold order (the selection,
 // ascending client ID — the order the serial references replay): an
-// upload arriving at the cursor folds immediately into the aggregator's
-// persistent float64 accumulators and its decoded buffers are released;
-// an upload arriving early parks in a bounded staging pool and drains
-// in order as the cursor advances. The summation order is therefore
-// fixed by client ID, not by network arrival order, so the reduction is
-// bitwise identical at any GOMAXPROCS and under any arrival
-// permutation — while worst-case decoded-state memory is the staging
-// bound, not the client count.
+// upload arriving at the cursor joins the current run — the maximal
+// sequence of uploads foldable now, in fold order — and an upload
+// arriving early parks in a bounded staging pool and joins the run in
+// order as the cursor reaches it. A run is handed to the aggregator
+// whole, before the Collect call that started it returns, so a shard's
+// worth of in-order uploads is one fold, not thousands. The summation
+// order is therefore fixed by client ID, not by network arrival order,
+// so the reduction is bitwise identical at any GOMAXPROCS and under any
+// arrival permutation — while worst-case upload memory is the staging
+// bound, not the client count: uploads in a run are read where the
+// transport left them, and only parked ones are copied.
 //
 // Two-phase scaling keeps the fold streamable: each fold accumulates
 // the unscaled term wᵢ·xᵢ (Σw is unknown mid-round), and FinishRound
@@ -66,16 +69,22 @@ type stagedEntry[U any] struct {
 }
 
 // stream is the generic fold-on-arrival engine embedded by every
-// aggregator. The embedding aggregator wires foldFn/releaseFn in its
-// constructor; fold order is the engine's contract, the arithmetic is
-// the aggregator's.
+// aggregator. The embedding aggregator wires foldRun/releaseFn (and
+// ownFn, when its uploads alias the caller's bytes) in its constructor;
+// fold order is the engine's contract, the arithmetic is the
+// aggregator's.
 type stream[U any] struct {
-	foldFn    func(U) // fold one decoded upload into the accumulators
-	releaseFn func(U) // return the upload's pooled buffers
+	foldRun   func([]U) // fold a run of uploads, in order, into the accumulators
+	releaseFn func(U)   // return the upload's pooled buffers
+	// ownFn detaches an upload from memory the Collect caller may reuse,
+	// called on the one path where an upload outlives the call: parking.
+	// nil when uploads own their memory from decode on.
+	ownFn func(U) U
 
 	order   []uint32         // canonical fold order (ascending client ID)
 	arrived []bool           // position resolved: folded, staged or absent
 	cursor  int              // next position owed a fold
+	run     []U              // uploads foldable now, in fold order, until flush
 	staged  []stagedEntry[U] // parked out-of-order uploads (unordered)
 	limit   int              // staging bound; <=0 means len(order)
 
@@ -83,6 +92,16 @@ type stream[U any] struct {
 	stagedG  telemetry.Gauge   // "agg.staged": currently parked uploads
 	peak     telemetry.Counter // "agg.peak_staged": high-water mark of staged
 	overflow telemetry.Counter // "agg.staged_overflow": uploads evicted at the bound
+}
+
+// oneByOne adapts a per-upload fold to the engine's run contract, for
+// aggregators whose fold gains nothing from seeing a run whole.
+func oneByOne[U any](fold func(U)) func([]U) {
+	return func(run []U) {
+		for _, u := range run {
+			fold(u)
+		}
+	}
 }
 
 // wireStream exposes the engine's gauges and counters through the
@@ -132,8 +151,16 @@ func (s *stream[U]) StagingPeak() int64 { return s.peak.Value() }
 func (s *stream[U]) StagingOverflow() int64 { return s.overflow.Value() }
 
 // MarkAbsent implements StreamingAggregator (promoted): resolve a
-// selected client's position without a fold so the cursor can pass it.
+// selected client's position without a fold so the cursor can pass it,
+// and fold whatever parked uploads that frees.
 func (s *stream[U]) MarkAbsent(round int, client uint32) {
+	s.skip(client)
+	s.flush()
+}
+
+// skip resolves a selected client's position as absent. Parked uploads
+// the cursor then reaches join the run; the caller flushes.
+func (s *stream[U]) skip(client uint32) {
 	pos, ok := s.find(client)
 	if !ok || s.arrived[pos] {
 		return
@@ -151,13 +178,22 @@ func (s *stream[U]) find(client uint32) (int, bool) {
 	return pos, pos < len(s.order) && s.order[pos] == client
 }
 
-// ingest routes one decoded upload: fold at the cursor, park early
-// arrivals, fold unknown/duplicate contributors at their arrival
-// position (the buffered path's append semantics for extras).
+// ingest routes one upload and folds the run it completes: the
+// one-upload-per-call path of Collect.
 func (s *stream[U]) ingest(client uint32, u U) {
+	s.route(client, u)
+	s.flush()
+}
+
+// route places one upload: into the run when it is foldable now — at
+// the cursor, or an unknown/duplicate contributor, which folds at its
+// arrival position (the buffered path's append semantics for extras) —
+// and into staging when it is early. The caller flushes; between route
+// and flush the upload may still alias the caller's bytes.
+func (s *stream[U]) route(client uint32, u U) {
 	if len(s.order) == 0 {
 		// No canonical order announced: arrival order IS the fold order.
-		s.foldRelease(u)
+		s.run = append(s.run, u)
 		return
 	}
 	pos, ok := s.find(client)
@@ -165,12 +201,12 @@ func (s *stream[U]) ingest(client uint32, u U) {
 		// Not selected this round, or a duplicate of a resolved
 		// position: fold where it arrived — extras have no slot in the
 		// canonical order.
-		s.foldRelease(u)
+		s.run = append(s.run, u)
 		return
 	}
 	s.arrived[pos] = true
 	if pos == s.cursor {
-		s.foldRelease(u)
+		s.run = append(s.run, u)
 		s.cursor++
 		s.advance()
 		return
@@ -181,16 +217,39 @@ func (s *stream[U]) ingest(client uint32, u U) {
 
 // foldNow folds an upload immediately, outside the cursor discipline —
 // the CollectLate path.
-func (s *stream[U]) foldNow(u U) { s.foldRelease(u) }
+func (s *stream[U]) foldNow(u U) {
+	s.run = append(s.run, u)
+	s.flush()
+}
 
-func (s *stream[U]) foldRelease(u U) {
-	s.foldFn(u)
-	s.releaseFn(u)
+// flush hands the run to the aggregator as one fold and releases its
+// uploads. Every entry point that can extend the run ends with it, so a
+// run never outlives the caller's bytes it may alias.
+func (s *stream[U]) flush() {
+	if len(s.run) == 0 {
+		return
+	}
+	s.foldRun(s.run)
+	var zero U
+	for i, u := range s.run {
+		s.releaseFn(u)
+		s.run[i] = zero
+	}
+	s.run = s.run[:0]
+}
+
+// own detaches an upload about to park from the caller's bytes.
+func (s *stream[U]) own(u U) U {
+	if s.ownFn != nil {
+		return s.ownFn(u)
+	}
+	return u
 }
 
 // stage parks an early upload, enforcing the bound by evicting the
 // entry farthest from the cursor (it has the longest wait and the least
-// chance of folding before FinishRound drains everything anyway).
+// chance of folding before FinishRound drains everything anyway). Only
+// an upload that actually parks is detached from the caller's bytes.
 func (s *stream[U]) stage(pos int, u U) {
 	limit := s.limit
 	if limit <= 0 || limit > len(s.order) {
@@ -206,55 +265,54 @@ func (s *stream[U]) stage(pos int, u U) {
 		s.overflow.Inc()
 		if s.staged[far].pos > pos {
 			s.releaseFn(s.staged[far].u)
-			s.staged[far] = stagedEntry[U]{pos: pos, u: u}
+			s.staged[far] = stagedEntry[U]{pos: pos, u: s.own(u)}
 		} else {
 			s.releaseFn(u)
 		}
 		s.stagedG.Set(int64(len(s.staged)))
 		return
 	}
-	s.staged = append(s.staged, stagedEntry[U]{pos: pos, u: u})
+	s.staged = append(s.staged, stagedEntry[U]{pos: pos, u: s.own(u)})
 	s.stagedG.Set(int64(len(s.staged)))
 	if n := int64(len(s.staged)); n > s.peak.Value() {
 		s.peak.Add(n - s.peak.Value())
 	}
 }
 
-// advance folds staged uploads in position order for as long as every
-// position at the cursor is resolved.
+// advance moves the cursor over every resolved position, appending the
+// parked upload of each (absent positions have none) to the run.
 func (s *stream[U]) advance() {
 	for s.cursor < len(s.order) && s.arrived[s.cursor] {
-		found := false
 		for i := range s.staged {
 			if s.staged[i].pos == s.cursor {
-				s.foldRelease(s.staged[i].u)
+				s.run = append(s.run, s.staged[i].u)
 				last := len(s.staged) - 1
 				s.staged[i] = s.staged[last]
 				s.staged[last] = stagedEntry[U]{}
 				s.staged = s.staged[:last]
-				found = true
 				break
 			}
 		}
-		_ = found // absent positions have no staged entry: nothing to fold
 		s.cursor++
 	}
 	s.inflight.Set(int64(len(s.order) - s.cursor))
 	s.stagedG.Set(int64(len(s.staged)))
 }
 
-// finishStream drains whatever is still parked — uploads whose
-// predecessors never arrived — in position order, then resets the round
-// state. Called at the top of every FinishRound, before finalization.
+// finishStream folds whatever is still parked — uploads whose
+// predecessors never arrived — as one run in position order, then resets
+// the round state. Called at the top of every FinishRound, before
+// finalization.
 func (s *stream[U]) finishStream() {
 	if len(s.staged) > 0 {
 		sort.Slice(s.staged, func(i, j int) bool { return s.staged[i].pos < s.staged[j].pos })
 		for i := range s.staged {
-			s.foldRelease(s.staged[i].u)
+			s.run = append(s.run, s.staged[i].u)
 			s.staged[i] = stagedEntry[U]{}
 		}
 		s.staged = s.staged[:0]
 	}
+	s.flush()
 	s.order = s.order[:0]
 	s.cursor = 0
 	s.inflight.Set(0)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"spatl/internal/comm"
@@ -29,6 +30,24 @@ type streamFixture struct {
 	sizes    []int
 	payloads [][]byte
 	check    func(t *testing.T)
+	// ref (dense fixtures only) builds the bitwise check for an arbitrary
+	// fold sequence — the serial reference replayed over exactly those
+	// uploads, with those train sizes, in that order.
+	ref func(seq []foldStep) func(t *testing.T)
+}
+
+// foldStep is one fold of a sequence: which of the fixture's uploads,
+// and the train size it was collected with.
+type foldStep struct{ up, size int }
+
+// canonicalSeq is the fold sequence of a clean round: every upload once,
+// ascending client ID, its own train size.
+func canonicalSeq(sizes []int) []foldStep {
+	seq := make([]foldStep, len(sizes))
+	for i, sz := range sizes {
+		seq[i] = foldStep{up: i, size: sz}
+	}
+	return seq
 }
 
 // bitEq fails the test at the first float32 that differs bitwise.
@@ -67,31 +86,46 @@ func randStates(rng *rand.Rand, k, n int) [][]float32 {
 	return states
 }
 
-func fedavgFixture(seed int64) *streamFixture {
-	spec := models.Spec{Arch: "cnn2", Classes: 2, InC: 1, H: 8, W: 8}
-	global := models.Build(spec, 7)
+// denseSpec is the dense fixtures' model: ≈12k state values, several
+// fold blocks wide, and small enough that the mode × permutation ×
+// GOMAXPROCS matrix builds hundreds of fixtures in a second or two.
+var denseSpec = models.Spec{Arch: "cnn2", Classes: 2, InC: 1, H: 8, W: 8, Width: 0.25}
+
+func fedavgFixture(seed int64) *streamFixture { return fedavgFixtureEnc(seed, comm.EncodeDense) }
+
+// fedavgFixtureEnc is the FedAvg fixture over a chosen wire precision;
+// the reference folds what the payloads decode to, so a binary16 fixture
+// checks the f16 fold path against the f16 decoder.
+func fedavgFixtureEnc(seed int64, enc func([]float32) []byte) *streamFixture {
+	global := models.Build(denseSpec, 7)
 	agg := NewFedAvgAggregator(global, Config{NumClients: 64})
 	n := global.StateLen(models.ScopeAll)
 	rng := rand.New(rand.NewSource(seed))
 	k := len(streamIDs)
 	states := randStates(rng, k, n)
 	sizes := streamSizes(k)
-	weights := make([]float64, k)
 	payloads := make([][]byte, k)
 	for i := range states {
-		weights[i] = float64(sizes[i])
-		payloads[i] = comm.EncodeDense(states[i])
+		payloads[i] = enc(states[i])
+		states[i], _ = comm.DecodeDenseAny(payloads[i])
 	}
-	want := StreamFoldRefFedAvg(states, weights)
+	ref := func(seq []foldStep) func(t *testing.T) {
+		sts := make([][]float32, len(seq))
+		ws := make([]float64, len(seq))
+		for i, st := range seq {
+			sts[i], ws[i] = states[st.up], float64(st.size)
+		}
+		want := StreamFoldRefFedAvg(sts, ws)
+		return func(t *testing.T) { bitEq(t, "state", global.State(models.ScopeAll), want) }
+	}
 	return &streamFixture{
 		agg: agg, ids: streamIDs, sizes: sizes, payloads: payloads,
-		check: func(t *testing.T) { bitEq(t, "state", global.State(models.ScopeAll), want) },
+		check: ref(canonicalSeq(sizes)), ref: ref,
 	}
 }
 
 func fednovaFixture(seed int64) *streamFixture {
-	spec := models.Spec{Arch: "cnn2", Classes: 2, InC: 1, H: 8, W: 8}
-	global := models.Build(spec, 7)
+	global := models.Build(denseSpec, 7)
 	agg := NewFedNovaAggregator(global, Config{NumClients: 64})
 	n := global.StateLen(models.ScopeAll)
 	nVel := nn.ParamCount(global.Params())
@@ -100,30 +134,38 @@ func fednovaFixture(seed int64) *streamFixture {
 	ds := randStates(rng, k, n)
 	vs := randStates(rng, k, nVel)
 	sizes := streamSizes(k)
-	weights := make([]float64, k)
 	taus := make([]float64, k)
 	payloads := make([][]byte, k)
 	for i := range ds {
-		weights[i] = float64(sizes[i])
 		steps := uint32(2 + i)
 		taus[i] = float64(steps)
 		var sb [4]byte
 		binary.LittleEndian.PutUint32(sb[:], steps)
 		payloads[i] = comm.JoinPayloads(comm.EncodeDense(ds[i]), comm.EncodeDense(vs[i]), sb[:])
 	}
-	wantState, wantVel := StreamFoldRefFedNova(global.State(models.ScopeAll), ds, vs, taus, weights)
-	return &streamFixture{
-		agg: agg, ids: streamIDs, sizes: sizes, payloads: payloads,
-		check: func(t *testing.T) {
+	before := global.State(models.ScopeAll)
+	ref := func(seq []foldStep) func(t *testing.T) {
+		d := make([][]float32, len(seq))
+		v := make([][]float32, len(seq))
+		tau := make([]float64, len(seq))
+		ws := make([]float64, len(seq))
+		for i, st := range seq {
+			d[i], v[i], tau[i], ws[i] = ds[st.up], vs[st.up], taus[st.up], float64(st.size)
+		}
+		wantState, wantVel := StreamFoldRefFedNova(before, d, v, tau, ws)
+		return func(t *testing.T) {
 			bitEq(t, "state", global.State(models.ScopeAll), wantState)
 			bitEq(t, "velocity", agg.velocity, wantVel)
-		},
+		}
+	}
+	return &streamFixture{
+		agg: agg, ids: streamIDs, sizes: sizes, payloads: payloads,
+		check: ref(canonicalSeq(sizes)), ref: ref,
 	}
 }
 
 func scaffoldFixture(seed int64) *streamFixture {
-	spec := models.Spec{Arch: "cnn2", Classes: 2, InC: 1, H: 8, W: 8}
-	global := models.Build(spec, 7)
+	global := models.Build(denseSpec, 7)
 	agg := NewSCAFFOLDAggregator(global, Config{NumClients: 64})
 	n := global.StateLen(models.ScopeAll)
 	nCtrl := nn.ParamCount(global.Params())
@@ -136,13 +178,23 @@ func scaffoldFixture(seed int64) *streamFixture {
 	for i := range dWs {
 		payloads[i] = comm.JoinPayloads(comm.EncodeDense(dWs[i]), comm.EncodeDense(dCs[i]))
 	}
-	wantState, wantC := StreamFoldRefSCAFFOLD(global.State(models.ScopeAll), agg.c, dWs, dCs, 64)
-	return &streamFixture{
-		agg: agg, ids: streamIDs, sizes: sizes, payloads: payloads,
-		check: func(t *testing.T) {
+	before := global.State(models.ScopeAll)
+	cBefore := append([]float32(nil), agg.c...)
+	ref := func(seq []foldStep) func(t *testing.T) {
+		dW := make([][]float32, len(seq))
+		dC := make([][]float32, len(seq))
+		for i, st := range seq {
+			dW[i], dC[i] = dWs[st.up], dCs[st.up]
+		}
+		wantState, wantC := StreamFoldRefSCAFFOLD(before, cBefore, dW, dC, 64)
+		return func(t *testing.T) {
 			bitEq(t, "state", global.State(models.ScopeAll), wantState)
 			bitEq(t, "c", agg.c, wantC)
-		},
+		}
+	}
+	return &streamFixture{
+		agg: agg, ids: streamIDs, sizes: sizes, payloads: payloads,
+		check: ref(canonicalSeq(sizes)), ref: ref,
 	}
 }
 
@@ -273,6 +325,11 @@ var streamCases = []struct {
 	{"ssfl-packed", ssflPackedFixture},
 }
 
+// streamProcs are the GOMAXPROCS values every bitwise suite here runs
+// at — explicit, so the multi-worker paths are exercised whatever the
+// box's core count.
+var streamProcs = []int{1, 2, 4}
+
 // streamPerms yields the arrival orders under test: identity, reverse,
 // and seeded shuffles.
 func streamPerms(n, extra int) [][]int {
@@ -291,11 +348,11 @@ func streamPerms(n, extra int) [][]int {
 }
 
 // TestStreamPermutationMatchesSerialRef drives every aggregator family
-// through every arrival permutation at GOMAXPROCS 1 and NumCPU and
+// through every arrival permutation at GOMAXPROCS 1, 2 and 4 and
 // demands bitwise identity with the serial StreamFoldRef ground truth.
 func TestStreamPermutationMatchesSerialRef(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, gmp := range []int{1, runtime.NumCPU()} {
+	for _, gmp := range streamProcs {
 		runtime.GOMAXPROCS(gmp)
 		for _, tc := range streamCases {
 			t.Run(fmt.Sprintf("%s/gomaxprocs=%d", tc.name, gmp), func(t *testing.T) {
@@ -346,26 +403,16 @@ func TestStreamPermutationWithAbsentees(t *testing.T) {
 }
 
 // fedavgFixtureSubset is fedavgFixture with the reference computed over
-// only the delivered clients (nil rows for the absent positions).
+// only the delivered clients.
 func fedavgFixtureSubset(seed int64, absent ...int) *streamFixture {
 	fx := fedavgFixture(seed)
-	k := len(fx.ids)
-	states := make([][]float32, k)
-	weights := make([]float64, k)
-	for i := range fx.payloads {
-		st, err := comm.DecodeDenseAnyInto(nil, fx.payloads[i])
-		if err != nil {
-			panic(err)
+	var seq []foldStep
+	for _, st := range canonicalSeq(fx.sizes) {
+		if !slices.Contains(absent, st.up) {
+			seq = append(seq, st)
 		}
-		states[i] = st
-		weights[i] = float64(fx.sizes[i])
 	}
-	for _, a := range absent {
-		states[a] = nil
-	}
-	want := StreamFoldRefFedAvg(states, weights)
-	agg := fx.agg.(*FedAvgAggregator)
-	fx.check = func(t *testing.T) { bitEq(t, "state", agg.Global.State(models.ScopeAll), want) }
+	fx.check = fx.ref(seq)
 	return fx
 }
 
@@ -565,4 +612,269 @@ func TestStreamBatchCollectMatchesSerialRef(t *testing.T) {
 	agg.CollectBatch(0, ups)
 	fx.agg.FinishRound(0)
 	bitEq(t, "state", agg.Global.State(models.ScopeAll), StreamFoldRefFedAvg(states, weights))
+}
+
+// foldOracle is the stream engine's contract restated as a model small
+// enough to read: it tracks only which canonical positions are
+// resolved and where the cursor is, and records the sequence in which
+// uploads fold. The dense aggregators, driven through any mix of entry
+// points, must reduce bitwise as the serial reference replayed over
+// that sequence.
+type foldOracle struct {
+	ids     []uint32
+	arrived []bool
+	parked  map[int]foldStep
+	cursor  int
+	seq     []foldStep
+}
+
+func newFoldOracle(ids []uint32) *foldOracle {
+	return &foldOracle{ids: ids, arrived: make([]bool, len(ids)), parked: map[int]foldStep{}}
+}
+
+func (o *foldOracle) advance() {
+	for o.cursor < len(o.ids) && o.arrived[o.cursor] {
+		if st, ok := o.parked[o.cursor]; ok {
+			o.seq = append(o.seq, st)
+			delete(o.parked, o.cursor)
+		}
+		o.cursor++
+	}
+}
+
+// collect models Collect (and each entry of a CollectBatch): duplicates
+// and unselected clients fold where they arrive, the rest at their
+// canonical position.
+func (o *foldOracle) collect(client uint32, st foldStep) {
+	pos := slices.Index(o.ids, client)
+	if pos < 0 || o.arrived[pos] {
+		o.seq = append(o.seq, st)
+		return
+	}
+	o.arrived[pos] = true
+	o.parked[pos] = st
+	o.advance()
+}
+
+// late models CollectLate: folds at delivery, outside the cursor.
+func (o *foldOracle) late(st foldStep) { o.seq = append(o.seq, st) }
+
+// absent models MarkAbsent and a rejected upload from a selected client.
+func (o *foldOracle) absent(client uint32) {
+	if pos := slices.Index(o.ids, client); pos >= 0 && !o.arrived[pos] {
+		o.arrived[pos] = true
+		o.advance()
+	}
+}
+
+// finish models FinishRound's drain: whatever is still parked, in
+// position order.
+func (o *foldOracle) finish() []foldStep {
+	for pos := range o.ids {
+		if st, ok := o.parked[pos]; ok {
+			o.seq = append(o.seq, st)
+		}
+	}
+	return o.seq
+}
+
+var denseCases = []struct {
+	name string
+	make func(seed int64) *streamFixture
+}{
+	{"fedavg", fedavgFixture},
+	{"fedavg-f16", func(seed int64) *streamFixture { return fedavgFixtureEnc(seed, comm.EncodeDenseF16) }},
+	{"fednova", fednovaFixture},
+	{"scaffold", scaffoldFixture},
+}
+
+// denseModes are the ways a round's uploads can reach a dense
+// aggregator. Each drives the aggregator and the oracle through the same
+// arrivals, in the order perm gives.
+var denseModes = []struct {
+	name  string
+	drive func(fx *streamFixture, o *foldOracle, perm []int)
+}{
+	{"collect", func(fx *streamFixture, o *foldOracle, perm []int) {
+		for _, p := range perm {
+			fx.agg.Collect(0, fx.ids[p], fx.sizes[p], fx.payloads[p])
+			o.collect(fx.ids[p], foldStep{p, fx.sizes[p]})
+		}
+	}},
+	{"batch", func(fx *streamFixture, o *foldOracle, perm []int) {
+		ups := make([]Upload, len(perm))
+		for i, p := range perm {
+			ups[i] = Upload{Client: fx.ids[p], TrainSize: fx.sizes[p], Payload: fx.payloads[p]}
+			o.collect(fx.ids[p], foldStep{p, fx.sizes[p]})
+		}
+		fx.agg.(BatchCollector).CollectBatch(0, ups)
+	}},
+	// A straggler folds first, half the round arrives as a batch, a
+	// second straggler — from a client also selected this round — lands
+	// mid-round, and the rest arrive one at a time.
+	{"mixed-late", func(fx *streamFixture, o *foldOracle, perm []int) {
+		fx.agg.CollectLate(0, 999, 42, fx.payloads[2])
+		o.late(foldStep{2, 42})
+		half := len(perm) / 2
+		ups := make([]Upload, half)
+		for i, p := range perm[:half] {
+			ups[i] = Upload{Client: fx.ids[p], TrainSize: fx.sizes[p], Payload: fx.payloads[p]}
+			o.collect(fx.ids[p], foldStep{p, fx.sizes[p]})
+		}
+		fx.agg.(BatchCollector).CollectBatch(0, ups)
+		fx.agg.CollectLate(0, fx.ids[0], 17, fx.payloads[4])
+		o.late(foldStep{4, 17})
+		for _, p := range perm[half:] {
+			fx.agg.Collect(0, fx.ids[p], fx.sizes[p], fx.payloads[p])
+			o.collect(fx.ids[p], foldStep{p, fx.sizes[p]})
+		}
+	}},
+	// One batch carrying, besides the round, a duplicate of its own
+	// second entry and an upload from a client nobody selected.
+	{"batch-extras", func(fx *streamFixture, o *foldOracle, perm []int) {
+		var ups []Upload
+		add := func(client uint32, st foldStep) {
+			ups = append(ups, Upload{Client: client, TrainSize: st.size, Payload: fx.payloads[st.up]})
+			o.collect(client, st)
+		}
+		for i, p := range perm {
+			add(fx.ids[p], foldStep{p, fx.sizes[p]})
+			if i == 2 {
+				add(fx.ids[perm[1]], foldStep{perm[1], 77}) // duplicate
+				add(9999, foldStep{3, 33})                  // unselected
+			}
+		}
+		fx.agg.(BatchCollector).CollectBatch(0, ups)
+	}},
+}
+
+// TestDenseRunFoldMatchesSerialRef is the run fold's bitwise suite: the
+// three dense aggregators (FedAvg at both wire precisions) × arrival
+// permutations × every delivery mode × GOMAXPROCS 1, 2 and 4, each
+// checked against the serial reference replayed over the oracle's fold
+// sequence.
+func TestDenseRunFoldMatchesSerialRef(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, gmp := range streamProcs {
+		runtime.GOMAXPROCS(gmp)
+		for _, tc := range denseCases {
+			for _, mode := range denseModes {
+				t.Run(fmt.Sprintf("%s/%s/gomaxprocs=%d", tc.name, mode.name, gmp), func(t *testing.T) {
+					for pi, perm := range streamPerms(len(streamIDs), 6) {
+						fx := tc.make(1234)
+						o := newFoldOracle(fx.ids)
+						fx.agg.BeginRound(0, fx.ids)
+						mode.drive(fx, o, perm)
+						fx.agg.FinishRound(0)
+						fx.ref(o.finish())(t)
+						if t.Failed() {
+							t.Fatalf("permutation %d (%v) diverged from the serial reference", pi, perm)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// malformedDense are the shapes of a dense upload the header check must
+// refuse, derived from a well-formed payload of the same aggregator.
+func malformedDense(good []byte) [][]byte {
+	flip := append([]byte(nil), good...)
+	flip[len(flip)/2] = 0 // a part-length or magic byte, or a count byte
+	for i := range flip[:12] {
+		flip[i] ^= 0xA5
+	}
+	return [][]byte{
+		nil,
+		good[:len(good)-1],
+		good[:len(good)/2],
+		append(append([]byte(nil), good...), 0),
+		flip,
+	}
+}
+
+// TestDenseMalformedMidRunCostsNothing is the regression test for the
+// pooled-buffer leak: a rejected dense upload used to take a model-sized
+// buffer from the pool and drop it. A malformed entry in the middle of a
+// batch must be counted, must not stall the cursor (its neighbours fold
+// in the same run, nothing parks), must leave the result equal to the
+// round without it — and the rejection itself must not allocate, which
+// on a pool it never returns to is what taking a buffer would do.
+func TestDenseMalformedMidRunCostsNothing(t *testing.T) {
+	for _, tc := range denseCases {
+		t.Run(tc.name, func(t *testing.T) {
+			const victim = 2
+			for mi, bad := range malformedDense(tc.make(1).payloads[victim]) {
+				fx := tc.make(1234)
+				ups := make([]Upload, len(fx.ids))
+				for i := range fx.ids {
+					ups[i] = Upload{Client: fx.ids[i], TrainSize: fx.sizes[i], Payload: fx.payloads[i]}
+				}
+				ups[victim].Payload = bad
+				agg := fx.agg.(interface {
+					BatchCollector
+					Dropped() int64
+					StagingPeak() int64
+				})
+				fx.agg.BeginRound(0, fx.ids)
+				agg.CollectBatch(0, ups)
+				if d := agg.Dropped(); d != 1 {
+					t.Fatalf("malformed %d: Dropped() = %d, want 1", mi, d)
+				}
+				if p := agg.StagingPeak(); p != 0 {
+					t.Fatalf("malformed %d: %d uploads parked behind the rejected one", mi, p)
+				}
+				fx.agg.FinishRound(0)
+				seq := slices.Delete(canonicalSeq(fx.sizes), victim, victim+1)
+				fx.ref(seq)(t)
+
+				// The rejection alone, at the cursor of a fresh round.
+				fx.agg.BeginRound(1, fx.ids)
+				if n := testing.AllocsPerRun(20, func() {
+					fx.agg.Collect(1, fx.ids[0], fx.sizes[0], bad)
+				}); n != 0 {
+					t.Fatalf("malformed %d: a rejected upload allocated %v times", mi, n)
+				}
+				fx.agg.FinishRound(1)
+			}
+		})
+	}
+}
+
+// TestFedAvgCollectAtCursorDoesNotAllocate guards the steady state of
+// the dense path: with telemetry off, an in-order Collect — header
+// check, fold from the caller's bytes, cursor advance — allocates
+// nothing, on a small and a conv model. (AllocsPerRun measures at
+// GOMAXPROCS 1, where the block loop runs inline; with workers a fold
+// costs the pool job it is dispatched as.)
+func TestFedAvgCollectAtCursorDoesNotAllocate(t *testing.T) {
+	specs := []models.Spec{
+		{Arch: "mlp", Classes: 10, InC: 3, H: 8, W: 8, Width: 0.5},
+		{Arch: "resnet20", Classes: 10, InC: 3, H: 16, W: 16, Width: 0.25},
+	}
+	for _, spec := range specs {
+		t.Run(spec.Arch, func(t *testing.T) {
+			global := models.Build(spec, 3)
+			agg := NewFedAvgAggregator(global, Config{NumClients: 64})
+			payload := append([]byte(nil), agg.Broadcast(0)...)
+			const runs = 40
+			ids := make([]uint32, runs+1)
+			for i := range ids {
+				ids[i] = uint32(i)
+			}
+			agg.BeginRound(0, ids)
+			next := 0
+			if n := testing.AllocsPerRun(runs, func() {
+				agg.Collect(0, ids[next], 100, payload)
+				next++
+			}); n != 0 {
+				t.Fatalf("at-cursor Collect allocated %v times per upload", n)
+			}
+			if agg.folded != runs+1 || agg.StagingPeak() != 0 {
+				t.Fatalf("folded %d of %d, %d parked", agg.folded, runs+1, agg.StagingPeak())
+			}
+			agg.FinishRound(0)
+		})
+	}
 }

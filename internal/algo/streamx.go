@@ -26,7 +26,7 @@ type Stream[U any] struct {
 // upload's pooled buffers. Call once, from the constructor, before the
 // first Ingest.
 func (s *Stream[U]) Init(fold, release func(U)) {
-	s.foldFn = fold
+	s.foldRun = oneByOne(fold)
 	s.releaseFn = release
 }
 

@@ -155,20 +155,6 @@ func EncodeDenseF16Into(dst []byte, values []float32) []byte {
 	return buf
 }
 
-// decodeDenseF16Into parses an EncodeDenseF16 payload into dst.
-func decodeDenseF16Into(dst []float32, buf []byte) ([]float32, error) {
-	if len(buf) < 5 || buf[0] != magicDenseF16 {
-		return nil, fmt.Errorf("comm: not a dense-f16 payload")
-	}
-	n := int(binary.LittleEndian.Uint32(buf[1:5]))
-	if len(buf) != 5+2*n {
-		return nil, fmt.Errorf("comm: dense-f16 payload length %d, want %d", len(buf), 5+2*n)
-	}
-	out := sizeF32(dst, n)
-	getF16Bulk(out, buf[5:])
-	return out, nil
-}
-
 // EncodeSparseF16 serializes a sparse payload with half-precision values
 // (index ranges stay 32-bit).
 func EncodeSparseF16(s *Sparse) []byte {
@@ -232,12 +218,20 @@ func DecodeDenseAny(buf []byte) ([]float32, error) {
 }
 
 // DecodeDenseAnyInto parses a dense payload at either precision into dst
-// (reused when its capacity suffices, reallocated otherwise).
+// (reused when its capacity suffices, reallocated otherwise). Validation
+// is ViewDense's; a refused payload returns ErrNotDense.
 func DecodeDenseAnyInto(dst []float32, buf []byte) ([]float32, error) {
-	if len(buf) > 0 && buf[0] == magicDenseF16 {
-		return decodeDenseF16Into(dst, buf)
+	v, err := ViewDense(buf)
+	if err != nil {
+		return nil, err
 	}
-	return DecodeDenseInto(dst, buf)
+	out := sizeF32(dst, v.Len())
+	if v.half {
+		getF16Bulk(out, v.body)
+	} else {
+		getF32Bulk(out, v.body)
+	}
+	return out, nil
 }
 
 // DecodeSparseAny parses a sparse payload at either precision.

@@ -135,7 +135,7 @@ func TestSparseF16RoundTrip(t *testing.T) {
 }
 
 func TestDecodeF16RejectsGarbage(t *testing.T) {
-	if _, err := decodeDenseF16Into(nil, []byte{magicDenseF16, 9, 0, 0, 0, 1}); err == nil {
+	if _, err := DecodeDenseAnyInto(nil, []byte{magicDenseF16, 9, 0, 0, 0, 1}); err == nil {
 		t.Fatal("expected error for truncated f16 dense")
 	}
 	if err := decodeSparseF16Into(&Sparse{}, []byte{magicSparseF16, 9, 0, 0, 0}); err == nil {

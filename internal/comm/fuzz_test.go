@@ -11,7 +11,17 @@ func FuzzDecodeDense(f *testing.F) {
 	f.Add(EncodeDense([]float32{1, 2, 3}))
 	f.Add([]byte{})
 	f.Add([]byte{magicDense, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(EncodeDenseF16([]float32{1, 2, 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The header-only check must accept exactly what the scalar
+		// reference decoders (the format's definition) accept.
+		ref, errRef := RefDecodeDense(data)
+		if errRef != nil {
+			ref, errRef = RefDecodeDenseF16(data)
+		}
+		if v, errView := ViewDense(data); (errView == nil) != (errRef == nil) || (errView == nil && v.Len() != len(ref)) {
+			t.Fatalf("ViewDense (%d values, %v) disagrees with the reference decoders (%d values, %v)", v.Len(), errView, len(ref), errRef)
+		}
 		vals, err := DecodeDense(data)
 		if err != nil {
 			return

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -56,4 +57,32 @@ func SplitPayloads(buf []byte) ([][]byte, error) {
 		buf = buf[n:]
 	}
 	return out, nil
+}
+
+// ErrPartCount is SplitPayloadsInto's one error: the blob is truncated
+// or does not hold exactly the expected number of parts. A fixed value,
+// so rejecting a hostile upload allocates nothing.
+var ErrPartCount = errors.New("comm: joined payload is truncated or has the wrong part count")
+
+// SplitPayloadsInto reverses JoinPayloads for a receiver that knows how
+// many parts the message has: it fills parts (which alias buf) and
+// fails unless buf holds exactly len(parts) well-formed parts. Unlike
+// SplitPayloads it allocates nothing, whatever the input.
+func SplitPayloadsInto(parts [][]byte, buf []byte) error {
+	for i := range parts {
+		if len(buf) < 4 {
+			return ErrPartCount
+		}
+		n := binary.LittleEndian.Uint32(buf[:4])
+		buf = buf[4:]
+		if uint64(n) > uint64(len(buf)) {
+			return ErrPartCount
+		}
+		parts[i] = buf[:n]
+		buf = buf[n:]
+	}
+	if len(buf) != 0 {
+		return ErrPartCount
+	}
+	return nil
 }

@@ -56,6 +56,23 @@ func TestSplitPayloadsMalformedSweep(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// The fixed-count splitter succeeds exactly when the blob is
+			// well formed and holds that many parts — and then agrees.
+			for k := 0; k <= 3; k++ {
+				var fixed [3][]byte
+				err := SplitPayloadsInto(fixed[:k], tc.buf)
+				if (err == nil) != (tc.ok && tc.n == k) {
+					t.Fatalf("SplitPayloadsInto(%d parts): err = %v", k, err)
+				}
+				if err == nil {
+					want, _ := SplitPayloads(tc.buf)
+					for i := range want {
+						if !bytes.Equal(fixed[i], want[i]) {
+							t.Fatalf("SplitPayloadsInto part %d = %x, want %x", i, fixed[i], want[i])
+						}
+					}
+				}
+			}
 			parts, err := SplitPayloads(tc.buf)
 			if tc.ok {
 				if err != nil {

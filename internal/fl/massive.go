@@ -68,11 +68,11 @@ type MassiveResult struct {
 	ShardPushes int64
 }
 
-// massiveSynthBatch bounds how many synthetic uploads are alive at once
-// inside a shard's collect pass: uploads are synthesized into pooled
-// buffers this many at a time and each buffer recycles as soon as it is
-// folded. Large enough to keep the synthesis memcpy parallel, small
-// enough that round memory is governed by the batch, not the selection.
+// massiveSynthBatch is how many uploads are synthesized per parallel
+// pass. Large enough to keep the synthesis memcpy parallel; under
+// FlatCollect, where every upload is a pooled buffer recycled as soon
+// as it is folded, small enough that round memory is governed by the
+// batch, not the selection.
 const massiveSynthBatch = 1024
 
 // lateUpload is a straggler's payload carried into the next round.
@@ -83,19 +83,31 @@ type lateUpload struct {
 }
 
 // massiveOnTime deterministically decides whether a sampled client's
-// upload beats the quorum deadline this round.
+// upload beats the quorum deadline this round: a stateless draw — the
+// splitmix64 finalizer of the (seed, round, client) training seed,
+// its top 53 bits read as a uniform in [0, 1) and compared to frac. One
+// function shared by RunMassive and QuorumSim; no generator is seeded,
+// so deciding costs a few multiplies per upload.
 func massiveOnTime(seed int64, round, client int, frac float64) bool {
 	if frac <= 0 || frac >= 1 {
 		return true
 	}
-	rng := rand.New(rand.NewSource(algo.ClientSeed(seed, round, client) ^ 0x1a7e))
-	return rng.Float64() < frac
+	z := uint64(algo.ClientSeed(seed, round, client)) ^ 0x1a7e
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11)/(1<<53) < frac
 }
 
 // RunMassive executes a massive synthetic federation and returns its
 // summary. The run is deterministic in the config: same config, same
 // final state bitwise, whatever the shard count (the sharded fold is
-// order-identical to flat collect).
+// order-identical to flat collect). Which uploads miss a round's quorum
+// is the lateness draw massiveOnTime: per (Seed, round, client), a hash
+// of the client's training seed compared to OnTimeFrac — independent
+// across uploads, so the late share of a round is OnTimeFrac only in
+// expectation.
 func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 	if cfg.Clients <= 0 || cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("fl: massive sim needs positive Clients and Rounds")
@@ -126,7 +138,8 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 	var sb algo.ShardBuffer
 	var entries []algo.Upload
 	trainSize := func(ci int) int { return 50 + ci%101 }
-	batch := make([][]byte, 0, massiveSynthBatch)
+	batch := make([][]byte, 0, massiveSynthBatch)     // this batch's upload slots, by position
+	flat := make([]algo.Upload, 0, massiveSynthBatch) // FlatCollect: the batch's on-time uploads
 	for round := 0; round < cfg.Rounds; round++ {
 		bcast := agg.Broadcast(round)
 		selected := rng.Perm(cfg.Clients)[:cfg.PerRound]
@@ -155,16 +168,16 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 		}
 		pendingLate = pendingLate[:0]
 
-		// Shard-major collection, identical order to ShardedSim. Uploads
-		// are synthesized in bounded pooled batches — a copy of the
-		// broadcast with one client-and-round-specific float patched, a
-		// valid dense payload without any training — and every buffer
-		// returns to the pool the moment its bytes are folded (the
-		// aggregator decodes into its own buffers and ShardBuffer.Add
-		// copies). Only stragglers' buffers outlive the batch: they are
-		// carried into the next round and recycled after the late fold.
-		// Peak upload memory per round is O(batch + stragglers), not
-		// O(selected).
+		// Shard-major collection, identical order to ShardedSim. An
+		// upload is a copy of the broadcast with one client-and-round-
+		// specific float patched — a valid dense payload without any
+		// training — and it is synthesized where it will be read: an
+		// on-time upload directly in its reserved entry of the shard
+		// buffer (sized once per shard), a straggler's in a pooled buffer
+		// it keeps until the next round's late fold. Synthesis runs in
+		// bounded parallel batches; slots are handed out sequentially
+		// first, so entry order is selection order. FlatCollect bypasses
+		// the shard buffer: pooled buffers, one Collect each.
 		onTime := 0
 		collected := 0
 		pos := 0
@@ -178,23 +191,14 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 				continue
 			}
 			sb.Reset()
+			if !cfg.FlatCollect {
+				sb.Grow(pos-lo, (pos-lo)*len(bcast))
+			}
 			for chunkLo := lo; chunkLo < pos; chunkLo += massiveSynthBatch {
-				chunkHi := chunkLo + massiveSynthBatch
-				if chunkHi > pos {
-					chunkHi = pos
-				}
+				chunkHi := min(chunkLo+massiveSynthBatch, pos)
 				batch = batch[:chunkHi-chunkLo]
-				tensor.Parallel(len(batch), func(blo, bhi int) {
-					for b := blo; b < bhi; b++ {
-						ci := selected[chunkLo+b]
-						up := comm.GetBuf(len(bcast))
-						copy(up, bcast)
-						delta := float32(round+1) * (1 + float32(ci%997)/997)
-						comm.PatchDensePayload(up, ci%nState, delta)
-						batch[b] = up
-					}
-				})
-				for b, up := range batch {
+				flat = flat[:0]
+				for b := range batch {
 					ci := selected[chunkLo+b]
 					if !massiveOnTime(cfg.Seed, round, ci, cfg.OnTimeFrac) {
 						// Missed the quorum close: folds next round, so this
@@ -202,22 +206,35 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 						if sa != nil {
 							sa.MarkAbsent(round, uint32(ci))
 						}
-						pendingLate = append(pendingLate, lateUpload{client: uint32(ci), trainSize: trainSize(ci), payload: up})
+						batch[b] = comm.GetBuf(len(bcast))
+						pendingLate = append(pendingLate, lateUpload{client: uint32(ci), trainSize: trainSize(ci), payload: batch[b]})
 						continue
 					}
 					onTime++
-					res.UpBytes += int64(len(up))
+					res.UpBytes += int64(len(bcast))
 					if cfg.PerClientEvents {
-						tel.Emit(telemetry.ClientUpload(round, ci, int64(len(up)), 0))
+						tel.Emit(telemetry.ClientUpload(round, ci, int64(len(bcast)), 0))
 					}
 					if cfg.FlatCollect {
-						agg.Collect(round, uint32(ci), trainSize(ci), up)
-						collected++
+						batch[b] = comm.GetBuf(len(bcast))
+						flat = append(flat, algo.Upload{Client: uint32(ci), TrainSize: trainSize(ci), Payload: batch[b]})
 					} else {
-						sb.Add(uint32(ci), trainSize(ci), up)
+						batch[b] = sb.Reserve(uint32(ci), trainSize(ci), len(bcast))
 					}
-					comm.PutBuf(up)
 				}
+				tensor.Parallel(len(batch), func(blo, bhi int) {
+					for b := blo; b < bhi; b++ {
+						ci := selected[chunkLo+b]
+						copy(batch[b], bcast)
+						delta := float32(round+1) * (1 + float32(ci%997)/997)
+						comm.PatchDensePayload(batch[b], ci%nState, delta)
+					}
+				})
+				for _, up := range flat {
+					agg.Collect(round, up.Client, up.TrainSize, up.Payload)
+					comm.PutBuf(up.Payload)
+				}
+				collected += len(flat)
 			}
 			if cfg.FlatCollect {
 				continue

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -66,7 +67,14 @@ func TestShardedSimMatchesFlat(t *testing.T) {
 // to the identical global state whether uploads flow through the shard
 // wire format or the flat collect path, and reruns are deterministic.
 func TestMassiveShardedMatchesFlat(t *testing.T) {
-	base := MassiveConfig{Clients: 2000, PerRound: 300, Rounds: 2, Seed: 9}
+	for _, onTime := range []float64{0, 0.8} { // synchronous, and closing at quorum
+		t.Run(fmt.Sprintf("ontime=%g", onTime), func(t *testing.T) {
+			massiveShardedMatchesFlat(t, MassiveConfig{Clients: 2000, PerRound: 300, Rounds: 3, Seed: 9, OnTimeFrac: onTime})
+		})
+	}
+}
+
+func massiveShardedMatchesFlat(t *testing.T, base MassiveConfig) {
 	flat := base
 	flat.FlatCollect = true
 	fr, err := RunMassive(flat)
@@ -99,6 +107,43 @@ func TestMassiveShardedMatchesFlat(t *testing.T) {
 			if math.Float32bits(again.FinalState[j]) != math.Float32bits(sr.FinalState[j]) {
 				t.Fatalf("shards=%d: rerun not deterministic at state[%d]", shards, j)
 			}
+		}
+	}
+}
+
+// TestMassiveOnTimeDraw pins the lateness draw's contract: a pure
+// function of (seed, round, client), always on time at the degenerate
+// fractions, late with frequency 1−frac, and not the same set every
+// round.
+func TestMassiveOnTimeDraw(t *testing.T) {
+	for _, frac := range []float64{-1, 0, 1, 2} {
+		for ci := 0; ci < 100; ci++ {
+			if !massiveOnTime(3, 1, ci, frac) {
+				t.Fatalf("frac %v: client %d late", frac, ci)
+			}
+		}
+	}
+	const n = 20000
+	for _, frac := range []float64{0.5, 0.8} {
+		onTime, moved := 0, 0
+		for ci := 0; ci < n; ci++ {
+			a := massiveOnTime(7, 0, ci, frac)
+			if a != massiveOnTime(7, 0, ci, frac) {
+				t.Fatal("draw is not a function of its arguments")
+			}
+			if a {
+				onTime++
+			}
+			if a != massiveOnTime(7, 1, ci, frac) {
+				moved++
+			}
+		}
+		if got := float64(onTime) / n; math.Abs(got-frac) > 0.02 {
+			t.Fatalf("frac %v: %v of %d draws on time", frac, got, n)
+		}
+		// Independent rounds disagree on 2·frac·(1−frac) of the clients.
+		if got, want := float64(moved)/n, 2*frac*(1-frac); math.Abs(got-want) > 0.02 {
+			t.Fatalf("frac %v: rounds 0 and 1 disagree on %v of clients, want ≈%v", frac, got, want)
 		}
 	}
 }

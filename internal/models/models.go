@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"spatl/internal/nn"
 	"spatl/internal/tensor"
@@ -59,6 +60,8 @@ type SplitModel struct {
 	Spec      Spec
 	Encoder   *nn.Sequential
 	Predictor *nn.Sequential
+
+	cached atomic.Pointer[stateLayout] // see layout in state.go
 }
 
 // Build constructs the architecture named by spec, seeding all weight
@@ -224,16 +227,17 @@ func (m *SplitModel) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return m.Encoder.Backward(m.Predictor.Backward(dout))
 }
 
-// Params returns all trainable parameters (encoder then predictor).
-func (m *SplitModel) Params() []*nn.Param {
-	return append(m.Encoder.Params(), m.Predictor.Params()...)
-}
+// Params returns all trainable parameters (encoder then predictor). Like
+// EncoderParams and PredictorParams it hands out the model's cached
+// list, cap-clipped so an append reallocates: read it, append to it, but
+// do not store into its elements.
+func (m *SplitModel) Params() []*nn.Param { return m.layout().params[ScopeAll] }
 
 // EncoderParams returns the shared (generic) trainable parameters.
-func (m *SplitModel) EncoderParams() []*nn.Param { return m.Encoder.Params() }
+func (m *SplitModel) EncoderParams() []*nn.Param { return m.layout().params[ScopeEncoder] }
 
 // PredictorParams returns the locally kept trainable parameters.
-func (m *SplitModel) PredictorParams() []*nn.Param { return m.Predictor.Params() }
+func (m *SplitModel) PredictorParams() []*nn.Param { return m.layout().predParams }
 
 // Clone builds a fresh model with the same spec and copies all state
 // (weights and BatchNorm running statistics).

@@ -1,7 +1,9 @@
 package models
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"spatl/internal/nn"
@@ -283,5 +285,106 @@ func TestVGGDropoutInHead(t *testing.T) {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("eval forward must be deterministic with dropout")
 		}
+	}
+}
+
+// uncachedStateSpec walks the layer tree the way StateSpec did before
+// the layout was cached — straight from Sequential.Params and nn.Walk,
+// nothing remembered — and is what the cached layout must agree with.
+func uncachedStateSpec(m *SplitModel, scope Scope) StateSpec {
+	roots := []*nn.Sequential{m.Encoder}
+	if scope == ScopeAll {
+		roots = append(roots, m.Predictor)
+	}
+	var spec StateSpec
+	for _, root := range roots {
+		for _, p := range root.Params() {
+			spec.Segments = append(spec.Segments, Segment{Name: p.Name, Off: spec.Total, Len: p.W.Len()})
+			spec.Total += p.W.Len()
+		}
+	}
+	bn := 0
+	for _, root := range roots {
+		nn.Walk(root, func(l nn.Layer) {
+			if b, ok := l.(*nn.BatchNorm2D); ok {
+				for _, stat := range []string{"rmean", "rvar"} {
+					spec.Segments = append(spec.Segments, Segment{Name: fmt.Sprintf("bn%d.%s", bn, stat), Off: spec.Total, Len: b.C})
+					spec.Total += b.C
+				}
+				bn++
+			}
+		})
+	}
+	return spec
+}
+
+// TestStateLayoutCacheMatchesUncachedWalk: for every architecture and
+// both scopes the cached layout reports the StateSpec — names, offsets,
+// lengths, total — of a fresh walk, asked twice (cold, then cached); a
+// model whose Encoder is swapped afterwards is re-walked without being
+// told, because the cache is keyed on the Encoder/Predictor identities.
+func TestStateLayoutCacheMatchesUncachedWalk(t *testing.T) {
+	for _, arch := range allArchs {
+		t.Run(arch, func(t *testing.T) {
+			m := Build(specFor(arch), 1)
+			for _, scope := range []Scope{ScopeAll, ScopeEncoder} {
+				want := uncachedStateSpec(m, scope)
+				for pass := 0; pass < 2; pass++ {
+					if got := m.StateSpec(scope); !reflect.DeepEqual(got, want) {
+						t.Fatalf("scope %d pass %d: cached StateSpec differs from the uncached walk", scope, pass)
+					}
+					if got := m.StateLen(scope); got != want.Total {
+						t.Fatalf("scope %d pass %d: StateLen %d, uncached total %d", scope, pass, got, want.Total)
+					}
+				}
+			}
+			wider := specFor(arch)
+			wider.Width *= 2
+			other := Build(wider, 2)
+			m.Encoder, m.Predictor = other.Encoder, other.Predictor
+			if got, want := m.StateSpec(ScopeAll), uncachedStateSpec(m, ScopeAll); !reflect.DeepEqual(got, want) {
+				t.Fatal("layout cache survived an Encoder/Predictor swap")
+			}
+		})
+	}
+}
+
+// TestParamsListsAreAppendSafe: Params, EncoderParams and PredictorParams
+// hand out views of one cached array; appending to one must not write
+// into its neighbour.
+func TestParamsListsAreAppendSafe(t *testing.T) {
+	m := Build(specFor("resnet20"), 1)
+	enc, pred := m.EncoderParams(), m.PredictorParams()
+	firstPred := pred[0]
+	_ = append(enc, &nn.Param{Name: "intruder"})
+	if m.PredictorParams()[0] != firstPred || m.Params()[len(enc)] != firstPred {
+		t.Fatal("append to EncoderParams overwrote the predictor's first parameter")
+	}
+	all := m.Params()
+	if len(all) != len(enc)+len(pred) || cap(all) != len(all) || cap(enc) != len(enc) || cap(pred) != len(pred) {
+		t.Fatalf("lists not cap-clipped: all %d/%d enc %d/%d pred %d/%d",
+			len(all), cap(all), len(enc), cap(enc), len(pred), cap(pred))
+	}
+}
+
+// TestStateLenAndStateIntoDoNotAllocate guards the per-upload and
+// per-round calls the layout cache exists for: StateLen, and StateInto
+// into a sized buffer, allocate nothing — on a small and a conv model.
+func TestStateLenAndStateIntoDoNotAllocate(t *testing.T) {
+	for _, arch := range []string{"mlp", "resnet20"} {
+		t.Run(arch, func(t *testing.T) {
+			m := Build(specFor(arch), 1)
+			buf := make([]float32, m.StateLen(ScopeAll))
+			sink := 0
+			if n := testing.AllocsPerRun(50, func() {
+				sink += m.StateLen(ScopeAll) + m.StateLen(ScopeEncoder)
+				buf = m.StateInto(ScopeAll, buf)
+			}); n != 0 {
+				t.Fatalf("StateLen + StateInto allocated %v times per call", n)
+			}
+			if sink == 0 || len(buf) != m.StateLen(ScopeAll) {
+				t.Fatal("calls did not run")
+			}
+		})
 	}
 }

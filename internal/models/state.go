@@ -45,32 +45,78 @@ func (s StateSpec) Segment(name string) (Segment, bool) {
 	return Segment{}, false
 }
 
-// scopeParams returns the trainable parameters covered by scope.
-func (m *SplitModel) scopeParams(scope Scope) []*nn.Param {
-	switch scope {
-	case ScopeAll:
-		return m.Params()
-	case ScopeEncoder:
-		return m.EncoderParams()
+// stateLayout is one walk of an (Encoder, Predictor) pair: the per-scope
+// parameter and BatchNorm lists and the flat state length. Layer
+// structure is fixed once a model is built, so the walk — which names
+// every parameter with fmt.Sprintf — is taken once and reused by every
+// StateLen/StateInto/SetState/Params call of every round.
+type stateLayout struct {
+	enc, pred  *nn.Sequential       // the identities the walk was taken of
+	params     [2][]*nn.Param       // indexed by Scope; cap-clipped
+	predParams []*nn.Param          // cap-clipped
+	bns        [2][]*nn.BatchNorm2D // indexed by Scope, stable layer order
+	total      [2]int               // flat state length per scope
+}
+
+// layout returns the cached walk, taking it on first use and again
+// whenever Encoder or Predictor has been replaced — the cache is keyed
+// on their identities, so Build, prune.Extract and any code assembling a
+// SplitModel by hand need no invalidation call. Concurrent first calls
+// each take an equivalent walk; the last store wins.
+func (m *SplitModel) layout() *stateLayout {
+	if l := m.cached.Load(); l != nil && l.enc == m.Encoder && l.pred == m.Predictor {
+		return l
 	}
-	panic(fmt.Sprintf("models: unknown scope %d", scope))
+	l := &stateLayout{enc: m.Encoder, pred: m.Predictor}
+	encP := m.Encoder.Params()
+	nEnc := len(encP)
+	all := append(encP, m.Predictor.Params()...)
+	// Cap-clipped views of one backing array: a caller appending to a
+	// returned list reallocates instead of writing into its neighbour.
+	l.params[ScopeAll] = all[:len(all):len(all)]
+	l.params[ScopeEncoder] = all[:nEnc:nEnc]
+	l.predParams = all[nEnc:len(all):len(all)]
+	collect := func(root nn.Layer, bns []*nn.BatchNorm2D) []*nn.BatchNorm2D {
+		nn.Walk(root, func(layer nn.Layer) {
+			if bn, ok := layer.(*nn.BatchNorm2D); ok {
+				bns = append(bns, bn)
+			}
+		})
+		return bns
+	}
+	encBNs := collect(m.Encoder, nil)
+	encBNs = encBNs[:len(encBNs):len(encBNs)]
+	l.bns[ScopeEncoder] = encBNs
+	l.bns[ScopeAll] = collect(m.Predictor, encBNs)
+	for scope := range l.total {
+		n := nn.ParamCount(l.params[scope])
+		for _, bn := range l.bns[scope] {
+			n += 2 * bn.C
+		}
+		l.total[scope] = n
+	}
+	m.cached.Store(l)
+	return l
+}
+
+// checkScope panics on a Scope value that names no part of the model.
+func checkScope(scope Scope) {
+	if scope != ScopeAll && scope != ScopeEncoder {
+		panic(fmt.Sprintf("models: unknown scope %d", scope))
+	}
+}
+
+// scopeParams returns the trainable parameters covered by scope. The
+// list is the cache's: read it, do not store into it.
+func (m *SplitModel) scopeParams(scope Scope) []*nn.Param {
+	checkScope(scope)
+	return m.layout().params[scope]
 }
 
 // scopeBNs returns the BatchNorm layers covered by scope in stable order.
 func (m *SplitModel) scopeBNs(scope Scope) []*nn.BatchNorm2D {
-	var bns []*nn.BatchNorm2D
-	collect := func(root nn.Layer) {
-		nn.Walk(root, func(l nn.Layer) {
-			if bn, ok := l.(*nn.BatchNorm2D); ok {
-				bns = append(bns, bn)
-			}
-		})
-	}
-	collect(m.Encoder)
-	if scope == ScopeAll {
-		collect(m.Predictor)
-	}
-	return bns
+	checkScope(scope)
+	return m.layout().bns[scope]
 }
 
 // StateSpec computes the layout of the scope's flat state vector.
@@ -91,13 +137,11 @@ func (m *SplitModel) StateSpec(scope Scope) StateSpec {
 	return spec
 }
 
-// StateLen returns the length of the scope's flat state vector.
+// StateLen returns the length of the scope's flat state vector: a cached
+// total, O(1) and allocation-free after the first call.
 func (m *SplitModel) StateLen(scope Scope) int {
-	n := nn.ParamCount(m.scopeParams(scope))
-	for _, bn := range m.scopeBNs(scope) {
-		n += 2 * bn.C
-	}
-	return n
+	checkScope(scope)
+	return m.layout().total[scope]
 }
 
 // State serializes the scope into a fresh flat vector.
@@ -109,17 +153,19 @@ func (m *SplitModel) State(scope Scope) []float32 {
 // the capacity suffices (so round loops can snapshot state into pooled
 // buffers). Returns the filled slice.
 func (m *SplitModel) StateInto(scope Scope, dst []float32) []float32 {
-	n := m.StateLen(scope)
+	checkScope(scope)
+	l := m.layout()
+	n := l.total[scope]
 	if cap(dst) >= n {
 		dst = dst[:n]
 	} else {
 		dst = make([]float32, n)
 	}
 	off := 0
-	for _, p := range m.scopeParams(scope) {
+	for _, p := range l.params[scope] {
 		off += copy(dst[off:], p.W.Data)
 	}
-	for _, bn := range m.scopeBNs(scope) {
+	for _, bn := range l.bns[scope] {
 		off += copy(dst[off:], bn.RunMean)
 		off += copy(dst[off:], bn.RunVar)
 	}
@@ -128,18 +174,19 @@ func (m *SplitModel) StateInto(scope Scope, dst []float32) []float32 {
 
 // SetState writes a flat vector produced by State back into the model.
 func (m *SplitModel) SetState(scope Scope, flat []float32) {
-	want := m.StateLen(scope)
-	if len(flat) != want {
+	checkScope(scope)
+	l := m.layout()
+	if want := l.total[scope]; len(flat) != want {
 		panic(fmt.Sprintf("models: SetState length %d, want %d", len(flat), want))
 	}
 	off := 0
-	for _, p := range m.scopeParams(scope) {
+	for _, p := range l.params[scope] {
 		n := p.W.Len()
 		copy(p.W.Data, flat[off:off+n])
 		p.W.MarkMutated()
 		off += n
 	}
-	for _, bn := range m.scopeBNs(scope) {
+	for _, bn := range l.bns[scope] {
 		copy(bn.RunMean, flat[off:off+bn.C])
 		off += bn.C
 		copy(bn.RunVar, flat[off:off+bn.C])

@@ -1,8 +1,10 @@
 package prune
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +111,54 @@ func TestExtractActuallyShrinks(t *testing.T) {
 		ratio := float64(fExt) / float64(prAnalytic)
 		if ratio < 0.95 || ratio > 1.05 {
 			t.Fatalf("%s: analytic pruned FLOPs %d vs extracted %d (ratio %.3f)", arch, prAnalytic, fExt, ratio)
+		}
+	}
+}
+
+// TestExtractedModelStateLayout: an extracted model is assembled outside
+// models.Build, from layers of other widths, and its cached state layout
+// must be its own — the StateSpec of an uncached walk of its layers
+// (parameters in Params order, then BN running statistics in layer
+// order), not anything remembered from the model it was cut from.
+func TestExtractedModelStateLayout(t *testing.T) {
+	for _, arch := range []string{"resnet20", "vgg11", "cnn2"} {
+		spec := models.Spec{Arch: arch, Classes: 5, InC: 3, H: 16, W: 16, Width: 0.25}
+		m := models.Build(spec, 1)
+		base := m.StateLen(models.ScopeAll) // warm the original's cache first
+		ext := Extract(m, Select(m, uniformRatios(len(m.PrunableUnits()), 0.5)))
+		for _, scope := range []models.Scope{models.ScopeAll, models.ScopeEncoder} {
+			roots := []*nn.Sequential{ext.Encoder}
+			if scope == models.ScopeAll {
+				roots = append(roots, ext.Predictor)
+			}
+			var want models.StateSpec
+			for _, root := range roots {
+				for _, p := range root.Params() {
+					want.Segments = append(want.Segments, models.Segment{Name: p.Name, Off: want.Total, Len: p.W.Len()})
+					want.Total += p.W.Len()
+				}
+			}
+			bn := 0
+			for _, root := range roots {
+				nn.Walk(root, func(l nn.Layer) {
+					if b, ok := l.(*nn.BatchNorm2D); ok {
+						for _, stat := range []string{"rmean", "rvar"} {
+							want.Segments = append(want.Segments, models.Segment{Name: fmt.Sprintf("bn%d.%s", bn, stat), Off: want.Total, Len: b.C})
+							want.Total += b.C
+						}
+						bn++
+					}
+				})
+			}
+			if got := ext.StateSpec(scope); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s scope %d: extracted model's StateSpec differs from an uncached walk", arch, scope)
+			}
+			if got := ext.StateLen(scope); got != want.Total || (scope == models.ScopeAll && got >= base) {
+				t.Fatalf("%s scope %d: StateLen %d, walk total %d, original %d", arch, scope, got, want.Total, base)
+			}
+		}
+		if m.StateLen(models.ScopeAll) != base {
+			t.Fatalf("%s: extracting changed the original's layout", arch)
 		}
 	}
 }

@@ -7,7 +7,8 @@ import (
 
 // The telemetry-overhead benchmarks: these per-op costs, multiplied by
 // the handful of telemetry operations a round performs, are what the
-// fl overhead-budget test holds against 1% of a round's wall time.
+// 1%-of-a-round overhead contract rests on; the end-to-end number is
+// the benchmark's telemetry.overhead_frac.
 
 func BenchmarkCounterAdd(b *testing.B) {
 	r := NewRegistry()

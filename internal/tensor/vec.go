@@ -1,5 +1,10 @@
 package tensor
 
+import (
+	"encoding/binary"
+	"math"
+)
+
 // Vec kernels: the SIMD elementwise layer under the training hot path.
 // Every kernel is elementwise — no cross-element reduction — so the AVX2
 // paths apply the identical IEEE operation sequence per element as the
@@ -217,6 +222,31 @@ func VecAccumScaled(acc []float64, v []float32, w float64) {
 	}
 	for i, x := range v {
 		acc[i] += w * float64(x)
+	}
+}
+
+// VecAccumScaledLE is VecAccumScaled with the float32 operand read
+// straight from little-endian wire bytes: acc[i] += w*float64(x[i])
+// where x[i] is the float32 at src[4i:4i+4]. It is the fused
+// decode→fold step of the server reduction — no intermediate
+// []float32 — and bitwise equal to decoding src and calling
+// VecAccumScaled. src may start at any byte offset: the assembly body
+// takes a byte pointer and every load in it is unaligned-safe.
+func VecAccumScaledLE(acc []float64, src []byte, w float64) {
+	src = src[:4*len(acc)]
+	if useAVX2 && len(acc) >= 8 {
+		n := len(acc) &^ 3
+		vecAccumScaledLEAsm(&acc[0], &src[0], n, w)
+		acc, src = acc[n:], src[4*n:]
+	}
+	vecAccumScaledLEScalar(acc, src, w)
+}
+
+// vecAccumScaledLEScalar is the portable body of VecAccumScaledLE and
+// its remainder loop.
+func vecAccumScaledLEScalar(acc []float64, src []byte, w float64) {
+	for i := range acc {
+		acc[i] += w * float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
 	}
 }
 

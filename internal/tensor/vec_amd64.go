@@ -46,6 +46,13 @@ func vecAxpyDiffAsm(dst, a, b *float32, n int, m float32)
 //go:noescape
 func vecAccumScaledAsm(acc *float64, v *float32, n int, w float64)
 
+// vecAccumScaledLEAsm is the vecAccumScaledAsm body entered with a byte
+// pointer: amd64 is little-endian and VCVTPS2PD's memory operand has no
+// alignment requirement, so wire bytes are read in place.
+//
+//go:noescape
+func vecAccumScaledLEAsm(acc *float64, src *byte, n int, w float64)
+
 //go:noescape
 func vecF64ToF32Asm(dst *float32, src *float64, n int)
 

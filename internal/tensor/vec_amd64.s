@@ -272,10 +272,16 @@ axdiffloop:
 	RET
 
 // func vecAccumScaledAsm(acc *float64, v *float32, n int, w float64)
-// acc[i] += w*float64(v[i])
+// acc[i] += w*float64(v[i]); the body is vecAccumScaledLEAsm's, whose
+// frame is identical.
 TEXT ·vecAccumScaledAsm(SB), NOSPLIT, $0-32
+	JMP	·vecAccumScaledLEAsm(SB)
+
+// func vecAccumScaledLEAsm(acc *float64, src *byte, n int, w float64)
+// acc[i] += w*float64(f32 at src[4i]); src needs no alignment.
+TEXT ·vecAccumScaledLEAsm(SB), NOSPLIT, $0-32
 	MOVQ	acc+0(FP), DI
-	MOVQ	v+8(FP), SI
+	MOVQ	src+8(FP), SI
 	MOVQ	n+16(FP), CX
 	VBROADCASTSD	w+24(FP), Y0
 

@@ -23,6 +23,9 @@ func vecAxpyDiffAsm(dst, a, b *float32, n int, m float32) { panic("tensor: no ve
 func vecAccumScaledAsm(acc *float64, v *float32, n int, w float64) {
 	panic("tensor: no vector kernel")
 }
+func vecAccumScaledLEAsm(acc *float64, src *byte, n int, w float64) {
+	panic("tensor: no vector kernel")
+}
 func vecF64ToF32Asm(dst *float32, src *float64, n int) { panic("tensor: no vector kernel") }
 func vecBNTrainAsm(out, xhat, x *float32, n int, mean, inv, gv, b float64) {
 	panic("tensor: no vector kernel")

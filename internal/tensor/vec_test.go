@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sync"
@@ -207,6 +208,44 @@ func TestVecKernelsMatchRef(t *testing.T) {
 			VecBNBwd(got, y, x, scale, cnt, dbeta, dgamma)
 			RefVecBNBwd(want, y, x, scale, cnt, dbeta, dgamma)
 			eqBitsF32(t, "VecBNBwd", n, got, want)
+		}
+	}
+}
+
+// TestVecAccumScaledLEMatchesDecodeThenAccum pins the fused
+// decode→fold kernel to its two-pass definition — decode the wire bytes
+// into a []float32, then VecAccumScaled — on every remainder lane
+// (lengths 0…67) and at every byte offset 0…7 of the source, for both
+// the dispatching entry point (AVX2 where available) and the portable
+// body. Run under -race it is also the checkptr proof that no
+// misaligned pointer is formed.
+func TestVecAccumScaledLEMatchesDecodeThenAccum(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 8; off++ {
+			x := make([]float32, n)
+			fillSpecial(rng, x)
+			raw := make([]byte, off+4*n+5) // slack on both sides of the window
+			for i, v := range x {
+				binary.LittleEndian.PutUint32(raw[off+4*i:], math.Float32bits(v))
+			}
+			wire := raw[off : off+4*n]
+			acc := make([]float64, n)
+			fillSpecial64(rng, acc)
+			w := rng.NormFloat64()
+
+			want := cloneF64(acc)
+			VecAccumScaled(want, x, w)
+			ref := cloneF64(acc)
+			RefVecAccumScaled(ref, x, w)
+			eqBitsF64(t, "VecAccumScaled", n, want, ref)
+
+			got := cloneF64(acc)
+			VecAccumScaledLE(got, wire, w)
+			eqBitsF64(t, "VecAccumScaledLE", n, got, want)
+			got = cloneF64(acc)
+			vecAccumScaledLEScalar(got, wire, w)
+			eqBitsF64(t, "vecAccumScaledLEScalar", n, got, want)
 		}
 	}
 }

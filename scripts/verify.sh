@@ -9,8 +9,10 @@
 #   ./scripts/verify.sh --obs    tier-1 plus the observability battery:
 #                                the -race hammer over the telemetry
 #                                subsystem and the TCP transport that
-#                                journals through it, plus the analytic
-#                                <1% telemetry-overhead budget test
+#                                journals through it (what telemetry
+#                                costs is a benchmark metric,
+#                                telemetry.overhead_frac — no test times
+#                                anything)
 #   ./scripts/verify.sh --bench  tier-1 plus the performance regression
 #                                gate: rerun the micro benchmarks and
 #                                fail if any is slower than the latest
@@ -34,6 +36,17 @@
 #                                (scripts/golden/hetero.json) diffed
 #                                byte-for-byte against
 #                                scripts/golden/hetero/
+#   ./scripts/verify.sh --e2e parent.json
+#                                tier-1 plus the end-to-end benchmark:
+#                                go run ./benchmark --out (all four
+#                                workloads, untraced and traced, seed
+#                                BENCH_SEED, default 1) and --compare
+#                                against parent.json, a result the same
+#                                command wrote on this machine at the
+#                                parent commit; the new result is kept
+#                                at E2E_OUT (default a temp file).
+#                                One pair is a look, not a claim: a
+#                                perf claim needs ten alternating pairs
 #
 # Tier-1 must pass on every commit. The hot-path battery is mandatory
 # for changes touching internal/tensor (SIMD kernels, packed GEMM,
@@ -71,6 +84,9 @@ if [[ "${1:-}" == "--hot" ]]; then
     echo "== hot path: streaming-fold hammer =="
     go test -race -count=1 -run 'Stream|Staging|Permutation' \
         ./internal/algo ./internal/fl ./internal/flnet
+    echo "== hot path: fused decode-fold kernel and run fold =="
+    go test -race -count=1 -run 'AccumScaledLE|DenseView|ViewDense|DenseRunFold|DenseMalformed|ShardReserve' \
+        ./internal/tensor ./internal/comm ./internal/algo
 fi
 
 if [[ "${1:-}" == "--bench" ]]; then
@@ -130,8 +146,19 @@ fi
 if [[ "${1:-}" == "--obs" ]]; then
     echo "== observability: race hammer =="
     go test -race ./internal/telemetry ./internal/flnet
-    echo "== observability: overhead budget =="
-    go test -run TestTelemetryOverheadBudget -v ./internal/fl
+fi
+
+if [[ "${1:-}" == "--e2e" ]]; then
+    parent="${2:-}"
+    if [[ ! -f "$parent" ]]; then
+        echo "verify: --e2e needs a parent result file (go run ./benchmark --out parent.json at the parent commit)" >&2
+        exit 1
+    fi
+    out="${E2E_OUT:-$(mktemp --suffix=.json)}"
+    echo "== e2e: all workloads, seed ${BENCH_SEED:-1} -> $out =="
+    go run ./benchmark --seed "${BENCH_SEED:-1}" --out "$out"
+    echo "== e2e: compare against $parent =="
+    go run ./benchmark --compare "$parent" "$out"
 fi
 
 echo "verify: OK"
