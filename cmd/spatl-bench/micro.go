@@ -247,8 +247,8 @@ var microBenchmarks = []struct {
 		}
 	}},
 	{"ConvForwardBatched", func(b *testing.B) {
-		// Wide-OutC geometry: the batch-fused lowering runs the packed
-		// panel-cache GEMM over multi-image im2col groups.
+		// Wide-OutC geometry: two full row tiles per 16-column panel of
+		// the implicit GEMM.
 		rng := nn.Rng(4)
 		conv := nn.NewConv2D("conv", 16, 32, 3, 1, 1, false, rng)
 		x := tensor.New(32, 16, 16, 16)
@@ -259,8 +259,8 @@ var microBenchmarks = []struct {
 		}
 	}},
 	{"ConvForwardNarrow", func(b *testing.B) {
-		// Narrow-OutC geometry (OutC < 16): the lowering swaps operand
-		// roles so the wide patch buffer stays in the vectorized B slot.
+		// Narrow-OutC geometry: the same tile; OutC only sets how many
+		// broadcast rows share each loaded B row.
 		rng := nn.Rng(5)
 		conv := nn.NewConv2D("conv", 16, 8, 3, 1, 1, false, rng)
 		x := tensor.New(32, 16, 16, 16)

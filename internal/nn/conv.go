@@ -9,9 +9,12 @@ import (
 )
 
 // Conv2D is a 2D convolution with square kernels, shared stride/padding on
-// both axes and optional bias. Forward lowers each image to a column
-// matrix (im2col) and multiplies by the filter matrix; backward recomputes
-// the columns rather than caching them, trading FLOPs for memory.
+// both axes and optional bias. Every product runs on tensor.Gemm with the
+// operands where they already lie; nothing lowered or packed is kept
+// between Forward and Backward (backward recomputes what it needs from the
+// cached input, trading FLOPs for memory). DESIGN §8.1 has the three
+// routes — implicit GEMM for stride 1, row-major lowering for strided
+// geometries, zero-skipping kernels for masked weights.
 type Conv2D struct {
 	name                      string
 	InC, OutC, K, Stride, Pad int
@@ -22,14 +25,12 @@ type Conv2D struct {
 	x                         *tensor.Tensor // cached input for backward
 	out, dx                   *tensor.Tensor // reused activation/gradient buffers
 
-	// Weight panel caches, keyed on the weight tensor's mutation counter:
-	// wpack holds the PackTransB image of W for the batch-fused forward
-	// GEMM, wtrans holds Wᵀ for the batch-fused backward dx GEMM. Both
-	// survive across batches until an optimizer step (or any other weight
-	// write) bumps the counter.
-	wpack, wtrans packCache
+	// taps[(ch·K+ky)·K+kx] = ch·Hp·Wp + ky·Wp + kx is where lowered row
+	// (ch,ky,kx) of a stride-1 convolution starts in the zero-bordered
+	// (InC, Hp, Wp) copy of an image; rebuilt with dims.
+	taps []int32
 	// sparsity caches the sparse-dispatch decision and the exact nonzero
-	// pattern under the same version key, so mask-static sparse weights
+	// pattern under the weight version, so mask-static sparse weights
 	// (algo.SSFL) skip both the per-minibatch probe and the per-element
 	// zero branches of the GEMM.
 	sparsity sparseCache
@@ -51,6 +52,16 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, useBias bool, rng *ra
 	return c
 }
 
+// padded returns the zero-bordered image geometry of a stride-1
+// convolution: its height and width, and flat = (OutH−1)·Wp+OutW, the
+// span of output positions laid out at the padded pitch Wp (output
+// (oy,ox) at oy·Wp+ox; the Wp−OutW columns between rows are junk).
+func (c *Conv2D) padded() (hp, wp, flat int) {
+	d := c.dims
+	hp, wp = d.H+2*c.Pad, d.W+2*c.Pad
+	return hp, wp, (d.OutH-1)*wp + d.OutW
+}
+
 // Forward implements Layer. Input shape (N, InC, H, W).
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.InC {
@@ -60,125 +71,133 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !c.haveDims || c.dims.H != h || c.dims.W != w {
 		c.dims = tensor.NewConvDims(c.InC, h, w, c.OutC, c.K, c.Stride, c.Pad)
 		c.haveDims = true
+		hp, wp, _ := c.padded()
+		c.taps = c.taps[:0]
+		for ch := 0; ch < c.InC; ch++ {
+			for ky := 0; ky < c.K; ky++ {
+				for kx := 0; kx < c.K; kx++ {
+					c.taps = append(c.taps, int32(ch*hp*wp+ky*wp+kx))
+				}
+			}
+		}
 	}
-	d := c.dims
-	out := tensor.Reuse(c.out, n, c.OutC, d.OutH, d.OutW)
+	out := tensor.Reuse(c.out, n, c.OutC, c.dims.OutH, c.dims.OutW)
 	c.out = out
-	inStride := c.InC * h * w
-	outStride := c.OutC * d.OutH * d.OutW
-	colRows := c.InC * c.K * c.K
-	cols := d.OutH * d.OutW
-	// Pruned/masked weights use the row-major lowering with the
-	// zero-skipping kernel, which elides whole B-row passes per zero
-	// weight. The lowering is batch-fused like the dense path: images sit
-	// side by side in one wide (colRows, G·cols) matrix (Im2ColLD), so
-	// each surviving weight's axpy runs over the whole group instead of
-	// one image's columns — the vector kernel amortizes far better on the
-	// deep layers whose per-image column count is tiny. The sparsity
-	// decision (and, mask-static, the exact nonzero pattern) is cached on
-	// the weight version, so frozen or mask-static weights skip the probe
-	// entirely and the GEMM walks precomputed index lists instead of
-	// branching on every element — bitwise identical either way.
-	if sparse, pat := c.sparsity.probe(c.weight.W, c.OutC, colRows); sparse {
-		tensor.Parallel(n, func(lo, hi int) {
-			for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
-				gn := fusedGroup(hi-glo, colRows*cols)
-				wide := gn * cols
-				colB := tensor.GetScratch(colRows * wide)
-				for i := glo; i < glo+gn; i++ {
-					tensor.Im2ColLD(colB[(i-glo)*cols:], x.Data[i*inStride:(i+1)*inStride], d, wide)
-				}
-				cB := tensor.GetScratch(c.OutC * wide)
-				if pat != nil {
-					tensor.MatMulMaskPatSlice(cB, c.weight.W.Data, colB, pat, wide)
-				} else {
-					tensor.MatMulSparseSlice(cB, c.weight.W.Data, colB, c.OutC, colRows, wide)
-				}
-				for i := glo; i < glo+gn; i++ {
-					oi := out.Data[i*outStride : (i+1)*outStride]
-					for oc := 0; oc < c.OutC; oc++ {
-						copy(oi[oc*cols:(oc+1)*cols], cB[oc*wide+(i-glo)*cols:][:cols])
-					}
-					c.addBias(oi, cols)
-				}
-				tensor.PutScratch(cB)
-				tensor.PutScratch(colB)
-			}
-		})
-		c.x = x
-		return out
-	}
-	// Dense weights take the batch-fused lowering: images are lowered
-	// patch-major into one wide (G·cols, colRows) buffer and one GEMM per
-	// group produces the whole group's activations. Either operand of the
-	// product may play Bᵀ — every output element is dot(patch, filter) in
-	// ascending-k order under both role assignments, so the choice is
-	// bitwise-invisible — and we pick whichever keeps the vector panel
-	// kernel engaged:
-	//
-	//   wide filter banks (OutC ≥ panel width): t = cols·Wᵀ with W as the
-	//   packed operand, so the O(OutC·colRows) pack survives the whole
-	//   batch (and across batches, via the version-keyed cache) instead of
-	//   being repaid per image.
-	//
-	//   narrow filter banks (small OutC, e.g. early blocks of
-	//   width-scaled ResNets): W has too few rows to fill a B panel and
-	//   the swapped product would fall to the scalar kernel; instead run
-	//   cB = W·colBᵀ with the wide patch buffer as B, which always has
-	//   enough rows for the tile. The result is channel-major, so each
-	//   image's rows copy straight out with no transpose.
-	if tensor.PackedTransBWants(c.OutC, colRows) {
-		wp := c.wpack.get(c.weight.W, c.OutC*colRows, func(dst []float32) {
-			tensor.PackTransB(dst, c.weight.W.Data, c.OutC, colRows)
-		})
-		tensor.Parallel(n, func(lo, hi int) {
-			for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
-				gn := fusedGroup(hi-glo, colRows*cols)
-				colB := tensor.GetScratch(gn * cols * colRows)
-				for i := glo; i < glo+gn; i++ {
-					tensor.Im2ColPatch(colB[(i-glo)*cols*colRows:], x.Data[i*inStride:(i+1)*inStride], d)
-				}
-				t := tensor.GetScratch(gn * cols * c.OutC)
-				tensor.MatMulTransBPackedSlice(t, colB, wp, gn*cols, colRows, c.OutC, false)
-				// t is patch-major (G·cols, OutC); transpose each image's block
-				// back to the (OutC, cols) activation layout, then add bias.
-				for i := glo; i < glo+gn; i++ {
-					oi := out.Data[i*outStride : (i+1)*outStride]
-					tensor.TransposeSlice(oi, t[(i-glo)*cols*c.OutC:][:cols*c.OutC], cols, c.OutC)
-					c.addBias(oi, cols)
-				}
-				tensor.PutScratch(t)
-				tensor.PutScratch(colB)
-			}
-		})
-		c.x = x
-		return out
-	}
+	c.x = x
+	// The sparsity decision (and, mask-static, the exact nonzero pattern)
+	// is cached on the weight version, so frozen or mask-static weights
+	// skip the probe entirely and the GEMM walks precomputed index lists
+	// instead of branching on every element — bitwise identical either way.
+	sparse, pat := c.sparsity.probe(c.weight.W, c.OutC, c.InC*c.K*c.K)
 	tensor.Parallel(n, func(lo, hi int) {
-		for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
-			gn := fusedGroup(hi-glo, colRows*cols)
-			wide := gn * cols
-			colB := tensor.GetScratch(wide * colRows)
-			for i := glo; i < glo+gn; i++ {
-				tensor.Im2ColPatch(colB[(i-glo)*cols*colRows:], x.Data[i*inStride:(i+1)*inStride], d)
-			}
-			cB := tensor.GetScratch(c.OutC * wide)
-			tensor.MatMulTransBSlice(cB, c.weight.W.Data, colB, c.OutC, colRows, wide)
-			// cB is channel-major (OutC, G·cols): image i's channel oc row is
-			// the contiguous slice at cB[oc·wide + (i-glo)·cols].
-			for i := glo; i < glo+gn; i++ {
-				oi := out.Data[i*outStride : (i+1)*outStride]
-				for oc := 0; oc < c.OutC; oc++ {
-					copy(oi[oc*cols:(oc+1)*cols], cB[oc*wide+(i-glo)*cols:][:cols])
-				}
-				c.addBias(oi, cols)
-			}
-			tensor.PutScratch(cB)
-			tensor.PutScratch(colB)
+		switch {
+		case sparse:
+			c.forwardSparse(out, x, pat, lo, hi)
+		case c.Stride == 1:
+			c.forwardImplicit(out, x, lo, hi)
+		default:
+			c.forwardLowered(out, x, lo, hi)
 		}
 	})
-	c.x = x
 	return out
+}
+
+// forwardImplicit is the dense stride-1 forward of images [lo,hi) as an
+// implicit GEMM: the image is copied once into a zero-bordered scratch,
+// where lowered row (ch,ky,kx) is simply the contiguous view starting at
+// taps[row], so out = W · views runs through Gemm's offset table over the
+// flat padded-pitch span and the column matrix is never built. Each
+// output is the same ascending-(ch,ky,kx) chain the lowered product
+// forms; the junk columns are computed and not copied out.
+func (c *Conv2D) forwardImplicit(out, x *tensor.Tensor, lo, hi int) {
+	d := c.dims
+	hp, wp, flat := c.padded()
+	cols, colRows := d.OutH*d.OutW, c.InC*c.K*c.K
+	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	xp := tensor.GetScratch(c.InC * hp * wp)
+	clear(xp) // the border; every image overwrites the whole interior
+	cB := tensor.GetScratch(c.OutC * flat)
+	for i := lo; i < hi; i++ {
+		c.padInto(xp, x.Data[i*inStride:(i+1)*inStride])
+		tensor.Gemm(cB, flat, c.weight.W.Data, colRows, 1, xp, 0, c.taps, c.OutC, colRows, flat, false)
+		oi := out.Data[i*outStride : (i+1)*outStride]
+		for oc := 0; oc < c.OutC; oc++ {
+			for oy := 0; oy < d.OutH; oy++ {
+				dst, src := oi[oc*cols+oy*d.OutW:][:d.OutW], cB[oc*flat+oy*wp:][:d.OutW]
+				if c.useBias {
+					tensor.VecCopyBias(dst, src, c.bias.W.Data[oc])
+				} else {
+					copy(dst, src)
+				}
+			}
+		}
+	}
+	tensor.PutScratch(cB)
+	tensor.PutScratch(xp)
+}
+
+// padInto copies one (InC,H,W) image into the interior of the
+// zero-bordered (InC,Hp,Wp) buffer xp.
+func (c *Conv2D) padInto(xp, xi []float32) {
+	d := c.dims
+	_, wp, _ := c.padded()
+	for r := 0; r < c.InC*d.H; r++ {
+		ch, y := r/d.H, r%d.H
+		copy(xp[(ch*(d.H+2*c.Pad)+y+c.Pad)*wp+c.Pad:][:d.W], xi[r*d.W:][:d.W])
+	}
+}
+
+// forwardLowered is the dense forward of images [lo,hi) for strided
+// geometries, whose lowered rows are not contiguous views: one row-major
+// im2col per image feeding the same tile, written straight into out.
+func (c *Conv2D) forwardLowered(out, x *tensor.Tensor, lo, hi int) {
+	d := c.dims
+	cols, colRows := d.OutH*d.OutW, c.InC*c.K*c.K
+	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	col := tensor.GetScratch(colRows * cols)
+	for i := lo; i < hi; i++ {
+		tensor.Im2ColLD(col, x.Data[i*inStride:(i+1)*inStride], d, cols)
+		oi := out.Data[i*outStride : (i+1)*outStride]
+		tensor.Gemm(oi, cols, c.weight.W.Data, colRows, 1, col, cols, nil, c.OutC, colRows, cols, false)
+		c.addBias(oi, cols)
+	}
+	tensor.PutScratch(col)
+}
+
+// forwardSparse is the forward of images [lo,hi) under pruned/masked
+// weights: the row-major lowering with the zero-skipping kernel, which
+// elides whole B-row passes per zero weight. Images sit side by side in
+// one wide (colRows, G·cols) matrix (Im2ColLD), so each surviving
+// weight's axpy runs over the whole group instead of one image's columns
+// — the vector kernel amortizes far better on the deep layers whose
+// per-image column count is tiny.
+func (c *Conv2D) forwardSparse(out, x *tensor.Tensor, pat *tensor.MaskPat, lo, hi int) {
+	d := c.dims
+	cols, colRows := d.OutH*d.OutW, c.InC*c.K*c.K
+	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
+		gn := fusedGroup(hi-glo, colRows*cols)
+		wide := gn * cols
+		colB := tensor.GetScratch(colRows * wide)
+		for i := glo; i < glo+gn; i++ {
+			tensor.Im2ColLD(colB[(i-glo)*cols:], x.Data[i*inStride:(i+1)*inStride], d, wide)
+		}
+		cB := tensor.GetScratch(c.OutC * wide)
+		if pat != nil {
+			tensor.MatMulMaskPatSlice(cB, c.weight.W.Data, colB, pat, wide)
+		} else {
+			tensor.MatMulSparseSlice(cB, c.weight.W.Data, colB, c.OutC, colRows, wide)
+		}
+		for i := glo; i < glo+gn; i++ {
+			oi := out.Data[i*outStride : (i+1)*outStride]
+			for oc := 0; oc < c.OutC; oc++ {
+				copy(oi[oc*cols:(oc+1)*cols], cB[oc*wide+(i-glo)*cols:][:cols])
+			}
+			c.addBias(oi, cols)
+		}
+		tensor.PutScratch(cB)
+		tensor.PutScratch(colB)
+	}
 }
 
 // addBias adds the per-channel bias to one image's (OutC, cols) activation
@@ -192,11 +211,11 @@ func (c *Conv2D) addBias(oi []float32, cols int) {
 	}
 }
 
-// fusedFloatsCap bounds the widest scratch buffer a fused image group may
-// allocate (in float32 elements, ~16 MiB), so huge batches of large
-// feature maps are processed in a few chunked GEMMs instead of one
-// enormous allocation. Grouping only changes where GEMM call boundaries
-// fall, never any per-element accumulation chain.
+// fusedFloatsCap bounds the widest scratch buffer a fused image group of
+// the sparse route may allocate (in float32 elements, ~16 MiB), so huge
+// batches of large feature maps are processed in a few chunked GEMMs
+// instead of one enormous allocation. Grouping only changes where GEMM
+// call boundaries fall, never any per-element accumulation chain.
 const fusedFloatsCap = 4 << 20
 
 // fusedGroup returns how many of the remaining n images to fuse into one
@@ -227,24 +246,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 	dx := tensor.Reuse(c.dx, n, c.InC, h, w)
 	c.dx = dx
-
-	// dx = col2im(Wᵀ · g) is batch-fused like the forward pass: per image
-	// group, the output gradients are transposed patch-major into one wide
-	// (G·cols, OutC) matrix, a single GEMM forms the lowered input
-	// gradient dcolB = Wᵀ · gᵀ for the whole group, and Col2ImLD scatters
-	// each image's slice straight out of the wide buffer. The cached Wᵀ
-	// replaces the per-image transpose MatMulTransASlice used to build.
-	// dW stays per-image (dot-then-add per image, shards merged in fixed
-	// order) so its accumulation grouping — and hence rounding — is
-	// untouched. Sparse (pruned) weights skip the transpose cache and run
-	// the zero-skipping Wᵀ·g over the same wide group buffer instead.
-	sparseW, pat := c.sparsity.probe(c.weight.W, c.OutC, colRows)
-	var wt []float32
-	if !sparseW {
-		wt = c.wtrans.get(c.weight.W, colRows*c.OutC, func(dst []float32) {
-			tensor.TransposeSlice(dst, c.weight.W.Data, c.OutC, colRows)
-		})
-	}
+	sparse, pat := c.sparsity.probe(c.weight.W, c.OutC, colRows)
 
 	// Shard the batch; each shard accumulates its own dW (and db) in
 	// scratch buffers, then shards are summed in fixed order so results
@@ -263,75 +265,39 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 				hi = n
 			}
 			sh := shard{dw: tensor.GetScratch(c.OutC * colRows)}
-			for i := range sh.dw {
-				sh.dw[i] = 0
-			}
+			clear(sh.dw)
 			if c.useBias {
 				sh.db = make([]float64, c.OutC)
 			}
-			col := tensor.GetScratch(colRows * cols)
-			for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
-				gn := fusedGroup(hi-glo, colRows*cols)
-				wide := gn * cols
-				dcolB := tensor.GetScratch(colRows * wide)
-				if sparseW {
-					// Sparse weights: lay the group's output gradients side
-					// by side channel-major (no transpose needed) and run
-					// the zero-skipping Wᵀ·g once over the whole group, so
-					// each surviving weight's axpy spans G·cols columns.
-					giB := tensor.GetScratch(c.OutC * wide)
-					for i := glo; i < glo+gn; i++ {
-						gi := dout.Data[i*outStride : (i+1)*outStride]
-						for oc := 0; oc < c.OutC; oc++ {
-							copy(giB[oc*wide+(i-glo)*cols:][:cols], gi[oc*cols:(oc+1)*cols])
+			// dW += g_i · patches_i per image: each dot product runs over
+			// the image's output positions in ascending order and is then
+			// added once, so dW's rounding is per image whatever the route.
+			// The patch-major lowering is the product's natural (k=cols,
+			// n=colRows) vector operand.
+			col := tensor.GetScratch(cols * colRows)
+			for i := lo; i < hi; i++ {
+				tensor.Im2ColPatch(col, x.Data[i*inStride:(i+1)*inStride], d)
+				gi := dout.Data[i*outStride : (i+1)*outStride]
+				tensor.Gemm(sh.dw, colRows, gi, cols, 1, col, colRows, nil, c.OutC, cols, colRows, true)
+				if c.useBias {
+					for oc := 0; oc < c.OutC; oc++ {
+						var s float64
+						for _, v := range gi[oc*cols : (oc+1)*cols] {
+							s += float64(v)
 						}
-					}
-					if pat != nil {
-						tensor.MatMulTransAMaskPatSlice(dcolB, c.weight.W.Data, giB, pat, wide)
-					} else {
-						tensor.MatMulTransASparseSlice(dcolB, c.weight.W.Data, giB, colRows, c.OutC, wide)
-					}
-					tensor.PutScratch(giB)
-				} else {
-					giT := tensor.GetScratch(wide * c.OutC)
-					for i := glo; i < glo+gn; i++ {
-						tensor.TransposeSlice(giT[(i-glo)*cols*c.OutC:][:cols*c.OutC],
-							dout.Data[i*outStride:(i+1)*outStride], c.OutC, cols)
-					}
-					// dcolB[r][i·cols+j] = dot(Wᵀ row r, gᵀ patch row) — the
-					// same ascending-OutC chain as the per-image Wᵀ·g.
-					tensor.MatMulTransBSlice(dcolB, wt, giT, colRows, c.OutC, wide)
-					tensor.PutScratch(giT)
-				}
-				for i := glo; i < glo+gn; i++ {
-					tensor.Im2Col(col, x.Data[i*inStride:(i+1)*inStride], d)
-					gi := dout.Data[i*outStride : (i+1)*outStride]
-					// dW += gi · colᵀ, accumulated straight into the shard
-					// buffer (each dot product is still formed in ascending-k
-					// order before the single add, matching the old
-					// materialize-then-add rounding).
-					tensor.MatMulTransBAccSlice(sh.dw, gi, col, c.OutC, cols, colRows)
-					// Col2ImLD accumulates, so the reused image slice is
-					// zeroed first.
-					dxi := dx.Data[i*inStride : (i+1)*inStride]
-					for j := range dxi {
-						dxi[j] = 0
-					}
-					tensor.Col2ImLD(dxi, dcolB[(i-glo)*cols:], d, wide)
-					if c.useBias {
-						for oc := 0; oc < c.OutC; oc++ {
-							var s float64
-							row := gi[oc*cols : (oc+1)*cols]
-							for _, v := range row {
-								s += float64(v)
-							}
-							sh.db[oc] += s
-						}
+						sh.db[oc] += s
 					}
 				}
-				tensor.PutScratch(dcolB)
 			}
 			tensor.PutScratch(col)
+			switch {
+			case sparse:
+				c.backwardSparse(dx, dout, pat, lo, hi)
+			case c.Stride == 1:
+				c.backwardImplicit(dx, dout, lo, hi)
+			default:
+				c.backwardLowered(dx, dout, lo, hi)
+			}
 			shards[s] = sh
 		}
 	})
@@ -339,10 +305,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		if sh.dw == nil {
 			continue
 		}
-		g := c.weight.G.Data
-		for i, v := range sh.dw {
-			g[i] += v
-		}
+		tensor.VecAdd(c.weight.G.Data, sh.dw)
 		tensor.PutScratch(sh.dw)
 		if c.useBias {
 			for oc, v := range sh.db {
@@ -351,6 +314,100 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return dx
+}
+
+// backwardImplicit forms dx of images [lo,hi) for a dense stride-1
+// convolution without building dcol = Wᵀ·g or scattering it. g is laid
+// out at the padded pitch with zero junk columns; for tap (ky,kx), rows
+// (ch,ky,kx) of dcol for all ch are one Gemm with W read transposed
+// through its strides (A[ch][oc] = W[oc][(ch,ky,kx)]), and col2im of
+// those rows is a plain add of the row into the zero-bordered dx plane ch
+// at offset ky·Wp+kx — the tile's accumulate epilogue, which forms each
+// dot product over ascending oc first and adds it once, as col2im adds a
+// finished dcol element. Taps run in ascending (ky,kx), so every dx
+// element receives its contributions in the ascending (ch,ky,kx) order of
+// the lowered scatter. A junk column's dot product is a sum of ±0 started
+// from +0, which is +0, and dx is a running sum started from +0, which is
+// never −0; adding +0 to it is a bitwise no-op, so the junk columns (which
+// land on real cells of the next row) change nothing. Cells in the border
+// collect the taps the lowered scatter skips and are not copied out.
+func (c *Conv2D) backwardImplicit(dx, dout *tensor.Tensor, lo, hi int) {
+	d := c.dims
+	hp, wp, flat := c.padded()
+	cols, colRows, kk := d.OutH*d.OutW, c.InC*c.K*c.K, c.K*c.K
+	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	gp := tensor.GetScratch(c.OutC * flat)
+	clear(gp) // the junk columns; every image overwrites all the others
+	dxp := tensor.GetScratch(c.InC * hp * wp)
+	for i := lo; i < hi; i++ {
+		gi := dout.Data[i*outStride : (i+1)*outStride]
+		for r := 0; r < c.OutC*d.OutH; r++ {
+			copy(gp[(r/d.OutH)*flat+(r%d.OutH)*wp:][:d.OutW], gi[r*d.OutW:][:d.OutW])
+		}
+		clear(dxp)
+		for t := 0; t < kk; t++ {
+			tensor.Gemm(dxp[(t/c.K)*wp+t%c.K:], hp*wp, c.weight.W.Data[t:], kk, colRows, gp, flat, nil, c.InC, c.OutC, flat, true)
+		}
+		dxi := dx.Data[i*inStride : (i+1)*inStride]
+		for r := 0; r < c.InC*d.H; r++ {
+			copy(dxi[r*d.W:][:d.W], dxp[((r/d.H)*hp+r%d.H+c.Pad)*wp+c.Pad:][:d.W])
+		}
+	}
+	tensor.PutScratch(dxp)
+	tensor.PutScratch(gp)
+}
+
+// backwardLowered forms dx of images [lo,hi) for dense strided
+// geometries: dcol = Wᵀ·g with W read transposed through its strides,
+// then the col2im scatter.
+func (c *Conv2D) backwardLowered(dx, dout *tensor.Tensor, lo, hi int) {
+	d := c.dims
+	cols, colRows := d.OutH*d.OutW, c.InC*c.K*c.K
+	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	dcol := tensor.GetScratch(colRows * cols)
+	for i := lo; i < hi; i++ {
+		tensor.Gemm(dcol, cols, c.weight.W.Data, 1, colRows, dout.Data[i*outStride:(i+1)*outStride], cols, nil, colRows, c.OutC, cols, false)
+		dxi := dx.Data[i*inStride : (i+1)*inStride]
+		clear(dxi)
+		tensor.Col2Im(dxi, dcol, d)
+	}
+	tensor.PutScratch(dcol)
+}
+
+// backwardSparse forms dx of images [lo,hi) under pruned/masked weights:
+// the group's output gradients are laid side by side channel-major and
+// the zero-skipping Wᵀ·g runs once over the whole group, so each
+// surviving weight's axpy spans G·cols columns; Col2ImLD scatters each
+// image's slice straight out of the wide buffer.
+func (c *Conv2D) backwardSparse(dx, dout *tensor.Tensor, pat *tensor.MaskPat, lo, hi int) {
+	d := c.dims
+	cols, colRows := d.OutH*d.OutW, c.InC*c.K*c.K
+	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
+		gn := fusedGroup(hi-glo, colRows*cols)
+		wide := gn * cols
+		dcolB := tensor.GetScratch(colRows * wide)
+		giB := tensor.GetScratch(c.OutC * wide)
+		for i := glo; i < glo+gn; i++ {
+			gi := dout.Data[i*outStride : (i+1)*outStride]
+			for oc := 0; oc < c.OutC; oc++ {
+				copy(giB[oc*wide+(i-glo)*cols:][:cols], gi[oc*cols:(oc+1)*cols])
+			}
+		}
+		if pat != nil {
+			tensor.MatMulTransAMaskPatSlice(dcolB, c.weight.W.Data, giB, pat, wide)
+		} else {
+			tensor.MatMulTransASparseSlice(dcolB, c.weight.W.Data, giB, colRows, c.OutC, wide)
+		}
+		tensor.PutScratch(giB)
+		for i := glo; i < glo+gn; i++ {
+			// Col2ImLD accumulates, so the reused image slice is zeroed first.
+			dxi := dx.Data[i*inStride : (i+1)*inStride]
+			clear(dxi)
+			tensor.Col2ImLD(dxi, dcolB[(i-glo)*cols:], d, wide)
+		}
+		tensor.PutScratch(dcolB)
+	}
 }
 
 // Params implements Layer.

@@ -1,30 +1,33 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"spatl/internal/tensor"
 )
 
-// perImageConvForward is the pre-fusion dense forward formulation: one
-// patch-major lowering and one W·colᵀ product per image. The batch-fused
-// path must reproduce it bit for bit (the fused GEMM computes the same
-// ascending-k dot chains with multiply operands swapped).
+// perImageConvForward is the lowered per-image forward formulation on
+// the scalar reference kernels of tensor/ref.go: one row-major im2col and
+// one W·col product per image. Every Conv2D route must reproduce it bit
+// for bit (each output is the same ascending-(ch,ky,kx) dot chain).
 func perImageConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	d := tensor.NewConvDims(c.InC, h, w, c.OutC, c.K, c.Stride, c.Pad)
 	colRows := c.InC * c.K * c.K
 	cols := d.OutH * d.OutW
 	out := tensor.New(n, c.OutC, d.OutH, d.OutW)
-	col := make([]float32, cols*colRows)
+	col := tensor.New(colRows, cols)
 	inStride := c.InC * h * w
 	outStride := c.OutC * cols
 	for i := 0; i < n; i++ {
-		tensor.Im2ColPatch(col, x.Data[i*inStride:(i+1)*inStride], d)
+		tensor.Im2Col(col.Data, x.Data[i*inStride:(i+1)*inStride], d)
 		oi := out.Data[i*outStride : (i+1)*outStride]
-		tensor.MatMulTransBSlice(oi, c.weight.W.Data, col, c.OutC, colRows, cols)
+		copy(oi, tensor.RefMatMul(c.weight.W, col).Data)
 		if c.useBias {
 			for oc := 0; oc < c.OutC; oc++ {
 				b := c.bias.W.Data[oc]
@@ -38,10 +41,11 @@ func perImageConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// perImageConvBackward is the pre-fusion dense backward formulation:
-// per-image dW/db accumulation into per-shard buffers merged in fixed
-// order, and per-image Wᵀ·g + col2im for dx. Shard boundaries replicate
-// Conv2D.Backward's, so the comparison is bitwise.
+// perImageConvBackward is the lowered per-image backward formulation on
+// the scalar reference kernels: dW/db accumulated per image (product
+// first, then one add) into per-shard buffers merged in fixed order, and
+// Wᵀ·g + col2im for dx. Shard boundaries replicate Conv2D.Backward's, so
+// the comparison is bitwise.
 func perImageConvBackward(c *Conv2D, x, dout *tensor.Tensor) (dx *tensor.Tensor, dw []float32, db []float32) {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	d := tensor.NewConvDims(c.InC, h, w, c.OutC, c.K, c.Stride, c.Pad)
@@ -54,8 +58,7 @@ func perImageConvBackward(c *Conv2D, x, dout *tensor.Tensor) (dx *tensor.Tensor,
 	db = make([]float32, c.OutC)
 	nw := parallelShards(n)
 	chunk := (n + nw - 1) / nw
-	col := make([]float32, colRows*cols)
-	dcol := make([]float32, colRows*cols)
+	col := tensor.New(colRows, cols)
 	for s := 0; s < nw; s++ {
 		lo, hi := s*chunk, (s+1)*chunk
 		if hi > n {
@@ -64,15 +67,16 @@ func perImageConvBackward(c *Conv2D, x, dout *tensor.Tensor) (dx *tensor.Tensor,
 		sdw := make([]float32, c.OutC*colRows)
 		sdb := make([]float64, c.OutC)
 		for i := lo; i < hi; i++ {
-			tensor.Im2Col(col, x.Data[i*inStride:(i+1)*inStride], d)
-			gi := dout.Data[i*outStride : (i+1)*outStride]
-			tensor.MatMulTransBAccSlice(sdw, gi, col, c.OutC, cols, colRows)
-			tensor.MatMulTransASlice(dcol, c.weight.W.Data, gi, colRows, c.OutC, cols)
-			tensor.Col2Im(dx.Data[i*inStride:(i+1)*inStride], dcol, d)
+			tensor.Im2Col(col.Data, x.Data[i*inStride:(i+1)*inStride], d)
+			gi := tensor.FromSlice(dout.Data[i*outStride:(i+1)*outStride], c.OutC, cols)
+			for j, v := range tensor.RefMatMulTransB(gi, col).Data {
+				sdw[j] += v
+			}
+			tensor.Col2Im(dx.Data[i*inStride:(i+1)*inStride], tensor.RefMatMulTransA(c.weight.W, gi).Data, d)
 			if c.useBias {
 				for oc := 0; oc < c.OutC; oc++ {
 					var sum float64
-					for _, v := range gi[oc*cols : (oc+1)*cols] {
+					for _, v := range gi.Data[oc*cols : (oc+1)*cols] {
 						sum += float64(v)
 					}
 					sdb[oc] += sum
@@ -89,10 +93,32 @@ func perImageConvBackward(c *Conv2D, x, dout *tensor.Tensor) (dx *tensor.Tensor,
 	return dx, dw, db
 }
 
-// TestConv2DBatchFusedBitwise runs the batch-fused Forward/Backward over
-// geometries with remainder GEMM rows and columns and checks every
-// output, input gradient and parameter gradient bit against the
-// per-image formulation it replaced.
+// checkConvAgainstLowered runs Forward and Backward of c on a random
+// batch and compares output, dx, dW and db bitwise against the lowered
+// per-image reference.
+func checkConvAgainstLowered(t *testing.T, c *Conv2D, rng *rand.Rand, n, h, w int) {
+	t.Helper()
+	x := tensor.New(n, c.InC, h, w)
+	x.Randn(rng, 1)
+	wantOut := perImageConvForward(c, x)
+	gotOut := c.Forward(x, true)
+	compareBits(t, "forward", gotOut.Data, wantOut.Data)
+
+	dout := tensor.New(gotOut.Shape()...)
+	dout.Randn(rng, 1)
+	wantDx, wantDw, wantDb := perImageConvBackward(c, x, dout)
+	ZeroGrad(c.Params())
+	gotDx := c.Backward(dout)
+	compareBits(t, "dx", gotDx.Data, wantDx.Data)
+	compareBits(t, "dW", c.weight.G.Data, wantDw)
+	if c.useBias {
+		compareBits(t, "db", c.bias.G.Data, wantDb)
+	}
+}
+
+// TestConv2DBatchFusedBitwise runs Forward/Backward over geometries with
+// remainder GEMM rows and columns and checks every output, input gradient
+// and parameter gradient bit against the per-image formulation.
 func TestConv2DBatchFusedBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, tc := range []struct {
@@ -107,31 +133,102 @@ func TestConv2DBatchFusedBitwise(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewConv2D("c", tc.inC, tc.outC, tc.k, tc.st, tc.pd, tc.bias, rng)
+			checkConvAgainstLowered(t, c, rng, tc.n, tc.h, tc.w)
+
+			// Nothing derived from the weights may outlive a weight
+			// write: a second Forward has to match a fresh reference of
+			// the new weights.
+			c.weight.W.Set(c.weight.W.At(0, 0)+1, 0, 0)
 			x := tensor.New(tc.n, tc.inC, tc.h, tc.w)
 			x.Randn(rng, 1)
-			wantOut := perImageConvForward(c, x)
-			gotOut := c.Forward(x, true)
-			compareBits(t, "forward", gotOut.Data, wantOut.Data)
-
-			dout := tensor.New(gotOut.Shape()...)
-			dout.Randn(rng, 1)
-			wantDx, wantDw, wantDb := perImageConvBackward(c, x, dout)
-			ZeroGrad(c.Params())
-			gotDx := c.Backward(dout)
-			compareBits(t, "dx", gotDx.Data, wantDx.Data)
-			compareBits(t, "dW", c.weight.G.Data, wantDw)
-			if tc.bias {
-				compareBits(t, "db", c.bias.G.Data, wantDb)
-			}
-
-			// Mutating the weights must invalidate the packed panels: a
-			// second Forward has to match a fresh reference of the new
-			// weights, not replay the cached ones.
-			c.weight.W.Set(c.weight.W.At(0, 0)+1, 0, 0)
 			compareBits(t, "forward after weight mutation",
 				c.Forward(x, true).Data, perImageConvForward(c, x).Data)
 		})
 	}
+}
+
+// TestConv2DImplicitMatchesLowered sweeps the stride-1 implicit-GEMM
+// route over kernel sizes, paddings (none, same, wider than same),
+// non-square inputs, channel counts that are not multiples of the 4-row
+// tile and batches of one and of odd size, and checks forward, dx and dW
+// bitwise against the lowered reference. The strided cases prove the
+// routing: the implicit route addresses lowered rows as contiguous views,
+// which a stride-2 geometry does not have, so they pass only through the
+// lowered route — and a second input size through the same layer proves
+// the tap table follows the geometry.
+func TestConv2DImplicitMatchesLowered(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	for _, k := range []int{1, 3, 5} {
+		for _, pad := range []int{0, 1, 2} {
+			for _, ch := range [][2]int{{3, 5}, {6, 17}} {
+				for _, n := range []int{1, 3} {
+					name := fmt.Sprintf("k%dpad%d_c%dto%d_n%d", k, pad, ch[0], ch[1], n)
+					t.Run(name, func(t *testing.T) {
+						c := NewConv2D("c", ch[0], ch[1], k, 1, pad, k == 5, rng)
+						checkConvAgainstLowered(t, c, rng, n, 7, 10)
+						checkConvAgainstLowered(t, c, rng, n, 6, 5)
+					})
+				}
+			}
+		}
+	}
+	for _, tc := range []struct{ k, pad int }{{3, 1}, {1, 0}} {
+		t.Run(fmt.Sprintf("stride2k%d", tc.k), func(t *testing.T) {
+			c := NewConv2D("c", 5, 6, tc.k, 2, tc.pad, false, rng)
+			checkConvAgainstLowered(t, c, rng, 3, 9, 8)
+		})
+	}
+}
+
+// TestConvLinearConcurrentHammer trains a conv and a linear layer from
+// four goroutines at once, each on its own pair of layers, so their
+// Forward/Backward passes nest tensor.Parallel regions and share the
+// scratch pool. Every goroutine must reproduce the serial run bit for
+// bit; under -race this also proves per-worker scratch is never shared.
+func TestConvLinearConcurrentHammer(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+
+	const n, inC, outC, hw = 8, 3, 6, 8
+	run := func() []float32 {
+		rng := rand.New(rand.NewSource(79))
+		conv := NewConv2D("c", inC, outC, 3, 1, 1, true, rng)
+		lin := NewLinear("l", outC*hw*hw, 10, rng)
+		x := tensor.New(n, inC, hw, hw)
+		x.Randn(rng, 1)
+		g := tensor.New(n, 10)
+		g.Randn(rng, 1)
+		var res []float32
+		for it := 0; it < 3; it++ {
+			ZeroGrad(conv.Params())
+			ZeroGrad(lin.Params())
+			h := conv.Forward(x, true)
+			y := lin.Forward(h.Reshape(n, outC*hw*hw), true)
+			dh := lin.Backward(g)
+			dx := conv.Backward(dh.Reshape(n, outC, hw, hw))
+			res = append(res, y.Data...)
+			res = append(res, dx.Data...)
+			res = append(res, conv.weight.G.Data...)
+			res = append(res, lin.weight.G.Data...)
+		}
+		return res
+	}
+	want := run()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got := run()
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Errorf("goroutine %d: value %d = %x, serial run %x", g, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func compareBits(t *testing.T, what string, got, want []float32) {
@@ -141,7 +238,7 @@ func compareBits(t *testing.T, what string, got, want []float32) {
 	}
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s[%d]: fused %08x (%v), per-image %08x (%v)",
+			t.Fatalf("%s[%d]: layer %08x (%v), per-image reference %08x (%v)",
 				what, i, math.Float32bits(got[i]), got[i], math.Float32bits(want[i]), want[i])
 		}
 	}

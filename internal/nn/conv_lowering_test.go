@@ -8,8 +8,8 @@ import (
 )
 
 // refConvForward computes a batched 2D convolution with the naive im2col +
-// reference-matmul lowering, the ground truth both forward paths (dense
-// patch-major and sparse row-major) must match.
+// reference-matmul lowering, the ground truth every forward route (dense
+// implicit, dense strided and sparse row-major) must match.
 func refConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	d := tensor.NewConvDims(c.InC, h, w, c.OutC, c.K, c.Stride, c.Pad)
@@ -37,10 +37,10 @@ func refConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// TestConv2DForwardLoweringPaths exercises both forward lowerings against
-// the naive reference: dense weights take the patch-major + dot-kernel
-// path, and mostly-zero weights (SPATL pruned filters) take the row-major
-// zero-skipping path.
+// TestConv2DForwardLoweringPaths exercises the forward routes against
+// the naive reference: dense stride-1 weights take the implicit GEMM,
+// dense strided ones the row-major lowering, and mostly-zero weights
+// (SPATL pruned filters) the row-major zero-skipping path.
 func TestConv2DForwardLoweringPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, tc := range []struct {

@@ -59,7 +59,7 @@ func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, labels []int, 
 			i := rng.Intn(p.W.Len())
 			orig := p.W.Data[i]
 			p.W.Data[i] = orig + eps
-			p.Bump() // direct Data write: invalidate packed-weight caches
+			p.Bump() // direct Data write: invalidate caches derived from the weights
 			lp := lossOf(l, x, labels)
 			p.W.Data[i] = orig - eps
 			p.Bump()
@@ -101,10 +101,10 @@ func TestConv2DStrideGradients(t *testing.T) {
 	checkLayerGradients(t, seq, x, []int{2, 0}, 3e-2)
 }
 
-// TestConv2DOddShapeBatchGradients exercises the batch-fused lowering at
+// TestConv2DOddShapeBatchGradients exercises the implicit-GEMM route at
 // batch > 1 with non-square odd spatial dims and an output-channel count
-// that is not a multiple of the GEMM tile (remainder rows, remainder
-// panel columns, and multiple images per fused group all at once).
+// that is not a multiple of the GEMM tile (remainder rows and remainder
+// panel columns at once).
 func TestConv2DOddShapeBatchGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	conv := NewConv2D("conv", 3, 5, 3, 1, 1, true, rng)

@@ -17,9 +17,10 @@ type Linear struct {
 	x       *tensor.Tensor
 	out, dx *tensor.Tensor // reused activation/gradient buffers
 
-	// Version-keyed packed panels of W (forward x·Wᵀ) and Wᵀ (backward
-	// dx = dout·W), rebuilt only when the weights change.
-	wpack, wtpack packCache
+	// Version-keyed Wᵀ, the (In, Out) vector-side operand of the forward
+	// x·Wᵀ, rebuilt only when the weights change. Backward needs no derived
+	// form: dx = dout·W and dW = doutᵀ·x read W, dout and x as they lie.
+	wt packCache
 	// sparsity caches the mask-static sparse decision and nonzero pattern
 	// under the same version key: masked weights (algo.SSFL) route both
 	// GEMMs through gather-dot kernels that sum only the surviving terms.
@@ -46,7 +47,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	if sparse, pat := l.sparsity.probe(l.weight.W, l.Out, l.In); sparse && pat != nil {
 		// Mask-static sparse weights: gather-dot over each output row's
-		// precomputed nonzero positions — no packing, no zero terms.
+		// precomputed nonzero positions — no transpose, no zero terms.
 		tensor.Parallel(n, func(lo, hi int) {
 			tensor.MatMulTransBMaskPatSlice(out.Data[lo*l.Out:], x.Data[lo*l.In:], l.weight.W.Data, pat, hi-lo)
 		})
@@ -56,10 +57,10 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		l.x = x
 		return out
 	}
-	wp := l.wpack.get(l.weight.W, l.Out*l.In, func(dst []float32) {
-		tensor.PackTransB(dst, l.weight.W.Data, l.Out, l.In)
+	wt := l.wt.get(l.weight.W, l.In*l.Out, func(dst []float32) {
+		tensor.TransposeSlice(dst, l.weight.W.Data, l.Out, l.In)
 	})
-	tensor.MatMulTransBPackedParallel(out.Data, x.Data, wp, n, l.In, l.Out)
+	tensor.GemmParallel(out.Data, l.Out, x.Data, l.In, 1, wt, l.Out, n, l.In, l.Out)
 	for i := 0; i < n; i++ {
 		tensor.VecAdd(out.Data[i*l.Out:(i+1)*l.Out], l.bias.W.Data)
 	}
@@ -91,19 +92,9 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		})
 		return dx
 	}
-	if tensor.IsSparse(dout.Data) {
-		// Mirror MatMulInto's sparse-aware dispatch for mostly-zero
-		// gradients; the zero-skipping kernel reads raw W rows.
-		tensor.MatMulInto(dx, dout, l.weight.W)
-		return dx
-	}
-	wt := l.wtpack.get(l.weight.W, l.In*l.Out, func(dst []float32) {
-		tmp := tensor.GetScratch(l.In * l.Out)
-		tensor.TransposeSlice(tmp, l.weight.W.Data, l.Out, l.In)
-		tensor.PackTransB(dst, tmp, l.In, l.Out)
-		tensor.PutScratch(tmp)
-	})
-	tensor.MatMulTransBPackedParallel(dx.Data, dout.Data, wt, n, l.Out, l.In)
+	// W is already the (k=Out, n=In) vector-side operand; mostly-zero
+	// gradients take MatMulInto's zero-skipping kernel.
+	tensor.MatMulInto(dx, dout, l.weight.W)
 	return dx
 }
 

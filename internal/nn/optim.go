@@ -41,8 +41,8 @@ func NewSGD(params []*Param, lr, momentum, weightDecay float64) *SGD {
 
 // Step implements Optimizer. The update runs through the SIMD step
 // kernels (same per-element operation chains as the scalar loops they
-// replaced) and bumps each weight tensor's mutation counter so packed
-// panel caches refill from the new weights.
+// replaced) and bumps each weight tensor's mutation counter so caches
+// derived from the weights refill.
 func (s *SGD) Step() {
 	lr := float32(s.lr)
 	wd := float32(s.WeightDecay)

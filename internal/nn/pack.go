@@ -2,9 +2,9 @@ package nn
 
 import "spatl/internal/tensor"
 
-// packCache caches one derived form of a weight tensor — a packed A·Bᵀ
-// panel image or a transpose — so it is built once and reused across
-// every image of every minibatch until the weights change. Validity is
+// packCache caches one derived form of a weight tensor — Linear's Wᵀ —
+// so it is built once and reused across minibatches until the weights
+// change. Validity is
 // keyed on the weight tensor's mutation counter (tensor.Tensor.Version):
 // optimizer steps and every other weight-writing path bump the counter
 // (directly or via Param.Bump), which lazily invalidates all caches
@@ -39,7 +39,7 @@ func (pc *packCache) get(w *tensor.Tensor, n int, fill func(dst []float32)) []fl
 }
 
 // Bump records an in-place mutation of the parameter's weights made by
-// writing W.Data directly, so packed-panel caches derived from them
-// refill on next use. Param structs returned by Params() share the
+// writing W.Data directly, so caches derived from them (Linear's Wᵀ, the
+// sparsity patterns) refill on next use. Param structs returned by Params() share the
 // underlying tensors, so bumping any alias invalidates everywhere.
 func (p *Param) Bump() { p.W.MarkMutated() }

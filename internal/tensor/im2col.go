@@ -147,16 +147,9 @@ func Im2ColPatch(dst, x []float32, d ConvDims) {
 			patch := dst[(oy*d.OutW+ox)*colRows:][:colRows]
 			ix0 := ox*d.Stride - d.Pad
 			// Valid kx satisfy 0 ≤ ix0+kx < W.
-			lo, hi := -ix0, d.W-ix0
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > d.K {
-				hi = d.K
-			}
-			if hi < lo {
-				hi = lo
-			}
+			lo, hi := max(-ix0, 0), min(d.W-ix0, d.K)
+			lo = min(lo, d.K) // padding wider than the kernel
+			hi = max(hi, lo)
 			iy0 := oy*d.Stride - d.Pad
 			interior := lo == 0 && hi == d.K && iy0 >= 0 && iy0+d.K <= d.H
 			for c := 0; c < d.InC; c++ {
@@ -285,16 +278,9 @@ func im2colPatch3(dst, x []float32, d ConvDims) {
 func im2colPatch3Strip(dst, x []float32, d ConvDims, ox, oyLo, oyHi, colRows, hw int) {
 	w, st := d.W, d.Stride
 	ix0 := ox*st - d.Pad
-	lo, hi := -ix0, w-ix0
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 3 {
-		hi = 3
-	}
-	if hi < lo {
-		hi = lo
-	}
+	lo, hi := max(-ix0, 0), min(w-ix0, 3)
+	lo = min(lo, 3) // padding wider than the kernel
+	hi = max(hi, lo)
 	// oy outer, channels inner: each output pixel's patch (colRows floats)
 	// is written contiguously, and the three input rows a pixel reads stay
 	// warm for the next pixel down the column.
@@ -376,16 +362,9 @@ func im2colPatch3Run(dst, plane []float32, n, colRows, iy0, ix0, w, st, h int) {
 func im2colPatch3Edge(patch, x []float32, d ConvDims, iy0, ix0 int) {
 	hw := d.H * d.W
 	w := d.W
-	lo, hi := -ix0, w-ix0
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 3 {
-		hi = 3
-	}
-	if hi < lo {
-		hi = lo
-	}
+	lo, hi := max(-ix0, 0), min(w-ix0, 3)
+	lo = min(lo, 3) // padding wider than the kernel
+	hi = max(hi, lo)
 	for c := 0; c < d.InC; c++ {
 		plane := x[c*hw:]
 		pp := patch[c*9 : c*9+9]

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -21,9 +22,9 @@ func fillRand(t *Tensor, rng *rand.Rand) {
 	}
 }
 
-// oddShapes crosses every kernel boundary: m below/at/above packMinRows
-// (axpy fallback vs packed dot kernel), n below/at/above the 4-column tile
-// and the jcPanel width, odd k, and degenerate m=1 / n=1 / k=1 cases.
+// oddShapes crosses every tile boundary of the entry points: m below/at/above
+// the 4-row tile, n below/at/above the 8-lane tail and the 16-column panel,
+// odd k, and degenerate m=1 / n=1 / k=1 cases.
 var oddShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 7, 1},
@@ -31,14 +32,14 @@ var oddShapes = []struct{ m, k, n int }{
 	{2, 3, 5},
 	{3, 17, 2},
 	{5, 31, 7},
-	{7, 16, 5},    // m = packMinRows-1: last axpy-fallback size
-	{8, 16, 5},    // m = packMinRows: first packed size
-	{9, 33, 17},   // odd everything above the pack threshold
-	{13, 5, 1},    // packed with single-column tail
+	{7, 16, 5},
+	{8, 16, 5},
+	{9, 33, 17},   // odd everything, one panel plus a one-lane tail
+	{13, 5, 1},    // single-column tail
 	{16, 144, 36}, // conv-like shape, n not a multiple of 4
-	{17, 9, 31},   // n just under jcPanel
-	{10, 8, 32},   // n exactly jcPanel
-	{11, 8, 37},   // n crossing one panel boundary
+	{17, 9, 31},   // n just under two panels
+	{10, 8, 32},   // n exactly two panels
+	{11, 8, 37},   // two panels and a tail
 	{33, 65, 67},  // multiple panels with tails in every dimension
 }
 
@@ -221,6 +222,8 @@ func TestIm2ColPatchMatchesTranspose(t *testing.T) {
 		NewConvDims(2, 6, 7, 3, 2, 1, 0),
 		NewConvDims(4, 16, 16, 8, 3, 1, 1),
 		NewConvDims(1, 4, 4, 1, 3, 1, 2), // pad wider than the image fringe
+		NewConvDims(2, 4, 5, 1, 1, 1, 2), // pad wider than the kernel, generic path
+		NewConvDims(1, 3, 3, 1, 3, 1, 4), // pad wider than the kernel, 3×3 path
 	}
 	for _, d := range geoms {
 		x := make([]float32, d.InC*d.H*d.W)
@@ -365,4 +368,39 @@ func TestGetScratchEdgeSizes(t *testing.T) {
 	PutScratch(nil)                  // must not panic
 	PutScratch(make([]float32, 3))   // below pooled minimum: dropped
 	PutScratch(make([]float32, 100)) // non-power-of-two cap is fine
+}
+
+// TestCol2ImLDMatchesCol2Im embeds a (colRows, cols) gradient matrix in a
+// wider (colRows, ld) buffer and checks the strided scatter reproduces the
+// contiguous one bit for bit, for stride-1 and strided/padded geometries.
+func TestCol2ImLDMatchesCol2Im(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	geoms := []ConvDims{
+		NewConvDims(3, 9, 7, 4, 3, 1, 1),
+		NewConvDims(2, 8, 8, 3, 3, 2, 1),
+		NewConvDims(1, 11, 5, 2, 5, 1, 2),
+	}
+	for _, d := range geoms {
+		colRows := d.InC * d.K * d.K
+		cols := d.OutH * d.OutW
+		ld := cols*3 + 5
+		wide := make([]float32, colRows*ld)
+		for i := range wide {
+			wide[i] = float32(rng.NormFloat64())
+		}
+		narrow := make([]float32, colRows*cols)
+		off := cols + 2 // image slice starts mid-buffer
+		for r := 0; r < colRows; r++ {
+			copy(narrow[r*cols:(r+1)*cols], wide[r*ld+off:r*ld+off+cols])
+		}
+		want := make([]float32, d.InC*d.H*d.W)
+		got := make([]float32, d.InC*d.H*d.W)
+		Col2Im(want, narrow, d)
+		Col2ImLD(got, wide[off:], d, ld)
+		for i := range want {
+			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+				t.Fatalf("geom %+v: dx[%d] ld %x contiguous %x", d, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
 }

@@ -2,22 +2,13 @@ package tensor
 
 import "fmt"
 
-// parallelThreshold is the number of output elements above which MatMul
-// shards rows across goroutines. Below it the sequential kernel wins.
+// parallelThreshold is the number of output elements above which the
+// tensor-level products shard rows across goroutines. Below it the
+// sequential kernel wins.
 const parallelThreshold = 64 * 64
 
-// mrBlock is the register-blocking factor: the dense micro-kernels compute
-// this many output rows at once so each streamed element of the other
-// operand feeds mrBlock independent FMA chains.
-const mrBlock = 4
-
-// ncBlock is the cache-blocking width: for very wide outputs the j range is
-// processed in panels of this size so the mrBlock accumulator rows stay
-// resident in L1 across the whole k loop.
-const ncBlock = 1024
-
 // sparseThreshold is the zero fraction of the left operand above which the
-// branchy zero-skipping kernel beats the dense blocked kernel. SPATL's
+// branchy zero-skipping kernel beats the dense tile. SPATL's
 // salient-parameter masks zero out whole filters, so pruned weights cross
 // this easily; dense activations and gradients stay well below it.
 const sparseThreshold = 0.45
@@ -25,6 +16,100 @@ const sparseThreshold = 0.45
 // sparseSample caps how many elements of the left operand the sparsity
 // probe inspects, keeping the probe O(1) relative to the multiply itself.
 const sparseSample = 1024
+
+// Gemm is the one dense product every layer and entry point runs on:
+//
+//	C[i·ldc+j] (+)= Σ_p A[i·ars+p·aks] · B[off(p)+j]    i<m, j<n, p<k
+//
+// with off(p) = p·ldb, or offs[p] when offs is non-nil. B is the vector
+// side, read as k rows of n contiguous floats wherever they lie (a
+// row-major matrix, or overlapping views into an image); A is the
+// broadcast side, read through a row stride and a k stride, so a
+// transposed A costs nothing (ars=1, aks=rows). With acc each sum is
+// formed first and added to C once, otherwise it overwrites C.
+//
+// Every output element is one chain over ascending p starting from zero,
+// multiply then add with no fused step, on every path (the AVX2 4×16 tile,
+// its masked ≤8-column tail, the pure-Go fallback), so which path runs —
+// and how callers split m or n — never changes a bit of the result.
+// Serial; callers own their parallelism.
+func Gemm(c []float32, ldc int, a []float32, ars, aks int, b []float32, ldb int, offs []int32, m, k, n int, acc bool) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	if k < 0 || ldc < n || (m-1)*ldc+n > len(c) || (k > 0 && (m-1)*ars+(k-1)*aks >= len(a)) {
+		panic(fmt.Sprintf("tensor: Gemm %dx%dx%d out of range: len(c)=%d ldc=%d len(a)=%d ars=%d aks=%d", m, k, n, len(c), ldc, len(a), ars, aks))
+	}
+	if offs != nil {
+		for _, o := range offs[:k] {
+			if o < 0 || int(o)+n > len(b) {
+				panic(fmt.Sprintf("tensor: Gemm row offset %d with n=%d outside B of %d", o, n, len(b)))
+			}
+		}
+	} else if k > 0 && (k-1)*ldb+n > len(b) {
+		panic(fmt.Sprintf("tensor: Gemm B of %d short of %d rows of %d at pitch %d", len(b), k, n, ldb))
+	}
+	if useAVX2 {
+		gemmAVX2(c, ldc, a, ars, aks, b, ldb, offs, m, k, n, acc)
+		return
+	}
+	gemmGo(c, ldc, a, ars, aks, b, ldb, offs, m, k, n, acc)
+}
+
+// GemmParallel is Gemm with the output rows sharded across the worker
+// pool when the product is large enough to pay for the dispatch. Row
+// sharding never splits a dot-product chain, so the shard count does not
+// affect results.
+func GemmParallel(c []float32, ldc int, a []float32, ars, aks int, b []float32, ldb int, m, k, n int) {
+	if m*n < parallelThreshold || m <= 1 {
+		Gemm(c, ldc, a, ars, aks, b, ldb, nil, m, k, n, false)
+		return
+	}
+	Parallel(m, func(lo, hi int) {
+		Gemm(c[lo*ldc:], ldc, a[lo*ars:], ars, aks, b, ldb, nil, hi-lo, k, n, false)
+	})
+}
+
+// gemmGo is the portable Gemm: column chunks of gemmGoCols, four rows at
+// a time, each B row streamed once through four accumulator rows held on
+// the stack, then stored or added to C.
+func gemmGo(c []float32, ldc int, a []float32, ars, aks int, b []float32, ldb int, offs []int32, m, k, n int, acc bool) {
+	const gemmGoCols = 64
+	var t [4][gemmGoCols]float32
+	for j0 := 0; j0 < n; j0 += gemmGoCols {
+		w := min(gemmGoCols, n-j0)
+		for i := 0; i < m; i += 4 {
+			rows := min(4, m-i)
+			for r := 0; r < rows; r++ {
+				clear(t[r][:w])
+			}
+			for p := 0; p < k; p++ {
+				off := p * ldb
+				if offs != nil {
+					off = int(offs[p])
+				}
+				bp := b[off+j0:][:w]
+				for r := 0; r < rows; r++ {
+					av := a[(i+r)*ars+p*aks]
+					tr := t[r][:len(bp)]
+					for x, bv := range bp {
+						tr[x] += av * bv
+					}
+				}
+			}
+			for r := 0; r < rows; r++ {
+				cr := c[(i+r)*ldc+j0:][:w]
+				if !acc {
+					copy(cr, t[r][:w])
+					continue
+				}
+				for x, v := range t[r][:w] {
+					cr[x] += v
+				}
+			}
+		}
+	}
+}
 
 // MatMul computes C = A·B for A of shape (m,k) and B of shape (k,n),
 // returning a new (m,n) tensor. Rows of C are computed in parallel when
@@ -59,49 +144,21 @@ func MatMulInto(c, a, b *Tensor) {
 		matmulRowsSparse(c.Data, a.Data, b.Data, 0, m, k, n)
 		return
 	}
-	if m < packMinRows {
-		matmulRowsBlocked(c.Data, a.Data, b.Data, 0, m, k, n)
-		return
-	}
-	// Pack Bᵀ once so the register-tiled dot kernel streams both operands
-	// contiguously; the packing cost is O(k·n) against O(m·k·n) compute.
-	bt := GetScratch(n * k)
-	TransposeSlice(bt, b.Data, k, n)
-	if m*n >= parallelThreshold && m > 1 {
-		Parallel(m, func(lo, hi int) {
-			matmulTransBRows(c.Data, a.Data, bt, lo, hi, k, n, false)
-		})
-	} else {
-		matmulTransBRows(c.Data, a.Data, bt, 0, m, k, n, false)
-	}
-	PutScratch(bt)
+	GemmParallel(c.Data, n, a.Data, k, 1, b.Data, n, m, k, n)
 }
 
 // MatMulSlice computes C = A·B on raw row-major slices without shape
 // checks or parallel dispatch: A is (m,k), B is (k,n), C is (m,n) and is
 // fully overwritten. It picks the sparse-aware kernel automatically when
 // the left operand is mostly zeros (pruned/masked weights). Intended for
-// callers that manage their own parallelism (e.g. per-image convolution
-// lowering inside a Parallel region).
+// callers that manage their own parallelism.
 func MatMulSlice(c, a, b []float32, m, k, n int) {
 	if isSparse(a[:m*k]) {
 		matmulRowsSparse(c, a, b, 0, m, k, n)
 		return
 	}
-	if m < packMinRows {
-		matmulRowsBlocked(c, a, b, 0, m, k, n)
-		return
-	}
-	bt := GetScratch(n * k)
-	TransposeSlice(bt, b, k, n)
-	matmulTransBRows(c, a, bt, 0, m, k, n, false)
-	PutScratch(bt)
+	Gemm(c, n, a, k, 1, b, n, nil, m, k, n, false)
 }
-
-// packMinRows is the output-row count below which packing Bᵀ for the dot
-// kernel cannot amortize: tiny products fall back to the streaming axpy
-// kernel, which needs no scratch.
-const packMinRows = 8
 
 // TransposeSlice writes src (rows,cols) into dst as its (cols,rows)
 // transpose, tiling the traversal so both sides stay cache-resident. Within
@@ -135,72 +192,6 @@ func TransposeSlice(dst, src []float32, rows, cols int) {
 				row := src[i*cols : i*cols+cols]
 				for j := jj; j < je; j++ {
 					dst[j*rows+i] = row[j]
-				}
-			}
-		}
-	}
-}
-
-// matmulRowsBlocked computes rows [lo,hi) of C = A·B with a register-tiled
-// ikj kernel: mrBlock rows of A are processed together so every element of
-// a streamed B row feeds mrBlock independent accumulator chains, and wide
-// outputs are cache-blocked into ncBlock-column panels. Accumulation order
-// over k is ascending for every output element, matching the reference
-// implementation bit for bit.
-func matmulRowsBlocked(c, a, b []float32, lo, hi, k, n int) {
-	for jb := 0; jb < n; jb += ncBlock {
-		jw := n - jb
-		if jw > ncBlock {
-			jw = ncBlock
-		}
-		i := lo
-		for ; i+mrBlock <= hi; i += mrBlock {
-			a0 := a[(i+0)*k : (i+0)*k+k]
-			a1 := a[(i+1)*k : (i+1)*k+k]
-			a2 := a[(i+2)*k : (i+2)*k+k]
-			a3 := a[(i+3)*k : (i+3)*k+k]
-			c0 := c[(i+0)*n+jb:][:jw]
-			c1 := c[(i+1)*n+jb:][:jw]
-			c2 := c[(i+2)*n+jb:][:jw]
-			c3 := c[(i+3)*n+jb:][:jw]
-			for x := range c0 {
-				c0[x] = 0
-			}
-			for x := range c1 {
-				c1[x] = 0
-			}
-			for x := range c2 {
-				c2[x] = 0
-			}
-			for x := range c3 {
-				c3[x] = 0
-			}
-			for p := 0; p < k; p++ {
-				bp := b[p*n+jb:][:jw]
-				v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-				c0 := c0[:len(bp)]
-				c1 := c1[:len(bp)]
-				c2 := c2[:len(bp)]
-				c3 := c3[:len(bp)]
-				for j, bv := range bp {
-					c0[j] += v0 * bv
-					c1[j] += v1 * bv
-					c2[j] += v2 * bv
-					c3[j] += v3 * bv
-				}
-			}
-		}
-		for ; i < hi; i++ {
-			ai := a[i*k : i*k+k]
-			ci := c[i*n+jb:][:jw]
-			for x := range ci {
-				ci[x] = 0
-			}
-			for p, av := range ai {
-				bp := b[p*n+jb:][:jw]
-				ci := ci[:len(bp)]
-				for j, bv := range bp {
-					ci[j] += av * bv
 				}
 			}
 		}
@@ -269,8 +260,7 @@ func isSparse(x []float32) bool {
 }
 
 // MatMulTransB computes C = A·Bᵀ for A (m,k) and B (n,k) into a new (m,n)
-// tensor. Used for backprop through linear layers without materializing
-// transposes.
+// tensor.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m := a.Dim(0)
 	n := b.Dim(0)
@@ -287,141 +277,34 @@ func MatMulTransBInto(c, a, b *Tensor) {
 	if k != k2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto shape mismatch C%v = A%v x B%vᵀ", c.shape, a.shape, b.shape))
 	}
-	if m*n >= parallelThreshold && m > 1 {
-		Parallel(m, func(lo, hi int) {
-			matmulTransBRows(c.Data, a.Data, b.Data, lo, hi, k, n, false)
-		})
-		return
-	}
-	matmulTransBRows(c.Data, a.Data, b.Data, 0, m, k, n, false)
+	bt := GetScratch(k * n)
+	TransposeSlice(bt, b.Data, n, k)
+	GemmParallel(c.Data, n, a.Data, k, 1, bt, n, m, k, n)
+	PutScratch(bt)
 }
 
 // MatMulTransBSlice computes C = A·Bᵀ on raw slices (A (m,k), B (n,k),
-// C (m,n) overwritten), serial, without shape checks.
+// C (m,n) overwritten), serial, without shape checks. B's rows run along
+// k, so this is the one product shape whose vector side must be
+// transposed first; callers with a stable B keep the transpose and call
+// Gemm.
 func MatMulTransBSlice(c, a, b []float32, m, k, n int) {
-	matmulTransBRows(c, a, b, 0, m, k, n, false)
+	matmulTransB(c, a, b, m, k, n, false)
 }
 
 // MatMulTransBAccSlice computes C += A·Bᵀ on raw slices: each dot product
 // is formed in a register in ascending-k order and then added once to the
 // existing C element, so the result is bitwise identical to computing the
-// product into a temporary and adding it. This is the gradient-accumulation
-// kernel for dW += dOut·colᵀ in convolution backward.
+// product into a temporary and adding it.
 func MatMulTransBAccSlice(c, a, b []float32, m, k, n int) {
-	matmulTransBRows(c, a, b, 0, m, k, n, true)
+	matmulTransB(c, a, b, m, k, n, true)
 }
 
-// jcPanel is the column-panel width of the dot kernel: B rows are consumed
-// in panels of this many output columns across all output rows, so a panel
-// (jcPanel·k floats) stays L1-resident instead of the whole of B streaming
-// from L2 once per row pair.
-const jcPanel = 32
-
-// matmulTransBRows computes rows [lo,hi) of C = A·Bᵀ (or C += A·Bᵀ when
-// acc). On CPUs with AVX2 it dispatches to the vector tile kernel; both
-// paths form each output as one ascending-k dot-product chain, so the
-// choice never changes a single bit of the result. The scalar path uses a
-// 2×4 register tile: two rows of A against four rows of B give eight
-// independent dot-product accumulators per pass, amortizing every operand
-// load across multiple FMAs.
-func matmulTransBRows(c, a, b []float32, lo, hi, k, n int, acc bool) {
-	if useAVX2 && n >= 16 && hi-lo >= 4 && k >= 4 {
-		matmulTransBRowsAVX2(c, a, b, lo, hi, k, n, acc)
-		return
-	}
-	matmulTransBRowsScalar(c, a, b, lo, hi, k, n, acc)
-}
-
-// matmulTransBRowsScalar is the portable panel loop behind matmulTransBRows.
-func matmulTransBRowsScalar(c, a, b []float32, lo, hi, k, n int, acc bool) {
-	for jj := 0; jj < n; jj += jcPanel {
-		jhi := jj + jcPanel
-		if jhi > n {
-			jhi = n
-		}
-		matmulTransBRowsPanel(c, a, b, lo, hi, jj, jhi, k, n, acc)
-	}
-}
-
-// matmulTransBRowsPanel is the register-tiled core of matmulTransBRows for
-// output columns [jlo,jhi).
-func matmulTransBRowsPanel(c, a, b []float32, lo, hi, jlo, jhi, k, n int, acc bool) {
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		a0 := a[(i+0)*k : (i+0)*k+k]
-		a1 := a[(i+1)*k : (i+1)*k+k]
-		c0 := c[(i+0)*n : (i+0)*n+n]
-		c1 := c[(i+1)*n : (i+1)*n+n]
-		j := jlo
-		for ; j+4 <= jhi; j += 4 {
-			b0 := b[(j+0)*k : (j+0)*k+k]
-			b1 := b[(j+1)*k : (j+1)*k+k]
-			b2 := b[(j+2)*k : (j+2)*k+k]
-			b3 := b[(j+3)*k : (j+3)*k+k]
-			var s00, s01, s02, s03, s10, s11, s12, s13 float32
-			a1 := a1[:len(a0)]
-			b0, b1, b2, b3 = b0[:len(a0)], b1[:len(a0)], b2[:len(a0)], b3[:len(a0)]
-			for p, v0 := range a0 {
-				v1 := a1[p]
-				w0, w1, w2, w3 := b0[p], b1[p], b2[p], b3[p]
-				s00 += v0 * w0
-				s01 += v0 * w1
-				s02 += v0 * w2
-				s03 += v0 * w3
-				s10 += v1 * w0
-				s11 += v1 * w1
-				s12 += v1 * w2
-				s13 += v1 * w3
-			}
-			if acc {
-				c0[j] += s00
-				c0[j+1] += s01
-				c0[j+2] += s02
-				c0[j+3] += s03
-				c1[j] += s10
-				c1[j+1] += s11
-				c1[j+2] += s12
-				c1[j+3] += s13
-			} else {
-				c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-				c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-			}
-		}
-		for ; j < jhi; j++ {
-			bj := b[j*k : j*k+k]
-			var s0, s1 float32
-			a0 := a0[:len(bj)]
-			a1 := a1[:len(bj)]
-			for p, bv := range bj {
-				s0 += a0[p] * bv
-				s1 += a1[p] * bv
-			}
-			if acc {
-				c0[j] += s0
-				c1[j] += s1
-			} else {
-				c0[j] = s0
-				c1[j] = s1
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		ai := a[i*k : i*k+k]
-		ci := c[i*n : i*n+n]
-		for j := jlo; j < jhi; j++ {
-			bj := b[j*k : j*k+k]
-			var s float32
-			ai := ai[:len(bj)]
-			for p, bv := range bj {
-				s += ai[p] * bv
-			}
-			if acc {
-				ci[j] += s
-			} else {
-				ci[j] = s
-			}
-		}
-	}
+func matmulTransB(c, a, b []float32, m, k, n int, acc bool) {
+	bt := GetScratch(k * n)
+	TransposeSlice(bt, b, n, k)
+	Gemm(c, n, a, k, 1, bt, n, nil, m, k, n, acc)
+	PutScratch(bt)
 }
 
 // MatMulTransA computes C = Aᵀ·B for A (k,m) and B (k,n) into a new (m,n)
@@ -435,7 +318,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransAInto computes C = Aᵀ·B into an existing (m,n) output tensor,
-// avoiding an allocation.
+// avoiding an allocation. A is read transposed through its strides.
 func MatMulTransAInto(c, a, b *Tensor) {
 	k, m := a.Dim(0), a.Dim(1)
 	k2, n := b.Dim(0), b.Dim(1)
@@ -452,25 +335,7 @@ func MatMulTransAInto(c, a, b *Tensor) {
 		matmulTransAColsSparse(c.Data, a.Data, b.Data, 0, m, m, k, n)
 		return
 	}
-	if m < packMinRows {
-		matmulTransACols(c.Data, a.Data, b.Data, 0, m, m, k, n)
-		return
-	}
-	// Pack both operands so the dot kernel streams contiguously: Aᵀ so
-	// output rows read a contiguous k-vector, Bᵀ so output columns do.
-	at := GetScratch(m * k)
-	TransposeSlice(at, a.Data, k, m)
-	bt := GetScratch(n * k)
-	TransposeSlice(bt, b.Data, k, n)
-	if m*n >= parallelThreshold && m > 1 {
-		Parallel(m, func(lo, hi int) {
-			matmulTransBRows(c.Data, at, bt, lo, hi, k, n, false)
-		})
-	} else {
-		matmulTransBRows(c.Data, at, bt, 0, m, k, n, false)
-	}
-	PutScratch(bt)
-	PutScratch(at)
+	GemmParallel(c.Data, n, a.Data, 1, m, b.Data, n, m, k, n)
 }
 
 // MatMulTransASlice computes C = Aᵀ·B on raw slices (A (k,m), B (k,n),
@@ -481,72 +346,7 @@ func MatMulTransASlice(c, a, b []float32, m, k, n int) {
 		matmulTransAColsSparse(c, a, b, 0, m, m, k, n)
 		return
 	}
-	if m < packMinRows {
-		matmulTransACols(c, a, b, 0, m, m, k, n)
-		return
-	}
-	at := GetScratch(m * k)
-	TransposeSlice(at, a, k, m)
-	bt := GetScratch(n * k)
-	TransposeSlice(bt, b, k, n)
-	matmulTransBRows(c, at, bt, 0, m, k, n, false)
-	PutScratch(bt)
-	PutScratch(at)
-}
-
-// matmulTransACols computes output rows [lo,hi) of C = Aᵀ·B. Output row i
-// corresponds to column i of A, so four adjacent columns load as one
-// contiguous 4-element read per k step while a B row streams through four
-// accumulator rows — the same register tiling as the main kernel.
-func matmulTransACols(c, a, b []float32, lo, hi, m, k, n int) {
-	i := lo
-	for ; i+mrBlock <= hi; i += mrBlock {
-		c0 := c[(i+0)*n : (i+0)*n+n]
-		c1 := c[(i+1)*n : (i+1)*n+n]
-		c2 := c[(i+2)*n : (i+2)*n+n]
-		c3 := c[(i+3)*n : (i+3)*n+n]
-		for x := range c0 {
-			c0[x] = 0
-		}
-		for x := range c1 {
-			c1[x] = 0
-		}
-		for x := range c2 {
-			c2[x] = 0
-		}
-		for x := range c3 {
-			c3[x] = 0
-		}
-		for p := 0; p < k; p++ {
-			ap := a[p*m+i : p*m+i+4]
-			v0, v1, v2, v3 := ap[0], ap[1], ap[2], ap[3]
-			bp := b[p*n : p*n+n]
-			c0 := c0[:len(bp)]
-			c1 := c1[:len(bp)]
-			c2 := c2[:len(bp)]
-			c3 := c3[:len(bp)]
-			for j, bv := range bp {
-				c0[j] += v0 * bv
-				c1[j] += v1 * bv
-				c2[j] += v2 * bv
-				c3[j] += v3 * bv
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		ci := c[i*n : i*n+n]
-		for x := range ci {
-			ci[x] = 0
-		}
-		for p := 0; p < k; p++ {
-			av := a[p*m+i]
-			bp := b[p*n : p*n+n]
-			ci := ci[:len(bp)]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
+	Gemm(c, n, a, 1, m, b, n, nil, m, k, n, false)
 }
 
 // matmulTransAColsSparse is the zero-skipping variant of matmulTransACols

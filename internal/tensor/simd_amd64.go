@@ -1,17 +1,40 @@
 package tensor
 
-// AVX2 acceleration for the dense A·Bᵀ panel kernel. The vector path
-// computes every output element as the same single ascending-k dot-product
-// chain as the scalar kernel (multiply then add, no FMA contraction), so
-// the two paths are bitwise interchangeable; which one runs is purely a
-// performance decision made at startup from CPUID.
+// AVX2 acceleration for Gemm. The vector tiles compute every output
+// element as the same single ascending-k dot-product chain as gemmGo
+// (multiply then add, no FMA contraction), so the two are bitwise
+// interchangeable; which one runs is purely a performance decision made
+// at startup from CPUID.
 
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvAsm() (eax, edx uint32)
 
+// gemmArgs is the argument block of the assembly tiles (field offsets
+// are mirrored in simd_amd64.s). Strides are in bytes.
+type gemmArgs struct {
+	a        *float32
+	ars, aks int
+	b        *float32
+	ldb      int
+	offs     *int32 // nil: B row p at p·ldb
+	k        int
+	c        *float32
+	ldc      int
+	m        int
+	jbytes   int // gemmPanels16: 64 × the number of full panels
+	acc      int
+	mask     *int32 // gemmPanel8: the 8 lane masks
+}
+
 //go:noescape
-func avx2DotPanel4x16(a *float32, lda int, bp *float32, k int, out *float32)
+func gemmPanels16(args *gemmArgs)
+
+//go:noescape
+func gemmPanel8(args *gemmArgs)
+
+// laneMasks[8-w:] is the VMASKMOVPS mask selecting the first w of 8 lanes.
+var laneMasks = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
 
 // useAVX2 reports whether the CPU and OS support AVX2 with YMM state
 // saving (CPUID leaf 7 AVX2, plus OSXSAVE and XCR0 XMM|YMM bits).
@@ -34,44 +57,31 @@ var useAVX2 = func() bool {
 	return b&(1<<5) != 0
 }()
 
-// matmulTransBRowsAVX2 computes rows [lo,hi) of C = A·Bᵀ (C += A·Bᵀ when
-// acc) using the AVX2 tile kernel. B columns are consumed in groups of 16:
-// the group is packed element-interleaved (bp[p*16+j] = B[j][p]) so the
-// kernel streams two contiguous 8-float loads per k step, then 4-row tiles
-// of A are reduced against the packed panel. Row and column remainders fall
-// back to the scalar panel kernel, which produces bitwise-identical values.
-func matmulTransBRowsAVX2(c, a, b []float32, lo, hi, k, n int, acc bool) {
-	bp := GetScratch(16 * k)
-	var out [64]float32
-	jj := 0
-	for ; jj+16 <= n; jj += 16 {
-		for j := 0; j < 16; j++ {
-			row := b[(jj+j)*k : (jj+j)*k+k]
-			for p, v := range row {
-				bp[p*16+j] = v
-			}
-		}
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			avx2DotPanel4x16(&a[i*k], k, &bp[0], k, &out[0])
-			for r := 0; r < 4; r++ {
-				crow := c[(i+r)*n+jj : (i+r)*n+jj+16]
-				or := out[r*16 : r*16+16]
-				if acc {
-					for j2, v := range or {
-						crow[j2] += v
-					}
-				} else {
-					copy(crow, or)
-				}
-			}
-		}
-		if i < hi {
-			matmulTransBRowsPanel(c, a, b, i, hi, jj, jj+16, k, n, acc)
-		}
+// gemmAVX2 runs Gemm on the vector tiles: all full 16-column panels in
+// one call, then the remaining columns as at most two ≤8-column panels.
+// Arguments are already validated by Gemm.
+func gemmAVX2(c []float32, ldc int, a []float32, ars, aks int, b []float32, ldb int, offs []int32, m, k, n int, acc bool) {
+	g := gemmArgs{
+		a: &a[0], ars: 4 * ars, aks: 4 * aks,
+		ldb: 4 * ldb, k: k, ldc: 4 * ldc, m: m,
 	}
-	if jj < n {
-		matmulTransBRowsPanel(c, a, b, lo, hi, jj, n, k, n, acc)
+	if k == 0 {
+		// No B row is read; any address serves.
+		b = c
+	} else if offs != nil {
+		g.offs = &offs[0]
 	}
-	PutScratch(bp)
+	if acc {
+		g.acc = 1
+	}
+	full := n &^ 15
+	if full > 0 {
+		g.b, g.c, g.jbytes = &b[0], &c[0], 4*full
+		gemmPanels16(&g)
+	}
+	for j := full; j < n; j += 8 {
+		w := min(8, n-j)
+		g.b, g.c, g.mask = &b[j], &c[j], &laneMasks[8-w]
+		gemmPanel8(&g)
+	}
 }

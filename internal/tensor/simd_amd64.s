@@ -1,7 +1,8 @@
-// AVX2 micro-kernel for the A·Bᵀ panel product. Each output element is a
-// single dot-product accumulator advanced in ascending-k order with separate
-// multiply and add (no FMA), so results are bitwise identical to the scalar
-// kernel: vectorization is across independent output columns, never across k.
+// AVX2 tiles for the strided GEMM (see gemm in matmul.go). Each output
+// element is a single dot-product accumulator advanced in ascending-k order
+// with separate multiply and add (no FMA), so results are bitwise identical
+// to the pure-Go kernel: vectorization is across independent output columns,
+// never across k.
 
 #include "textflag.h"
 
@@ -24,79 +25,311 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL	DX, edx+4(FP)
 	RET
 
-// func avx2DotPanel4x16(a *float32, lda int, bp *float32, k int, out *float32)
+// gemmArgs field offsets (strides in bytes).
+#define G_A      0
+#define G_ARS    8
+#define G_AKS    16
+#define G_B      24
+#define G_LDB    32
+#define G_OFFS   40
+#define G_K      48
+#define G_C      56
+#define G_LDC    64
+#define G_M      72
+#define G_JBYTES 80
+#define G_ACC    88
+#define G_MASK   96
+
+// ROWOFFS sets R8/R9/R11 to the byte offsets of tile rows 1..3 from row 0,
+// clamped to the last of the R14 rows that remain, so a short tile re-reads
+// a valid row instead of running past A; its surplus sums are never stored.
+#define ROWOFFS \
+	MOVQ	G_ARS(AX), DX; \
+	XORQ	R8, R8; \
+	CMPQ	R14, $2; \
+	CMOVQGE	DX, R8; \
+	MOVQ	R8, R9; \
+	LEAQ	(DX)(DX*1), CX; \
+	CMPQ	R14, $3; \
+	CMOVQGE	CX, R9; \
+	MOVQ	R9, R11; \
+	ADDQ	DX, CX; \
+	CMPQ	R14, $4; \
+	CMOVQGE	CX, R11
+
+// STEP16 advances the eight accumulators of a 4×16 tile by one k: two
+// 8-float loads of the B row at R12, four broadcasts down the A column at SI.
+#define STEP16 \
+	VMOVUPS	(R12), Y8; \
+	VMOVUPS	32(R12), Y9; \
+	VBROADCASTSS	(SI), Y10; \
+	VMULPS	Y8, Y10, Y11; \
+	VADDPS	Y11, Y0, Y0; \
+	VMULPS	Y9, Y10, Y12; \
+	VADDPS	Y12, Y1, Y1; \
+	VBROADCASTSS	(SI)(R8*1), Y10; \
+	VMULPS	Y8, Y10, Y11; \
+	VADDPS	Y11, Y2, Y2; \
+	VMULPS	Y9, Y10, Y12; \
+	VADDPS	Y12, Y3, Y3; \
+	VBROADCASTSS	(SI)(R9*1), Y10; \
+	VMULPS	Y8, Y10, Y11; \
+	VADDPS	Y11, Y4, Y4; \
+	VMULPS	Y9, Y10, Y12; \
+	VADDPS	Y12, Y5, Y5; \
+	VBROADCASTSS	(SI)(R11*1), Y10; \
+	VMULPS	Y8, Y10, Y11; \
+	VADDPS	Y11, Y6, Y6; \
+	VMULPS	Y9, Y10, Y12; \
+	VADDPS	Y12, Y7, Y7; \
+	ADDQ	R10, SI
+
+// STEP8 is STEP16 for a panel of at most 8 columns, selected by the lane
+// mask in Y13: masked-off lanes are neither read nor written.
+#define STEP8 \
+	VMASKMOVPS	(R12), Y13, Y8; \
+	VBROADCASTSS	(SI), Y10; \
+	VMULPS	Y8, Y10, Y11; \
+	VADDPS	Y11, Y0, Y0; \
+	VBROADCASTSS	(SI)(R8*1), Y10; \
+	VMULPS	Y8, Y10, Y11; \
+	VADDPS	Y11, Y1, Y1; \
+	VBROADCASTSS	(SI)(R9*1), Y10; \
+	VMULPS	Y8, Y10, Y11; \
+	VADDPS	Y11, Y2, Y2; \
+	VBROADCASTSS	(SI)(R11*1), Y10; \
+	VMULPS	Y8, Y10, Y11; \
+	VADDPS	Y11, Y3, Y3; \
+	ADDQ	R10, SI
+
+// func gemmPanels16(args *gemmArgs)
 //
-// Computes a 4-row × 16-column tile of dot products against a packed
-// B-panel: out[r*16+j] = Σ_p a[r*lda+p] · bp[p*16+j] for r in [0,4),
-// j in [0,16). bp interleaves 16 B rows element-by-element so each k step
-// is two contiguous 8-float loads. Eight YMM accumulators (4 rows × 2
-// halves) give eight independent add chains, hiding VADDPS latency.
-TEXT ·avx2DotPanel4x16(SB), NOSPLIT, $0-40
-	MOVQ	a+0(FP), SI
-	MOVQ	lda+8(FP), AX
-	MOVQ	bp+16(FP), BX
-	MOVQ	k+24(FP), CX
-	MOVQ	out+32(FP), DI
+// Computes every row of the G_JBYTES/64 full 16-column panels of C. Per
+// panel the row tiles run top to bottom so the panel's k B rows stay in L1
+// across them. Registers: AX args, BX B panel, DI C tile, R15 A tile,
+// R14 rows left, SI A cursor, R12 B row, R13 ldb or offset table, R10 aks.
+TEXT ·gemmPanels16(SB), NOSPLIT, $8-8
+	MOVQ	args+0(FP), AX
+	MOVQ	G_AKS(AX), R10
+	MOVQ	$0, joff-8(SP)
 
-	SHLQ	$2, AX              // row stride in bytes
-	LEAQ	(SI)(AX*1), R9      // a row 1
-	LEAQ	(R9)(AX*1), R10     // a row 2
-	LEAQ	(R10)(AX*1), R11    // a row 3
+panel:
+	MOVQ	joff-8(SP), DX
+	MOVQ	G_B(AX), BX
+	ADDQ	DX, BX
+	MOVQ	G_C(AX), DI
+	ADDQ	DX, DI
+	MOVQ	G_A(AX), R15
+	MOVQ	G_M(AX), R14
 
-	VXORPS	Y0, Y0, Y0          // row 0, cols 0-7
-	VXORPS	Y1, Y1, Y1          // row 0, cols 8-15
-	VXORPS	Y2, Y2, Y2          // row 1, cols 0-7
-	VXORPS	Y3, Y3, Y3          // row 1, cols 8-15
-	VXORPS	Y4, Y4, Y4          // row 2, cols 0-7
-	VXORPS	Y5, Y5, Y5          // row 2, cols 8-15
-	VXORPS	Y6, Y6, Y6          // row 3, cols 0-7
-	VXORPS	Y7, Y7, Y7          // row 3, cols 8-15
-
-	XORQ	DX, DX              // p = 0
+tile:
+	ROWOFFS
+	VXORPS	Y0, Y0, Y0
+	VXORPS	Y1, Y1, Y1
+	VXORPS	Y2, Y2, Y2
+	VXORPS	Y3, Y3, Y3
+	VXORPS	Y4, Y4, Y4
+	VXORPS	Y5, Y5, Y5
+	VXORPS	Y6, Y6, Y6
+	VXORPS	Y7, Y7, Y7
+	MOVQ	R15, SI
+	MOVQ	G_K(AX), CX
 	TESTQ	CX, CX
-	JLE	done
+	JLE	store
+	MOVQ	G_OFFS(AX), R13
+	TESTQ	R13, R13
+	JNZ	table
+	MOVQ	G_LDB(AX), R13
+	MOVQ	BX, R12
 
-loop:
-	VMOVUPS	(BX), Y8            // bp[p*16 .. p*16+7]
-	VMOVUPS	32(BX), Y9          // bp[p*16+8 .. p*16+15]
+strided:
+	STEP16
+	ADDQ	R13, R12
+	DECQ	CX
+	JNZ	strided
+	JMP	store
 
-	VBROADCASTSS	(SI)(DX*4), Y10
-	VMULPS	Y8, Y10, Y11
-	VADDPS	Y11, Y0, Y0
-	VMULPS	Y9, Y10, Y12
-	VADDPS	Y12, Y1, Y1
+table:
+	XORQ	DX, DX
 
-	VBROADCASTSS	(R9)(DX*4), Y10
-	VMULPS	Y8, Y10, Y11
-	VADDPS	Y11, Y2, Y2
-	VMULPS	Y9, Y10, Y12
-	VADDPS	Y12, Y3, Y3
-
-	VBROADCASTSS	(R10)(DX*4), Y10
-	VMULPS	Y8, Y10, Y11
-	VADDPS	Y11, Y4, Y4
-	VMULPS	Y9, Y10, Y12
-	VADDPS	Y12, Y5, Y5
-
-	VBROADCASTSS	(R11)(DX*4), Y10
-	VMULPS	Y8, Y10, Y11
-	VADDPS	Y11, Y6, Y6
-	VMULPS	Y9, Y10, Y12
-	VADDPS	Y12, Y7, Y7
-
-	ADDQ	$64, BX
+tableloop:
+	MOVLQSX	(R13)(DX*4), R12
+	LEAQ	(BX)(R12*4), R12
+	STEP16
 	INCQ	DX
 	CMPQ	DX, CX
-	JLT	loop
+	JLT	tableloop
+
+store:
+	MOVQ	G_LDC(AX), DX
+	MOVQ	DI, R12
+	CMPQ	G_ACC(AX), $0
+	JNE	accum
+	VMOVUPS	Y0, (R12)
+	VMOVUPS	Y1, 32(R12)
+	CMPQ	R14, $2
+	JLT	next
+	ADDQ	DX, R12
+	VMOVUPS	Y2, (R12)
+	VMOVUPS	Y3, 32(R12)
+	CMPQ	R14, $3
+	JLT	next
+	ADDQ	DX, R12
+	VMOVUPS	Y4, (R12)
+	VMOVUPS	Y5, 32(R12)
+	CMPQ	R14, $4
+	JLT	next
+	ADDQ	DX, R12
+	VMOVUPS	Y6, (R12)
+	VMOVUPS	Y7, 32(R12)
+	JMP	next
+
+accum:
+	VADDPS	(R12), Y0, Y0
+	VMOVUPS	Y0, (R12)
+	VADDPS	32(R12), Y1, Y1
+	VMOVUPS	Y1, 32(R12)
+	CMPQ	R14, $2
+	JLT	next
+	ADDQ	DX, R12
+	VADDPS	(R12), Y2, Y2
+	VMOVUPS	Y2, (R12)
+	VADDPS	32(R12), Y3, Y3
+	VMOVUPS	Y3, 32(R12)
+	CMPQ	R14, $3
+	JLT	next
+	ADDQ	DX, R12
+	VADDPS	(R12), Y4, Y4
+	VMOVUPS	Y4, (R12)
+	VADDPS	32(R12), Y5, Y5
+	VMOVUPS	Y5, 32(R12)
+	CMPQ	R14, $4
+	JLT	next
+	ADDQ	DX, R12
+	VADDPS	(R12), Y6, Y6
+	VMOVUPS	Y6, (R12)
+	VADDPS	32(R12), Y7, Y7
+	VMOVUPS	Y7, 32(R12)
+
+next:
+	SUBQ	$4, R14
+	JLE	paneldone
+	MOVQ	G_ARS(AX), DX
+	LEAQ	(R15)(DX*4), R15
+	MOVQ	G_LDC(AX), DX
+	LEAQ	(DI)(DX*4), DI
+	JMP	tile
+
+paneldone:
+	MOVQ	joff-8(SP), DX
+	ADDQ	$64, DX
+	MOVQ	DX, joff-8(SP)
+	CMPQ	DX, G_JBYTES(AX)
+	JLT	panel
+	VZEROUPPER
+	RET
+
+// func gemmPanel8(args *gemmArgs)
+//
+// Computes every row of one panel of at most 8 columns starting at G_B/G_C,
+// the lanes given by the 8-int32 mask at G_MASK. Same registers as
+// gemmPanels16.
+TEXT ·gemmPanel8(SB), NOSPLIT, $0-8
+	MOVQ	args+0(FP), AX
+	MOVQ	G_AKS(AX), R10
+	MOVQ	G_MASK(AX), DX
+	VMOVDQU	(DX), Y13
+	MOVQ	G_B(AX), BX
+	MOVQ	G_C(AX), DI
+	MOVQ	G_A(AX), R15
+	MOVQ	G_M(AX), R14
+
+tile:
+	ROWOFFS
+	VXORPS	Y0, Y0, Y0
+	VXORPS	Y1, Y1, Y1
+	VXORPS	Y2, Y2, Y2
+	VXORPS	Y3, Y3, Y3
+	MOVQ	R15, SI
+	MOVQ	G_K(AX), CX
+	TESTQ	CX, CX
+	JLE	store
+	MOVQ	G_OFFS(AX), R13
+	TESTQ	R13, R13
+	JNZ	table
+	MOVQ	G_LDB(AX), R13
+	MOVQ	BX, R12
+
+strided:
+	STEP8
+	ADDQ	R13, R12
+	DECQ	CX
+	JNZ	strided
+	JMP	store
+
+table:
+	XORQ	DX, DX
+
+tableloop:
+	MOVLQSX	(R13)(DX*4), R12
+	LEAQ	(BX)(R12*4), R12
+	STEP8
+	INCQ	DX
+	CMPQ	DX, CX
+	JLT	tableloop
+
+store:
+	MOVQ	G_LDC(AX), DX
+	MOVQ	DI, R12
+	CMPQ	G_ACC(AX), $0
+	JNE	accum
+	VMASKMOVPS	Y0, Y13, (R12)
+	CMPQ	R14, $2
+	JLT	next
+	ADDQ	DX, R12
+	VMASKMOVPS	Y1, Y13, (R12)
+	CMPQ	R14, $3
+	JLT	next
+	ADDQ	DX, R12
+	VMASKMOVPS	Y2, Y13, (R12)
+	CMPQ	R14, $4
+	JLT	next
+	ADDQ	DX, R12
+	VMASKMOVPS	Y3, Y13, (R12)
+	JMP	next
+
+accum:
+	VMASKMOVPS	(R12), Y13, Y8
+	VADDPS	Y8, Y0, Y0
+	VMASKMOVPS	Y0, Y13, (R12)
+	CMPQ	R14, $2
+	JLT	next
+	ADDQ	DX, R12
+	VMASKMOVPS	(R12), Y13, Y8
+	VADDPS	Y8, Y1, Y1
+	VMASKMOVPS	Y1, Y13, (R12)
+	CMPQ	R14, $3
+	JLT	next
+	ADDQ	DX, R12
+	VMASKMOVPS	(R12), Y13, Y8
+	VADDPS	Y8, Y2, Y2
+	VMASKMOVPS	Y2, Y13, (R12)
+	CMPQ	R14, $4
+	JLT	next
+	ADDQ	DX, R12
+	VMASKMOVPS	(R12), Y13, Y8
+	VADDPS	Y8, Y3, Y3
+	VMASKMOVPS	Y3, Y13, (R12)
+
+next:
+	SUBQ	$4, R14
+	JLE	done
+	MOVQ	G_ARS(AX), DX
+	LEAQ	(R15)(DX*4), R15
+	MOVQ	G_LDC(AX), DX
+	LEAQ	(DI)(DX*4), DI
+	JMP	tile
 
 done:
-	VMOVUPS	Y0, (DI)
-	VMOVUPS	Y1, 32(DI)
-	VMOVUPS	Y2, 64(DI)
-	VMOVUPS	Y3, 96(DI)
-	VMOVUPS	Y4, 128(DI)
-	VMOVUPS	Y5, 160(DI)
-	VMOVUPS	Y6, 192(DI)
-	VMOVUPS	Y7, 224(DI)
 	VZEROUPPER
 	RET

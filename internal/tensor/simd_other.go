@@ -2,10 +2,10 @@
 
 package tensor
 
-// Non-amd64 builds have no vector kernel; the scalar panel path runs
+// Non-amd64 builds have no vector tile; the portable kernel runs
 // everywhere.
 const useAVX2 = false
 
-func matmulTransBRowsAVX2(c, a, b []float32, lo, hi, k, n int, acc bool) {
-	matmulTransBRowsScalar(c, a, b, lo, hi, k, n, acc)
+func gemmAVX2(c []float32, ldc int, a []float32, ars, aks int, b []float32, ldb int, offs []int32, m, k, n int, acc bool) {
+	gemmGo(c, ldc, a, ars, aks, b, ldb, offs, m, k, n, acc)
 }
