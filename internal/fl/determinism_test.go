@@ -3,8 +3,42 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"spatl/internal/models"
 )
+
+// TestFedAvgDeterministicAcrossGOMAXPROCS runs plain FedAvg end to end
+// — local training, upload, aggregation — at GOMAXPROCS 1, 2 and 4 for a
+// dense and a convolutional model family and demands the same global
+// model bit for bit: no reduction's geometry may depend on the core
+// count. The explicit values make the comparison real on a one-core box.
+func TestFedAvgDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	for _, arch := range []string{"mlp", "resnet20"} {
+		run := func(procs int) []float32 {
+			prev := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev)
+			env := testEnvArch(t, arch, 4, quickCfg(9))
+			alg := &FedAvg{}
+			alg.Setup(env)
+			for r := 0; r < 2; r++ {
+				alg.Round(env, r, env.SampleClients())
+			}
+			return env.Global.State(models.ScopeAll)
+		}
+		s1 := run(1)
+		for _, procs := range []int{2, 4} {
+			sN := run(procs)
+			for j := range s1 {
+				if math.Float32bits(s1[j]) != math.Float32bits(sN[j]) {
+					t.Fatalf("%s: state[%d] differs between GOMAXPROCS 1 and %d: %x vs %x", arch, j, procs,
+						math.Float32bits(s1[j]), math.Float32bits(sN[j]))
+				}
+			}
+		}
+	}
+}
 
 // TestWeightedAverageMatchesSerial demands the parallel reduction be
 // bitwise identical to the retained serial reference across sizes that

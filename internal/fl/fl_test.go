@@ -13,10 +13,15 @@ import (
 // testEnv builds a small but real FL environment: an MLP over the
 // synthetic CIFAR task at 8×8, Dirichlet-partitioned across clients.
 func testEnv(t testing.TB, numClients int, cfg Config) *Env {
+	return testEnvArch(t, "mlp", numClients, cfg)
+}
+
+// testEnvArch is testEnv for any model family at half width.
+func testEnvArch(t testing.TB, arch string, numClients int, cfg Config) *Env {
 	t.Helper()
 	cfg.NumClients = numClients
 	cfg = cfg.WithDefaults()
-	spec := models.Spec{Arch: "mlp", Classes: 4, InC: 3, H: 8, W: 8, Width: 0.5}
+	spec := models.Spec{Arch: arch, Classes: 4, InC: 3, H: 8, W: 8, Width: 0.5}
 	ds := data.SynthCIFAR(data.SynthCIFARConfig{Classes: 4, H: 8, W: 8, Noise: 0.25}, numClients*80, 11, 12)
 	parts := data.DirichletPartition(ds.Y, 4, numClients, 0.5, 10, rand.New(rand.NewSource(cfg.Seed+5)))
 	var cd []ClientData

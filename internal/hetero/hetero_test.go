@@ -121,8 +121,8 @@ func TestDegenerateEquivalenceFedAvg(t *testing.T) {
 		runRounds(env, alg, rounds)
 		return env.Global.State(models.ScopeAll)
 	}
-	ref := run(&fl.FedAvg{}, runtime.NumCPU())
-	for _, procs := range []int{1, runtime.NumCPU()} {
+	ref := run(&fl.FedAvg{}, 2)
+	for _, procs := range []int{1, 2, 4} {
 		got := run(&FL{Opts: Options{Clusters: 1, Widths: []float64{1}}}, procs)
 		if !bytes.Equal(f32Bytes(got), f32Bytes(ref)) {
 			t.Fatalf("degenerate hetero differs from FedAvg at GOMAXPROCS=%d", procs)
@@ -148,12 +148,14 @@ func TestHeteroDeterministicAcrossProcs(t *testing.T) {
 		return state, append([]uint8(nil), alg.Aggregator().Assignments()...)
 	}
 	s1, a1 := run(1)
-	sN, aN := run(runtime.NumCPU())
-	if !bytes.Equal(f32Bytes(s1), f32Bytes(sN)) {
-		t.Fatal("cluster models differ across GOMAXPROCS")
-	}
-	if !bytes.Equal(a1, aN) {
-		t.Fatalf("assignments differ across GOMAXPROCS: %v vs %v", a1, aN)
+	for _, procs := range []int{2, 4} {
+		sN, aN := run(procs)
+		if !bytes.Equal(f32Bytes(s1), f32Bytes(sN)) {
+			t.Fatalf("cluster models differ between GOMAXPROCS 1 and %d", procs)
+		}
+		if !bytes.Equal(a1, aN) {
+			t.Fatalf("assignments differ between GOMAXPROCS 1 and %d: %v vs %v", procs, a1, aN)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"spatl/internal/tensor"
 )
@@ -248,22 +247,19 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	c.dx = dx
 	sparse, pat := c.sparsity.probe(c.weight.W, c.OutC, colRows)
 
-	// Shard the batch; each shard accumulates its own dW (and db) in
-	// scratch buffers, then shards are summed in fixed order so results
-	// are deterministic for a fixed shard count.
+	// Shard the batch shardImages at a time; each shard accumulates its
+	// own dW (and db) in scratch buffers, then shards are summed in
+	// ascending order. The reduction geometry is a function of the batch
+	// alone, never of the core count, so gradients are bitwise identical
+	// at any GOMAXPROCS.
 	type shard struct {
 		dw []float32
 		db []float64
 	}
-	nw := parallelShards(n)
-	shards := make([]shard, nw)
-	chunk := (n + nw - 1) / nw
-	tensor.Parallel(nw, func(slo, shi int) {
+	shards := make([]shard, (n+shardImages-1)/shardImages)
+	tensor.Parallel(len(shards), func(slo, shi int) {
 		for s := slo; s < shi; s++ {
-			lo, hi := s*chunk, (s+1)*chunk
-			if hi > n {
-				hi = n
-			}
+			lo, hi := s*shardImages, min((s+1)*shardImages, n)
 			sh := shard{dw: tensor.GetScratch(c.OutC * colRows)}
 			clear(sh.dw)
 			if c.useBias {
@@ -302,9 +298,6 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 	})
 	for _, sh := range shards {
-		if sh.dw == nil {
-			continue
-		}
 		tensor.VecAdd(c.weight.G.Data, sh.dw)
 		tensor.PutScratch(sh.dw)
 		if c.useBias {
@@ -442,17 +435,8 @@ func (c *Conv2D) Weight() *Param { return c.weight }
 // OutDims returns the cached convolution geometry (valid after Forward).
 func (c *Conv2D) OutDims() (tensor.ConvDims, bool) { return c.dims, c.haveDims }
 
-// parallelShards picks a shard count for deterministic batched gradient
-// accumulation: one shard per available core, but never more shards than
-// images so small batches are not over-sharded. Results are deterministic
-// for a fixed GOMAXPROCS (shard boundaries fix the summation grouping).
-func parallelShards(n int) int {
-	p := runtime.GOMAXPROCS(0)
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
+// shardImages is how many consecutive images of a batch accumulate their
+// dW/db contributions into one shard buffer in Conv2D.Backward. A
+// constant, so where the per-shard sums are cut — and hence their
+// rounding — depends on the batch size only.
+const shardImages = 4

@@ -56,14 +56,9 @@ func perImageConvBackward(c *Conv2D, x, dout *tensor.Tensor) (dx *tensor.Tensor,
 	dx = tensor.New(n, c.InC, h, w)
 	dw = make([]float32, c.OutC*colRows)
 	db = make([]float32, c.OutC)
-	nw := parallelShards(n)
-	chunk := (n + nw - 1) / nw
 	col := tensor.New(colRows, cols)
-	for s := 0; s < nw; s++ {
-		lo, hi := s*chunk, (s+1)*chunk
-		if hi > n {
-			hi = n
-		}
+	for lo := 0; lo < n; lo += shardImages {
+		hi := min(lo+shardImages, n)
 		sdw := make([]float32, c.OutC*colRows)
 		sdb := make([]float64, c.OutC)
 		for i := lo; i < hi; i++ {
