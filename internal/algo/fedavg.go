@@ -143,9 +143,8 @@ func (t *FedAvgTrainer) LocalUpdate(round int, payload []byte) []byte {
 	defer sp.End()
 	m := t.Client.Model
 	n := m.StateLen(models.ScopeAll)
-	state, err := comm.DecodeDenseAnyInto(comm.GetF32(n), payload)
-	if err != nil || len(state) != n {
-		comm.PutF32(state)
+	state, err := comm.DecodeDensePooled(payload, n)
+	if err != nil {
 		return nil
 	}
 	m.SetState(models.ScopeAll, state)

@@ -158,11 +158,13 @@ func (t *FedNovaTrainer) LocalUpdate(round int, payload []byte) []byte {
 	if err != nil || len(parts) != 2 {
 		return nil
 	}
-	globalState, err1 := comm.DecodeDenseAnyInto(comm.GetF32(nState), parts[0])
-	initVel, err2 := comm.DecodeDenseAnyInto(comm.GetF32(nVel), parts[1])
-	if err1 != nil || err2 != nil || len(globalState) != nState || len(initVel) != nVel {
+	globalState, err := comm.DecodeDensePooled(parts[0], nState)
+	if err != nil {
+		return nil
+	}
+	initVel, err := comm.DecodeDensePooled(parts[1], nVel)
+	if err != nil {
 		comm.PutF32(globalState)
-		comm.PutF32(initVel)
 		return nil
 	}
 	m.SetState(models.ScopeAll, globalState)

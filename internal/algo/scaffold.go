@@ -159,11 +159,13 @@ func (t *SCAFFOLDTrainer) LocalUpdate(round int, payload []byte) []byte {
 	if err != nil || len(parts) != 2 {
 		return nil
 	}
-	globalState, err1 := comm.DecodeDenseAnyInto(comm.GetF32(nState), parts[0])
-	serverC, err2 := comm.DecodeDenseAnyInto(comm.GetF32(nCtrl), parts[1])
-	if err1 != nil || err2 != nil || len(globalState) != nState || len(serverC) != nCtrl {
+	globalState, err := comm.DecodeDensePooled(parts[0], nState)
+	if err != nil {
+		return nil
+	}
+	serverC, err := comm.DecodeDensePooled(parts[1], nCtrl)
+	if err != nil {
 		comm.PutF32(globalState)
-		comm.PutF32(serverC)
 		return nil
 	}
 	m.SetState(models.ScopeAll, globalState)

@@ -411,18 +411,16 @@ func (t *SPATLTrainer) LocalUpdate(round int, payload []byte) []byte {
 		return nil
 	}
 	// ➊ install the shared encoder (and control variate).
-	globalState, err := comm.DecodeDenseAnyInto(comm.GetF32(nState), parts[0])
-	if err != nil || len(globalState) != nState {
-		comm.PutF32(globalState)
+	globalState, err := comm.DecodeDensePooled(parts[0], nState)
+	if err != nil {
 		return nil
 	}
 	m.SetState(scope, globalState)
 	var serverC []float32
 	if gradControl {
-		serverC, err = comm.DecodeDenseAnyInto(comm.GetF32(len(c.Control)), parts[1])
-		if err != nil || len(serverC) != len(c.Control) {
+		serverC, err = comm.DecodeDensePooled(parts[1], len(c.Control))
+		if err != nil {
 			comm.PutF32(globalState)
-			comm.PutF32(serverC)
 			return nil
 		}
 	}

@@ -172,10 +172,9 @@ func (a *SSFLAggregator) Broadcast(round int) []byte {
 // collectScores decodes one agreement-round score upload.
 func (a *SSFLAggregator) collectScores(payload []byte) ([]float32, bool) {
 	want := ssflScoreLen(a.Global)
-	scores, err := comm.DecodeDenseAnyInto(comm.GetF32(want), payload)
-	if err != nil || len(scores) != want {
+	scores, err := comm.DecodeDensePooled(payload, want)
+	if err != nil {
 		a.dropped.Add(1)
-		comm.PutF32(scores)
 		return nil, false
 	}
 	return scores, true
@@ -478,9 +477,8 @@ func (t *SSFLTrainer) LocalUpdate(round int, payload []byte) []byte {
 // per-channel saliency scores of the warmed-up encoder.
 func (t *SSFLTrainer) agreementUpdate(sp *telemetry.Span, round int, payload []byte, nState int) []byte {
 	m := t.Client.Model
-	state, err := comm.DecodeDenseAnyInto(comm.GetF32(nState), payload)
-	if err != nil || len(state) != nState {
-		comm.PutF32(state)
+	state, err := comm.DecodeDensePooled(payload, nState)
+	if err != nil {
 		return nil
 	}
 	m.SetState(models.ScopeEncoder, state)

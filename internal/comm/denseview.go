@@ -41,6 +41,19 @@ func ViewDense(buf []byte) (DenseView, error) {
 	return DenseView{}, ErrNotDense
 }
 
+// DecodeDensePooled decodes a dense payload that must hold exactly n
+// values into a GetF32 buffer, which the caller returns with PutF32. The
+// header and the count are checked on the bytes first, so a malformed or
+// mis-sized payload is refused with ErrNotDense before any buffer leaves
+// the pool: a refusal costs zero pool traffic.
+func DecodeDensePooled(buf []byte, n int) ([]float32, error) {
+	v, err := ViewDense(buf)
+	if err != nil || v.Len() != n {
+		return nil, ErrNotDense
+	}
+	return v.DecodeInto(GetF32(n)), nil
+}
+
 // Len returns the number of values in the payload.
 func (d DenseView) Len() int {
 	if d.half {

@@ -139,3 +139,38 @@ func TestViewDenseRejectsWithoutAllocating(t *testing.T) {
 		t.Fatalf("ViewDense allocated %v times per run", n)
 	}
 }
+
+// TestDecodeDensePooledRefusalCostsNoPoolTraffic is the client-side twin
+// of the server's rejected-upload regression: a malformed or mis-sized
+// dense payload is refused with ErrNotDense before a buffer is taken, so
+// the refusal allocates nothing — which a Get from a pool the buffer is
+// never returned to would, every time.
+func TestDecodeDensePooledRefusalCostsNoPoolTraffic(t *testing.T) {
+	const n = 1 << 10
+	vals := make([]float32, n)
+	good := EncodeDense(vals)
+	bad := [][]byte{
+		nil,
+		good[:len(good)-1],
+		append(append([]byte(nil), good...), 0),
+		EncodeDense(vals[:n-1]),    // well-formed, wrong count
+		EncodeDenseF16(vals[:n/2]), // well-formed f16, wrong count
+	}
+	for i, b := range bad {
+		if got, err := DecodeDensePooled(b, n); err != ErrNotDense || got != nil {
+			t.Fatalf("case %d: got %d values, err %v; want nil, ErrNotDense", i, len(got), err)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		for _, b := range bad {
+			_, _ = DecodeDensePooled(b, n)
+		}
+	}); a != 0 {
+		t.Fatalf("refusals allocated %v times per run", a)
+	}
+	got, err := DecodeDensePooled(good, n)
+	if err != nil || len(got) != n {
+		t.Fatalf("well-formed payload: %d values, err %v", len(got), err)
+	}
+	PutF32(got)
+}

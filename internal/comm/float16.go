@@ -225,13 +225,21 @@ func DecodeDenseAnyInto(dst []float32, buf []byte) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := sizeF32(dst, v.Len())
-	if v.half {
-		getF16Bulk(out, v.body)
+	return v.DecodeInto(dst), nil
+}
+
+// DecodeInto decodes the viewed values into dst (reused when its capacity
+// suffices, reallocated otherwise) — the second half of
+// DecodeDenseAnyInto, for callers that check the view before they take a
+// buffer to decode into.
+func (d DenseView) DecodeInto(dst []float32) []float32 {
+	out := sizeF32(dst, d.Len())
+	if d.half {
+		getF16Bulk(out, d.body)
 	} else {
-		getF32Bulk(out, v.body)
+		getF32Bulk(out, d.body)
 	}
-	return out, nil
+	return out
 }
 
 // DecodeSparseAny parses a sparse payload at either precision.
