@@ -51,7 +51,7 @@ func DecodeDensePooled(buf []byte, n int) ([]float32, error) {
 	if err != nil || v.Len() != n {
 		return nil, ErrNotDense
 	}
-	return v.DecodeInto(GetF32(n)), nil
+	return v.decodeInto(GetF32(n)), nil
 }
 
 // Len returns the number of values in the payload.

@@ -225,14 +225,14 @@ func DecodeDenseAnyInto(dst []float32, buf []byte) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.DecodeInto(dst), nil
+	return v.decodeInto(dst), nil
 }
 
-// DecodeInto decodes the viewed values into dst (reused when its capacity
+// decodeInto decodes the viewed values into dst (reused when its capacity
 // suffices, reallocated otherwise) — the second half of
 // DecodeDenseAnyInto, for callers that check the view before they take a
 // buffer to decode into.
-func (d DenseView) DecodeInto(dst []float32) []float32 {
+func (d DenseView) decodeInto(dst []float32) []float32 {
 	out := sizeF32(dst, d.Len())
 	if d.half {
 		getF16Bulk(out, d.body)

@@ -61,6 +61,14 @@ func (c *Conv2D) padded() (hp, wp, flat int) {
 	return hp, wp, (d.OutH-1)*wp + d.OutW
 }
 
+// sizes returns the lowered-matrix dimensions (cols output positions,
+// colRows = InC·K² taps) and the per-image strides of x and out.
+func (c *Conv2D) sizes() (cols, colRows, inStride, outStride int) {
+	d := c.dims
+	cols = d.OutH * d.OutW
+	return cols, c.InC * c.K * c.K, c.InC * d.H * d.W, c.OutC * cols
+}
+
 // Forward implements Layer. Input shape (N, InC, H, W).
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.InC {
@@ -111,8 +119,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (c *Conv2D) forwardImplicit(out, x *tensor.Tensor, lo, hi int) {
 	d := c.dims
 	hp, wp, flat := c.padded()
-	cols, colRows := d.OutH*d.OutW, c.InC*c.K*c.K
-	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	cols, colRows, inStride, outStride := c.sizes()
 	xp := tensor.GetScratch(c.InC * hp * wp)
 	clear(xp) // the border; every image overwrites the whole interior
 	cB := tensor.GetScratch(c.OutC * flat)
@@ -139,10 +146,9 @@ func (c *Conv2D) forwardImplicit(out, x *tensor.Tensor, lo, hi int) {
 // zero-bordered (InC,Hp,Wp) buffer xp.
 func (c *Conv2D) padInto(xp, xi []float32) {
 	d := c.dims
-	_, wp, _ := c.padded()
+	hp, wp, _ := c.padded()
 	for r := 0; r < c.InC*d.H; r++ {
-		ch, y := r/d.H, r%d.H
-		copy(xp[(ch*(d.H+2*c.Pad)+y+c.Pad)*wp+c.Pad:][:d.W], xi[r*d.W:][:d.W])
+		copy(xp[((r/d.H)*hp+r%d.H+c.Pad)*wp+c.Pad:][:d.W], xi[r*d.W:][:d.W])
 	}
 }
 
@@ -151,11 +157,10 @@ func (c *Conv2D) padInto(xp, xi []float32) {
 // im2col per image feeding the same tile, written straight into out.
 func (c *Conv2D) forwardLowered(out, x *tensor.Tensor, lo, hi int) {
 	d := c.dims
-	cols, colRows := d.OutH*d.OutW, c.InC*c.K*c.K
-	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	cols, colRows, inStride, outStride := c.sizes()
 	col := tensor.GetScratch(colRows * cols)
 	for i := lo; i < hi; i++ {
-		tensor.Im2ColLD(col, x.Data[i*inStride:(i+1)*inStride], d, cols)
+		tensor.Im2Col(col, x.Data[i*inStride:(i+1)*inStride], d)
 		oi := out.Data[i*outStride : (i+1)*outStride]
 		tensor.Gemm(oi, cols, c.weight.W.Data, colRows, 1, col, cols, nil, c.OutC, colRows, cols, false)
 		c.addBias(oi, cols)
@@ -172,8 +177,7 @@ func (c *Conv2D) forwardLowered(out, x *tensor.Tensor, lo, hi int) {
 // per-image column count is tiny.
 func (c *Conv2D) forwardSparse(out, x *tensor.Tensor, pat *tensor.MaskPat, lo, hi int) {
 	d := c.dims
-	cols, colRows := d.OutH*d.OutW, c.InC*c.K*c.K
-	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	cols, colRows, inStride, outStride := c.sizes()
 	for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
 		gn := fusedGroup(hi-glo, colRows*cols)
 		wide := gn * cols
@@ -236,14 +240,10 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if x == nil {
 		panic("nn: Conv2D.Backward before Forward")
 	}
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	d := c.dims
-	cols := d.OutH * d.OutW
-	colRows := c.InC * c.K * c.K
-	inStride := c.InC * h * w
-	outStride := c.OutC * cols
+	n, d := x.Dim(0), c.dims
+	cols, colRows, inStride, outStride := c.sizes()
 
-	dx := tensor.Reuse(c.dx, n, c.InC, h, w)
+	dx := tensor.Reuse(c.dx, n, c.InC, d.H, d.W)
 	c.dx = dx
 	sparse, pat := c.sparsity.probe(c.weight.W, c.OutC, colRows)
 
@@ -327,8 +327,8 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 func (c *Conv2D) backwardImplicit(dx, dout *tensor.Tensor, lo, hi int) {
 	d := c.dims
 	hp, wp, flat := c.padded()
-	cols, colRows, kk := d.OutH*d.OutW, c.InC*c.K*c.K, c.K*c.K
-	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	_, colRows, inStride, outStride := c.sizes()
+	kk := c.K * c.K
 	gp := tensor.GetScratch(c.OutC * flat)
 	clear(gp) // the junk columns; every image overwrites all the others
 	dxp := tensor.GetScratch(c.InC * hp * wp)
@@ -355,8 +355,7 @@ func (c *Conv2D) backwardImplicit(dx, dout *tensor.Tensor, lo, hi int) {
 // then the col2im scatter.
 func (c *Conv2D) backwardLowered(dx, dout *tensor.Tensor, lo, hi int) {
 	d := c.dims
-	cols, colRows := d.OutH*d.OutW, c.InC*c.K*c.K
-	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	cols, colRows, inStride, outStride := c.sizes()
 	dcol := tensor.GetScratch(colRows * cols)
 	for i := lo; i < hi; i++ {
 		tensor.Gemm(dcol, cols, c.weight.W.Data, 1, colRows, dout.Data[i*outStride:(i+1)*outStride], cols, nil, colRows, c.OutC, cols, false)
@@ -374,8 +373,7 @@ func (c *Conv2D) backwardLowered(dx, dout *tensor.Tensor, lo, hi int) {
 // image's slice straight out of the wide buffer.
 func (c *Conv2D) backwardSparse(dx, dout *tensor.Tensor, pat *tensor.MaskPat, lo, hi int) {
 	d := c.dims
-	cols, colRows := d.OutH*d.OutW, c.InC*c.K*c.K
-	inStride, outStride := c.InC*d.H*d.W, c.OutC*cols
+	cols, colRows, inStride, outStride := c.sizes()
 	for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
 		gn := fusedGroup(hi-glo, colRows*cols)
 		wide := gn * cols

@@ -132,9 +132,8 @@ func im2colStride1(col []float32, x []float32, d ConvDims, ld int) {
 // dst of shape (OutH*OutW, C*K*K): row j holds the receptive field of
 // output pixel j, laid out in the same (c,ky,kx) order as a filter row of
 // the weight matrix. This is the transposed layout of Im2Col, produced
-// directly so the convolution forward pass can feed the register-tiled
-// dot-product kernel (MatMulTransB) with both operands row-contiguous and
-// no packing step.
+// directly: the (k = pixels, n = C*K*K) vector-side operand of the conv
+// weight gradient dW += g · patches, with no transpose.
 func Im2ColPatch(dst, x []float32, d ConvDims) {
 	if d.K == 3 {
 		im2colPatch3(dst, x, d)

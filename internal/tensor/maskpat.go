@@ -18,8 +18,8 @@ import "fmt"
 // the probe kernel skips could flip a -0 to +0).
 //
 // Invalidation is the caller's job: patterns are derived data, keyed on
-// the weight tensor's mutation counter exactly like the packed-panel
-// caches in internal/nn (see Param.Bump).
+// the weight tensor's mutation counter exactly like Linear's Wᵀ cache
+// in internal/nn (see Param.Bump).
 
 // MaskPat is the precomputed nonzero pattern of an (M,K) row-major
 // matrix.
@@ -149,8 +149,7 @@ func MatMulTransAMaskPatSlice(c, w, b []float32, pat *MaskPat, n int) {
 // MatMulTransBMaskPatSlice computes C = A·Wᵀ for A (m, K) and the (M,K)
 // pattern-carrying matrix W, C (m, M) fully overwritten. Each output is
 // a gather-dot over row i's nonzero positions in ascending order — the
-// mask-static sparse form of the packed A·Bᵀ kernel used by linear
-// layers. It sums exactly the nonzero terms of the dense dot product.
+// mask-static sparse form of the x·Wᵀ product of linear layers. It sums exactly the nonzero terms of the dense dot product.
 func MatMulTransBMaskPatSlice(c, a, w []float32, pat *MaskPat, m int) {
 	k, outs := pat.K, pat.M
 	for i := 0; i < m; i++ {

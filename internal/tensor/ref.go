@@ -1,9 +1,9 @@
 package tensor
 
 // Reference kernels: straightforward triple loops retained as the ground
-// truth the optimized blocked kernels are verified against (see
-// matmul_test.go). They accumulate each output element in ascending-k
-// order, the same order the blocked kernels preserve, so equivalence
+// truth the Gemm tiles are verified against (see simd_test.go and
+// kernels_test.go). They accumulate each output element in ascending-k
+// order, the same order the tiles preserve, so equivalence
 // tests can demand exact equality, not just tolerance.
 
 // RefMatMul computes C = A·B with the naive reference kernel.

@@ -61,14 +61,16 @@ var useAVX2 = func() bool {
 // one call, then the remaining columns as at most two ≤8-column panels.
 // Arguments are already validated by Gemm.
 func gemmAVX2(c []float32, ldc int, a []float32, ars, aks int, b []float32, ldb int, offs []int32, m, k, n int, acc bool) {
+	if k == 0 {
+		// Nothing to read, and a and b may be empty.
+		gemmGo(c, ldc, a, ars, aks, b, ldb, offs, m, k, n, acc)
+		return
+	}
 	g := gemmArgs{
 		a: &a[0], ars: 4 * ars, aks: 4 * aks,
 		ldb: 4 * ldb, k: k, ldc: 4 * ldc, m: m,
 	}
-	if k == 0 {
-		// No B row is read; any address serves.
-		b = c
-	} else if offs != nil {
+	if offs != nil {
 		g.offs = &offs[0]
 	}
 	if acc {

@@ -104,9 +104,9 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 
 // func gemmPanels16(args *gemmArgs)
 //
-// Computes every row of the G_JBYTES/64 full 16-column panels of C. Per
-// panel the row tiles run top to bottom so the panel's k B rows stay in L1
-// across them. Registers: AX args, BX B panel, DI C tile, R15 A tile,
+// Computes every row of the G_JBYTES/64 full 16-column panels of C, for
+// k ≥ 1. Per panel the row tiles run top to bottom so the panel's k B rows
+// stay in L1 across them. Registers: AX args, BX B panel, DI C tile, R15 A tile,
 // R14 rows left, SI A cursor, R12 B row, R13 ldb or offset table, R10 aks.
 TEXT ·gemmPanels16(SB), NOSPLIT, $8-8
 	MOVQ	args+0(FP), AX
@@ -134,8 +134,6 @@ tile:
 	VXORPS	Y7, Y7, Y7
 	MOVQ	R15, SI
 	MOVQ	G_K(AX), CX
-	TESTQ	CX, CX
-	JLE	store
 	MOVQ	G_OFFS(AX), R13
 	TESTQ	R13, R13
 	JNZ	table
@@ -232,7 +230,7 @@ paneldone:
 // func gemmPanel8(args *gemmArgs)
 //
 // Computes every row of one panel of at most 8 columns starting at G_B/G_C,
-// the lanes given by the 8-int32 mask at G_MASK. Same registers as
+// the lanes given by the 8-int32 mask at G_MASK, for k ≥ 1. Same registers as
 // gemmPanels16.
 TEXT ·gemmPanel8(SB), NOSPLIT, $0-8
 	MOVQ	args+0(FP), AX
@@ -252,8 +250,6 @@ tile:
 	VXORPS	Y3, Y3, Y3
 	MOVQ	R15, SI
 	MOVQ	G_K(AX), CX
-	TESTQ	CX, CX
-	JLE	store
 	MOVQ	G_OFFS(AX), R13
 	TESTQ	R13, R13
 	JNZ	table

@@ -1,6 +1,6 @@
 // Package tensor implements the dense float32 tensor math that underpins
 // the neural-network substrate. It is deliberately small: row-major dense
-// tensors, parallel blocked matrix multiply, im2col/col2im for convolution
+// tensors, one strided GEMM tile, im2col/col2im for convolution
 // lowering, elementwise kernels and reductions. Everything is stdlib-only.
 //
 // Tensors are mutable value containers: the Data slice is shared on View
@@ -20,7 +20,7 @@ type Tensor struct {
 	shape []int
 
 	// version counts mutations observed through this header; caches of
-	// derived forms (packed weight panels, transposes) key on it to know
+	// derived forms (transposes, sparsity patterns) key on it to know
 	// when to refill. Mutating methods bump it automatically; code that
 	// writes Data directly must call MarkMutated afterwards or derived
 	// caches go stale. Views made with Reshape/FromSlice have their own
@@ -32,7 +32,7 @@ type Tensor struct {
 func (t *Tensor) Version() uint64 { return t.version }
 
 // MarkMutated records a direct write to Data so version-keyed caches of
-// derived forms (packed panels, transposes) refill on next use.
+// derived forms (transposes, sparsity patterns) refill on next use.
 func (t *Tensor) MarkMutated() { t.version++ }
 
 // New returns a zero-filled tensor with the given shape.
