@@ -14,9 +14,9 @@ import (
 	"io"
 	"testing"
 
+	"spatl/internal/algo"
 	"spatl/internal/comm"
 	"spatl/internal/experiments"
-	"spatl/internal/fl"
 	"spatl/internal/nn"
 	"spatl/internal/tensor"
 )
@@ -230,7 +230,7 @@ func BenchmarkConvBackward(b *testing.B) {
 // Tiny scale (4 clients, parallel local updates, real serialization).
 func BenchmarkFLRound(b *testing.B) {
 	env := experiments.BuildCIFAREnv(experiments.Tiny, "resnet20", experiments.ClientSet{Clients: 4, Ratio: 1}, 1)
-	algo := &fl.FedAvg{}
+	algo := experiments.NewAlgorithm("fedavg", experiments.Tiny, 1)
 	algo.Setup(env)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -411,7 +411,7 @@ func BenchmarkWeightedAverage(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if fl.WeightedAverage(states, weights) == nil {
+		if algo.WeightedAverage(states, weights) == nil {
 			b.Fatal("nil average")
 		}
 	}

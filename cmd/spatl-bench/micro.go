@@ -17,9 +17,9 @@ import (
 	"spatl/internal/experiments"
 	"spatl/internal/fl"
 	"spatl/internal/flnet"
-	"spatl/internal/hetero"
 	"spatl/internal/models"
 	"spatl/internal/nn"
+	"spatl/internal/scenario"
 	"spatl/internal/telemetry"
 	"spatl/internal/tensor"
 )
@@ -133,7 +133,7 @@ func withProcs(procs int, fn func(b *testing.B)) func(b *testing.B) {
 
 func flRoundBench(b *testing.B) {
 	env := experiments.BuildCIFAREnv(experiments.Tiny, "resnet20", experiments.ClientSet{Clients: 4, Ratio: 1}, 1)
-	algo := &fl.FedAvg{}
+	algo := experiments.NewAlgorithm("fedavg", experiments.Tiny, 1)
 	algo.Setup(env)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -148,7 +148,7 @@ func flRoundBench(b *testing.B) {
 func flRoundTelemetryBench(b *testing.B) {
 	env := experiments.BuildCIFAREnv(experiments.Tiny, "resnet20", experiments.ClientSet{Clients: 4, Ratio: 1}, 1)
 	env.EnableTelemetry(telemetry.New(io.Discard))
-	algo := &fl.FedAvg{}
+	algo := experiments.NewAlgorithm("fedavg", experiments.Tiny, 1)
 	algo.Setup(env)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -196,7 +196,10 @@ func ssflRoundBench(maskStatic bool) func(b *testing.B) {
 // FedAvg.
 func heteroRoundBench(b *testing.B) {
 	env := experiments.BuildCIFAREnv(experiments.Tiny, "resnet20", experiments.ClientSet{Clients: 4, Ratio: 1}, 1)
-	alg := &hetero.FL{Opts: hetero.Options{Clusters: 2, Widths: []float64{0.5}, ReassignEvery: 4}}
+	alg, err := scenario.NewAlgorithm("hetero", scenario.Params{Clusters: 2, WidthDist: []float64{0.5}, ReassignEvery: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
 	alg.Setup(env)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -433,7 +436,7 @@ var microBenchmarks = []struct {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if fl.WeightedAverage(states, weights) == nil {
+			if algo.WeightedAverage(states, weights) == nil {
 				b.Fatal("nil average")
 			}
 		}

@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"math/rand"
 
-	"spatl/internal/core"
 	"spatl/internal/data"
 	"spatl/internal/fl"
 	"spatl/internal/models"
+	"spatl/internal/scenario"
 	"spatl/internal/stats"
 )
 
@@ -45,14 +45,17 @@ func buildEnv(seed int64) *fl.Env {
 func main() {
 	const rounds = 12
 	for _, run := range []struct {
-		name string
-		algo fl.Algorithm
+		name, algo string
 	}{
-		{"SPATL (personalized)", core.New(core.Options{FineTuneRounds: 2, FineTuneEpisodes: 2})},
-		{"SCAFFOLD (uniform model)", &fl.SCAFFOLD{}},
+		{"SPATL (personalized)", "spatl"},
+		{"SCAFFOLD (uniform model)", "scaffold"},
 	} {
+		algo, err := scenario.NewAlgorithm(run.algo, scenario.Params{FineTuneRounds: 2, FineTuneEpisodes: 2})
+		if err != nil {
+			panic(err)
+		}
 		env := buildEnv(9)
-		res := fl.Run(env, run.algo, fl.RunOpts{Rounds: rounds})
+		res := fl.Run(env, algo, fl.RunOpts{Rounds: rounds})
 		per := res.Records[len(res.Records)-1].PerClient
 		fmt.Printf("\n%s after %d rounds:\n", run.name, rounds)
 		fmt.Printf("  per-client accuracy: ")

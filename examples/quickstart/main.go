@@ -12,10 +12,10 @@ import (
 	"math/rand"
 	"os"
 
-	"spatl/internal/core"
 	"spatl/internal/data"
 	"spatl/internal/fl"
 	"spatl/internal/models"
+	"spatl/internal/scenario"
 )
 
 func main() {
@@ -41,7 +41,10 @@ func main() {
 
 	// 3. Train with SPATL: salient-parameter uploads, heterogeneous
 	//    predictors, encoder-only gradient control.
-	algo := core.New(core.Options{FineTuneRounds: 2, FineTuneEpisodes: 2})
+	algo, err := scenario.NewAlgorithm("spatl", scenario.Params{FineTuneRounds: 2, FineTuneEpisodes: 2})
+	if err != nil {
+		panic(err)
+	}
 	res := fl.Run(env, algo, fl.RunOpts{Rounds: 10, Log: os.Stdout})
 
 	last := res.Records[len(res.Records)-1]

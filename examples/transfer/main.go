@@ -18,6 +18,7 @@ import (
 	"spatl/internal/data"
 	"spatl/internal/fl"
 	"spatl/internal/models"
+	"spatl/internal/scenario"
 )
 
 func main() {
@@ -42,7 +43,10 @@ func main() {
 		LocalEpochs: 2, BatchSize: 16, LR: 0.02, Momentum: 0.9, Seed: 24,
 	}, cd[:trainClients])
 
-	algo := core.New(core.Options{FineTuneRounds: 2, FineTuneEpisodes: 2})
+	algo, err := scenario.NewAlgorithm("spatl", scenario.Params{FineTuneRounds: 2, FineTuneEpisodes: 2})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("federated training (cold clients excluded)...")
 	res := fl.Run(env, algo, fl.RunOpts{Rounds: 8})
 	fmt.Printf("federation average accuracy: %.3f\n\n", res.FinalAcc())
@@ -55,7 +59,7 @@ func main() {
 		c.Model.SetState(models.ScopeEncoder, env.Global.State(models.ScopeEncoder))
 		before := fl.EvalAccuracy(c.Model, c.Val, 64)
 		// SPATL cold start: fit the local predictor only (eq. 4).
-		algo.ColdStart(env, c, 4, rand.New(rand.NewSource(int64(100+i))))
+		core.ColdStart(env, core.Options{}, c, 4, rand.New(rand.NewSource(int64(100+i))))
 		after := fl.EvalAccuracy(c.Model, c.Val, 64)
 		fmt.Printf("cold client %d: accuracy %.3f → %.3f after predictor-only adaptation\n",
 			c.ID, before, after)

@@ -28,25 +28,49 @@ import (
 )
 
 // Aggregator is the server side of one algorithm. Implementations own
-// the payload encoding; transports only move bytes.
+// the payload encoding; transports only move bytes. A round is
+// Broadcast, BeginRound, any number of Collect / CollectLate /
+// MarkAbsent calls, FinishRound. Every aggregator folds on arrival (see
+// stream.go): uploads may be collected in ARBITRARY order and the cursor
+// over the announced selection restores the canonical
+// ascending-client-ID fold order, bitwise identical to a sequential
+// selection-order Collect pass.
 type Aggregator interface {
 	// Broadcast produces the payload sent to every sampled client at the
 	// start of round. The returned slice is owned by the aggregator and
 	// reused on the next Broadcast/Final call.
 	Broadcast(round int) []byte
+	// BeginRound announces the round's selected client IDs — the
+	// canonical fold order after ascending sort. Call after Broadcast
+	// and before the first Collect of the round.
+	BeginRound(round int, selected []uint32)
 	// Collect consumes one sampled client's upload; payload is only
-	// valid during the call. All repo aggregators also implement
-	// StreamingAggregator: after BeginRound, Collect accepts uploads in
-	// ARBITRARY arrival order and the fold-on-arrival cursor restores
-	// the canonical ascending-client-ID fold order (bitwise identical
-	// to a sequential selection-order Collect pass). Without BeginRound
-	// the legacy contract holds: call sequentially in selection order.
-	// Malformed uploads are counted (see the aggregators' Dropped
-	// methods), never fatal.
+	// valid during the call. An upload from a client outside the
+	// announced selection, or a second one from the same client, folds
+	// where it arrives. Malformed uploads are counted (see the
+	// aggregators' Dropped methods), never fatal.
 	Collect(round int, client uint32, trainSize int, payload []byte)
+	// CollectLate folds a straggler's upload carried over from an
+	// earlier round, bypassing the cursor entirely: late uploads fold at
+	// their delivery position (FedBuff semantics), even when the same
+	// client is also selected — and separately tracked — this round.
+	CollectLate(round int, client uint32, trainSize int, payload []byte)
+	// MarkAbsent tells the reducer a selected client will not deliver
+	// this round (dead connection, straggler deadline, injected drop),
+	// so the cursor can advance past it instead of staging every later
+	// upload until FinishRound.
+	MarkAbsent(round int, client uint32)
+	// SetStagingLimit bounds how many out-of-order uploads may park at
+	// once. n <= 0 (the default) bounds by the round's selection size —
+	// lossless, preserving every upload. With a hard limit, an overflow
+	// evicts the staged upload farthest from the cursor (counted in
+	// "agg.staged_overflow"): the work closest to folding survives.
+	SetStagingLimit(n int)
 	// FinishRound folds the collected uploads into the global model.
 	// Called once per round, after the transport has delivered every
-	// upload that arrived (which may be none).
+	// upload that arrived (which may be none); whatever is still parked
+	// behind an unresolved position folds here, so correctness never
+	// depends on MarkAbsent — only the memory bound does.
 	FinishRound(round int)
 	// Final produces the payload broadcast at the end of the federation.
 	Final() []byte

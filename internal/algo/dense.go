@@ -41,7 +41,7 @@ type denseUpload struct {
 // CollectBatch, Dropped and SetTelemetry promoted.
 type denseIngest struct {
 	Telemetered
-	stream[denseUpload]
+	Stream[denseUpload]
 
 	// parse checks one payload's framing and every dense header in it
 	// against the model and returns the views. It must take no buffer
@@ -64,21 +64,21 @@ type denseIngest struct {
 // constructor.
 func (d *denseIngest) initDense(parse func(int, []byte) (denseUpload, bool), foldRun func([]denseUpload)) {
 	d.parse = parse
-	d.foldRun = foldRun
-	d.releaseFn = func(u denseUpload) {
+	release := func(u denseUpload) {
 		if u.owned {
 			comm.PutBuf(u.raw)
 		}
 	}
 	// Parking is the one place an upload outlives its Collect call: copy
 	// the bytes into a pooled buffer and re-take the views over the copy.
-	d.ownFn = func(u denseUpload) denseUpload {
+	own := func(u denseUpload) denseUpload {
 		buf := comm.GetBuf(len(u.raw))
 		copy(buf, u.raw)
 		own, _ := d.parse(0, buf) // same bytes: passes as u did
 		own.owned, own.w = true, u.w
 		return own
 	}
+	d.Init(foldRun, release, own)
 	d.foldBlocks = d.runBlocks
 }
 
@@ -94,7 +94,7 @@ func (d *denseIngest) SetTelemetry(s *telemetry.Set) {
 	d.Telemetered.SetTelemetry(s)
 	if s != nil && s.Reg != nil {
 		s.Reg.Attach("algo.uploads_dropped", &d.dropped)
-		d.wireStream(s.Reg)
+		d.WireStream(s.Reg)
 	}
 }
 
@@ -103,7 +103,7 @@ func (d *denseIngest) SetTelemetry(s *telemetry.Set) {
 // selected client, its position resolved as absent — the cursor never
 // waits for a contribution that was refused.
 func (d *denseIngest) admit(client uint32, trainSize int, payload []byte) (denseUpload, bool) {
-	d.size("payload.up", len(payload))
+	d.ObserveSize("payload.up", len(payload))
 	u, ok := d.parse(trainSize, payload)
 	if !ok {
 		d.dropped.Add(1)
@@ -117,7 +117,7 @@ func (d *denseIngest) admit(client uint32, trainSize int, payload []byte) (dense
 // at the cursor, parked as a pooled byte copy when it is early. payload
 // may be reused as soon as Collect returns.
 func (d *denseIngest) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer d.span(round, "agg.collect").End()
+	defer d.RoundSpan(round, "agg.collect").End()
 	d.curRound = round
 	if u, ok := d.admit(client, trainSize, payload); ok {
 		d.route(client, u)
@@ -125,14 +125,14 @@ func (d *denseIngest) Collect(round int, client uint32, trainSize int, payload [
 	d.flush()
 }
 
-// CollectLate implements StreamingAggregator: a carried-over straggler
+// CollectLate implements Aggregator: a carried-over straggler
 // upload folds at its delivery position, outside the cursor.
 func (d *denseIngest) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer d.span(round, "agg.collect").End()
+	defer d.RoundSpan(round, "agg.collect").End()
 	d.curRound = round
-	d.size("payload.up", len(payload))
+	d.ObserveSize("payload.up", len(payload))
 	if u, ok := d.parse(trainSize, payload); ok {
-		d.foldNow(u)
+		d.FoldNow(u)
 	} else {
 		d.dropped.Add(1)
 	}
@@ -143,7 +143,7 @@ func (d *denseIngest) CollectLate(round int, client uint32, trainSize int, paylo
 // as one run — for a shard's entries in selection order, the whole
 // batch.
 func (d *denseIngest) CollectBatch(round int, ups []Upload) {
-	defer d.span(round, "agg.collect").End()
+	defer d.RoundSpan(round, "agg.collect").End()
 	d.curRound = round
 	for _, up := range ups {
 		if u, ok := d.admit(up.Client, up.TrainSize, up.Payload); ok {

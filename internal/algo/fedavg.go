@@ -36,12 +36,12 @@ func NewFedAvgAggregator(global *models.SplitModel, cfg Config) *FedAvgAggregato
 
 // Broadcast implements Aggregator.
 func (a *FedAvgAggregator) Broadcast(round int) []byte {
-	defer a.span(round, "agg.broadcast").End()
+	defer a.RoundSpan(round, "agg.broadcast").End()
 	n := a.Global.StateLen(models.ScopeAll)
 	state := a.Global.StateInto(models.ScopeAll, comm.GetF32(n))
 	a.bcast = a.cfg.encodeDenseInto(a.bcast, state)
 	comm.PutF32(state)
-	a.size("payload.down", len(a.bcast))
+	a.ObserveSize("payload.down", len(a.bcast))
 	return a.bcast
 }
 
@@ -61,7 +61,7 @@ func (a *FedAvgAggregator) parseUpload(trainSize int, payload []byte) (denseUplo
 // accumulation is independent, so the chain is bitwise identical at any
 // GOMAXPROCS.
 func (a *FedAvgAggregator) foldUploads(run []denseUpload) {
-	defer a.span(a.curRound, "agg.fold").End()
+	defer a.RoundSpan(a.curRound, "agg.fold").End()
 	if a.folded == 0 {
 		a.acc = zeroedAcc(a.acc, a.Global.StateLen(models.ScopeAll))
 		a.sumW = 0
@@ -77,9 +77,9 @@ func (a *FedAvgAggregator) foldUploads(run []denseUpload) {
 // finalize the accumulated Σwᵢxᵢ with a single ÷Σw per index — bitwise
 // identical to StreamFoldRefFedAvg at any GOMAXPROCS.
 func (a *FedAvgAggregator) FinishRound(round int) {
-	defer a.span(round, "agg.reduce").End()
+	defer a.RoundSpan(round, "agg.reduce").End()
 	a.curRound = round
-	a.finishStream()
+	a.FinishStream()
 	if a.folded == 0 || a.sumW == 0 {
 		a.folded = 0
 		return
@@ -139,7 +139,7 @@ func NewFedProxTrainer(c *Client, cfg Config) *FedAvgTrainer {
 
 // LocalUpdate implements Trainer.
 func (t *FedAvgTrainer) LocalUpdate(round int, payload []byte) []byte {
-	sp := t.span(round, "client.update")
+	sp := t.RoundSpan(round, "client.update")
 	defer sp.End()
 	m := t.Client.Model
 	n := m.StateLen(models.ScopeAll)

@@ -46,7 +46,7 @@ func (a *FedNovaAggregator) Velocity() []float32 { return a.velocity }
 // Broadcast implements Aggregator: joined dense payloads for the model
 // state and the server momentum.
 func (a *FedNovaAggregator) Broadcast(round int) []byte {
-	defer a.span(round, "agg.broadcast").End()
+	defer a.RoundSpan(round, "agg.broadcast").End()
 	n := a.Global.StateLen(models.ScopeAll)
 	state := a.Global.StateInto(models.ScopeAll, comm.GetF32(n))
 	encS := a.cfg.encodeDenseInto(comm.GetBuf(a.cfg.denseLen(n)), state)
@@ -55,7 +55,7 @@ func (a *FedNovaAggregator) Broadcast(round int) []byte {
 	comm.PutBuf(encV)
 	comm.PutBuf(encS)
 	comm.PutF32(state)
-	a.size("payload.down", len(a.bcast))
+	a.ObserveSize("payload.down", len(a.bcast))
 	return a.bcast
 }
 
@@ -78,7 +78,7 @@ func (a *FedNovaAggregator) parseUpload(trainSize int, payload []byte) (denseUpl
 // foldUploads adds a run's unscaled wᵢ·dᵢ and wᵢ·vᵢ terms into the
 // float64 accumulators and tallies the τ_eff numerator, in run order.
 func (a *FedNovaAggregator) foldUploads(run []denseUpload) {
-	defer a.span(a.curRound, "agg.fold").End()
+	defer a.RoundSpan(a.curRound, "agg.fold").End()
 	if a.folded == 0 {
 		a.accD = zeroedAcc(a.accD, a.Global.StateLen(models.ScopeAll))
 		a.accV = zeroedAcc(a.accV, len(a.velocity))
@@ -98,9 +98,9 @@ func (a *FedNovaAggregator) foldUploads(run []denseUpload) {
 // two-phase reduce, bitwise identical to StreamFoldRefFedNova at any
 // GOMAXPROCS.
 func (a *FedNovaAggregator) FinishRound(round int) {
-	defer a.span(round, "agg.reduce").End()
+	defer a.RoundSpan(round, "agg.reduce").End()
 	a.curRound = round
-	a.finishStream()
+	a.FinishStream()
 	if a.folded == 0 || a.sumW == 0 {
 		a.folded = 0
 		return
@@ -149,7 +149,7 @@ func NewFedNovaTrainer(c *Client, cfg Config) *FedNovaTrainer {
 
 // LocalUpdate implements Trainer.
 func (t *FedNovaTrainer) LocalUpdate(round int, payload []byte) []byte {
-	sp := t.span(round, "client.update")
+	sp := t.RoundSpan(round, "client.update")
 	defer sp.End()
 	m := t.Client.Model
 	nState := m.StateLen(models.ScopeAll)

@@ -49,7 +49,7 @@ func (a *SCAFFOLDAggregator) ControlVariate() []float32 { return a.c }
 // Broadcast implements Aggregator: joined dense payloads for the model
 // state and the server control variate.
 func (a *SCAFFOLDAggregator) Broadcast(round int) []byte {
-	defer a.span(round, "agg.broadcast").End()
+	defer a.RoundSpan(round, "agg.broadcast").End()
 	n := a.Global.StateLen(models.ScopeAll)
 	state := a.Global.StateInto(models.ScopeAll, comm.GetF32(n))
 	encS := a.cfg.encodeDenseInto(comm.GetBuf(a.cfg.denseLen(n)), state)
@@ -58,7 +58,7 @@ func (a *SCAFFOLDAggregator) Broadcast(round int) []byte {
 	comm.PutBuf(encC)
 	comm.PutBuf(encS)
 	comm.PutF32(state)
-	a.size("payload.down", len(a.bcast))
+	a.ObserveSize("payload.down", len(a.bcast))
 	return a.bcast
 }
 
@@ -81,7 +81,7 @@ func (a *SCAFFOLDAggregator) parseUpload(_ int, payload []byte) (denseUpload, bo
 // foldUploads adds a run's unscaled ΣΔw / ΣΔc terms into the float64
 // accumulators, in run order.
 func (a *SCAFFOLDAggregator) foldUploads(run []denseUpload) {
-	defer a.span(a.curRound, "agg.fold").End()
+	defer a.RoundSpan(a.curRound, "agg.fold").End()
 	if a.folded == 0 {
 		a.accW = zeroedAcc(a.accW, a.Global.StateLen(models.ScopeAll))
 		a.accC = zeroedAcc(a.accC, len(a.c))
@@ -96,9 +96,9 @@ func (a *SCAFFOLDAggregator) foldUploads(run []denseUpload) {
 // arrived — the finalize half of the two-phase reduce, bitwise
 // identical to StreamFoldRefSCAFFOLD at any GOMAXPROCS.
 func (a *SCAFFOLDAggregator) FinishRound(round int) {
-	defer a.span(round, "agg.reduce").End()
+	defer a.RoundSpan(round, "agg.reduce").End()
 	a.curRound = round
-	a.finishStream()
+	a.FinishStream()
 	if a.folded == 0 {
 		return
 	}
@@ -150,7 +150,7 @@ func NewSCAFFOLDTrainer(c *Client, cfg Config) *SCAFFOLDTrainer {
 
 // LocalUpdate implements Trainer.
 func (t *SCAFFOLDTrainer) LocalUpdate(round int, payload []byte) []byte {
-	sp := t.span(round, "client.update")
+	sp := t.RoundSpan(round, "client.update")
 	defer sp.End()
 	m := t.Client.Model
 	nState := m.StateLen(models.ScopeAll)

@@ -81,7 +81,7 @@ func (o SPATLOptions) CtrlParams(m *models.SplitModel) []*nn.Param {
 // control-variate update at the uploaded indices (eq. 11).
 type SPATLAggregator struct {
 	Telemetered
-	stream[spatlUpload]
+	Stream[spatlUpload]
 	Global *models.SplitModel
 	Opts   SPATLOptions
 
@@ -111,13 +111,12 @@ func NewSPATLAggregator(global *models.SplitModel, opts SPATLOptions, cfg Config
 		cfg:    cfg.WithDefaults(),
 		c:      make([]float32, nn.ParamCount(opts.CtrlParams(global))),
 	}
-	a.foldRun = oneByOne(a.fold)
-	a.releaseFn = func(u spatlUpload) {
+	a.Init(oneByOne(a.fold), func(u spatlUpload) {
 		comm.PutSparse(u.dW)
 		if u.dC != nil {
 			comm.PutSparse(u.dC)
 		}
-	}
+	}, nil)
 	return a
 }
 
@@ -133,14 +132,14 @@ func (a *SPATLAggregator) SetTelemetry(s *telemetry.Set) {
 	a.Telemetered.SetTelemetry(s)
 	if s != nil && s.Reg != nil {
 		s.Reg.Attach("algo.uploads_dropped", &a.dropped)
-		a.wireStream(s.Reg)
+		a.WireStream(s.Reg)
 	}
 }
 
 // Broadcast implements Aggregator: the shared-scope model state, joined
 // with the server control variate unless gradient control is disabled.
 func (a *SPATLAggregator) Broadcast(round int) []byte {
-	defer a.span(round, "agg.broadcast").End()
+	defer a.RoundSpan(round, "agg.broadcast").End()
 	scope := a.Opts.Scope()
 	n := a.Global.StateLen(scope)
 	state := a.Global.StateInto(scope, comm.GetF32(n))
@@ -154,7 +153,7 @@ func (a *SPATLAggregator) Broadcast(round int) []byte {
 	}
 	comm.PutBuf(encS)
 	comm.PutF32(state)
-	a.size("payload.down", len(a.bcast))
+	a.ObserveSize("payload.down", len(a.bcast))
 	return a.bcast
 }
 
@@ -163,7 +162,7 @@ func (a *SPATLAggregator) Broadcast(round int) []byte {
 // the weight delta — the model update is still sound. The shared front
 // half of Collect, CollectLate and CollectBatch.
 func (a *SPATLAggregator) decodeUpload(payload []byte) (spatlUpload, bool) {
-	a.size("payload.up", len(payload))
+	a.ObserveSize("payload.up", len(payload))
 	wantParts := 2
 	if a.Opts.DisableGradControl {
 		wantParts = 1
@@ -249,7 +248,7 @@ func scatterAccumValsRange(acc []float64, s *comm.Sparse, lo, hi int) {
 // fold scatters one upload's salient deltas into the float64
 // accumulators and bumps the per-index contributor counts.
 func (a *SPATLAggregator) fold(u spatlUpload) {
-	defer a.span(a.curRound, "agg.fold").End()
+	defer a.RoundSpan(a.curRound, "agg.fold").End()
 	nState := a.Global.StateLen(a.Opts.Scope())
 	if a.folded == 0 {
 		if cap(a.acc) < nState {
@@ -286,27 +285,27 @@ func (a *SPATLAggregator) fold(u spatlUpload) {
 // Collect implements Aggregator: decode, then fold through the
 // streaming cursor; the sparse buffers release right after the fold.
 func (a *SPATLAggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
+	defer a.RoundSpan(round, "agg.collect").End()
 	a.curRound = round
 	if u, ok := a.decodeUpload(payload); ok {
-		a.ingest(client, u)
+		a.Ingest(client, u)
 	}
 }
 
-// CollectLate implements StreamingAggregator: a carried-over straggler
+// CollectLate implements Aggregator: a carried-over straggler
 // upload folds at its delivery position, outside the cursor.
 func (a *SPATLAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
+	defer a.RoundSpan(round, "agg.collect").End()
 	a.curRound = round
 	if u, ok := a.decodeUpload(payload); ok {
-		a.foldNow(u)
+		a.FoldNow(u)
 	}
 }
 
 // CollectBatch implements BatchCollector: the Collect decode run
 // concurrently over a whole batch, then ingested in upload order.
 func (a *SPATLAggregator) CollectBatch(round int, ups []Upload) {
-	defer a.span(round, "agg.collect").End()
+	defer a.RoundSpan(round, "agg.collect").End()
 	a.curRound = round
 	type entry struct {
 		client uint32
@@ -317,7 +316,7 @@ func (a *SPATLAggregator) CollectBatch(round int, ups []Upload) {
 		return entry{client: up.Client, u: u}, ok
 	})
 	for _, e := range entries {
-		a.ingest(e.client, e.u)
+		a.Ingest(e.client, e.u)
 	}
 }
 
@@ -326,9 +325,9 @@ func (a *SPATLAggregator) CollectBatch(round int, ups []Upload) {
 // finalize half of the two-phase reduce, bitwise identical to
 // StreamFoldRefSPATL at any GOMAXPROCS.
 func (a *SPATLAggregator) FinishRound(round int) {
-	defer a.span(round, "agg.reduce").End()
+	defer a.RoundSpan(round, "agg.reduce").End()
 	a.curRound = round
-	a.finishStream()
+	a.FinishStream()
 	if a.folded == 0 {
 		return
 	}
@@ -365,6 +364,23 @@ func (a *SPATLAggregator) Final() []byte {
 	return comm.EncodeDense(a.Global.State(a.Opts.Scope()))
 }
 
+// InstallClientModel writes what a client deploys into m: the current
+// global state of the shared scope under the client's own private
+// predictor (§IV-A). Inference acceleration (§V-D) additionally prunes
+// this model to the client's salient sub-network; see prune.ZeroPruned /
+// prune.Extract and the inference experiment.
+func (a *SPATLAggregator) InstallClientModel(_ int, m *models.SplitModel) {
+	installScope(a.Global, m, a.Opts.Scope())
+}
+
+// installScope copies global's state over scope into m, through a pooled
+// buffer.
+func installScope(global, m *models.SplitModel, scope models.Scope) {
+	st := global.StateInto(scope, comm.GetF32(global.StateLen(scope)))
+	m.SetState(scope, st)
+	comm.PutF32(st)
+}
+
 // SPATLTrainer is the client side of SPATL: install the shared encoder,
 // run control-corrected local SGD through the private predictor, run the
 // selection agent on the trained encoder, and upload only the salient
@@ -395,7 +411,7 @@ func NewSPATLTrainer(c *Client, opts SPATLOptions, cfg Config) *SPATLTrainer {
 
 // LocalUpdate implements Trainer.
 func (t *SPATLTrainer) LocalUpdate(round int, payload []byte) []byte {
-	sp := t.span(round, "client.update")
+	sp := t.RoundSpan(round, "client.update")
 	defer sp.End()
 	c := t.Client
 	m := c.Model

@@ -77,7 +77,7 @@ func ssflScoresInto(dst []float32, m *models.SplitModel) []float32 {
 // SSFLAggregator is the server side of SSFL.
 type SSFLAggregator struct {
 	Telemetered
-	stream[ssflUpload]
+	Stream[ssflUpload]
 	Global *models.SplitModel
 	Opts   SSFLOptions
 
@@ -120,8 +120,7 @@ func NewSSFLAggregator(global *models.SplitModel, opts SSFLOptions, cfg Config) 
 		cfg:       cfg.WithDefaults(),
 		maskRound: -1,
 	}
-	a.foldRun = oneByOne(a.fold)
-	a.releaseFn = func(u ssflUpload) { comm.PutF32(u.vec) }
+	a.Init(oneByOne(a.fold), func(u ssflUpload) { comm.PutF32(u.vec) }, nil)
 	return a
 }
 
@@ -139,7 +138,7 @@ func (a *SSFLAggregator) SetTelemetry(s *telemetry.Set) {
 		s.Reg.Attach("algo.uploads_dropped", &a.dropped)
 		s.Reg.Attach("comm.sparse_up_bytes", &a.sparseUp)
 		s.Reg.Attach("comm.sparse_down_bytes", &a.sparseDown)
-		a.wireStream(s.Reg)
+		a.WireStream(s.Reg)
 	}
 }
 
@@ -147,7 +146,7 @@ func (a *SSFLAggregator) SetTelemetry(s *telemetry.Set) {
 // full sparse frame (indices travel exactly once) the round right after
 // agreement; values-only frames every round thereafter.
 func (a *SSFLAggregator) Broadcast(round int) []byte {
-	defer a.span(round, "agg.broadcast").End()
+	defer a.RoundSpan(round, "agg.broadcast").End()
 	n := a.Global.StateLen(models.ScopeEncoder)
 	state := a.Global.StateInto(models.ScopeEncoder, comm.GetF32(n))
 	if a.sel == nil {
@@ -165,7 +164,7 @@ func (a *SSFLAggregator) Broadcast(round int) []byte {
 		a.sparseDown.Add(int64(len(a.bcast)))
 	}
 	comm.PutF32(state)
-	a.size("payload.down", len(a.bcast))
+	a.ObserveSize("payload.down", len(a.bcast))
 	return a.bcast
 }
 
@@ -195,7 +194,7 @@ func (a *SSFLAggregator) collectPacked(payload []byte) ([]float32, bool) {
 // decodeUpload decodes one upload for the current phase; the shared
 // front half of Collect, CollectLate and CollectBatch.
 func (a *SSFLAggregator) decodeUpload(trainSize int, payload []byte) (ssflUpload, bool) {
-	a.size("payload.up", len(payload))
+	a.ObserveSize("payload.up", len(payload))
 	var vec []float32
 	var ok bool
 	if a.sel == nil {
@@ -214,7 +213,7 @@ func (a *SSFLAggregator) decodeUpload(trainSize int, payload []byte) (ssflUpload
 // (score vs packed) is fixed within a round and the phase only flips in
 // FinishRound after the stream drained.
 func (a *SSFLAggregator) fold(u ssflUpload) {
-	defer a.span(a.curRound, "agg.fold").End()
+	defer a.RoundSpan(a.curRound, "agg.fold").End()
 	n := len(u.vec)
 	if a.folded == 0 {
 		if cap(a.acc) < n {
@@ -236,29 +235,29 @@ func (a *SSFLAggregator) fold(u ssflUpload) {
 // Collect implements Aggregator: decode, then fold through the
 // streaming cursor; buffers release right after the fold.
 func (a *SSFLAggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
+	defer a.RoundSpan(round, "agg.collect").End()
 	a.curRound = round
 	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.ingest(client, u)
+		a.Ingest(client, u)
 	}
 }
 
-// CollectLate implements StreamingAggregator: a carried-over straggler
+// CollectLate implements Aggregator: a carried-over straggler
 // upload folds at its delivery position, outside the cursor. A stale
 // score upload arriving after the mask was agreed fails the packed
 // decode and counts as dropped, same as the buffered path.
 func (a *SSFLAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
+	defer a.RoundSpan(round, "agg.collect").End()
 	a.curRound = round
 	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.foldNow(u)
+		a.FoldNow(u)
 	}
 }
 
 // CollectBatch implements BatchCollector: the Collect decode run
 // concurrently over a whole batch, then ingested in upload order.
 func (a *SSFLAggregator) CollectBatch(round int, ups []Upload) {
-	defer a.span(round, "agg.collect").End()
+	defer a.RoundSpan(round, "agg.collect").End()
 	a.curRound = round
 	type entry struct {
 		client uint32
@@ -269,15 +268,15 @@ func (a *SSFLAggregator) CollectBatch(round int, ups []Upload) {
 		return entry{client: up.Client, u: u}, ok
 	})
 	for _, e := range entries {
-		a.ingest(e.client, e.u)
+		a.Ingest(e.client, e.u)
 	}
 }
 
 // FinishRound implements Aggregator.
 func (a *SSFLAggregator) FinishRound(round int) {
-	defer a.span(round, "agg.reduce").End()
+	defer a.RoundSpan(round, "agg.reduce").End()
 	a.curRound = round
-	a.finishStream()
+	a.FinishStream()
 	if a.sel == nil {
 		a.agreeMask(round)
 		return
@@ -381,6 +380,12 @@ func (a *SSFLAggregator) Final() []byte {
 	return comm.EncodeSparse(comm.GatherSparse(state, a.ranges))
 }
 
+// InstallClientModel writes what a client deploys into m: the global
+// encoder under the client's own private predictor, as for SPATL.
+func (a *SSFLAggregator) InstallClientModel(_ int, m *models.SplitModel) {
+	installScope(a.Global, m, models.ScopeEncoder)
+}
+
 // SSFLReduceReference is the retained dense reference for the packed
 // sparse reduce: densify every upload onto the global state, run the
 // serial dense streaming fold, return the new state (nil when nothing
@@ -433,7 +438,7 @@ func NewSSFLTrainer(c *Client, opts SSFLOptions, cfg Config) *SSFLTrainer {
 // for the index-bearing round) is unusable — the client sits the round
 // out rather than guessing.
 func (t *SSFLTrainer) LocalUpdate(round int, payload []byte) []byte {
-	sp := t.span(round, "client.update")
+	sp := t.RoundSpan(round, "client.update")
 	defer sp.End()
 	if len(payload) == 0 {
 		return nil
@@ -515,7 +520,7 @@ func (t *SSFLTrainer) sparseUpdate(sp *telemetry.Span, round int, vals []float32
 	// The complement ranges index the encoder state vector, whose prefix
 	// is exactly the flattened trainable encoder parameters (the tail is
 	// BN running statistics, which take no gradient).
-	opts.Hook = zeroGradRanges(ClipRanges(t.complement, nn.ParamCount(ctrlP)), ctrlP)
+	opts.Hook = ZeroGradRangesHook(ClipRanges(t.complement, nn.ParamCount(ctrlP)), ctrlP)
 	rng := rand.New(rand.NewSource(ClientSeed(t.cfg.Seed, round, t.Client.ID)))
 	train := sp.Child("client.train")
 	LocalSGD(t.Client, opts, rng)
@@ -534,11 +539,11 @@ func (t *SSFLTrainer) sparseUpdate(sp *telemetry.Span, round int, vals []float32
 	return t.upBuf
 }
 
-// zeroGradRanges returns a LocalOpts hook zeroing the gradient entries
+// ZeroGradRangesHook returns a LocalOpts hook zeroing the gradient entries
 // covered by ranges over the flattened ctrlP parameters — the mechanism
 // that keeps pruned weights at exactly zero through every optimizer
 // step, so the agreed mask is static for the whole sparse epoch.
-func zeroGradRanges(ranges []comm.Range, ctrlP []*nn.Param) func(params []*nn.Param) {
+func ZeroGradRangesHook(ranges []comm.Range, ctrlP []*nn.Param) func(params []*nn.Param) {
 	return func(_ []*nn.Param) {
 		off := 0
 		ri := 0

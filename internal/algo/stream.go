@@ -31,36 +31,10 @@ import (
 // sequence of float64 operations regardless of chunking — the property
 // the StreamFoldRef* serial references pin down.
 
-// StreamingAggregator is the streaming contract every aggregator in
-// this package implements on top of Aggregator. Transports that know
-// the round's selection call BeginRound so in-order uploads fold with
-// zero staging; transports that cannot (or aggregators driven without
-// BeginRound) degrade to folding in arrival order, the pre-streaming
-// behavior.
-type StreamingAggregator interface {
-	Aggregator
-	// BeginRound announces the round's selected client IDs — the
-	// canonical fold order after ascending sort. Call after Broadcast
-	// and before the first Collect of the round. Without it, Collect
-	// folds uploads in arrival order.
-	BeginRound(round int, selected []uint32)
-	// CollectLate folds a straggler's upload carried over from an
-	// earlier round, bypassing the cursor entirely: late uploads fold at
-	// their delivery position (FedBuff semantics), even when the same
-	// client is also selected — and separately tracked — this round.
-	CollectLate(round int, client uint32, trainSize int, payload []byte)
-	// MarkAbsent tells the reducer a selected client will not deliver
-	// this round (dead connection, straggler deadline, injected drop),
-	// so the cursor can advance past it instead of staging every later
-	// upload until FinishRound.
-	MarkAbsent(round int, client uint32)
-	// SetStagingLimit bounds how many out-of-order uploads may park at
-	// once. n <= 0 (the default) bounds by the round's selection size —
-	// lossless, preserving every upload. With a hard limit, an overflow
-	// evicts the staged upload farthest from the cursor (counted in
-	// "agg.staged_overflow"): the work closest to folding survives.
-	SetStagingLimit(n int)
-}
+// StreamingAggregator is the name Aggregator's streaming half had when
+// it was a separate interface; code that embeds or asserts it by that
+// name keeps compiling.
+type StreamingAggregator = Aggregator
 
 // stagedEntry is one parked out-of-order upload.
 type stagedEntry[U any] struct {
@@ -68,12 +42,15 @@ type stagedEntry[U any] struct {
 	u   U
 }
 
-// stream is the generic fold-on-arrival engine embedded by every
-// aggregator. The embedding aggregator wires foldRun/releaseFn (and
-// ownFn, when its uploads alias the caller's bytes) in its constructor;
-// fold order is the engine's contract, the arithmetic is the
-// aggregator's.
-type stream[U any] struct {
+// Stream is the generic fold-on-arrival engine embedded by every
+// aggregator, in this package and outside it (internal/hetero).
+// Embedding it gives an aggregator BeginRound, MarkAbsent,
+// SetStagingLimit, StagingPeak and StagingOverflow; the aggregator wires
+// its callbacks with Init in its constructor, routes decoded uploads
+// through Ingest (cursor discipline) or FoldNow (the CollectLate path),
+// and calls FinishStream at the top of FinishRound. Fold order is the
+// engine's contract, the arithmetic is the aggregator's.
+type Stream[U any] struct {
 	foldRun   func([]U) // fold a run of uploads, in order, into the accumulators
 	releaseFn func(U)   // return the upload's pooled buffers
 	// ownFn detaches an upload from memory the Collect caller may reuse,
@@ -104,18 +81,27 @@ func oneByOne[U any](fold func(U)) func([]U) {
 	}
 }
 
-// wireStream exposes the engine's gauges and counters through the
+// Init wires the engine's callbacks, once, from the embedding
+// aggregator's constructor: foldRun merges a run of uploads, in order,
+// into the aggregator's accumulators; release returns an upload's pooled
+// buffers; own (nil when uploads own their memory from decode on)
+// detaches an upload that is about to park from the caller's bytes.
+func (s *Stream[U]) Init(foldRun func([]U), release func(U), own func(U) U) {
+	s.foldRun, s.releaseFn, s.ownFn = foldRun, release, own
+}
+
+// WireStream exposes the engine's gauges and counters through the
 // registry; called from each aggregator's SetTelemetry.
-func (s *stream[U]) wireStream(reg *telemetry.Registry) {
+func (s *Stream[U]) WireStream(reg *telemetry.Registry) {
 	reg.AttachGauge("agg.inflight", &s.inflight)
 	reg.AttachGauge("agg.staged", &s.stagedG)
 	reg.Attach("agg.peak_staged", &s.peak)
 	reg.Attach("agg.staged_overflow", &s.overflow)
 }
 
-// BeginRound implements StreamingAggregator (promoted). The selection
+// BeginRound implements Aggregator (promoted). The selection
 // is copied and sorted ascending — the canonical fold order.
-func (s *stream[U]) BeginRound(round int, selected []uint32) {
+func (s *Stream[U]) BeginRound(round int, selected []uint32) {
 	s.order = append(s.order[:0], selected...)
 	sorted := true
 	for i := 1; i < len(s.order); i++ {
@@ -139,28 +125,28 @@ func (s *stream[U]) BeginRound(round int, selected []uint32) {
 	s.stagedG.Set(0)
 }
 
-// SetStagingLimit implements StreamingAggregator (promoted).
-func (s *stream[U]) SetStagingLimit(n int) { s.limit = n }
+// SetStagingLimit implements Aggregator (promoted).
+func (s *Stream[U]) SetStagingLimit(n int) { s.limit = n }
 
 // StagingPeak reports the high-water mark of concurrently staged
 // uploads — the same counter the registry exposes as "agg.peak_staged".
-func (s *stream[U]) StagingPeak() int64 { return s.peak.Value() }
+func (s *Stream[U]) StagingPeak() int64 { return s.peak.Value() }
 
 // StagingOverflow reports how many uploads the bounded pool evicted —
 // the same counter the registry exposes as "agg.staged_overflow".
-func (s *stream[U]) StagingOverflow() int64 { return s.overflow.Value() }
+func (s *Stream[U]) StagingOverflow() int64 { return s.overflow.Value() }
 
-// MarkAbsent implements StreamingAggregator (promoted): resolve a
+// MarkAbsent implements Aggregator (promoted): resolve a
 // selected client's position without a fold so the cursor can pass it,
 // and fold whatever parked uploads that frees.
-func (s *stream[U]) MarkAbsent(round int, client uint32) {
+func (s *Stream[U]) MarkAbsent(round int, client uint32) {
 	s.skip(client)
 	s.flush()
 }
 
 // skip resolves a selected client's position as absent. Parked uploads
 // the cursor then reaches join the run; the caller flushes.
-func (s *stream[U]) skip(client uint32) {
+func (s *Stream[U]) skip(client uint32) {
 	pos, ok := s.find(client)
 	if !ok || s.arrived[pos] {
 		return
@@ -173,14 +159,14 @@ func (s *stream[U]) skip(client uint32) {
 }
 
 // find binary-searches the canonical order for a client ID.
-func (s *stream[U]) find(client uint32) (int, bool) {
+func (s *Stream[U]) find(client uint32) (int, bool) {
 	pos := sort.Search(len(s.order), func(i int) bool { return s.order[i] >= client })
 	return pos, pos < len(s.order) && s.order[pos] == client
 }
 
-// ingest routes one upload and folds the run it completes: the
+// Ingest routes one upload and folds the run it completes: the
 // one-upload-per-call path of Collect.
-func (s *stream[U]) ingest(client uint32, u U) {
+func (s *Stream[U]) Ingest(client uint32, u U) {
 	s.route(client, u)
 	s.flush()
 }
@@ -190,12 +176,7 @@ func (s *stream[U]) ingest(client uint32, u U) {
 // arrival position (the buffered path's append semantics for extras) —
 // and into staging when it is early. The caller flushes; between route
 // and flush the upload may still alias the caller's bytes.
-func (s *stream[U]) route(client uint32, u U) {
-	if len(s.order) == 0 {
-		// No canonical order announced: arrival order IS the fold order.
-		s.run = append(s.run, u)
-		return
-	}
+func (s *Stream[U]) route(client uint32, u U) {
 	pos, ok := s.find(client)
 	if !ok || s.arrived[pos] {
 		// Not selected this round, or a duplicate of a resolved
@@ -215,9 +196,9 @@ func (s *stream[U]) route(client uint32, u U) {
 	s.inflight.Set(int64(len(s.order) - s.cursor))
 }
 
-// foldNow folds an upload immediately, outside the cursor discipline —
+// FoldNow folds an upload immediately, outside the cursor discipline —
 // the CollectLate path.
-func (s *stream[U]) foldNow(u U) {
+func (s *Stream[U]) FoldNow(u U) {
 	s.run = append(s.run, u)
 	s.flush()
 }
@@ -225,7 +206,7 @@ func (s *stream[U]) foldNow(u U) {
 // flush hands the run to the aggregator as one fold and releases its
 // uploads. Every entry point that can extend the run ends with it, so a
 // run never outlives the caller's bytes it may alias.
-func (s *stream[U]) flush() {
+func (s *Stream[U]) flush() {
 	if len(s.run) == 0 {
 		return
 	}
@@ -239,7 +220,7 @@ func (s *stream[U]) flush() {
 }
 
 // own detaches an upload about to park from the caller's bytes.
-func (s *stream[U]) own(u U) U {
+func (s *Stream[U]) own(u U) U {
 	if s.ownFn != nil {
 		return s.ownFn(u)
 	}
@@ -250,7 +231,7 @@ func (s *stream[U]) own(u U) U {
 // entry farthest from the cursor (it has the longest wait and the least
 // chance of folding before FinishRound drains everything anyway). Only
 // an upload that actually parks is detached from the caller's bytes.
-func (s *stream[U]) stage(pos int, u U) {
+func (s *Stream[U]) stage(pos int, u U) {
 	limit := s.limit
 	if limit <= 0 || limit > len(s.order) {
 		limit = len(s.order)
@@ -281,7 +262,7 @@ func (s *stream[U]) stage(pos int, u U) {
 
 // advance moves the cursor over every resolved position, appending the
 // parked upload of each (absent positions have none) to the run.
-func (s *stream[U]) advance() {
+func (s *Stream[U]) advance() {
 	for s.cursor < len(s.order) && s.arrived[s.cursor] {
 		for i := range s.staged {
 			if s.staged[i].pos == s.cursor {
@@ -299,11 +280,11 @@ func (s *stream[U]) advance() {
 	s.stagedG.Set(int64(len(s.staged)))
 }
 
-// finishStream folds whatever is still parked — uploads whose
+// FinishStream folds whatever is still parked — uploads whose
 // predecessors never arrived — as one run in position order, then resets
 // the round state. Called at the top of every FinishRound, before
 // finalization.
-func (s *stream[U]) finishStream() {
+func (s *Stream[U]) FinishStream() {
 	if len(s.staged) > 0 {
 		sort.Slice(s.staged, func(i, j int) bool { return s.staged[i].pos < s.staged[j].pos })
 		for i := range s.staged {
@@ -319,11 +300,11 @@ func (s *stream[U]) finishStream() {
 	s.stagedG.Set(0)
 }
 
-// Interface conformance: all six algorithm cores stream.
+// Interface conformance of the five in-package cores.
 var (
-	_ StreamingAggregator = (*FedAvgAggregator)(nil)
-	_ StreamingAggregator = (*FedNovaAggregator)(nil)
-	_ StreamingAggregator = (*SCAFFOLDAggregator)(nil)
-	_ StreamingAggregator = (*SPATLAggregator)(nil)
-	_ StreamingAggregator = (*SSFLAggregator)(nil)
+	_ Aggregator = (*FedAvgAggregator)(nil)
+	_ Aggregator = (*FedNovaAggregator)(nil)
+	_ Aggregator = (*SCAFFOLDAggregator)(nil)
+	_ Aggregator = (*SPATLAggregator)(nil)
+	_ Aggregator = (*SSFLAggregator)(nil)
 )

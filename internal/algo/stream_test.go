@@ -450,9 +450,9 @@ func TestStreamDuplicateAndUnknownFoldAtArrival(t *testing.T) {
 	bitEq(t, "state", agg.Global.State(models.ScopeAll), want)
 }
 
-// TestStreamLegacyArrivalOrder drives an aggregator without BeginRound:
-// arrival order IS the fold order — the pre-streaming semantics every
-// transport that does not announce a selection still gets.
+// TestStreamLegacyArrivalOrder drives an aggregator with no selection
+// announced: every upload is then an extra, and extras fold where they
+// arrive — arrival order IS the fold order.
 func TestStreamLegacyArrivalOrder(t *testing.T) {
 	fx := fedavgFixture(7)
 	agg := fx.agg.(*FedAvgAggregator)

@@ -41,14 +41,16 @@ func (t *Telemetered) SetTelemetry(s *telemetry.Set) { t.tel = s }
 // Telemetry returns the installed set (nil when telemetry is off).
 func (t *Telemetered) Telemetry() *telemetry.Set { return t.tel }
 
-// span starts a span under the round's trace ID (round+1, so round 0
-// is distinguishable from "no trace").
-func (t *Telemetered) span(round int, name string) *telemetry.Span {
+// RoundSpan starts a span under the round's trace ID (round+1, so round
+// 0 is distinguishable from "no trace"). Nil-safe when no telemetry is
+// installed.
+func (t *Telemetered) RoundSpan(round int, name string) *telemetry.Span {
 	return t.tel.Span(uint64(round)+1, name)
 }
 
-// size observes a payload size histogram.
-func (t *Telemetered) size(name string, n int) { t.tel.Size(name, int64(n)) }
+// ObserveSize observes a payload size histogram ("payload.up",
+// "payload.down"). Nil-safe when no telemetry is installed.
+func (t *Telemetered) ObserveSize(name string, n int) { t.tel.Size(name, int64(n)) }
 
 // Wirer is any core that accepts a telemetry set — the aggregators and
 // trainers here all qualify via the Telemetered embed.

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 
-	"spatl/internal/core"
+	"spatl/internal/algo"
 	"spatl/internal/data"
 	"spatl/internal/fl"
 	"spatl/internal/models"
-	"spatl/internal/rl"
+	"spatl/internal/scenario"
 )
 
 // Example runs SPATL end to end on a miniature federation and checks the
@@ -29,17 +29,24 @@ func Example() {
 		NumClients: clients, LocalEpochs: 1, BatchSize: 16, LR: 0.02, Momentum: 0.9, Seed: 1,
 	}, cd)
 
-	algo := core.New(core.Options{
-		FineTuneRounds:   1,
-		FineTuneEpisodes: 2,
-		AgentCfg:         rl.AgentConfig{Dim: 8, HeadHidden: 8, Seed: 3},
+	spatl, err := scenario.NewAlgorithm("spatl", scenario.Params{
+		FineTuneRounds: 1, FineTuneEpisodes: 2, AgentDim: 8, AgentHidden: 8,
 	})
-	res := fl.Run(env, algo, fl.RunOpts{Rounds: 4})
+	if err != nil {
+		panic(err)
+	}
+	res := fl.Run(env, spatl, fl.RunOpts{Rounds: 4})
+	selections := 0
+	for _, tr := range spatl.Trainers() {
+		if tr.(*algo.SPATLTrainer).LastSelection != nil {
+			selections++
+		}
+	}
 
 	denseTwoX := int64(4 * clients * 2 * 4 * env.Global.StateLen(models.ScopeEncoder))
 	fmt.Println("learned above chance:", res.BestAcc() > 0.3)
 	fmt.Println("uplink below dense 2x:", res.Records[len(res.Records)-1].CumUp < denseTwoX)
-	fmt.Println("per-client selections recorded:", len(algo.LastSelections) == clients)
+	fmt.Println("per-client selections recorded:", selections == clients)
 	// Output:
 	// learned above chance: true
 	// uplink below dense 2x: true

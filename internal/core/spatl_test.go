@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spatl/internal/algo"
 	"spatl/internal/data"
 	"spatl/internal/fl"
 	"spatl/internal/models"
@@ -32,6 +33,19 @@ func spatlEnv(t testing.TB, numClients int, seed int64) *fl.Env {
 	return fl.NewEnv(spec, cfg, cd)
 }
 
+// New builds SPATL the way every algorithm is built: an fl.Federation
+// over its core pair. (Exported so the package's external tests share
+// it.)
+func New(opts Options) *fl.Federation {
+	return fl.NewAlgorithm("spatl",
+		func(g *models.SplitModel, cfg algo.Config) *algo.SPATLAggregator {
+			return algo.NewSPATLAggregator(g, opts, cfg)
+		},
+		func(c *fl.Client, cfg algo.Config) *algo.SPATLTrainer {
+			return algo.NewSPATLTrainer(c, opts, cfg)
+		})
+}
+
 func fastOpts() Options {
 	return Options{
 		FineTuneRounds:   1,
@@ -54,14 +68,14 @@ func TestSPATLPerRoundUplinkComparableToFedAvg(t *testing.T) {
 	// salient selection keeps its per-round uplink in FedAvg's ballpark
 	// (the paper's own ratios span 1.0×–1.46× across models) and well
 	// below SCAFFOLD's 2×.
-	upOf := func(algo fl.Algorithm) int64 {
+	upOf := func(alg fl.Algorithm) int64 {
 		env := spatlEnv(t, 3, 2)
-		res := fl.Run(env, algo, fl.RunOpts{Rounds: 2})
+		res := fl.Run(env, alg, fl.RunOpts{Rounds: 2})
 		return res.Records[len(res.Records)-1].CumUp
 	}
 	upS := upOf(New(fastOpts()))
-	upF := upOf(&fl.FedAvg{})
-	upSc := upOf(&fl.SCAFFOLD{})
+	upF := upOf(fl.NewAlgorithm("fedavg", algo.NewFedAvgAggregator, algo.NewFedAvgTrainer))
+	upSc := upOf(fl.NewAlgorithm("scaffold", algo.NewSCAFFOLDAggregator, algo.NewSCAFFOLDTrainer))
 	if ratio := float64(upS) / float64(upF); ratio > 1.6 {
 		t.Fatalf("SPATL/FedAvg uplink ratio %.2f, want ≤ 1.6", ratio)
 	}
@@ -151,10 +165,11 @@ func TestSelectionsRecordedPerClient(t *testing.T) {
 	env := spatlEnv(t, 3, 7)
 	s := New(fastOpts())
 	fl.Run(env, s, fl.RunOpts{Rounds: 2})
-	if len(s.LastSelections) != 3 {
-		t.Fatalf("selections recorded for %d clients, want 3", len(s.LastSelections))
-	}
-	for ci, sel := range s.LastSelections {
+	for ci, tr := range s.Trainers() {
+		sel := tr.(*algo.SPATLTrainer).LastSelection
+		if sel == nil {
+			t.Fatalf("no selection recorded for client %d", ci)
+		}
 		if sel.KeepFrac() <= 0 || sel.KeepFrac() > 1 {
 			t.Fatalf("client %d keep fraction %v", ci, sel.KeepFrac())
 		}
@@ -166,7 +181,7 @@ func TestServerControlVariateMoves(t *testing.T) {
 	s := New(fastOpts())
 	fl.Run(env, s, fl.RunOpts{Rounds: 2})
 	var nonzero int
-	for _, v := range s.ControlVariate() {
+	for _, v := range s.Aggregator().(*algo.SPATLAggregator).ControlVariate() {
 		if v != 0 {
 			nonzero++
 		}
@@ -178,12 +193,11 @@ func TestServerControlVariateMoves(t *testing.T) {
 
 func TestColdStartTrainsOnlyPredictor(t *testing.T) {
 	env := spatlEnv(t, 3, 9)
-	s := New(fastOpts())
-	fl.Run(env, s, fl.RunOpts{Rounds: 2})
+	fl.Run(env, New(fastOpts()), fl.RunOpts{Rounds: 2})
 	c := env.Clients[2]
 	// Reset this client as if it never trained.
 	encBefore := env.Global.State(models.ScopeEncoder)
-	s.ColdStart(env, c, 2, rand.New(rand.NewSource(10)))
+	ColdStart(env, fastOpts(), c, 2, rand.New(rand.NewSource(10)))
 	encAfter := c.Model.State(models.ScopeEncoder)
 	for i := range encBefore {
 		if encBefore[i] != encAfter[i] {

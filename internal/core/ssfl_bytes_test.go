@@ -28,6 +28,16 @@ func bytesFixture(clients, classes int, arch string, width float64) (models.Spec
 	return spec, cd
 }
 
+func ssfl(opts algo.SSFLOptions) *fl.Federation {
+	return fl.NewAlgorithm("ssfl",
+		func(g *models.SplitModel, cfg algo.Config) *algo.SSFLAggregator {
+			return algo.NewSSFLAggregator(g, opts, cfg)
+		},
+		func(c *fl.Client, cfg algo.Config) *algo.SSFLTrainer {
+			return algo.NewSSFLTrainer(c, opts, cfg)
+		})
+}
+
 // runMetered runs an algorithm for the given rounds with full
 // participation and returns per-round (uplink, downlink) meter deltas
 // plus the telemetry set for counter/journal assertions.
@@ -79,7 +89,7 @@ func TestSSFLBeatsSPATLBytesAtSameSparsity(t *testing.T) {
 	spec, cd := bytesFixture(clients, 4, "mlp", 0.5)
 
 	var ssflJ bytes.Buffer
-	ssflUp, ssflDown, tel := runMetered(t, &fl.SSFL{}, spec, cd, rounds, seed, &ssflJ)
+	ssflUp, ssflDown, tel := runMetered(t, ssfl(algo.SSFLOptions{}), spec, cd, rounds, seed, &ssflJ)
 	var spatlJ bytes.Buffer
 	spatlUp, spatlDown, _ := runMetered(t,
 		core.New(core.Options{DisableSelection: true, DisableGradControl: true}),
@@ -134,7 +144,7 @@ func TestSSFLBeatsSPATLBytesEndToEnd(t *testing.T) {
 
 	var ssflJ bytes.Buffer
 	ssflUp, ssflDown, _ := runMetered(t,
-		&fl.SSFL{Opts: algo.SSFLOptions{KeepRatio: 0.5}}, spec, cd, rounds, seed, &ssflJ)
+		ssfl(algo.SSFLOptions{KeepRatio: 0.5}), spec, cd, rounds, seed, &ssflJ)
 	var spatlJ bytes.Buffer
 	spatlUp, spatlDown, _ := runMetered(t,
 		core.New(core.Options{AgentCfg: rl.AgentConfig{Dim: 8, HeadHidden: 8, Seed: 6}}),

@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"spatl/internal/algo"
 	"spatl/internal/core"
 	"spatl/internal/fl"
+	"spatl/internal/models"
 	"spatl/internal/stats"
 )
 
@@ -20,7 +22,13 @@ func spatlVariant(o Options, mutate func(*core.Options)) fl.Algorithm {
 	if mutate != nil {
 		mutate(&opts)
 	}
-	return core.New(opts)
+	return fl.NewAlgorithm("spatl",
+		func(g *models.SplitModel, cfg algo.Config) *algo.SPATLAggregator {
+			return algo.NewSPATLAggregator(g, opts, cfg)
+		},
+		func(c *fl.Client, cfg algo.Config) *algo.SPATLTrainer {
+			return algo.NewSPATLTrainer(c, opts, cfg)
+		})
 }
 
 // runAblationPair runs SPATL with and without one component and prints

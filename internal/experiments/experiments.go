@@ -248,7 +248,7 @@ func agentCfg(s Scale, seed int64) rl.AgentConfig {
 // shared scenario registry — the same construction path spatl-bench
 // matrix cells and spatl-node use. SPATL instances receive the scale's
 // pre-trained selection agent.
-func NewAlgorithm(name string, s Scale, seed int64) fl.Algorithm {
+func NewAlgorithm(name string, s Scale, seed int64) *fl.Federation {
 	p := paramsFromScale(s, seed)
 	if name == "spatl" {
 		p.Pretrained = PretrainedAgent(s, seed)

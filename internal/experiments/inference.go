@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
+	"spatl/internal/algo"
 	"spatl/internal/core"
 	"spatl/internal/data"
 	"spatl/internal/fl"
@@ -25,20 +25,18 @@ func InferenceAcceleration(o Options) error {
 	for _, arch := range o.Scale.Archs {
 		fmt.Fprintf(w, "\n== inference acceleration: %s, %d clients ==\n", arch, cs.Clients)
 		env := BuildCIFAREnv(o.Scale, arch, cs, o.Seed)
-		s := NewAlgorithm("spatl", o.Scale, o.Seed).(*core.SPATL)
+		s := NewAlgorithm("spatl", o.Scale, o.Seed)
 		fl.Run(env, s, fl.RunOpts{Rounds: o.Scale.Rounds / 2})
 
 		tw := table(o)
 		fmt.Fprintf(tw, "client\tFLOPs reduction\tsparsity (kept params)\tdeployed params\tdeployed FLOPs\n")
 		var reductions, sparsities []float64
-		ids := make([]int, 0, len(s.LastSelections))
-		for ci := range s.LastSelections {
-			ids = append(ids, ci)
-		}
-		sort.Ints(ids)
 		baseParams, baseFLOPs := env.Global.Describe()
-		for _, ci := range ids {
-			sel := s.LastSelections[ci]
+		for ci, tr := range s.Trainers() {
+			sel := tr.(*algo.SPATLTrainer).LastSelection
+			if sel == nil {
+				continue // never sampled
+			}
 			pr, tot := prune.MaskedFLOPs(env.Clients[ci].Model, sel.Masks)
 			red := 1 - float64(pr)/float64(tot)
 			reductions = append(reductions, red)

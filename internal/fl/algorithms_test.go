@@ -3,6 +3,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"spatl/internal/algo"
 	"testing"
 
 	"spatl/internal/data"
@@ -11,13 +12,13 @@ import (
 )
 
 func TestEffectiveLR(t *testing.T) {
-	if EffectiveLR(0.1, 0) != 0.1 {
+	if algo.EffectiveLR(0.1, 0) != 0.1 {
 		t.Fatal("no momentum: effective = lr")
 	}
-	if math.Abs(EffectiveLR(0.1, 0.9)-1.0) > 1e-12 {
-		t.Fatalf("momentum 0.9: effective = %v, want 1.0", EffectiveLR(0.1, 0.9))
+	if math.Abs(algo.EffectiveLR(0.1, 0.9)-1.0) > 1e-12 {
+		t.Fatalf("momentum 0.9: effective = %v, want 1.0", algo.EffectiveLR(0.1, 0.9))
 	}
-	if EffectiveLR(0.1, 1.5) != 0.1 {
+	if algo.EffectiveLR(0.1, 1.5) != 0.1 {
 		t.Fatal("out-of-range momentum must fall back to lr")
 	}
 }
@@ -43,7 +44,7 @@ func TestFedNovaHandlesUnevenDataSizes(t *testing.T) {
 		cd = append(cd, ClientData{Train: tr, Val: va})
 	}
 	env := NewEnv(spec, cfg, cd)
-	res := Run(env, &FedNova{}, RunOpts{Rounds: 5})
+	res := Run(env, fedNova(), RunOpts{Rounds: 5})
 	if res.BestAcc() < 0.35 {
 		t.Fatalf("FedNova with uneven shards best acc %.3f", res.BestAcc())
 	}
@@ -67,7 +68,7 @@ func TestTinyClientDoesNotPanic(t *testing.T) {
 		{Train: ds.Subset(rangeInts(5, 35)), Val: ds.Subset(rangeInts(35, 40))},
 	}
 	env := NewEnv(spec, cfg, cd)
-	res := Run(env, &FedAvg{}, RunOpts{Rounds: 2})
+	res := Run(env, fedAvg(), RunOpts{Rounds: 2})
 	if len(res.Records) != 2 {
 		t.Fatal("run did not complete")
 	}
@@ -85,10 +86,10 @@ func TestSCAFFOLDControlVariatesSumProperty(t *testing.T) {
 	// After a full-participation round, the server control variate must
 	// equal the mean of the client control variates (eq. 11 with S = N).
 	env := testEnv(t, 3, quickCfg(42))
-	s := &SCAFFOLD{}
+	s := scaffold()
 	s.Setup(env)
 	s.Round(env, 0, []int{0, 1, 2})
-	sc := s.ControlVariate()
+	sc := s.Aggregator().(*algo.SCAFFOLDAggregator).ControlVariate()
 	n := len(sc)
 	for j := 0; j < n; j += n/7 + 1 {
 		var mean float64
@@ -105,7 +106,7 @@ func TestSCAFFOLDControlVariatesSumProperty(t *testing.T) {
 func TestAggregationWeightedBySize(t *testing.T) {
 	// weightedAverage must weight by the provided sizes: verify with a
 	// contrived two-client state.
-	got := weightedAverage([][]float32{{0}, {10}}, []float64{9, 1})
+	got := algo.WeightedAverage([][]float32{{0}, {10}}, []float64{9, 1})
 	if math.Abs(float64(got[0])-1.0) > 1e-6 {
 		t.Fatalf("weighted average %v, want 1.0", got[0])
 	}
@@ -119,7 +120,7 @@ func TestFreezeEncoderKeepsBNStats(t *testing.T) {
 	c := env.Clients[0]
 	c.Model = m
 	before := m.State(models.ScopeEncoder)
-	LocalSGD(c, LocalOpts{
+	algo.LocalSGD(c, algo.LocalOpts{
 		Params: m.PredictorParams(), Epochs: 1, BatchSize: 8, LR: 0.05,
 		FreezeEncoder: true,
 	}, rand.New(rand.NewSource(1)))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"spatl/internal/algo"
 	"testing"
 
 	"spatl/internal/models"
@@ -20,7 +21,7 @@ func TestFedAvgDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
 			env := testEnvArch(t, arch, 4, quickCfg(9))
-			alg := &FedAvg{}
+			alg := fedAvg()
 			alg.Setup(env)
 			for r := 0; r < 2; r++ {
 				alg.Round(env, r, env.SampleClients())
@@ -61,8 +62,8 @@ func TestWeightedAverageMatchesSerial(t *testing.T) {
 				states[c] = st
 				weights[c] = float64(1 + rng.Intn(100))
 			}
-			got := weightedAverage(states, weights)
-			want := weightedAverageSerial(states, weights)
+			got := algo.WeightedAverage(states, weights)
+			want := algo.WeightedAverageSerial(states, weights)
 			if (got == nil) != (want == nil) {
 				t.Fatalf("n=%d clients=%d: nil mismatch", n, clients)
 			}
@@ -78,7 +79,7 @@ func TestWeightedAverageMatchesSerial(t *testing.T) {
 
 // TestWeightedAverageAllNil covers the every-client-dropped round.
 func TestWeightedAverageAllNil(t *testing.T) {
-	if got := weightedAverage(make([][]float32, 4), make([]float64, 4)); got != nil {
+	if got := algo.WeightedAverage(make([][]float32, 4), make([]float64, 4)); got != nil {
 		t.Fatalf("expected nil, got %v", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"spatl/internal/algo"
 	"spatl/internal/data"
 	"spatl/internal/fl"
 	"spatl/internal/models"
@@ -25,7 +26,8 @@ func Example() {
 		NumClients: clients, LocalEpochs: 2, BatchSize: 16, LR: 0.05, Momentum: 0.9, Seed: 1,
 	}, cd)
 
-	res := fl.Run(env, &fl.FedAvg{}, fl.RunOpts{Rounds: 4})
+	fedavg := fl.NewAlgorithm("fedavg", algo.NewFedAvgAggregator, algo.NewFedAvgTrainer)
+	res := fl.Run(env, fedavg, fl.RunOpts{Rounds: 4})
 	fmt.Println("learned above chance:", res.BestAcc() > 0.3)
 	fmt.Println("uplink measured:", res.Records[len(res.Records)-1].CumUp > 0)
 	// Output:

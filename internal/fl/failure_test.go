@@ -38,7 +38,7 @@ func TestClientFailedDeterministicAndRateful(t *testing.T) {
 }
 
 func TestAlgorithmsSurvivePartialFailures(t *testing.T) {
-	for _, algo := range []Algorithm{&FedAvg{}, &FedProx{}, &SCAFFOLD{}, &FedNova{}} {
+	for _, algo := range []Algorithm{fedAvg(), fedProx(), scaffold(), fedNova()} {
 		t.Run(algo.Name(), func(t *testing.T) {
 			env := testEnv(t, 4, quickCfg(51))
 			env.Cfg.DropRate = 0.4
@@ -63,7 +63,7 @@ func TestTotalFailureRoundKeepsGlobalModel(t *testing.T) {
 	env := testEnv(t, 3, quickCfg(52))
 	env.Cfg.DropRate = 1.0 // everything is lost
 	before := env.Global.State(0)
-	res := Run(env, &FedAvg{}, RunOpts{Rounds: 2})
+	res := Run(env, fedAvg(), RunOpts{Rounds: 2})
 	after := env.Global.State(0)
 	for i := range before {
 		if before[i] != after[i] {
@@ -79,10 +79,10 @@ func TestFailuresReduceUplinkOnly(t *testing.T) {
 	// Failed clients still download (they crash afterwards), so failures
 	// shrink uplink but not downlink.
 	clean := testEnv(t, 4, quickCfg(53))
-	resClean := Run(clean, &FedAvg{}, RunOpts{Rounds: 2})
+	resClean := Run(clean, fedAvg(), RunOpts{Rounds: 2})
 	lossy := testEnv(t, 4, quickCfg(53))
 	lossy.Cfg.DropRate = 0.6
-	resLossy := Run(lossy, &FedAvg{}, RunOpts{Rounds: 2})
+	resLossy := Run(lossy, fedAvg(), RunOpts{Rounds: 2})
 	cl, lo := resClean.Records[1], resLossy.Records[1]
 	if lo.CumUp >= cl.CumUp {
 		t.Fatalf("lossy uplink %d should be below clean %d", lo.CumUp, cl.CumUp)
@@ -94,10 +94,10 @@ func TestFailuresReduceUplinkOnly(t *testing.T) {
 
 func TestHalfPrecisionHalvesTrafficAndLearns(t *testing.T) {
 	full := testEnv(t, 3, quickCfg(60))
-	resFull := Run(full, &FedAvg{}, RunOpts{Rounds: 3})
+	resFull := Run(full, fedAvg(), RunOpts{Rounds: 3})
 	half := testEnv(t, 3, quickCfg(60))
 	half.Cfg.HalfPrecision = true
-	resHalf := Run(half, &FedAvg{}, RunOpts{Rounds: 3})
+	resHalf := Run(half, fedAvg(), RunOpts{Rounds: 3})
 
 	ratio := float64(resHalf.Records[2].CumUp) / float64(resFull.Records[2].CumUp)
 	if ratio > 0.55 || ratio < 0.45 {
@@ -111,7 +111,7 @@ func TestHalfPrecisionHalvesTrafficAndLearns(t *testing.T) {
 func TestHalfPrecisionSCAFFOLD(t *testing.T) {
 	env := testEnv(t, 3, quickCfg(61))
 	env.Cfg.HalfPrecision = true
-	res := Run(env, &SCAFFOLD{}, RunOpts{Rounds: 3})
+	res := Run(env, scaffold(), RunOpts{Rounds: 3})
 	if res.BestAcc() < 0.30 {
 		t.Fatalf("half-precision SCAFFOLD best acc %.3f", res.BestAcc())
 	}

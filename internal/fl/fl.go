@@ -1,8 +1,10 @@
 // Package fl is the federated-learning simulation framework: clients
-// with private non-IID data, a central aggregation server, a round loop
-// with client sampling and parallel local updates, and the four baseline
-// algorithms SPATL is compared against — FedAvg, FedProx, FedNova and
-// SCAFFOLD — implemented to match the Non-IID benchmark the paper uses.
+// with private non-IID data, a central aggregation server, and one round
+// (Sim) with client sampling, parallel local updates, failure injection
+// and an in-process topology, driving whichever aggregator/trainer pair
+// from internal/algo it is handed. Every algorithm — SPATL and the
+// baselines it is compared against — runs as the same Federation over
+// the same round, so comparisons share one harness.
 //
 // Communication is routed through internal/comm so every reported byte
 // was actually serialized. The headline "communication cost" follows the
@@ -76,25 +78,14 @@ func (c Config) WithDefaults() Config {
 // algo.Client so simulation code and algorithm cores share the type.
 type Client = algo.Client
 
-// In-process topology kinds (Topology.Kind).
-const (
-	TopoFlat    = "flat"    // Sim: flat collection, one hop
-	TopoSharded = "sharded" // ShardedSim: two-level collection tree
-	TopoQuorum  = "quorum"  // QuorumSim: deterministic async quorum rounds
-)
-
-// Topology selects the in-process round driver an algorithm's Setup
-// wires (see NewDriver): the flat Sim, the sharded collection tree, or
-// the deterministic async-quorum loop. The zero value is the flat Sim —
-// every pre-existing caller keeps its behavior.
+// Topology is the in-process round's shape, read by Sim.Round as two
+// values. The zero value is flat, synchronous collection.
 type Topology struct {
-	Kind string // "" or TopoFlat | TopoSharded | TopoQuorum
-
-	// Shards is the collection-tree width (TopoSharded; default 2).
+	// Shards is the collection-tree width; 0 collects flat, one hop.
 	Shards int
 	// OnTimeFrac is the fraction of a round's uploads that beat the
-	// quorum close (TopoQuorum); the rest fold into the next round as
-	// late uploads. 0 or >=1 makes every upload on time.
+	// quorum close; the rest fold into the next round as late uploads.
+	// 0 or >=1 makes every upload on time.
 	OnTimeFrac float64
 }
 
@@ -108,8 +99,8 @@ type Env struct {
 	Meter   *comm.Meter
 	Rng     *rand.Rand
 
-	// Topo selects the in-process round driver (NewDriver). The zero
-	// value is the flat Sim.
+	// Topo shapes the in-process round (see Sim). The zero value is
+	// flat and synchronous.
 	Topo Topology
 
 	// Tel, when set via EnableTelemetry, receives spans, metrics and
@@ -182,52 +173,6 @@ func (e *Env) SampleClients() []int {
 	return sel
 }
 
-// EncodeDense serializes a flat vector at the configured wire precision.
-func (e *Env) EncodeDense(v []float32) []byte {
-	return e.EncodeDenseInto(nil, v)
-}
-
-// EncodeDenseInto is EncodeDense writing into dst (reused when its
-// capacity suffices), so round loops can serialize into pooled buffers.
-func (e *Env) EncodeDenseInto(dst []byte, v []float32) []byte {
-	if e.Cfg.HalfPrecision {
-		return comm.EncodeDenseF16Into(dst, v)
-	}
-	return comm.EncodeDenseInto(dst, v)
-}
-
-// DensePayloadLen returns the encoded size of an n-element dense payload
-// at the configured wire precision — for pre-sizing pooled buffers.
-func (e *Env) DensePayloadLen(n int) int {
-	if e.Cfg.HalfPrecision {
-		return comm.DenseF16Len(n)
-	}
-	return comm.DenseLen(n)
-}
-
-// EncodeSparse serializes a sparse payload at the configured precision.
-func (e *Env) EncodeSparse(s *comm.Sparse) []byte {
-	return e.EncodeSparseInto(nil, s)
-}
-
-// EncodeSparseInto is EncodeSparse writing into dst (reused when its
-// capacity suffices).
-func (e *Env) EncodeSparseInto(dst []byte, s *comm.Sparse) []byte {
-	if e.Cfg.HalfPrecision {
-		return comm.EncodeSparseF16Into(dst, s)
-	}
-	return comm.EncodeSparseInto(dst, s)
-}
-
-// SparsePayloadLen returns the encoded size of s at the configured wire
-// precision — for pre-sizing pooled buffers.
-func (e *Env) SparsePayloadLen(s *comm.Sparse) int {
-	if e.Cfg.HalfPrecision {
-		return s.EncodedLenF16()
-	}
-	return s.EncodedLen()
-}
-
 // LRAt returns the learning rate for a communication round, honouring
 // the schedule when one is configured.
 func (e *Env) LRAt(round int) float64 {
@@ -235,14 +180,6 @@ func (e *Env) LRAt(round int) float64 {
 		return e.Cfg.LRSchedule.LRAt(round)
 	}
 	return e.Cfg.LR
-}
-
-// ClientSeed derives a deterministic per-(round, client) seed for local
-// training so runs are reproducible regardless of scheduling order. It
-// delegates to algo.ClientSeed — the same derivation every transport
-// uses.
-func (e *Env) ClientSeed(round, clientID int) int64 {
-	return algo.ClientSeed(e.Cfg.Seed, round, clientID)
 }
 
 // AlgoConfig projects the simulation config onto the hyperparameters an
@@ -271,20 +208,8 @@ func (e *Env) ClientFailed(round, clientID int) bool {
 	if e.Cfg.DropRate <= 0 {
 		return false
 	}
-	rng := rand.New(rand.NewSource(e.ClientSeed(round, clientID) ^ 0x5ca1ab1e))
+	rng := rand.New(rand.NewSource(algo.ClientSeed(e.Cfg.Seed, round, clientID) ^ 0x5ca1ab1e))
 	return rng.Float64() < e.Cfg.DropRate
-}
-
-// TrainSizes returns each selected client's training-set size and the
-// total, used for data-weighted aggregation.
-func (e *Env) TrainSizes(selected []int) ([]float64, float64) {
-	ws := make([]float64, len(selected))
-	var total float64
-	for i, ci := range selected {
-		ws[i] = float64(e.Clients[ci].Train.Len())
-		total += ws[i]
-	}
-	return ws, total
 }
 
 // Algorithm is one federated-learning method. Round executes a full
@@ -300,4 +225,78 @@ type Algorithm interface {
 	// global model for the uniform-model baselines, the personalized
 	// encoder+predictor composition for SPATL.
 	EvalModel(env *Env, c *Client) *models.SplitModel
+}
+
+// Federation is the one implementation of Algorithm: an aggregator and
+// one trainer per client, built from the environment by two
+// constructors and run on the one Sim. Every algorithm — the registry's
+// (internal/scenario) and ad-hoc variants alike — is a Federation; what
+// differs between them is the pair of cores.
+type Federation struct {
+	name       string
+	newAgg     func(global *models.SplitModel, cfg algo.Config) algo.Aggregator
+	newTrainer func(c *Client, cfg algo.Config) algo.Trainer
+	sim        *Sim
+}
+
+// NewAlgorithm names a pair of core constructors as an Algorithm. The
+// constructors may return their concrete types, so the cores' own
+// (algo.NewFedAvgAggregator, algo.NewFedAvgTrainer) pass as they are.
+func NewAlgorithm[A algo.Aggregator, T algo.Trainer](name string,
+	newAgg func(global *models.SplitModel, cfg algo.Config) A,
+	newTrainer func(c *Client, cfg algo.Config) T) *Federation {
+	return &Federation{
+		name:       name,
+		newAgg:     func(g *models.SplitModel, cfg algo.Config) algo.Aggregator { return newAgg(g, cfg) },
+		newTrainer: func(c *Client, cfg algo.Config) algo.Trainer { return newTrainer(c, cfg) },
+	}
+}
+
+// Name implements Algorithm.
+func (f *Federation) Name() string { return f.name }
+
+// Setup implements Algorithm: build the cores around the environment's
+// global model and clients and wire them into a Sim.
+func (f *Federation) Setup(env *Env) {
+	cfg := env.AlgoConfig()
+	trainers := make([]algo.Trainer, len(env.Clients))
+	for i, c := range env.Clients {
+		trainers[i] = f.newTrainer(c, cfg)
+	}
+	f.sim = NewSim(env, f.newAgg(env.Global, cfg), trainers)
+}
+
+// Round implements Algorithm.
+func (f *Federation) Round(env *Env, round int, selected []int) { f.sim.Round(round, selected) }
+
+// EvalModel implements Algorithm by asking the aggregator (see
+// DeployedModel).
+func (f *Federation) EvalModel(env *Env, c *Client) *models.SplitModel {
+	return DeployedModel(f.sim.Agg, env.Global, c)
+}
+
+// Aggregator returns the live aggregator, for harness code that needs a
+// core's extras (control variates, the agreed selection, cluster
+// assignments): assert the concrete type. Valid after Setup.
+func (f *Federation) Aggregator() algo.Aggregator { return f.sim.Agg }
+
+// Trainers returns the live per-client trainers, indexed by client ID.
+func (f *Federation) Trainers() []algo.Trainer { return f.sim.Trainers }
+
+// deployer is the optional method of an aggregator whose clients do not
+// all deploy the global model: SPATL and SSFL clients keep private
+// predictors, a hetero client deploys its cluster's model.
+type deployer interface {
+	InstallClientModel(id int, m *models.SplitModel)
+}
+
+// DeployedModel returns the model client c deploys after a round of
+// agg's federation, on whichever transport it ran: a deployer installs
+// it into c's own model; every other aggregator's clients deploy global.
+func DeployedModel(agg algo.Aggregator, global *models.SplitModel, c *Client) *models.SplitModel {
+	if d, ok := agg.(deployer); ok {
+		d.InstallClientModel(c.ID, c.Model)
+		return c.Model
+	}
+	return global
 }

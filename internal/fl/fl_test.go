@@ -3,6 +3,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"spatl/internal/algo"
 	"testing"
 
 	"spatl/internal/data"
@@ -71,7 +72,7 @@ func TestSampleClientsAtLeastOne(t *testing.T) {
 }
 
 func TestWeightedAverage(t *testing.T) {
-	got := weightedAverage([][]float32{{1, 2}, {3, 6}}, []float64{1, 3})
+	got := algo.WeightedAverage([][]float32{{1, 2}, {3, 6}}, []float64{1, 3})
 	if math.Abs(float64(got[0])-2.5) > 1e-6 || math.Abs(float64(got[1])-5) > 1e-6 {
 		t.Fatalf("weightedAverage = %v", got)
 	}
@@ -92,7 +93,7 @@ func TestNewEnvClientsStartFromGlobal(t *testing.T) {
 
 func TestFedAvgLearnsAboveChance(t *testing.T) {
 	env := testEnv(t, 4, quickCfg(4))
-	res := Run(env, &FedAvg{}, RunOpts{Rounds: 6})
+	res := Run(env, fedAvg(), RunOpts{Rounds: 6})
 	if res.FinalAcc() < 0.45 {
 		t.Fatalf("FedAvg accuracy %.3f after 6 rounds; want > 0.45 (chance 0.25)", res.FinalAcc())
 	}
@@ -100,7 +101,7 @@ func TestFedAvgLearnsAboveChance(t *testing.T) {
 
 func TestFedProxLearnsAboveChance(t *testing.T) {
 	env := testEnv(t, 4, quickCfg(5))
-	res := Run(env, &FedProx{}, RunOpts{Rounds: 6})
+	res := Run(env, fedProx(), RunOpts{Rounds: 6})
 	if res.FinalAcc() < 0.45 {
 		t.Fatalf("FedProx accuracy %.3f", res.FinalAcc())
 	}
@@ -108,7 +109,7 @@ func TestFedProxLearnsAboveChance(t *testing.T) {
 
 func TestSCAFFOLDLearnsAboveChance(t *testing.T) {
 	env := testEnv(t, 4, quickCfg(6))
-	res := Run(env, &SCAFFOLD{}, RunOpts{Rounds: 8})
+	res := Run(env, scaffold(), RunOpts{Rounds: 8})
 	// SCAFFOLD is the most fragile baseline (the paper reports it
 	// diverging outright at larger scales); require clearly above chance
 	// (0.25) rather than parity with FedAvg at this tiny scale.
@@ -119,7 +120,7 @@ func TestSCAFFOLDLearnsAboveChance(t *testing.T) {
 
 func TestFedNovaLearnsAboveChance(t *testing.T) {
 	env := testEnv(t, 4, quickCfg(7))
-	res := Run(env, &FedNova{}, RunOpts{Rounds: 6})
+	res := Run(env, fedNova(), RunOpts{Rounds: 6})
 	if res.FinalAcc() < 0.40 {
 		t.Fatalf("FedNova accuracy %.3f", res.FinalAcc())
 	}
@@ -134,10 +135,10 @@ func TestCommunicationCostRatios(t *testing.T) {
 		res := Run(env, algo, RunOpts{Rounds: 2})
 		return res.Records[len(res.Records)-1].CumUp
 	}
-	fa := upOf(&FedAvg{}, 8)
-	sc := upOf(&SCAFFOLD{}, 8)
-	fn := upOf(&FedNova{}, 8)
-	fp := upOf(&FedProx{}, 8)
+	fa := upOf(fedAvg(), 8)
+	sc := upOf(scaffold(), 8)
+	fn := upOf(fedNova(), 8)
+	fp := upOf(fedProx(), 8)
 	if ratio := float64(sc) / float64(fa); ratio < 1.8 || ratio > 2.2 {
 		t.Fatalf("SCAFFOLD/FedAvg uplink ratio %.2f, want ≈2", ratio)
 	}
@@ -150,8 +151,8 @@ func TestCommunicationCostRatios(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	r1 := Run(testEnv(t, 3, quickCfg(9)), &FedAvg{}, RunOpts{Rounds: 2})
-	r2 := Run(testEnv(t, 3, quickCfg(9)), &FedAvg{}, RunOpts{Rounds: 2})
+	r1 := Run(testEnv(t, 3, quickCfg(9)), fedAvg(), RunOpts{Rounds: 2})
+	r2 := Run(testEnv(t, 3, quickCfg(9)), fedAvg(), RunOpts{Rounds: 2})
 	if len(r1.Records) != len(r2.Records) {
 		t.Fatal("record counts differ")
 	}
@@ -172,7 +173,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunEarlyStopsAtTarget(t *testing.T) {
 	env := testEnv(t, 4, quickCfg(10))
-	res := Run(env, &FedAvg{}, RunOpts{Rounds: 50, TargetAcc: 0.30})
+	res := Run(env, fedAvg(), RunOpts{Rounds: 50, TargetAcc: 0.30})
 	if len(res.Records) >= 50 {
 		t.Fatal("run should stop early at an easy target")
 	}
@@ -210,7 +211,7 @@ func TestResultHelpers(t *testing.T) {
 func TestLocalSGDStepCount(t *testing.T) {
 	env := testEnv(t, 2, quickCfg(11))
 	c := env.Clients[0]
-	steps, _ := LocalSGD(c, LocalOpts{
+	steps, _ := algo.LocalSGD(c, algo.LocalOpts{
 		Params: c.Model.Params(), Epochs: 2, BatchSize: 16,
 		LR: 0.01, Momentum: 0.9,
 	}, rand.New(rand.NewSource(1)))
@@ -232,7 +233,7 @@ func TestHookRunsOncePerStep(t *testing.T) {
 	env := testEnv(t, 2, quickCfg(13))
 	c := env.Clients[0]
 	calls := 0
-	steps, _ := LocalSGD(c, LocalOpts{
+	steps, _ := algo.LocalSGD(c, algo.LocalOpts{
 		Params: c.Model.Params(), Epochs: 1, BatchSize: 32,
 		LR:   0.01,
 		Hook: func(params []*nn.Param) { calls++ },

@@ -1,36 +1,16 @@
 package fl
 
 import (
-	"math/rand"
-
-	"spatl/internal/algo"
 	"spatl/internal/data"
 	"spatl/internal/eval"
 	"spatl/internal/models"
 	"spatl/internal/tensor"
 )
 
-// LocalOpts configures one client's local update phase; it aliases the
-// transport-agnostic algo.LocalOpts.
-type LocalOpts = algo.LocalOpts
-
-// LocalSGD runs minibatch SGD on the client's model and returns the
-// number of optimizer steps taken and the final momentum buffers. It
-// delegates to algo.LocalSGD — the same local update every transport
-// runs.
-func LocalSGD(c *Client, opts LocalOpts, rng *rand.Rand) (steps int, velocity []float32) {
-	return algo.LocalSGD(c, opts, rng)
-}
-
 // EvalAccuracy computes top-1 accuracy of m on ds in evaluation mode,
 // batching for throughput.
 func EvalAccuracy(m *models.SplitModel, ds *data.Dataset, batchSize int) float64 {
 	return eval.Accuracy(m, ds, batchSize)
-}
-
-// EvalLoss computes mean cross-entropy of m on ds in evaluation mode.
-func EvalLoss(m *models.SplitModel, ds *data.Dataset, batchSize int) float64 {
-	return eval.Loss(m, ds, batchSize)
 }
 
 // ParallelClients runs fn for each selected client index concurrently on

@@ -25,7 +25,7 @@ import (
 // a scale where per-upload overhead dominates.
 //
 // Rounds run through the sharded collection tree (algo.ShardBuffer →
-// FoldShards order) exactly as ShardedSim does. With OnTimeFrac < 1 the
+// FoldShards order) exactly as a sharded Sim does. With OnTimeFrac < 1 the
 // round closes at quorum: the deterministic late fraction of sampled
 // uploads misses the round and folds into the next one (FedBuff-style),
 // journaled as late_upload events and counted in "fl.late_uploads".
@@ -86,7 +86,7 @@ type lateUpload struct {
 // upload beats the quorum deadline this round: a stateless draw — the
 // splitmix64 finalizer of the (seed, round, client) training seed,
 // its top 53 bits read as a uniform in [0, 1) and compared to frac. One
-// function shared by RunMassive and QuorumSim; no generator is seeded,
+// function shared by RunMassive and Sim; no generator is seeded,
 // so deciding costs a few multiplies per upload.
 func massiveOnTime(seed int64, round, client int, frac float64) bool {
 	if frac <= 0 || frac >= 1 {
@@ -140,11 +140,16 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 	trainSize := func(ci int) int { return 50 + ci%101 }
 	batch := make([][]byte, 0, massiveSynthBatch)     // this batch's upload slots, by position
 	flat := make([]algo.Upload, 0, massiveSynthBatch) // FlatCollect: the batch's on-time uploads
+	ids := make([]uint32, 0, cfg.PerRound)
 	for round := 0; round < cfg.Rounds; round++ {
 		bcast := agg.Broadcast(round)
 		selected := rng.Perm(cfg.Clients)[:cfg.PerRound]
 		sort.Ints(selected)
-		sa := beginStreamRound(agg, round, selected)
+		ids = ids[:0]
+		for _, ci := range selected {
+			ids = append(ids, uint32(ci))
+		}
+		agg.BeginRound(round, ids)
 		tel.Emit(telemetry.RoundStart(round, len(selected), int64(len(bcast))))
 
 		// Stragglers from the previous round land first: fold them into
@@ -159,16 +164,12 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 			res.Folded++
 			res.UpBytes += int64(len(lu.payload))
 			tel.Emit(telemetry.LateUpload(round, int(lu.client), int64(len(lu.payload))))
-			if sa != nil {
-				sa.CollectLate(round, lu.client, lu.trainSize, lu.payload)
-			} else {
-				agg.Collect(round, lu.client, lu.trainSize, lu.payload)
-			}
+			agg.CollectLate(round, lu.client, lu.trainSize, lu.payload)
 			comm.PutBuf(lu.payload)
 		}
 		pendingLate = pendingLate[:0]
 
-		// Shard-major collection, identical order to ShardedSim. An
+		// Shard-major collection, identical order to a sharded Sim. An
 		// upload is a copy of the broadcast with one client-and-round-
 		// specific float patched — a valid dense payload without any
 		// training — and it is synthesized where it will be read: an
@@ -203,9 +204,7 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 					if !massiveOnTime(cfg.Seed, round, ci, cfg.OnTimeFrac) {
 						// Missed the quorum close: folds next round, so this
 						// round's cursor must not wait for it.
-						if sa != nil {
-							sa.MarkAbsent(round, uint32(ci))
-						}
+						agg.MarkAbsent(round, uint32(ci))
 						batch[b] = comm.GetBuf(len(bcast))
 						pendingLate = append(pendingLate, lateUpload{client: uint32(ci), trainSize: trainSize(ci), payload: batch[b]})
 						continue

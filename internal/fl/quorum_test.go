@@ -12,7 +12,7 @@ import (
 
 // runQuorumFederation drives a FedAvg federation through QuorumSim with
 // a zero-time journal and returns (final state, journal bytes, sim).
-func runQuorumFederation(t *testing.T, onTime float64, rounds int) ([]float32, []byte, *QuorumSim) {
+func runQuorumFederation(t *testing.T, onTime float64, rounds int) ([]float32, []byte, *Sim) {
 	t.Helper()
 	cfg := quickCfg(29)
 	cfg.LocalEpochs = 1
@@ -26,7 +26,8 @@ func runQuorumFederation(t *testing.T, onTime float64, rounds int) ([]float32, [
 	for i, c := range env.Clients {
 		trainers[i] = algo.NewFedAvgTrainer(c, acfg)
 	}
-	sim := NewQuorumSim(env, algo.NewFedAvgAggregator(env.Global, acfg), trainers, onTime)
+	env.Topo = Topology{OnTimeFrac: onTime}
+	sim := NewSim(env, algo.NewFedAvgAggregator(env.Global, acfg), trainers)
 	sel := make([]int, env.Cfg.NumClients)
 	for i := range sel {
 		sel[i] = i
@@ -79,42 +80,4 @@ func TestQuorumSimFoldsLateUploads(t *testing.T) {
 	if strings.Contains(j, telemetry.EvQuorum) || strings.Contains(j, telemetry.EvLateUpload) {
 		t.Fatal("synchronous quorum (OnTimeFrac 1) must not emit quorum/late events")
 	}
-}
-
-// TestNewDriverTopologySwitch: NewDriver wires the driver the Topology
-// asks for, defaulting to the flat Sim.
-func TestNewDriverTopologySwitch(t *testing.T) {
-	for _, tc := range []struct {
-		topo Topology
-		want string
-	}{
-		{Topology{}, "*fl.Sim"},
-		{Topology{Kind: TopoFlat}, "*fl.Sim"},
-		{Topology{Kind: TopoSharded, Shards: 2}, "*fl.ShardedSim"},
-		{Topology{Kind: TopoQuorum, OnTimeFrac: 0.5}, "*fl.QuorumSim"},
-	} {
-		env := testEnv(t, 2, quickCfg(3))
-		env.Topo = tc.topo
-		acfg := env.AlgoConfig()
-		trainers := make([]algo.Trainer, len(env.Clients))
-		for i, c := range env.Clients {
-			trainers[i] = algo.NewFedAvgTrainer(c, acfg)
-		}
-		drv := NewDriver(env, algo.NewFedAvgAggregator(env.Global, acfg), trainers)
-		if got := typeName(drv); got != tc.want {
-			t.Fatalf("topology %+v wired %s, want %s", tc.topo, got, tc.want)
-		}
-	}
-}
-
-func typeName(v any) string {
-	switch v.(type) {
-	case *Sim:
-		return "*fl.Sim"
-	case *ShardedSim:
-		return "*fl.ShardedSim"
-	case *QuorumSim:
-		return "*fl.QuorumSim"
-	}
-	return "?"
 }

@@ -24,17 +24,17 @@ func TestLRAtUsesSchedule(t *testing.T) {
 func TestScheduledRunStillLearns(t *testing.T) {
 	env := testEnv(t, 3, quickCfg(31))
 	env.Cfg.LRSchedule = nn.WarmupLR{Steps: 2, Then: nn.CosineLR{Base: 0.05, Min: 0.005, Horizon: 8}}
-	res := Run(env, &FedAvg{}, RunOpts{Rounds: 6})
+	res := Run(env, fedAvg(), RunOpts{Rounds: 6})
 	if res.BestAcc() < 0.40 {
 		t.Fatalf("scheduled FedAvg best acc %.3f", res.BestAcc())
 	}
 }
 
 func TestScheduleAffectsTrajectory(t *testing.T) {
-	base := Run(testEnv(t, 2, quickCfg(32)), &FedAvg{}, RunOpts{Rounds: 3})
+	base := Run(testEnv(t, 2, quickCfg(32)), fedAvg(), RunOpts{Rounds: 3})
 	env := testEnv(t, 2, quickCfg(32))
 	env.Cfg.LRSchedule = nn.ConstantLR(0.001) // much smaller than default
-	slow := Run(env, &FedAvg{}, RunOpts{Rounds: 3})
+	slow := Run(env, fedAvg(), RunOpts{Rounds: 3})
 	same := true
 	for i := range base.Records {
 		if math.Abs(base.Records[i].AvgAcc-slow.Records[i].AvgAcc) > 1e-9 {

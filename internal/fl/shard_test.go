@@ -11,9 +11,9 @@ import (
 	"spatl/internal/telemetry"
 )
 
-// runFederation drives a fresh FedAvg federation for the given shard
-// count (0 = flat Sim) and returns the final global state.
-func runFederation(t *testing.T, shards, rounds int) []float32 {
+// runFederation drives a fresh FedAvg federation over the given topology
+// and returns the final global state and the client-facing uplink bytes.
+func runFederation(t *testing.T, topo Topology, rounds int) ([]float32, int64) {
 	t.Helper()
 	cfg := quickCfg(19)
 	cfg.LocalEpochs = 1
@@ -29,18 +29,12 @@ func runFederation(t *testing.T, shards, rounds int) []float32 {
 	for i := range sel {
 		sel[i] = i
 	}
-	if shards == 0 {
-		sim := NewSim(env, agg, trainers)
-		for r := 0; r < rounds; r++ {
-			sim.Round(r, sel)
-		}
-	} else {
-		sim := NewShardedSim(env, agg, trainers, shards)
-		for r := 0; r < rounds; r++ {
-			sim.Round(r, sel)
-		}
+	env.Topo = topo
+	sim := NewSim(env, agg, trainers)
+	for r := 0; r < rounds; r++ {
+		sim.Round(r, sel)
 	}
-	return env.Global.State(models.ScopeAll)
+	return env.Global.State(models.ScopeAll), env.Meter.Up()
 }
 
 // TestShardedSimMatchesFlat: the shard-pooling round is bitwise
@@ -48,9 +42,9 @@ func runFederation(t *testing.T, shards, rounds int) []float32 {
 // collection topology, not an arithmetic change.
 func TestShardedSimMatchesFlat(t *testing.T) {
 	const rounds = 2
-	want := runFederation(t, 0, rounds)
+	want, _ := runFederation(t, Topology{}, rounds)
 	for _, shards := range []int{1, 3, 4} {
-		got := runFederation(t, shards, rounds)
+		got, _ := runFederation(t, Topology{Shards: shards}, rounds)
 		if len(got) != len(want) {
 			t.Fatalf("shards=%d: state length %d vs %d", shards, len(got), len(want))
 		}
@@ -61,6 +55,40 @@ func TestShardedSimMatchesFlat(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTopologyShardsTimesQuorum: shard count and on-time fraction are two
+// values of one round, so they compose — a sharded round that closes at
+// quorum is bitwise the flat round that closes at the same quorum, in
+// final model and in client-facing uplink bytes, with real trainers and
+// injected drops (TestMassiveShardedMatchesFlat pins the same for
+// RunMassive's synthetic clients).
+func TestTopologyShardsTimesQuorum(t *testing.T) {
+	const rounds = 3
+	want, wantUp := runFederation(t, Topology{OnTimeFrac: 0.7}, rounds)
+	sync, syncUp := runFederation(t, Topology{}, rounds)
+	if wantUp >= syncUp || bitsEqual(want, sync) {
+		t.Fatalf("quorum 0.7 deferred nothing over %d rounds (up %d vs synchronous %d)", rounds, wantUp, syncUp)
+	}
+	got, gotUp := runFederation(t, Topology{Shards: 3, OnTimeFrac: 0.7}, rounds)
+	if !bitsEqual(got, want) {
+		t.Fatal("shards=3 x on-time 0.7: final state differs from flat x on-time 0.7")
+	}
+	if gotUp != wantUp {
+		t.Fatalf("shards=3 x on-time 0.7: up bytes %d vs flat %d", gotUp, wantUp)
+	}
+}
+
+func bitsEqual(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestMassiveShardedMatchesFlat: the synthetic massive federation folds

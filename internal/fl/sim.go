@@ -1,111 +1,55 @@
 package fl
 
 import (
-	"fmt"
 	"time"
 
 	"spatl/internal/algo"
 	"spatl/internal/telemetry"
 )
 
-// Driver is one in-process round transport: it moves the payloads of a
-// single communication round between an aggregator and the selected
-// clients' trainers. Sim (flat), ShardedSim (collection tree) and
-// QuorumSim (deterministic async quorum) all implement it; NewDriver
-// picks the one the environment's Topology asks for, so algorithms wire
-// their cores once and run over any in-process topology.
-type Driver interface {
-	Round(round int, selected []int)
-}
-
-// NewDriver wires the topology-selected round driver for the
-// environment. The zero Topology yields the flat Sim — the historical
-// behavior of every algorithm's Setup.
-func NewDriver(env *Env, agg algo.Aggregator, trainers []algo.Trainer) Driver {
-	switch env.Topo.Kind {
-	case "", TopoFlat:
-		return NewSim(env, agg, trainers)
-	case TopoSharded:
-		return NewShardedSim(env, agg, trainers, env.Topo.Shards)
-	case TopoQuorum:
-		return NewQuorumSim(env, agg, trainers, env.Topo.OnTimeFrac)
-	}
-	panic(fmt.Sprintf("fl: unknown topology kind %q", env.Topo.Kind))
-}
-
-// beginStreamRound announces the round's selection to a streaming
-// aggregator so uploads fold on arrival with zero staging (every
-// in-process driver collects in ascending client order). Returns nil
-// for aggregators outside this package's streaming family.
-func beginStreamRound(agg algo.Aggregator, round int, selected []int) algo.StreamingAggregator {
-	sa, ok := agg.(algo.StreamingAggregator)
-	if !ok {
-		return nil
-	}
-	ids := make([]uint32, len(selected))
-	for i, ci := range selected {
-		ids[i] = uint32(ci)
-	}
-	sa.BeginRound(round, ids)
-	return sa
-}
-
 // Sim is the in-process transport: it drives a transport-agnostic
 // algorithm core (algo.Aggregator + one algo.Trainer per client) through
 // one communication round, adding what a simulated network contributes —
 // comm.Meter byte accounting, deterministic failure injection
-// (Config.DropRate) and parallel client execution.
+// (Config.DropRate), parallel client execution, and the topology read
+// from Env.Topo: a two-level collection tree when Shards > 0, rounds
+// that close at quorum when 0 < OnTimeFrac < 1, both when both.
+//
+// With shards, clients are partitioned into contiguous shards of the
+// client-index order — the in-process analog of flnet's TreeServer +
+// Edge — and each shard pools its round uploads into an
+// algo.ShardBuffer, the wire format an edge forwards, before they fold.
+// Selections are sorted ascending, so shard-major order is selection
+// order and the fold is bitwise identical to the flat one at any shard
+// count. Client-facing traffic meters into comm up/down either way; the
+// pooled shard payloads and the per-edge broadcasts go to the meter's
+// relay counters.
+//
+// With a quorum, which uploads miss a round's close is decided
+// deterministically per (seed, round, client) — massiveOnTime, the draw
+// RunMassive uses — and a straggler's upload folds into the next round
+// instead of being lost (FedBuff-style). Unlike the TCP server's
+// wall-clock-raced quorum, a seeded run is bitwise reproducible.
 //
 // Uploads are collected sequentially in selection order after the
 // parallel training phase, so aggregation stays deterministic regardless
 // of scheduling. Journal events follow the same rule: the parallel phase
 // only measures durations into a slice; every Emit happens from this
-// sequential code, in selection order, which is what makes a seeded
-// run's journal reproducible and comparable with flnet's (see the
-// cross-transport journal test).
+// sequential code. Per round: round_start; late_upload per straggler
+// carried over from the previous round, in the order they were deferred;
+// per selected client, in selection order, client_upload or drop, with
+// one shard_push closing each shard's span; quorum_reached; aggregate;
+// round_end. That is what makes a seeded run's zero-time journal
+// reproducible and byte-identical to flnet's flat server and tree (see
+// the cross-transport journal tests).
 type Sim struct {
 	Env      *Env
 	Agg      algo.Aggregator
 	Trainers []algo.Trainer // indexed by client ID
-}
 
-// Round runs one communication round over the selected clients.
-func (s *Sim) Round(round int, selected []int) {
-	env := s.Env
-	tel := env.Tel
-	payload := s.Agg.Broadcast(round)
-	sa := beginStreamRound(s.Agg, round, selected)
-	tel.Emit(telemetry.RoundStart(round, len(selected), int64(len(payload))))
-	ups := make([][]byte, len(selected))
-	durs := make([]int64, len(selected))
-	ParallelClients(selected, func(pos int) {
-		ci := selected[pos]
-		env.Meter.AddDown(len(payload))
-		if env.ClientFailed(round, ci) {
-			return // crashed after download: upload lost
-		}
-		t0 := time.Now()
-		ups[pos] = s.Trainers[ci].LocalUpdate(round, payload)
-		durs[pos] = time.Since(t0).Nanoseconds()
-	})
-	collected := 0
-	for pos, ci := range selected {
-		if ups[pos] == nil {
-			if sa != nil {
-				sa.MarkAbsent(round, uint32(ci))
-			}
-			tel.Emit(telemetry.Drop(round, ci))
-			continue
-		}
-		env.Meter.AddUp(len(ups[pos]))
-		tel.Emit(telemetry.ClientUpload(round, ci, int64(len(ups[pos])), durs[pos]))
-		s.Agg.Collect(round, uint32(ci), env.Clients[ci].Train.Len(), ups[pos])
-		collected++
-	}
-	t0 := time.Now()
-	s.Agg.FinishRound(round)
-	tel.Emit(telemetry.Aggregate(round, collected, time.Since(t0).Nanoseconds()))
-	tel.Emit(telemetry.RoundEnd(round, env.Meter.Up(), env.Meter.Down()))
+	pending []lateUpload // stragglers' payloads awaiting the next round
+	shard   algo.ShardBuffer
+	entries []algo.Upload
 }
 
 // NewSim wires an aggregator and per-client trainers into a Sim,
@@ -120,4 +64,113 @@ func NewSim(env *Env, agg algo.Aggregator, trainers []algo.Trainer) *Sim {
 		algo.Wire(env.Tel, cores...)
 	}
 	return &Sim{Env: env, Agg: agg, Trainers: trainers}
+}
+
+// Pending reports how many straggler uploads are waiting to fold into
+// the next round (uploads deferred at the end of the federation are
+// never folded, matching the TCP server's behavior at shutdown).
+func (s *Sim) Pending() int { return len(s.pending) }
+
+// Round runs one communication round over the selected clients (sorted
+// ascending).
+func (s *Sim) Round(round int, selected []int) {
+	env := s.Env
+	tel := env.Tel
+	shards, frac := env.Topo.Shards, env.Topo.OnTimeFrac
+	payload := s.Agg.Broadcast(round)
+	ids := make([]uint32, len(selected))
+	for i, ci := range selected {
+		ids[i] = uint32(ci)
+	}
+	s.Agg.BeginRound(round, ids)
+	tel.Emit(telemetry.RoundStart(round, len(selected), int64(len(payload))))
+
+	// Stragglers from the previous round land first. CollectLate
+	// bypasses the streaming cursor — a late upload never consumes the
+	// slot of a client also selected this round.
+	collected := 0
+	for _, lu := range s.pending {
+		env.Meter.AddUp(len(lu.payload))
+		tel.Emit(telemetry.LateUpload(round, int(lu.client), int64(len(lu.payload))))
+		s.Agg.CollectLate(round, lu.client, lu.trainSize, lu.payload)
+		collected++
+	}
+	s.pending = s.pending[:0]
+
+	ups := make([][]byte, len(selected))
+	durs := make([]int64, len(selected))
+	ParallelClients(selected, func(pos int) {
+		ci := selected[pos]
+		env.Meter.AddDown(len(payload))
+		if env.ClientFailed(round, ci) {
+			return // crashed after download: upload lost
+		}
+		t0 := time.Now()
+		ups[pos] = s.Trainers[ci].LocalUpdate(round, payload)
+		durs[pos] = time.Since(t0).Nanoseconds()
+	})
+
+	// One pass in selection order, cut into one span per shard — or a
+	// single span holding everything when the topology is flat.
+	onTime := 0
+	for sh, lo := 0, 0; sh < max(shards, 1); sh++ {
+		hi := len(selected)
+		if shards > 0 {
+			_, shardHi := algo.ShardRange(sh, env.Cfg.NumClients, shards)
+			hi = lo
+			for hi < len(selected) && selected[hi] < shardHi {
+				hi++
+			}
+		}
+		if hi == lo {
+			continue // no clients sampled from this shard
+		}
+		if shards > 0 {
+			env.Meter.AddRelayDown(len(payload)) // one broadcast per participating edge
+			s.shard.Reset()
+		}
+		for pos := lo; pos < hi; pos++ {
+			ci := selected[pos]
+			up, trainSize := ups[pos], env.Clients[ci].Train.Len()
+			if up == nil {
+				s.Agg.MarkAbsent(round, uint32(ci))
+				tel.Emit(telemetry.Drop(round, ci))
+				continue
+			}
+			if !massiveOnTime(env.Cfg.Seed, round, ci, frac) {
+				// Missed the quorum close: it folds into the NEXT round's
+				// stream, so this round's cursor must not wait for it. The
+				// payload is owned by the trainer and reused next round, so
+				// defer a copy.
+				s.Agg.MarkAbsent(round, uint32(ci))
+				s.pending = append(s.pending, lateUpload{
+					client: uint32(ci), trainSize: trainSize, payload: append([]byte(nil), up...),
+				})
+				continue
+			}
+			onTime++
+			env.Meter.AddUp(len(up))
+			tel.Emit(telemetry.ClientUpload(round, ci, int64(len(up)), durs[pos]))
+			if shards > 0 {
+				s.shard.Add(uint32(ci), trainSize, up)
+			} else {
+				s.Agg.Collect(round, uint32(ci), trainSize, up)
+			}
+		}
+		if shards > 0 {
+			// Fold through the pooled wire format — the root's code path.
+			env.Meter.AddRelayUp(len(s.shard.Payload()))
+			tel.Emit(telemetry.ShardPush(round, sh, s.shard.Len(), int64(len(s.shard.Payload()))))
+			s.entries, _ = algo.ShardEntries(s.entries[:0], s.shard.Payload())
+			algo.CollectAll(s.Agg, round, s.entries)
+		}
+		lo = hi
+	}
+	if frac > 0 && frac < 1 {
+		tel.Emit(telemetry.Quorum(round, onTime))
+	}
+	t0 := time.Now()
+	s.Agg.FinishRound(round)
+	tel.Emit(telemetry.Aggregate(round, collected+onTime, time.Since(t0).Nanoseconds()))
+	tel.Emit(telemetry.RoundEnd(round, env.Meter.Up(), env.Meter.Down()))
 }

@@ -1,10 +1,8 @@
 package flnet
 
 import (
-	"fmt"
 	"time"
 
-	"spatl/internal/algo"
 	"spatl/internal/telemetry"
 )
 
@@ -19,82 +17,25 @@ import (
 // journal reproducibility for tail-latency immunity; the journal still
 // proves the semantics (quorum_reached, late_upload events).
 
-// arrival is one frame (or terminal read error) from a persistent
-// per-client reader goroutine.
-type arrival struct {
-	ci    int // index into s.clients
-	frame Frame
-	err   error
-}
-
-// runAsync is the buffered round loop: persistent readers feed a single
-// arrivals channel; each round closes at quorum or at the straggler
-// deadline, and stale uploads fold into the round in progress.
-func (s *Server) runAsync(agg Aggregator) error {
+// runAsync is the buffered round loop: the persistent readers rd feed a
+// single arrivals channel; each round closes at quorum or at the
+// straggler deadline, and stale uploads fold into the round in progress.
+// Readers outlive rounds — a straggler's upload must be readable after
+// its round closed — and outlive this loop: shutdown inherits them.
+func (s *Server) runAsync(agg Aggregator, rd *readers) error {
 	tel := s.cfg.Tel
 	rng := newRng(s.cfg.Seed)
-	streamAgg, _ := agg.(algo.StreamingAggregator)
-	// Readers outlive rounds: a straggler's upload must be readable
-	// after its round closed. Capacity absorbs a burst of one pending
-	// upload plus the terminal error per client; a full channel simply
-	// backpressures that client's reader.
-	arrivals := make(chan arrival, 4*len(s.clients)+8)
-	for ci, c := range s.clients {
-		go func(ci int, c *clientConn) {
-			for {
-				f, err := ReadFrame(c.conn)
-				arrivals <- arrival{ci: ci, frame: f, err: err}
-				if err != nil {
-					return
-				}
-			}
-		}(ci, c)
-	}
-
 	for round := 0; round < s.cfg.Rounds; round++ {
-		payload := agg.Broadcast(round)
-		selected := samplePerm(rng, len(s.clients), s.cfg.PerRound)
-		if streamAgg != nil {
-			ids := make([]uint32, len(selected))
-			for i, ci := range selected {
-				ids[i] = s.clients[ci].id
-			}
-			streamAgg.BeginRound(round, ids)
-		}
-		tel.Emit(telemetry.RoundStart(round, len(selected), int64(len(payload))))
+		payload, selected := s.openRound(agg, rng, round)
 		roundStart := time.Now()
 
 		awaited := make(map[int]bool, len(selected)) // client idx -> still owes this round's upload
-		for _, ci := range selected {
-			c := s.clients[ci]
-			if !c.alive {
-				c.drops++
-				s.drops.Inc()
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
-				tel.Emit(telemetry.Drop(round, int(c.id)))
-				continue
+		for pos, sent := range s.broadcast(agg, round, selected, payload) {
+			if sent {
+				awaited[selected[pos]] = true
+			} else {
+				tel.Emit(telemetry.Drop(round, int(s.clients[selected[pos]].id)))
 			}
-			if s.cfg.WriteTimeout > 0 {
-				c.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			}
-			f := Frame{Type: MsgRoundStart, Client: c.id, Round: uint32(round), Payload: payload}
-			if err := WriteFrame(c.conn, f); err != nil {
-				c.errs++
-				c.drops++
-				s.errs.Inc()
-				s.drops.Inc()
-				c.markDead()
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
-				tel.Emit(telemetry.Drop(round, int(c.id)))
-				continue
-			}
-			s.DownBytes += int64(frameHeaderLen + len(payload))
-			s.DownPayloadBytes += int64(len(payload))
-			awaited[ci] = true
 		}
 
 		want := s.cfg.Quorum
@@ -108,52 +49,39 @@ func (s *Server) runAsync(agg Aggregator) error {
 			deadline = timer.C
 		}
 		onTime, folded := 0, 0
+		// fail kills a misbehaving or vanished connection; an upload it
+		// still owed this round is lost, and the quorum shrinks to what
+		// can still arrive.
+		fail := func(ci int) {
+			c := s.clients[ci]
+			c.errs++
+			s.errs.Inc()
+			c.markDead()
+			if awaited[ci] {
+				delete(awaited, ci)
+				s.lose(agg, round, c, false)
+				tel.Emit(telemetry.Drop(round, int(c.id)))
+				want = min(want, len(awaited)+onTime)
+			}
+		}
 	recv:
 		for onTime < want {
 			var a arrival
 			select {
-			case a = <-arrivals:
+			case a = <-rd.ch:
 			case <-deadline:
 				break recv
 			}
 			c := s.clients[a.ci]
 			switch {
 			case a.err != nil:
-				if !c.alive {
-					continue // terminal error of a connection we closed
-				}
-				c.errs++
-				s.errs.Inc()
-				c.markDead()
-				if awaited[a.ci] {
-					delete(awaited, a.ci)
-					c.drops++
-					s.drops.Inc()
-					if streamAgg != nil {
-						streamAgg.MarkAbsent(round, c.id)
-					}
-					tel.Emit(telemetry.Drop(round, int(c.id)))
-					if want > len(awaited)+onTime {
-						want = len(awaited) + onTime
-					}
-				}
+				rd.n-- // that reader has exited
+				if c.alive {
+					fail(a.ci)
+				} // else the terminal error of a connection we closed
 			case a.frame.Type != MsgUpdate || int(a.frame.Round) > round:
-				c.errs++
-				s.errs.Inc()
-				c.markDead()
 				a.frame.Release()
-				if awaited[a.ci] {
-					delete(awaited, a.ci)
-					c.drops++
-					s.drops.Inc()
-					if streamAgg != nil {
-						streamAgg.MarkAbsent(round, c.id)
-					}
-					tel.Emit(telemetry.Drop(round, int(c.id)))
-					if want > len(awaited)+onTime {
-						want = len(awaited) + onTime
-					}
-				}
+				fail(a.ci)
 			case int(a.frame.Round) == round && awaited[a.ci]:
 				delete(awaited, a.ci)
 				s.UpBytes += int64(frameHeaderLen + len(a.frame.Payload))
@@ -173,21 +101,15 @@ func (s *Server) runAsync(agg Aggregator) error {
 				s.UpBytes += int64(frameHeaderLen + len(a.frame.Payload))
 				s.UpPayloadBytes += int64(len(a.frame.Payload))
 				tel.Emit(telemetry.LateUpload(round, int(c.id), int64(len(a.frame.Payload))))
-				if streamAgg != nil {
-					streamAgg.CollectLate(round, c.id, c.trainSize, a.frame.Payload)
-				} else {
-					agg.Collect(round, c.id, c.trainSize, a.frame.Payload)
-				}
+				agg.CollectLate(round, c.id, c.trainSize, a.frame.Payload)
 				a.frame.Release()
 				folded++
 			default:
 				// Same-round duplicate or an upload from a client that
 				// was never sent this round's broadcast: protocol
 				// violation, never fold it twice.
-				c.errs++
-				s.errs.Inc()
-				c.markDead()
 				a.frame.Release()
+				fail(a.ci)
 			}
 		}
 		if timer != nil {
@@ -196,20 +118,8 @@ func (s *Server) runAsync(agg Aggregator) error {
 		if want > 0 && onTime >= want {
 			tel.Emit(telemetry.Quorum(round, onTime))
 		}
-		t0 := time.Now()
-		agg.FinishRound(round)
-		tel.Emit(telemetry.Aggregate(round, folded, time.Since(t0).Nanoseconds()))
-		tel.Emit(telemetry.RoundEnd(round, s.UpPayloadBytes, s.DownPayloadBytes))
-
-		anyAlive := false
-		for _, c := range s.clients {
-			if c.alive {
-				anyAlive = true
-				break
-			}
-		}
-		if !anyAlive {
-			return fmt.Errorf("flnet: all %d clients dead after round %d", len(s.clients), round)
+		if err := closeRound(agg, tel, round, folded, s.UpPayloadBytes, s.DownPayloadBytes, s.links); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"spatl/internal/algo"
-	"spatl/internal/core"
 	"spatl/internal/data"
 	"spatl/internal/fl"
 	"spatl/internal/hetero"
@@ -31,47 +30,54 @@ func TestCrossTransportEquivalence(t *testing.T) {
 		classes = 4
 		seed    = 33
 	)
-	agentCfg := rl.AgentConfig{Dim: 8, HeadHidden: 8, Seed: 6}
-	spatlOpts := algo.SPATLOptions{AgentCfg: agentCfg}
+	spatlOpts := algo.SPATLOptions{AgentCfg: rl.AgentConfig{Dim: 8, HeadHidden: 8, Seed: 6}}
 	heteroOpts := hetero.Options{Clusters: 2, Widths: []float64{0.25, 0.5, 1.0}, ReassignEvery: 2}
 
 	mlp := models.Spec{Arch: "mlp", Classes: classes, InC: 3, H: 8, W: 8, Width: 0.5}
 	resnet := models.Spec{Arch: "resnet20", Classes: classes, InC: 3, H: 8, W: 8, Width: 0.25}
 
+	// One constructor pair per case: the simulation runs it as an
+	// fl.Federation, the TCP server and clients take it as it is.
 	cases := []struct {
 		name string
 		spec models.Spec
-		alg  fl.Algorithm // simulation side
-		// agg builds the TCP-side aggregator; tr the TCP-side trainers.
-		agg func(global *models.SplitModel, cfg algo.Config) Aggregator
-		tr  func(c *algo.Client, cfg algo.Config) Trainer
+		agg  func(g *models.SplitModel, cfg algo.Config) Aggregator
+		tr   func(c *algo.Client, cfg algo.Config) Trainer
 		// rounds overrides the default round count (0 = default). SSFL
 		// needs three: agreement, the index-bearing sparse round, and a
 		// values-only round — every wire phase must match bitwise.
 		rounds int
 	}{
 		{
-			name: "fedavg", spec: mlp, alg: &fl.FedAvg{},
+			name: "fedavg", spec: mlp,
 			agg: func(g *models.SplitModel, cfg algo.Config) Aggregator { return algo.NewFedAvgAggregator(g, cfg) },
 			tr:  func(c *algo.Client, cfg algo.Config) Trainer { return algo.NewFedAvgTrainer(c, cfg) },
 		},
 		{
-			name: "fedprox", spec: mlp, alg: &fl.FedProx{},
+			// The dense path on a conv model: batchnorm state, conv
+			// gradient shards and the implicit-GEMM step all cross the wire
+			// here, where the mlp cases exercise none of them.
+			name: "fedavg-resnet20", spec: resnet,
+			agg: func(g *models.SplitModel, cfg algo.Config) Aggregator { return algo.NewFedAvgAggregator(g, cfg) },
+			tr:  func(c *algo.Client, cfg algo.Config) Trainer { return algo.NewFedAvgTrainer(c, cfg) },
+		},
+		{
+			name: "fedprox", spec: mlp,
 			agg: func(g *models.SplitModel, cfg algo.Config) Aggregator { return algo.NewFedAvgAggregator(g, cfg) },
 			tr:  func(c *algo.Client, cfg algo.Config) Trainer { return algo.NewFedProxTrainer(c, cfg) },
 		},
 		{
-			name: "scaffold", spec: mlp, alg: &fl.SCAFFOLD{},
+			name: "scaffold", spec: mlp,
 			agg: func(g *models.SplitModel, cfg algo.Config) Aggregator { return algo.NewSCAFFOLDAggregator(g, cfg) },
 			tr:  func(c *algo.Client, cfg algo.Config) Trainer { return algo.NewSCAFFOLDTrainer(c, cfg) },
 		},
 		{
-			name: "fednova", spec: mlp, alg: &fl.FedNova{},
+			name: "fednova", spec: mlp,
 			agg: func(g *models.SplitModel, cfg algo.Config) Aggregator { return algo.NewFedNovaAggregator(g, cfg) },
 			tr:  func(c *algo.Client, cfg algo.Config) Trainer { return algo.NewFedNovaTrainer(c, cfg) },
 		},
 		{
-			name: "spatl", spec: resnet, alg: core.New(core.Options{AgentCfg: agentCfg}),
+			name: "spatl", spec: resnet,
 			agg: func(g *models.SplitModel, cfg algo.Config) Aggregator {
 				return algo.NewSPATLAggregator(g, spatlOpts, cfg)
 			},
@@ -80,7 +86,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 			},
 		},
 		{
-			name: "ssfl", spec: resnet, alg: &fl.SSFL{}, rounds: 3,
+			name: "ssfl", spec: resnet, rounds: 3,
 			agg: func(g *models.SplitModel, cfg algo.Config) Aggregator {
 				return algo.NewSSFLAggregator(g, algo.SSFLOptions{}, cfg)
 			},
@@ -92,7 +98,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 			// Three rounds cross one reassignment boundary (ReassignEvery=2
 			// commits after round 1), so the post-reassignment broadcast
 			// must also match bitwise across transports.
-			name: "hetero", spec: resnet, alg: &hetero.FL{Opts: heteroOpts}, rounds: 3,
+			name: "hetero", spec: resnet, rounds: 3,
 			agg: func(g *models.SplitModel, cfg algo.Config) Aggregator {
 				return hetero.NewAggregator(g, heteroOpts, cfg)
 			},
@@ -130,9 +136,10 @@ func TestCrossTransportEquivalence(t *testing.T) {
 			for i := range all {
 				all[i] = i
 			}
-			tc.alg.Setup(env)
+			alg := fl.NewAlgorithm(tc.name, tc.agg, tc.tr)
+			alg.Setup(env)
 			for r := 0; r < rounds; r++ {
-				tc.alg.Round(env, r, all)
+				alg.Round(env, r, all)
 			}
 
 			// The identical federation over TCP: same global init, same

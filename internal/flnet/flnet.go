@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"sort"
 	"time"
@@ -151,7 +152,8 @@ type ServerConfig struct {
 	// StragglerTimeout bounds how long the server waits for a selected
 	// client's round upload. A client that misses the deadline is marked
 	// dead and its contribution dropped — the round aggregates from the
-	// clients that reported instead of failing the federation. Zero
+	// clients that reported instead of failing the federation. It also
+	// bounds the drain that ends the federation (see shutdown). Zero
 	// waits forever.
 	StragglerTimeout time.Duration
 	// WriteTimeout bounds each broadcast write to a client. Zero waits
@@ -194,6 +196,7 @@ type Server struct {
 	ln  net.Listener
 
 	clients []*clientConn
+	links   []*link // clients[i]'s link, index for index
 
 	// Stats, populated by Run. UpBytes/DownBytes count full frames
 	// (headers included); the *PayloadBytes variants count algorithm
@@ -213,6 +216,10 @@ type Server struct {
 	// one they were computed for (async quorum mode only), exposed as
 	// "flnet.late_uploads".
 	late telemetry.Counter
+	// postFinal counts uploads that arrived after the last round closed,
+	// read and discarded while the connection drained, exposed as
+	// "flnet.post_final_uploads".
+	postFinal telemetry.Counter
 }
 
 // Drops reports total dropped contributions across all clients and
@@ -227,6 +234,11 @@ func (s *Server) Errors() int64 { return s.errs.Value() }
 // later round (async quorum mode) — the same counter the registry
 // exposes as "flnet.late_uploads".
 func (s *Server) LateUploads() int64 { return s.late.Value() }
+
+// PostFinalUploads reports how many uploads arrived after the last round
+// had closed — the same counter the registry exposes as
+// "flnet.post_final_uploads".
+func (s *Server) PostFinalUploads() int64 { return s.postFinal.Value() }
 
 // NewServer starts listening (so clients can connect before Run).
 func NewServer(cfg ServerConfig) (*Server, error) {
@@ -245,6 +257,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.Tel.Reg.Attach("flnet.drops", &s.drops)
 		cfg.Tel.Reg.Attach("flnet.errors", &s.errs)
 		cfg.Tel.Reg.Attach("flnet.late_uploads", &s.late)
+		cfg.Tel.Reg.Attach("flnet.post_final_uploads", &s.postFinal)
 	}
 	return s, nil
 }
@@ -264,35 +277,185 @@ func (s *Server) ClientStats() []ClientStats {
 	return out
 }
 
-// clientConn is the server's view of one registered client.
+// link is one downstream connection of a server: a client of the flat
+// server or of an edge, an edge of the tree root.
+type link struct {
+	id    uint32 // client ID; shard ID for an edge
+	conn  net.Conn
+	alive bool
+}
+
+// markDead closes the connection and excludes the peer from future
+// traffic; its sampling slot stays occupied and counts drops.
+func (l *link) markDead() {
+	if l.alive {
+		l.alive = false
+		l.conn.Close()
+	}
+}
+
+// send writes one frame under the write deadline (zero waits forever). A
+// failed write kills the link.
+func (l *link) send(f Frame, timeout time.Duration) error {
+	if timeout > 0 {
+		l.conn.SetWriteDeadline(time.Now().Add(timeout))
+	}
+	err := WriteFrame(l.conn, f)
+	if err != nil {
+		l.markDead()
+	}
+	return err
+}
+
+// allDead reports whether no link is left to federate with.
+func allDead(links []*link) bool {
+	for _, l := range links {
+		if l.alive {
+			return false
+		}
+	}
+	return true
+}
+
+// openRound is the head of every server's round: the aggregator's
+// broadcast, the round's sample of the n registered clients (id maps a
+// sampled index to its client ID), the selection announced to the
+// aggregator, round_start journaled.
+func openRound(agg Aggregator, tel *telemetry.Set, rng *rand.Rand, round, n, perRound int, id func(i int) uint32) (payload []byte, selected []int) {
+	payload = agg.Broadcast(round)
+	selected = samplePerm(rng, n, perRound)
+	ids := make([]uint32, len(selected))
+	for i, ci := range selected {
+		ids[i] = id(ci)
+	}
+	agg.BeginRound(round, ids)
+	tel.Emit(telemetry.RoundStart(round, len(selected), int64(len(payload))))
+	return payload, selected
+}
+
+// closeRound is the tail of every server's round: finalize, journal
+// aggregate and round_end, and fail the federation once nobody is left.
+func closeRound(agg Aggregator, tel *telemetry.Set, round, collected int, up, down int64, links []*link) error {
+	t0 := time.Now()
+	agg.FinishRound(round)
+	tel.Emit(telemetry.Aggregate(round, collected, time.Since(t0).Nanoseconds()))
+	tel.Emit(telemetry.RoundEnd(round, up, down))
+	if allDead(links) {
+		return fmt.Errorf("flnet: all %d peers dead after round %d", len(links), round)
+	}
+	return nil
+}
+
+// arrival is one frame (or the terminal read error) from a reader
+// goroutine; ci indexes the links the readers were started over.
+type arrival struct {
+	ci    int
+	frame Frame
+	err   error
+}
+
+// readers is a set of goroutines, one per link, each feeding every frame
+// it reads into ch until a read fails; the failure is the last thing it
+// sends. n counts the goroutines still running: whoever receives an
+// arrival with err set decrements it. Closing a link's connection is
+// what stops its reader; shutdown is what waits for all of them.
+type readers struct {
+	ch chan arrival
+	n  int
+}
+
+// startReaders starts a reader on every live link.
+func startReaders(links []*link) *readers {
+	// Capacity absorbs a burst of one pending upload plus the terminal
+	// error per link; a full channel simply backpressures that reader.
+	r := &readers{ch: make(chan arrival, 4*len(links)+8)}
+	for i, l := range links {
+		if !l.alive {
+			continue
+		}
+		r.n++
+		go func(i int, conn net.Conn) {
+			for {
+				f, err := ReadFrame(conn)
+				r.ch <- arrival{ci: i, frame: f, err: err}
+				if err != nil {
+					return
+				}
+			}
+		}(i, l.conn)
+	}
+	return r
+}
+
+// shutdown is the last step of the protocol, shared by every server:
+// send the final model to each live link as MsgDone (sent reports each
+// write's outcome), then drain — keep reading, and releasing, whatever a
+// straggler still uploads (postFinal sees each such frame) until every
+// peer has closed its end or drain elapses (zero waits). Only then may
+// the caller close the connections: closing with a straggler's upload
+// unread would reset the connection under it and destroy the MsgDone it
+// has not read yet. rd is the persistent readers an async server already
+// runs; nil starts one per live link for the drain. On return no reader
+// is running.
+func shutdown(links []*link, rd *readers, final []byte, writeTimeout, drain time.Duration,
+	sent func(i int, err error), postFinal func(a arrival)) {
+	for i, l := range links {
+		if l.alive {
+			sent(i, l.send(Frame{Type: MsgDone, Client: l.id, Payload: final}, writeTimeout))
+		}
+	}
+	if rd == nil {
+		rd = startReaders(links)
+	}
+	var deadline <-chan time.Time
+	if drain > 0 {
+		t := time.NewTimer(drain)
+		defer t.Stop()
+		deadline = t.C
+	}
+	for rd.n > 0 {
+		select {
+		case a := <-rd.ch:
+			if a.err != nil {
+				rd.n--
+				continue
+			}
+			if postFinal != nil {
+				postFinal(a)
+			}
+			a.frame.Release()
+		case <-deadline:
+			// Out of patience: closing the connections fails every
+			// pending read, which is how the remaining readers exit.
+			for _, l := range links {
+				if l.alive {
+					l.conn.Close()
+				}
+			}
+			deadline = nil
+		}
+	}
+}
+
+// clientConn is a server's (or an edge's) view of one registered client.
 type clientConn struct {
-	id        uint32
+	link
 	trainSize int
-	conn      net.Conn
-	alive     bool
 	drops     int
 	errs      int
 }
 
-// markDead closes the connection and excludes the client from future
-// traffic; its sampling slot stays occupied and counts drops.
-func (c *clientConn) markDead() {
-	if c.alive {
-		c.alive = false
-		c.conn.Close()
-	}
-}
-
 // Run accepts registrations, executes the round loop (synchronous, or
-// buffered/async when cfg.Quorum is set) and broadcasts the final
-// model. A malformed hello still fails fast — the federation has not
-// started — but once rounds begin, client failures and stragglers are
-// tolerated: their contributions are dropped (see ClientStats) and
-// each round aggregates whatever arrived. Run errors only when every
-// client is dead.
+// buffered/async when cfg.Quorum is set), broadcasts the final model
+// and drains the connections (see shutdown). A malformed hello still
+// fails fast — the federation has not started — but once rounds begin,
+// client failures and stragglers are tolerated: their contributions are
+// dropped (see ClientStats) and each round aggregates whatever arrived.
+// Run errors only when every client is dead.
 func (s *Server) Run(agg Aggregator) error {
 	defer s.ln.Close()
-	if err := s.acceptClients(); err != nil {
+	err := s.acceptClients()
+	if err != nil {
 		return err
 	}
 	defer func() {
@@ -301,14 +464,32 @@ func (s *Server) Run(agg Aggregator) error {
 		}
 	}()
 	algo.Wire(s.cfg.Tel, agg)
+	var rd *readers // async rounds read through persistent readers; shutdown inherits them
 	if s.cfg.Quorum > 0 {
-		if err := s.runAsync(agg); err != nil {
-			return err
-		}
-	} else if err := s.runSync(agg); err != nil {
-		return err
+		rd = startReaders(s.links)
+		err = s.runAsync(agg, rd)
+	} else {
+		err = s.runSync(agg)
 	}
-	return s.sendFinal(agg)
+	// Also on failure: with every client dead nothing is sent, and the
+	// drain is what waits for the readers to exit.
+	final := agg.Final()
+	shutdown(s.links, rd, final, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
+		func(i int, err error) {
+			if err != nil {
+				s.clients[i].errs++
+				return
+			}
+			s.DownBytes += int64(frameHeaderLen + len(final))
+			s.DownPayloadBytes += int64(len(final))
+		},
+		func(a arrival) {
+			if a.frame.Type == MsgUpdate {
+				s.postFinal.Inc()
+				s.cfg.Tel.Emit(telemetry.Drop(int(a.frame.Round), int(s.clients[a.ci].id)))
+			}
+		})
+	return err
 }
 
 // acceptClients waits for every registration and orders the client
@@ -332,10 +513,8 @@ func (s *Server) acceptClients() error {
 		conn.SetReadDeadline(time.Time{})
 		s.UpBytes += int64(frameHeaderLen + len(f.Payload))
 		s.clients = append(s.clients, &clientConn{
-			id:        f.Client,
+			link:      link{id: f.Client, conn: conn, alive: true},
 			trainSize: int(binary.LittleEndian.Uint32(f.Payload)),
-			conn:      conn,
-			alive:     true,
 		})
 		f.Release()
 	}
@@ -343,25 +522,75 @@ func (s *Server) acceptClients() error {
 	// aggregate in client-ID order so collect order — and therefore the
 	// floating-point reduction — matches the in-process simulator bitwise.
 	sort.Slice(s.clients, func(i, j int) bool { return s.clients[i].id < s.clients[j].id })
+	s.links = clientLinks(s.clients)
 	return nil
+}
+
+// clientLinks is the link view of a client table, index for index.
+func clientLinks(clients []*clientConn) []*link {
+	links := make([]*link, len(clients))
+	for i, c := range clients {
+		links[i] = &c.link
+	}
+	return links
+}
+
+// openRound opens a round over the server's client table.
+func (s *Server) openRound(agg Aggregator, rng *rand.Rand, round int) (payload []byte, selected []int) {
+	return openRound(agg, s.cfg.Tel, rng, round, len(s.clients), s.cfg.PerRound,
+		func(i int) uint32 { return s.clients[i].id })
+}
+
+// lose records that a selected client's contribution will not be
+// aggregated this round (failed: because of a protocol or I/O failure,
+// not merely a dead or slow peer) and resolves its position in the
+// aggregator's fold order.
+func (s *Server) lose(agg Aggregator, round int, c *clientConn, failed bool) {
+	if failed {
+		c.errs++
+		s.errs.Inc()
+	}
+	c.drops++
+	s.drops.Inc()
+	agg.MarkAbsent(round, c.id)
+}
+
+// broadcast sends the round's payload to every selected client still
+// alive and reports, per selection position, whether it went out; the
+// rest are lost for the round.
+func (s *Server) broadcast(agg Aggregator, round int, selected []int, payload []byte) []bool {
+	sent := make([]bool, len(selected))
+	for pos, ci := range selected {
+		c := s.clients[ci]
+		if !c.alive {
+			s.lose(agg, round, c, false)
+			continue
+		}
+		f := Frame{Type: MsgRoundStart, Client: c.id, Round: uint32(round), Payload: payload}
+		if err := c.send(f, s.cfg.WriteTimeout); err != nil {
+			s.lose(agg, round, c, true)
+			continue
+		}
+		s.DownBytes += int64(frameHeaderLen + len(payload))
+		s.DownPayloadBytes += int64(len(payload))
+		sent[pos] = true
+	}
+	return sent
 }
 
 // runSync is the synchronous round loop: every round waits for all
 // selected uploads (or the straggler deadline) before aggregating.
 //
-// With a streaming aggregator (algo.StreamingAggregator — every
-// aggregator this repo ships) each upload folds the moment its frame is
-// read: the receive loop calls Collect in arrival order and releases
-// the frame immediately, so round memory is the aggregator's staging
-// bound, not one held frame per selected client. The fold itself is
-// order-independent (the cursor/staging machinery replays arrivals in
-// selection order), and journal events are still emitted from the
-// sequential pass below in selection order — the journal bytes are
-// identical to the buffered path's.
+// Each upload folds the moment its frame is read: the receive loop calls
+// Collect in arrival order and releases the frame immediately, so round
+// memory is the aggregator's staging bound, not one held frame per
+// selected client. The fold itself is order-independent (the
+// cursor/staging machinery replays arrivals in selection order), and
+// journal events are emitted from the sequential pass below in selection
+// order.
 func (s *Server) runSync(agg Aggregator) error {
 	tel := s.cfg.Tel
 	rng := newRng(s.cfg.Seed)
-	streamAgg, _ := agg.(algo.StreamingAggregator)
 	// Per-position outcome of a round, for journal emission in selection
 	// order after the concurrent collect.
 	const (
@@ -370,51 +599,11 @@ func (s *Server) runSync(agg Aggregator) error {
 		outcomeUpload                  // contribution aggregated
 	)
 	for round := 0; round < s.cfg.Rounds; round++ {
-		payload := agg.Broadcast(round)
-		selected := samplePerm(rng, len(s.clients), s.cfg.PerRound)
-		if streamAgg != nil {
-			ids := make([]uint32, len(selected))
-			for i, ci := range selected {
-				ids[i] = s.clients[ci].id
-			}
-			streamAgg.BeginRound(round, ids)
-		}
-		tel.Emit(telemetry.RoundStart(round, len(selected), int64(len(payload))))
+		payload, selected := s.openRound(agg, rng, round)
 		roundStart := time.Now()
-		// Broadcast to the sampled clients that are still alive.
-		awaiting := make([]bool, len(selected))
-		outcomes := make([]uint8, len(selected))
-		for pos, ci := range selected {
-			c := s.clients[ci]
-			if !c.alive {
-				c.drops++
-				s.drops.Inc()
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
-				continue
-			}
-			if s.cfg.WriteTimeout > 0 {
-				c.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			}
-			f := Frame{Type: MsgRoundStart, Client: c.id, Round: uint32(round), Payload: payload}
-			if err := WriteFrame(c.conn, f); err != nil {
-				c.errs++
-				c.drops++
-				s.errs.Inc()
-				s.drops.Inc()
-				c.markDead()
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
-				continue
-			}
-			s.DownBytes += int64(frameHeaderLen + len(payload))
-			s.DownPayloadBytes += int64(len(payload))
-			awaiting[pos] = true
-		}
-		// Collect uploads concurrently, aggregate sequentially in
-		// selection order for determinism.
+		awaiting := s.broadcast(agg, round, selected, payload)
+		// Collect uploads concurrently; the aggregator restores selection
+		// order.
 		type result struct {
 			idx   int
 			frame Frame
@@ -436,7 +625,7 @@ func (s *Server) runSync(agg Aggregator) error {
 				results <- result{idx: pos, frame: f, err: err}
 			}(pos, c)
 		}
-		frames := make([]*Frame, len(selected))
+		outcomes := make([]uint8, len(selected))
 		recvNS := make([]int64, len(selected))
 		upLens := make([]int64, len(selected))
 		for ; inflight > 0; inflight-- {
@@ -445,43 +634,24 @@ func (s *Server) runSync(agg Aggregator) error {
 			switch {
 			case r.err != nil:
 				var ne net.Error
-				if errors.As(r.err, &ne) && ne.Timeout() {
+				straggler := errors.As(r.err, &ne) && ne.Timeout()
+				if straggler {
 					outcomes[r.idx] = outcomeStraggler
-				} else {
-					c.errs++ // real I/O failure, not just a straggler
-					s.errs.Inc()
 				}
-				c.drops++
-				s.drops.Inc()
 				c.markDead()
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
+				s.lose(agg, round, c, !straggler) // a timeout alone is a drop, not an error
 			case r.frame.Type != MsgUpdate || int(r.frame.Round) != round:
-				c.errs++
-				c.drops++
-				s.errs.Inc()
-				s.drops.Inc()
 				c.markDead()
 				r.frame.Release()
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
+				s.lose(agg, round, c, true)
 			default:
 				recvNS[r.idx] = time.Since(roundStart).Nanoseconds()
 				upLens[r.idx] = int64(len(r.frame.Payload))
 				outcomes[r.idx] = outcomeUpload
-				if streamAgg != nil {
-					// Fold on arrival: the payload is decoded into the
-					// aggregator's own pooled buffers, so the frame
-					// recycles here instead of living until the
-					// sequential pass.
-					streamAgg.Collect(round, c.id, c.trainSize, r.frame.Payload)
-					r.frame.Release()
-				} else {
-					f := r.frame
-					frames[r.idx] = &f
-				}
+				// Fold on arrival: the aggregator reads the payload where
+				// it is or copies what it parks, so the frame recycles here.
+				agg.Collect(round, c.id, c.trainSize, r.frame.Payload)
+				r.frame.Release()
 			}
 		}
 		collected := 0
@@ -493,10 +663,6 @@ func (s *Server) runSync(agg Aggregator) error {
 				s.UpBytes += int64(frameHeaderLen) + upLens[pos]
 				s.UpPayloadBytes += upLens[pos]
 				tel.Emit(telemetry.ClientUpload(round, int(c.id), upLens[pos], recvNS[pos]))
-				if streamAgg == nil {
-					agg.Collect(round, c.id, c.trainSize, frames[pos].Payload)
-					frames[pos].Release()
-				}
 				collected++
 			case outcomeStraggler:
 				tel.Emit(telemetry.Straggler(round, int(c.id)))
@@ -504,44 +670,9 @@ func (s *Server) runSync(agg Aggregator) error {
 				tel.Emit(telemetry.Drop(round, int(c.id)))
 			}
 		}
-		t0 := time.Now()
-		agg.FinishRound(round)
-		tel.Emit(telemetry.Aggregate(round, collected, time.Since(t0).Nanoseconds()))
-		tel.Emit(telemetry.RoundEnd(round, s.UpPayloadBytes, s.DownPayloadBytes))
-
-		anyAlive := false
-		for _, c := range s.clients {
-			if c.alive {
-				anyAlive = true
-				break
-			}
+		if err := closeRound(agg, tel, round, collected, s.UpPayloadBytes, s.DownPayloadBytes, s.links); err != nil {
+			return err
 		}
-		if !anyAlive {
-			return fmt.Errorf("flnet: all %d clients dead after round %d", len(s.clients), round)
-		}
-	}
-	return nil
-}
-
-// sendFinal broadcasts the aggregator's final model to every surviving
-// client.
-func (s *Server) sendFinal(agg Aggregator) error {
-	final := agg.Final()
-	for _, c := range s.clients {
-		if !c.alive {
-			continue
-		}
-		if s.cfg.WriteTimeout > 0 {
-			c.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		f := Frame{Type: MsgDone, Client: c.id, Payload: final}
-		if err := WriteFrame(c.conn, f); err != nil {
-			c.errs++
-			c.markDead()
-			continue
-		}
-		s.DownBytes += int64(frameHeaderLen + len(final))
-		s.DownPayloadBytes += int64(len(final))
 	}
 	return nil
 }

@@ -44,19 +44,11 @@ type treeClient struct {
 	shard     int
 }
 
-// edgeConn is the root's view of one registered edge aggregator.
+// edgeConn is the root's view of one registered edge aggregator; the
+// link's id is the shard ID.
 type edgeConn struct {
-	shard   int
-	conn    net.Conn
+	link
 	clients []treeClient
-	alive   bool
-}
-
-func (e *edgeConn) markDead() {
-	if e.alive {
-		e.alive = false
-		e.conn.Close()
-	}
 }
 
 // TreeServerConfig configures the root of a two-level aggregation tree.
@@ -78,7 +70,8 @@ type TreeServerConfig struct {
 	HelloTimeout time.Duration
 	// StragglerTimeout bounds the wait for an edge's pooled shard
 	// payload; an edge that misses it is marked dead and its whole
-	// shard's contribution dropped for the round (shard_drop). Zero
+	// shard's contribution dropped for the round (shard_drop). It also
+	// bounds the drain that ends the federation (see shutdown). Zero
 	// waits forever.
 	StragglerTimeout time.Duration
 	// WriteTimeout bounds each broadcast write to an edge.
@@ -94,6 +87,7 @@ type TreeServer struct {
 	ln  net.Listener
 
 	edges   []*edgeConn
+	links   []*link      // edges[i]'s link, index for index
 	clients []treeClient // global client order: ascending ID, contiguous per shard
 	meter   comm.Meter
 
@@ -171,7 +165,7 @@ func (s *TreeServer) acceptEdges() error {
 			f.Release()
 			return fmt.Errorf("flnet: edge hello for shard %d: %d clients but %d payload bytes", shard, k, len(f.Payload))
 		}
-		e := &edgeConn{shard: shard, conn: conn, alive: true}
+		e := &edgeConn{link: link{id: uint32(shard), conn: conn, alive: true}}
 		for i := 0; i < k; i++ {
 			off := 4 + 8*i
 			e.clients = append(e.clients, treeClient{
@@ -188,6 +182,7 @@ func (s *TreeServer) acceptEdges() error {
 	s.clients = s.clients[:0]
 	for _, e := range s.edges {
 		s.clients = append(s.clients, e.clients...)
+		s.links = append(s.links, &e.link)
 	}
 	if len(s.clients) != s.cfg.Clients {
 		return fmt.Errorf("flnet: edges registered %d clients, want %d", len(s.clients), s.cfg.Clients)
@@ -227,20 +222,11 @@ func (s *TreeServer) Run(agg Aggregator) error {
 	}()
 	tel := s.cfg.Tel
 	algo.Wire(tel, agg)
-	streamAgg, _ := agg.(algo.StreamingAggregator)
 	rng := newRng(s.cfg.Seed)
 	selBuf := make([]byte, 0, 4*s.cfg.PerRound)
 	for round := 0; round < s.cfg.Rounds; round++ {
-		payload := agg.Broadcast(round)
-		selected := samplePerm(rng, len(s.clients), s.cfg.PerRound)
-		if streamAgg != nil {
-			ids := make([]uint32, len(selected))
-			for i, ci := range selected {
-				ids[i] = s.clients[ci].id
-			}
-			streamAgg.BeginRound(round, ids)
-		}
-		tel.Emit(telemetry.RoundStart(round, len(selected), int64(len(payload))))
+		payload, selected := openRound(agg, tel, rng, round, len(s.clients), s.cfg.PerRound,
+			func(i int) uint32 { return s.clients[i].id })
 		roundStart := time.Now()
 
 		// Fan the broadcast out: one pooled round-start per live edge,
@@ -267,13 +253,9 @@ func (s *TreeServer) Run(agg Aggregator) error {
 				selBuf = append(selBuf, idb[:]...)
 			}
 			joined := comm.JoinPayloads(selBuf, payload)
-			if s.cfg.WriteTimeout > 0 {
-				e.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			}
 			f := Frame{Type: MsgRoundStart, Client: uint32(sh), Round: uint32(round), Payload: joined}
-			if err := WriteFrame(e.conn, f); err != nil {
+			if err := e.send(f, s.cfg.WriteTimeout); err != nil {
 				s.errs.Inc()
-				e.markDead()
 				continue
 			}
 			s.meter.AddRelayDown(len(payload))
@@ -287,8 +269,8 @@ func (s *TreeServer) Run(agg Aggregator) error {
 		// only for shards that arrive ahead of the cursor instead of one
 		// per shard per round. Cursor order IS shard-ID order, so journal
 		// events and the fold sequence are byte-identical to the buffered
-		// pass, and with a streaming aggregator the per-entry folds land
-		// in ascending client order — zero staging.
+		// pass, and the per-entry folds land in ascending client order —
+		// zero staging.
 		type result struct {
 			shard int
 			frame Frame
@@ -328,10 +310,8 @@ func (s *TreeServer) Run(agg Aggregator) error {
 				// The whole shard vanished: one shard_drop event carrying
 				// the count, attributed per shard in the registry — the
 				// root degrades instead of stalling.
-				if streamAgg != nil {
-					for p := lo; p < hi; p++ {
-						streamAgg.MarkAbsent(round, s.clients[selected[p]].id)
-					}
+				for p := lo; p < hi; p++ {
+					agg.MarkAbsent(round, s.clients[selected[p]].id)
 				}
 				tel.Emit(telemetry.ShardDrop(round, sh, n))
 				s.drops.Add(int64(n))
@@ -359,9 +339,7 @@ func (s *TreeServer) Run(agg Aggregator) error {
 					ei++
 					continue
 				}
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
+				agg.MarkAbsent(round, c.id)
 				tel.Emit(telemetry.Drop(round, int(c.id)))
 				s.drops.Inc()
 				s.shardDrops[sh].Inc()
@@ -406,39 +384,20 @@ func (s *TreeServer) Run(agg Aggregator) error {
 			resolved[r.shard] = true
 			processUpTo()
 		}
-		t0 := time.Now()
-		agg.FinishRound(round)
-		tel.Emit(telemetry.Aggregate(round, collected, time.Since(t0).Nanoseconds()))
-		tel.Emit(telemetry.RoundEnd(round, s.meter.Up(), s.meter.Down()))
-
-		anyAlive := false
-		for _, e := range s.edges {
-			if e.alive {
-				anyAlive = true
-				break
-			}
-		}
-		if !anyAlive {
-			return fmt.Errorf("flnet: all %d edges dead after round %d", len(s.edges), round)
+		if err := closeRound(agg, tel, round, collected, s.meter.Up(), s.meter.Down(), s.links); err != nil {
+			return err
 		}
 	}
 
 	final := agg.Final()
-	for _, e := range s.edges {
-		if !e.alive {
-			continue
-		}
-		if s.cfg.WriteTimeout > 0 {
-			e.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		if err := WriteFrame(e.conn, Frame{Type: MsgDone, Client: uint32(e.shard), Payload: final}); err != nil {
+	shutdown(s.links, nil, final, s.cfg.WriteTimeout, s.cfg.StragglerTimeout, func(i int, err error) {
+		if err != nil {
 			s.errs.Inc()
-			e.markDead()
-			continue
+			return
 		}
 		s.meter.AddRelayDown(len(final))
-		s.meter.AddDown(len(e.clients) * len(final))
-	}
+		s.meter.AddDown(len(s.edges[i].clients) * len(final))
+	}, nil)
 	return nil
 }
 
@@ -467,7 +426,8 @@ type EdgeConfig struct {
 	Churn netsim.Churn
 	// StragglerTimeout bounds the wait for one client's upload; a
 	// straggler is omitted from the pooled shard payload (the root
-	// records the drop). Zero waits forever.
+	// records the drop). It also bounds the drain that follows the final
+	// model (see shutdown). Zero waits forever.
 	StragglerTimeout time.Duration
 	// WriteTimeout bounds each broadcast write to a client.
 	WriteTimeout time.Duration
@@ -526,10 +486,8 @@ func (e *Edge) Run() error {
 		}
 		conn.SetReadDeadline(time.Time{})
 		e.clients = append(e.clients, &clientConn{
-			id:        f.Client,
+			link:      link{id: f.Client, conn: conn, alive: true},
 			trainSize: int(binary.LittleEndian.Uint32(f.Payload)),
-			conn:      conn,
-			alive:     true,
 		})
 		f.Release()
 	}
@@ -592,14 +550,10 @@ func (e *Edge) Run() error {
 					targets = append(targets, nil)
 					continue
 				}
-				if e.cfg.WriteTimeout > 0 {
-					c.conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-				}
-				if err := WriteFrame(c.conn, Frame{Type: MsgRoundStart, Client: id, Round: round, Payload: bcast}); err != nil {
+				if err := c.send(Frame{Type: MsgRoundStart, Client: id, Round: round, Payload: bcast}, e.cfg.WriteTimeout); err != nil {
 					c.errs++
 					c.drops++
 					e.Drops++
-					c.markDead()
 					targets = append(targets, nil)
 					continue
 				}
@@ -663,18 +617,11 @@ func (e *Edge) Run() error {
 				return fmt.Errorf("flnet: edge %d shard update: %w", e.cfg.Shard, err)
 			}
 		case MsgDone:
-			for _, c := range e.clients {
-				if !c.alive {
-					continue
+			shutdown(clientLinks(e.clients), nil, rf.Payload, e.cfg.WriteTimeout, e.cfg.StragglerTimeout, func(i int, err error) {
+				if err != nil {
+					e.clients[i].errs++
 				}
-				if e.cfg.WriteTimeout > 0 {
-					c.conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-				}
-				if err := WriteFrame(c.conn, Frame{Type: MsgDone, Client: c.id, Round: rf.Round, Payload: rf.Payload}); err != nil {
-					c.errs++
-					c.markDead()
-				}
-			}
+			}, nil)
 			rf.Release()
 			return nil
 		default:

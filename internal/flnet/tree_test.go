@@ -99,7 +99,7 @@ func startTree(t *testing.T, spec models.Spec, cd []fl.ClientData, cfg algo.Conf
 }
 
 // TestTreeCrossTransportEquivalence: a seeded sharded federation run
-// in-process (fl.ShardedSim) and over a loopback TCP tree (TreeServer +
+// in-process (a sharded fl.Sim) and over a loopback TCP tree (TreeServer +
 // Edges) must produce bitwise-identical global models, identical
 // client-facing and relay byte counts, and byte-identical zero-time
 // journals — the tree transport adds pooling, not semantics.
@@ -126,7 +126,8 @@ func TestTreeCrossTransportEquivalence(t *testing.T) {
 	for i, c := range env.Clients {
 		trainers[i] = algo.NewFedAvgTrainer(c, cfg)
 	}
-	sim := fl.NewShardedSim(env, algo.NewFedAvgAggregator(env.Global, cfg), trainers, shards)
+	env.Topo = fl.Topology{Shards: shards}
+	sim := fl.NewSim(env, algo.NewFedAvgAggregator(env.Global, cfg), trainers)
 	all := make([]int, clients)
 	for i := range all {
 		all[i] = i
@@ -356,10 +357,123 @@ func TestAsyncQuorumRounds(t *testing.T) {
 	}
 }
 
+// gatedTrainer wraps a trainer for the shutdown test: its update waits
+// for gate (when set); Finish records the final model the server sent
+// and closes finished (when set).
+type gatedTrainer struct {
+	Trainer
+	gate     <-chan struct{}
+	finished chan<- struct{}
+	final    []byte
+}
+
+func (g *gatedTrainer) LocalUpdate(round int, payload []byte) []byte {
+	if g.gate != nil {
+		<-g.gate
+	}
+	return g.Trainer.LocalUpdate(round, payload)
+}
+
+func (g *gatedTrainer) Finish(payload []byte) {
+	g.final = append([]byte(nil), payload...)
+	g.Trainer.Finish(payload)
+	if g.finished != nil {
+		close(g.finished)
+	}
+}
+
+// TestShutdownDrainsLastRoundStraggler puts the straggler in the LAST
+// round on purpose: quorum 2 of 3 over a single round (so nothing of an
+// earlier round can still be in flight), and client 2 does not start
+// its update until client 0 has been handed the final model — its
+// upload provably arrives after the federation's last FinishRound.
+// The shutdown step must absorb it: the server reads and discards the
+// upload (counted, journaled as a drop) instead of closing the
+// connection under it, the straggler still receives MsgDone and the
+// final model, and every party returns nil.
+func TestShutdownDrainsLastRoundStraggler(t *testing.T) {
+	const (
+		clients = 3
+		rounds  = 1
+		seed    = 91
+	)
+	spec, cd, cfg := treeFixture(t, clients, seed)
+	var journal bytes.Buffer
+	tel := telemetry.New(&journal)
+	tel.Journal.SetZeroTime(true)
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", Clients: clients, Rounds: rounds, Seed: seed,
+		Quorum: 2, StragglerTimeout: 30 * time.Second, Tel: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := models.Build(spec, seed)
+	globalInit := global.State(models.ScopeAll)
+	agg := algo.NewFedAvgAggregator(global, cfg)
+	serverErr := make(chan error, 1)
+	go func() { serverErr <- srv.Run(agg) }()
+
+	federationOver := make(chan struct{})
+	trainers := make([]*gatedTrainer, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		m := models.Build(spec, seed+int64(1000+i))
+		m.SetState(models.ScopeAll, globalInit)
+		tr := &gatedTrainer{Trainer: algo.NewFedAvgTrainer(&algo.Client{ID: i, Train: cd[i].Train, Val: cd[i].Val, Model: m}, cfg)}
+		switch i {
+		case 0:
+			tr.finished = federationOver
+		case 2:
+			tr.gate = federationOver
+		}
+		trainers[i] = tr
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = RunClient(srv.Addr(), uint32(i), cd[i].Train.Len(), tr)
+		}(i)
+	}
+	wg.Wait()
+	if err := <-serverErr; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("client %d: %v", i, err)
+		}
+	}
+	if !bytes.Equal(trainers[2].final, agg.Final()) {
+		t.Fatal("the straggler's Finish did not see the final model")
+	}
+	if got := srv.PostFinalUploads(); got != 1 {
+		t.Fatalf("post-final uploads = %d, want 1", got)
+	}
+	if err := tel.Journal.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.Reg.Snapshot().Counters["flnet.post_final_uploads"]; got != 1 {
+		t.Fatalf("registry sees %d post-final uploads, want 1", got)
+	}
+	// The journal's last line is the post-final upload, as a drop of the
+	// round it was computed for.
+	lines := bytes.Split(bytes.TrimSpace(journal.Bytes()), []byte("\n"))
+	last := lines[len(lines)-1]
+	if !bytes.Contains(last, []byte(`"ev":"drop"`)) || !bytes.Contains(last, []byte(`"client":2`)) {
+		t.Fatalf("journal does not end with client 2's post-final drop:\n%s", journal.Bytes())
+	}
+	for _, st := range srv.ClientStats() {
+		if !st.Alive || st.Errors != 0 {
+			t.Fatalf("client %d ended alive=%v errors=%d; a post-final upload is not a failure", st.ID, st.Alive, st.Errors)
+		}
+	}
+}
+
 // TestTreeSSFLShardedEquivalence: the SSFL protocol — mask agreement,
 // one index-bearing sparse round, then values-only rounds — must be
-// transport-invariant on the sharded tree too: in-process
-// fl.ShardedSim and TreeServer+Edges produce bitwise-identical global
+// transport-invariant on the sharded tree too: the in-process
+// sharded fl.Sim and TreeServer+Edges produce bitwise-identical global
 // models and byte-identical zero-time journals, including the
 // mask_agreement event at the same position.
 func TestTreeSSFLShardedEquivalence(t *testing.T) {
@@ -392,7 +506,8 @@ func TestTreeSSFLShardedEquivalence(t *testing.T) {
 	for i, c := range env.Clients {
 		trainers[i] = algo.NewSSFLTrainer(c, algo.SSFLOptions{}, cfg)
 	}
-	sim := fl.NewShardedSim(env, algo.NewSSFLAggregator(env.Global, algo.SSFLOptions{}, cfg), trainers, shards)
+	env.Topo = fl.Topology{Shards: shards}
+	sim := fl.NewSim(env, algo.NewSSFLAggregator(env.Global, algo.SSFLOptions{}, cfg), trainers)
 	all := make([]int, clients)
 	for i := range all {
 		all[i] = i

@@ -104,7 +104,7 @@ func NewAggregator(global *models.SplitModel, opts Options, cfg algo.Config) *Ag
 		a.acc[k] = make([]float64, a.stateLen)
 		a.wsum[k] = make([]float64, a.stateLen)
 	}
-	a.Init(a.fold, func(u heteroUpload) { comm.PutF32(u.vals) })
+	a.Init(a.foldRun, func(u heteroUpload) { comm.PutF32(u.vals) }, nil)
 	return a
 }
 
@@ -208,6 +208,14 @@ func (a *Aggregator) decodeUpload(client uint32, trainSize int, payload []byte) 
 	return u, true
 }
 
+// foldRun merges a run of uploads, one at a time, into their clusters'
+// accumulators.
+func (a *Aggregator) foldRun(run []heteroUpload) {
+	for _, u := range run {
+		a.fold(u)
+	}
+}
+
 // fold merges one upload into its cluster's accumulators and feeds the
 // assigner's signature sketch. Folds run only on the collect goroutine
 // in canonical order; per index the accumulation chain is fixed, so the
@@ -237,7 +245,7 @@ func (a *Aggregator) Collect(round int, client uint32, trainSize int, payload []
 	}
 }
 
-// CollectLate implements algo.StreamingAggregator: a carried-over
+// CollectLate implements algo.Aggregator: a carried-over
 // straggler upload folds at its delivery position, outside the cursor.
 func (a *Aggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
 	defer a.RoundSpan(round, "agg.collect").End()

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"spatl/internal/algo"
 	"spatl/internal/comm"
 	"spatl/internal/data"
 	"spatl/internal/fl"
@@ -31,6 +32,14 @@ func testEnv(t testing.TB, arch string, width float64, numClients int, seed int6
 		cd = append(cd, fl.ClientData{Train: tr, Val: va})
 	}
 	return fl.NewEnv(spec, cfg, cd)
+}
+
+// newFL is the hetero federation as every algorithm runs in-process: an
+// fl.Federation over the aggregator/trainer pair.
+func newFL(opts Options) *fl.Federation {
+	return fl.NewAlgorithm("hetero",
+		func(g *models.SplitModel, cfg algo.Config) *Aggregator { return NewAggregator(g, opts, cfg) },
+		func(c *fl.Client, cfg algo.Config) *Trainer { return NewTrainer(c, opts, cfg) })
 }
 
 // runRounds drives an algorithm for the given number of rounds with
@@ -121,9 +130,9 @@ func TestDegenerateEquivalenceFedAvg(t *testing.T) {
 		runRounds(env, alg, rounds)
 		return env.Global.State(models.ScopeAll)
 	}
-	ref := run(&fl.FedAvg{}, 2)
+	ref := run(fl.NewAlgorithm("fedavg", algo.NewFedAvgAggregator, algo.NewFedAvgTrainer), 2)
 	for _, procs := range []int{1, 2, 4} {
-		got := run(&FL{Opts: Options{Clusters: 1, Widths: []float64{1}}}, procs)
+		got := run(newFL(Options{Clusters: 1, Widths: []float64{1}}), procs)
 		if !bytes.Equal(f32Bytes(got), f32Bytes(ref)) {
 			t.Fatalf("degenerate hetero differs from FedAvg at GOMAXPROCS=%d", procs)
 		}
@@ -139,13 +148,14 @@ func TestHeteroDeterministicAcrossProcs(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
 		env := testEnv(t, "resnet20", 0.25, clients, seed)
-		alg := &FL{Opts: opts}
+		alg := newFL(opts)
 		runRounds(env, alg, rounds)
+		agg := alg.Aggregator().(*Aggregator)
 		var state []float32
 		for k := 0; k < opts.Clusters; k++ {
-			state = append(state, alg.Aggregator().Model(k)...)
+			state = append(state, agg.Model(k)...)
 		}
-		return state, append([]uint8(nil), alg.Aggregator().Assignments()...)
+		return state, append([]uint8(nil), agg.Assignments()...)
 	}
 	s1, a1 := run(1)
 	for _, procs := range []int{2, 4} {

@@ -14,21 +14,18 @@ import (
 	"spatl/internal/rl"
 )
 
-// Entry describes one registered federation algorithm: the simulation
-// adapter for in-process transports, the transport-free aggregator /
-// trainer cores for TCP nodes, and the hyperparameter merge. All three
-// consume the same Params, so every front end (spatl-bench cells,
-// experiment drivers, spatl-node flags) configures identical knobs —
-// the registry is the single construction path the ISSUE's satellite
-// asks for.
+// Entry describes one registered federation algorithm: the
+// transport-free aggregator / trainer cores and the hyperparameter
+// merge. Every front end (spatl-bench cells, experiment drivers,
+// spatl-node flags) builds an algorithm from the same entry with the
+// same Params — in-process as an fl.Federation over the pair
+// (NewAlgorithm), over TCP as the pair itself.
 type Entry struct {
 	Name    string
 	Summary string
 
-	// New builds the in-process simulation algorithm.
-	New func(p Params) fl.Algorithm
-	// NewAggregator / NewTrainer build the wire-level cores
-	// (flnet.Aggregator / flnet.Trainer are aliases of these types).
+	// NewAggregator / NewTrainer build the cores (flnet.Aggregator /
+	// flnet.Trainer are aliases of these types).
 	NewAggregator func(global *models.SplitModel, p Params, cfg algo.Config) algo.Aggregator
 	NewTrainer    func(c *algo.Client, p Params, cfg algo.Config) algo.Trainer
 	// Tune merges the per-algorithm hyperparameter overrides into the
@@ -93,8 +90,8 @@ var (
 
 // Register adds (or replaces) an algorithm entry.
 func Register(e Entry) {
-	if e.Name == "" || e.New == nil {
-		panic("scenario: Register needs Name and New")
+	if e.Name == "" || e.NewAggregator == nil || e.NewTrainer == nil {
+		panic("scenario: Register needs Name, NewAggregator and NewTrainer")
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
@@ -125,13 +122,16 @@ func AlgoNames() []string {
 }
 
 // NewAlgorithm instantiates a registered algorithm for the in-process
-// transports.
-func NewAlgorithm(name string, p Params) (fl.Algorithm, error) {
+// transport: the entry's pair of cores as an fl.Federation.
+func NewAlgorithm(name string, p Params) (*fl.Federation, error) {
 	e, err := Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return e.New(p.withDefaults()), nil
+	p = p.withDefaults()
+	return fl.NewAlgorithm(name,
+		func(g *models.SplitModel, cfg algo.Config) algo.Aggregator { return e.NewAggregator(g, p, cfg) },
+		func(c *fl.Client, cfg algo.Config) algo.Trainer { return e.NewTrainer(c, p, cfg) }), nil
 }
 
 // algoConfig projects the spec onto the transport-free training config
@@ -158,7 +158,6 @@ func init() {
 	Register(Entry{
 		Name:    "fedavg",
 		Summary: "weighted model averaging (McMahan et al.)",
-		New:     func(p Params) fl.Algorithm { return &fl.FedAvg{} },
 		NewAggregator: func(g *models.SplitModel, p Params, cfg algo.Config) algo.Aggregator {
 			return algo.NewFedAvgAggregator(g, cfg)
 		},
@@ -170,7 +169,6 @@ func init() {
 	Register(Entry{
 		Name:    "fedprox",
 		Summary: "FedAvg + proximal term restraining client drift (Li et al.)",
-		New:     func(p Params) fl.Algorithm { return &fl.FedProx{} },
 		NewAggregator: func(g *models.SplitModel, p Params, cfg algo.Config) algo.Aggregator {
 			return algo.NewFedAvgAggregator(g, cfg) // proximal term is client-side
 		},
@@ -187,7 +185,6 @@ func init() {
 	Register(Entry{
 		Name:    "scaffold",
 		Summary: "control-variate drift correction, 2x uplink (Karimireddy et al.)",
-		New:     func(p Params) fl.Algorithm { return &fl.SCAFFOLD{} },
 		NewAggregator: func(g *models.SplitModel, p Params, cfg algo.Config) algo.Aggregator {
 			return algo.NewSCAFFOLDAggregator(g, cfg)
 		},
@@ -199,7 +196,6 @@ func init() {
 	Register(Entry{
 		Name:    "fednova",
 		Summary: "normalized averaging over heterogeneous local work (Wang et al.)",
-		New:     func(p Params) fl.Algorithm { return &fl.FedNova{} },
 		NewAggregator: func(g *models.SplitModel, p Params, cfg algo.Config) algo.Aggregator {
 			return algo.NewFedNovaAggregator(g, cfg)
 		},
@@ -211,16 +207,6 @@ func init() {
 	Register(Entry{
 		Name:    "spatl",
 		Summary: "salient parameter aggregation + transfer learning (the paper)",
-		New: func(p Params) fl.Algorithm {
-			o := spatlOptions(p)
-			return core.New(core.Options{
-				FLOPsBudget:      o.FLOPsBudget,
-				AgentCfg:         o.AgentCfg,
-				Pretrained:       o.Pretrained,
-				FineTuneRounds:   o.FineTuneRounds,
-				FineTuneEpisodes: o.FineTuneEpisodes,
-			})
-		},
 		NewAggregator: func(g *models.SplitModel, p Params, cfg algo.Config) algo.Aggregator {
 			return algo.NewSPATLAggregator(g, spatlOptions(p), cfg)
 		},
@@ -232,7 +218,6 @@ func init() {
 	Register(Entry{
 		Name:    "hetero",
 		Summary: "clustered aggregation over width-heterogeneous clients",
-		New:     func(p Params) fl.Algorithm { return &hetero.FL{Opts: heteroOptions(p)} },
 		NewAggregator: func(g *models.SplitModel, p Params, cfg algo.Config) algo.Aggregator {
 			return hetero.NewAggregator(g, heteroOptions(p), cfg)
 		},
@@ -244,7 +229,6 @@ func init() {
 	Register(Entry{
 		Name:    "ssfl",
 		Summary: "sparse-native mask-static training, values-only frames",
-		New:     func(p Params) fl.Algorithm { return &fl.SSFL{Opts: ssflOptions(p)} },
 		NewAggregator: func(g *models.SplitModel, p Params, cfg algo.Config) algo.Aggregator {
 			return algo.NewSSFLAggregator(g, ssflOptions(p), cfg)
 		},
@@ -253,6 +237,16 @@ func init() {
 		},
 		Tune: tuneLR,
 	})
+}
+
+// withPretrainedAgent resolves a SPATL cell's request for a pre-trained
+// selection agent (Params.PretrainRounds) into the agent's weights; no
+// other registered algorithm has an agent to pre-train.
+func (s Spec) withPretrainedAgent() Spec {
+	if s.Algo == "spatl" && s.Params.Pretrained == nil {
+		s.Params.Pretrained = PretrainAgentBlob(s)
+	}
+	return s
 }
 
 // pretrainCache memoizes pre-trained SPATL selection agents so a matrix

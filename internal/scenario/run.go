@@ -11,8 +11,6 @@ import (
 
 	"spatl/internal/fl"
 	"spatl/internal/flnet"
-	"spatl/internal/hetero"
-	"spatl/internal/models"
 	"spatl/internal/telemetry"
 )
 
@@ -59,9 +57,7 @@ func RunCell(spec Spec, w io.Writer) error {
 	tel.Journal.SetZeroTime(true)
 	defer tel.Journal.Flush()
 	spec.Params.Seed = spec.Seed
-	if spec.Algo == "spatl" && spec.Params.Pretrained == nil {
-		spec.Params.Pretrained = PretrainAgentBlob(spec)
-	}
+	spec = spec.withPretrainedAgent()
 	if spec.Transport.Kind == TransportTCP {
 		if err := runCellTCP(spec, tel); err != nil {
 			return err
@@ -136,21 +132,11 @@ func runCellTCP(spec Spec, tel *telemetry.Set) error {
 	}
 	// Final accuracy, measured exactly as the in-process runner does:
 	// the aggregator mutated env.Global in place, so the global model is
-	// the post-final-aggregate state. SPATL and SSFL share only the
-	// encoder — compose it with each client's private predictor; a
-	// hetero client deploys its cluster's model, not a single global one.
+	// the post-final-aggregate state, and each client evaluates what the
+	// aggregator says it deploys.
 	var sum float64
 	for _, c := range env.Clients {
-		m := env.Global
-		if spec.Algo == "spatl" || spec.Algo == "ssfl" {
-			c.Model.SetState(models.ScopeEncoder, env.Global.State(models.ScopeEncoder))
-			m = c.Model
-		}
-		if ha, ok := agg.(*hetero.Aggregator); ok {
-			ha.InstallClientModel(c.ID, c.Model)
-			m = c.Model
-		}
-		acc := fl.EvalAccuracy(m, c.Val, 64)
+		acc := fl.EvalAccuracy(fl.DeployedModel(agg, env.Global, c), c.Val, 64)
 		if math.IsNaN(acc) {
 			acc = 0
 		}

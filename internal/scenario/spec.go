@@ -52,9 +52,9 @@ const (
 
 // Transport kinds.
 const (
-	TransportSim     = "sim"     // in-process flat collection (fl.Sim)
-	TransportSharded = "sharded" // in-process collection tree (fl.ShardedSim)
-	TransportQuorum  = "quorum"  // in-process deterministic async quorum (fl.QuorumSim)
+	TransportSim     = "sim"     // in-process flat collection (fl.Sim, zero Topology)
+	TransportSharded = "sharded" // in-process collection tree (fl.Sim with Topology.Shards)
+	TransportQuorum  = "quorum"  // in-process deterministic async quorum (fl.Sim with Topology.OnTimeFrac)
 	TransportTCP     = "tcp"     // loopback TCP federation (flnet.Server)
 )
 
@@ -518,13 +518,13 @@ func (s Spec) flConfig() fl.Config {
 	return cfg
 }
 
-// topology maps the transport onto the in-process driver selection.
+// topology maps the transport onto the in-process round's shape.
 func (s Spec) topology() fl.Topology {
 	switch s.Transport.Kind {
 	case TransportSharded:
-		return fl.Topology{Kind: fl.TopoSharded, Shards: s.Transport.Shards}
+		return fl.Topology{Shards: s.Transport.Shards}
 	case TransportQuorum:
-		return fl.Topology{Kind: fl.TopoQuorum, OnTimeFrac: s.Transport.OnTimeFrac}
+		return fl.Topology{OnTimeFrac: s.Transport.OnTimeFrac}
 	default:
 		return fl.Topology{}
 	}

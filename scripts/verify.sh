@@ -51,6 +51,14 @@
 #                                at E2E_OUT (default a temp file).
 #                                One pair is a look, not a claim: a
 #                                perf claim needs ten alternating pairs
+#   ./scripts/verify.sh --flake  the flake hunt, instead of the single
+#                                tier-1 run: tier-1 with -count=1 ten
+#                                times at each of GOMAXPROCS 1, 2 and 4,
+#                                then -race over internal/flnet and
+#                                internal/fl (the transports, where the
+#                                goroutines are). Any red run is a
+#                                failure; the script prints which test
+#                                at which GOMAXPROCS
 #
 # Tier-1 must pass on every commit. A mode other than the default still
 # runs its own tier when tier-1 is red — an unrelated red test must not
@@ -80,6 +88,38 @@ mode="${1:-}"
 
 echo "== tier-1: build =="
 go build ./...
+
+if [[ "$mode" == "--flake" ]]; then
+    flake_red=()
+    log=$(mktemp)
+    trap 'rm -f "$log"' EXIT
+    # run <label> <command...>: a red run records each failed test (or
+    # package, when it died without naming one) under the label.
+    run() {
+        local label="$1"
+        shift
+        echo "== flake: $label =="
+        if ! "$@" >"$log" 2>&1; then
+            while read -r line; do
+                flake_red+=("$label: $line")
+            done < <(grep -E '^(--- FAIL|FAIL[[:space:]]|panic:)' "$log" | sort -u)
+        fi
+    }
+    for procs in 1 2 4; do
+        for i in $(seq 1 10); do
+            run "tier-1 run $i/10 at GOMAXPROCS=$procs" env GOMAXPROCS=$procs go test -count=1 ./...
+        done
+    done
+    run "race over the transports" go test -race -count=1 ./internal/flnet ./internal/fl
+    if (( ${#flake_red[@]} )); then
+        echo "verify: flake hunt RED:" >&2
+        printf '  %s\n' "${flake_red[@]}" >&2
+        exit 1
+    fi
+    echo "verify: OK (31 runs, none red)"
+    exit 0
+fi
+
 echo "== tier-1: tests =="
 tier1_log=$(mktemp)
 tier1_red=""
@@ -95,9 +135,8 @@ fi
 rm -f "$tier1_log"
 
 if [[ "$mode" == "--hot" ]]; then
-    # Every battery runs even when an earlier one fails (flnet's
-    # async-quorum tests flake, ROADMAP 1c); the failed ones are listed
-    # at the end.
+    # Every battery runs even when an earlier one fails; the failed
+    # ones are listed at the end.
     hot_red=()
     hot() {
         local name="$1"
