@@ -5,18 +5,21 @@
 // the identical Aggregator/Trainer cores the simulator (internal/fl)
 // drives in-process — so a federation produces bitwise-identical models
 // whichever transport carries it (see the cross-transport equivalence
-// test). flnet adds what a real network demands: framing, read/write
-// deadlines, and straggler tolerance — a round aggregates whatever
-// arrived before the timeout instead of aborting the federation.
+// test). flnet adds what a real network demands: framing, deadlines, and
+// straggler tolerance — a round aggregates whatever arrived before the
+// timeout instead of aborting the federation.
 //
 // The protocol is deliberately small: length-prefixed frames carrying a
 // message type, a round number, and an opaque payload whose encoding is
 // owned by the algorithm layer (dense or sparse comm payloads).
+//
+// Every server side — the flat Server, the TreeServer root, an Edge
+// towards its clients — runs on the one downstream engine of engine.go; a
+// synchronous and a buffered (quorum) round are two values of its gather.
 package flnet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -52,9 +55,16 @@ const (
 // maxFrame bounds a frame to guard against corrupt length prefixes.
 const maxFrame = 1 << 30
 
-// frameHeaderLen is the wire overhead per frame: uint32 length prefix
-// plus type, client and round fields.
-const frameHeaderLen = 4 + 1 + 4 + 4
+// helloLen is the payload of a client's MsgHello: its train size.
+const helloLen = 4
+
+// frameBodyMin is the length-prefixed part of an empty frame: type, client
+// and round fields. frameHeaderLen is the wire overhead per frame: that
+// plus the uint32 length prefix.
+const (
+	frameBodyMin   = 1 + 4 + 4
+	frameHeaderLen = 4 + frameBodyMin
+)
 
 // Frame is one protocol message.
 type Frame struct {
@@ -83,7 +93,7 @@ func (f *Frame) Release() {
 // rounds allocate nothing.
 func WriteFrame(w io.Writer, f Frame) error {
 	header := comm.GetBuf(frameHeaderLen)
-	binary.LittleEndian.PutUint32(header[0:4], uint32(1+4+4+len(f.Payload)))
+	binary.LittleEndian.PutUint32(header[0:4], uint32(frameBodyMin+len(f.Payload)))
 	header[4] = f.Type
 	binary.LittleEndian.PutUint32(header[5:9], f.Client)
 	binary.LittleEndian.PutUint32(header[9:13], f.Round)
@@ -102,14 +112,18 @@ func WriteFrame(w io.Writer, f Frame) error {
 
 // ReadFrame reads one frame from r into a pooled body buffer; call
 // Release on the returned frame once its payload is consumed.
-func ReadFrame(r io.Reader) (Frame, error) {
+func ReadFrame(r io.Reader) (Frame, error) { return readFrame(r, maxFrame) }
+
+// readFrame is ReadFrame with the caller's bound on the length prefix,
+// refused before any buffer is taken.
+func readFrame(r io.Reader, maxLen uint32) (Frame, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return Frame{}, err
 	}
 	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n < 9 || n > maxFrame {
-		return Frame{}, fmt.Errorf("flnet: implausible frame length %d", n)
+	if n < frameBodyMin || n > maxLen {
+		return Frame{}, fmt.Errorf("flnet: implausible frame length %d (at most %d here)", n, maxLen)
 	}
 	body := comm.GetBuf(int(n))
 	if _, err := io.ReadFull(r, body); err != nil {
@@ -120,7 +134,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		Type:    body[0],
 		Client:  binary.LittleEndian.Uint32(body[1:5]),
 		Round:   binary.LittleEndian.Uint32(body[5:9]),
-		Payload: body[9:],
+		Payload: body[frameBodyMin:],
 		body:    body,
 	}, nil
 }
@@ -196,7 +210,7 @@ type Server struct {
 	ln  net.Listener
 
 	clients []*clientConn
-	links   []*link // clients[i]'s link, index for index
+	down    *downstream // over clients' links, index for index
 
 	// Stats, populated by Run. UpBytes/DownBytes count full frames
 	// (headers included); the *PayloadBytes variants count algorithm
@@ -277,46 +291,6 @@ func (s *Server) ClientStats() []ClientStats {
 	return out
 }
 
-// link is one downstream connection of a server: a client of the flat
-// server or of an edge, an edge of the tree root.
-type link struct {
-	id    uint32 // client ID; shard ID for an edge
-	conn  net.Conn
-	alive bool
-}
-
-// markDead closes the connection and excludes the peer from future
-// traffic; its sampling slot stays occupied and counts drops.
-func (l *link) markDead() {
-	if l.alive {
-		l.alive = false
-		l.conn.Close()
-	}
-}
-
-// send writes one frame under the write deadline (zero waits forever). A
-// failed write kills the link.
-func (l *link) send(f Frame, timeout time.Duration) error {
-	if timeout > 0 {
-		l.conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	err := WriteFrame(l.conn, f)
-	if err != nil {
-		l.markDead()
-	}
-	return err
-}
-
-// allDead reports whether no link is left to federate with.
-func allDead(links []*link) bool {
-	for _, l := range links {
-		if l.alive {
-			return false
-		}
-	}
-	return true
-}
-
 // openRound is the head of every server's round: the aggregator's
 // broadcast, the round's sample of the n registered clients (id maps a
 // sampled index to its client ID), the selection announced to the
@@ -346,103 +320,36 @@ func closeRound(agg Aggregator, tel *telemetry.Set, round, collected int, up, do
 	return nil
 }
 
-// arrival is one frame (or the terminal read error) from a reader
-// goroutine; ci indexes the links the readers were started over.
-type arrival struct {
-	ci    int
-	frame Frame
-	err   error
-}
-
-// readers is a set of goroutines, one per link, each feeding every frame
-// it reads into ch until a read fails; the failure is the last thing it
-// sends. n counts the goroutines still running: whoever receives an
-// arrival with err set decrements it. Closing a link's connection is
-// what stops its reader; shutdown is what waits for all of them.
-type readers struct {
-	ch chan arrival
-	n  int
-}
-
-// startReaders starts a reader on every live link.
-func startReaders(links []*link) *readers {
-	// Capacity absorbs a burst of one pending upload plus the terminal
-	// error per link; a full channel simply backpressures that reader.
-	r := &readers{ch: make(chan arrival, 4*len(links)+8)}
-	for i, l := range links {
-		if !l.alive {
-			continue
-		}
-		r.n++
-		go func(i int, conn net.Conn) {
-			for {
-				f, err := ReadFrame(conn)
-				r.ch <- arrival{ci: i, frame: f, err: err}
-				if err != nil {
-					return
-				}
-			}
-		}(i, l.conn)
-	}
-	return r
-}
-
-// shutdown is the last step of the protocol, shared by every server:
-// send the final model to each live link as MsgDone (sent reports each
-// write's outcome), then drain — keep reading, and releasing, whatever a
-// straggler still uploads (postFinal sees each such frame) until every
-// peer has closed its end or drain elapses (zero waits). Only then may
-// the caller close the connections: closing with a straggler's upload
-// unread would reset the connection under it and destroy the MsgDone it
-// has not read yet. rd is the persistent readers an async server already
-// runs; nil starts one per live link for the drain. On return no reader
-// is running.
-func shutdown(links []*link, rd *readers, final []byte, writeTimeout, drain time.Duration,
-	sent func(i int, err error), postFinal func(a arrival)) {
-	for i, l := range links {
-		if l.alive {
-			sent(i, l.send(Frame{Type: MsgDone, Client: l.id, Payload: final}, writeTimeout))
-		}
-	}
-	if rd == nil {
-		rd = startReaders(links)
-	}
-	var deadline <-chan time.Time
-	if drain > 0 {
-		t := time.NewTimer(drain)
-		defer t.Stop()
-		deadline = t.C
-	}
-	for rd.n > 0 {
-		select {
-		case a := <-rd.ch:
-			if a.err != nil {
-				rd.n--
-				continue
-			}
-			if postFinal != nil {
-				postFinal(a)
-			}
-			a.frame.Release()
-		case <-deadline:
-			// Out of patience: closing the connections fails every
-			// pending read, which is how the remaining readers exit.
-			for _, l := range links {
-				if l.alive {
-					l.conn.Close()
-				}
-			}
-			deadline = nil
-		}
-	}
-}
-
 // clientConn is a server's (or an edge's) view of one registered client.
 type clientConn struct {
-	link
+	*link
 	trainSize int
 	drops     int
 	errs      int
+}
+
+// registerClients waits for n client registrations on ln and starts the
+// engine over them, ordered by client ID: connection order is not
+// reproducible, and aggregating in ID order is what makes the
+// floating-point reduction match the in-process simulator bitwise.
+func registerClients(ln net.Listener, n int, hello time.Duration, maxOwed int, straggler, write time.Duration) ([]*clientConn, *downstream, error) {
+	clients := make([]*clientConn, 0, n)
+	err := register(ln, n, MsgHello, helloLen, hello, func(l *link, payload []byte) error {
+		if len(payload) != helloLen {
+			return fmt.Errorf("%d payload bytes, want the %d of a train size", len(payload), helloLen)
+		}
+		clients = append(clients, &clientConn{link: l, trainSize: int(binary.LittleEndian.Uint32(payload))})
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	sort.Slice(clients, func(i, j int) bool { return clients[i].id < clients[j].id })
+	links := make([]*link, n)
+	for i, c := range clients {
+		links[i] = c.link
+	}
+	return clients, serve(links, MsgUpdate, maxOwed, straggler, write), nil
 }
 
 // Run accepts registrations, executes the round loop (synchronous, or
@@ -452,29 +359,21 @@ type clientConn struct {
 // client failures and stragglers are tolerated: their contributions are
 // dropped (see ClientStats) and each round aggregates whatever arrived.
 // Run errors only when every client is dead.
-func (s *Server) Run(agg Aggregator) error {
+func (s *Server) Run(agg Aggregator) (err error) {
 	defer s.ln.Close()
-	err := s.acceptClients()
+	// A link is delivered at most Rounds broadcasts, answered or not.
+	s.clients, s.down, err = registerClients(s.ln, s.cfg.Clients, s.cfg.HelloTimeout,
+		s.cfg.Rounds, s.cfg.StragglerTimeout, s.cfg.WriteTimeout)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, c := range s.clients {
-			c.conn.Close()
-		}
-	}()
+	defer s.down.close()
+	s.UpBytes += int64(len(s.clients)) * (frameHeaderLen + helloLen) // the hellos
 	algo.Wire(s.cfg.Tel, agg)
-	var rd *readers // async rounds read through persistent readers; shutdown inherits them
-	if s.cfg.Quorum > 0 {
-		rd = startReaders(s.links)
-		err = s.runAsync(agg, rd)
-	} else {
-		err = s.runSync(agg)
-	}
-	// Also on failure: with every client dead nothing is sent, and the
-	// drain is what waits for the readers to exit.
+	err = s.runRounds(agg)
+	// Also on failure: with every client dead nothing is sent.
 	final := agg.Final()
-	shutdown(s.links, rd, final, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
+	s.down.shutdown(final,
 		func(i int, err error) {
 			if err != nil {
 				s.clients[i].errs++
@@ -484,193 +383,107 @@ func (s *Server) Run(agg Aggregator) error {
 			s.DownPayloadBytes += int64(len(final))
 		},
 		func(a arrival) {
-			if a.frame.Type == MsgUpdate {
-				s.postFinal.Inc()
-				s.cfg.Tel.Emit(telemetry.Drop(int(a.frame.Round), int(s.clients[a.ci].id)))
-			}
+			s.postFinal.Inc()
+			s.cfg.Tel.Emit(telemetry.Drop(int(a.frame.Round), int(s.clients[a.ci].id)))
+			a.frame.Release()
 		})
 	return err
 }
 
-// acceptClients waits for every registration and orders the client
-// table by ID, so collect order is reproducible across runs.
-func (s *Server) acceptClients() error {
-	s.clients = make([]*clientConn, 0, s.cfg.Clients)
-	for len(s.clients) < s.cfg.Clients {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return fmt.Errorf("flnet: accept: %w", err)
-		}
-		if s.cfg.HelloTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
-		}
-		f, err := ReadFrame(conn)
-		if err != nil || f.Type != MsgHello || len(f.Payload) < 4 {
-			conn.Close()
-			f.Release()
-			return fmt.Errorf("flnet: bad hello from %s: %v", conn.RemoteAddr(), err)
-		}
-		conn.SetReadDeadline(time.Time{})
-		s.UpBytes += int64(frameHeaderLen + len(f.Payload))
-		s.clients = append(s.clients, &clientConn{
-			link:      link{id: f.Client, conn: conn, alive: true},
-			trainSize: int(binary.LittleEndian.Uint32(f.Payload)),
-		})
-		f.Release()
-	}
-	// Clients register in connection order, which is not reproducible;
-	// aggregate in client-ID order so collect order — and therefore the
-	// floating-point reduction — matches the in-process simulator bitwise.
-	sort.Slice(s.clients, func(i, j int) bool { return s.clients[i].id < s.clients[j].id })
-	s.links = clientLinks(s.clients)
-	return nil
-}
-
-// clientLinks is the link view of a client table, index for index.
-func clientLinks(clients []*clientConn) []*link {
-	links := make([]*link, len(clients))
-	for i, c := range clients {
-		links[i] = &c.link
-	}
-	return links
-}
-
-// openRound opens a round over the server's client table.
-func (s *Server) openRound(agg Aggregator, rng *rand.Rand, round int) (payload []byte, selected []int) {
-	return openRound(agg, s.cfg.Tel, rng, round, len(s.clients), s.cfg.PerRound,
-		func(i int) uint32 { return s.clients[i].id })
-}
-
-// lose records that a selected client's contribution will not be
-// aggregated this round (failed: because of a protocol or I/O failure,
-// not merely a dead or slow peer) and resolves its position in the
-// aggregator's fold order.
-func (s *Server) lose(agg Aggregator, round int, c *clientConn, failed bool) {
-	if failed {
-		c.errs++
-		s.errs.Inc()
-	}
-	c.drops++
-	s.drops.Inc()
-	agg.MarkAbsent(round, c.id)
-}
-
-// broadcast sends the round's payload to every selected client still
-// alive and reports, per selection position, whether it went out; the
-// rest are lost for the round.
-func (s *Server) broadcast(agg Aggregator, round int, selected []int, payload []byte) []bool {
-	sent := make([]bool, len(selected))
-	for pos, ci := range selected {
-		c := s.clients[ci]
-		if !c.alive {
-			s.lose(agg, round, c, false)
-			continue
-		}
-		f := Frame{Type: MsgRoundStart, Client: c.id, Round: uint32(round), Payload: payload}
-		if err := c.send(f, s.cfg.WriteTimeout); err != nil {
-			s.lose(agg, round, c, true)
-			continue
-		}
-		s.DownBytes += int64(frameHeaderLen + len(payload))
-		s.DownPayloadBytes += int64(len(payload))
-		sent[pos] = true
-	}
-	return sent
-}
-
-// runSync is the synchronous round loop: every round waits for all
-// selected uploads (or the straggler deadline) before aggregating.
+// runRounds is the flat server's round loop, synchronous and buffered
+// alike: cfg.Quorum only chooses the two values gather takes. Zero wants
+// every awaited upload and kills whoever still owes at the deadline. K > 0
+// (FedBuff-style) closes the round at the K-th on-time upload and carries
+// the stragglers: an upload folds into whatever round is in progress when
+// it lands (CollectLate, "flnet.late_uploads", late_upload). Which uploads
+// are on time is then scheduling-dependent, so buffered rounds trade the
+// synchronous round's bitwise reproducibility for tail-latency immunity.
 //
-// Each upload folds the moment its frame is read: the receive loop calls
-// Collect in arrival order and releases the frame immediately, so round
-// memory is the aggregator's staging bound, not one held frame per
-// selected client. The fold itself is order-independent (the
-// cursor/staging machinery replays arrivals in selection order), and
-// journal events are emitted from the sequential pass below in selection
-// order.
-func (s *Server) runSync(agg Aggregator) error {
-	tel := s.cfg.Tel
+// An upload folds the moment its frame arrives and the frame recycles at
+// once, so round memory is the aggregator's staging bound (its cursor
+// replays arrivals in selection order). The round's journal events are
+// emitted at its close, in selection order — what keeps a synchronous
+// journal byte-identical across runs and transports.
+func (s *Server) runRounds(agg Aggregator) error {
+	tel, d := s.cfg.Tel, s.down
 	rng := newRng(s.cfg.Seed)
-	// Per-position outcome of a round, for journal emission in selection
-	// order after the concurrent collect.
-	const (
-		outcomeDrop      = uint8(iota) // dead, I/O error or bad frame
-		outcomeStraggler               // missed the straggler deadline
-		outcomeUpload                  // contribution aggregated
-	)
+	// What the round has to say about each selection position, once
+	// settled; a position still blank at the close is a carried straggler.
+	events := make([]telemetry.Event, s.cfg.PerRound)
+	posOf := make([]int, len(s.clients)) // client index -> 1 + its position in the round's selection
 	for round := 0; round < s.cfg.Rounds; round++ {
-		payload, selected := s.openRound(agg, rng, round)
+		payload, selected := openRound(agg, tel, rng, round, len(s.clients), s.cfg.PerRound,
+			func(i int) uint32 { return s.clients[i].id })
 		roundStart := time.Now()
-		awaiting := s.broadcast(agg, round, selected, payload)
-		// Collect uploads concurrently; the aggregator restores selection
-		// order.
-		type result struct {
-			idx   int
-			frame Frame
-			err   error
-		}
-		results := make(chan result, len(selected))
-		inflight := 0
-		for pos, ci := range selected {
-			if !awaiting[pos] {
-				continue
-			}
-			inflight++
+		clear(events)
+		clear(posOf)
+		// lose records that a selected client's contribution will not be
+		// aggregated this round (failed: for an I/O or protocol failure,
+		// not merely a dead or slow peer) and resolves its position in the
+		// aggregator's fold order.
+		lose := func(ci int, failed bool, ev telemetry.Event) {
 			c := s.clients[ci]
-			if s.cfg.StragglerTimeout > 0 {
-				c.conn.SetReadDeadline(time.Now().Add(s.cfg.StragglerTimeout))
+			if failed {
+				c.errs++
+				s.errs.Inc()
 			}
-			go func(pos int, c *clientConn) {
-				f, err := ReadFrame(c.conn)
-				results <- result{idx: pos, frame: f, err: err}
-			}(pos, c)
-		}
-		outcomes := make([]uint8, len(selected))
-		recvNS := make([]int64, len(selected))
-		upLens := make([]int64, len(selected))
-		for ; inflight > 0; inflight-- {
-			r := <-results
-			c := s.clients[selected[r.idx]]
-			switch {
-			case r.err != nil:
-				var ne net.Error
-				straggler := errors.As(r.err, &ne) && ne.Timeout()
-				if straggler {
-					outcomes[r.idx] = outcomeStraggler
-				}
-				c.markDead()
-				s.lose(agg, round, c, !straggler) // a timeout alone is a drop, not an error
-			case r.frame.Type != MsgUpdate || int(r.frame.Round) != round:
-				c.markDead()
-				r.frame.Release()
-				s.lose(agg, round, c, true)
-			default:
-				recvNS[r.idx] = time.Since(roundStart).Nanoseconds()
-				upLens[r.idx] = int64(len(r.frame.Payload))
-				outcomes[r.idx] = outcomeUpload
-				// Fold on arrival: the aggregator reads the payload where
-				// it is or copies what it parks, so the frame recycles here.
-				agg.Collect(round, c.id, c.trainSize, r.frame.Payload)
-				r.frame.Release()
+			if pos := posOf[ci] - 1; pos >= 0 && events[pos].Ev == "" {
+				c.drops++
+				s.drops.Inc()
+				agg.MarkAbsent(round, c.id)
+				events[pos] = ev
 			}
 		}
-		collected := 0
 		for pos, ci := range selected {
+			posOf[ci] = pos + 1
 			c := s.clients[ci]
-			switch outcomes[pos] {
-			case outcomeUpload:
-				c.conn.SetReadDeadline(time.Time{})
-				s.UpBytes += int64(frameHeaderLen) + upLens[pos]
-				s.UpPayloadBytes += upLens[pos]
-				tel.Emit(telemetry.ClientUpload(round, int(c.id), upLens[pos], recvNS[pos]))
-				collected++
-			case outcomeStraggler:
-				tel.Emit(telemetry.Straggler(round, int(c.id)))
-			default:
-				tel.Emit(telemetry.Drop(round, int(c.id)))
+			f := Frame{Type: MsgRoundStart, Client: c.id, Round: uint32(round), Payload: payload}
+			if !c.alive {
+				lose(ci, false, telemetry.Drop(round, int(c.id)))
+			} else if err := d.deliver(ci, f); err != nil {
+				lose(ci, true, telemetry.Drop(round, int(c.id)))
+			} else {
+				s.DownBytes += int64(frameHeaderLen + len(payload))
+				s.DownPayloadBytes += int64(len(payload))
 			}
 		}
-		if err := closeRound(agg, tel, round, collected, s.UpPayloadBytes, s.DownPayloadBytes, s.links); err != nil {
+		late := 0
+		onTime, met := d.gather(uint32(round), s.cfg.Quorum, s.cfg.Quorum > 0, func(a arrival) {
+			c := s.clients[a.ci]
+			if a.err == errOverdue { // a missed deadline alone is a drop, not an error
+				lose(a.ci, false, telemetry.Straggler(round, int(c.id)))
+				return
+			}
+			if a.err != nil {
+				lose(a.ci, true, telemetry.Drop(round, int(c.id)))
+				return
+			}
+			n := int64(len(a.frame.Payload))
+			s.UpBytes += frameHeaderLen + n
+			s.UpPayloadBytes += n
+			if int(a.frame.Round) == round {
+				events[posOf[a.ci]-1] = telemetry.ClientUpload(round, int(c.id), n, time.Since(roundStart).Nanoseconds())
+				agg.Collect(round, c.id, c.trainSize, a.frame.Payload)
+			} else {
+				// A straggler's upload from an earlier round. CollectLate
+				// bypasses the streaming cursor — the straggler may also
+				// be selected this round and still owe its own slot.
+				late++
+				s.late.Inc()
+				tel.Emit(telemetry.LateUpload(round, int(c.id), n))
+				agg.CollectLate(round, c.id, c.trainSize, a.frame.Payload)
+			}
+			a.frame.Release()
+		})
+		for _, ev := range events[:len(selected)] {
+			if ev.Ev != "" {
+				tel.Emit(ev)
+			}
+		}
+		if s.cfg.Quorum > 0 && met {
+			tel.Emit(telemetry.Quorum(round, onTime))
+		}
+		if err := closeRound(agg, tel, round, onTime+late, s.UpPayloadBytes, s.DownPayloadBytes, d.links); err != nil {
 			return err
 		}
 	}
@@ -711,7 +524,7 @@ func RunClientOpts(addr string, clientID uint32, trainSize int, tr Trainer, opts
 		return err
 	}
 	defer conn.Close()
-	var hello [4]byte
+	var hello [helloLen]byte
 	binary.LittleEndian.PutUint32(hello[:], uint32(trainSize))
 	conn.SetWriteDeadline(time.Now().Add(opts.HelloTimeout))
 	if err := WriteFrame(conn, Frame{Type: MsgHello, Client: clientID, Payload: hello[:]}); err != nil {

@@ -291,26 +291,68 @@ func TestServerRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestServerRejectsBadHello: a registrar refuses what cannot be a hello —
+// a frame of another type, and a length prefix beyond what a hello can be.
+// The oversized peer sends the prefix and nothing else: the refusal must
+// come from the four bytes alone, before any buffer is taken to hold a
+// body that may never arrive.
 func TestServerRejectsBadHello(t *testing.T) {
-	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Clients: 1, Rounds: 1})
-	if err != nil {
+	global := models.Build(models.Spec{Arch: "mlp", Classes: 2, InC: 1, H: 2, W: 2}, 1)
+	agg := func() Aggregator { return algo.NewFedAvgAggregator(global, algo.Config{NumClients: 1}) }
+	var notHello bytes.Buffer
+	if err := WriteFrame(&notHello, Frame{Type: MsgUpdate, Client: 1}); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		global := models.Build(models.Spec{Arch: "mlp", Classes: 2, InC: 1, H: 2, W: 2}, 1)
-		done <- srv.Run(algo.NewFedAvgAggregator(global, algo.Config{NumClients: 1}))
-	}()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	prefix := func(payload int) []byte {
+		return binary.LittleEndian.AppendUint32(nil, uint32(frameBodyMin+payload))
 	}
-	// Send a non-hello frame.
-	if err := WriteFrame(conn, Frame{Type: MsgUpdate, Client: 1}); err != nil {
-		t.Fatal(err)
+	const clients = 3
+	servers := []struct {
+		name      string
+		oversized []byte // one payload byte more than the largest hello
+		start     func(t *testing.T) (addr string, run func() error)
+	}{
+		{"server", prefix(4 + 1), func(t *testing.T) (string, func() error) {
+			srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Clients: 1, Rounds: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return srv.Addr(), func() error { return srv.Run(agg()) }
+		}},
+		{"root", prefix(4 + 8*clients + 1), func(t *testing.T) (string, func() error) {
+			root, err := NewTreeServer(TreeServerConfig{Addr: "127.0.0.1:0", Shards: 1, Clients: clients, Rounds: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return root.Addr(), func() error { return root.Run(agg()) }
+		}},
 	}
-	if err := <-done; err == nil {
-		t.Fatal("server should reject a bad hello")
+	for _, sv := range servers {
+		for _, tc := range []struct {
+			name string
+			sent []byte
+		}{{"not a hello", notHello.Bytes()}, {"oversized prefix", sv.oversized}} {
+			t.Run(sv.name+"/"+tc.name, func(t *testing.T) {
+				addr, run := sv.start(t)
+				done := make(chan error, 1)
+				go func() { done <- run() }()
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				if _, err := conn.Write(tc.sent); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case err := <-done:
+					if err == nil {
+						t.Fatal("Run should reject a bad hello")
+					}
+				case <-time.After(20 * time.Second):
+					t.Fatal("Run is still waiting on a frame that cannot be a hello")
+				}
+			})
+		}
 	}
-	conn.Close()
 }

@@ -22,7 +22,19 @@ func FuzzReadFrame(f *testing.F) {
 	var shard bytes.Buffer
 	WriteFrame(&shard, Frame{Type: MsgShardUpdate, Client: 1, Round: 2, Payload: sb.Payload()})
 	f.Add(shard.Bytes())
+	// A hello-typed frame one payload byte longer than a hello can be: fine
+	// for ReadFrame, refused by the registrar's bound on the prefix alone.
+	var fat bytes.Buffer
+	WriteFrame(&fat, Frame{Type: MsgHello, Client: 1, Payload: make([]byte, helloLen+1)})
+	f.Add(fat.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The registrar's read: nothing longer than a hello passes its bound.
+		if hello, err := readFrame(bytes.NewReader(data), frameBodyMin+helloLen); err == nil {
+			if len(hello.Payload) > helloLen {
+				t.Fatalf("the hello bound let a %d-byte payload through", len(hello.Payload))
+			}
+			hello.Release()
+		}
 		fr, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return

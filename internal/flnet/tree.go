@@ -2,7 +2,6 @@ package flnet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -47,7 +46,7 @@ type treeClient struct {
 // edgeConn is the root's view of one registered edge aggregator; the
 // link's id is the shard ID.
 type edgeConn struct {
-	link
+	*link
 	clients []treeClient
 }
 
@@ -68,11 +67,9 @@ type TreeServerConfig struct {
 
 	// HelloTimeout bounds an accepted edge's registration frame.
 	HelloTimeout time.Duration
-	// StragglerTimeout bounds the wait for an edge's pooled shard
-	// payload; an edge that misses it is marked dead and its whole
-	// shard's contribution dropped for the round (shard_drop). It also
-	// bounds the drain that ends the federation (see shutdown). Zero
-	// waits forever.
+	// StragglerTimeout is ServerConfig's, for an edge's pooled shard
+	// payload: an edge that misses it is marked dead and its whole
+	// shard's contribution dropped for the round (shard_drop).
 	StragglerTimeout time.Duration
 	// WriteTimeout bounds each broadcast write to an edge.
 	WriteTimeout time.Duration
@@ -87,7 +84,7 @@ type TreeServer struct {
 	ln  net.Listener
 
 	edges   []*edgeConn
-	links   []*link      // edges[i]'s link, index for index
+	down    *downstream  // over the edges' links, index for index
 	clients []treeClient // global client order: ascending ID, contiguous per shard
 	meter   comm.Meter
 
@@ -133,56 +130,49 @@ func (s *TreeServer) ShardDrops(shard int) int64 { return s.shardDrops[shard].Va
 // the tree's relay counters).
 func (s *TreeServer) Meter() *comm.Meter { return &s.meter }
 
-// acceptEdges collects the edge registrations and builds the global
-// client table, enforcing the contiguous-shard topology invariant.
+// acceptEdges collects the edge registrations, in shard order whatever
+// order they connect in, and starts the engine over them.
 func (s *TreeServer) acceptEdges() error {
 	s.edges = make([]*edgeConn, s.cfg.Shards)
-	seen := 0
-	for seen < s.cfg.Shards {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return fmt.Errorf("flnet: accept edge: %w", err)
+	// An edge hello lists at most every client of the federation.
+	err := register(s.ln, s.cfg.Shards, MsgEdgeHello, 4+8*s.cfg.Clients, s.cfg.HelloTimeout, func(l *link, payload []byte) error {
+		shard := int(l.id)
+		if shard >= s.cfg.Shards || s.edges[shard] != nil {
+			return fmt.Errorf("duplicate or out-of-range shard %d", shard)
 		}
-		if s.cfg.HelloTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
+		if len(payload) < 4 || len(payload) != 4+8*int(binary.LittleEndian.Uint32(payload)) {
+			return fmt.Errorf("shard %d: client count does not match %d payload bytes", shard, len(payload))
 		}
-		f, err := ReadFrame(conn)
-		if err != nil || f.Type != MsgEdgeHello || len(f.Payload) < 4 {
-			conn.Close()
-			f.Release()
-			return fmt.Errorf("flnet: bad edge hello from %s: %v", conn.RemoteAddr(), err)
-		}
-		conn.SetReadDeadline(time.Time{})
-		shard := int(f.Client)
-		if shard < 0 || shard >= s.cfg.Shards || s.edges[shard] != nil {
-			conn.Close()
-			f.Release()
-			return fmt.Errorf("flnet: duplicate or out-of-range shard %d", shard)
-		}
-		k := int(binary.LittleEndian.Uint32(f.Payload[:4]))
-		if len(f.Payload) != 4+8*k {
-			conn.Close()
-			f.Release()
-			return fmt.Errorf("flnet: edge hello for shard %d: %d clients but %d payload bytes", shard, k, len(f.Payload))
-		}
-		e := &edgeConn{link: link{id: uint32(shard), conn: conn, alive: true}}
-		for i := 0; i < k; i++ {
-			off := 4 + 8*i
+		e := &edgeConn{link: l}
+		for off := 4; off < len(payload); off += 8 {
 			e.clients = append(e.clients, treeClient{
-				id:        binary.LittleEndian.Uint32(f.Payload[off : off+4]),
-				trainSize: int(binary.LittleEndian.Uint32(f.Payload[off+4 : off+8])),
+				id:        binary.LittleEndian.Uint32(payload[off : off+4]),
+				trainSize: int(binary.LittleEndian.Uint32(payload[off+4 : off+8])),
 				shard:     shard,
 			})
 		}
-		f.Release()
 		sort.Slice(e.clients, func(i, j int) bool { return e.clients[i].id < e.clients[j].id })
 		s.edges[shard] = e
-		seen++
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	links := make([]*link, len(s.edges))
+	for i, e := range s.edges {
+		links[i] = e.link
+	}
+	// An edge still owing at the deadline is killed: one broadcast out at most.
+	s.down = serve(links, MsgShardUpdate, 1, s.cfg.StragglerTimeout, s.cfg.WriteTimeout)
+	return nil
+}
+
+// buildClientTable lays the edges' clients out in global order, enforcing
+// the contiguous-shard topology invariant.
+func (s *TreeServer) buildClientTable() error {
 	s.clients = s.clients[:0]
 	for _, e := range s.edges {
 		s.clients = append(s.clients, e.clients...)
-		s.links = append(s.links, &e.link)
 	}
 	if len(s.clients) != s.cfg.Clients {
 		return fmt.Errorf("flnet: edges registered %d clients, want %d", len(s.clients), s.cfg.Clients)
@@ -196,14 +186,13 @@ func (s *TreeServer) acceptEdges() error {
 	return nil
 }
 
-// shardSpan returns the half-open range of positions in the sorted
-// selection that belong to shard sh, advancing from position lo.
-func (s *TreeServer) shardSpan(selected []int, lo, sh int) (int, int) {
-	hi := lo
-	for hi < len(selected) && s.clients[selected[hi]].shard == sh {
-		hi++
+// shardEnd returns where shard sh's positions in the sorted selection,
+// which start at lo, end.
+func (s *TreeServer) shardEnd(selected []int, lo, sh int) int {
+	for lo < len(selected) && s.clients[selected[lo]].shard == sh {
+		lo++
 	}
-	return lo, hi
+	return lo
 }
 
 // Run accepts edge registrations, executes the round loop and broadcasts
@@ -215,15 +204,22 @@ func (s *TreeServer) Run(agg Aggregator) error {
 	if err := s.acceptEdges(); err != nil {
 		return err
 	}
-	defer func() {
-		for _, e := range s.edges {
-			e.conn.Close()
-		}
-	}()
-	tel := s.cfg.Tel
+	defer s.down.close()
+	if err := s.buildClientTable(); err != nil {
+		return err
+	}
+	tel, d := s.cfg.Tel, s.down
 	algo.Wire(tel, agg)
 	rng := newRng(s.cfg.Seed)
 	selBuf := make([]byte, 0, 4*s.cfg.PerRound)
+	// A round's view of each shard: its span [lo, hi) of the selection,
+	// its pooled reply once in, and whether it is resolved — the reply is
+	// in or will not come (empty shard, dead edge, failed write, deadline).
+	shards := make([]struct {
+		lo, hi   int
+		resolved bool
+		frame    *Frame
+	}, s.cfg.Shards)
 	for round := 0; round < s.cfg.Rounds; round++ {
 		payload, selected := openRound(agg, tel, rng, round, len(s.clients), s.cfg.PerRound,
 			func(i int) uint32 { return s.clients[i].id })
@@ -231,82 +227,49 @@ func (s *TreeServer) Run(agg Aggregator) error {
 
 		// Fan the broadcast out: one pooled round-start per live edge,
 		// carrying that shard's selection list and the model payload.
-		awaiting := make([]bool, s.cfg.Shards)
-		spans := make([][2]int, s.cfg.Shards)
 		pos := 0
 		for sh, e := range s.edges {
-			lo, hi := s.shardSpan(selected, pos, sh)
+			lo, hi := pos, s.shardEnd(selected, pos, sh)
 			pos = hi
-			spans[sh] = [2]int{lo, hi}
-			n := hi - lo
-			if n == 0 {
+			shards[sh].lo, shards[sh].hi, shards[sh].resolved = lo, hi, true
+			if hi == lo {
 				continue
 			}
-			s.meter.AddDown(n * len(payload)) // client-facing broadcast volume
+			s.meter.AddDown((hi - lo) * len(payload)) // client-facing broadcast volume
 			if !e.alive {
 				continue
 			}
 			selBuf = selBuf[:0]
 			for p := lo; p < hi; p++ {
-				var idb [4]byte
-				binary.LittleEndian.PutUint32(idb[:], s.clients[selected[p]].id)
-				selBuf = append(selBuf, idb[:]...)
+				selBuf = binary.LittleEndian.AppendUint32(selBuf, s.clients[selected[p]].id)
 			}
 			joined := comm.JoinPayloads(selBuf, payload)
 			f := Frame{Type: MsgRoundStart, Client: uint32(sh), Round: uint32(round), Payload: joined}
-			if err := e.send(f, s.cfg.WriteTimeout); err != nil {
+			if err := d.deliver(sh, f); err != nil {
 				s.errs.Inc()
 				continue
 			}
 			s.meter.AddRelayDown(len(payload))
-			awaiting[sh] = true
+			shards[sh].resolved = false
 		}
 
-		// Collect pooled shard payloads concurrently — NumShards reader
-		// goroutines, not NumClients — and fold opportunistically behind a
-		// shard cursor: shard k is processed (and its frame released) the
-		// moment shards 0..k have all resolved, so the root holds frames
-		// only for shards that arrive ahead of the cursor instead of one
-		// per shard per round. Cursor order IS shard-ID order, so journal
-		// events and the fold sequence are byte-identical to the buffered
-		// pass, and the per-entry folds land in ascending client order —
-		// zero staging.
-		type result struct {
-			shard int
-			frame Frame
-			err   error
-		}
-		results := make(chan result, s.cfg.Shards)
-		inflight := 0
-		for sh, e := range s.edges {
-			if !awaiting[sh] {
-				continue
-			}
-			inflight++
-			if s.cfg.StragglerTimeout > 0 {
-				e.conn.SetReadDeadline(time.Now().Add(s.cfg.StragglerTimeout))
-			}
-			go func(sh int, e *edgeConn) {
-				f, err := ReadFrame(e.conn)
-				results <- result{shard: sh, frame: f, err: err}
-			}(sh, e)
-		}
-		frames := make([]*Frame, s.cfg.Shards)
-		resolved := make([]bool, s.cfg.Shards)
-		for sh := range s.edges {
-			if !awaiting[sh] {
-				resolved[sh] = true // empty shard, dead edge or failed write
-			}
-		}
+		// Fold the pooled shard payloads opportunistically behind a shard
+		// cursor: shard k is processed (and its frame released) the moment
+		// shards 0..k have all resolved, so the root holds frames only for
+		// shards that arrive ahead of the cursor instead of one per shard
+		// per round. Cursor order IS shard-ID order, so journal events and
+		// the fold sequence are byte-identical to the buffered pass, and
+		// the per-entry folds land in ascending client order — zero
+		// staging.
 		collected := 0
 		var entries []algo.Upload
 		processShard := func(sh int) {
-			lo, hi := spans[sh][0], spans[sh][1]
+			lo, hi, frame := shards[sh].lo, shards[sh].hi, shards[sh].frame
 			n := hi - lo
 			if n == 0 {
 				return
 			}
-			if frames[sh] == nil {
+			if frame == nil {
 				// The whole shard vanished: one shard_drop event carrying
 				// the count, attributed per shard in the registry — the
 				// root degrades instead of stalling.
@@ -319,7 +282,7 @@ func (s *TreeServer) Run(agg Aggregator) error {
 				return
 			}
 			var err error
-			entries, err = algo.ShardEntries(entries[:0], frames[sh].Payload)
+			entries, err = algo.ShardEntries(entries[:0], frame.Payload)
 			if err != nil {
 				s.errs.Inc()
 			}
@@ -347,50 +310,38 @@ func (s *TreeServer) Run(agg Aggregator) error {
 			if ei != len(entries) {
 				s.errs.Inc() // edge pooled clients the root never selected
 			}
-			s.meter.AddRelayUp(len(frames[sh].Payload))
-			tel.Emit(telemetry.ShardPush(round, sh, len(kept), int64(len(frames[sh].Payload))))
+			s.meter.AddRelayUp(len(frame.Payload))
+			tel.Emit(telemetry.ShardPush(round, sh, len(kept), int64(len(frame.Payload))))
 			algo.CollectAll(agg, round, kept)
 			collected += len(kept)
-			frames[sh].Release()
-			frames[sh] = nil
+			frame.Release()
+			shards[sh].frame = nil
 		}
 		nextShard := 0
 		processUpTo := func() {
-			for nextShard < s.cfg.Shards && resolved[nextShard] {
+			for nextShard < s.cfg.Shards && shards[nextShard].resolved {
 				processShard(nextShard)
 				nextShard++
 			}
 		}
 		processUpTo()
-		for ; inflight > 0; inflight-- {
-			r := <-results
-			e := s.edges[r.shard]
+		d.gather(uint32(round), 0, false, func(a arrival) {
 			switch {
-			case r.err != nil:
-				var ne net.Error
-				if !errors.As(r.err, &ne) || !ne.Timeout() {
-					s.errs.Inc()
-				}
-				e.markDead()
-			case r.frame.Type != MsgShardUpdate || int(r.frame.Round) != round || int(r.frame.Client) != r.shard:
+			case a.err == nil:
+				shards[a.ci].frame = &a.frame
+			case a.err != errOverdue:
 				s.errs.Inc()
-				e.markDead()
-				r.frame.Release()
-			default:
-				e.conn.SetReadDeadline(time.Time{})
-				f := r.frame
-				frames[r.shard] = &f
 			}
-			resolved[r.shard] = true
+			shards[a.ci].resolved = true
 			processUpTo()
-		}
-		if err := closeRound(agg, tel, round, collected, s.meter.Up(), s.meter.Down(), s.links); err != nil {
+		})
+		if err := closeRound(agg, tel, round, collected, s.meter.Up(), s.meter.Down(), d.links); err != nil {
 			return err
 		}
 	}
 
 	final := agg.Final()
-	shutdown(s.links, nil, final, s.cfg.WriteTimeout, s.cfg.StragglerTimeout, func(i int, err error) {
+	d.shutdown(final, func(i int, err error) {
 		if err != nil {
 			s.errs.Inc()
 			return
@@ -424,10 +375,9 @@ type EdgeConfig struct {
 	// keeps federating: the shard's contributions become shard_drop
 	// events, not a stalled federation.
 	Churn netsim.Churn
-	// StragglerTimeout bounds the wait for one client's upload; a
+	// StragglerTimeout is ServerConfig's, for one client's upload: a
 	// straggler is omitted from the pooled shard payload (the root
-	// records the drop). It also bounds the drain that follows the final
-	// model (see shutdown). Zero waits forever.
+	// records the drop).
 	StragglerTimeout time.Duration
 	// WriteTimeout bounds each broadcast write to a client.
 	WriteTimeout time.Duration
@@ -468,38 +418,18 @@ func (e *Edge) Addr() string { return e.ln.Addr().String() }
 // Run accepts the shard's clients, registers with the root and relays
 // rounds until the root sends the final model (forwarded to every
 // surviving client) or the root connection fails.
-func (e *Edge) Run() error {
+func (e *Edge) Run() (err error) {
 	defer e.ln.Close()
-	for len(e.clients) < e.cfg.Clients {
-		conn, err := e.ln.Accept()
-		if err != nil {
-			return fmt.Errorf("flnet: edge %d accept: %w", e.cfg.Shard, err)
-		}
-		if e.cfg.HelloTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(e.cfg.HelloTimeout))
-		}
-		f, err := ReadFrame(conn)
-		if err != nil || f.Type != MsgHello || len(f.Payload) < 4 {
-			conn.Close()
-			f.Release()
-			return fmt.Errorf("flnet: edge %d: bad hello: %v", e.cfg.Shard, err)
-		}
-		conn.SetReadDeadline(time.Time{})
-		e.clients = append(e.clients, &clientConn{
-			link:      link{id: f.Client, conn: conn, alive: true},
-			trainSize: int(binary.LittleEndian.Uint32(f.Payload)),
-		})
-		f.Release()
+	// A client still owing at the deadline is killed: one broadcast out at most.
+	var d *downstream
+	e.clients, d, err = registerClients(e.ln, e.cfg.Clients, e.cfg.HelloTimeout, 1, e.cfg.StragglerTimeout, e.cfg.WriteTimeout)
+	if err != nil {
+		return fmt.Errorf("flnet: edge %d: %w", e.cfg.Shard, err)
 	}
-	defer func() {
-		for _, c := range e.clients {
-			c.conn.Close()
-		}
-	}()
-	sort.Slice(e.clients, func(i, j int) bool { return e.clients[i].id < e.clients[j].id })
-	byID := make(map[uint32]*clientConn, len(e.clients))
-	for _, c := range e.clients {
-		byID[c.id] = c
+	defer d.close()
+	byID := make(map[uint32]int, len(e.clients))
+	for i, c := range e.clients {
+		byID[c.id] = i
 	}
 
 	root, err := net.DialTimeout("tcp", e.cfg.RootAddr, e.cfg.DialTimeout)
@@ -507,18 +437,17 @@ func (e *Edge) Run() error {
 		return fmt.Errorf("flnet: edge %d dial root: %w", e.cfg.Shard, err)
 	}
 	defer root.Close()
-	hello := make([]byte, 4+8*len(e.clients))
-	binary.LittleEndian.PutUint32(hello[:4], uint32(len(e.clients)))
-	for i, c := range e.clients {
-		off := 4 + 8*i
-		binary.LittleEndian.PutUint32(hello[off:off+4], c.id)
-		binary.LittleEndian.PutUint32(hello[off+4:off+8], uint32(c.trainSize))
+	hello := binary.LittleEndian.AppendUint32(nil, uint32(len(e.clients)))
+	for _, c := range e.clients {
+		hello = binary.LittleEndian.AppendUint32(hello, c.id)
+		hello = binary.LittleEndian.AppendUint32(hello, uint32(c.trainSize))
 	}
 	if err := WriteFrame(root, Frame{Type: MsgEdgeHello, Client: e.cfg.Shard, Payload: hello}); err != nil {
 		return fmt.Errorf("flnet: edge %d hello: %w", e.cfg.Shard, err)
 	}
 
 	var sb algo.ShardBuffer
+	frames := make([]*Frame, len(e.clients)) // a round's uploads, by client index
 	for {
 		rf, err := ReadFrame(root)
 		if err != nil {
@@ -536,88 +465,47 @@ func (e *Edge) Run() error {
 				return fmt.Errorf("flnet: edge %d: malformed round start: %v", e.cfg.Shard, err)
 			}
 			sel, bcast := parts[0], parts[1]
-			round := rf.Round
 			// Forward the broadcast to each selected, live client.
-			targets := make([]*clientConn, 0, len(sel)/4)
+			targets := make([]int, 0, len(sel)/4) // client index per selection position
 			for off := 0; off < len(sel); off += 4 {
 				id := binary.LittleEndian.Uint32(sel[off : off+4])
-				c := byID[id]
-				if c == nil || !c.alive {
+				ci, known := byID[id]
+				if !known {
 					e.Drops++
-					if c != nil {
-						c.drops++
-					}
-					targets = append(targets, nil)
 					continue
 				}
-				if err := c.send(Frame{Type: MsgRoundStart, Client: id, Round: round, Payload: bcast}, e.cfg.WriteTimeout); err != nil {
-					c.errs++
-					c.drops++
-					e.Drops++
-					targets = append(targets, nil)
-					continue
-				}
-				targets = append(targets, c)
-			}
-			// Collect uploads concurrently, pool sequentially in
-			// selection order — the ShardBuffer IS the upstream wire
-			// format, and its entry order is the fold order.
-			type result struct {
-				idx   int
-				frame Frame
-				err   error
-			}
-			results := make(chan result, len(targets))
-			inflight := 0
-			for i, c := range targets {
-				if c == nil {
-					continue
-				}
-				inflight++
-				if e.cfg.StragglerTimeout > 0 {
-					c.conn.SetReadDeadline(time.Now().Add(e.cfg.StragglerTimeout))
-				}
-				go func(i int, c *clientConn) {
-					f, err := ReadFrame(c.conn)
-					results <- result{idx: i, frame: f, err: err}
-				}(i, c)
-			}
-			frames := make([]*Frame, len(targets))
-			for ; inflight > 0; inflight-- {
-				r := <-results
-				c := targets[r.idx]
-				switch {
-				case r.err != nil:
-					c.errs++
-					c.drops++
-					e.Drops++
-					c.markDead()
-				case r.frame.Type != MsgUpdate || r.frame.Round != round:
-					c.errs++
-					c.drops++
-					e.Drops++
-					c.markDead()
-					r.frame.Release()
-				default:
-					c.conn.SetReadDeadline(time.Time{})
-					f := r.frame
-					frames[r.idx] = &f
+				c := e.clients[ci]
+				if !c.alive {
+					e.lose(c, false)
+				} else if err := d.deliver(ci, Frame{Type: MsgRoundStart, Client: id, Round: rf.Round, Payload: bcast}); err != nil {
+					e.lose(c, true)
+				} else {
+					targets = append(targets, ci)
 				}
 			}
+			d.gather(rf.Round, 0, false, func(a arrival) {
+				if a.err != nil {
+					e.lose(e.clients[a.ci], true)
+					return
+				}
+				frames[a.ci] = &a.frame
+			})
+			// Pool in selection order — the ShardBuffer IS the upstream
+			// wire format, and its entry order is the fold order.
 			sb.Reset()
-			for i, c := range targets {
-				if c == nil || frames[i] == nil {
-					continue
+			for _, ci := range targets {
+				if f := frames[ci]; f != nil {
+					sb.Add(e.clients[ci].id, e.clients[ci].trainSize, f.Payload)
+					f.Release()
+					frames[ci] = nil
 				}
-				sb.Add(c.id, c.trainSize, frames[i].Payload)
-				frames[i].Release()
 			}
-			rf.Release()
-			if err := WriteFrame(root, Frame{Type: MsgShardUpdate, Client: e.cfg.Shard, Round: round, Payload: sb.Payload()}); err != nil {
+			rf.Release() // the payload; the header fields stay readable
+			if err := WriteFrame(root, Frame{Type: MsgShardUpdate, Client: e.cfg.Shard, Round: rf.Round, Payload: sb.Payload()}); err != nil {
 				return fmt.Errorf("flnet: edge %d shard update: %w", e.cfg.Shard, err)
 			}
 		case MsgDone:
-			shutdown(clientLinks(e.clients), nil, rf.Payload, e.cfg.WriteTimeout, e.cfg.StragglerTimeout, func(i int, err error) {
+			d.shutdown(rf.Payload, func(i int, err error) {
 				if err != nil {
 					e.clients[i].errs++
 				}
@@ -629,4 +517,15 @@ func (e *Edge) Run() error {
 			return fmt.Errorf("flnet: edge %d: unexpected frame type %d from root", e.cfg.Shard, rf.Type)
 		}
 	}
+}
+
+// lose records a contribution this edge could not pool (failed: because
+// of an I/O or protocol failure or a missed deadline, not an already dead
+// client).
+func (e *Edge) lose(c *clientConn, failed bool) {
+	if failed {
+		c.errs++
+	}
+	c.drops++
+	e.Drops++
 }
