@@ -144,7 +144,7 @@ func serve(links []*link, reply uint8, maxOwed int, straggler, write time.Durati
 	}
 	for i, l := range links {
 		l.permits = make(chan struct{}, maxOwed)
-		go func(i int, l *link) {
+		go func() {
 			for {
 				select {
 				case <-l.permits:
@@ -156,7 +156,7 @@ func serve(links []*link, reply uint8, maxOwed int, straggler, write time.Durati
 					return
 				}
 			}
-		}(i, l)
+		}()
 	}
 	return d
 }

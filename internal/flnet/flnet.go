@@ -450,11 +450,12 @@ func (s *Server) runRounds(agg Aggregator) error {
 		late := 0
 		onTime, met := d.gather(uint32(round), s.cfg.Quorum, s.cfg.Quorum > 0, func(a arrival) {
 			c := s.clients[a.ci]
-			if a.err == errOverdue { // a missed deadline alone is a drop, not an error
+			switch a.err {
+			case nil:
+			case errOverdue: // a missed deadline alone is a drop, not an error
 				lose(a.ci, false, telemetry.Straggler(round, int(c.id)))
 				return
-			}
-			if a.err != nil {
+			default:
 				lose(a.ci, true, telemetry.Drop(round, int(c.id)))
 				return
 			}

@@ -51,6 +51,7 @@
 #                                at E2E_OUT (default a temp file).
 #                                One pair is a look, not a claim: a
 #                                perf claim needs ten alternating pairs
+#                                (scripts/pairs.sh)
 #   ./scripts/verify.sh --flake  the flake hunt, instead of the single
 #                                tier-1 run: tier-1 with -count=1 ten
 #                                times at each of GOMAXPROCS 1, 2 and 4,
