@@ -118,6 +118,67 @@ func TestSliceSpecInvariants(t *testing.T) {
 	}
 }
 
+// TestSliceCutsEveryPrunableConv: a 0.5-width slice of resnet20 must drop,
+// for EACH prunable unit, exactly the rows of its conv weight beyond the
+// kept channel prefix and the matching input-column groups of the conv
+// that consumes it. Where each weight lies in the flat state is found by
+// planting a marker value in it and looking for the marker in State —
+// nothing NewSliceSpec itself uses. (Offsets used to come from a map keyed
+// with one set of *nn.Param and looked up with another: every lookup
+// missed, and every unit was cut at offset 0.)
+func TestSliceCutsEveryPrunableConv(t *testing.T) {
+	m := models.Build(models.Spec{Arch: "resnet20", Classes: 4, InC: 3, H: 8, W: 8, Width: 0.25}, 7)
+	units := m.PrunableUnits()
+	if len(units) != 9 {
+		t.Fatalf("resnet20 has %d prunable units, want 9", len(units))
+	}
+	marker := func(k int) float32 { return float32(1000 + k) }
+	plant := func(w []float32, k int) {
+		for i := range w {
+			w[i] = marker(k)
+		}
+	}
+	for ui, u := range units {
+		plant(u.Conv.Weight().W.Data, 2*ui)
+		plant(u.Next.Weight().W.Data, 2*ui+1)
+	}
+	state := m.State(models.ScopeAll)
+	find := func(k, n int) int {
+		for i, v := range state {
+			if v == marker(k) {
+				if state[i+n-1] != marker(k) || (i+n < len(state) && state[i+n] == marker(k)) {
+					t.Fatalf("marker %d does not fill one run of %d", k, n)
+				}
+				return i
+			}
+		}
+		t.Fatalf("marker %d not in the state", k)
+		return -1
+	}
+	covered := make([]bool, len(state))
+	for _, r := range NewSliceSpec(m, 0.5).Ranges {
+		for i := r.Start; i < r.Start+r.Len; i++ {
+			covered[i] = true
+		}
+	}
+	for ui, u := range units {
+		w, nw := u.Conv.Weight().W, u.Next.Weight().W
+		keep := (w.Dim(0) + 1) / 2 // ceil(0.5·C)
+		off, rowLen := find(2*ui, w.Len()), w.Dim(1)
+		for j := 0; j < w.Len(); j++ {
+			if want := j/rowLen < keep; covered[off+j] != want {
+				t.Fatalf("unit %d conv row %d (state index %d): covered = %v, want %v", ui, j/rowLen, off+j, covered[off+j], want)
+			}
+		}
+		noff, nextRow, kk := find(2*ui+1, nw.Len()), nw.Dim(1), u.Next.K*u.Next.K
+		for j := 0; j < nw.Len(); j++ {
+			if want := (j%nextRow)/kk < keep; covered[noff+j] != want {
+				t.Fatalf("unit %d consumer input channel %d (state index %d): covered = %v, want %v", ui, (j%nextRow)/kk, noff+j, covered[noff+j], want)
+			}
+		}
+	}
+}
+
 // TestDegenerateEquivalenceFedAvg pins the tentpole's collapse
 // property: one cluster at full width IS FedAvg, bitwise, at any
 // GOMAXPROCS.

@@ -55,7 +55,17 @@ func NewSliceSpec(m *models.SplitModel, width float64) *SliceSpec {
 	for i := range covered {
 		covered[i] = true
 	}
-	paramSeg := allParamSegs(m)
+	// Prunable units live in the encoder, whose parameters lead the
+	// ScopeAll state at their ScopeEncoder offsets — the layout the state
+	// codec and prune.SelectWithMasks already index by weight tensor.
+	encSeg, _ := m.EncoderOffsets()
+	offsetOf := func(p *nn.Param) int {
+		seg, ok := encSeg[p.W]
+		if !ok {
+			panic("hetero: prunable conv weight " + p.Name + " is not an encoder parameter")
+		}
+		return seg.Off
+	}
 	markFalse := func(off, n int) {
 		for i := off; i < off+n; i++ {
 			covered[i] = false
@@ -64,12 +74,12 @@ func NewSliceSpec(m *models.SplitModel, width float64) *SliceSpec {
 	for _, u := range units {
 		w := u.Conv.Weight()
 		mask := prefixMask(w.W.Dim(0), width)
-		wSeg := paramSeg[w]
+		wSeg := offsetOf(w)
 		rowLen := w.W.Dim(1)
 		var nextOff, nextRow, kk, outC int
 		if u.Next != nil {
 			nw := u.Next.Weight()
-			nextOff = paramSeg[nw]
+			nextOff = offsetOf(nw)
 			nextRow = nw.W.Dim(1)
 			kk = u.Next.K * u.Next.K
 			outC = u.Next.OutC
@@ -115,20 +125,6 @@ func prefixMask(c int, width float64) prune.Mask {
 		scores[i] = float64(c - i)
 	}
 	return prune.MaskFromScores(scores, width)
-}
-
-// allParamSegs maps each trainable parameter to its offset inside the
-// ScopeAll flat state vector (the ScopeAll analogue of
-// models.EncoderOffsets; BN running statistics follow the parameters
-// and are never gated, so only parameter offsets are needed).
-func allParamSegs(m *models.SplitModel) map[*nn.Param]int {
-	segs := make(map[*nn.Param]int)
-	off := 0
-	for _, p := range m.Params() {
-		segs[p] = off
-		off += p.W.Len()
-	}
-	return segs
 }
 
 // Count returns the number of state elements the slice covers.
