@@ -166,20 +166,6 @@ func BenchmarkIm2Col(b *testing.B) {
 	}
 }
 
-// BenchmarkIm2ColPatch measures the patch-major lowering the dense forward
-// path feeds straight into the dot kernel.
-func BenchmarkIm2ColPatch(b *testing.B) {
-	rng := nn.Rng(7)
-	d := tensor.NewConvDims(16, 16, 16, 16, 3, 1, 1)
-	x := tensor.New(16, 16, 16)
-	x.Randn(rng, 1)
-	col := make([]float32, 16*3*3*d.OutH*d.OutW)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Im2ColPatch(col, x.Data, d)
-	}
-}
-
 // BenchmarkCol2Im measures the backward scatter that folds column
 // gradients back into image gradients.
 func BenchmarkCol2Im(b *testing.B) {

@@ -99,7 +99,11 @@ func (s *Sim) Round(round int, selected []int) {
 
 	ups := make([][]byte, len(selected))
 	durs := make([]int64, len(selected))
-	ParallelClients(selected, func(pos int) {
+	sizes := make([]int, len(selected))
+	for pos, ci := range selected {
+		sizes[pos] = env.Clients[ci].Train.Len()
+	}
+	ParallelClients(sizes, func(pos int) {
 		ci := selected[pos]
 		env.Meter.AddDown(len(payload))
 		if env.ClientFailed(round, ci) {

@@ -1,0 +1,101 @@
+//go:build !race
+
+// Under the race detector sync.Pool drops a quarter of what is Put, so the
+// scratch pools miss at random and an allocation count means nothing.
+
+package models
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	"spatl/internal/nn"
+	"spatl/internal/tensor"
+)
+
+// stepAllocBudget is the most objects one steady-state resnet20 training
+// step may allocate (it allocates 6: the loss gradient and the views the
+// flatten/reshape pair makes; it was 205 when every tensor.Reuse call and
+// every nested tensor.Parallel region allocated).
+const stepAllocBudget = 16
+
+// trainStep returns one SGD step — what algo.LocalSGD runs per batch —
+// over its own resnet20 at the benchmark's geometry, warmed up so layer
+// buffers and scratch classes exist.
+func trainStep(seed int64) func() {
+	spec := Spec{Arch: "resnet20", Classes: 10, InC: 3, H: 16, W: 16, Width: 0.25}
+	m := Build(spec, seed)
+	params := m.Params()
+	opt := nn.NewSGD(params, 0.02, 0.9, 1e-4)
+	rng := nn.Rng(seed)
+	x := tensor.New(16, spec.InC, spec.H, spec.W)
+	x.Randn(rng, 1)
+	y := make([]int, 16)
+	for i := range y {
+		y[i] = rng.Intn(spec.Classes)
+	}
+	step := func() {
+		nn.ZeroGrad(params)
+		_, grad := nn.SoftmaxCrossEntropy(m.Forward(x, true), y)
+		m.Backward(grad)
+		opt.Step()
+	}
+	step()
+	step()
+	return step
+}
+
+// TestTrainStepAllocationGate counts, never times: a steady-state step
+// stays within stepAllocBudget objects at GOMAXPROCS 1, and inside a
+// saturated region — two clients training on two cores, where every
+// region a layer starts must run on its caller without allocating a job
+// or a closure.
+func TestTrainStepAllocationGate(t *testing.T) {
+	// Everything up to the saturated region runs at GOMAXPROCS 1, where no
+	// region is dispatched: the pool's queue is then empty when the
+	// region of two is sent, and a worker is sure to take its second lane.
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	a := testing.AllocsPerRun(20, trainStep(1))
+	t.Logf("GOMAXPROCS 1: %v objects per step", a)
+	if a > stepAllocBudget {
+		t.Errorf("a training step at GOMAXPROCS 1 allocates %v objects, budget %d", a, stepAllocBudget)
+	}
+
+	// testing.AllocsPerRun pins GOMAXPROCS to 1, so the saturated case
+	// reads the same counter (runtime.MemStats.Mallocs) itself. The two
+	// lanes meet at a barrier before the first step and after the last:
+	// both are inside the region's body for as long as either steps (a
+	// lane left alone would, rightly, dispatch to the idle core).
+	const steps = 20
+	lanes := []func(){trainStep(2), trainStep(3)}
+	runtime.GOMAXPROCS(2)
+	saturated := func() {
+		var entered, stepped sync.WaitGroup
+		entered.Add(len(lanes))
+		stepped.Add(len(lanes))
+		tensor.Parallel(len(lanes), func(lo, hi int) {
+			if hi-lo != 1 {
+				panic("a region of two on an idle two-core pool ran on one goroutine")
+			}
+			entered.Done()
+			entered.Wait()
+			for i := 0; i < steps; i++ {
+				lanes[lo]()
+			}
+			stepped.Done()
+			stepped.Wait()
+		})
+	}
+	saturated()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	saturated()
+	runtime.ReadMemStats(&after)
+	a = float64(after.Mallocs-before.Mallocs) / float64(len(lanes)*steps)
+	t.Logf("saturated region at GOMAXPROCS 2: %.1f objects per step", a)
+	if a > stepAllocBudget {
+		t.Errorf("a training step inside a saturated region allocates %.1f objects, budget %d", a, stepAllocBudget)
+	}
+}

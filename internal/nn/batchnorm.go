@@ -30,6 +30,13 @@ type BatchNorm2D struct {
 
 	out, dx *tensor.Tensor // reused activation/gradient buffers
 
+	// The bodies of the layer's Parallel regions, bound once, and their
+	// per-call arguments: a region that runs on its caller (every core
+	// busy, tensor.Parallel) then allocates nothing.
+	fwd, bwd func(clo, chi int)
+	in, dout *tensor.Tensor
+	train    bool
+
 	lastPlane int // H*W at the most recent Forward, for FLOPs accounting
 }
 
@@ -45,6 +52,7 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	for i := range bn.RunVar {
 		bn.RunVar[i] = 1
 	}
+	bn.fwd, bn.bwd = bn.forwardChannels, bn.backwardChannels
 	return bn
 }
 
@@ -53,13 +61,9 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != bn.C {
 		panic(fmt.Sprintf("nn: %s expects (N,%d,H,W), got %v", bn.name, bn.C, x.Shape()))
 	}
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	plane := h * w
-	bn.lastPlane = plane
-	cnt := n * plane
-	out := tensor.Reuse(bn.out, n, bn.C, h, w)
-	bn.out = out
-
+	bn.lastPlane = x.Dim(2) * x.Dim(3)
+	bn.out = tensor.Reuse(bn.out, x.Shape()...)
+	bn.in, bn.train = x, train
 	if train {
 		bn.x = x
 		// Backward caches are reused across steps (steady-state training
@@ -75,58 +79,121 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			bn.xhat = make([]float32, x.Len())
 		}
 		bn.xhat = bn.xhat[:x.Len()]
-		tensor.Parallel(bn.C, func(clo, chi int) {
-			for c := clo; c < chi; c++ {
-				var sum float64
-				for i := 0; i < n; i++ {
-					base := (i*bn.C + c) * plane
-					for j := 0; j < plane; j++ {
-						sum += float64(x.Data[base+j])
-					}
-				}
-				mean := sum / float64(cnt)
-				var vs float64
-				for i := 0; i < n; i++ {
-					base := (i*bn.C + c) * plane
-					for j := 0; j < plane; j++ {
-						d := float64(x.Data[base+j]) - mean
-						vs += d * d
-					}
-				}
-				variance := vs / float64(cnt)
-				inv := 1.0 / math.Sqrt(variance+bn.Eps)
-				bn.mean[c] = mean
-				bn.invStd[c] = inv
-				g, b := float64(bn.gamma.W.Data[c]), float64(bn.beta.W.Data[c])
-				// Normalize+affine per channel plane through the SIMD
-				// kernel (float64 math per element, same operation order
-				// as the scalar loop it replaced). The mean/variance
-				// reductions above stay scalar: they are single
-				// accumulation chains that must not be reassociated.
-				for i := 0; i < n; i++ {
-					base := (i*bn.C + c) * plane
-					tensor.VecBNTrain(out.Data[base:base+plane], bn.xhat[base:base+plane],
-						x.Data[base:base+plane], mean, inv, g, b)
-				}
-				bn.RunMean[c] = float32((1-bn.Momentum)*float64(bn.RunMean[c]) + bn.Momentum*mean)
-				bn.RunVar[c] = float32((1-bn.Momentum)*float64(bn.RunVar[c]) + bn.Momentum*variance)
-			}
-		})
-		return out
 	}
+	tensor.Parallel(bn.C, bn.fwd)
+	return bn.out
+}
 
-	tensor.Parallel(bn.C, func(clo, chi int) {
+// bnLanes is how many channels the statistics loops advance abreast. Each
+// channel's sum is one float64 chain over ascending (image, position), one
+// add per element at the adder's latency; four independent chains fill
+// that latency. The chains do not interact, so every channel sums the
+// same values in the same order as a loop over it alone would.
+const bnLanes = 4
+
+// bnGroup returns where the planes of the bnLanes channels from c on start
+// inside an image; a group cut short at chi repeats its last channel, whose
+// repeated sums are computed and dropped.
+func bnGroup(c, chi, plane int) (o [bnLanes]int) {
+	for k := range o {
+		o[k] = min(c+k, chi-1) * plane
+	}
+	return o
+}
+
+// bnSums returns, per lane, Σ (v−m)² when sq is set and Σ v otherwise,
+// over the planes at o[k] of n images stride floats apart.
+func bnSums(v []float32, o [bnLanes]int, m [bnLanes]float64, sq bool, n, stride, plane int) [bnLanes]float64 {
+	var s0, s1, s2, s3 float64
+	for b := 0; b < n*stride; b += stride {
+		p0, p1, p2, p3 := v[b+o[0]:][:plane], v[b+o[1]:][:plane], v[b+o[2]:][:plane], v[b+o[3]:][:plane]
+		if !sq {
+			for j := range p0 {
+				s0 += float64(p0[j])
+				s1 += float64(p1[j])
+				s2 += float64(p2[j])
+				s3 += float64(p3[j])
+			}
+			continue
+		}
+		for j := range p0 {
+			d0, d1, d2, d3 := float64(p0[j])-m[0], float64(p1[j])-m[1], float64(p2[j])-m[2], float64(p3[j])-m[3]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+	}
+	return [bnLanes]float64{s0, s1, s2, s3}
+}
+
+// bnGradSums returns, per lane, dγ = Σ g·xhat and dβ = Σ g over the same
+// planes.
+func bnGradSums(g, xhat []float32, o [bnLanes]int, n, stride, plane int) (dgamma, dbeta [bnLanes]float64) {
+	var g0, g1, g2, g3, b0, b1, b2, b3 float64
+	for b := 0; b < n*stride; b += stride {
+		p0, p1, p2, p3 := g[b+o[0]:][:plane], g[b+o[1]:][:plane], g[b+o[2]:][:plane], g[b+o[3]:][:plane]
+		h0, h1, h2, h3 := xhat[b+o[0]:][:plane], xhat[b+o[1]:][:plane], xhat[b+o[2]:][:plane], xhat[b+o[3]:][:plane]
+		for j := range p0 {
+			e0, e1, e2, e3 := float64(p0[j]), float64(p1[j]), float64(p2[j]), float64(p3[j])
+			g0 += e0 * float64(h0[j])
+			b0 += e0
+			g1 += e1 * float64(h1[j])
+			b1 += e1
+			g2 += e2 * float64(h2[j])
+			b2 += e2
+			g3 += e3 * float64(h3[j])
+			b3 += e3
+		}
+	}
+	return [bnLanes]float64{g0, g1, g2, g3}, [bnLanes]float64{b0, b1, b2, b3}
+}
+
+// forwardChannels normalizes channels [clo,chi): batch statistics in
+// training mode, running statistics in evaluation mode.
+func (bn *BatchNorm2D) forwardChannels(clo, chi int) {
+	x, out := bn.in.Data, bn.out.Data
+	n, plane := bn.in.Dim(0), bn.lastPlane
+	if !bn.train {
 		for c := clo; c < chi; c++ {
 			inv := 1.0 / math.Sqrt(float64(bn.RunVar[c])+bn.Eps)
 			mean := float64(bn.RunMean[c])
 			g, b := float64(bn.gamma.W.Data[c]), float64(bn.beta.W.Data[c])
 			for i := 0; i < n; i++ {
 				base := (i*bn.C + c) * plane
-				tensor.VecBNEval(out.Data[base:base+plane], x.Data[base:base+plane], mean, inv, g, b)
+				tensor.VecBNEval(out[base:base+plane], x[base:base+plane], mean, inv, g, b)
 			}
 		}
-	})
-	return out
+		return
+	}
+	cnt := float64(n * plane)
+	for c := clo; c < chi; c += bnLanes {
+		o := bnGroup(c, chi, plane)
+		means := bnSums(x, o, [bnLanes]float64{}, false, n, bn.C*plane, plane)
+		for k := range means {
+			means[k] /= cnt
+		}
+		vars := bnSums(x, o, means, true, n, bn.C*plane, plane)
+		for k := range vars {
+			vars[k] /= cnt
+		}
+		for k := 0; k < min(bnLanes, chi-c); k++ {
+			ch, mean, variance := c+k, means[k], vars[k]
+			inv := 1.0 / math.Sqrt(variance+bn.Eps)
+			bn.mean[ch] = mean
+			bn.invStd[ch] = inv
+			g, b := float64(bn.gamma.W.Data[ch]), float64(bn.beta.W.Data[ch])
+			// Normalize+affine per channel plane through the SIMD kernel
+			// (float64 math per element, same operation order as the
+			// scalar loop it replaced).
+			for i := 0; i < n; i++ {
+				base := (i*bn.C + ch) * plane
+				tensor.VecBNTrain(out[base:base+plane], bn.xhat[base:base+plane], x[base:base+plane], mean, inv, g, b)
+			}
+			bn.RunMean[ch] = float32((1-bn.Momentum)*float64(bn.RunMean[ch]) + bn.Momentum*mean)
+			bn.RunVar[ch] = float32((1-bn.Momentum)*float64(bn.RunVar[ch]) + bn.Momentum*variance)
+		}
+	}
 }
 
 // Backward implements Layer (training-mode statistics).
@@ -134,36 +201,33 @@ func (bn *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if bn.x == nil {
 		panic("nn: BatchNorm2D.Backward before training-mode Forward")
 	}
-	n, h, w := bn.x.Dim(0), bn.x.Dim(2), bn.x.Dim(3)
-	plane := h * w
-	cnt := float64(n * plane)
-	dx := tensor.Reuse(bn.dx, n, bn.C, h, w)
-	bn.dx = dx
+	bn.dx = tensor.Reuse(bn.dx, bn.x.Shape()...)
+	bn.dout = dout
+	tensor.Parallel(bn.C, bn.bwd)
+	return bn.dx
+}
 
-	tensor.Parallel(bn.C, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			var dgamma, dbeta float64
-			for i := 0; i < n; i++ {
-				base := (i*bn.C + c) * plane
-				for j := 0; j < plane; j++ {
-					g := float64(dout.Data[base+j])
-					dgamma += g * float64(bn.xhat[base+j])
-					dbeta += g
-				}
-			}
-			bn.gamma.G.Data[c] += float32(dgamma)
-			bn.beta.G.Data[c] += float32(dbeta)
+// backwardChannels accumulates dγ and dβ of channels [clo,chi) — bnLanes
+// channels abreast, as the forward statistics — and forms their dx.
+func (bn *BatchNorm2D) backwardChannels(clo, chi int) {
+	dout, dx := bn.dout.Data, bn.dx.Data
+	n, plane := bn.x.Dim(0), bn.x.Dim(2)*bn.x.Dim(3)
+	cnt := float64(n * plane)
+	for c := clo; c < chi; c += bnLanes {
+		dgammas, dbetas := bnGradSums(dout, bn.xhat, bnGroup(c, chi, plane), n, bn.C*plane, plane)
+		for k := 0; k < min(bnLanes, chi-c); k++ {
+			ch, dgamma, dbeta := c+k, dgammas[k], dbetas[k]
+			bn.gamma.G.Data[ch] += float32(dgamma)
+			bn.beta.G.Data[ch] += float32(dbeta)
 
 			// dx = (gamma*invStd/cnt) * (cnt*dout - dbeta - xhat*dgamma)
-			scale := float64(bn.gamma.W.Data[c]) * bn.invStd[c] / cnt
+			scale := float64(bn.gamma.W.Data[ch]) * bn.invStd[ch] / cnt
 			for i := 0; i < n; i++ {
-				base := (i*bn.C + c) * plane
-				tensor.VecBNBwd(dx.Data[base:base+plane], dout.Data[base:base+plane],
-					bn.xhat[base:base+plane], scale, cnt, dbeta, dgamma)
+				base := (i*bn.C + ch) * plane
+				tensor.VecBNBwd(dx[base:base+plane], dout[base:base+plane], bn.xhat[base:base+plane], scale, cnt, dbeta, dgamma)
 			}
 		}
-	})
-	return dx
+	}
 }
 
 // Params implements Layer.

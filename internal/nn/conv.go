@@ -24,15 +24,32 @@ type Conv2D struct {
 	x                         *tensor.Tensor // cached input for backward
 	out, dx                   *tensor.Tensor // reused activation/gradient buffers
 
-	// taps[(ch·K+ky)·K+kx] = ch·Hp·Wp + ky·Wp + kx is where lowered row
-	// (ch,ky,kx) of a stride-1 convolution starts in the zero-bordered
-	// (InC, Hp, Wp) copy of an image; rebuilt with dims.
+	// taps[r], r = (ch·K+ky)·K+kx, is where lowered row r starts in the
+	// buffer its views are read from: ch·Hp·Wp + ky·Wp + kx in the
+	// zero-bordered (InC, Hp, Wp) copy of an image for stride 1, r·cols in
+	// the Im2Col matrix otherwise; rebuilt with dims.
 	taps []int32
 	// sparsity caches the sparse-dispatch decision and the exact nonzero
 	// pattern under the weight version, so mask-static sparse weights
 	// (algo.SSFL) skip both the per-minibatch probe and the per-element
 	// zero branches of the GEMM.
 	sparsity sparseCache
+
+	// The bodies of the layer's two Parallel regions, bound once, and their
+	// per-call arguments: a region that runs on its caller (every core
+	// busy, tensor.Parallel) then allocates nothing.
+	fwd, bwd func(lo, hi int)
+	dout     *tensor.Tensor
+	sparse   bool
+	pat      *tensor.MaskPat
+	shards   []convShard
+}
+
+// convShard is the dW (scratch, held from the region to the merge) and db
+// partial sums of shardImages consecutive images.
+type convShard struct {
+	dw []float32
+	db []float64
 }
 
 // NewConv2D constructs a convolution layer with He-normal initialized
@@ -48,6 +65,7 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, useBias bool, rng *ra
 	if useBias {
 		c.bias = newParam("bias", outC)
 	}
+	c.fwd, c.bwd = c.forwardRange, c.backwardShards
 	return c
 }
 
@@ -55,6 +73,8 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, useBias bool, rng *ra
 // convolution: its height and width, and flat = (OutH−1)·Wp+OutW, the
 // span of output positions laid out at the padded pitch Wp (output
 // (oy,ox) at oy·Wp+ox; the Wp−OutW columns between rows are junk).
+// Buffers at that pitch give each channel OutH·Wp floats, so all their
+// rows lie one pitch apart.
 func (c *Conv2D) padded() (hp, wp, flat int) {
 	d := c.dims
 	hp, wp = d.H+2*c.Pad, d.W+2*c.Pad
@@ -83,30 +103,36 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for ch := 0; ch < c.InC; ch++ {
 			for ky := 0; ky < c.K; ky++ {
 				for kx := 0; kx < c.K; kx++ {
-					c.taps = append(c.taps, int32(ch*hp*wp+ky*wp+kx))
+					tap := ch*hp*wp + ky*wp + kx
+					if c.Stride != 1 {
+						tap = len(c.taps) * c.dims.OutH * c.dims.OutW
+					}
+					c.taps = append(c.taps, int32(tap))
 				}
 			}
 		}
 	}
-	out := tensor.Reuse(c.out, n, c.OutC, c.dims.OutH, c.dims.OutW)
-	c.out = out
+	c.out = tensor.Reuse(c.out, n, c.OutC, c.dims.OutH, c.dims.OutW)
 	c.x = x
 	// The sparsity decision (and, mask-static, the exact nonzero pattern)
 	// is cached on the weight version, so frozen or mask-static weights
 	// skip the probe entirely and the GEMM walks precomputed index lists
 	// instead of branching on every element — bitwise identical either way.
-	sparse, pat := c.sparsity.probe(c.weight.W, c.OutC, c.InC*c.K*c.K)
-	tensor.Parallel(n, func(lo, hi int) {
-		switch {
-		case sparse:
-			c.forwardSparse(out, x, pat, lo, hi)
-		case c.Stride == 1:
-			c.forwardImplicit(out, x, lo, hi)
-		default:
-			c.forwardLowered(out, x, lo, hi)
-		}
-	})
-	return out
+	c.sparse, c.pat = c.sparsity.probe(c.weight.W, c.OutC, c.InC*c.K*c.K)
+	tensor.Parallel(n, c.fwd)
+	return c.out
+}
+
+// forwardRange is the forward of images [lo,hi) on the layer's route.
+func (c *Conv2D) forwardRange(lo, hi int) {
+	switch {
+	case c.sparse:
+		c.forwardSparse(c.out, c.x, c.pat, lo, hi)
+	case c.Stride == 1:
+		c.forwardImplicit(c.out, c.x, lo, hi)
+	default:
+		c.forwardLowered(c.out, c.x, lo, hi)
+	}
 }
 
 // forwardImplicit is the dense stride-1 forward of images [lo,hi) as an
@@ -119,23 +145,20 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (c *Conv2D) forwardImplicit(out, x *tensor.Tensor, lo, hi int) {
 	d := c.dims
 	hp, wp, flat := c.padded()
-	cols, colRows, inStride, outStride := c.sizes()
+	_, colRows, inStride, outStride := c.sizes()
 	xp := tensor.GetScratch(c.InC * hp * wp)
 	clear(xp) // the border; every image overwrites the whole interior
-	cB := tensor.GetScratch(c.OutC * flat)
+	cB := tensor.GetScratch(c.OutC * d.OutH * wp)
 	for i := lo; i < hi; i++ {
 		c.padInto(xp, x.Data[i*inStride:(i+1)*inStride])
-		tensor.Gemm(cB, flat, c.weight.W.Data, colRows, 1, xp, 0, c.taps, c.OutC, colRows, flat, false)
+		tensor.Gemm(cB, d.OutH*wp, c.weight.W.Data, colRows, 1, xp, 0, c.taps, c.OutC, colRows, flat, false)
 		oi := out.Data[i*outStride : (i+1)*outStride]
-		for oc := 0; oc < c.OutC; oc++ {
-			for oy := 0; oy < d.OutH; oy++ {
-				dst, src := oi[oc*cols+oy*d.OutW:][:d.OutW], cB[oc*flat+oy*wp:][:d.OutW]
-				if c.useBias {
-					tensor.VecCopyBias(dst, src, c.bias.W.Data[oc])
-				} else {
-					copy(dst, src)
-				}
-			}
+		if !c.useBias {
+			tensor.CopyRows(oi, d.OutW, cB, wp, c.OutC*d.OutH, d.OutW)
+			continue
+		}
+		for r := 0; r < c.OutC*d.OutH; r++ {
+			tensor.VecCopyBias(oi[r*d.OutW:][:d.OutW], cB[r*wp:][:d.OutW], c.bias.W.Data[r/d.OutH])
 		}
 	}
 	tensor.PutScratch(cB)
@@ -147,8 +170,8 @@ func (c *Conv2D) forwardImplicit(out, x *tensor.Tensor, lo, hi int) {
 func (c *Conv2D) padInto(xp, xi []float32) {
 	d := c.dims
 	hp, wp, _ := c.padded()
-	for r := 0; r < c.InC*d.H; r++ {
-		copy(xp[((r/d.H)*hp+r%d.H+c.Pad)*wp+c.Pad:][:d.W], xi[r*d.W:][:d.W])
+	for ch := 0; ch < c.InC; ch++ {
+		tensor.CopyRows(xp[(ch*hp+c.Pad)*wp+c.Pad:], wp, xi[ch*d.H*d.W:], d.W, d.H, d.W)
 	}
 }
 
@@ -241,77 +264,118 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Conv2D.Backward before Forward")
 	}
 	n, d := x.Dim(0), c.dims
-	cols, colRows, inStride, outStride := c.sizes()
-
-	dx := tensor.Reuse(c.dx, n, c.InC, d.H, d.W)
-	c.dx = dx
-	sparse, pat := c.sparsity.probe(c.weight.W, c.OutC, colRows)
+	c.dx = tensor.Reuse(c.dx, n, c.InC, d.H, d.W)
+	c.dout = dout
+	c.sparse, c.pat = c.sparsity.probe(c.weight.W, c.OutC, c.InC*c.K*c.K)
 
 	// Shard the batch shardImages at a time; each shard accumulates its
-	// own dW (and db) in scratch buffers, then shards are summed in
-	// ascending order. The reduction geometry is a function of the batch
-	// alone, never of the core count, so gradients are bitwise identical
-	// at any GOMAXPROCS.
-	type shard struct {
-		dw []float32
-		db []float64
+	// own dW (and db), then shards are summed in ascending order. The
+	// reduction geometry is a function of the batch alone, never of the
+	// core count, so gradients are bitwise identical at any GOMAXPROCS.
+	ns := (n + shardImages - 1) / shardImages
+	if cap(c.shards) < ns {
+		c.shards = make([]convShard, ns)
 	}
-	shards := make([]shard, (n+shardImages-1)/shardImages)
-	tensor.Parallel(len(shards), func(slo, shi int) {
-		for s := slo; s < shi; s++ {
-			lo, hi := s*shardImages, min((s+1)*shardImages, n)
-			sh := shard{dw: tensor.GetScratch(c.OutC * colRows)}
-			clear(sh.dw)
-			if c.useBias {
-				sh.db = make([]float64, c.OutC)
-			}
-			// dW += g_i · patches_i per image: each dot product runs over
-			// the image's output positions in ascending order and is then
-			// added once, so dW's rounding is per image whatever the route.
-			// The patch-major lowering is the product's natural (k=cols,
-			// n=colRows) vector operand.
-			col := tensor.GetScratch(cols * colRows)
-			for i := lo; i < hi; i++ {
-				tensor.Im2ColPatch(col, x.Data[i*inStride:(i+1)*inStride], d)
-				gi := dout.Data[i*outStride : (i+1)*outStride]
-				tensor.Gemm(sh.dw, colRows, gi, cols, 1, col, colRows, nil, c.OutC, cols, colRows, true)
-				if c.useBias {
-					for oc := 0; oc < c.OutC; oc++ {
-						var s float64
-						for _, v := range gi[oc*cols : (oc+1)*cols] {
-							s += float64(v)
-						}
-						sh.db[oc] += s
-					}
-				}
-			}
-			tensor.PutScratch(col)
-			switch {
-			case sparse:
-				c.backwardSparse(dx, dout, pat, lo, hi)
-			case c.Stride == 1:
-				c.backwardImplicit(dx, dout, lo, hi)
-			default:
-				c.backwardLowered(dx, dout, lo, hi)
-			}
-			shards[s] = sh
-		}
-	})
-	for _, sh := range shards {
+	c.shards = c.shards[:ns]
+	tensor.Parallel(ns, c.bwd)
+	for i := range c.shards {
+		sh := &c.shards[i]
 		tensor.VecAdd(c.weight.G.Data, sh.dw)
 		tensor.PutScratch(sh.dw)
+		sh.dw = nil
 		if c.useBias {
 			for oc, v := range sh.db {
 				c.bias.G.Data[oc] += float32(v)
 			}
 		}
 	}
-	return dx
+	return c.dx
 }
 
-// backwardImplicit forms dx of images [lo,hi) for a dense stride-1
-// convolution without building dcol = Wᵀ·g or scattering it. g is laid
-// out at the padded pitch with zero junk columns; for tap (ky,kx), rows
+// backwardShards is the backward of shards [slo,shi): per image,
+// dW += g · patches — each dot product runs over the image's positions in
+// ascending order and is then added once, so dW's rounding is per image
+// whatever the route — then dx on the layer's route.
+//
+// patches, the (k = positions, n = colRows) vector operand, is the
+// transpose of the lowered rows, and on every route the lowered rows
+// already exist as views (tensor.TransposeViews over c.taps). Stride 1:
+// the views are the taps of the zero-bordered image, so positions run at
+// the padded pitch and g is taken from gp, the layout backward-dx reads
+// anyway. Every junk position multiplies g = 0 there: the chain, started
+// from +0, gains a ±0 and stays what it was — the argument backwardImplicit
+// makes for dx. Strided: the views are the rows of the Im2Col matrix.
+func (c *Conv2D) backwardShards(slo, shi int) {
+	d, x, dout := c.dims, c.x, c.dout
+	cols, colRows, inStride, outStride := c.sizes()
+	hp, wp, flat := c.padded()
+	span, gld := cols, cols
+	var lowered, gp, dxp []float32 // lowered: what the views point into
+	if c.Stride != 1 {
+		lowered = tensor.GetScratch(colRows * cols)
+	} else {
+		span, gld = flat, d.OutH*wp
+		lowered = tensor.GetScratch(c.InC * hp * wp)
+		clear(lowered) // the border; every image overwrites the whole interior
+		gp = tensor.GetScratch(c.OutC * gld)
+		clear(gp) // the junk columns; every image overwrites all the others
+		if !c.sparse {
+			dxp = tensor.GetScratch(c.InC * hp * wp)
+		}
+	}
+	patch := tensor.GetScratch(span * colRows)
+	for s := slo; s < shi; s++ {
+		sh := &c.shards[s]
+		lo, hi := s*shardImages, min((s+1)*shardImages, x.Dim(0))
+		sh.dw = tensor.GetScratch(c.OutC * colRows)
+		clear(sh.dw)
+		if c.useBias {
+			if cap(sh.db) < c.OutC {
+				sh.db = make([]float64, c.OutC)
+			}
+			sh.db = sh.db[:c.OutC]
+			clear(sh.db)
+		}
+		for i := lo; i < hi; i++ {
+			xi, g := x.Data[i*inStride:(i+1)*inStride], dout.Data[i*outStride:(i+1)*outStride]
+			if c.useBias {
+				for oc := 0; oc < c.OutC; oc++ {
+					var sum float64
+					for _, v := range g[oc*cols : (oc+1)*cols] {
+						sum += float64(v)
+					}
+					sh.db[oc] += sum
+				}
+			}
+			if c.Stride == 1 {
+				c.padInto(lowered, xi)
+				tensor.CopyRows(gp, wp, g, d.OutW, c.OutC*d.OutH, d.OutW)
+				g = gp
+			} else {
+				tensor.Im2Col(lowered, xi, d)
+			}
+			tensor.TransposeViews(patch, lowered, c.taps, span)
+			tensor.Gemm(sh.dw, colRows, g, gld, 1, patch, colRows, nil, c.OutC, span, colRows, true)
+			if c.Stride == 1 && !c.sparse {
+				c.backwardImplicit(c.dx.Data[i*inStride:(i+1)*inStride], gp, dxp)
+			}
+		}
+		switch {
+		case c.sparse:
+			c.backwardSparse(c.dx, dout, c.pat, lo, hi)
+		case c.Stride != 1:
+			c.backwardLowered(c.dx, dout, lo, hi)
+		}
+	}
+	tensor.PutScratch(patch)
+	tensor.PutScratch(dxp)
+	tensor.PutScratch(gp)
+	tensor.PutScratch(lowered)
+}
+
+// backwardImplicit forms one image's dx for a dense stride-1 convolution
+// without building dcol = Wᵀ·g or scattering it. gp is g laid out at the
+// padded pitch with zero junk columns; for tap (ky,kx), rows
 // (ch,ky,kx) of dcol for all ch are one Gemm with W read transposed
 // through its strides (A[ch][oc] = W[oc][(ch,ky,kx)]), and col2im of
 // those rows is a plain add of the row into the zero-bordered dx plane ch
@@ -324,30 +388,17 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // never −0; adding +0 to it is a bitwise no-op, so the junk columns (which
 // land on real cells of the next row) change nothing. Cells in the border
 // collect the taps the lowered scatter skips and are not copied out.
-func (c *Conv2D) backwardImplicit(dx, dout *tensor.Tensor, lo, hi int) {
+func (c *Conv2D) backwardImplicit(dxi, gp, dxp []float32) {
 	d := c.dims
 	hp, wp, flat := c.padded()
-	_, colRows, inStride, outStride := c.sizes()
-	kk := c.K * c.K
-	gp := tensor.GetScratch(c.OutC * flat)
-	clear(gp) // the junk columns; every image overwrites all the others
-	dxp := tensor.GetScratch(c.InC * hp * wp)
-	for i := lo; i < hi; i++ {
-		gi := dout.Data[i*outStride : (i+1)*outStride]
-		for r := 0; r < c.OutC*d.OutH; r++ {
-			copy(gp[(r/d.OutH)*flat+(r%d.OutH)*wp:][:d.OutW], gi[r*d.OutW:][:d.OutW])
-		}
-		clear(dxp)
-		for t := 0; t < kk; t++ {
-			tensor.Gemm(dxp[(t/c.K)*wp+t%c.K:], hp*wp, c.weight.W.Data[t:], kk, colRows, gp, flat, nil, c.InC, c.OutC, flat, true)
-		}
-		dxi := dx.Data[i*inStride : (i+1)*inStride]
-		for r := 0; r < c.InC*d.H; r++ {
-			copy(dxi[r*d.W:][:d.W], dxp[((r/d.H)*hp+r%d.H+c.Pad)*wp+c.Pad:][:d.W])
-		}
+	kk, colRows := c.K*c.K, c.InC*c.K*c.K
+	clear(dxp)
+	for t := 0; t < kk; t++ {
+		tensor.Gemm(dxp[(t/c.K)*wp+t%c.K:], hp*wp, c.weight.W.Data[t:], kk, colRows, gp, d.OutH*wp, nil, c.InC, c.OutC, flat, true)
 	}
-	tensor.PutScratch(dxp)
-	tensor.PutScratch(gp)
+	for ch := 0; ch < c.InC; ch++ {
+		tensor.CopyRows(dxi[ch*d.H*d.W:], d.W, dxp[(ch*hp+c.Pad)*wp+c.Pad:], wp, d.H, d.W)
+	}
 }
 
 // backwardLowered forms dx of images [lo,hi) for dense strided

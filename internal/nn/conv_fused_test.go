@@ -173,6 +173,24 @@ func TestConv2DImplicitMatchesLowered(t *testing.T) {
 			checkConvAgainstLowered(t, c, rng, 3, 9, 8)
 		})
 	}
+	// Mostly-zero weights take the zero-skipping route for forward and dx;
+	// dW is the dense product over the same transposed views, at the padded
+	// pitch for stride 1 and over the Im2Col rows for stride 2.
+	for _, stride := range []int{1, 2} {
+		t.Run(fmt.Sprintf("sparse_stride%d", stride), func(t *testing.T) {
+			c := NewConv2D("c", 5, 6, 3, stride, 1, true, rng)
+			for i := range c.weight.W.Data {
+				if i%5 != 0 {
+					c.weight.W.Data[i] = 0
+				}
+			}
+			c.weight.Bump()
+			if !tensor.IsSparse(c.weight.W.Data) {
+				t.Fatal("sparsified weights not classified sparse")
+			}
+			checkConvAgainstLowered(t, c, rng, 5, 9, 8)
+		})
+	}
 }
 
 // TestConvLinearConcurrentHammer trains a conv and a linear layer from

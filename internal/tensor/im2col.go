@@ -128,264 +128,44 @@ func im2colStride1(col []float32, x []float32, d ConvDims, ld int) {
 	}
 }
 
-// Im2ColPatch lowers one image (C,H,W) into the patch-major column buffer
-// dst of shape (OutH*OutW, C*K*K): row j holds the receptive field of
-// output pixel j, laid out in the same (c,ky,kx) order as a filter row of
-// the weight matrix. This is the transposed layout of Im2Col, produced
-// directly: the (k = pixels, n = C*K*K) vector-side operand of the conv
-// weight gradient dW += g · patches, with no transpose.
-func Im2ColPatch(dst, x []float32, d ConvDims) {
-	if d.K == 3 {
-		im2colPatch3(dst, x, d)
+// TransposeViews writes the patch-major lowering of a convolution — the
+// transpose of its row-major one — without building the latter:
+//
+//	dst[j·rows+r] = src[offs[r]+j]    r < rows = len(offs), j < span
+//
+// View r is the span contiguous floats of src at offs[r]: lowered row
+// (c,ky,kx) of a stride-1 convolution inside the zero-bordered image
+// (nn.Conv2D.taps, span at the padded pitch), or row r of an Im2Col
+// matrix. dst row j is then the receptive field of position j in filter
+// order: the (k = span, n = rows) vector-side operand of the weight
+// gradient dW += g · patches. On AVX2 it moves 8×8 blocks through the
+// registers (transposeViews8); transposeViewsGo is the portable body and
+// the tests' oracle.
+func TransposeViews(dst, src []float32, offs []int32, span int) {
+	rows := len(offs)
+	if rows == 0 || span <= 0 {
 		return
 	}
-	colRows := d.InC * d.K * d.K
-	kk := d.K * d.K
-	for oy := 0; oy < d.OutH; oy++ {
-		for ox := 0; ox < d.OutW; ox++ {
-			patch := dst[(oy*d.OutW+ox)*colRows:][:colRows]
-			ix0 := ox*d.Stride - d.Pad
-			// Valid kx satisfy 0 ≤ ix0+kx < W.
-			lo, hi := max(-ix0, 0), min(d.W-ix0, d.K)
-			lo = min(lo, d.K) // padding wider than the kernel
-			hi = max(hi, lo)
-			iy0 := oy*d.Stride - d.Pad
-			interior := lo == 0 && hi == d.K && iy0 >= 0 && iy0+d.K <= d.H
-			for c := 0; c < d.InC; c++ {
-				plane := x[c*d.H*d.W:]
-				pp := patch[c*kk:][:kk]
-				if interior {
-					// Fully in-bounds receptive field: no fringe handling.
-					// K is tiny (3 or 5 here), so an inline element loop
-					// beats a memmove call per row.
-					src := plane[iy0*d.W+ix0:]
-					for ky := 0; ky < d.K; ky++ {
-						row := pp[ky*d.K:][:d.K]
-						srow := src[ky*d.W:]
-						for i := range row {
-							row[i] = srow[i]
-						}
-					}
-					continue
-				}
-				for ky := 0; ky < d.K; ky++ {
-					iy := iy0 + ky
-					row := pp[ky*d.K:][:d.K]
-					if iy < 0 || iy >= d.H {
-						for i := range row {
-							row[i] = 0
-						}
-						continue
-					}
-					for i := 0; i < lo; i++ {
-						row[i] = 0
-					}
-					if hi > lo {
-						srow := plane[iy*d.W+ix0+lo:]
-						for i := lo; i < hi; i++ {
-							row[i] = srow[i-lo]
-						}
-					}
-					for i := hi; i < d.K; i++ {
-						row[i] = 0
-					}
-				}
-			}
+	if len(dst) < span*rows {
+		panic(fmt.Sprintf("tensor: TransposeViews dst of %d short of %d×%d", len(dst), span, rows))
+	}
+	for _, o := range offs {
+		if o < 0 || int(o)+span > len(src) {
+			panic(fmt.Sprintf("tensor: TransposeViews view at %d of span %d outside src of %d", o, span, len(src)))
 		}
 	}
-}
-
-// im2colPatch3 is Im2ColPatch specialized for 3×3 kernels (every conv in
-// the repo's ResNet/VGG models). Each output row's fully-interior ox span
-// is computed once; over that span the copy runs channel-outer with the
-// three source-row slices and the destination cursor hoisted out of the
-// per-pixel loop, so the inner body is nine unrolled load/store pairs and
-// two additions. Only the padding fringe takes the bounds-checked path.
-func im2colPatch3(dst, x []float32, d ConvDims) {
-	colRows := d.InC * 9
-	hw := d.H * d.W
-	w := d.W
-	st := d.Stride
-	// Interior ox satisfy 0 ≤ ox·st−Pad and ox·st−Pad+3 ≤ W.
-	oxLo := 0
-	if d.Pad > 0 {
-		oxLo = (d.Pad + st - 1) / st
-	}
-	oxHi := 0
-	if q := w + d.Pad - 3; q >= 0 {
-		oxHi = q/st + 1
-	}
-	if oxHi > d.OutW {
-		oxHi = d.OutW
-	}
-	if oxHi < oxLo {
-		oxHi = oxLo
-	}
-	// Interior oy satisfy 0 ≤ oy·st−Pad and oy·st−Pad+3 ≤ H.
-	oyLo := 0
-	if d.Pad > 0 {
-		oyLo = (d.Pad + st - 1) / st
-	}
-	oyHi := 0
-	if q := d.H + d.Pad - 3; q >= 0 {
-		oyHi = q/st + 1
-	}
-	if oyHi > d.OutH {
-		oyHi = d.OutH
-	}
-	if oyHi < oyLo {
-		oyHi = oyLo
-	}
-	for oy := 0; oy < d.OutH; oy++ {
-		iy0 := oy*st - d.Pad
-		base := oy * d.OutW * colRows
-		if oy < oyLo || oy >= oyHi {
-			// Vertically clipped row: corners take the fully bounds-checked
-			// edge path, the x-interior span shares the run copier (which
-			// zeroes whole out-of-bounds tap rows).
-			for ox := 0; ox < oxLo; ox++ {
-				im2colPatch3Edge(dst[base+ox*colRows:][:colRows], x, d, iy0, ox*st-d.Pad)
-			}
-			for ox := oxHi; ox < d.OutW; ox++ {
-				im2colPatch3Edge(dst[base+ox*colRows:][:colRows], x, d, iy0, ox*st-d.Pad)
-			}
-		}
-		if oxHi > oxLo {
-			ix0 := oxLo*st - d.Pad
-			n := oxHi - oxLo
-			for c := 0; c < d.InC; c++ {
-				im2colPatch3Run(dst[base+oxLo*colRows+c*9:], x[c*hw:], n, colRows, iy0, ix0, w, st, d.H)
-			}
-		}
-	}
-	// Left/right fringe columns over the vertically interior rows run as
-	// per-channel vertical strips: the x-clip window is fixed down a
-	// column, so the inner copy is straight-line with all three tap rows
-	// guaranteed in bounds.
-	if oyHi > oyLo {
-		for ox := 0; ox < oxLo; ox++ {
-			im2colPatch3Strip(dst, x, d, ox, oyLo, oyHi, colRows, hw)
-		}
-		for ox := oxHi; ox < d.OutW; ox++ {
-			im2colPatch3Strip(dst, x, d, ox, oyLo, oyHi, colRows, hw)
-		}
-	}
-}
-
-// im2colPatch3Strip fills all channels of one x-clipped output column for
-// the vertically interior rows [oyLo, oyHi).
-func im2colPatch3Strip(dst, x []float32, d ConvDims, ox, oyLo, oyHi, colRows, hw int) {
-	w, st := d.W, d.Stride
-	ix0 := ox*st - d.Pad
-	lo, hi := max(-ix0, 0), min(w-ix0, 3)
-	lo = min(lo, 3) // padding wider than the kernel
-	hi = max(hi, lo)
-	// oy outer, channels inner: each output pixel's patch (colRows floats)
-	// is written contiguously, and the three input rows a pixel reads stay
-	// warm for the next pixel down the column.
-	for oy := oyLo; oy < oyHi; oy++ {
-		base := (oy*st - d.Pad) * w
-		patch := dst[(oy*d.OutW+ox)*colRows:][:colRows]
-		po := 0
-		for c := 0; c < d.InC; c++ {
-			// ix0 may be negative (left fringe); every read index ix0+kx
-			// with kx ≥ lo is in bounds.
-			src := x[c*hw+base:]
-			pp := patch[po : po+9 : po+9]
-			po += 9
-			pp[0], pp[1], pp[2] = 0, 0, 0
-			pp[3], pp[4], pp[5] = 0, 0, 0
-			pp[6], pp[7], pp[8] = 0, 0, 0
-			for kx := lo; kx < hi; kx++ {
-				pp[kx] = src[ix0+kx]
-				pp[3+kx] = src[w+ix0+kx]
-				pp[6+kx] = src[2*w+ix0+kx]
-			}
-		}
-	}
-}
-
-// im2colPatch3Run fills one channel's nine taps for a horizontal run of n
-// x-interior output pixels starting at input column ix0, writing patches
-// colRows apart starting at dst[0]. Tap rows outside [0,H) are zeroed; the
-// all-interior case — almost every pixel — runs the straight-line copy.
-func im2colPatch3Run(dst, plane []float32, n, colRows, iy0, ix0, w, st, h int) {
-	var r0, r1, r2 []float32
-	if iy0 >= 0 && iy0 < h {
-		r0 = plane[iy0*w+ix0:]
-	}
-	if iy := iy0 + 1; iy >= 0 && iy < h {
-		r1 = plane[iy*w+ix0:]
-	}
-	if iy := iy0 + 2; iy >= 0 && iy < h {
-		r2 = plane[iy*w+ix0:]
-	}
-	po, j := 0, 0
-	if r0 != nil && r1 != nil && r2 != nil {
-		for i := 0; i < n; i++ {
-			pp := dst[po : po+9 : po+9]
-			pp[0], pp[1], pp[2] = r0[j], r0[j+1], r0[j+2]
-			pp[3], pp[4], pp[5] = r1[j], r1[j+1], r1[j+2]
-			pp[6], pp[7], pp[8] = r2[j], r2[j+1], r2[j+2]
-			po += colRows
-			j += st
-		}
+	if useAVX2 && rows >= 8 && span >= 8 {
+		transposeViews8(&dst[0], &src[0], &offs[0], rows, span)
 		return
 	}
-	// Clipped run: the three per-row branches resolve the same way every
-	// iteration, so they predict perfectly.
-	for i := 0; i < n; i++ {
-		pp := dst[po : po+9 : po+9]
-		if r0 != nil {
-			pp[0], pp[1], pp[2] = r0[j], r0[j+1], r0[j+2]
-		} else {
-			pp[0], pp[1], pp[2] = 0, 0, 0
-		}
-		if r1 != nil {
-			pp[3], pp[4], pp[5] = r1[j], r1[j+1], r1[j+2]
-		} else {
-			pp[3], pp[4], pp[5] = 0, 0, 0
-		}
-		if r2 != nil {
-			pp[6], pp[7], pp[8] = r2[j], r2[j+1], r2[j+2]
-		} else {
-			pp[6], pp[7], pp[8] = 0, 0, 0
-		}
-		po += colRows
-		j += st
-	}
+	transposeViewsGo(dst, src, offs, span)
 }
 
-// im2colPatch3Edge fills one padding-fringe patch (all channels of one
-// output pixel), zeroing out-of-bounds taps.
-func im2colPatch3Edge(patch, x []float32, d ConvDims, iy0, ix0 int) {
-	hw := d.H * d.W
-	w := d.W
-	lo, hi := max(-ix0, 0), min(w-ix0, 3)
-	lo = min(lo, 3) // padding wider than the kernel
-	hi = max(hi, lo)
-	for c := 0; c < d.InC; c++ {
-		plane := x[c*hw:]
-		pp := patch[c*9 : c*9+9]
-		for ky := 0; ky < 3; ky++ {
-			iy := iy0 + ky
-			row := pp[ky*3 : ky*3+3]
-			if iy < 0 || iy >= d.H {
-				row[0], row[1], row[2] = 0, 0, 0
-				continue
-			}
-			for i := 0; i < lo; i++ {
-				row[i] = 0
-			}
-			if hi > lo {
-				srow := plane[iy*w+ix0+lo:]
-				for i := lo; i < hi; i++ {
-					row[i] = srow[i-lo]
-				}
-			}
-			for i := hi; i < 3; i++ {
-				row[i] = 0
-			}
+func transposeViewsGo(dst, src []float32, offs []int32, span int) {
+	rows := len(offs)
+	for r, o := range offs {
+		for j, v := range src[o:][:span] {
+			dst[j*rows+r] = v
 		}
 	}
 }

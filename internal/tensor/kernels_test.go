@@ -209,43 +209,98 @@ func TestMatMulSparsePath(t *testing.T) {
 	}
 }
 
-// TestIm2ColPatchMatchesTranspose checks the patch-major lowering against
-// the transposed row-major lowering across geometries covering both the
-// K=3 specialization and the generic path, with and without padding fringes
-// and strides.
+// TestIm2ColPatchMatchesTranspose defines the patch-major lowering dW
+// multiplies against as TransposeSlice ∘ Im2Col and checks TransposeViews
+// builds exactly that, on the vector kernel and on the portable body, from
+// both kinds of views Conv2D feeds it: the rows of the Im2Col matrix (any
+// stride; every slot must match) and, for stride 1, the taps of the
+// zero-bordered image at the padded pitch (every valid position must
+// match; the junk positions between rows are not compared). The sweep
+// covers row counts 8, 9, 36, 72, 144 and spans 8, 22, 78, 286 — the
+// blocks flush with either end — and counts below 8, which fall back.
 func TestIm2ColPatchMatchesTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	geoms := []ConvDims{
-		NewConvDims(3, 7, 5, 4, 3, 1, 1),
-		NewConvDims(2, 8, 8, 4, 3, 2, 1),
-		NewConvDims(1, 5, 5, 2, 5, 1, 2),
-		NewConvDims(2, 6, 7, 3, 2, 1, 0),
-		NewConvDims(4, 16, 16, 8, 3, 1, 1),
-		NewConvDims(1, 4, 4, 1, 3, 1, 2), // pad wider than the image fringe
-		NewConvDims(2, 4, 5, 1, 1, 1, 2), // pad wider than the kernel, generic path
-		NewConvDims(1, 3, 3, 1, 3, 1, 4), // pad wider than the kernel, 3×3 path
-	}
-	for _, d := range geoms {
+	lowerings := []struct {
+		name string
+		fn   func(dst, src []float32, offs []int32, span int)
+	}{{"TransposeViews", TransposeViews}, {"transposeViewsGo", transposeViewsGo}}
+	seenRows, seenSpans := map[int]bool{}, map[int]bool{}
+	check := func(d ConvDims) {
 		x := make([]float32, d.InC*d.H*d.W)
 		for i := range x {
 			x[i] = rng.Float32()*2 - 1
 		}
-		colRows := d.InC * d.K * d.K
-		cols := d.OutH * d.OutW
-		col := make([]float32, colRows*cols)
+		rows, cols := d.InC*d.K*d.K, d.OutH*d.OutW
+		col := make([]float32, rows*cols)
 		Im2Col(col, x, d)
-		want := make([]float32, cols*colRows)
-		TransposeSlice(want, col, colRows, cols)
+		want := make([]float32, cols*rows)
+		TransposeSlice(want, col, rows, cols)
 
-		got := make([]float32, cols*colRows)
-		for i := range got {
-			got[i] = -999 // every slot must be written
+		// The zero-bordered image and where each lowered row starts in it.
+		hp, wp := d.H+2*d.Pad, d.W+2*d.Pad
+		flat := (d.OutH-1)*wp + d.OutW
+		xp := make([]float32, d.InC*hp*wp)
+		for c := 0; c < d.InC; c++ {
+			CopyRows(xp[(c*hp+d.Pad)*wp+d.Pad:], wp, x[c*d.H*d.W:], d.W, d.H, d.W)
 		}
-		Im2ColPatch(got, x, d)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("Im2ColPatch %+v: element %d = %v, want %v", d, i, got[i], want[i])
+		rowOffs, taps := make([]int32, 0, rows), make([]int32, 0, rows)
+		for c := 0; c < d.InC; c++ {
+			for ky := 0; ky < d.K; ky++ {
+				for kx := 0; kx < d.K; kx++ {
+					rowOffs = append(rowOffs, int32(len(rowOffs)*cols))
+					taps = append(taps, int32(c*hp*wp+ky*wp+kx))
+				}
 			}
+		}
+		seenRows[rows], seenSpans[cols] = true, true
+		for _, l := range lowerings {
+			got := make([]float32, cols*rows)
+			for i := range got {
+				got[i] = -999 // every slot must be written
+			}
+			l.fn(got, col, rowOffs, cols)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s over Im2Col rows %+v: element %d = %v, want %v", l.name, d, i, got[i], want[i])
+				}
+			}
+			if d.Stride != 1 {
+				continue
+			}
+			seenSpans[flat] = true
+			got = make([]float32, flat*rows)
+			l.fn(got, xp, taps, flat)
+			for oy := 0; oy < d.OutH; oy++ {
+				for ox := 0; ox < d.OutW; ox++ {
+					for r := 0; r < rows; r++ {
+						if g, w := got[(oy*wp+ox)*rows+r], want[(oy*d.OutW+ox)*rows+r]; g != w {
+							t.Fatalf("%s over padded taps %+v: position (%d,%d) row %d = %v, want %v", l.name, d, oy, ox, r, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, k := range []int{1, 3, 5} {
+		for _, pad := range []int{0, 1, 2} {
+			for _, stride := range []int{1, 2} {
+				for _, in := range [][3]int{{3, 6, 7}, {4, 16, 16}, {8, 8, 8}, {16, 4, 4}, {1, 5, 9}, {8, 2, 4}, {2, 2, 2}} {
+					if in[1]+2*pad < k || in[2]+2*pad < k {
+						continue // the kernel does not fit
+					}
+					check(NewConvDims(in[0], in[1], in[2], 4, k, stride, pad))
+				}
+			}
+		}
+	}
+	for _, rows := range []int{3, 8, 9, 36, 72, 144} {
+		if !seenRows[rows] {
+			t.Errorf("sweep never lowered %d rows", rows)
+		}
+	}
+	for _, span := range []int{4, 8, 22, 78, 286} {
+		if !seenSpans[span] {
+			t.Errorf("sweep never lowered a span of %d", span)
 		}
 	}
 }
@@ -288,8 +343,10 @@ func TestParallelPoolHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelDeterministicChunks verifies the determinism contract: chunk
-// boundaries are a pure function of (n, GOMAXPROCS).
+// TestParallelDeterministicChunks checks the dispatch path on an idle
+// pool: with no other region running, a region's chunk boundaries are a
+// pure function of (n, GOMAXPROCS). (Callers may not rely on the cuts —
+// a busy machine runs the region on its caller — only on the partition.)
 func TestParallelDeterministicChunks(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)

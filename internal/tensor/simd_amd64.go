@@ -33,6 +33,15 @@ func gemmPanels16(args *gemmArgs)
 //go:noescape
 func gemmPanel8(args *gemmArgs)
 
+// transposeViews8 is TransposeViews for rows ≥ 8 and span ≥ 8, arguments
+// already validated: 8 views × 8 positions per block, transposed in
+// registers; the last row block and the last position block are placed
+// flush with the end, so they overlap their neighbours and rewrite equal
+// values instead of masking a tail.
+//
+//go:noescape
+func transposeViews8(dst, src *float32, offs *int32, rows, span int)
+
 // laneMasks[8-w:] is the VMASKMOVPS mask selecting the first w of 8 lanes.
 var laneMasks = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
 

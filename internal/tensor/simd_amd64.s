@@ -329,3 +329,96 @@ next:
 done:
 	VZEROUPPER
 	RET
+
+// VIEW loads positions [R14, R14+8) of the view whose offset is the i-th
+// int32 at DX.
+#define VIEW(i, Y) \
+	MOVLQSX	4*i(DX), AX; \
+	ADDQ	R14, AX; \
+	VMOVUPS	(SI)(AX*4), Y
+
+// PUT stores one transposed row and steps DX to the next dst row.
+#define PUT(Y) \
+	VMOVUPS	Y, (DX); \
+	ADDQ	R10, DX
+
+// func transposeViews8(dst, src *float32, offs *int32, rows, span int)
+//
+// dst[j·rows+r] = src[offs[r]+j] in 8×8 blocks, position blocks outermost so
+// dst is written front to back. Registers: DI dst, SI src, BX offs, R8 rows,
+// R9 span, R10 dst pitch in bytes, R13/R15 block origins j/r, R14/CX the same
+// clamped to span−8/rows−8 (R12/R11).
+TEXT ·transposeViews8(SB), NOSPLIT, $0-40
+	MOVQ	dst+0(FP), DI
+	MOVQ	src+8(FP), SI
+	MOVQ	offs+16(FP), BX
+	MOVQ	rows+24(FP), R8
+	MOVQ	span+32(FP), R9
+	LEAQ	(R8*4), R10
+	LEAQ	-8(R8), R11
+	LEAQ	-8(R9), R12
+	XORQ	R13, R13
+
+jblock:
+	MOVQ	R13, R14
+	CMPQ	R14, R12
+	CMOVQGT	R12, R14
+	XORQ	R15, R15
+
+rblock:
+	MOVQ	R15, CX
+	CMPQ	CX, R11
+	CMOVQGT	R11, CX
+	LEAQ	(BX)(CX*4), DX
+	VIEW(0, Y0)
+	VIEW(1, Y1)
+	VIEW(2, Y2)
+	VIEW(3, Y3)
+	VIEW(4, Y4)
+	VIEW(5, Y5)
+	VIEW(6, Y6)
+	VIEW(7, Y7)
+	VUNPCKLPS	Y1, Y0, Y8
+	VUNPCKHPS	Y1, Y0, Y9
+	VUNPCKLPS	Y3, Y2, Y10
+	VUNPCKHPS	Y3, Y2, Y11
+	VUNPCKLPS	Y5, Y4, Y12
+	VUNPCKHPS	Y5, Y4, Y13
+	VUNPCKLPS	Y7, Y6, Y14
+	VUNPCKHPS	Y7, Y6, Y15
+	VSHUFPS	$0x44, Y10, Y8, Y0
+	VSHUFPS	$0xEE, Y10, Y8, Y1
+	VSHUFPS	$0x44, Y11, Y9, Y2
+	VSHUFPS	$0xEE, Y11, Y9, Y3
+	VSHUFPS	$0x44, Y14, Y12, Y4
+	VSHUFPS	$0xEE, Y14, Y12, Y5
+	VSHUFPS	$0x44, Y15, Y13, Y6
+	VSHUFPS	$0xEE, Y15, Y13, Y7
+	VPERM2F128	$0x20, Y4, Y0, Y8
+	VPERM2F128	$0x20, Y5, Y1, Y9
+	VPERM2F128	$0x20, Y6, Y2, Y10
+	VPERM2F128	$0x20, Y7, Y3, Y11
+	VPERM2F128	$0x31, Y4, Y0, Y12
+	VPERM2F128	$0x31, Y5, Y1, Y13
+	VPERM2F128	$0x31, Y6, Y2, Y14
+	VPERM2F128	$0x31, Y7, Y3, Y15
+	MOVQ	R14, DX
+	IMULQ	R10, DX
+	ADDQ	DI, DX
+	LEAQ	(DX)(CX*4), DX
+	PUT(Y8)
+	PUT(Y9)
+	PUT(Y10)
+	PUT(Y11)
+	PUT(Y12)
+	PUT(Y13)
+	PUT(Y14)
+	PUT(Y15)
+	ADDQ	$8, R15
+	CMPQ	R15, R8
+	JLT	rblock
+	ADDQ	$8, R13
+	CMPQ	R13, R9
+	JLT	jblock
+	VZEROUPPER
+	RET

@@ -37,14 +37,18 @@ func (t *Tensor) MarkMutated() { t.version++ }
 
 // New returns a zero-filled tensor with the given shape.
 func New(shape ...int) *Tensor {
+	// The copy is what the panic formats and the tensor keeps, so the
+	// variadic slice never escapes: a caller of New or Reuse builds it on
+	// its stack, and a Reuse hit allocates nothing.
+	own := append([]int(nil), shape...)
 	n := 1
-	for _, d := range shape {
+	for _, d := range own {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, own))
 		}
 		n *= d
 	}
-	return &Tensor{Data: make([]float32, n), shape: append([]int(nil), shape...)}
+	return &Tensor{Data: make([]float32, n), shape: own}
 }
 
 // Reuse returns t when it already has exactly the given shape — contents

@@ -403,6 +403,24 @@ func TestNewPanicsOnNonPositiveDim(t *testing.T) {
 	New(2, 0)
 }
 
+// TestReuseHitAllocatesNothing pins the steady-state cost of a layer's
+// buffer reuse: when the shape matches, Reuse returns t and its variadic
+// shape stays on the caller's stack.
+func TestReuseHitAllocatesNothing(t *testing.T) {
+	buf := New(4, 3, 8, 8)
+	n, h := 4, 8 // not constants: the shape is built at run time, as a layer builds it
+	if a := testing.AllocsPerRun(100, func() {
+		if Reuse(buf, n, 3, h, h) != buf {
+			t.Fatal("Reuse did not return the matching tensor")
+		}
+	}); a != 0 {
+		t.Fatalf("a Reuse hit allocates %v objects, want 0", a)
+	}
+	if got := Reuse(buf, n, 3, h, h+1); got == buf || got.Dim(3) != h+1 {
+		t.Fatalf("a Reuse miss returned shape %v", got.Shape())
+	}
+}
+
 func TestUniformRange(t *testing.T) {
 	x := New(10000)
 	x.Uniform(rand.New(rand.NewSource(5)), -2, 3)

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 )
 
@@ -313,5 +314,27 @@ func VecBNBwd(dx, dout, xhat []float32, scale, cnt, dbeta, dgamma float64) {
 	}
 	for i, g := range dout {
 		dx[i] = float32(scale * (cnt*float64(g) - dbeta - float64(xhat[i])*dgamma))
+	}
+}
+
+// CopyRows copies rows rows of w floats between two pitched layouts: row
+// r goes from src[r·spitch:] to dst[r·dpitch:]. It is the pad, crop and
+// re-pitch step of the implicit-GEMM convolution (an image into its
+// zero-bordered copy and back, a gradient onto the padded pitch), whose
+// rows are too short for a memmove call each to pay. dst and src must not
+// overlap.
+func CopyRows(dst []float32, dpitch int, src []float32, spitch, rows, w int) {
+	if rows <= 0 || w <= 0 {
+		return
+	}
+	if dpitch < 0 || spitch < 0 || (rows-1)*dpitch+w > len(dst) || (rows-1)*spitch+w > len(src) {
+		panic(fmt.Sprintf("tensor: CopyRows %d rows of %d out of range: len(dst)=%d pitch %d, len(src)=%d pitch %d", rows, w, len(dst), dpitch, len(src), spitch))
+	}
+	if useAVX2 && w >= 4 {
+		copyRowsAsm(&dst[0], 4*dpitch, &src[0], 4*spitch, rows, w)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		copy(dst[r*dpitch:][:w], src[r*spitch:][:w])
 	}
 }

@@ -64,3 +64,10 @@ func vecBNEvalAsm(out, x *float32, n int, mean, inv, gv, b float64)
 
 //go:noescape
 func vecBNBwdAsm(dx, dout, xhat *float32, n int, scale, cnt, dbeta, dgamma float64)
+
+// copyRowsAsm is CopyRows for w ≥ 4 with pitches in bytes: whole vectors
+// from the row's start, then one placed flush with its end (two ymm moves
+// for a 16-float row, two overlapping xmm moves below 8 floats).
+//
+//go:noescape
+func copyRowsAsm(dst *float32, dpitch int, src *float32, spitch, rows, w int)

@@ -401,3 +401,54 @@ bnbloop:
 	JNZ	bnbloop
 	VZEROUPPER
 	RET
+
+// func copyRowsAsm(dst *float32, dpitch int, src *float32, spitch, rows, w int)
+// Registers: DI/SI row cursors, R8/R9 pitches in bytes, CX rows left, DX row
+// bytes, BX offset of the vector flush with the row's end, AX offset.
+TEXT ·copyRowsAsm(SB), NOSPLIT, $0-48
+	MOVQ	dst+0(FP), DI
+	MOVQ	dpitch+8(FP), R8
+	MOVQ	src+16(FP), SI
+	MOVQ	spitch+24(FP), R9
+	MOVQ	rows+32(FP), CX
+	MOVQ	w+40(FP), DX
+	SHLQ	$2, DX
+	CMPQ	DX, $32
+	JLT	crnarrow
+	LEAQ	-32(DX), BX
+
+crrow:
+	XORQ	AX, AX
+	JMP	crtest
+
+crchunk:
+	VMOVUPS	(SI)(AX*1), Y0
+	VMOVUPS	Y0, (DI)(AX*1)
+	ADDQ	$32, AX
+
+crtest:
+	CMPQ	AX, BX
+	JLT	crchunk
+	VMOVUPS	(SI)(BX*1), Y0
+	VMOVUPS	Y0, (DI)(BX*1)
+	ADDQ	R9, SI
+	ADDQ	R8, DI
+	DECQ	CX
+	JNZ	crrow
+	VZEROUPPER
+	RET
+
+crnarrow:
+	LEAQ	-16(DX), BX
+
+crnrow:
+	VMOVUPS	(SI), X0
+	VMOVUPS	(SI)(BX*1), X1
+	VMOVUPS	X0, (DI)
+	VMOVUPS	X1, (DI)(BX*1)
+	ADDQ	R9, SI
+	ADDQ	R8, DI
+	DECQ	CX
+	JNZ	crnrow
+	VZEROUPPER
+	RET

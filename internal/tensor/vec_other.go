@@ -36,3 +36,6 @@ func vecBNEvalAsm(out, x *float32, n int, mean, inv, gv, b float64) {
 func vecBNBwdAsm(dx, dout, xhat *float32, n int, scale, cnt, dbeta, dgamma float64) {
 	panic("tensor: no vector kernel")
 }
+func copyRowsAsm(dst *float32, dpitch int, src *float32, spitch, rows, w int) {
+	panic("tensor: no vector kernel")
+}

@@ -284,3 +284,35 @@ func TestVecKernelsRaceHammer(t *testing.T) {
 		eqBitsF32(t, "RaceHammer", total, got, want)
 	}
 }
+
+// TestCopyRowsPitched checks CopyRows bit for bit against a plain copy
+// loop with unequal source and destination pitches over every width class
+// of the kernel (below 4: Go; 4–7: two xmm moves; 8 and up: whole vectors
+// plus one flush with the row's end), and that nothing outside the rows'
+// own cells is written.
+func TestCopyRowsPitched(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, w := range []int{1, 3, 4, 8, 13, 16, 40} {
+		for _, rows := range []int{1, 2, 7} {
+			for _, pitches := range [][2]int{{w + 5, w}, {w, w + 3}, {w + 2, w + 9}} {
+				dp, sp := pitches[0], pitches[1]
+				src := make([]float32, (rows-1)*sp+w)
+				fillSpecial(rng, src)
+				got := make([]float32, (rows-1)*dp+w+4) // a guard beyond the last row
+				for i := range got {
+					got[i] = -999
+				}
+				want := append([]float32(nil), got...)
+				for r := 0; r < rows; r++ {
+					copy(want[r*dp:][:w], src[r*sp:][:w])
+				}
+				CopyRows(got, dp, src, sp, rows, w)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("w=%d rows=%d pitches %d←%d: dst[%d] = %v, want %v", w, rows, dp, sp, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -8,15 +8,26 @@ import (
 
 // The worker pool runs the thousands of small Parallel regions a training
 // round issues without paying goroutine spawn/join cost per region. It is
-// started lazily on the first parallel call, sized to GOMAXPROCS at that
-// moment, and lives for the life of the process.
+// started lazily on the first dispatched region, sized to GOMAXPROCS at
+// that moment, and lives for the life of the process.
 //
-// Determinism contract: Parallel(n, fn) splits [0,n) into fixed chunks
-// whose boundaries depend only on n and GOMAXPROCS at call time. Every
-// chunk is executed exactly once, by whichever worker (or the caller)
-// claims it from an atomic counter. Because fn must only write state owned
-// by its [lo,hi) range, results are bitwise independent of which goroutine
-// runs a chunk, and therefore reproducible for a fixed GOMAXPROCS.
+// Determinism contract: Parallel(n, fn) calls fn on ranges that partition
+// [0,n), each exactly once. WHERE the ranges are cut is not part of the
+// contract — it depends on GOMAXPROCS and on how busy the machine is at
+// the call (see the inline rule below) — so fn may only write state owned
+// by its [lo,hi) range, and no floating-point sum may be cut at a range
+// boundary: wherever partial sums are merged, the partition is a constant
+// of the data (DESIGN §8.2). Under those two rules results are bitwise
+// independent of the cuts and of which goroutine runs a range.
+//
+// Inline rule: poolBusy counts the goroutines currently inside region
+// bodies. A region started while that count is at least GOMAXPROCS has no
+// idle core to help it, so it runs on its caller as fn(0,n): no job, no
+// channel send, no wake-up, no allocation. That is the state of a
+// federated round — fl.ParallelClients keeps every core inside a client's
+// training step, and the ~90 regions a step nests are then plain calls.
+// When a core is idle (a round's tail, one model training alone,
+// evaluation) regions are dispatched to the pool.
 //
 // Deadlock freedom: the caller always participates in its own job, so a
 // job completes even when every pool worker is busy (including the nested
@@ -35,17 +46,15 @@ type poolJob struct {
 // run claims and executes chunks until none remain. Safe to call from any
 // number of goroutines; each chunk is executed exactly once.
 func (j *poolJob) run() {
+	poolBusy.Add(1)
+	defer poolBusy.Add(-1)
 	for {
 		c := int(j.next.Add(1)) - 1
 		lo := c * j.chunk
 		if lo >= j.n {
 			return
 		}
-		hi := lo + j.chunk
-		if hi > j.n {
-			hi = j.n
-		}
-		j.fn(lo, hi)
+		j.fn(lo, min(lo+j.chunk, j.n))
 		j.wg.Done()
 	}
 }
@@ -55,35 +64,15 @@ var (
 	poolJobs chan *poolJob
 
 	// Pool instrumentation: bumped on the dispatch path with plain
-	// atomics (no registry lookups); exported through PoolStats and,
-	// via BindPoolMetrics, as func gauges evaluated only at snapshot
-	// time — the hot path never pays for an unread metric.
+	// atomics (no registry lookups) and exported by BindPoolMetrics as
+	// func gauges evaluated only at snapshot time — the hot path never
+	// pays for an unread metric.
 	poolWorkers  atomic.Int64 // workers started (0 until first pooled job)
 	poolJobCount atomic.Int64 // Parallel calls dispatched to the pool
-	poolInline   atomic.Int64 // Parallel calls run entirely inline
+	poolInline   atomic.Int64 // Parallel calls run entirely on their caller
 	poolChunks   atomic.Int64 // chunks executed across all jobs
-	poolBusy     atomic.Int64 // workers currently executing chunks
+	poolBusy     atomic.Int64 // goroutines inside region bodies right now
 )
-
-// PoolStats is a point-in-time view of worker-pool utilization.
-type PoolStats struct {
-	Workers int64 // pool size (0 if the pool has not started)
-	Jobs    int64 // Parallel calls dispatched to the pool
-	Inline  int64 // Parallel calls that ran inline (n or GOMAXPROCS ≤ 1)
-	Chunks  int64 // total chunks executed
-	Busy    int64 // workers busy right now
-}
-
-// ReadPoolStats returns current pool utilization counters.
-func ReadPoolStats() PoolStats {
-	return PoolStats{
-		Workers: poolWorkers.Load(),
-		Jobs:    poolJobCount.Load(),
-		Inline:  poolInline.Load(),
-		Chunks:  poolChunks.Load(),
-		Busy:    poolBusy.Load(),
-	}
-}
 
 // ensurePool starts the persistent workers. The queue is buffered so
 // callers never block handing out work: if the queue is full, every worker
@@ -99,29 +88,26 @@ func ensurePool() {
 		for i := 0; i < nw; i++ {
 			go func() {
 				for j := range poolJobs {
-					poolBusy.Add(1)
 					j.run()
-					poolBusy.Add(-1)
 				}
 			}()
 		}
 	})
 }
 
-// Parallel splits [0,n) into contiguous chunks, one per available worker,
-// and runs fn on each chunk concurrently on the persistent pool. Chunk
-// boundaries are a pure function of n and GOMAXPROCS, and each chunk is
-// executed exactly once, so any computation whose chunks write disjoint
-// state is deterministic. fn may call Parallel recursively.
+// Parallel runs fn over ranges that partition [0,n), each exactly once:
+// one contiguous chunk per available worker on the persistent pool, or
+// fn(0,n) on the caller when n or GOMAXPROCS is 1 or when every core is
+// already inside a region body. fn must write only what its range owns
+// and must not let a floating-point sum depend on where the range ends;
+// it may call Parallel recursively.
 func Parallel(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	procs := runtime.GOMAXPROCS(0)
+	workers := min(procs, n)
+	if workers <= 1 || poolBusy.Load() >= int64(procs) {
 		poolInline.Add(1)
 		fn(0, n)
 		return

@@ -10,10 +10,15 @@
 # (parent first in odd pairs, the change first in even ones) at the
 # benchmark's own run length, and prints for every end-to-end metric of
 # BENCHMARK.json: the per-pair ratios change/parent, both sides' quartiles,
-# the median ratio and how many pairs the change won; then whether the
-# counts (up_mb_per_round, down_mb_per_round, model_hash) were exact across
-# all runs, and any failed upload or output check. SEED (default 2) picks
-# the workload seed. It reads the benchmark only through its CLI.
+# the median ratio, how many pairs the change won and the verdict of the
+# rule a claim is held to (choosing-metrics §8): `gain` when the change is
+# better in at least nine tenths of the pairs, ties counting for neither
+# side, AND the medians differ by more than the parent's own q3−q1;
+# `worse` when the parent is, by the same two tests; `equal` when every
+# pair tied; `unresolved` otherwise. Then whether the counts
+# (up_mb_per_round, down_mb_per_round, model_hash) were exact across all
+# runs, and any failed upload or output check. SEED (default 2) picks the
+# workload seed. It reads the benchmark only through its CLI.
 #
 # One pair is a look, not a claim; ten is the floor for a claim. Run it on
 # an otherwise idle machine and commit the output under results/.
@@ -21,7 +26,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if (( $# < 2 )); then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,24p' "$0" >&2
     exit 2
 fi
 parent="$1"
@@ -81,15 +86,22 @@ BEGIN {
         close(file)
     }
     for (m = 1; m <= nm; m++) {
-        name = order[m]; wins = 0; ratios = ""
+        name = order[m]; wins = 0; losses = 0; ratios = ""
         for (i = 1; i <= pairs; i++) {
             p[i] = val["parent", name, i]; c[i] = val["new", name, i]
             r[i] = p[i] != 0 ? c[i] / p[i] : (c[i] == 0 ? 1 : 1e9)
             ratios = ratios sprintf(" %.3f", r[i])
             if (better[name] == "higher" ? c[i] > p[i] : c[i] < p[i]) wins++
+            else if (c[i] != p[i]) losses++
         }
-        sorted(r, rs, pairs)
-        printf "%-18s (%s is better) parent q1/med/q3 %s  new %s  median ratio %.3f  new wins %d/%d\n", name, better[name], quartiles(p, pairs), quartiles(c, pairs), quartile(rs, pairs, .5), wins, pairs
+        sorted(r, rs, pairs); sorted(p, ps, pairs); sorted(c, cs, pairs)
+        shift = quartile(cs, pairs, .5) - quartile(ps, pairs, .5)
+        beyond = (shift < 0 ? -shift : shift) > quartile(ps, pairs, .75) - quartile(ps, pairs, .25)
+        verdict = "unresolved"
+        if (wins + losses == 0) verdict = "equal"
+        else if (beyond && 10 * wins >= 9 * pairs) verdict = "gain"
+        else if (beyond && 10 * losses >= 9 * pairs) verdict = "worse"
+        printf "%-18s (%s is better) parent q1/med/q3 %s  new %s  median ratio %.3f  new wins %d/%d  verdict %s\n", name, better[name], quartiles(p, pairs), quartiles(c, pairs), quartile(rs, pairs, .5), wins, pairs, verdict
         printf "    per-pair new/parent:%s\n", ratios
         if (name == "up_mb_per_round" || name == "down_mb_per_round") {
             exact = 1

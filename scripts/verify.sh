@@ -6,8 +6,12 @@
 #                                vet, the -race hammer over the
 #                                packages with hand-written kernels and
 #                                lock-free aggregation paths, the GEMM
-#                                tile and conv-route suites under -race
-#                                (the concurrent one ten times), and the
+#                                tile, conv-route, transposing-lowering,
+#                                row-copy, BatchNorm-lane and client-
+#                                schedule suites under -race (the
+#                                concurrent one ten times), the
+#                                allocation gates (a tensor.Reuse hit,
+#                                a resnet20 training step), and the
 #                                determinism suites at GOMAXPROCS 1, 2
 #                                and 4
 #   ./scripts/verify.sh --obs    tier-1 plus the observability battery:
@@ -66,10 +70,11 @@
 # make the goldens or the race hammer unreachable — then prints which
 # tests were red and exits non-zero. The hot-path battery is mandatory
 # for changes touching internal/tensor (SIMD kernels, the strided GEMM
-# tile, scratch pools), internal/nn (implicit-GEMM and lowered conv
-# routes, gradient shards), internal/algo (parallel deterministic
-# reduction, shard fold) or internal/flnet (TCP transport rounds,
-# aggregation tree, async quorum).
+# tile, scratch pools, the worker pool's inline rule), internal/nn
+# (implicit-GEMM and lowered conv routes, gradient shards, BatchNorm
+# lanes), internal/fl/local.go (the client schedule), internal/algo
+# (parallel deterministic reduction, shard fold) or internal/flnet (TCP
+# transport rounds, aggregation tree, async quorum).
 # The observability battery is mandatory for changes touching
 # internal/telemetry or any code that records into it. The matrix gate
 # is mandatory for changes touching internal/scenario or the algorithm
@@ -158,6 +163,14 @@ if [[ "$mode" == "--hot" ]]; then
     hot "GEMM tile and conv routes" \
         go test -race -count=1 -run 'Gemm|AVX2Panel|MatMul|Im2Col|Col2Im|Conv2D|MaskStatic' \
         ./internal/tensor ./internal/nn
+    hot "transposing lowering, row copies, BatchNorm lanes, client schedule" \
+        go test -race -count=1 \
+        -run 'Im2ColPatchMatchesTranspose|CopyRows|BatchNormMatchesPerChannel|LongestFirst|ParallelClientsRuns|SimRoundEqualAcrossGOMAXPROCS' \
+        ./internal/tensor ./internal/nn ./internal/fl
+    # Counts, not times; without -race, under which sync.Pool drops Puts.
+    hot "allocation gates" \
+        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate' \
+        ./internal/tensor ./internal/models
     hot "concurrent conv/linear hammer x10" \
         go test -race -count=10 -run 'ConvLinearConcurrentHammer' ./internal/nn
     for procs in 1 2 4; do
