@@ -16,7 +16,7 @@ import (
 
 // stepAllocBudget is the most objects one steady-state resnet20 training
 // step may allocate (it allocates 6: the loss gradient and the views the
-// flatten/reshape pair makes; it was 205 when every tensor.Reuse call and
+// flatten/reshape pair makes; it was 199 when every tensor.Reuse call and
 // every nested tensor.Parallel region allocated).
 const stepAllocBudget = 16
 
