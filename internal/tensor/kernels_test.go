@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // fillRand fills t with reproducible values in [-2,2), avoiding exact zeros
@@ -371,6 +372,53 @@ func TestParallelDeterministicChunks(t *testing.T) {
 				t.Fatalf("n=%d: chunk %v present in one run only", n, k)
 			}
 		}
+	}
+}
+
+// TestParallelOfferSurvivesBacklog pins that what a region is given does
+// not depend on what earlier regions left behind. Every worker is held
+// inside a region body (GOMAXPROCS raised past the pool's size, so that is
+// not saturation) while a run of short regions passes with no helper to
+// answer their offers — the state a round's tail leaves when the workers'
+// threads wake slowly. The workers come free only once the next region is
+// under way, and its two chunks must still run side by side, which they
+// show by meeting. A pool that loses the offer to the backlog runs them
+// one after the other on the caller — for fl.ParallelClients, a whole
+// round on one core.
+func TestParallelOfferSurvivesBacklog(t *testing.T) {
+	ensurePool()
+	nw := int(poolWorkers.Load())
+	old := runtime.GOMAXPROCS(nw + 3)
+	defer runtime.GOMAXPROCS(old)
+
+	release := make(chan struct{})
+	var held, holder sync.WaitGroup
+	held.Add(nw + 1)
+	holder.Add(1)
+	go func() {
+		defer holder.Done()
+		Parallel(nw+1, func(_, _ int) { held.Done(); <-release })
+	}()
+	held.Wait()
+	for i := 0; i < 8*nw; i++ {
+		Parallel(2, func(_, _ int) {})
+	}
+
+	meet := make(chan struct{})
+	var free sync.Once
+	var alone atomic.Bool
+	Parallel(2, func(_, _ int) {
+		free.Do(func() { close(release) })
+		select {
+		case meet <- struct{}{}:
+		case <-meet:
+		case <-time.After(5 * time.Second):
+			alone.Store(true)
+		}
+	})
+	holder.Wait()
+	if alone.Load() {
+		t.Fatal("after a backlog of short regions, the region's two chunks ran one after the other")
 	}
 }
 

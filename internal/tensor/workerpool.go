@@ -29,12 +29,22 @@ import (
 // When a core is idle (a round's tail, one model training alone,
 // evaluation) regions are dispatched to the pool.
 //
+// Offers: a dispatched region publishes its job in poolOpen for as long as
+// it runs and takes it back when it returns, and sends one kick per helper
+// it could use; a worker answers a kick by running whatever is open at
+// that moment. So a helper that wakes late joins the region its caller is
+// in now, nothing finished is ever waiting to be looked at, and an offer
+// cannot be lost to what earlier regions left behind — a buffered queue of
+// jobs fills with finished ones whenever a run of short regions passes
+// faster than a worker's thread wakes, and the offer dropped on that full
+// queue was, for fl.ParallelClients, a whole round on one core.
+//
 // Deadlock freedom: the caller always participates in its own job, so a
 // job completes even when every pool worker is busy (including the nested
 // case where fn itself calls Parallel).
 
 // poolJob is one Parallel invocation: a chunked index range claimed via an
-// atomic cursor by the caller and any workers that pick the job up.
+// atomic cursor by the caller and any workers that find the job open.
 type poolJob struct {
 	fn    func(lo, hi int)
 	n     int
@@ -44,24 +54,26 @@ type poolJob struct {
 }
 
 // run claims and executes chunks until none remain. Safe to call from any
-// number of goroutines; each chunk is executed exactly once.
+// number of goroutines; each chunk is executed exactly once. A goroutine
+// that finds nothing left to claim was never inside the region body and is
+// not counted busy.
 func (j *poolJob) run() {
+	lo := (int(j.next.Add(1)) - 1) * j.chunk
+	if lo >= j.n {
+		return
+	}
 	poolBusy.Add(1)
 	defer poolBusy.Add(-1)
-	for {
-		c := int(j.next.Add(1)) - 1
-		lo := c * j.chunk
-		if lo >= j.n {
-			return
-		}
+	for ; lo < j.n; lo = (int(j.next.Add(1)) - 1) * j.chunk {
 		j.fn(lo, min(lo+j.chunk, j.n))
 		j.wg.Done()
 	}
 }
 
 var (
-	poolOnce sync.Once
-	poolJobs chan *poolJob
+	poolOnce  sync.Once
+	poolOpen  []atomic.Pointer[poolJob] // regions running now that offered chunks
+	poolKicks chan struct{}             // one per helper wanted; a worker scans poolOpen per kick
 
 	// Pool instrumentation: bumped on the dispatch path with plain
 	// atomics (no registry lookups) and exported by BindPoolMetrics as
@@ -74,21 +86,25 @@ var (
 	poolBusy     atomic.Int64 // goroutines inside region bodies right now
 )
 
-// ensurePool starts the persistent workers. The queue is buffered so
-// callers never block handing out work: if the queue is full, every worker
-// is already saturated and the caller just runs its chunks itself.
+// ensurePool starts the persistent workers. Every open slot belongs to a
+// region whose caller is running it, so finding none free means the
+// machine is busy and the region keeps its chunks; a full kick buffer
+// means every worker already has a scan ahead of it that will see what
+// was just opened.
 func ensurePool() {
 	poolOnce.Do(func() {
-		nw := runtime.GOMAXPROCS(0)
-		if nw < 1 {
-			nw = 1
-		}
-		poolJobs = make(chan *poolJob, 4*nw)
+		nw := max(runtime.GOMAXPROCS(0), 1)
+		poolOpen = make([]atomic.Pointer[poolJob], 4*nw)
+		poolKicks = make(chan struct{}, nw)
 		poolWorkers.Store(int64(nw))
 		for i := 0; i < nw; i++ {
 			go func() {
-				for j := range poolJobs {
-					j.run()
+				for range poolKicks {
+					for i := range poolOpen {
+						if j := poolOpen[i].Load(); j != nil {
+							j.run()
+						}
+					}
 				}
 			}()
 		}
@@ -119,12 +135,18 @@ func Parallel(n int, fn func(lo, hi int)) {
 	poolChunks.Add(int64(nchunks))
 	j := &poolJob{fn: fn, n: n, chunk: chunk}
 	j.wg.Add(nchunks)
-	// Wake at most nchunks-1 helpers; the caller handles the rest itself.
-	for i := 0; i < nchunks-1; i++ {
-		select {
-		case poolJobs <- j:
-		default:
-			i = nchunks // queue full: all workers busy, run inline
+	// Open the job to nchunks-1 helpers; the caller handles the rest itself.
+	slot := 0
+	for slot < len(poolOpen) && !poolOpen[slot].CompareAndSwap(nil, j) {
+		slot++
+	}
+	if slot < len(poolOpen) {
+		defer poolOpen[slot].Store(nil)
+		for i := 1; i < nchunks; i++ {
+			select {
+			case poolKicks <- struct{}{}:
+			default:
+			}
 		}
 	}
 	j.run()

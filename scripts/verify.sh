@@ -165,7 +165,7 @@ if [[ "$mode" == "--hot" ]]; then
         ./internal/tensor ./internal/nn
     hot "transposing lowering, row copies, BatchNorm lanes, client schedule" \
         go test -race -count=1 \
-        -run 'Im2ColPatchMatchesTranspose|CopyRows|BatchNormMatchesPerChannel|LongestFirst|ParallelClientsRuns|SimRoundEqualAcrossGOMAXPROCS' \
+        -run 'Im2ColPatchMatchesTranspose|CopyRows|BatchNormMatchesPerChannel|LongestFirst|ParallelClientsRuns|ParallelOfferSurvivesBacklog|SimRoundEqualAcrossGOMAXPROCS' \
         ./internal/tensor ./internal/nn ./internal/fl
     # Counts, not times; without -race, under which sync.Pool drops Puts.
     hot "allocation gates" \
