@@ -40,13 +40,6 @@ func main() {
 		clients   = flag.String("clients", "", "comma-separated clients:ratio override (e.g. 10:1.0,30:0.4)")
 		rounds    = flag.Int("rounds", 0, "override the scale's round caps (both convergence and curve rounds)")
 		perClient = flag.Int("perclient", 0, "override the scale's examples per client")
-		micro     = flag.Bool("micro", false, "run hot-path micro-benchmarks and emit JSON")
-		fed       = flag.Bool("fed", false, "run the federation-scale root-ingest benchmark (flat vs aggregation tree)")
-		microJSON = flag.String("json", "", "with -micro/-fed: write (or merge) the JSON report to this file (default stdout)")
-		baseline  = flag.String("baseline", "", "with -micro: prior -micro JSON to compute speedups against")
-		gate      = flag.Bool("gate", false, "with -micro and -baseline: exit nonzero if any benchmark regressed beyond -tolerance")
-		tolerance = flag.Float64("tolerance", 0.15, "with -gate: allowed fractional slowdown before failing")
-		allocTol  = flag.Float64("alloc-tolerance", 0.25, "with -gate: allowed fractional allocs/op and B/op growth before failing (gated only above noise floors)")
 		journal   = flag.String("journal", "", "append the JSONL round journal of every experiment run to this file")
 
 		matrixF   = flag.String("matrix", "", "run a scenario matrix: preset name, JSON file (matrix or single spec), or 'list'")
@@ -81,22 +74,6 @@ func main() {
 		experiments.SetTelemetry(tel)
 	}
 
-	if *micro {
-		if err := runMicro(*microJSON, *baseline, *gate, *tolerance, *allocTol); err != nil {
-			fmt.Fprintln(os.Stderr, "spatl-bench:", err)
-			os.Exit(1)
-		}
-		if !*fed {
-			return
-		}
-	}
-	if *fed {
-		if err := runFed(*microJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "spatl-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
 		fmt.Println("experiments:")
 		for _, name := range experiments.Names() {

@@ -3,9 +3,9 @@
 // index). Each driver builds its workload, runs every algorithm through
 // the fl engine, and prints the same rows/series the paper reports.
 // Drivers run at a configurable Scale so the full suite works as quick
-// `go test -bench` smoke runs (Tiny), laptop-scale reproductions
-// (Small, the default for the spatl-bench CLI), or the paper's client
-// counts (Paper).
+// smoke runs (Tiny, what this package's tests use), laptop-scale
+// reproductions (Small, the default for the spatl-bench CLI), or the
+// paper's client counts (Paper).
 package experiments
 
 import (
@@ -59,7 +59,7 @@ type ClientSet struct {
 	Ratio   float64
 }
 
-// Tiny finishes each driver in seconds — used by bench_test.go. The
+// Tiny finishes each driver in seconds — used by the driver tests. The
 // 16×16 resolution is the minimum VGG-11's four max-pools accept.
 var Tiny = Scale{
 	Name: "tiny", Width: 0.25, H: 16, W: 16, Classes: 6, PerClient: 90,

@@ -2,13 +2,13 @@ package nn
 
 import "spatl/internal/tensor"
 
-// maskStaticDispatch gates the mask-static sparse GEMM path. When on
-// (the default), layers probe a weight tensor's sparsity once per
-// mutation (Param.Bump) and, for sparse weights, precompute the exact
-// nonzero pattern so every subsequent minibatch dispatches straight to
-// the pattern kernels — no per-call probe, no per-element zero branch.
-// The equivalence tests flip it off to prove the pattern path is
-// bitwise identical to the probing path it replaces.
+// maskStaticDispatch is a test reference, not an option: it is always
+// true outside this package's tests. With it on, layers probe a weight
+// tensor's sparsity once per mutation (Param.Bump) and, for sparse
+// weights, precompute the exact nonzero pattern so every subsequent
+// minibatch dispatches straight to the pattern kernels — no per-call
+// probe, no per-element zero branch. masksparse_test.go sets it false
+// to hold the pattern kernels bitwise against the probing kernels.
 var maskStaticDispatch = true
 
 // sparseCache caches a weight tensor's sparsity decision and, when the
@@ -55,15 +55,4 @@ func (sc *sparseCache) probe(w *tensor.Tensor, m, k int) (bool, *tensor.MaskPat)
 		return false, nil
 	}
 	return true, sc.pat
-}
-
-// SetMaskStaticDispatch toggles the mask-static sparse GEMM path and
-// returns the previous setting. The benchmark harness flips it off to
-// measure the per-minibatch probing path the pattern cache replaced;
-// the equivalence tests do the same to prove bitwise identity. Not
-// safe to call concurrently with a running layer pass.
-func SetMaskStaticDispatch(on bool) (prev bool) {
-	prev = maskStaticDispatch
-	maskStaticDispatch = on
-	return prev
 }

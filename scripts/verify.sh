@@ -21,16 +21,6 @@
 #                                costs is a benchmark metric,
 #                                telemetry.overhead_frac — no test times
 #                                anything)
-#   ./scripts/verify.sh --bench  tier-1 plus the performance regression
-#                                gate: rerun the micro benchmarks and
-#                                fail if any is slower than the latest
-#                                committed BENCH_N.json beyond the
-#                                tolerance (BENCH_TOLERANCE, default
-#                                0.15 = 15%), or allocates more than
-#                                the alloc tolerance allows above it
-#                                (BENCH_ALLOC_TOLERANCE, default 0.25 =
-#                                25% on allocs/op and B/op, gated only
-#                                above the harness noise floors)
 #   ./scripts/verify.sh --matrix tier-1 plus the scenario-matrix gate:
 #                                run the committed 2x2x2 golden matrix
 #                                (scripts/golden/matrix.json) end to end
@@ -84,13 +74,19 @@
 # and copy the *.jsonl over). The hetero battery is mandatory for
 # changes touching internal/hetero or the cluster/slice wire frames in
 # internal/comm (goldens regenerate the same way from
-# scripts/golden/hetero.json). The bench gate is
-# advisory (benchmarks are noisy on shared machines) but should be run
-# before committing a new BENCH_N.json.
+# scripts/golden/hetero.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="${1:-}"
+case "$mode" in
+"" | --hot | --obs | --matrix | --hetero | --e2e | --flake) ;;
+*)
+    echo "verify: unknown mode '$mode'" >&2
+    sed '1d; /^# Tier-1 must pass/,$d' "$0" >&2
+    exit 2
+    ;;
+esac
 
 echo "== tier-1: build =="
 go build ./...
@@ -184,18 +180,6 @@ if [[ "$mode" == "--hot" ]]; then
         printf '  %s\n' "${hot_red[@]}" >&2
         exit 1
     fi
-fi
-
-if [[ "$mode" == "--bench" ]]; then
-    baseline=$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)
-    if [[ -z "$baseline" ]]; then
-        echo "verify: no BENCH_N.json baseline found" >&2
-        exit 1
-    fi
-    echo "== bench gate: micro vs $baseline =="
-    go run ./cmd/spatl-bench -micro -baseline "$baseline" -gate \
-        -tolerance "${BENCH_TOLERANCE:-0.15}" \
-        -alloc-tolerance "${BENCH_ALLOC_TOLERANCE:-0.25}"
 fi
 
 if [[ "$mode" == "--matrix" ]]; then
