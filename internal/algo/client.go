@@ -50,7 +50,9 @@ type LocalOpts struct {
 }
 
 // LocalSGD runs minibatch SGD on the client's model and returns the
-// number of optimizer steps taken and the final momentum buffers.
+// number of optimizer steps taken and the final momentum buffers. The
+// model's layer buffers live for this call only: it releases them on
+// return, so a client between rounds holds no activations.
 func LocalSGD(c *Client, opts LocalOpts, rng *rand.Rand) (steps int, velocity []float32) {
 	opt := nn.NewSGD(opts.Params, opts.LR, opts.Momentum, opts.WeightDecay)
 	if opts.InitVelocity != nil && opts.Momentum != 0 {
@@ -84,5 +86,6 @@ func LocalSGD(c *Client, opts LocalOpts, rng *rand.Rand) (steps int, velocity []
 			steps++
 		}
 	}
+	c.Model.Release()
 	return steps, opt.Velocity()
 }

@@ -8,6 +8,7 @@ import (
 	"spatl/internal/data"
 	"spatl/internal/models"
 	"spatl/internal/nn"
+	"spatl/internal/tensor"
 )
 
 // Accuracy computes top-1 accuracy of m on ds in evaluation mode,
@@ -16,21 +17,8 @@ func Accuracy(m *models.SplitModel, ds *data.Dataset, batchSize int) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
-	if batchSize <= 0 {
-		batchSize = 64
-	}
 	correct := 0
-	for lo := 0; lo < ds.Len(); lo += batchSize {
-		hi := lo + batchSize
-		if hi > ds.Len() {
-			hi = ds.Len()
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
-		}
-		x, y := ds.Batch(idx)
-		out := m.Forward(x, false)
+	batches(m, ds, batchSize, func(out *tensor.Tensor, y []int) {
 		for i := 0; i < len(y); i++ {
 			row := out.Data[i*out.Dim(1) : (i+1)*out.Dim(1)]
 			best, bi := row[0], 0
@@ -43,7 +31,7 @@ func Accuracy(m *models.SplitModel, ds *data.Dataset, batchSize int) float64 {
 				correct++
 			}
 		}
-	}
+	})
 	return float64(correct) / float64(ds.Len())
 }
 
@@ -52,23 +40,29 @@ func Loss(m *models.SplitModel, ds *data.Dataset, batchSize int) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
+	var total float64
+	batches(m, ds, batchSize, func(out *tensor.Tensor, y []int) {
+		loss, _ := nn.SoftmaxCrossEntropy(out, y)
+		total += loss * float64(len(y))
+	})
+	return total / float64(ds.Len())
+}
+
+// batches runs m in evaluation mode over ds in order, batchSize examples
+// at a time (64 when not positive), hands fn each batch's logits and
+// labels, and releases m's layer buffers at the end of the pass.
+func batches(m *models.SplitModel, ds *data.Dataset, batchSize int, fn func(out *tensor.Tensor, y []int)) {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
-	var total float64
+	idx := make([]int, 0, min(batchSize, ds.Len()))
 	for lo := 0; lo < ds.Len(); lo += batchSize {
-		hi := lo + batchSize
-		if hi > ds.Len() {
-			hi = ds.Len()
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
+		idx = idx[:0]
+		for i := lo; i < min(lo+batchSize, ds.Len()); i++ {
+			idx = append(idx, i)
 		}
 		x, y := ds.Batch(idx)
-		out := m.Forward(x, false)
-		loss, _ := nn.SoftmaxCrossEntropy(out, y)
-		total += loss * float64(len(y))
+		fn(m.Forward(x, false), y)
 	}
-	return total / float64(ds.Len())
+	m.Release()
 }

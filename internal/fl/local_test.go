@@ -12,7 +12,9 @@ import (
 	"spatl/internal/algo"
 	"spatl/internal/data"
 	"spatl/internal/models"
+	"spatl/internal/nn"
 	"spatl/internal/telemetry"
+	"spatl/internal/tensor"
 )
 
 // TestLongestFirstOrder pins the claim order of ParallelClients as a pure
@@ -53,6 +55,64 @@ func TestParallelClientsRunsEveryPositionOnce(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// layerHeldBytes is what m's layers hold between passes: the float32
+// storage behind every unexported tensor or float32-slice field of every
+// layer (activations, gradients, normalized inputs, cached inputs).
+// Parameters sit behind *nn.Param and running statistics in exported
+// fields, so neither counts.
+func layerHeldBytes(m *models.SplitModel) int {
+	tensorT, sliceT := reflect.TypeOf((*tensor.Tensor)(nil)), reflect.TypeOf([]float32(nil))
+	held := 0
+	for _, root := range []*nn.Sequential{m.Encoder, m.Predictor} {
+		nn.Walk(root, func(l nn.Layer) {
+			v := reflect.ValueOf(l).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Field(i)
+				switch {
+				case v.Type().Field(i).IsExported():
+				case f.Type() == tensorT && !f.IsNil():
+					held += 4 * f.Elem().FieldByName("Data").Cap()
+				case f.Type() == sliceT:
+					held += 4 * f.Cap()
+				}
+			}
+		})
+	}
+	return held
+}
+
+// TestSimRoundLeavesNoLayerBuffers: after a round in which all 16 clients
+// train, no client model holds a layer buffer — local training releases
+// its model, so resident activations scale with the lanes, not the
+// clients.
+func TestSimRoundLeavesNoLayerBuffers(t *testing.T) {
+	cfg := quickCfg(21)
+	cfg.LocalEpochs = 1
+	env := testEnvArch(t, "resnet20", 16, cfg)
+	probe := env.Clients[0]
+	x, _ := probe.Train.Batch([]int{0, 1})
+	probe.Model.Forward(x, true)
+	if layerHeldBytes(probe.Model) == 0 {
+		t.Fatal("the counter sees no buffer on a model that just ran a forward pass")
+	}
+	probe.Model.Release()
+
+	alg := fedAvg()
+	alg.Setup(env)
+	sel := env.SampleClients()
+	if len(sel) != 16 {
+		t.Fatalf("sampled %d clients, want all 16", len(sel))
+	}
+	alg.Round(env, 0, sel)
+	held := 0
+	for _, c := range env.Clients {
+		held += layerHeldBytes(c.Model)
+	}
+	if held != 0 {
+		t.Fatalf("after a round the client models hold %d bytes of layer buffers, want 0", held)
 	}
 }
 

@@ -251,13 +251,21 @@ func (m *SplitModel) Clone() *SplitModel {
 // Describe to populate geometry).
 func (m *SplitModel) FLOPs() int64 { return m.Encoder.FLOPs() + m.Predictor.FLOPs() }
 
+// Release ends a training or evaluation pass: every layer returns the
+// activation and gradient buffers it holds to the scratch pool (see
+// nn.Release), so a model between passes costs its parameters and
+// statistics, not its activations. algo.LocalSGD and eval release on
+// return; the next Forward draws zero-filled buffers again, bitwise
+// equivalent to never having released.
+func (m *SplitModel) Release() {
+	nn.Release(m.Encoder)
+	nn.Release(m.Predictor)
+}
+
 // Describe runs a single dummy instance through the model in eval mode so
 // every layer caches its geometry, and returns (paramCount, flops).
 func (m *SplitModel) Describe() (params int, flops int64) {
-	x := tensor.New(1, m.Spec.InC, m.Spec.H, m.Spec.W)
-	if m.Spec.Arch == "mlp" {
-		x = tensor.New(1, m.Spec.InC, m.Spec.H, m.Spec.W)
-	}
-	m.Forward(x, false)
+	m.Forward(tensor.New(1, m.Spec.InC, m.Spec.H, m.Spec.W), false)
+	m.Release()
 	return nn.ParamCount(m.Params()), m.FLOPs()
 }

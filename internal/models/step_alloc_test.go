@@ -23,23 +23,32 @@ const stepAllocBudget = 16
 // trainStep returns one SGD step — what algo.LocalSGD runs per batch —
 // over its own resnet20 at the benchmark's geometry, warmed up so layer
 // buffers and scratch classes exist.
-func trainStep(seed int64) func() {
+func trainStep(seed int64) func() { return stepCycle(seed, 16) }
+
+// stepCycle is trainStep over a cycle of batch sizes: the function it
+// returns runs one SGD step per entry of sizes, in order.
+func stepCycle(seed int64, sizes ...int) func() {
 	spec := Spec{Arch: "resnet20", Classes: 10, InC: 3, H: 16, W: 16, Width: 0.25}
 	m := Build(spec, seed)
 	params := m.Params()
 	opt := nn.NewSGD(params, 0.02, 0.9, 1e-4)
 	rng := nn.Rng(seed)
-	x := tensor.New(16, spec.InC, spec.H, spec.W)
-	x.Randn(rng, 1)
-	y := make([]int, 16)
-	for i := range y {
-		y[i] = rng.Intn(spec.Classes)
+	xs, ys := make([]*tensor.Tensor, len(sizes)), make([][]int, len(sizes))
+	for b, n := range sizes {
+		xs[b] = tensor.New(n, spec.InC, spec.H, spec.W)
+		xs[b].Randn(rng, 1)
+		ys[b] = make([]int, n)
+		for i := range ys[b] {
+			ys[b][i] = rng.Intn(spec.Classes)
+		}
 	}
 	step := func() {
-		nn.ZeroGrad(params)
-		_, grad := nn.SoftmaxCrossEntropy(m.Forward(x, true), y)
-		m.Backward(grad)
-		opt.Step()
+		for b := range xs {
+			nn.ZeroGrad(params)
+			_, grad := nn.SoftmaxCrossEntropy(m.Forward(xs[b], true), ys[b])
+			m.Backward(grad)
+			opt.Step()
+		}
 	}
 	step()
 	step()
@@ -97,5 +106,21 @@ func TestTrainStepAllocationGate(t *testing.T) {
 	t.Logf("saturated region at GOMAXPROCS 2: %.1f objects per step", a)
 	if a > stepAllocBudget {
 		t.Errorf("a training step inside a saturated region allocates %.1f objects, budget %d", a, stepAllocBudget)
+	}
+}
+
+// TestShortBatchStepAllocationGate counts a steady 16 → 8 → 16 step
+// sequence — a client's short last batch and the full batch after it: a
+// layer buffer whose batch changes is re-sliced within its array, so a
+// step at a new batch size stays within stepAllocBudget objects like any
+// other.
+func TestShortBatchStepAllocationGate(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	sizes := []int{16, 8, 16}
+	a := testing.AllocsPerRun(20, stepCycle(1, sizes...)) / float64(len(sizes))
+	t.Logf("steps of %v: %.1f objects per step", sizes, a)
+	if a > stepAllocBudget {
+		t.Errorf("a step in a %v cycle allocates %.1f objects, budget %d", sizes, a, stepAllocBudget)
 	}
 }

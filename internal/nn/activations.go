@@ -39,6 +39,12 @@ func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+func (r *ReLU) release() {
+	drop(&r.out)
+	drop(&r.dx)
+	r.x = nil
+}
+
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 

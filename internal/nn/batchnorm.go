@@ -67,8 +67,8 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		bn.x = x
 		// Backward caches are reused across steps (steady-state training
-		// allocates nothing here); they are owned by the layer, not the
-		// scratch pool, because they must survive until Backward.
+		// allocates nothing here). xhat is activation-sized: it is drawn
+		// from the scratch pool, zero-filled, and held until release.
 		if cap(bn.mean) < bn.C {
 			bn.mean = make([]float64, bn.C)
 			bn.invStd = make([]float64, bn.C)
@@ -76,7 +76,9 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		bn.mean = bn.mean[:bn.C]
 		bn.invStd = bn.invStd[:bn.C]
 		if cap(bn.xhat) < x.Len() {
-			bn.xhat = make([]float32, x.Len())
+			tensor.PutScratch(bn.xhat)
+			bn.xhat = tensor.GetScratch(x.Len())
+			clear(bn.xhat)
 		}
 		bn.xhat = bn.xhat[:x.Len()]
 	}
@@ -228,6 +230,14 @@ func (bn *BatchNorm2D) backwardChannels(clo, chi int) {
 			}
 		}
 	}
+}
+
+func (bn *BatchNorm2D) release() {
+	drop(&bn.out)
+	drop(&bn.dx)
+	tensor.PutScratch(bn.xhat)
+	bn.xhat = nil
+	bn.x, bn.in, bn.dout = nil, nil, nil
 }
 
 // Params implements Layer.

@@ -452,6 +452,12 @@ func (c *Conv2D) backwardSparse(dx, dout *tensor.Tensor, pat *tensor.MaskPat, lo
 	}
 }
 
+func (c *Conv2D) release() {
+	drop(&c.out)
+	drop(&c.dx)
+	c.x, c.dout = nil, nil
+}
+
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param {
 	if c.useBias {

@@ -71,6 +71,12 @@ func (d *Dropout) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+func (d *Dropout) release() {
+	drop(&d.out)
+	drop(&d.dx)
+	d.mask = nil
+}
+
 // Params implements Layer.
 func (d *Dropout) Params() []*Param { return nil }
 

@@ -98,6 +98,12 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+func (l *Linear) release() {
+	drop(&l.out)
+	drop(&l.dx)
+	l.x = nil
+}
+
 // Params implements Layer.
 func (l *Linear) Params() []*Param { return []*Param{l.weight, l.bias} }
 

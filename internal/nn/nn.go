@@ -35,8 +35,9 @@ func newParam(name string, shape ...int) *Param {
 //
 // Buffer ownership: layers reuse their output and input-gradient buffers
 // across calls, so a tensor returned by Forward (Backward) is only valid
-// until the same layer's next Forward (Backward). Callers that need a
-// result to survive a later pass must Clone it.
+// until the same layer's next Forward (Backward) or until the model is
+// released (Release). Callers that need a result to survive a later pass
+// must Clone it.
 type Layer interface {
 	// Forward runs the layer on a batch. train selects training-mode
 	// behaviour (batch statistics, dropout); layers cache whatever they
@@ -181,6 +182,32 @@ func FlattenGrads(params []*Param) []float32 {
 
 // Rng is a convenience constructor for a seeded random source.
 func Rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// releaser is a layer that holds buffers between passes.
+type releaser interface{ release() }
+
+// Release ends a pass: l and its descendants return every buffer they hold
+// between passes — activations, gradients, BatchNorm's normalized input —
+// to the scratch pool and drop the inputs they cached for Backward. What
+// stays is what a model is: parameters, running statistics, the geometry
+// FLOPs reports, and caches derived from the weights. The next Forward
+// draws zero-filled buffers, so a pass after a release computes exactly
+// what it would have computed without one.
+func Release(l Layer) {
+	Walk(l, func(l Layer) {
+		if r, ok := l.(releaser); ok {
+			r.release()
+		}
+	})
+}
+
+// drop returns a layer's buffer to the scratch pool and forgets it.
+func drop(t **tensor.Tensor) {
+	if *t != nil {
+		tensor.PutScratch((*t).Data)
+		*t = nil
+	}
+}
 
 // Walk visits l and all of its descendants depth-first in forward order.
 // It understands the composite layers defined in this package

@@ -79,6 +79,12 @@ func (m *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+func (m *MaxPool2D) release() {
+	drop(&m.out)
+	drop(&m.dx)
+	m.argmax = nil
+}
+
 // Params implements Layer.
 func (m *MaxPool2D) Params() []*Param { return nil }
 
@@ -138,6 +144,11 @@ func (g *GlobalAvgPool) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return dx
+}
+
+func (g *GlobalAvgPool) release() {
+	drop(&g.out)
+	drop(&g.dx)
 }
 
 // Params implements Layer.

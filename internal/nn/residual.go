@@ -105,6 +105,14 @@ func (b *BasicBlock) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+// release drops the block's own buffers; nn.Release reaches the sublayers
+// through Walk.
+func (b *BasicBlock) release() {
+	drop(&b.out)
+	drop(&b.dsum)
+	b.sum = nil
+}
+
 // Params implements Layer.
 func (b *BasicBlock) Params() []*Param {
 	var ps []*Param

@@ -13,10 +13,11 @@ import (
 //
 // Ownership rules: a buffer obtained from GetScratch is exclusively owned
 // by the caller until PutScratch; it must not be retained, aliased, or
-// returned to user code afterwards. Buffers may be held across function
+// returned to user code afterwards. Scratch may be held across function
 // calls within one logical operation (e.g. for the duration of a
-// convolution backward pass) but never across Forward/Backward boundaries
-// — anything cached between passes belongs to the layer, not the pool.
+// convolution backward pass). Layer buffers (Reuse) are drawn from the
+// same pools, zero-filled, and owned by their layer from its first
+// Forward until the model is released, when they come back here.
 // GetScratch contents are unspecified; callers that accumulate must zero
 // first.
 

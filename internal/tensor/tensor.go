@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense row-major float32 tensor.
@@ -37,34 +38,51 @@ func (t *Tensor) MarkMutated() { t.version++ }
 
 // New returns a zero-filled tensor with the given shape.
 func New(shape ...int) *Tensor {
-	// The copy is what the panic formats and the tensor keeps, so the
-	// variadic slice never escapes: a caller of New or Reuse builds it on
-	// its stack, and a Reuse hit allocates nothing.
 	own := append([]int(nil), shape...)
+	return &Tensor{Data: make([]float32, elements(own)), shape: own}
+}
+
+// elements returns shape's element count and panics on a non-positive
+// dimension. Only copies of shape are kept or formatted, so the variadic
+// slice of New or Reuse never escapes: their callers build it on the
+// stack, and a Reuse hit allocates nothing.
+func elements(shape []int) int {
 	n := 1
-	for _, d := range own {
+	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, own))
+			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	return &Tensor{Data: make([]float32, n), shape: own}
+	return n
 }
 
 // Reuse returns t when it already has exactly the given shape — contents
-// preserved, NOT zeroed — otherwise a fresh zero-filled tensor. Layers
-// use it to recycle activation/gradient buffers across training steps;
+// preserved, NOT zeroed. On any other shape it returns t reshaped in place
+// and zero-filled: re-sliced when its backing array is large enough,
+// otherwise over an array drawn from the scratch pool, the old one going
+// back to the pool. A nil t gets a new header over a pooled array. Layers
+// use it to recycle activation/gradient buffers across training steps, so
+// t's array must be the caller's outright (a previous Reuse result);
 // callers must fully overwrite (or explicitly zero) the returned data,
 // and must not hand the buffer to code that outlives the next call.
 func Reuse(t *Tensor, shape ...int) *Tensor {
-	if t == nil || len(t.shape) != len(shape) {
-		return New(shape...)
+	if t != nil && slices.Equal(t.shape, shape) {
+		return t
 	}
-	for i, d := range shape {
-		if t.shape[i] != d {
-			return New(shape...)
-		}
+	n := elements(shape)
+	if t == nil {
+		t = &Tensor{}
 	}
+	if cap(t.Data) >= n {
+		t.Data = t.Data[:n]
+	} else {
+		PutScratch(t.Data)
+		t.Data = GetScratch(n)
+	}
+	clear(t.Data)
+	t.shape = append(t.shape[:0], shape...)
+	t.version++
 	return t
 }
 

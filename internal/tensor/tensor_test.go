@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -416,9 +417,61 @@ func TestReuseHitAllocatesNothing(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("a Reuse hit allocates %v objects, want 0", a)
 	}
-	if got := Reuse(buf, n, 3, h, h+1); got == buf || got.Dim(3) != h+1 {
-		t.Fatalf("a Reuse miss returned shape %v", got.Shape())
+	if got := Reuse(buf, n, 3, h, h+1); got.Dim(3) != h+1 || got.Len() != n*3*h*(h+1) {
+		t.Fatalf("a Reuse miss returned shape %v, %d elements", got.Shape(), got.Len())
 	}
+}
+
+// TestReuseShapeChangeZeroFills: whatever a buffer held, a Reuse that
+// changes its shape returns zeros of the new shape — over the same backing
+// array (checked by pointer) while its capacity suffices, over a pooled one
+// when it must grow — and the shrink, the regrow and the grow all keep the
+// header.
+func TestReuseShapeChangeZeroFills(t *testing.T) {
+	zeros := func(step string, x *Tensor, shape ...int) {
+		t.Helper()
+		n := 1
+		for _, d := range shape {
+			n *= d
+		}
+		if !slices.Equal(x.Shape(), shape) || x.Len() != n {
+			t.Fatalf("%s: shape %v, %d elements, want %v", step, x.Shape(), x.Len(), shape)
+		}
+		for i, v := range x.Data {
+			if v != 0 {
+				t.Fatalf("%s: element %d is %v, want 0", step, i, v)
+			}
+		}
+	}
+	buf := New(16, 4, 3, 3)
+	array := &buf.Data[0]
+	buf.Fill(7)
+	if Reuse(buf, 8, 4, 3, 3) != buf || &buf.Data[0] != array {
+		t.Fatal("shrinking the batch left the header or the backing array")
+	}
+	zeros("shrink", buf, 8, 4, 3, 3)
+	buf.Fill(-3)
+	if Reuse(buf, 16, 4, 3, 3) != buf || &buf.Data[0] != array {
+		t.Fatal("regrowing within capacity left the header or the backing array")
+	}
+	zeros("regrow", buf, 16, 4, 3, 3)
+	buf.Fill(5)
+	if Reuse(buf, 16, 4*3*3) != buf || &buf.Data[0] != array {
+		t.Fatal("a rank change within capacity left the header or the backing array")
+	}
+	zeros("rank change", buf, 16, 4*3*3)
+	buf.Fill(1)
+	if Reuse(buf, 32, 4, 3, 3) != buf || &buf.Data[0] == array {
+		t.Fatal("growing past capacity kept the old array or left the header")
+	}
+	zeros("grow", buf, 32, 4, 3, 3)
+	// A pooled array comes back zeroed however it was left.
+	stale := GetScratch(2 * 4 * 3 * 3)
+	for i := range stale {
+		stale[i] = 9
+	}
+	PutScratch(stale)
+	zeros("nil", Reuse(nil, 2, 4, 3, 3), 2, 4, 3, 3)
 }
 
 func TestUniformRange(t *testing.T) {

@@ -11,9 +11,13 @@
 #                                schedule suites under -race (the
 #                                concurrent one ten times), the
 #                                allocation gates (a tensor.Reuse hit,
-#                                a resnet20 training step), and the
-#                                determinism suites at GOMAXPROCS 1, 2
-#                                and 4
+#                                a resnet20 training step, a 16 → 8 → 16
+#                                batch cycle), the per-pass layer-buffer
+#                                suites (zero-filled reshapes, release
+#                                between steps bitwise, no buffer left
+#                                after a round; models and eval under
+#                                -race), and the determinism suites at
+#                                GOMAXPROCS 1, 2 and 4
 #   ./scripts/verify.sh --obs    tier-1 plus the observability battery:
 #                                the -race hammer over the telemetry
 #                                subsystem and the TCP transport that
@@ -62,7 +66,8 @@
 # for changes touching internal/tensor (SIMD kernels, the strided GEMM
 # tile, scratch pools, the worker pool's inline rule), internal/nn
 # (implicit-GEMM and lowered conv routes, gradient shards, BatchNorm
-# lanes), internal/fl/local.go (the client schedule), internal/algo
+# lanes, per-pass layer buffers), internal/models or internal/eval (the
+# passes that release them), internal/fl/local.go (the client schedule), internal/algo
 # (parallel deterministic reduction, shard fold) or internal/flnet (TCP
 # transport rounds, aggregation tree, async quorum).
 # The observability battery is mandatory for changes touching
@@ -165,8 +170,16 @@ if [[ "$mode" == "--hot" ]]; then
         ./internal/tensor ./internal/nn ./internal/fl
     # Counts, not times; without -race, under which sync.Pool drops Puts.
     hot "allocation gates" \
-        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate' \
+        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate' \
         ./internal/tensor ./internal/models
+    # Layer buffers live for one pass and lanes share one pool: a released
+    # buffer changes hands between goroutines.
+    hot "per-pass layer buffers" \
+        go test -count=1 -run 'ReuseShapeChangeZeroFills|ReleaseBetweenStepsIsBitwise|SimRoundLeavesNoLayerBuffers' \
+        ./internal/tensor ./internal/models ./internal/fl
+    hot "models and eval under -race" go test -race -count=1 ./internal/models ./internal/eval
+    hot "concurrent release hammer x10" \
+        go test -race -count=10 -run 'ReleaseConcurrentLanes' ./internal/models
     hot "concurrent conv/linear hammer x10" \
         go test -race -count=10 -run 'ConvLinearConcurrentHammer' ./internal/nn
     for procs in 1 2 4; do
