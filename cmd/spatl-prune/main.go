@@ -80,8 +80,7 @@ func main() {
 
 	sel := prune.SelectWithMasks(m, masks)
 	pr, tot := prune.MaskedFLOPs(m, masks)
-	var masked float64
-	prune.WithMasked(m, sel, func() { masked = fl.EvalAccuracy(m, val, 64) })
+	masked := fl.EvalAccuracy(prune.Extract(m, sel), val, 64)
 	fmt.Printf("pruned (%s): FLOPs %.1f%% of original (%.1f%% reduction), masked acc %.4f\n",
 		*method, 100*float64(pr)/float64(tot), 100*(1-float64(pr)/float64(tot)), masked)
 

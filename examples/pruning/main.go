@@ -56,8 +56,7 @@ func main() {
 		sel  *prune.Selection
 	}{{"RL agent", agentSel}, {"uniform L1", l1Sel}} {
 		pr, tot := prune.MaskedFLOPs(m, c.sel.Masks)
-		var acc float64
-		prune.WithMasked(m, c.sel, func() { acc = fl.EvalAccuracy(m, val, 64) })
+		acc := fl.EvalAccuracy(prune.Extract(m, c.sel), val, 64)
 		// Recover accuracy with a short fine-tune of the pruned network.
 		ft := m.Clone()
 		ftSel := prune.SelectWithMasks(ft, c.sel.Masks)

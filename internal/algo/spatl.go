@@ -395,7 +395,8 @@ type SPATLTrainer struct {
 	LastSelection *prune.Selection
 
 	cfg   Config
-	agent *rl.Agent // lazily created fine-tuned selection agent
+	agent *rl.Agent  // lazily created fine-tuned selection agent
+	env   *prune.Env // the agent's pruning environment, with its workspaces
 	upBuf []byte
 }
 
@@ -530,13 +531,13 @@ func (t *SPATLTrainer) selectSalient(round int, rng *rand.Rand) *prune.Selection
 		if t.Opts.Pretrained != nil {
 			t.agent.Load(t.Opts.Pretrained)
 		}
+		t.env = prune.NewEnv(m, t.Client.Val, t.Opts.FLOPsBudget)
 	}
-	penv := prune.NewEnv(m, t.Client.Val, t.Opts.FLOPsBudget)
 	if round < t.Opts.FineTuneRounds {
 		ppo := rl.NewPPO(t.agent, t.Opts.Pretrained != nil)
-		rl.Train(ppo, penv, 1, t.Opts.FineTuneEpisodes, rng)
+		rl.Train(ppo, t.env, 1, t.Opts.FineTuneEpisodes, rng)
 	}
-	action := rl.BestAction(t.agent, penv)
+	action := rl.BestAction(t.agent, t.env)
 	return prune.Select(m, action)
 }
 

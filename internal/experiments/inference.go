@@ -104,8 +104,7 @@ func Table4Pruning(o Options) error {
 		sel := prune.SelectWithMasks(m, masks)
 		pr, tot := prune.MaskedFLOPs(m, masks)
 		red := 1 - float64(pr)/float64(tot)
-		var masked float64
-		prune.WithMasked(m, sel, func() { masked = fl.EvalAccuracy(m, val, 64) })
+		masked := fl.EvalAccuracy(prune.Extract(m, sel), val, 64)
 		prune.FineTune(m, sel, train, 2, s.LR/2, rand.New(rand.NewSource(o.Seed+49)))
 		after := fl.EvalAccuracy(m, val, 64)
 		fmt.Fprintf(tw, "%s\t%.1f%%\t%.4f\t%.4f\t%+.4f\n", meth.name, red*100, masked, after, after-baseAcc)

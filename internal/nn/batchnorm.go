@@ -232,6 +232,29 @@ func (bn *BatchNorm2D) backwardChannels(clo, chi int) {
 	}
 }
 
+// SetChannels gives the layer c channels, as Conv2D.SetChannels does:
+// affine parameters and running statistics are re-sliced within the
+// arrays the layer was built with, for the caller to overwrite.
+func (bn *BatchNorm2D) SetChannels(c int) {
+	if c == bn.C {
+		return
+	}
+	bn.C = c
+	bn.gamma.resize(c)
+	bn.beta.resize(c)
+	bn.RunMean = resliceF32(bn.RunMean, c)
+	bn.RunVar = resliceF32(bn.RunVar, c)
+}
+
+// resliceF32 returns s with length n, over its own array when that is
+// large enough.
+func resliceF32(s []float32, n int) []float32 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]float32, n)
+}
+
 func (bn *BatchNorm2D) release() {
 	drop(&bn.out)
 	drop(&bn.dx)

@@ -59,6 +59,7 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, useBias bool, rng *ra
 	c := &Conv2D{
 		name: name, InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad,
 		useBias: useBias,
+		taps:    make([]int32, 0, inC*k*k),
 	}
 	c.weight = newParam("weight", outC, inC*k*k)
 	c.weight.W.KaimingNormal(rng, inC*k*k)
@@ -450,6 +451,24 @@ func (c *Conv2D) backwardSparse(dx, dout *tensor.Tensor, pat *tensor.MaskPat, lo
 		}
 		tensor.PutScratch(dcolB)
 	}
+}
+
+// SetChannels gives the layer inC input and outC output channels. Up to
+// the widths it was built with, its weight, gradient, bias and tap table
+// are re-sliced within their arrays, so nothing is allocated: this is how
+// one layer takes one pruned width after another (prune's extraction
+// workspace). The weights' contents are the caller's to overwrite, and an
+// optimizer built over the old shapes does not follow.
+func (c *Conv2D) SetChannels(inC, outC int) {
+	if inC == c.InC && outC == c.OutC {
+		return
+	}
+	c.InC, c.OutC = inC, outC
+	c.weight.resize(outC, inC*c.K*c.K)
+	if c.useBias {
+		c.bias.resize(outC)
+	}
+	c.haveDims = false // the taps follow InC; the next Forward rebuilds them
 }
 
 func (c *Conv2D) release() {

@@ -31,6 +31,14 @@ func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, W: tensor.New(shape...), G: tensor.New(shape...)}
 }
 
+// resize gives the parameter and its gradient a new shape, re-sliced
+// within their arrays when those are large enough (tensor.Reuse), with
+// contents for the caller to overwrite.
+func (p *Param) resize(shape ...int) {
+	p.W = tensor.Reuse(p.W, shape...)
+	p.G = tensor.Reuse(p.G, shape...)
+}
+
 // Layer is a differentiable network module.
 //
 // Buffer ownership: layers reuse their output and input-gradient buffers

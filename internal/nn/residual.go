@@ -146,6 +146,16 @@ func (b *BasicBlock) FLOPs() int64 {
 // Name implements Layer.
 func (b *BasicBlock) Name() string { return b.name }
 
+// SetInternalWidth gives the block an internal width of mid channels —
+// conv1's output, bn1, conv2's input — the shape channel-pruning conv1
+// gives it. Up to the width the block was built with it allocates
+// nothing (Conv2D.SetChannels); the weights are the caller's to write.
+func (b *BasicBlock) SetInternalWidth(mid int) {
+	b.conv1.SetChannels(b.conv1.InC, mid)
+	b.bn1.SetChannels(mid)
+	b.conv2.SetChannels(mid, b.conv2.OutC)
+}
+
 // Convs returns the block's prunable convolutions in forward order
 // (conv1, conv2, and the shortcut conv when present). The pruning
 // subsystem uses this to honour residual channel-compatibility.

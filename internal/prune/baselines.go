@@ -111,15 +111,14 @@ func DSAMasks(m *models.SplitModel, val *data.Dataset, flopsBudget float64) []Ma
 	units := m.PrunableUnits()
 	base := eval.Accuracy(m, val, 64)
 	sens := make([]float64, len(units))
+	ws := newWorkspace(m)
 	for i := range units {
 		probe := make([]float64, len(units))
 		for j := range probe {
 			probe[j] = 1
 		}
 		probe[i] = 0.5
-		sel := Select(m, probe)
-		var acc float64
-		WithMasked(m, sel, func() { acc = eval.Accuracy(m, val, 64) })
+		acc := eval.Accuracy(ws.extract(m, Select(m, probe)), val, 64)
 		sens[i] = math.Max(0, base-acc)
 	}
 	// Normalize sensitivities to [0,1]; allocate keep = lo + (1-lo)·s.

@@ -1,11 +1,18 @@
 package prune
 
 import (
+	"sync"
+
 	"spatl/internal/data"
 	"spatl/internal/eval"
 	"spatl/internal/graph"
 	"spatl/internal/models"
 )
+
+// scoreBatch is the evaluation batch of an episode. The logits do not
+// depend on it (evaluation treats every sample alone); it bounds the
+// activations each concurrently scoring episode holds.
+const scoreBatch = 16
 
 // Env is the network-pruning reinforcement-learning environment of
 // §IV-B1: the state is the model's computational graph, the action is
@@ -13,6 +20,12 @@ import (
 // sub-network's validation accuracy (eq. 7), penalized when the analytic
 // FLOPs ratio exceeds the budget — the "size constraint" of the search
 // loop.
+//
+// A Step scores the sub-network itself: the selection is extracted
+// (Extract) into a workspace the Env keeps for the Step's slot, which
+// computes bit for bit what the model with the pruned channels zeroed
+// would, on fewer channels. The model is only read, so Steps on distinct
+// slots may run at once.
 type Env struct {
 	Model *models.SplitModel
 	Val   *data.Dataset
@@ -21,15 +34,15 @@ type Env struct {
 	// Penalty scales the constraint violation term. Default 2.
 	Penalty float64
 
-	// LastSelection is the selection evaluated by the most recent Step.
-	LastSelection *Selection
-	// LastAcc and LastFLOPsRatio expose the components of the last reward.
-	LastAcc        float64
-	LastFLOPsRatio float64
+	mu    sync.Mutex
+	slots []*workspace // extraction workspace per slot, built on first use
 }
 
-// NewEnv constructs a pruning environment.
+// NewEnv constructs a pruning environment. It runs the model once
+// (Describe) so the layer geometry the FLOPs count reads is in place
+// before any Step.
 func NewEnv(m *models.SplitModel, val *data.Dataset, budget float64) *Env {
+	m.Describe()
 	return &Env{Model: m, Val: val, FLOPsBudget: budget, Penalty: 2}
 }
 
@@ -38,17 +51,27 @@ func NewEnv(m *models.SplitModel, val *data.Dataset, budget float64) *Env {
 func (e *Env) State() *graph.Graph { return graph.FromEncoder(e.Model) }
 
 // Step implements rl.Environment.
-func (e *Env) Step(action []float64) float64 {
+func (e *Env) Step(slot int, action []float64) float64 {
 	sel := Select(e.Model, action)
-	e.LastSelection = sel
-	pr, tot := MaskedFLOPs(e.Model, sel.Masks)
-	e.LastFLOPsRatio = float64(pr) / float64(tot)
-	WithMasked(e.Model, sel, func() {
-		e.LastAcc = eval.Accuracy(e.Model, e.Val, 64)
-	})
-	r := e.LastAcc
-	if e.LastFLOPsRatio > e.FLOPsBudget {
-		r -= e.Penalty * (e.LastFLOPsRatio - e.FLOPsBudget)
+	pr, tot := maskedFLOPs(e.Model, sel.Masks)
+	ratio := float64(pr) / float64(tot)
+	r := eval.Accuracy(e.workspace(slot).extract(e.Model, sel), e.Val, scoreBatch)
+	if ratio > e.FLOPsBudget {
+		r -= e.Penalty * (ratio - e.FLOPsBudget)
 	}
 	return r
+}
+
+// workspace returns slot's extraction workspace, building it on the
+// slot's first Step.
+func (e *Env) workspace(slot int) *workspace {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for len(e.slots) <= slot {
+		e.slots = append(e.slots, nil)
+	}
+	if e.slots[slot] == nil {
+		e.slots[slot] = newWorkspace(e.Model)
+	}
+	return e.slots[slot]
 }

@@ -2,7 +2,6 @@ package prune
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,7 +14,8 @@ import (
 )
 
 // extractEquivalence asserts that the physically extracted model computes
-// the same eval-mode function as the masked original.
+// the eval-mode function of the masked original bit for bit: the terms it
+// leaves out of each dot product are exact zeros.
 func extractEquivalence(t *testing.T, arch string, ratios []float64, seed int64) {
 	t.Helper()
 	spec := models.Spec{Arch: arch, Classes: 5, InC: 3, H: 16, W: 16, Width: 0.25}
@@ -47,15 +47,16 @@ func extractEquivalence(t *testing.T, arch string, ratios []float64, seed int64)
 		t.Fatalf("output sizes differ: %d vs %d", got.Len(), masked.Len())
 	}
 	for i := range got.Data {
-		if math.Abs(float64(got.Data[i]-masked.Data[i])) > 2e-4*(1+math.Abs(float64(masked.Data[i]))) {
+		if got.Data[i] != masked.Data[i] {
 			t.Fatalf("%s: extracted output[%d] = %v, masked = %v", arch, i, got.Data[i], masked.Data[i])
 		}
 	}
 }
 
-func TestExtractEquivalenceResNet(t *testing.T) { extractEquivalence(t, "resnet20", nil, 1) }
-func TestExtractEquivalenceVGG(t *testing.T)    { extractEquivalence(t, "vgg11", nil, 2) }
-func TestExtractEquivalenceCNN2(t *testing.T)   { extractEquivalence(t, "cnn2", nil, 3) }
+func TestExtractEquivalenceResNet(t *testing.T)   { extractEquivalence(t, "resnet20", nil, 1) }
+func TestExtractEquivalenceResNet56(t *testing.T) { extractEquivalence(t, "resnet56", nil, 4) }
+func TestExtractEquivalenceVGG(t *testing.T)      { extractEquivalence(t, "vgg11", nil, 2) }
+func TestExtractEquivalenceCNN2(t *testing.T)     { extractEquivalence(t, "cnn2", nil, 3) }
 
 func TestExtractEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
@@ -78,7 +79,7 @@ func TestExtractEquivalenceProperty(t *testing.T) {
 		WithMasked(m, sel, func() { masked = m.Forward(x, false) })
 		got := ext.Forward(x, false)
 		for i := range got.Data {
-			if math.Abs(float64(got.Data[i]-masked.Data[i])) > 1e-3*(1+math.Abs(float64(masked.Data[i]))) {
+			if got.Data[i] != masked.Data[i] {
 				return false
 			}
 		}
@@ -86,6 +87,47 @@ func TestExtractEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWorkspaceReextractionMatchesFresh: a workspace re-sliced from one
+// selection to the next — narrower, wider, the full width — computes what
+// a fresh extraction of each computes, bit for bit, and after its first
+// extraction allocates no tensor: its arrays have the model's full width.
+func TestWorkspaceReextractionMatchesFresh(t *testing.T) {
+	for _, arch := range []string{"resnet20", "vgg11", "cnn2"} {
+		spec := models.Spec{Arch: arch, Classes: 5, InC: 3, H: 16, W: 16, Width: 0.25}
+		m := models.Build(spec, 5)
+		x := tensor.New(3, spec.InC, spec.H, spec.W)
+		x.Randn(nn.Rng(6), 1)
+		m.Forward(x, true)
+		k := len(m.PrunableUnits())
+		rng := rand.New(rand.NewSource(7))
+		ws := newWorkspace(m)
+		arrays := map[*float32]bool{}
+		for step, lo := range []float64{0.2, 0.6, 0.2, 1} {
+			ratios := make([]float64, k)
+			for i := range ratios {
+				ratios[i] = lo + (1-lo)*rng.Float64()
+			}
+			sel := Select(m, ratios)
+			want := Extract(m, sel).Forward(x, false)
+			got := ws.extract(m, sel)
+			for _, p := range got.Params() {
+				if step == 0 {
+					arrays[&p.W.Data[:1][0]] = true
+				} else if !arrays[&p.W.Data[:1][0]] {
+					t.Fatalf("%s step %d: %s moved to a new array", arch, step, p.Name)
+				}
+			}
+			out := got.Forward(x, false)
+			for i := range want.Data {
+				if out.Data[i] != want.Data[i] {
+					t.Fatalf("%s step %d: re-extracted output[%d] = %v, fresh extraction %v", arch, step, i, out.Data[i], want.Data[i])
+				}
+			}
+			got.Release()
+		}
 	}
 }
 

@@ -328,41 +328,6 @@ func ZeroPruned(m *models.SplitModel, sel *Selection) {
 	}
 }
 
-// WithMasked temporarily zeroes the pruned channels' parameters so the
-// model behaves as the selected sub-network, runs fn, then restores the
-// original weights. Used to score candidate selections (the RL reward,
-// eq. 7) without committing.
-func WithMasked(m *models.SplitModel, sel *Selection, fn func()) {
-	type saved struct {
-		p    *nn.Param
-		copy []float32
-	}
-	var saves []saved
-	stash := func(p *nn.Param) {
-		cp := make([]float32, len(p.W.Data))
-		copy(cp, p.W.Data)
-		saves = append(saves, saved{p: p, copy: cp})
-	}
-	for _, u := range sel.Units {
-		stash(u.Conv.Weight())
-		if ps := u.Conv.Params(); len(ps) > 1 {
-			stash(ps[1])
-		}
-		if u.BN != nil {
-			stash(u.BN.Params()[0])
-			stash(u.BN.Params()[1])
-		}
-	}
-	defer func() {
-		for _, s := range saves {
-			copy(s.p.W.Data, s.copy)
-			s.p.Bump()
-		}
-	}()
-	ZeroPruned(m, sel)
-	fn()
-}
-
 // MaskedFLOPs returns the per-instance forward FLOPs of the selected
 // sub-network and of the full model. Convolution costs scale with the
 // kept output fraction and, for consumer convolutions, the kept input
@@ -370,6 +335,12 @@ func WithMasked(m *models.SplitModel, sel *Selection, fn func()) {
 // charged in full (conservative).
 func MaskedFLOPs(m *models.SplitModel, masks []Mask) (pruned, total int64) {
 	m.Describe()
+	return maskedFLOPs(m, masks)
+}
+
+// maskedFLOPs is MaskedFLOPs over the geometry m's layers already hold:
+// it only reads m.
+func maskedFLOPs(m *models.SplitModel, masks []Mask) (pruned, total int64) {
 	units := m.PrunableUnits()
 	outMult := map[*nn.Conv2D]float64{}
 	inMult := map[*nn.Conv2D]float64{}

@@ -311,42 +311,61 @@ func TestFineTunePinsPrunedChannels(t *testing.T) {
 	}
 }
 
+// maskedAccuracy is the reward's accuracy term by the reference route:
+// the full-width model with the pruned channels zeroed in place.
+func maskedAccuracy(m *models.SplitModel, val *data.Dataset, ratios []float64) float64 {
+	var acc float64
+	WithMasked(m, Select(m, ratios), func() { acc = eval.Accuracy(m, val, 64) })
+	return acc
+}
+
 func TestEnvStepRewardComponents(t *testing.T) {
 	m := testModel(t, "resnet20")
-	train, val := trainAndVal(t)
-	_ = train
-	env := NewEnv(m, val, 0.6)
+	_, val := trainAndVal(t)
+	budget := 0.6
+	env := NewEnv(m, val, budget)
 	k := len(m.PrunableUnits())
-	r := env.Step(uniformRatios(k, 1))
-	// Keeping everything: FLOPs ratio 1 > budget 0.6, so reward is
-	// penalized below raw accuracy.
-	if env.LastFLOPsRatio < 0.99 {
-		t.Fatalf("full ratios FLOPs ratio %v", env.LastFLOPsRatio)
+	// Keeping everything: FLOPs ratio 1 > budget, so the reward is the
+	// accuracy less Penalty·(1 − budget).
+	full := uniformRatios(k, 1)
+	if pr, tot := MaskedFLOPs(m, Select(m, full).Masks); pr != tot {
+		t.Fatalf("full ratios FLOPs %d of %d", pr, tot)
 	}
-	if r >= env.LastAcc {
-		t.Fatal("over-budget selection must be penalized")
+	acc := eval.Accuracy(m, val, 64)
+	if r := env.Step(0, full); r != acc-env.Penalty*(1-budget) {
+		t.Fatalf("over-budget reward %v, want accuracy %v less the penalty", r, acc)
 	}
-	r2 := env.Step(uniformRatios(k, 0.3))
-	if env.LastFLOPsRatio > 0.6 {
-		t.Fatalf("0.3 ratios should meet budget, got %v", env.LastFLOPsRatio)
+	// Within budget the reward is the sub-network's accuracy alone.
+	low := uniformRatios(k, 0.3)
+	if pr, tot := MaskedFLOPs(m, Select(m, low).Masks); float64(pr)/float64(tot) > budget {
+		t.Fatalf("0.3 ratios should meet budget, got %v", float64(pr)/float64(tot))
 	}
-	if r2 != env.LastAcc {
-		t.Fatal("within-budget reward must equal accuracy")
-	}
-	if env.LastSelection == nil {
-		t.Fatal("LastSelection not recorded")
+	if r, want := env.Step(1, low), maskedAccuracy(m, val, low); r != want {
+		t.Fatalf("within-budget reward %v, want the masked accuracy %v", r, want)
 	}
 }
 
+// TestEnvAccuracyEvaluatedUnderMask: the accuracy a Step scores on the
+// extracted sub-network is exactly the accuracy of the full-width model
+// with the pruned channels zeroed, whichever slot scores it and whatever
+// that slot scored before.
 func TestEnvAccuracyEvaluatedUnderMask(t *testing.T) {
 	m := testModel(t, "resnet20")
 	_, val := trainAndVal(t)
-	env := NewEnv(m, val, 1.0) // no budget pressure
+	env := NewEnv(m, val, 1.0) // no budget pressure: the reward is the accuracy
 	k := len(m.PrunableUnits())
-	full := eval.Accuracy(m, val, 64)
-	env.Step(uniformRatios(k, 1))
-	if math.Abs(env.LastAcc-full) > 1e-9 {
-		t.Fatalf("ratio-1 masked accuracy %v != full accuracy %v", env.LastAcc, full)
+	if r, full := env.Step(0, uniformRatios(k, 1)), eval.Accuracy(m, val, 64); r != full {
+		t.Fatalf("ratio-1 accuracy %v != full accuracy %v", r, full)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 6; trial++ {
+		ratios := make([]float64, k)
+		for i := range ratios {
+			ratios[i] = 0.2 + 0.8*rng.Float64()
+		}
+		if r, want := env.Step(trial%2, ratios), maskedAccuracy(m, val, ratios); r != want {
+			t.Fatalf("trial %d: Step accuracy %v, masked accuracy %v", trial, r, want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"spatl/internal/graph"
 	"spatl/internal/nn"
+	"spatl/internal/tensor"
 )
 
 // Transition is one agent-environment interaction: the pruning task is a
@@ -125,24 +126,33 @@ func (p *PPO) Update(batch []Transition) float64 {
 // Environment is a one-step decision task for the agent: observe the
 // model's computational graph, emit per-layer keep ratios, receive the
 // resulting reward (validation accuracy of the selected sub-network,
-// eq. 7).
+// eq. 7). A Step does not change the state.
 type Environment interface {
 	// State returns the current graph observation.
 	State() *graph.Graph
-	// Step applies the action and returns its reward.
-	Step(action []float64) float64
+	// Step scores the action and returns its reward. slot names the
+	// episode's place in a rollout batch (0, 1, …): calls with distinct
+	// slots may run concurrently.
+	Step(slot int, action []float64) float64
 }
 
 // RolloutBatch collects n transitions from env under the current policy.
+// The state is observed once and the n actions are sampled from rng one
+// after another; the episodes are then scored concurrently, episode i in
+// slot i, so the batch is the same whatever the core count.
 func RolloutBatch(agent *Agent, env Environment, n int, rng *rand.Rand) []Transition {
-	batch := make([]Transition, 0, n)
-	for i := 0; i < n; i++ {
-		st := env.State()
-		mu, v := agent.Forward(st)
+	st := env.State()
+	mu, v := agent.Forward(st)
+	batch := make([]Transition, n)
+	for i := range batch {
 		action, logp := agent.Sample(mu, rng)
-		r := env.Step(action)
-		batch = append(batch, Transition{State: st, Action: action, Reward: r, LogProb: logp, Value: v})
+		batch[i] = Transition{State: st, Action: action, LogProb: logp, Value: v}
 	}
+	tensor.Parallel(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			batch[i].Reward = env.Step(i, batch[i].Action)
+		}
+	})
 	return batch
 }
 

@@ -140,7 +140,7 @@ type toyEnv struct {
 }
 
 func (e *toyEnv) State() *graph.Graph { return e.g }
-func (e *toyEnv) Step(action []float64) float64 {
+func (e *toyEnv) Step(_ int, action []float64) float64 {
 	var d float64
 	for _, a := range action {
 		d += math.Abs(a - e.target)

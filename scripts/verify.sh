@@ -16,8 +16,12 @@
 #                                suites (zero-filled reshapes, release
 #                                between steps bitwise, no buffer left
 #                                after a round; models and eval under
-#                                -race), and the determinism suites at
-#                                GOMAXPROCS 1, 2 and 4
+#                                -race), the selection agent's episode
+#                                scoring (rl and prune under -race, the
+#                                bitwise extraction suites, a fine-tuning
+#                                update's allocation gate), and the
+#                                determinism suites at GOMAXPROCS 1, 2
+#                                and 4
 #   ./scripts/verify.sh --obs    tier-1 plus the observability battery:
 #                                the -race hammer over the telemetry
 #                                subsystem and the TCP transport that
@@ -67,7 +71,9 @@
 # tile, scratch pools, the worker pool's inline rule), internal/nn
 # (implicit-GEMM and lowered conv routes, gradient shards, BatchNorm
 # lanes, per-pass layer buffers), internal/models or internal/eval (the
-# passes that release them), internal/fl/local.go (the client schedule), internal/algo
+# passes that release them), internal/prune or internal/rl (episodes
+# scored concurrently on extracted sub-networks), internal/fl/local.go
+# (the client schedule), internal/algo
 # (parallel deterministic reduction, shard fold) or internal/flnet (TCP
 # transport rounds, aggregation tree, async quorum).
 # The observability battery is mandatory for changes touching
@@ -170,8 +176,8 @@ if [[ "$mode" == "--hot" ]]; then
         ./internal/tensor ./internal/nn ./internal/fl
     # Counts, not times; without -race, under which sync.Pool drops Puts.
     hot "allocation gates" \
-        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate' \
-        ./internal/tensor ./internal/models
+        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|RolloutAllocationGate' \
+        ./internal/tensor ./internal/models ./internal/prune
     # Layer buffers live for one pass and lanes share one pool: a released
     # buffer changes hands between goroutines.
     hot "per-pass layer buffers" \
@@ -182,11 +188,19 @@ if [[ "$mode" == "--hot" ]]; then
         go test -race -count=10 -run 'ReleaseConcurrentLanes' ./internal/models
     hot "concurrent conv/linear hammer x10" \
         go test -race -count=10 -run 'ConvLinearConcurrentHammer' ./internal/nn
+    # Episodes of a rollout score at once, each in its own slot, reading
+    # one shared model.
+    hot "selection agent under -race" go test -race -count=1 ./internal/rl ./internal/prune
+    hot "concurrent episode hammer x10" \
+        go test -race -count=10 -run 'EnvConcurrentSlotsHammer' ./internal/prune
+    hot "bitwise extraction" \
+        go test -count=1 -run 'ExtractEquivalence|WorkspaceReextraction|EnvAccuracyEvaluatedUnderMask|EnvStepRewardComponents' \
+        ./internal/prune
     for procs in 1 2 4; do
         hot "determinism suites at GOMAXPROCS=$procs" \
             env GOMAXPROCS=$procs go test -count=1 \
             -run 'Deterministic|MaskStatic|ShardedReduce|PackedReduce|DegenerateEquivalence' \
-            ./internal/nn ./internal/algo ./internal/fl ./internal/hetero
+            ./internal/nn ./internal/algo ./internal/fl ./internal/hetero ./internal/prune
     done
     if (( ${#hot_red[@]} )); then
         echo "verify: hot-path batteries RED:" >&2
