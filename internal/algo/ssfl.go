@@ -31,9 +31,9 @@ import (
 // The mask is decided once, then it is data: it never participates in
 // floating-point order, so the packed reduce is bitwise identical to the
 // retained dense reference (SSFLReduceReference) at any GOMAXPROCS.
-// Client-side, the zeroed channels make the conv/linear weights sparse,
-// which routes local training through the mask-static pattern kernels
-// (internal/nn sparseCache) for the whole sparse epoch.
+// Client-side, ZeroGradRangesHook keeps the pruned weights at exactly zero
+// through every optimizer step; the layers run their one dense route over
+// them, and the zeros contribute nothing to any sum.
 
 // SSFLOptions configures SSFL.
 type SSFLOptions struct {

@@ -183,7 +183,6 @@ func (m *SplitModel) SetState(scope Scope, flat []float32) {
 	for _, p := range l.params[scope] {
 		n := p.W.Len()
 		copy(p.W.Data, flat[off:off+n])
-		p.W.MarkMutated()
 		off += n
 	}
 	for _, bn := range l.bns[scope] {

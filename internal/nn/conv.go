@@ -11,9 +11,10 @@ import (
 // both axes and optional bias. Every product runs on tensor.Gemm with the
 // operands where they already lie; nothing lowered or packed is kept
 // between Forward and Backward (backward recomputes what it needs from the
-// cached input, trading FLOPs for memory). DESIGN §8.1 has the three
+// cached input, trading FLOPs for memory). DESIGN §8.6 has the two
 // routes — implicit GEMM for stride 1, row-major lowering for strided
-// geometries, zero-skipping kernels for masked weights.
+// geometries. Nothing derived from the weights is cached either, so a
+// write to the weights is seen by the next pass whoever makes it.
 type Conv2D struct {
 	name                      string
 	InC, OutC, K, Stride, Pad int
@@ -29,19 +30,12 @@ type Conv2D struct {
 	// zero-bordered (InC, Hp, Wp) copy of an image for stride 1, r·cols in
 	// the Im2Col matrix otherwise; rebuilt with dims.
 	taps []int32
-	// sparsity caches the sparse-dispatch decision and the exact nonzero
-	// pattern under the weight version, so mask-static sparse weights
-	// (algo.SSFL) skip both the per-minibatch probe and the per-element
-	// zero branches of the GEMM.
-	sparsity sparseCache
 
 	// The bodies of the layer's two Parallel regions, bound once, and their
 	// per-call arguments: a region that runs on its caller (every core
 	// busy, tensor.Parallel) then allocates nothing.
 	fwd, bwd func(lo, hi int)
 	dout     *tensor.Tensor
-	sparse   bool
-	pat      *tensor.MaskPat
 	shards   []convShard
 }
 
@@ -115,25 +109,17 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	c.out = tensor.Reuse(c.out, n, c.OutC, c.dims.OutH, c.dims.OutW)
 	c.x = x
-	// The sparsity decision (and, mask-static, the exact nonzero pattern)
-	// is cached on the weight version, so frozen or mask-static weights
-	// skip the probe entirely and the GEMM walks precomputed index lists
-	// instead of branching on every element — bitwise identical either way.
-	c.sparse, c.pat = c.sparsity.probe(c.weight.W, c.OutC, c.InC*c.K*c.K)
 	tensor.Parallel(n, c.fwd)
 	return c.out
 }
 
 // forwardRange is the forward of images [lo,hi) on the layer's route.
 func (c *Conv2D) forwardRange(lo, hi int) {
-	switch {
-	case c.sparse:
-		c.forwardSparse(c.out, c.x, c.pat, lo, hi)
-	case c.Stride == 1:
+	if c.Stride == 1 {
 		c.forwardImplicit(c.out, c.x, lo, hi)
-	default:
-		c.forwardLowered(c.out, c.x, lo, hi)
+		return
 	}
+	c.forwardLowered(c.out, c.x, lo, hi)
 }
 
 // forwardImplicit is the dense stride-1 forward of images [lo,hi) as an
@@ -192,41 +178,6 @@ func (c *Conv2D) forwardLowered(out, x *tensor.Tensor, lo, hi int) {
 	tensor.PutScratch(col)
 }
 
-// forwardSparse is the forward of images [lo,hi) under pruned/masked
-// weights: the row-major lowering with the zero-skipping kernel, which
-// elides whole B-row passes per zero weight. Images sit side by side in
-// one wide (colRows, G·cols) matrix (Im2ColLD), so each surviving
-// weight's axpy runs over the whole group instead of one image's columns
-// — the vector kernel amortizes far better on the deep layers whose
-// per-image column count is tiny.
-func (c *Conv2D) forwardSparse(out, x *tensor.Tensor, pat *tensor.MaskPat, lo, hi int) {
-	d := c.dims
-	cols, colRows, inStride, outStride := c.sizes()
-	for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
-		gn := fusedGroup(hi-glo, colRows*cols)
-		wide := gn * cols
-		colB := tensor.GetScratch(colRows * wide)
-		for i := glo; i < glo+gn; i++ {
-			tensor.Im2ColLD(colB[(i-glo)*cols:], x.Data[i*inStride:(i+1)*inStride], d, wide)
-		}
-		cB := tensor.GetScratch(c.OutC * wide)
-		if pat != nil {
-			tensor.MatMulMaskPatSlice(cB, c.weight.W.Data, colB, pat, wide)
-		} else {
-			tensor.MatMulSparseSlice(cB, c.weight.W.Data, colB, c.OutC, colRows, wide)
-		}
-		for i := glo; i < glo+gn; i++ {
-			oi := out.Data[i*outStride : (i+1)*outStride]
-			for oc := 0; oc < c.OutC; oc++ {
-				copy(oi[oc*cols:(oc+1)*cols], cB[oc*wide+(i-glo)*cols:][:cols])
-			}
-			c.addBias(oi, cols)
-		}
-		tensor.PutScratch(cB)
-		tensor.PutScratch(colB)
-	}
-}
-
 // addBias adds the per-channel bias to one image's (OutC, cols) activation
 // block; a no-op for bias-free layers.
 func (c *Conv2D) addBias(oi []float32, cols int) {
@@ -238,26 +189,6 @@ func (c *Conv2D) addBias(oi []float32, cols int) {
 	}
 }
 
-// fusedFloatsCap bounds the widest scratch buffer a fused image group of
-// the sparse route may allocate (in float32 elements, ~16 MiB), so huge
-// batches of large feature maps are processed in a few chunked GEMMs
-// instead of one enormous allocation. Grouping only changes where GEMM
-// call boundaries fall, never any per-element accumulation chain.
-const fusedFloatsCap = 4 << 20
-
-// fusedGroup returns how many of the remaining n images to fuse into one
-// lowered GEMM, given the per-image lowered size in floats.
-func fusedGroup(n, perImage int) int {
-	g := fusedFloatsCap / perImage
-	if g < 1 {
-		g = 1
-	}
-	if g > n {
-		g = n
-	}
-	return g
-}
-
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	x := c.x
@@ -267,7 +198,6 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n, d := x.Dim(0), c.dims
 	c.dx = tensor.Reuse(c.dx, n, c.InC, d.H, d.W)
 	c.dout = dout
-	c.sparse, c.pat = c.sparsity.probe(c.weight.W, c.OutC, c.InC*c.K*c.K)
 
 	// Shard the batch shardImages at a time; each shard accumulates its
 	// own dW (and db), then shards are summed in ascending order. The
@@ -320,9 +250,7 @@ func (c *Conv2D) backwardShards(slo, shi int) {
 		clear(lowered) // the border; every image overwrites the whole interior
 		gp = tensor.GetScratch(c.OutC * gld)
 		clear(gp) // the junk columns; every image overwrites all the others
-		if !c.sparse {
-			dxp = tensor.GetScratch(c.InC * hp * wp)
-		}
+		dxp = tensor.GetScratch(c.InC * hp * wp)
 	}
 	patch := tensor.GetScratch(span * colRows)
 	for s := slo; s < shi; s++ {
@@ -357,14 +285,11 @@ func (c *Conv2D) backwardShards(slo, shi int) {
 			}
 			tensor.TransposeViews(patch, lowered, c.taps, span)
 			tensor.Gemm(sh.dw, colRows, g, gld, 1, patch, colRows, nil, c.OutC, span, colRows, true)
-			if c.Stride == 1 && !c.sparse {
+			if c.Stride == 1 {
 				c.backwardImplicit(c.dx.Data[i*inStride:(i+1)*inStride], gp, dxp)
 			}
 		}
-		switch {
-		case c.sparse:
-			c.backwardSparse(c.dx, dout, c.pat, lo, hi)
-		case c.Stride != 1:
+		if c.Stride != 1 {
 			c.backwardLowered(c.dx, dout, lo, hi)
 		}
 	}
@@ -416,41 +341,6 @@ func (c *Conv2D) backwardLowered(dx, dout *tensor.Tensor, lo, hi int) {
 		tensor.Col2Im(dxi, dcol, d)
 	}
 	tensor.PutScratch(dcol)
-}
-
-// backwardSparse forms dx of images [lo,hi) under pruned/masked weights:
-// the group's output gradients are laid side by side channel-major and
-// the zero-skipping Wᵀ·g runs once over the whole group, so each
-// surviving weight's axpy spans G·cols columns; Col2ImLD scatters each
-// image's slice straight out of the wide buffer.
-func (c *Conv2D) backwardSparse(dx, dout *tensor.Tensor, pat *tensor.MaskPat, lo, hi int) {
-	d := c.dims
-	cols, colRows, inStride, outStride := c.sizes()
-	for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
-		gn := fusedGroup(hi-glo, colRows*cols)
-		wide := gn * cols
-		dcolB := tensor.GetScratch(colRows * wide)
-		giB := tensor.GetScratch(c.OutC * wide)
-		for i := glo; i < glo+gn; i++ {
-			gi := dout.Data[i*outStride : (i+1)*outStride]
-			for oc := 0; oc < c.OutC; oc++ {
-				copy(giB[oc*wide+(i-glo)*cols:][:cols], gi[oc*cols:(oc+1)*cols])
-			}
-		}
-		if pat != nil {
-			tensor.MatMulTransAMaskPatSlice(dcolB, c.weight.W.Data, giB, pat, wide)
-		} else {
-			tensor.MatMulTransASparseSlice(dcolB, c.weight.W.Data, giB, colRows, c.OutC, wide)
-		}
-		tensor.PutScratch(giB)
-		for i := glo; i < glo+gn; i++ {
-			// Col2ImLD accumulates, so the reused image slice is zeroed first.
-			dxi := dx.Data[i*inStride : (i+1)*inStride]
-			clear(dxi)
-			tensor.Col2ImLD(dxi, dcolB[(i-glo)*cols:], d, wide)
-		}
-		tensor.PutScratch(dcolB)
-	}
 }
 
 // SetChannels gives the layer inC input and outC output channels. Up to

@@ -173,9 +173,9 @@ func TestConv2DImplicitMatchesLowered(t *testing.T) {
 			checkConvAgainstLowered(t, c, rng, 3, 9, 8)
 		})
 	}
-	// Mostly-zero weights take the zero-skipping route for forward and dx;
-	// dW is the dense product over the same transposed views, at the padded
-	// pitch for stride 1 and over the Im2Col rows for stride 2.
+	// Mostly-zero weights (SPATL's pruned filters) run the same dense
+	// routes; their zero terms must leave every output and gradient bit as
+	// the reference forms it.
 	for _, stride := range []int{1, 2} {
 		t.Run(fmt.Sprintf("sparse_stride%d", stride), func(t *testing.T) {
 			c := NewConv2D("c", 5, 6, 3, stride, 1, true, rng)
@@ -184,11 +184,56 @@ func TestConv2DImplicitMatchesLowered(t *testing.T) {
 					c.weight.W.Data[i] = 0
 				}
 			}
-			c.weight.Bump()
-			if !tensor.IsSparse(c.weight.W.Data) {
-				t.Fatal("sparsified weights not classified sparse")
-			}
 			checkConvAgainstLowered(t, c, rng, 5, 9, 8)
+		})
+	}
+}
+
+// TestRawWeightWriteSeenByNextForward writes W.Data directly, with no call
+// to tell the layer, and requires the next Forward to equal the reference
+// of the new weights bit for bit: no layer may keep anything derived from
+// its weights between passes. The linear case writes a dense weight (a
+// cached Wᵀ would go stale); the conv case masks most filters, runs a
+// pass, then makes a previously zero weight nonzero (a cached nonzero
+// pattern would skip it).
+func TestRawWeightWriteSeenByNextForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+
+	l := NewLinear("l", 24, 10, rng)
+	l.bias.W.Randn(rng, 1)
+	linearRef := func(x *tensor.Tensor) []float32 {
+		y := tensor.RefMatMulTransB(x, l.weight.W)
+		for i := 0; i < x.Dim(0); i++ {
+			tensor.RefVecAdd(y.Data[i*l.Out:(i+1)*l.Out], l.bias.W.Data)
+		}
+		return y.Data
+	}
+
+	c := NewConv2D("c", 3, 6, 3, 1, 1, true, rng)
+	c.bias.W.Randn(rng, 1)
+	cw, cols := c.weight.W, c.weight.W.Dim(1)
+	for r := 0; r < c.OutC; r++ {
+		if r%3 != 0 { // two filters in three pruned
+			clear(cw.Data[r*cols : (r+1)*cols])
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		layer Layer
+		x     *tensor.Tensor
+		write func() // the raw write, made after one pass
+		ref   func(x *tensor.Tensor) []float32
+	}{
+		{"linear", l, tensor.New(7, 24), func() { l.weight.W.Data[3*24+5] += 1 }, linearRef},
+		{"conv", c, tensor.New(2, 3, 7, 6), func() { cw.Data[1*cols+4] = 0.75 },
+			func(x *tensor.Tensor) []float32 { return perImageConvForward(c, x).Data }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.x.Randn(rng, 1)
+			compareBits(t, "forward before the write", tc.layer.Forward(tc.x, false).Data, tc.ref(tc.x))
+			tc.write()
+			compareBits(t, "forward after the write", tc.layer.Forward(tc.x, false).Data, tc.ref(tc.x))
 		})
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // refConvForward computes a batched 2D convolution with the naive im2col +
-// reference-matmul lowering, the ground truth every forward route (dense
-// implicit, dense strided and sparse row-major) must match.
+// reference-matmul lowering, the ground truth every forward route
+// (implicit GEMM and row-major lowering) must match.
 func refConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	d := tensor.NewConvDims(c.InC, h, w, c.OutC, c.K, c.Stride, c.Pad)
@@ -38,9 +38,9 @@ func refConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // TestConv2DForwardLoweringPaths exercises the forward routes against
-// the naive reference: dense stride-1 weights take the implicit GEMM,
-// dense strided ones the row-major lowering, and mostly-zero weights
-// (SPATL pruned filters) the row-major zero-skipping path.
+// the naive reference: stride 1 takes the implicit GEMM and strided
+// geometries the row-major lowering, for dense and for mostly-zero
+// weights (SPATL pruned filters) alike.
 func TestConv2DForwardLoweringPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, tc := range []struct {
@@ -57,12 +57,9 @@ func TestConv2DForwardLoweringPaths(t *testing.T) {
 			c := NewConv2D("c", 3, 6, tc.k, tc.stride, tc.pad, tc.useBias, rng)
 			if tc.sparsify {
 				for i := range c.weight.W.Data {
-					if i%5 != 0 { // 80% zeros: well past the sparse probe
+					if i%5 != 0 { // 80% zeros
 						c.weight.W.Data[i] = 0
 					}
-				}
-				if !tensor.IsSparse(c.weight.W.Data) {
-					t.Fatal("sparsified weights not classified sparse")
 				}
 			}
 			x := tensor.New(2, 3, 9, 7)

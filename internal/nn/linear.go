@@ -8,7 +8,9 @@ import (
 )
 
 // Linear is a fully connected layer computing y = x·Wᵀ + b for input
-// (N, In) and weight (Out, In).
+// (N, In) and weight (Out, In). Forward transposes W into scratch on every
+// call (tensor.MatMulTransBInto); backward reads W, dout and x as they lie.
+// Nothing derived from the weights is kept between calls.
 type Linear struct {
 	name    string
 	In, Out int
@@ -16,15 +18,6 @@ type Linear struct {
 	bias    *Param
 	x       *tensor.Tensor
 	out, dx *tensor.Tensor // reused activation/gradient buffers
-
-	// Version-keyed Wᵀ, the (In, Out) vector-side operand of the forward
-	// x·Wᵀ, rebuilt only when the weights change. Backward needs no derived
-	// form: dx = dout·W and dW = doutᵀ·x read W, dout and x as they lie.
-	wt packCache
-	// sparsity caches the mask-static sparse decision and nonzero pattern
-	// under the same version key: masked weights (algo.SSFL) route both
-	// GEMMs through gather-dot kernels that sum only the surviving terms.
-	sparsity sparseCache
 }
 
 // NewLinear constructs a fully connected layer with He-normal weights and
@@ -45,22 +38,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.Reuse(l.out, x.Dim(0), l.Out)
 	l.out = out
 	n := x.Dim(0)
-	if sparse, pat := l.sparsity.probe(l.weight.W, l.Out, l.In); sparse && pat != nil {
-		// Mask-static sparse weights: gather-dot over each output row's
-		// precomputed nonzero positions — no transpose, no zero terms.
-		tensor.Parallel(n, func(lo, hi int) {
-			tensor.MatMulTransBMaskPatSlice(out.Data[lo*l.Out:], x.Data[lo*l.In:], l.weight.W.Data, pat, hi-lo)
-		})
-		for i := 0; i < n; i++ {
-			tensor.VecAdd(out.Data[i*l.Out:(i+1)*l.Out], l.bias.W.Data)
-		}
-		l.x = x
-		return out
-	}
-	wt := l.wt.get(l.weight.W, l.In*l.Out, func(dst []float32) {
-		tensor.TransposeSlice(dst, l.weight.W.Data, l.Out, l.In)
-	})
-	tensor.GemmParallel(out.Data, l.Out, x.Data, l.In, 1, wt, l.Out, n, l.In, l.Out)
+	tensor.MatMulTransBInto(out, x, l.weight.W)
 	for i := 0; i < n; i++ {
 		tensor.VecAdd(out.Data[i*l.Out:(i+1)*l.Out], l.bias.W.Data)
 	}
@@ -84,16 +62,7 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 	dx := tensor.Reuse(l.dx, dout.Dim(0), l.In)
 	l.dx = dx
-	if sparse, pat := l.sparsity.probe(l.weight.W, l.Out, l.In); sparse && pat != nil {
-		// Mask-static sparse weights: dx = dout·W as gather-dots over each
-		// input column's precomputed nonzero rows.
-		tensor.Parallel(n, func(lo, hi int) {
-			tensor.MatMulMaskPatRightSlice(dx.Data[lo*l.In:], dout.Data[lo*l.Out:], l.weight.W.Data, pat, hi-lo)
-		})
-		return dx
-	}
-	// W is already the (k=Out, n=In) vector-side operand; mostly-zero
-	// gradients take MatMulInto's zero-skipping kernel.
+	// W is already the (k=Out, n=In) vector-side operand.
 	tensor.MatMulInto(dx, dout, l.weight.W)
 	return dx
 }

@@ -171,7 +171,6 @@ func UnflattenParams(params []*Param, flat []float32) {
 			panic("nn: UnflattenParams vector too short")
 		}
 		copy(p.W.Data, flat[off:off+n])
-		p.W.MarkMutated()
 		off += n
 	}
 	if off != len(flat) {
@@ -197,10 +196,10 @@ type releaser interface{ release() }
 // Release ends a pass: l and its descendants return every buffer they hold
 // between passes — activations, gradients, BatchNorm's normalized input —
 // to the scratch pool and drop the inputs they cached for Backward. What
-// stays is what a model is: parameters, running statistics, the geometry
-// FLOPs reports, and caches derived from the weights. The next Forward
-// draws zero-filled buffers, so a pass after a release computes exactly
-// what it would have computed without one.
+// stays is what a model is: parameters, running statistics and the
+// geometry FLOPs reports. The next Forward draws zero-filled buffers, so a
+// pass after a release computes exactly what it would have computed
+// without one.
 func Release(l Layer) {
 	Walk(l, func(l Layer) {
 		if r, ok := l.(releaser); ok {

@@ -41,8 +41,7 @@ func NewSGD(params []*Param, lr, momentum, weightDecay float64) *SGD {
 
 // Step implements Optimizer. The update runs through the SIMD step
 // kernels (same per-element operation chains as the scalar loops they
-// replaced) and bumps each weight tensor's mutation counter so caches
-// derived from the weights refill.
+// replaced).
 func (s *SGD) Step() {
 	lr := float32(s.lr)
 	wd := float32(s.WeightDecay)
@@ -53,7 +52,6 @@ func (s *SGD) Step() {
 		} else {
 			tensor.VecSGDMomStep(p.W.Data, s.velocity[i].Data, p.G.Data, lr, wd, mu)
 		}
-		p.W.MarkMutated()
 	}
 }
 
@@ -141,7 +139,6 @@ func (a *Adam) Step() {
 			vhat := vj / bc2
 			p.W.Data[j] -= float32(a.lr * mhat / (math.Sqrt(vhat) + a.Eps))
 		}
-		p.W.MarkMutated()
 	}
 }
 

@@ -95,7 +95,6 @@ func SFP(m *models.SplitModel, train *data.Dataset, ratio float64, epochs int, l
 					row[j] = 0
 				}
 			}
-			u.Conv.Weight().Bump() // direct Data writes above
 			masks = append(masks, mask)
 		}
 	}
@@ -194,15 +193,6 @@ func FineTune(m *models.SplitModel, sel *Selection, train *data.Dataset, epochs 
 					gamma[ch] = 0
 					beta[ch] = 0
 				}
-			}
-			// Direct Data writes above: invalidate packed-weight caches.
-			u.Conv.Weight().Bump()
-			if ps := u.Conv.Params(); len(ps) > 1 {
-				ps[1].Bump()
-			}
-			if u.BN != nil {
-				u.BN.Params()[0].Bump()
-				u.BN.Params()[1].Bump()
 			}
 		}
 	}

@@ -192,14 +192,12 @@ func copyConv(dst, src *nn.Conv2D, keepOut, keepIn []int) {
 			copy(dstRow[dj*kk:(dj+1)*kk], srcRow[si*kk:(si+1)*kk])
 		}
 	}
-	dst.Weight().Bump() // direct Data writes above
 	// Bias, when present, follows the output channels.
 	sp, dp := src.Params(), dst.Params()
 	if len(sp) > 1 && len(dp) > 1 {
 		for di := 0; di < nOut; di++ {
 			dp[1].W.Data[di] = sp[1].W.Data[pick(keepOut, di)]
 		}
-		dp[1].Bump()
 	}
 }
 
@@ -216,8 +214,6 @@ func copyBN(dst, src *nn.BatchNorm2D, keep []int) {
 		dst.RunMean[di] = src.RunMean[si]
 		dst.RunVar[di] = src.RunVar[si]
 	}
-	dp[0].Bump()
-	dp[1].Bump()
 }
 
 // copyLinear copies a fully connected layer verbatim.

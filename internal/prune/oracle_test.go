@@ -34,7 +34,6 @@ func WithMasked(m *models.SplitModel, sel *Selection, fn func()) {
 	defer func() {
 		for _, s := range saves {
 			copy(s.p.W.Data, s.copy)
-			s.p.Bump()
 		}
 	}()
 	ZeroPruned(m, sel)

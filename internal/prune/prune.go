@@ -316,15 +316,6 @@ func ZeroPruned(m *models.SplitModel, sel *Selection) {
 				beta[ch] = 0
 			}
 		}
-		// Direct Data writes above: invalidate packed-weight caches.
-		u.Conv.Weight().Bump()
-		if ps := u.Conv.Params(); len(ps) > 1 {
-			ps[1].Bump()
-		}
-		if u.BN != nil {
-			u.BN.Params()[0].Bump()
-			u.BN.Params()[1].Bump()
-		}
 	}
 }
 

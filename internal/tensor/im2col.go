@@ -30,16 +30,8 @@ func NewConvDims(inC, h, w, outC, k, stride, pad int) ConvDims {
 // that bulk-copies the valid span of each output row instead of testing
 // bounds per element.
 func Im2Col(col []float32, x []float32, d ConvDims) {
-	Im2ColLD(col, x, d, d.OutH*d.OutW)
-}
-
-// Im2ColLD is Im2Col with an explicit leading dimension: lowered row idx
-// starts at col[idx*ld]. A batch-fused caller lowers image i of a group
-// into Im2ColLD(colB[i*cols:], x_i, d, G*cols), placing the images side by
-// side in one wide (C*K*K, G·OutH·OutW) matrix without a copy.
-func Im2ColLD(col []float32, x []float32, d ConvDims, ld int) {
 	if d.Stride == 1 {
-		im2colStride1(col, x, d, ld)
+		im2colStride1(col, x, d)
 		return
 	}
 	cols := d.OutH * d.OutW
@@ -48,7 +40,7 @@ func Im2ColLD(col []float32, x []float32, d ConvDims, ld int) {
 		plane := x[c*d.H*d.W : (c+1)*d.H*d.W]
 		for ky := 0; ky < d.K; ky++ {
 			for kx := 0; kx < d.K; kx++ {
-				row := col[idx*ld : idx*ld+cols]
+				row := col[idx*cols : (idx+1)*cols]
 				idx++
 				o := 0
 				for oy := 0; oy < d.OutH; oy++ {
@@ -79,14 +71,14 @@ func Im2ColLD(col []float32, x []float32, d ConvDims, ld int) {
 // im2colStride1 handles stride 1: for each (ky,kx) tap, the input column
 // index is ox + kx - Pad, so the in-bounds ox range is a single contiguous
 // span copied with copy(); only the padding fringes are written per cell.
-func im2colStride1(col []float32, x []float32, d ConvDims, ld int) {
+func im2colStride1(col []float32, x []float32, d ConvDims) {
 	cols := d.OutH * d.OutW
 	idx := 0
 	for c := 0; c < d.InC; c++ {
 		plane := x[c*d.H*d.W : (c+1)*d.H*d.W]
 		for ky := 0; ky < d.K; ky++ {
 			for kx := 0; kx < d.K; kx++ {
-				row := col[idx*ld : idx*ld+cols]
+				row := col[idx*cols : (idx+1)*cols]
 				idx++
 				// Valid ox satisfy 0 ≤ ox+kx-Pad < W.
 				oxLo := d.Pad - kx
@@ -174,18 +166,8 @@ func transposeViewsGo(dst, src []float32, offs []int32, span int) {
 // into the image gradient dx (C,H,W), accumulating overlapping windows.
 // dx must be zeroed by the caller if accumulation from scratch is desired.
 func Col2Im(dx []float32, col []float32, d ConvDims) {
-	Col2ImLD(dx, col, d, d.OutH*d.OutW)
-}
-
-// Col2ImLD is Col2Im with an explicit leading dimension: row idx of the
-// column-gradient matrix starts at col[idx*ld]. This lets a batch-fused
-// backward pass scatter one image's slice out of a wide (C*K*K, B·OutH·OutW)
-// gradient matrix without copying it into a contiguous per-image buffer.
-// The accumulation order over (c,ky,kx) then (oy,ox) is identical to
-// Col2Im, so overlapping-window sums round identically.
-func Col2ImLD(dx []float32, col []float32, d ConvDims, ld int) {
 	if d.Stride == 1 {
-		col2imStride1(dx, col, d, ld)
+		col2imStride1(dx, col, d)
 		return
 	}
 	cols := d.OutH * d.OutW
@@ -194,7 +176,7 @@ func Col2ImLD(dx []float32, col []float32, d ConvDims, ld int) {
 		plane := dx[c*d.H*d.W : (c+1)*d.H*d.W]
 		for ky := 0; ky < d.K; ky++ {
 			for kx := 0; kx < d.K; kx++ {
-				row := col[idx*ld : idx*ld+cols]
+				row := col[idx*cols : (idx+1)*cols]
 				idx++
 				o := 0
 				for oy := 0; oy < d.OutH; oy++ {
@@ -219,14 +201,14 @@ func Col2ImLD(dx []float32, col []float32, d ConvDims, ld int) {
 
 // col2imStride1 is the stride-1 scatter: the in-bounds ox span is computed
 // once per output row, so the accumulate loop runs branch-free.
-func col2imStride1(dx []float32, col []float32, d ConvDims, ld int) {
+func col2imStride1(dx []float32, col []float32, d ConvDims) {
 	cols := d.OutH * d.OutW
 	idx := 0
 	for c := 0; c < d.InC; c++ {
 		plane := dx[c*d.H*d.W : (c+1)*d.H*d.W]
 		for ky := 0; ky < d.K; ky++ {
 			for kx := 0; kx < d.K; kx++ {
-				row := col[idx*ld : idx*ld+cols]
+				row := col[idx*cols : (idx+1)*cols]
 				idx++
 				oxLo := d.Pad - kx
 				if oxLo < 0 {

@@ -6,164 +6,42 @@ import (
 	"testing"
 )
 
-// randMasked builds an (m,k) matrix with roughly the given zero fraction,
-// including negative zeros (which compare equal to zero, so both the
-// probing kernels and the pattern build must treat them as zeros).
-func randMasked(rng *rand.Rand, m, k int, zeroFrac float64) []float32 {
-	a := make([]float32, m*k)
-	for i := range a {
-		switch {
-		case rng.Float64() < zeroFrac:
-			if rng.Intn(8) == 0 {
-				a[i] = float32(math.Copysign(0, -1))
-			}
-		default:
-			a[i] = float32(rng.NormFloat64())
-		}
-	}
-	return a
-}
-
-func bitsEqualF32(t *testing.T, name string, got, want []float32) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s: index %d differs: %v (%#x) vs %v (%#x)",
-				name, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
-		}
-	}
-}
-
-// maskShapes covers tiny, tall, wide and VecAxpy-tail shapes.
-var maskShapes = []struct{ m, k, n int }{
-	{1, 1, 1}, {3, 5, 7}, {8, 16, 33}, {16, 144, 64}, {5, 7, 100}, {32, 27, 256},
-}
-
-// TestMaskPatMatchesProbeKernels: the pattern kernels must be bitwise
-// identical to the probing sparse kernels they replace, at every zero
-// fraction including fully dense and fully zero.
-func TestMaskPatMatchesProbeKernels(t *testing.T) {
+// TestMaskPatMatchesRef holds the pattern kernel bitwise to the dense
+// reference product at every zero fraction, fully dense and fully zero
+// included, with −0 among the zeros of both operands: a skipped ±0 term
+// must leave each sum exactly as the reference forms it.
+func TestMaskPatMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, sh := range maskShapes {
+	for _, sh := range []struct{ m, k, n int }{
+		{1, 1, 1}, {3, 5, 7}, {8, 16, 33}, {16, 144, 64}, {5, 7, 100}, {32, 27, 256},
+	} {
 		for _, zf := range []float64{0, 0.3, 0.6, 0.95, 1} {
-			w := randMasked(rng, sh.m, sh.k, zf)
-			pat := BuildMaskPat(w, sh.m, sh.k)
-
-			b := randMasked(rng, sh.k, sh.n, 0.1)
-			want := make([]float32, sh.m*sh.n)
-			MatMulSparseSlice(want, w, b, sh.m, sh.k, sh.n)
+			w, b := New(sh.m, sh.k), New(sh.k, sh.n)
+			fillRand(w, rng)
+			fillRand(b, rng)
+			zeroOut(w, rng, zf)
+			zeroOut(b, rng, 0.1)
+			pat := BuildMaskPat(w.Data, sh.m, sh.k)
+			nnz := 0
+			for _, v := range w.Data {
+				if v != 0 {
+					nnz++
+				}
+			}
+			if pat.NNZ() != nnz {
+				t.Fatalf("%v zeros %.2f: pattern records %d nonzeros, scan finds %d", sh, zf, pat.NNZ(), nnz)
+			}
+			want := RefMatMul(w, b)
 			got := make([]float32, sh.m*sh.n)
-			MatMulMaskPatSlice(got, w, b, pat, sh.n)
-			bitsEqualF32(t, "MatMulMaskPatSlice", got, want)
-
-			bt := randMasked(rng, sh.m, sh.n, 0.1)
-			wantT := make([]float32, sh.k*sh.n)
-			MatMulTransASparseSlice(wantT, w, bt, sh.k, sh.m, sh.n)
-			gotT := make([]float32, sh.k*sh.n)
-			MatMulTransAMaskPatSlice(gotT, w, bt, pat, sh.n)
-			bitsEqualF32(t, "MatMulTransAMaskPatSlice", gotT, wantT)
-		}
-	}
-}
-
-// refTransBSkipZero is the retained scalar reference for the gather-dot
-// A·Wᵀ kernel: an ascending-p dot product summing exactly the terms
-// where W's element is nonzero.
-func refTransBSkipZero(c, a, w []float32, m, outs, k int) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < outs; j++ {
-			var s float32
-			for p := 0; p < k; p++ {
-				if w[j*k+p] != 0 {
-					s += a[i*k+p] * w[j*k+p]
-				}
+			for i := range got {
+				got[i] = -999 // every element must be written
 			}
-			c[i*outs+j] = s
-		}
-	}
-}
-
-// refRightSkipZero is the retained scalar reference for the gather-dot
-// A·W kernel: ascending-row dot products over W's nonzero column
-// entries.
-func refRightSkipZero(c, a, w []float32, m, ins, k int) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < k; j++ {
-			var s float32
-			for p := 0; p < ins; p++ {
-				if w[p*k+j] != 0 {
-					s += a[i*ins+p] * w[p*k+j]
+			MatMulMaskPatSlice(got, w.Data, b.Data, pat, sh.n)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%v zeros %.2f: element %d = %v (%#x), ref %v (%#x)", sh, zf, i,
+						got[i], math.Float32bits(got[i]), want.Data[i], math.Float32bits(want.Data[i]))
 				}
-			}
-			c[i*k+j] = s
-		}
-	}
-}
-
-// TestMaskPatGatherDotMatchesRef covers the linear-layer kernels against
-// their scalar skip-zero references.
-func TestMaskPatGatherDotMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, sh := range maskShapes {
-		for _, zf := range []float64{0, 0.5, 0.9, 1} {
-			w := randMasked(rng, sh.m, sh.k, zf)
-			pat := BuildMaskPat(w, sh.m, sh.k)
-			batch := sh.n
-
-			a := randMasked(rng, batch, sh.k, 0)
-			want := make([]float32, batch*sh.m)
-			refTransBSkipZero(want, a, w, batch, sh.m, sh.k)
-			got := make([]float32, batch*sh.m)
-			MatMulTransBMaskPatSlice(got, a, w, pat, batch)
-			bitsEqualF32(t, "MatMulTransBMaskPatSlice", got, want)
-
-			ar := randMasked(rng, batch, sh.m, 0)
-			wantR := make([]float32, batch*sh.k)
-			refRightSkipZero(wantR, ar, w, batch, sh.m, sh.k)
-			gotR := make([]float32, batch*sh.k)
-			MatMulMaskPatRightSlice(gotR, ar, w, pat, batch)
-			bitsEqualF32(t, "MatMulMaskPatRightSlice", gotR, wantR)
-		}
-	}
-}
-
-// TestBuildMaskPatInto verifies pattern reuse: a second build into the
-// same pattern must not reallocate when the shape and density shrink.
-func TestBuildMaskPatInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	w := randMasked(rng, 16, 32, 0.5)
-	pat := BuildMaskPat(w, 16, 32)
-	if pat.NNZ() == 0 || !pat.Matches(16, 32) {
-		t.Fatalf("unexpected pattern: nnz=%d", pat.NNZ())
-	}
-	rowIdx0 := &pat.rowIdx[0]
-	w2 := randMasked(rng, 16, 32, 0.8)
-	pat2 := BuildMaskPatInto(pat, w2, 16, 32)
-	if pat2 != pat {
-		t.Fatal("BuildMaskPatInto did not return the reused pattern")
-	}
-	if pat.NNZ() > 0 && &pat.rowIdx[0] != rowIdx0 {
-		t.Fatal("BuildMaskPatInto reallocated a sufficient index buffer")
-	}
-	// Pattern correctness after reuse: every recorded row index is a
-	// nonzero, and counts agree with a direct scan.
-	nnz := 0
-	for i, v := range w2 {
-		if v != 0 {
-			nnz++
-		}
-		_ = i
-	}
-	if pat.NNZ() != nnz {
-		t.Fatalf("reused pattern records %d nonzeros, scan found %d", pat.NNZ(), nnz)
-	}
-	for i := 0; i < 16; i++ {
-		for _, p := range pat.rowIdx[pat.rowOff[i]:pat.rowOff[i+1]] {
-			if w2[i*32+int(p)] == 0 {
-				t.Fatalf("pattern row %d records zero element %d", i, p)
 			}
 		}
 	}

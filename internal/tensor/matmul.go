@@ -7,16 +7,6 @@ import "fmt"
 // sequential kernel wins.
 const parallelThreshold = 64 * 64
 
-// sparseThreshold is the zero fraction of the left operand above which the
-// branchy zero-skipping kernel beats the dense tile. SPATL's
-// salient-parameter masks zero out whole filters, so pruned weights cross
-// this easily; dense activations and gradients stay well below it.
-const sparseThreshold = 0.45
-
-// sparseSample caps how many elements of the left operand the sparsity
-// probe inspects, keeping the probe O(1) relative to the multiply itself.
-const sparseSample = 1024
-
 // Gemm is the one dense product every layer and entry point runs on:
 //
 //	C[i·ldc+j] (+)= Σ_p A[i·ars+p·aks] · B[off(p)+j]    i<m, j<n, p<k
@@ -134,29 +124,14 @@ func MatMulInto(c, a, b *Tensor) {
 	if b.Dim(0) != k || c.Dim(0) != m || c.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch C%v = A%v x B%v", c.shape, a.shape, b.shape))
 	}
-	if isSparse(a.Data) {
-		if m*n >= parallelThreshold && m > 1 {
-			Parallel(m, func(lo, hi int) {
-				matmulRowsSparse(c.Data, a.Data, b.Data, lo, hi, k, n)
-			})
-			return
-		}
-		matmulRowsSparse(c.Data, a.Data, b.Data, 0, m, k, n)
-		return
-	}
 	GemmParallel(c.Data, n, a.Data, k, 1, b.Data, n, m, k, n)
 }
 
 // MatMulSlice computes C = A·B on raw row-major slices without shape
 // checks or parallel dispatch: A is (m,k), B is (k,n), C is (m,n) and is
-// fully overwritten. It picks the sparse-aware kernel automatically when
-// the left operand is mostly zeros (pruned/masked weights). Intended for
-// callers that manage their own parallelism.
+// fully overwritten. Intended for callers that manage their own
+// parallelism.
 func MatMulSlice(c, a, b []float32, m, k, n int) {
-	if isSparse(a[:m*k]) {
-		matmulRowsSparse(c, a, b, 0, m, k, n)
-		return
-	}
 	Gemm(c, n, a, k, 1, b, n, nil, m, k, n, false)
 }
 
@@ -198,67 +173,6 @@ func TransposeSlice(dst, src []float32, rows, cols int) {
 	}
 }
 
-// MatMulSparseSlice computes C = A·B with the zero-skipping row kernel,
-// unconditionally — for callers that have already probed the operand once
-// (e.g. a conv layer deciding its lowering strategy per minibatch) and
-// would otherwise pay the sparsity sample on every GEMM call.
-func MatMulSparseSlice(c, a, b []float32, m, k, n int) {
-	matmulRowsSparse(c, a, b, 0, m, k, n)
-}
-
-// MatMulTransASparseSlice computes C = Aᵀ·B (A is (k,m), B (k,n)) with the
-// zero-skipping column kernel, unconditionally; see MatMulSparseSlice.
-func MatMulTransASparseSlice(c, a, b []float32, m, k, n int) {
-	matmulTransAColsSparse(c, a, b, 0, m, m, k, n)
-}
-
-// matmulRowsSparse is the zero-skipping row kernel retained for sparse
-// left operands (SPATL salient-parameter masks zero whole filters): it
-// pays a branch per A element to skip entire B-row passes.
-func matmulRowsSparse(c, a, b []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		ci := c[i*n : i*n+n]
-		for x := range ci {
-			ci[x] = 0
-		}
-		ai := a[i*k : i*k+k]
-		for p, av := range ai {
-			if av == 0 {
-				continue
-			}
-			// VecAxpy keeps the separate multiply-then-add of the scalar
-			// loop; each output element still accumulates surviving B rows
-			// in ascending-p order.
-			VecAxpy(ci, b[p*n:p*n+n], av)
-		}
-	}
-}
-
-// IsSparse reports whether a strided sample of x is mostly zeros — the
-// same probe the matmul entry points use to pick the zero-skipping kernel.
-// Exposed so layers can choose a lowering strategy once per call instead
-// of once per image.
-func IsSparse(x []float32) bool { return isSparse(x) }
-
-// isSparse reports whether a strided sample of x is mostly zeros.
-func isSparse(x []float32) bool {
-	if len(x) == 0 {
-		return false
-	}
-	step := len(x) / sparseSample
-	if step < 1 {
-		step = 1
-	}
-	zeros, seen := 0, 0
-	for i := 0; i < len(x); i += step {
-		if x[i] == 0 {
-			zeros++
-		}
-		seen++
-	}
-	return float32(zeros) >= sparseThreshold*float32(seen)
-}
-
 // MatMulTransB computes C = A·Bᵀ for A (m,k) and B (n,k) into a new (m,n)
 // tensor.
 func MatMulTransB(a, b *Tensor) *Tensor {
@@ -286,8 +200,7 @@ func MatMulTransBInto(c, a, b *Tensor) {
 // MatMulTransBSlice computes C = A·Bᵀ on raw slices (A (m,k), B (n,k),
 // C (m,n) overwritten), serial, without shape checks. B's rows run along
 // k, so this is the one product shape whose vector side must be
-// transposed first; callers with a stable B keep the transpose and call
-// Gemm.
+// transposed first.
 func MatMulTransBSlice(c, a, b []float32, m, k, n int) {
 	matmulTransB(c, a, b, m, k, n, false)
 }
@@ -325,46 +238,11 @@ func MatMulTransAInto(c, a, b *Tensor) {
 	if k != k2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto shape mismatch C%v = A%vᵀ x B%v", c.shape, a.shape, b.shape))
 	}
-	if isSparse(a.Data) {
-		if m*n >= parallelThreshold && m > 1 {
-			Parallel(m, func(lo, hi int) {
-				matmulTransAColsSparse(c.Data, a.Data, b.Data, lo, hi, m, k, n)
-			})
-			return
-		}
-		matmulTransAColsSparse(c.Data, a.Data, b.Data, 0, m, m, k, n)
-		return
-	}
 	GemmParallel(c.Data, n, a.Data, 1, m, b.Data, n, m, k, n)
 }
 
 // MatMulTransASlice computes C = Aᵀ·B on raw slices (A (k,m), B (k,n),
-// C (m,n) overwritten), serial, without shape checks. Sparse left operands
-// (pruned weights) are detected automatically.
+// C (m,n) overwritten), serial, without shape checks.
 func MatMulTransASlice(c, a, b []float32, m, k, n int) {
-	if isSparse(a[:k*m]) {
-		matmulTransAColsSparse(c, a, b, 0, m, m, k, n)
-		return
-	}
 	Gemm(c, n, a, 1, m, b, n, nil, m, k, n, false)
-}
-
-// matmulTransAColsSparse is the zero-skipping variant of matmulTransACols
-// for sparse left operands.
-func matmulTransAColsSparse(c, a, b []float32, lo, hi, m, k, n int) {
-	for i := lo; i < hi; i++ {
-		ci := c[i*n : i*n+n]
-		for x := range ci {
-			ci[x] = 0
-		}
-		for p := 0; p < k; p++ {
-			av := a[p*m+i]
-			if av == 0 {
-				continue
-			}
-			// Same separate multiply-then-add chain as the scalar loop,
-			// ascending-p accumulation per output element.
-			VecAxpy(ci, b[p*n:p*n+n], av)
-		}
-	}
 }

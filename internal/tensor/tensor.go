@@ -19,22 +19,7 @@ import (
 type Tensor struct {
 	Data  []float32
 	shape []int
-
-	// version counts mutations observed through this header; caches of
-	// derived forms (transposes, sparsity patterns) key on it to know
-	// when to refill. Mutating methods bump it automatically; code that
-	// writes Data directly must call MarkMutated afterwards or derived
-	// caches go stale. Views made with Reshape/FromSlice have their own
-	// counter — mutate a cached tensor through its canonical header.
-	version uint64
 }
-
-// Version returns the mutation counter consumed by derived-form caches.
-func (t *Tensor) Version() uint64 { return t.version }
-
-// MarkMutated records a direct write to Data so version-keyed caches of
-// derived forms (transposes, sparsity patterns) refill on next use.
-func (t *Tensor) MarkMutated() { t.version++ }
 
 // New returns a zero-filled tensor with the given shape.
 func New(shape ...int) *Tensor {
@@ -82,7 +67,6 @@ func Reuse(t *Tensor, shape ...int) *Tensor {
 	}
 	clear(t.Data)
 	t.shape = append(t.shape[:0], shape...)
-	t.version++
 	return t
 }
 
@@ -120,7 +104,6 @@ func (t *Tensor) At(idx ...int) float32 {
 // Set stores v at the given multi-index.
 func (t *Tensor) Set(v float32, idx ...int) {
 	t.Data[t.offset(idx)] = v
-	t.version++
 }
 
 func (t *Tensor) offset(idx []int) int {
@@ -162,7 +145,6 @@ func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
 	}
-	t.version++
 }
 
 // Fill sets all elements to v in place.
@@ -170,7 +152,6 @@ func (t *Tensor) Fill(v float32) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
-	t.version++
 }
 
 // CopyFrom copies src's data into t. Shapes must have equal element count.
@@ -179,7 +160,6 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d vs %d", len(t.Data), len(src.Data)))
 	}
 	copy(t.Data, src.Data)
-	t.version++
 }
 
 // Randn fills t with N(0, std²) samples from rng.
@@ -187,7 +167,6 @@ func (t *Tensor) Randn(rng *rand.Rand, std float64) {
 	for i := range t.Data {
 		t.Data[i] = float32(rng.NormFloat64() * std)
 	}
-	t.version++
 }
 
 // Uniform fills t with U(lo, hi) samples from rng.
@@ -195,7 +174,6 @@ func (t *Tensor) Uniform(rng *rand.Rand, lo, hi float64) {
 	for i := range t.Data {
 		t.Data[i] = float32(lo + rng.Float64()*(hi-lo))
 	}
-	t.version++
 }
 
 // KaimingNormal fills t with He-normal initialization for a layer with the
@@ -209,14 +187,12 @@ func (t *Tensor) KaimingNormal(rng *rand.Rand, fanIn int) {
 func (t *Tensor) AddInPlace(other *Tensor) {
 	checkSameLen(t, other, "AddInPlace")
 	VecAdd(t.Data, other.Data)
-	t.version++
 }
 
 // SubInPlace computes t -= other elementwise.
 func (t *Tensor) SubInPlace(other *Tensor) {
 	checkSameLen(t, other, "SubInPlace")
 	VecSub(t.Data, other.Data)
-	t.version++
 }
 
 // MulInPlace computes t *= other elementwise.
@@ -225,20 +201,17 @@ func (t *Tensor) MulInPlace(other *Tensor) {
 	for i, v := range other.Data {
 		t.Data[i] *= v
 	}
-	t.version++
 }
 
 // Scale computes t *= s.
 func (t *Tensor) Scale(s float32) {
 	VecScale(t.Data, s)
-	t.version++
 }
 
 // Axpy computes t += a*x (like BLAS axpy).
 func (t *Tensor) Axpy(a float32, x *Tensor) {
 	checkSameLen(t, x, "Axpy")
 	VecAxpy(t.Data, x.Data, a)
-	t.version++
 }
 
 // Add returns t + other as a new tensor.

@@ -160,7 +160,7 @@ if [[ "$mode" == "--hot" ]]; then
     hot "vet" go vet ./...
     hot "race hammer" go test -race ./internal/tensor ./internal/nn ./internal/algo ./internal/flnet
     hot "shard/quorum/sparse hammer" \
-        go test -race -run 'Shard|Tree|Async|Quorum|Massive|SSFL|MaskAgree|MaskStatic|MaskPat' \
+        go test -race -run 'Shard|Tree|Async|Quorum|Massive|SSFL|MaskAgree|MaskPat|RawWeightWrite' \
         ./internal/algo ./internal/flnet ./internal/fl ./internal/nn ./internal/tensor
     hot "streaming-fold hammer" go test -race -count=1 -run 'Stream|Staging|Permutation' \
         ./internal/algo ./internal/fl ./internal/flnet
@@ -168,7 +168,7 @@ if [[ "$mode" == "--hot" ]]; then
         go test -race -count=1 -run 'AccumScaledLE|DenseView|ViewDense|DenseRunFold|DenseMalformed|ShardReserve' \
         ./internal/tensor ./internal/comm ./internal/algo
     hot "GEMM tile and conv routes" \
-        go test -race -count=1 -run 'Gemm|AVX2Panel|MatMul|Im2Col|Col2Im|Conv2D|MaskStatic' \
+        go test -race -count=1 -run 'Gemm|AVX2Panel|MatMul|Im2Col|Col2Im|Conv2D|RawWeightWrite' \
         ./internal/tensor ./internal/nn
     hot "transposing lowering, row copies, BatchNorm lanes, client schedule" \
         go test -race -count=1 \
@@ -199,7 +199,7 @@ if [[ "$mode" == "--hot" ]]; then
     for procs in 1 2 4; do
         hot "determinism suites at GOMAXPROCS=$procs" \
             env GOMAXPROCS=$procs go test -count=1 \
-            -run 'Deterministic|MaskStatic|ShardedReduce|PackedReduce|DegenerateEquivalence' \
+            -run 'Deterministic|Conv2DImplicitMatchesLowered|ShardedReduce|PackedReduce|DegenerateEquivalence' \
             ./internal/nn ./internal/algo ./internal/fl ./internal/hetero ./internal/prune
     done
     if (( ${#hot_red[@]} )); then
