@@ -42,6 +42,13 @@
 #                                (scripts/golden/hetero.json) diffed
 #                                byte-for-byte against
 #                                scripts/golden/hetero/
+#   ./scripts/verify.sh --paper  tier-1 plus the paper gate: the whole
+#                                tiny experiment suite (spatl-bench -exp
+#                                all -scale tiny -seed 1 -csv) at
+#                                GOMAXPROCS 1 and 2, its stdout diffed
+#                                against results/tiny_all.txt with the
+#                                "done in" timing lines stripped, and
+#                                every CSV against results/csv_tiny/
 #   ./scripts/verify.sh --e2e parent.json
 #                                tier-1 plus the end-to-end benchmark:
 #                                go run ./benchmark --out (all four
@@ -85,13 +92,16 @@
 # and copy the *.jsonl over). The hetero battery is mandatory for
 # changes touching internal/hetero or the cluster/slice wire frames in
 # internal/comm (goldens regenerate the same way from
-# scripts/golden/hetero.json).
+# scripts/golden/hetero.json). The paper gate is mandatory for changes
+# that can move a seeded federation's arithmetic or a driver's output;
+# a deliberate move regenerates results/tiny_all.txt and
+# results/csv_tiny/*.csv from the command above, in one commit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="${1:-}"
 case "$mode" in
-"" | --hot | --obs | --matrix | --hetero | --e2e | --flake) ;;
+"" | --hot | --obs | --matrix | --hetero | --paper | --e2e | --flake) ;;
 *)
     echo "verify: unknown mode '$mode'" >&2
     sed '1d; /^# Tier-1 must pass/,$d' "$0" >&2
@@ -249,6 +259,36 @@ if [[ "$mode" == "--hetero" ]]; then
         fi
     done
     echo "== hetero: $(ls scripts/golden/hetero/*.jsonl | wc -l) cells byte-identical =="
+fi
+
+if [[ "$mode" == "--paper" ]]; then
+    out=$(mktemp -d)
+    trap 'rm -rf "$out"' EXIT
+    go build -o "$out/spatl-bench" ./cmd/spatl-bench
+    # The "[<id> done in <duration>]" lines are wall-clock; nothing else is.
+    untimed() { grep -v '^\[.* done in .*\]$' "$1"; }
+    for procs in 1 2; do
+        echo "== paper gate: tiny suite at GOMAXPROCS=$procs =="
+        dir="$out/csv$procs"
+        GOMAXPROCS=$procs "$out/spatl-bench" -exp all -scale tiny -seed 1 -csv "$dir" >"$out/stdout$procs"
+        if ! diff -u <(untimed results/tiny_all.txt) <(untimed "$out/stdout$procs"); then
+            echo "verify: tiny suite stdout drift vs results/tiny_all.txt at GOMAXPROCS=$procs" >&2
+            exit 1
+        fi
+        for g in results/csv_tiny/*.csv; do
+            if ! diff -u "$g" "$dir/$(basename "$g")"; then
+                echo "verify: CSV drift vs $g at GOMAXPROCS=$procs" >&2
+                exit 1
+            fi
+        done
+        ngold=$(ls results/csv_tiny/*.csv | wc -l)
+        nout=$(ls "$dir"/*.csv | wc -l)
+        if [[ "$ngold" != "$nout" ]]; then
+            echo "verify: CSV count drift at GOMAXPROCS=$procs: wrote $nout, goldens have $ngold" >&2
+            exit 1
+        fi
+    done
+    echo "== paper gate: stdout and $ngold CSVs byte-identical at GOMAXPROCS 1 and 2 =="
 fi
 
 if [[ "$mode" == "--obs" ]]; then
