@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -26,7 +27,7 @@ import (
 	"time"
 
 	"spatl/internal/experiments"
-	"spatl/internal/telemetry"
+	"spatl/internal/models"
 )
 
 func main() {
@@ -40,7 +41,7 @@ func main() {
 		clients   = flag.String("clients", "", "comma-separated clients:ratio override (e.g. 10:1.0,30:0.4)")
 		rounds    = flag.Int("rounds", 0, "override the scale's round caps (both convergence and curve rounds)")
 		perClient = flag.Int("perclient", 0, "override the scale's examples per client")
-		journal   = flag.String("journal", "", "append the JSONL round journal of every experiment run to this file")
+		journal   = flag.String("journal", "", "append the zero-time JSONL journal of every scenario cell the experiments train to this file")
 
 		matrixF   = flag.String("matrix", "", "run a scenario matrix: preset name, JSON file (matrix or single spec), or 'list'")
 		matrixOut = flag.String("out", "matrix-out", "with -matrix: directory for per-cell journals and the comparison report")
@@ -62,18 +63,6 @@ func main() {
 		return
 	}
 
-	if *journal != "" {
-		jf, err := os.OpenFile(*journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spatl-bench:", err)
-			os.Exit(1)
-		}
-		defer jf.Close()
-		tel := telemetry.New(jf)
-		defer tel.Journal.Flush()
-		experiments.SetTelemetry(tel)
-	}
-
 	if *list {
 		fmt.Println("experiments:")
 		for _, name := range experiments.Names() {
@@ -85,32 +74,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spatl-bench: -exp is required (use -list to see ids)")
 		os.Exit(2)
 	}
-	s, err := experiments.ScaleByName(*scale)
+	s, err := scaleFromFlags(*scale, *archs, *clients, *rounds, *perClient)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spatl-bench:", err)
 		os.Exit(2)
 	}
-	if *archs != "" {
-		s.Archs = strings.Split(*archs, ",")
-	}
-	if *clients != "" {
-		var sets []experiments.ClientSet
-		for _, part := range strings.Split(*clients, ",") {
-			var cs experiments.ClientSet
-			if _, err := fmt.Sscanf(part, "%d:%f", &cs.Clients, &cs.Ratio); err != nil {
-				fmt.Fprintf(os.Stderr, "spatl-bench: bad -clients entry %q (want N:ratio)\n", part)
-				os.Exit(2)
-			}
-			sets = append(sets, cs)
+	var jf *os.File
+	if *journal != "" {
+		if jf, err = os.OpenFile(*journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, "spatl-bench:", err)
+			os.Exit(1)
 		}
-		s.ClientSets = sets
-	}
-	if *rounds > 0 {
-		s.Rounds = *rounds
-		s.CurveRounds = *rounds
-	}
-	if *perClient > 0 {
-		s.PerClient = *perClient
+		_ = experiments.SetJournal(jf) // no sink before this one, so no error to report
 	}
 	opts := experiments.Options{Scale: s, Out: os.Stdout, CSVDir: *csvDir, Seed: *seed}
 
@@ -133,4 +108,46 @@ func main() {
 		}
 		fmt.Printf("\n[%s done in %s]\n", id, time.Since(start).Round(time.Millisecond))
 	}
+	if jf != nil {
+		if err := errors.Join(experiments.SetJournal(nil), jf.Close()); err != nil {
+			fmt.Fprintln(os.Stderr, "spatl-bench: -journal:", err)
+			os.Exit(1)
+		}
+	}
+}
+
+// scaleFromFlags applies the override flags to the scale preset,
+// refusing what a run would replace or panic on: a client count below 1,
+// a sample ratio outside (0, 1], an architecture models.Build lacks.
+func scaleFromFlags(name, archs, clients string, rounds, perClient int) (experiments.Scale, error) {
+	s, err := experiments.ScaleByName(name)
+	if err != nil {
+		return s, err
+	}
+	if archs != "" {
+		s.Archs = strings.Split(archs, ",")
+	}
+	if clients != "" {
+		s.ClientSets = nil
+		for _, part := range strings.Split(clients, ",") {
+			var cs experiments.ClientSet
+			_, err := fmt.Sscanf(part, "%d:%f", &cs.Clients, &cs.Ratio)
+			if err != nil || cs.Clients < 1 || cs.Ratio <= 0 || cs.Ratio > 1 {
+				return s, fmt.Errorf("bad -clients entry %q (want N:ratio, N >= 1, ratio in (0, 1])", part)
+			}
+			s.ClientSets = append(s.ClientSets, cs)
+		}
+	}
+	for _, arch := range s.Archs {
+		if !models.KnownArch(arch) {
+			return s, fmt.Errorf("unknown architecture %q in -archs", arch)
+		}
+	}
+	if rounds > 0 {
+		s.Rounds, s.CurveRounds = rounds, rounds
+	}
+	if perClient > 0 {
+		s.PerClient = perClient
+	}
+	return s, nil
 }

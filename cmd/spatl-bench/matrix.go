@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"text/tabwriter"
 
 	"spatl/internal/scenario"
@@ -41,14 +42,11 @@ func loadMatrix(arg string) (scenario.Matrix, error) {
 }
 
 func presetNames() string {
-	s := ""
-	for i, p := range scenario.Presets() {
-		if i > 0 {
-			s += "|"
-		}
-		s += p.Name
+	var names []string
+	for _, p := range scenario.Presets() {
+		names = append(names, p.Name)
 	}
-	return s
+	return strings.Join(names, "|")
 }
 
 // listMatrices enumerates the bundled presets with their axes and

@@ -10,8 +10,8 @@ import (
 	"spatl/internal/stats"
 )
 
-// spatlVariant builds a SPATL instance with ablation switches applied.
-func spatlVariant(o Options, mutate func(*core.Options)) fl.Algorithm {
+// spatlVariant builds a SPATL instance with one ablation switch applied.
+func spatlVariant(o Options, disable func(*core.Options)) fl.Algorithm {
 	opts := core.Options{
 		FLOPsBudget:      o.Scale.FLOPsBudget,
 		AgentCfg:         agentCfg(o.Scale, o.Seed),
@@ -19,9 +19,7 @@ func spatlVariant(o Options, mutate func(*core.Options)) fl.Algorithm {
 		FineTuneRounds:   o.Scale.FineTuneRounds,
 		FineTuneEpisodes: 2,
 	}
-	if mutate != nil {
-		mutate(&opts)
-	}
+	disable(&opts)
 	return fl.NewAlgorithm("spatl",
 		func(g *models.SplitModel, cfg algo.Config) *algo.SPATLAggregator {
 			return algo.NewSPATLAggregator(g, opts, cfg)
@@ -32,27 +30,24 @@ func spatlVariant(o Options, mutate func(*core.Options)) fl.Algorithm {
 }
 
 // runAblationPair runs SPATL with and without one component and prints
-// both trajectories.
+// both trajectories. The with half is the registry's spatl cell; the
+// without half needs a switch the registry lacks, so it runs here.
 func runAblationPair(o Options, arch string, cs ClientSet, label string, disable func(*core.Options)) error {
 	w := o.out()
 	fmt.Fprintf(w, "\n== ablation %s: %s, %d clients ==\n", label, arch, cs.Clients)
+	with := trajectory(o, cellSpec(o, "spatl", arch, cs, o.Scale.CurveRounds))
+	without := fl.Run(BuildCIFAREnv(o.Scale, arch, cs, o.Seed), spatlVariant(o, disable),
+		fl.RunOpts{Rounds: o.Scale.CurveRounds})
 	tw := table(o)
 	fmt.Fprintf(tw, "variant\tfinal acc\tbest acc\ttotal up MB\tcurve\n")
 	var series []stats.Series
-	for _, on := range []bool{true, false} {
-		var algo fl.Algorithm
-		name := "with " + label
-		if on {
-			algo = spatlVariant(o, nil)
-		} else {
-			algo = spatlVariant(o, disable)
-			name = "without " + label
-		}
-		env := BuildCIFAREnv(o.Scale, arch, cs, o.Seed)
-		res := fl.Run(env, algo, fl.RunOpts{Rounds: o.Scale.CurveRounds})
+	names := []string{"with " + label, "without " + label}
+	for i, res := range []*fl.Result{with, without} {
+		name := names[i]
+		s := accSeries(name, res)
 		up := float64(res.Records[len(res.Records)-1].CumUp) / (1 << 20)
-		fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%.2f\t%s\n", name, res.FinalAcc(), res.BestAcc(), up, stats.Sparkline(ys(res)))
-		series = append(series, accSeries(name, res))
+		fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%.2f\t%s\n", name, res.FinalAcc(), res.BestAcc(), up, stats.Sparkline(s.Y))
+		series = append(series, s)
 	}
 	tw.Flush()
 	return writeCSV(o, fmt.Sprintf("ablation_%s_%s_c%d", label, arch, cs.Clients), "round", series...)

@@ -4,14 +4,14 @@ import (
 	"fmt"
 
 	"spatl/internal/comm"
-	"spatl/internal/fl"
 )
 
 // Table1Communication reproduces Table I: communication cost to reach a
 // target accuracy at the first client setting. For each method and
 // model it reports the rounds used, the measured per-round per-client
 // uplink, the total uplink, and the speedup relative to FedAvg —
-// reproducing the paper's accounting (eq. 13, uplink volume).
+// reproducing the paper's accounting (eq. 13, uplink volume). Uplink is
+// counted up to the first round at target, or over the whole run.
 func Table1Communication(o Options) error {
 	w := o.out()
 	cs := o.Scale.ClientSets[0]
@@ -23,9 +23,7 @@ func Table1Communication(o Options) error {
 		fmt.Fprintf(tw, "method\trounds\tMB/round/client\ttotal MB\tspeedup\n")
 		var fedavgTotal int64
 		for _, algo := range AllAlgos {
-			env := BuildCIFAREnv(o.Scale, arch, cs, o.Seed)
-			res := fl.Run(env, NewAlgorithm(algo, o.Scale, o.Seed),
-				fl.RunOpts{Rounds: o.Scale.Rounds, TargetAcc: target})
+			res := trajectory(o, cellSpec(o, algo, arch, cs, o.Scale.Rounds))
 			rounds := res.RoundsToAcc(target)
 			total := res.UpAt(target)
 			roundsLabel := fmt.Sprintf("%d", rounds)
@@ -69,8 +67,7 @@ func Table2Convergence(o Options) error {
 			var fedavgTotal int64
 			var fedavgAcc float64
 			for _, algo := range AllAlgos {
-				env := BuildCIFAREnv(o.Scale, arch, cs, o.Seed)
-				res := fl.Run(env, NewAlgorithm(algo, o.Scale, o.Seed), fl.RunOpts{Rounds: o.Scale.Rounds})
+				res := trajectory(o, cellSpec(o, algo, arch, cs, o.Scale.Rounds))
 				conv := res.ConvergedRound(o.Scale.Rounds/5, 0.005)
 				total := res.Records[len(res.Records)-1].CumUp
 				perRoundClient := float64(total) / float64(len(res.Records)) / (float64(cs.Clients) * cs.Ratio)

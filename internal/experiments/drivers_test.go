@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"spatl/internal/fl"
 )
 
 // microOpts shrinks everything to the minimum that still exercises the
@@ -16,6 +18,7 @@ func microOpts(t *testing.T, buf *bytes.Buffer) Options {
 	s.Rounds = 2
 	s.CurveRounds = 2
 	s.PerClient = 50
+	s.LocalEpochs = 1
 	s.PretrainRounds = 1
 	s.FineTuneRounds = 1
 	return Options{Scale: s, Out: buf, Seed: 2}
@@ -39,6 +42,56 @@ func TestEveryDriverRuns(t *testing.T) {
 				t.Fatalf("driver %s produced no output", id)
 			}
 		})
+	}
+}
+
+// resetCells empties the cell cache, as in a fresh process.
+func resetCells() {
+	cells.Lock()
+	defer cells.Unlock()
+	cells.runs = map[string][]fl.RoundRecord{}
+}
+
+// TestSharedCellsChangeNoByte: a cell driver prints the same bytes when
+// its cells come from the cache as when it trains them itself. Each
+// driver first runs alone from an empty cache at a scale whose round
+// budget is exactly what it asks for; then every driver runs after
+// converge has trained each algorithm's cell for 3 rounds. table1,
+// table2 and rounds then read converge's cells at the same key; the
+// 2-round curve drivers read a prefix of a longer run.
+func TestSharedCellsChangeNoByte(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	var buf bytes.Buffer
+	base := microOpts(t, &buf)
+	base.Scale.Rounds = 3
+	run := func(o Options, id string) string {
+		buf.Reset()
+		if err := Registry[id](o); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		return buf.String()
+	}
+	fullRounds := []string{"converge", "rounds", "table1", "table2"}
+	curves := []string{"learning", "femnist", "compression", "robustness", "ssfl-comm", "walltime",
+		"ablation-select", "ablation-transfer", "ablation-gradctl"}
+	alone := map[string]string{}
+	short := base
+	short.Scale.Rounds = short.Scale.CurveRounds
+	for _, id := range fullRounds {
+		resetCells()
+		alone[id] = run(base, id)
+	}
+	for _, id := range curves {
+		resetCells()
+		alone[id] = run(short, id)
+	}
+	resetCells()
+	for _, id := range append(fullRounds, curves...) {
+		if got := run(base, id); got != alone[id] {
+			t.Errorf("%s from shared cells differs from its own run:\n%s\nvs\n%s", id, got, alone[id])
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package experiments is the reproduction harness: one driver per table
 // and figure of the SPATL paper (see DESIGN.md §3 for the experiment
-// index). Each driver builds its workload, runs every algorithm through
-// the fl engine, and prints the same rows/series the paper reports.
+// index). Most drivers are scenario cells plus a renderer (cells.go) that
+// prints the rows/series the paper reports; the few that need a trained
+// model or an ablation switch run fl.Run themselves.
 // Drivers run at a configurable Scale so the full suite works as quick
 // smoke runs (Tiny, what this package's tests use), laptop-scale
 // reproductions (Small, the default for the spatl-bench CLI), or the
@@ -23,7 +24,6 @@ import (
 	"spatl/internal/rl"
 	"spatl/internal/scenario"
 	"spatl/internal/stats"
-	"spatl/internal/telemetry"
 )
 
 // Scale bundles every knob that trades fidelity for runtime.
@@ -95,13 +95,10 @@ var Paper = Scale{
 
 // ScaleByName resolves a scale preset.
 func ScaleByName(name string) (Scale, error) {
-	switch name {
-	case "tiny":
-		return Tiny, nil
-	case "small":
-		return Small, nil
-	case "paper":
-		return Paper, nil
+	for _, s := range []Scale{Tiny, Small, Paper} {
+		if s.Name == name {
+			return s, nil
+		}
 	}
 	return Scale{}, fmt.Errorf("experiments: unknown scale %q (tiny|small|paper)", name)
 }
@@ -173,21 +170,9 @@ func cifarConfig(s Scale) data.SynthCIFARConfig {
 	return data.SynthCIFARConfig{Classes: s.Classes, H: s.H, W: s.W, Noise: 0.3}
 }
 
-// envTel, when set via SetTelemetry, is installed on every environment
-// the builders below construct. Experiments run sequentially in one
-// driver process, so a package-level hook (set once before the first
-// run) is race-free and avoids threading a parameter through every
-// driver signature.
-var envTel *telemetry.Set
-
-// SetTelemetry installs a telemetry set on all subsequently built
-// environments — spatl-bench's -journal passthrough. Pass nil to turn
-// it back off.
-func SetTelemetry(s *telemetry.Set) { envTel = s }
-
 // SpecFromScale projects a scale preset onto a scenario spec — the
 // bridge that makes every driver a thin preset over the scenario layer.
-// The algorithm defaults to fedavg; NewAlgorithm swaps it per run.
+// The algorithm defaults to fedavg; callers set Algo or use NewAlgorithm.
 func SpecFromScale(s Scale, arch string, cs ClientSet, seed int64) scenario.Spec {
 	return scenario.Spec{
 		Algo: "fedavg", Arch: arch,
@@ -214,7 +199,7 @@ func paramsFromScale(s Scale, seed int64) scenario.Params {
 // It delegates to the scenario layer; the seed derivations are the
 // historical ones, so outputs match the pre-scenario harness.
 func BuildCIFAREnv(s Scale, arch string, cs ClientSet, seed int64) *fl.Env {
-	env, err := scenario.BuildEnv(SpecFromScale(s, arch, cs, seed), envTel)
+	env, err := scenario.BuildEnv(SpecFromScale(s, arch, cs, seed), nil)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: BuildCIFAREnv: %v", err))
 	}
@@ -226,7 +211,7 @@ func BuildCIFAREnv(s Scale, arch string, cs ClientSet, seed int64) *fl.Env {
 func BuildFEMNISTEnv(s Scale, cs ClientSet, seed int64) *fl.Env {
 	spec := SpecFromScale(s, "cnn2", cs, seed)
 	spec.Dataset = scenario.DataFEMNIST
-	env, err := scenario.BuildEnv(spec, envTel)
+	env, err := scenario.BuildEnv(spec, nil)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: BuildFEMNISTEnv: %v", err))
 	}
@@ -260,10 +245,7 @@ func NewAlgorithm(name string, s Scale, seed int64) *fl.Federation {
 	return alg
 }
 
-// Baselines is the comparison set used throughout the paper.
-var Baselines = []string{"fedavg", "fedprox", "fednova", "scaffold"}
-
-// AllAlgos is the baselines plus SPATL.
+// AllAlgos is the paper's four baselines plus SPATL.
 var AllAlgos = []string{"fedavg", "fedprox", "fednova", "scaffold", "spatl"}
 
 // table returns a tabwriter over the options' output.
@@ -297,23 +279,4 @@ func writeCSV(o Options, name, xLabel string, series ...stats.Series) error {
 	}
 	defer svg.Close()
 	return plot.Line(svg, plot.Config{Title: name, XLabel: xLabel, YLabel: "accuracy"}, series...)
-}
-
-// accSeries converts a run trajectory into a plot series.
-func accSeries(name string, res *fl.Result) stats.Series {
-	s := stats.Series{Name: name}
-	for _, r := range res.Records {
-		s.X = append(s.X, float64(r.Round+1))
-		s.Y = append(s.Y, r.AvgAcc)
-	}
-	return s
-}
-
-// ys extracts the accuracy column.
-func ys(res *fl.Result) []float64 {
-	out := make([]float64, len(res.Records))
-	for i, r := range res.Records {
-		out[i] = r.AvgAcc
-	}
-	return out
 }

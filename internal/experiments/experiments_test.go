@@ -8,19 +8,6 @@ import (
 	"testing"
 )
 
-// tinyOpts returns Options that finish in seconds and capture output.
-func tinyOpts(t *testing.T, buf *bytes.Buffer) Options {
-	t.Helper()
-	s := Tiny
-	// Shrink further for unit tests: one client set, minimal rounds.
-	s.ClientSets = []ClientSet{{3, 1.0}}
-	s.Rounds = 3
-	s.CurveRounds = 2
-	s.PerClient = 60
-	s.PretrainRounds = 1
-	return Options{Scale: s, Out: buf, Seed: 1}
-}
-
 func TestScaleByName(t *testing.T) {
 	for _, name := range []string{"tiny", "small", "paper"} {
 		s, err := ScaleByName(name)
@@ -102,7 +89,7 @@ func TestNewAlgorithmNames(t *testing.T) {
 
 func TestLearningDriverSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	o := tinyOpts(t, &buf)
+	o := microOpts(t, &buf)
 	o.CSVDir = t.TempDir()
 	if err := FEMNISTLearning(o); err != nil {
 		t.Fatal(err)
@@ -126,7 +113,7 @@ func TestLearningDriverSmoke(t *testing.T) {
 
 func TestTable1DriverSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	o := tinyOpts(t, &buf)
+	o := microOpts(t, &buf)
 	if err := Table1Communication(o); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +125,7 @@ func TestTable1DriverSmoke(t *testing.T) {
 
 func TestAblationDriverSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	o := tinyOpts(t, &buf)
+	o := microOpts(t, &buf)
 	if err := AblationGradientControl(o); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +137,7 @@ func TestAblationDriverSmoke(t *testing.T) {
 
 func TestRLAgentDriverSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	o := tinyOpts(t, &buf)
+	o := microOpts(t, &buf)
 	if err := RLAgentFineTune(o); err != nil {
 		t.Fatal(err)
 	}

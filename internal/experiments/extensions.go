@@ -4,13 +4,12 @@ import (
 	"fmt"
 
 	"spatl/internal/comm"
-	"spatl/internal/fl"
 	"spatl/internal/stats"
 )
 
 // Compression is an extension experiment beyond the paper: it composes
 // SPATL's salient selection with half-precision payloads
-// (fl.Config.HalfPrecision) and reports accuracy vs uplink for FedAvg
+// (scenario.Spec.HalfPrecision) and reports accuracy vs uplink for FedAvg
 // and SPATL at both precisions. The expected shape: f16 halves every
 // method's bytes at negligible accuracy cost, and the two mechanisms
 // compose (SPATL-f16 is the cheapest configuration).
@@ -21,26 +20,19 @@ func Compression(o Options) error {
 		cs.Clients, o.Scale.CurveRounds)
 	tw := table(o)
 	fmt.Fprintf(tw, "config\tbest acc\ttotal up MB\tvs fedavg-f32\n")
-	var base int64
-	for _, cfg := range []struct {
-		name string
-		algo string
-		half bool
-	}{
-		{"fedavg-f32", "fedavg", false},
-		{"fedavg-f16", "fedavg", true},
-		{"spatl-f32", "spatl", false},
-		{"spatl-f16", "spatl", true},
-	} {
-		env := BuildCIFAREnv(o.Scale, "resnet20", cs, o.Seed)
-		env.Cfg.HalfPrecision = cfg.half
-		res := fl.Run(env, NewAlgorithm(cfg.algo, o.Scale, o.Seed), fl.RunOpts{Rounds: o.Scale.CurveRounds})
-		up := res.Records[len(res.Records)-1].CumUp
-		if cfg.name == "fedavg-f32" {
-			base = up
+	var base int64 // fedavg-f32, the first row
+	for _, algo := range []string{"fedavg", "spatl"} {
+		for _, bits := range []int{32, 16} {
+			spec := cellSpec(o, algo, "resnet20", cs, o.Scale.CurveRounds)
+			spec.HalfPrecision = bits == 16
+			res := trajectory(o, spec)
+			up := res.Records[len(res.Records)-1].CumUp
+			if base == 0 {
+				base = up
+			}
+			fmt.Fprintf(tw, "%s-f%d\t%.4f\t%.2f\t%.2fx\n",
+				algo, bits, res.BestAcc(), comm.MB(up), float64(base)/float64(up))
 		}
-		fmt.Fprintf(tw, "%s\t%.4f\t%.2f\t%.2fx\n",
-			cfg.name, res.BestAcc(), comm.MB(up), float64(base)/float64(up))
 	}
 	tw.Flush()
 	fmt.Fprintln(w, "\nexpected shape: f16 halves bytes at negligible accuracy cost; salient")
@@ -63,9 +55,9 @@ func Robustness(o Options) error {
 	for _, rate := range rates {
 		row := make([]float64, 2)
 		for i, algo := range []string{"fedavg", "spatl"} {
-			env := BuildCIFAREnv(o.Scale, "resnet20", cs, o.Seed)
-			env.Cfg.DropRate = rate
-			res := fl.Run(env, NewAlgorithm(algo, o.Scale, o.Seed), fl.RunOpts{Rounds: o.Scale.CurveRounds})
+			spec := cellSpec(o, algo, "resnet20", cs, o.Scale.CurveRounds)
+			spec.Churn = rate
+			res := trajectory(o, spec)
 			row[i] = res.BestAcc()
 			series[i].X = append(series[i].X, rate)
 			series[i].Y = append(series[i].Y, res.BestAcc())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spatl/internal/fl"
+	"spatl/internal/scenario"
 	"spatl/internal/stats"
 )
 
@@ -17,17 +18,9 @@ func LearningEfficiency(o Options) error {
 		for _, cs := range o.Scale.ClientSets {
 			fmt.Fprintf(w, "\n== learning efficiency: %s, %d clients, sample ratio %.1f ==\n",
 				arch, cs.Clients, cs.Ratio)
-			var series []stats.Series
-			tw := table(o)
-			fmt.Fprintf(tw, "algo\tfinal acc\tbest acc\tcurve\n")
-			for _, algo := range AllAlgos {
-				env := BuildCIFAREnv(o.Scale, arch, cs, o.Seed)
-				res := fl.Run(env, NewAlgorithm(algo, o.Scale, o.Seed), fl.RunOpts{Rounds: o.Scale.CurveRounds})
-				series = append(series, accSeries(algo, res))
-				fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%s\n", algo, res.FinalAcc(), res.BestAcc(), stats.Sparkline(ys(res)))
-			}
-			tw.Flush()
-			if err := writeCSV(o, fmt.Sprintf("learning_%s_c%d", arch, cs.Clients), "round", series...); err != nil {
+			if err := curves(o, fmt.Sprintf("learning_%s_c%d", arch, cs.Clients), func(algo string) scenario.Spec {
+				return cellSpec(o, algo, arch, cs, o.Scale.CurveRounds)
+			}); err != nil {
 				return err
 			}
 		}
@@ -39,20 +32,29 @@ func LearningEfficiency(o Options) error {
 // setting where the paper reports SPATL slightly *behind* the baselines
 // because the small model breaks the over-parameterization assumption.
 func FEMNISTLearning(o Options) error {
-	w := o.out()
 	cs := o.Scale.ClientSets[0]
-	fmt.Fprintf(w, "\n== FEMNIST (LEAF), 2-layer CNN, %d clients ==\n", cs.Clients)
+	fmt.Fprintf(o.out(), "\n== FEMNIST (LEAF), 2-layer CNN, %d clients ==\n", cs.Clients)
+	return curves(o, "learning_femnist", func(algo string) scenario.Spec {
+		spec := cellSpec(o, algo, "cnn2", cs, o.Scale.CurveRounds)
+		spec.Dataset = scenario.DataFEMNIST
+		return spec
+	})
+}
+
+// curves prints one final/best/sparkline row per algorithm of AllAlgos
+// and exports the accuracy curves as name.
+func curves(o Options, name string, spec func(algo string) scenario.Spec) error {
 	var series []stats.Series
 	tw := table(o)
 	fmt.Fprintf(tw, "algo\tfinal acc\tbest acc\tcurve\n")
 	for _, algo := range AllAlgos {
-		env := BuildFEMNISTEnv(o.Scale, cs, o.Seed)
-		res := fl.Run(env, NewAlgorithm(algo, o.Scale, o.Seed), fl.RunOpts{Rounds: o.Scale.CurveRounds})
-		series = append(series, accSeries(algo, res))
-		fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%s\n", algo, res.FinalAcc(), res.BestAcc(), stats.Sparkline(ys(res)))
+		res := trajectory(o, spec(algo))
+		s := accSeries(algo, res)
+		series = append(series, s)
+		fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%s\n", algo, res.FinalAcc(), res.BestAcc(), stats.Sparkline(s.Y))
 	}
 	tw.Flush()
-	return writeCSV(o, "learning_femnist", "round", series...)
+	return writeCSV(o, name, "round", series...)
 }
 
 // ConvergeAccuracy reproduces Fig. 3: converged accuracy per method per
@@ -66,8 +68,7 @@ func ConvergeAccuracy(o Options) error {
 			fmt.Fprintf(tw, "algo\tconverge acc\tΔ vs fedavg\n")
 			var fedavgAcc float64
 			for _, algo := range AllAlgos {
-				env := BuildCIFAREnv(o.Scale, arch, cs, o.Seed)
-				res := fl.Run(env, NewAlgorithm(algo, o.Scale, o.Seed), fl.RunOpts{Rounds: o.Scale.Rounds})
+				res := trajectory(o, cellSpec(o, algo, arch, cs, o.Scale.Rounds))
 				acc := res.BestAcc()
 				if algo == "fedavg" {
 					fedavgAcc = acc
@@ -88,32 +89,22 @@ func LocalAccuracy(o Options) error {
 	w := o.out()
 	cs := o.Scale.ClientSets[0]
 	fmt.Fprintf(w, "\n== per-client local accuracy: resnet20, %d clients ==\n", cs.Clients)
-	type row struct {
-		name string
-		per  []float64
-	}
-	var rows []row
-	for _, algo := range []string{"spatl", "scaffold", "fedavg"} {
-		env := BuildCIFAREnv(o.Scale, "resnet20", cs, o.Seed)
-		res := fl.Run(env, NewAlgorithm(algo, o.Scale, o.Seed), fl.RunOpts{Rounds: o.Scale.Rounds})
-		last := res.Records[len(res.Records)-1]
-		rows = append(rows, row{algo, last.PerClient})
-	}
 	tw := table(o)
 	fmt.Fprintf(tw, "algo\tmean\tstd\tmin\tmax\tper-client\n")
 	var series []stats.Series
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%.4f\t%.4f\t", r.name,
-			stats.Mean(r.per), stats.Std(r.per), stats.Min(r.per), stats.Max(r.per))
-		for _, v := range r.per {
+	for _, algo := range []string{"spatl", "scaffold", "fedavg"} {
+		env := BuildCIFAREnv(o.Scale, "resnet20", cs, o.Seed)
+		res := fl.Run(env, NewAlgorithm(algo, o.Scale, o.Seed), fl.RunOpts{Rounds: o.Scale.Rounds})
+		per := res.Records[len(res.Records)-1].PerClient
+		fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%.4f\t%.4f\t", algo,
+			stats.Mean(per), stats.Std(per), stats.Min(per), stats.Max(per))
+		s := stats.Series{Name: algo}
+		for i, v := range per {
 			fmt.Fprintf(tw, "%.2f ", v)
-		}
-		fmt.Fprintln(tw)
-		s := stats.Series{Name: r.name}
-		for i, v := range r.per {
 			s.X = append(s.X, float64(i))
 			s.Y = append(s.Y, v)
 		}
+		fmt.Fprintln(tw)
 		series = append(series, s)
 	}
 	tw.Flush()
@@ -131,11 +122,8 @@ func RoundsToTarget(o Options) error {
 			tw := table(o)
 			fmt.Fprintf(tw, "algo\trounds\treached\n")
 			for _, algo := range AllAlgos {
-				env := BuildCIFAREnv(o.Scale, arch, cs, o.Seed)
-				res := fl.Run(env, NewAlgorithm(algo, o.Scale, o.Seed),
-					fl.RunOpts{Rounds: o.Scale.Rounds, TargetAcc: target})
-				r := res.RoundsToAcc(target)
-				if r < 0 {
+				res := trajectory(o, cellSpec(o, algo, arch, cs, o.Scale.Rounds))
+				if r := res.RoundsToAcc(target); r < 0 {
 					fmt.Fprintf(tw, "%s\t>%d\tno (best %.3f)\n", algo, o.Scale.Rounds, res.BestAcc())
 				} else {
 					fmt.Fprintf(tw, "%s\t%d\tyes\n", algo, r)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"spatl/internal/comm"
-	"spatl/internal/fl"
 	"spatl/internal/stats"
 )
 
@@ -23,48 +22,34 @@ func SSFLCommunication(o Options) error {
 	fmt.Fprintf(w, "\n== SSFL vs SPATL: wire bytes and accuracy (%s, %d clients, %d rounds) ==\n",
 		arch, cs.Clients, rounds)
 
-	type run struct {
-		name string
-		res  *fl.Result
-	}
-	runs := []run{
-		{"ssfl", nil},
-		{"spatl", nil},
-	}
-	for i := range runs {
-		env := BuildCIFAREnv(o.Scale, arch, cs, o.Seed)
-		runs[i].res = fl.Run(env, NewAlgorithm(runs[i].name, o.Scale, o.Seed), fl.RunOpts{Rounds: rounds})
-	}
-
 	tw := table(o)
 	fmt.Fprintf(tw, "method\tround\tup MB\tdown MB\tacc\n")
-	var upSeries []stats.Series
-	for _, r := range runs {
+	var accs, ups []stats.Series
+	var total [2]int64
+	for i, name := range []string{"ssfl", "spatl"} {
+		res := trajectory(o, cellSpec(o, name, arch, cs, rounds))
 		var prevUp, prevDown int64
-		s := stats.Series{Name: r.name + "-up-bytes"}
-		for _, rec := range r.res.Records {
+		s := stats.Series{Name: name + "-up-bytes"}
+		for _, rec := range res.Records {
 			up, down := rec.CumUp-prevUp, rec.CumDown-prevDown
 			prevUp, prevDown = rec.CumUp, rec.CumDown
 			fmt.Fprintf(tw, "%s\t%d\t%.4f\t%.4f\t%.4f\n",
-				r.name, rec.Round, comm.MB(up), comm.MB(down), rec.AvgAcc)
+				name, rec.Round, comm.MB(up), comm.MB(down), rec.AvgAcc)
 			s.X = append(s.X, float64(rec.Round+1))
 			s.Y = append(s.Y, float64(up))
 		}
-		upSeries = append(upSeries, s)
+		accs = append(accs, accSeries(name, res))
+		ups = append(ups, s)
+		total[i] = prevUp
 	}
 	tw.Flush()
-
-	ssfl, spatl := runs[0].res, runs[1].res
-	sUp := ssfl.Records[len(ssfl.Records)-1].CumUp
-	pUp := spatl.Records[len(spatl.Records)-1].CumUp
 	fmt.Fprintf(w, "\ntotal uplink: ssfl %.2f MB, spatl %.2f MB (ratio %.2fx)\n",
-		comm.MB(sUp), comm.MB(pUp), float64(pUp)/float64(sUp))
+		comm.MB(total[0]), comm.MB(total[1]), float64(total[1])/float64(total[0]))
 	fmt.Fprintln(w, "expected shape: after round 1 the ssfl rows are values-only frames — strictly below")
 	fmt.Fprintln(w, "spatl in both directions; the dense round-0 agreement is the one-time price.")
 
-	if err := writeCSV(o, "ssfl-comm-acc", "round",
-		accSeries("ssfl", ssfl), accSeries("spatl", spatl)); err != nil {
+	if err := writeCSV(o, "ssfl-comm-acc", "round", accs...); err != nil {
 		return err
 	}
-	return writeCSV(o, "ssfl-comm-bytes", "round", upSeries...)
+	return writeCSV(o, "ssfl-comm-bytes", "round", ups...)
 }

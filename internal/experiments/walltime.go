@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"spatl/internal/fl"
 	"spatl/internal/netsim"
 	"spatl/internal/stats"
 )
@@ -25,48 +24,25 @@ func WallTime(o Options) error {
 	fmt.Fprintf(tw, "algo\tbest acc\ttotal sim time\ttime to %.0f%%\n", target*100)
 	var series []stats.Series
 	for _, name := range AllAlgos {
-		env := BuildCIFAREnv(o.Scale, "resnet20", cs, o.Seed)
-		algo := NewAlgorithm(name, o.Scale, o.Seed)
-		algo.Setup(env)
-		var times, accs []float64
-		var prevUp, prevDown int64
-		for round := 0; round < o.Scale.CurveRounds; round++ {
-			selected := env.SampleClients()
-			algo.Round(env, round, selected)
-			up, down := env.Meter.Up(), env.Meter.Down()
-			perUp := (up - prevUp) / int64(len(selected))
-			perDown := (down - prevDown) / int64(len(selected))
-			prevUp, prevDown = up, down
-			// Local compute is identical across algorithms at a given
-			// scale; 2 s/round stands in for the on-device training time.
-			times = append(times, netsim.RoundTime(links, selected, perDown, perUp, 2))
-			var sum float64
-			for _, c := range env.Clients {
-				sum += fl.EvalAccuracy(algo.EvalModel(env, c), c.Val, 64)
-			}
-			accs = append(accs, sum/float64(len(env.Clients)))
-		}
-		var total float64
-		best := 0.0
-		for i, t := range times {
-			total += t
-			if accs[i] > best {
-				best = accs[i]
-			}
-		}
-		sec, round := netsim.TimeToTarget(times, accs, target)
-		label := "never"
-		if round > 0 {
-			label = fmt.Sprintf("%.1fs (round %d)", sec, round)
-		}
-		fmt.Fprintf(tw, "%s\t%.4f\t%.1fs\t%s\n", name, best, total, label)
+		res := trajectory(o, cellSpec(o, name, "resnet20", cs, o.Scale.CurveRounds))
+		// Each round costs its slowest selected client the round's mean
+		// per-client download and upload, plus 2 s standing in for local
+		// training (identical across algorithms at a given scale).
 		s := stats.Series{Name: name}
 		var cum float64
-		for i := range times {
-			cum += times[i]
+		var prevUp, prevDown int64
+		for _, rec := range res.Records {
+			n := int64(len(rec.Selected))
+			cum += netsim.RoundTime(links, rec.Selected, (rec.CumDown-prevDown)/n, (rec.CumUp-prevUp)/n, 2)
+			prevUp, prevDown = rec.CumUp, rec.CumDown
 			s.X = append(s.X, cum)
-			s.Y = append(s.Y, accs[i])
+			s.Y = append(s.Y, rec.AvgAcc)
 		}
+		label := "never"
+		if r := res.RoundsToAcc(target); r > 0 {
+			label = fmt.Sprintf("%.1fs (round %d)", s.X[r-1], r)
+		}
+		fmt.Fprintf(tw, "%s\t%.4f\t%.1fs\t%s\n", name, res.BestAcc(), cum, label)
 		series = append(series, s)
 	}
 	tw.Flush()

@@ -12,14 +12,16 @@ import (
 type RoundRecord struct {
 	Round     int
 	AvgAcc    float64   // mean top-1 accuracy across all clients' val sets
-	PerClient []float64 // per-client accuracy (index = client ID)
+	PerClient []float64 // per-client accuracy (index = client ID); nil from a journal
 	CumUp     int64     // cumulative client→server bytes
 	CumDown   int64     // cumulative server→client bytes
+	Selected  []int     // the round's selected clients, ascending (dropped ones included)
 }
 
-// Result is the full trajectory of a federated run.
+// Result is the full trajectory of a federated run, from Run or from a
+// cell journal (scenario.StatsFromJournal). Its methods are the tree's
+// one set of trajectory reductions.
 type Result struct {
-	Algo    string
 	Records []RoundRecord
 }
 
@@ -94,32 +96,26 @@ func (r *Result) ConvergedRound(window int, eps float64) int {
 type RunOpts struct {
 	Rounds    int
 	TargetAcc float64 // stop early once reached (0 disables)
-	EvalEvery int     // evaluate every k rounds (default 1)
 	Log       io.Writer
 }
 
 // Run executes a full federated-learning experiment: round loop with
-// client sampling, algorithm execution, periodic evaluation, early stop
-// at the target accuracy, and divergence-tolerant accounting (a diverged
-// model simply keeps reporting chance-level accuracy, as in the paper's
-// SCAFFOLD rows).
+// client sampling, algorithm execution, evaluation after every round
+// (one record per round), early stop at the target accuracy, and
+// divergence-tolerant accounting (a diverged model simply keeps
+// reporting chance-level accuracy, as in the paper's SCAFFOLD rows).
 func Run(env *Env, algo Algorithm, opts RunOpts) *Result {
-	if opts.EvalEvery <= 0 {
-		opts.EvalEvery = 1
-	}
 	algo.Setup(env)
-	res := &Result{Algo: algo.Name()}
+	res := &Result{}
 	for round := 0; round < opts.Rounds; round++ {
 		selected := env.SampleClients()
 		algo.Round(env, round, selected)
-		if (round+1)%opts.EvalEvery != 0 && round != opts.Rounds-1 {
-			continue
-		}
 		rec := RoundRecord{
 			Round:     round,
 			PerClient: make([]float64, len(env.Clients)),
 			CumUp:     env.Meter.Up(),
 			CumDown:   env.Meter.Down(),
+			Selected:  selected,
 		}
 		var sum float64
 		for i, c := range env.Clients {

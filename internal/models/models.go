@@ -90,6 +90,15 @@ func Build(spec Spec, seed int64) *SplitModel {
 	return m
 }
 
+// KnownArch reports whether Build constructs arch.
+func KnownArch(arch string) bool {
+	switch arch {
+	case "resnet20", "resnet32", "resnet56", "resnet18", "vgg11", "cnn2", "mlp":
+		return true
+	}
+	return false
+}
+
 // buildResNet builds a CIFAR-style ResNet-(6n+2): stem conv, three stages
 // of n basic blocks at the given widths (strides 1,2,2), global average
 // pool. The predictor is the final linear classifier.

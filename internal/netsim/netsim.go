@@ -153,17 +153,3 @@ func RoundTimeVar(links []Link, selected []int, downBytes int64, upBytes []int64
 	}
 	return worst
 }
-
-// TimeToTarget integrates per-round times until accuracies (aligned with
-// times) reach target, returning the cumulative seconds and the 1-based
-// round index, or (-1, -1) if never reached.
-func TimeToTarget(roundTimes, accs []float64, target float64) (seconds float64, round int) {
-	var cum float64
-	for i, t := range roundTimes {
-		cum += t
-		if i < len(accs) && accs[i] >= target {
-			return cum, i + 1
-		}
-	}
-	return -1, -1
-}

@@ -70,18 +70,6 @@ func TestRoundTimeIsStragglerBound(t *testing.T) {
 	}
 }
 
-func TestTimeToTarget(t *testing.T) {
-	times := []float64{10, 10, 10}
-	accs := []float64{0.3, 0.6, 0.9}
-	sec, round := TimeToTarget(times, accs, 0.5)
-	if sec != 20 || round != 2 {
-		t.Fatalf("TimeToTarget = (%v, %d), want (20, 2)", sec, round)
-	}
-	if sec, round = TimeToTarget(times, accs, 0.99); sec != -1 || round != -1 {
-		t.Fatal("unreachable target must return -1")
-	}
-}
-
 func TestProfileByName(t *testing.T) {
 	if p, ok := ProfileByName("mobile"); !ok || p != Mobile {
 		t.Fatal("mobile profile not resolved")

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"spatl/internal/fl"
 	"spatl/internal/netsim"
 	"spatl/internal/telemetry"
 )
@@ -20,11 +21,13 @@ import (
 // running a cell and reporting on it.
 type CellStats struct {
 	Rounds int
-	// FinalAcc / BestAcc come from the journal's eval events.
-	FinalAcc float64
-	BestAcc  float64
-	// RoundsToTarget is the 1-based round whose eval first reached the
-	// spec's TargetAcc, or -1 (never / no target set).
+	// Trajectory is the run as fl.Run returns it, one record per eval
+	// event, without per-client accuracy.
+	Trajectory fl.Result
+	// FinalAcc / BestAcc are the trajectory's; RoundsToTarget is its
+	// RoundsToAcc at the spec's TargetAcc, or -1 (never / no target set).
+	FinalAcc       float64
+	BestAcc        float64
 	RoundsToTarget int
 	// UpBytes / DownBytes are the cumulative payload traffic at the last
 	// round_end.
@@ -69,14 +72,16 @@ func profileFor(n Net) (netsim.Profile, bool) {
 	return p, p.MedianUpMbps > 0 && p.MedianDownMbps > 0
 }
 
-// StatsFromJournal replays a cell journal into CellStats. The time
-// model samples the spec's link and compute populations from cell-seed
-// offsets (+71, +73), then charges each round its straggler-bound time:
-// every journaled participant (uploads and drops alike) pays download
-// plus compute; uploaders pay their journaled upload bytes on top.
+// StatsFromJournal replays a cell journal into CellStats: the
+// trajectory, its fl.Result reductions, loss counts and the time model.
+// The time model samples the spec's link and compute populations from
+// cell-seed offsets (+71, +73), then charges each round its
+// straggler-bound time: every journaled participant (uploads and drops
+// alike) pays download plus compute; uploaders pay their journaled
+// upload bytes on top.
 func StatsFromJournal(r io.Reader, spec Spec) (CellStats, error) {
 	spec = spec.WithDefaults()
-	st := CellStats{RoundsToTarget: -1}
+	var st CellStats
 
 	var links []netsim.Link
 	var compute []float64
@@ -133,14 +138,17 @@ func StatsFromJournal(r io.Reader, spec Spec) (CellStats, error) {
 				st.SimSeconds += netsim.RoundTimeVar(links, selected, bcast, upBytes, compute)
 			}
 		case telemetry.EvEval:
-			st.FinalAcc = e.Acc
-			if e.Acc > st.BestAcc {
-				st.BestAcc = e.Acc
-			}
-			if spec.TargetAcc > 0 && st.RoundsToTarget < 0 && e.Acc >= spec.TargetAcc {
-				st.RoundsToTarget = e.Round + 1
-			}
+			sel := append([]int(nil), selected...)
+			sort.Ints(sel)
+			st.Trajectory.Records = append(st.Trajectory.Records, fl.RoundRecord{
+				Round: e.Round, AvgAcc: e.Acc, CumUp: st.UpBytes, CumDown: st.DownBytes, Selected: sel,
+			})
 		}
+	}
+	tr := &st.Trajectory
+	st.FinalAcc, st.BestAcc, st.RoundsToTarget = tr.FinalAcc(), tr.BestAcc(), -1
+	if spec.TargetAcc > 0 {
+		st.RoundsToTarget = tr.RoundsToAcc(spec.TargetAcc)
 	}
 	return st, sc.Err()
 }

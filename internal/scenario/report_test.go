@@ -5,9 +5,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"spatl/internal/fl"
 	"spatl/internal/telemetry"
 )
 
@@ -60,6 +62,47 @@ func TestStatsFromJournalCounts(t *testing.T) {
 	}
 	if st.SimSeconds != 0 {
 		t.Fatalf("no Net configured but SimSeconds = %v", st.SimSeconds)
+	}
+}
+
+// TestTrajectoryFromJournalMatchesRun: fl.Result has two producers, and
+// they agree. The trajectory StatsFromJournal rebuilds from a cell's
+// journal equals the records fl.Run returns for the same seeded cell in
+// round, accuracy, cumulative bytes and selection, with churn dropping
+// selected clients along the way.
+func TestTrajectoryFromJournalMatchesRun(t *testing.T) {
+	spec := microBase()
+	spec.Algo, spec.Participation, spec.Churn = "scaffold", 0.5, 0.5
+	var journal bytes.Buffer
+	if err := RunCell(spec, &journal); err != nil {
+		t.Fatal(err)
+	}
+	st, err := StatsFromJournal(&journal, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := BuildEnv(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := NewAlgorithm(spec.Algo, Params{Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fl.Run(env, alg, fl.RunOpts{Rounds: spec.Rounds}).Records
+	got := st.Trajectory.Records
+	if len(got) != len(want) {
+		t.Fatalf("journal trajectory has %d records, fl.Run %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Round != w.Round || g.AvgAcc != w.AvgAcc || g.CumUp != w.CumUp || g.CumDown != w.CumDown ||
+			!slices.Equal(g.Selected, w.Selected) {
+			t.Fatalf("record %d: journal %+v, fl.Run %+v", i, g, w)
+		}
+	}
+	if st.Drops == 0 {
+		t.Fatal("churn dropped no client; the selection check saw no drop")
 	}
 }
 

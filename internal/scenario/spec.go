@@ -303,6 +303,9 @@ func (s Spec) Validate() error {
 	if _, err := Lookup(s.Algo); err != nil {
 		return err
 	}
+	if !models.KnownArch(s.Arch) {
+		return fmt.Errorf("scenario: unknown arch %q", s.Arch)
+	}
 	switch s.Dataset {
 	case DataCIFAR, DataFEMNIST:
 	default:

@@ -70,6 +70,7 @@ func TestDecodeSpecRejectsMalformed(t *testing.T) {
 	}{
 		{"unknown field", `{"algo": "fedavg", "typo_field": 3}`, "typo_field"},
 		{"unknown algo", `{"algo": "fedsgd"}`, "unknown algorithm"},
+		{"unknown arch", `{"algo": "fedavg", "arch": "resnet99"}`, "unknown arch"},
 		{"unknown dataset", `{"algo": "fedavg", "dataset": "imagenet"}`, "unknown dataset"},
 		{"unknown partition", `{"algo": "fedavg", "partition": {"kind": "iid"}}`, "unknown partition"},
 		{"unknown transport", `{"algo": "fedavg", "transport": {"kind": "udp"}}`, "unknown transport"},
