@@ -22,8 +22,6 @@ type Client struct {
 	// algorithm's trainable-parameter scope; nil until the algorithm's
 	// trainer initializes it.
 	Control []float32
-	// Velocity is the client's uploaded momentum state (FedNova).
-	Velocity []float32
 }
 
 // LocalOpts configures one client's local update phase.
@@ -41,8 +39,9 @@ type LocalOpts struct {
 	// optimizer step; FedProx adds its proximal term here and
 	// SCAFFOLD/SPATL apply control-variate gradient correction.
 	Hook func(params []*nn.Param)
-	// InitVelocity warm-starts the momentum buffers (FedNova).
-	InitVelocity []float32
+	// Velocity, when set, warm-starts the momentum buffers and receives
+	// their final values (zeros without momentum): FedNova ships them.
+	Velocity []float32
 	// FreezeEncoder runs the encoder in evaluation mode and trains only
 	// the predictor — SPATL's cold-start transfer path (eq. 4). The
 	// encoder's weights and BatchNorm statistics are untouched.
@@ -50,18 +49,21 @@ type LocalOpts struct {
 }
 
 // LocalSGD runs minibatch SGD on the client's model and returns the
-// number of optimizer steps taken and the final momentum buffers. The
-// model's layer buffers live for this call only: it releases them on
-// return, so a client between rounds holds no activations.
-func LocalSGD(c *Client, opts LocalOpts, rng *rand.Rand) (steps int, velocity []float32) {
+// number of optimizer steps taken. Everything a pass needs is drawn from
+// the scratch pool for this call only — the model's layer buffers, one
+// batch array and the momentum buffers — and handed back on return, so a
+// client between rounds holds no activations.
+func LocalSGD(c *Client, opts LocalOpts, rng *rand.Rand) (steps int) {
 	opt := nn.NewSGD(opts.Params, opts.LR, opts.Momentum, opts.WeightDecay)
-	if opts.InitVelocity != nil && opts.Momentum != 0 {
-		opt.SetVelocity(opts.InitVelocity)
+	if opts.Velocity != nil {
+		opt.SetVelocity(opts.Velocity)
 	}
 	allParams := c.Model.Params()
+	var x *tensor.Tensor
+	var y []int
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		for _, idx := range c.Train.Batches(rng, opts.BatchSize) {
-			x, y := c.Train.Batch(idx)
+			x, y = c.Train.BatchInto(x, y, idx)
 			nn.ZeroGrad(allParams)
 			var out *tensor.Tensor
 			if opts.FreezeEncoder {
@@ -86,6 +88,11 @@ func LocalSGD(c *Client, opts LocalOpts, rng *rand.Rand) (steps int, velocity []
 			steps++
 		}
 	}
+	if opts.Velocity != nil {
+		clear(opts.Velocity[copy(opts.Velocity, opt.Velocity()):])
+	}
+	opt.Release()
 	c.Model.Release()
-	return steps, opt.Velocity()
+	tensor.Recycle(x)
+	return steps
 }

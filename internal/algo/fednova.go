@@ -162,7 +162,7 @@ func (t *FedNovaTrainer) LocalUpdate(round int, payload []byte) []byte {
 	if err != nil {
 		return nil
 	}
-	initVel, err := comm.DecodeDensePooled(parts[1], nVel)
+	vel, err := comm.DecodeDensePooled(parts[1], nVel)
 	if err != nil {
 		comm.PutF32(globalState)
 		return nil
@@ -170,11 +170,10 @@ func (t *FedNovaTrainer) LocalUpdate(round int, payload []byte) []byte {
 	m.SetState(models.ScopeAll, globalState)
 	rng := rand.New(rand.NewSource(ClientSeed(t.cfg.Seed, round, t.Client.ID)))
 	opts := t.cfg.localOpts(m.Params(), round)
-	opts.InitVelocity = initVel // SetVelocity copies, pooled buffer is safe
+	opts.Velocity = vel // warm start in, final momentum out
 	train := sp.Child("client.train")
-	steps, vel := LocalSGD(t.Client, opts, rng)
+	steps := LocalSGD(t.Client, opts, rng)
 	train.End()
-	comm.PutF32(initVel)
 
 	localState := m.StateInto(models.ScopeAll, comm.GetF32(nState))
 	d := comm.GetF32(nState)
@@ -184,10 +183,6 @@ func (t *FedNovaTrainer) LocalUpdate(round int, payload []byte) []byte {
 	}
 	comm.PutF32(localState)
 	comm.PutF32(globalState)
-	if vel == nil {
-		vel = make([]float32, nVel)
-	}
-	t.Client.Velocity = vel
 	encD := t.cfg.encodeDenseInto(comm.GetBuf(t.cfg.denseLen(len(d))), d)
 	encV := t.cfg.encodeDenseInto(comm.GetBuf(t.cfg.denseLen(len(vel))), vel)
 	var stepsBuf [4]byte
@@ -196,6 +191,7 @@ func (t *FedNovaTrainer) LocalUpdate(round int, payload []byte) []byte {
 	comm.PutBuf(encV)
 	comm.PutBuf(encD)
 	comm.PutF32(d)
+	comm.PutF32(vel)
 	return t.upBuf
 }
 

@@ -175,7 +175,7 @@ func (t *SCAFFOLDTrainer) LocalUpdate(round int, payload []byte) []byte {
 	opts := t.cfg.localOpts(m.Params(), round)
 	opts.Hook = addControl(serverC, t.Client.Control, m.Params())
 	train := sp.Child("client.train")
-	steps, _ := LocalSGD(t.Client, opts, rng)
+	steps := LocalSGD(t.Client, opts, rng)
 	train.End()
 
 	localFlat := nn.FlattenParams(m.Params())

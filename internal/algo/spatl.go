@@ -455,7 +455,7 @@ func (t *SPATLTrainer) LocalUpdate(round int, payload []byte) []byte {
 	}
 	gBefore := nn.FlattenParams(ctrlP)
 	train := sp.Child("client.train")
-	steps, _ := LocalSGD(c, opts, rng)
+	steps := LocalSGD(c, opts, rng)
 	train.End()
 
 	// Control variate update (option II of SCAFFOLD, over the generic

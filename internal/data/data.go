@@ -39,13 +39,22 @@ func (d *Dataset) Sample(i int) (*tensor.Tensor, int) {
 // Batch gathers the examples at idx into a fresh batch tensor and label
 // slice.
 func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
+	return d.BatchInto(tensor.New(len(idx), d.X.Dim(1), d.X.Dim(2), d.X.Dim(3)), make([]int, 0, len(idx)), idx)
+}
+
+// BatchInto gathers the examples at idx into x, shaped for them with
+// tensor.Reuse (a nil x draws its array from the scratch pool), and their
+// labels into y's array, and returns both. A training or evaluation pass
+// gathers every batch into one array this way, hands it back with
+// tensor.Recycle when the pass ends, and allocates nothing per batch.
+func (d *Dataset) BatchInto(x *tensor.Tensor, y []int, idx []int) (*tensor.Tensor, []int) {
 	c, h, w := d.X.Dim(1), d.X.Dim(2), d.X.Dim(3)
 	stride := c * h * w
-	x := tensor.New(len(idx), c, h, w)
-	y := make([]int, len(idx))
+	x = tensor.Reuse(x, len(idx), c, h, w)
+	y = y[:0]
 	for bi, i := range idx {
 		copy(x.Data[bi*stride:(bi+1)*stride], d.X.Data[i*stride:(i+1)*stride])
-		y[bi] = d.Y[i]
+		y = append(y, d.Y[i])
 	}
 	return x, y
 }

@@ -49,20 +49,24 @@ func Loss(m *models.SplitModel, ds *data.Dataset, batchSize int) float64 {
 }
 
 // batches runs m in evaluation mode over ds in order, batchSize examples
-// at a time (64 when not positive), hands fn each batch's logits and
-// labels, and releases m's layer buffers at the end of the pass.
+// at a time (64 when not positive), gathered into one pooled batch array,
+// hands fn each batch's logits and labels, and at the end of the pass
+// releases m's layer buffers and the batch array.
 func batches(m *models.SplitModel, ds *data.Dataset, batchSize int, fn func(out *tensor.Tensor, y []int)) {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
 	idx := make([]int, 0, min(batchSize, ds.Len()))
+	var x *tensor.Tensor
+	y := make([]int, 0, cap(idx))
 	for lo := 0; lo < ds.Len(); lo += batchSize {
 		idx = idx[:0]
 		for i := lo; i < min(lo+batchSize, ds.Len()); i++ {
 			idx = append(idx, i)
 		}
-		x, y := ds.Batch(idx)
+		x, y = ds.BatchInto(x, y, idx)
 		fn(m.Forward(x, false), y)
 	}
 	m.Release()
+	tensor.Recycle(x)
 }

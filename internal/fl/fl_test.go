@@ -211,7 +211,7 @@ func TestResultHelpers(t *testing.T) {
 func TestLocalSGDStepCount(t *testing.T) {
 	env := testEnv(t, 2, quickCfg(11))
 	c := env.Clients[0]
-	steps, _ := algo.LocalSGD(c, algo.LocalOpts{
+	steps := algo.LocalSGD(c, algo.LocalOpts{
 		Params: c.Model.Params(), Epochs: 2, BatchSize: 16,
 		LR: 0.01, Momentum: 0.9,
 	}, rand.New(rand.NewSource(1)))
@@ -233,7 +233,7 @@ func TestHookRunsOncePerStep(t *testing.T) {
 	env := testEnv(t, 2, quickCfg(13))
 	c := env.Clients[0]
 	calls := 0
-	steps, _ := algo.LocalSGD(c, algo.LocalOpts{
+	steps := algo.LocalSGD(c, algo.LocalOpts{
 		Params: c.Model.Params(), Epochs: 1, BatchSize: 32,
 		LR:   0.01,
 		Hook: func(params []*nn.Param) { calls++ },

@@ -11,6 +11,7 @@ import (
 
 	"spatl/internal/algo"
 	"spatl/internal/data"
+	"spatl/internal/eval"
 	"spatl/internal/models"
 	"spatl/internal/nn"
 	"spatl/internal/telemetry"
@@ -82,6 +83,81 @@ func layerHeldBytes(m *models.SplitModel) int {
 		})
 	}
 	return held
+}
+
+// passPeakBytes runs fn and returns the most bytes of scratch-pool arrays
+// out at once while it ran, beyond those out before: the arrays a pass
+// holds plus the transient ones it draws, wherever in the pass the two
+// peak together.
+func passPeakBytes(fn func()) int64 {
+	tensor.ResetScratchPeak()
+	before, _ := tensor.ScratchBytes()
+	fn()
+	_, peak := tensor.ScratchBytes()
+	return peak - before
+}
+
+// TestPassMemoryGate counts, never times: a batch-16 training step —
+// forward, loss, backward, optimizer step, on a released model — and a
+// batch-64 evaluation pass, its batch array included, stay within their
+// budgets in MiB of scratch-pool arrays out at once, on the benchmark's
+// resnet20 at GOMAXPROCS 1 and 2 and at the paper's geometry (width 1.0,
+// 32×32, training batch 64) at GOMAXPROCS 2; and a local update and an evaluation hand
+// back every array they drew. A training pass keeps only what its
+// Backward reads and an evaluation pass hands each activation back once
+// the next layer has read it; when every layer kept its output and input
+// gradient, and BatchNorm its normalized input, from the first Forward
+// until Release, the same passes held 5.4 and 9.0 MiB on the benchmark's
+// model and 341 and 144 MiB at the paper's geometry.
+func TestPassMemoryGate(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		spec                    models.Spec
+		batch                   int
+		procs                   []int
+		trainBudget, evalBudget float64 // MiB
+	}{
+		{"benchmark", models.Spec{Arch: "resnet20", Classes: 10, InC: 3, H: 16, W: 16, Width: 0.25}, 16, []int{1, 2}, 2.2, 1.8},
+		{"paper", models.Spec{Arch: "resnet20", Classes: 10, InC: 3, H: 32, W: 32, Width: 1}, 64, []int{2}, 120, 16},
+	} {
+		spec := tc.spec
+		ds := data.SynthCIFAR(data.SynthCIFARConfig{Classes: 10, H: spec.H, W: spec.W, Noise: 0.9}, 64, 3, 4)
+		for _, procs := range tc.procs {
+			prev := runtime.GOMAXPROCS(procs)
+			m := models.Build(spec, 1)
+			params := m.Params()
+			opt := nn.NewSGD(params, 0.05, 0.9, 1e-4)
+			x, y := ds.Batch(ds.Batches(rand.New(rand.NewSource(5)), tc.batch)[0])
+			step := func() {
+				nn.ZeroGrad(params)
+				_, grad := nn.SoftmaxCrossEntropy(m.Forward(x, true), y)
+				m.Backward(grad)
+				opt.Step()
+			}
+			step()
+			m.Release()
+			train := float64(passPeakBytes(step)) / (1 << 20)
+			m.Release()
+			opt.Release()
+			evalPass := float64(passPeakBytes(func() { eval.Accuracy(m, ds, 64) })) / (1 << 20)
+			t.Logf("%s, GOMAXPROCS %d: batch-%d training step %.2f MiB, batch-64 evaluation pass %.2f MiB", tc.name, procs, tc.batch, train, evalPass)
+			if train > tc.trainBudget {
+				t.Errorf("%s, GOMAXPROCS %d: a batch-%d training step holds %.2f MiB at peak, budget %g", tc.name, procs, tc.batch, train, tc.trainBudget)
+			}
+			if evalPass > tc.evalBudget {
+				t.Errorf("%s, GOMAXPROCS %d: a batch-64 evaluation pass holds %.2f MiB at peak, budget %g", tc.name, procs, evalPass, tc.evalBudget)
+			}
+
+			c := &algo.Client{Train: ds, Model: m}
+			before, _ := tensor.ScratchBytes()
+			algo.LocalSGD(c, algo.LocalOpts{Params: params, Epochs: 1, BatchSize: tc.batch, LR: 0.05, Momentum: 0.9}, rand.New(rand.NewSource(6)))
+			eval.Accuracy(m, ds, 64)
+			if after, _ := tensor.ScratchBytes(); after != before {
+				t.Errorf("%s, GOMAXPROCS %d: a local update and an evaluation left %d bytes out of the scratch pool", tc.name, procs, after-before)
+			}
+			runtime.GOMAXPROCS(prev)
+		}
+	}
 }
 
 // TestSimRoundLeavesNoLayerBuffers: after a round in which all 16 clients

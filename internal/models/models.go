@@ -261,11 +261,12 @@ func (m *SplitModel) Clone() *SplitModel {
 func (m *SplitModel) FLOPs() int64 { return m.Encoder.FLOPs() + m.Predictor.FLOPs() }
 
 // Release ends a training or evaluation pass: every layer returns the
-// activation and gradient buffers it holds to the scratch pool (see
-// nn.Release), so a model between passes costs its parameters and
-// statistics, not its activations. algo.LocalSGD and eval release on
-// return; the next Forward draws zero-filled buffers again, bitwise
-// equivalent to never having released.
+// arrays it still holds to the scratch pool (see nn.Release) — what a
+// training pass kept for Backward, and the outputs Forward returned — so
+// a model between passes costs its parameters and statistics, not its
+// activations. algo.LocalSGD and eval release on return; the next Forward
+// draws pooled arrays again, which every layer overwrites in full, so a
+// pass after a release is bitwise the pass without one.
 func (m *SplitModel) Release() {
 	nn.Release(m.Encoder)
 	nn.Release(m.Predictor)

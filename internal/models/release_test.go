@@ -14,6 +14,14 @@ import (
 // releaseSpec is the benchmark's client model.
 var releaseSpec = Spec{Arch: "resnet20", Classes: 10, InC: 3, H: 16, W: 16, Width: 0.25}
 
+// releaseSpecs adds the other layer chains: VGG's max pools and dropout
+// head, and the LEAF CNN's biased convolutions, flatten and linear layers.
+var releaseSpecs = []Spec{
+	releaseSpec,
+	{Arch: "vgg11", Classes: 10, InC: 3, H: 16, W: 16, Width: 0.25, Dropout: 0.3},
+	{Arch: "cnn2", Classes: 10, InC: 1, H: 16, W: 16, Width: 0.25},
+}
+
 // trainSteps runs SGD steps on m over seeded batches whose sizes change as
 // a client's do (a short last batch, then full ones again) and returns m's
 // state: weights and BatchNorm statistics. With release set it ends a pass
@@ -48,8 +56,8 @@ func trainSteps(m *SplitModel, release bool) []float32 {
 	return m.State(ScopeAll)
 }
 
-// poisonScratch leaves a NaN-filled buffer in every scratch size class a
-// quarter-width resnet20 draws from.
+// poisonScratch leaves a NaN-filled buffer in every scratch size class the
+// quarter-width releaseSpecs draw from.
 func poisonScratch() {
 	for c := 6; c <= 16; c++ {
 		s := tensor.GetScratch(1 << c)
@@ -60,26 +68,36 @@ func poisonScratch() {
 	}
 }
 
+// sameBits fails unless got is want bit for bit and finite throughout: a
+// NaN from the poisoned pool can reach both runs, as the straight run also
+// draws its transient arrays from the pool.
 func sameBits(t *testing.T, what string, want, got []float32) {
 	t.Helper()
 	for i := range want {
 		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
 			t.Fatalf("%s: state[%d] is %x, want %x", what, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 		}
+		if math.IsNaN(float64(got[i])) || math.IsInf(float64(got[i]), 0) {
+			t.Fatalf("%s: state[%d] is %v", what, i, got[i])
+		}
 	}
 }
 
-// TestReleaseBetweenStepsIsBitwise: a resnet20 trained straight through
-// and a twin that releases after every step and evaluates at another
-// batch size in between end with the same weights and BatchNorm
-// statistics, bit for bit, at GOMAXPROCS 1 and 2.
+// TestReleaseBetweenStepsIsBitwise: a model trained straight through and
+// a twin that releases after every step and evaluates at another batch
+// size in between end with the same weights and BatchNorm statistics, bit
+// for bit, at GOMAXPROCS 1 and 2, for resnet20, vgg11 and cnn2. Every
+// array a layer draws has unspecified contents, so this is also the check
+// that each kernel writes all of what it returns.
 func TestReleaseBetweenStepsIsBitwise(t *testing.T) {
-	for _, procs := range []int{1, 2} {
-		prev := runtime.GOMAXPROCS(procs)
-		want := trainSteps(Build(releaseSpec, 5), false)
-		got := trainSteps(Build(releaseSpec, 5), true)
-		runtime.GOMAXPROCS(prev)
-		sameBits(t, fmt.Sprintf("GOMAXPROCS %d", procs), want, got)
+	for _, spec := range releaseSpecs {
+		for _, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			want := trainSteps(Build(spec, 5), false)
+			got := trainSteps(Build(spec, 5), true)
+			runtime.GOMAXPROCS(prev)
+			sameBits(t, fmt.Sprintf("%s at GOMAXPROCS %d", spec.Arch, procs), want, got)
+		}
 	}
 }
 

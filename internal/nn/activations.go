@@ -2,47 +2,45 @@ package nn
 
 import "spatl/internal/tensor"
 
-// ReLU applies max(0,x) elementwise.
+// ReLU applies max(0,x) elementwise, in place: its output is its input's
+// array, and Backward gates on that output, since out > 0 exactly where
+// x > 0 (a NaN, ±0 or negative input gives +0). So the layer keeps no
+// array of its own for Forward and draws its input gradient from the
+// scratch pool.
 type ReLU struct {
-	name    string
-	x       *tensor.Tensor // input cached in train mode for Backward
-	n       int64
-	out, dx *tensor.Tensor // reused activation/gradient buffers
+	name string
+	out  *tensor.Tensor // the training-mode output, the gate for Backward
+	n    int64
+	dx   *tensor.Tensor // input gradient (tensor.Reuse)
 }
 
 // NewReLU constructs a ReLU activation.
 func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 
-// Forward implements Layer. Instead of materializing a bool mask, the
-// input tensor is retained and Backward re-derives the gate from it with
-// the SIMD kernel; the input buffer is stable until the producing layer's
-// next Forward, which is after our Backward.
+// Forward implements Layer. It overwrites x and returns it.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.Reuse(r.out, x.Shape()...)
-	r.out = out
-	tensor.VecReLU(out.Data, x.Data)
+	tensor.VecReLU(x.Data, x.Data)
+	r.out = nil
 	if train {
-		r.x = x
+		r.out = x
 	}
 	r.n = int64(x.Len() / x.Dim(0))
-	return out
+	return x
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if r.x == nil {
+	if r.out == nil {
 		panic("nn: ReLU.Backward before training-mode Forward")
 	}
-	dx := tensor.Reuse(r.dx, dout.Shape()...)
-	r.dx = dx
-	tensor.VecReLUBwd(dx.Data, dout.Data, r.x.Data)
-	return dx
+	r.dx = tensor.Reuse(r.dx, dout.Shape()...)
+	tensor.VecReLUBwd(r.dx.Data, dout.Data, r.out.Data)
+	return r.dx
 }
 
 func (r *ReLU) release() {
-	drop(&r.out)
 	drop(&r.dx)
-	r.x = nil
+	r.out = nil
 }
 
 // Params implements Layer.

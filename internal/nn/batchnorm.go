@@ -22,13 +22,14 @@ type BatchNorm2D struct {
 	RunMean []float32
 	RunVar  []float32
 
-	// Backward caches (training mode only).
+	// What Backward reads (training mode only): the input and the batch
+	// statistics. The normalized input is recomputed from them per
+	// channel group (tensor.VecBNXhat), bitwise what the forward formed.
 	x      *tensor.Tensor
-	xhat   []float32
 	mean   []float64
 	invStd []float64
 
-	out, dx *tensor.Tensor // reused activation/gradient buffers
+	out, dx *tensor.Tensor // output and input gradient (tensor.Reuse)
 
 	// The bodies of the layer's Parallel regions, bound once, and their
 	// per-call arguments: a region that runs on its caller (every core
@@ -64,25 +65,20 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bn.lastPlane = x.Dim(2) * x.Dim(3)
 	bn.out = tensor.Reuse(bn.out, x.Shape()...)
 	bn.in, bn.train = x, train
+	bn.x = nil
 	if train {
 		bn.x = x
-		// Backward caches are reused across steps (steady-state training
-		// allocates nothing here). xhat is activation-sized: it is drawn
-		// from the scratch pool, zero-filled, and held until release.
+		// The statistics are reused across steps (steady-state training
+		// allocates nothing here).
 		if cap(bn.mean) < bn.C {
 			bn.mean = make([]float64, bn.C)
 			bn.invStd = make([]float64, bn.C)
 		}
 		bn.mean = bn.mean[:bn.C]
 		bn.invStd = bn.invStd[:bn.C]
-		if cap(bn.xhat) < x.Len() {
-			tensor.PutScratch(bn.xhat)
-			bn.xhat = tensor.GetScratch(x.Len())
-			clear(bn.xhat)
-		}
-		bn.xhat = bn.xhat[:x.Len()]
 	}
 	tensor.Parallel(bn.C, bn.fwd)
+	bn.in = nil
 	return bn.out
 }
 
@@ -130,12 +126,13 @@ func bnSums(v []float32, o [bnLanes]int, m [bnLanes]float64, sq bool, n, stride,
 }
 
 // bnGradSums returns, per lane, dγ = Σ g·xhat and dβ = Σ g over the same
-// planes.
-func bnGradSums(g, xhat []float32, o [bnLanes]int, n, stride, plane int) (dgamma, dbeta [bnLanes]float64) {
+// planes of g, and of xhat at oh[k] in blocks hstride floats apart.
+func bnGradSums(g, xhat []float32, o, oh [bnLanes]int, n, stride, hstride, plane int) (dgamma, dbeta [bnLanes]float64) {
 	var g0, g1, g2, g3, b0, b1, b2, b3 float64
-	for b := 0; b < n*stride; b += stride {
+	for i := 0; i < n; i++ {
+		b, bh := i*stride, i*hstride
 		p0, p1, p2, p3 := g[b+o[0]:][:plane], g[b+o[1]:][:plane], g[b+o[2]:][:plane], g[b+o[3]:][:plane]
-		h0, h1, h2, h3 := xhat[b+o[0]:][:plane], xhat[b+o[1]:][:plane], xhat[b+o[2]:][:plane], xhat[b+o[3]:][:plane]
+		h0, h1, h2, h3 := xhat[bh+oh[0]:][:plane], xhat[bh+oh[1]:][:plane], xhat[bh+oh[2]:][:plane], xhat[bh+oh[3]:][:plane]
 		for j := range p0 {
 			e0, e1, e2, e3 := float64(p0[j]), float64(p1[j]), float64(p2[j]), float64(p3[j])
 			g0 += e0 * float64(h0[j])
@@ -190,7 +187,7 @@ func (bn *BatchNorm2D) forwardChannels(clo, chi int) {
 			// scalar loop it replaced).
 			for i := 0; i < n; i++ {
 				base := (i*bn.C + ch) * plane
-				tensor.VecBNTrain(out[base:base+plane], bn.xhat[base:base+plane], x[base:base+plane], mean, inv, g, b)
+				tensor.VecBNTrain(out[base:base+plane], x[base:base+plane], mean, inv, g, b)
 			}
 			bn.RunMean[ch] = float32((1-bn.Momentum)*float64(bn.RunMean[ch]) + bn.Momentum*mean)
 			bn.RunVar[ch] = float32((1-bn.Momentum)*float64(bn.RunVar[ch]) + bn.Momentum*variance)
@@ -206,18 +203,29 @@ func (bn *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	bn.dx = tensor.Reuse(bn.dx, bn.x.Shape()...)
 	bn.dout = dout
 	tensor.Parallel(bn.C, bn.bwd)
+	bn.dout = nil
 	return bn.dx
 }
 
 // backwardChannels accumulates dγ and dβ of channels [clo,chi) — bnLanes
-// channels abreast, as the forward statistics — and forms their dx.
+// channels abreast, as the forward statistics — and forms their dx. Each
+// group's normalized input is recomputed into a scratch of its channels'
+// planes, image by image.
 func (bn *BatchNorm2D) backwardChannels(clo, chi int) {
-	dout, dx := bn.dout.Data, bn.dx.Data
+	x, dout, dx := bn.x.Data, bn.dout.Data, bn.dx.Data
 	n, plane := bn.x.Dim(0), bn.x.Dim(2)*bn.x.Dim(3)
 	cnt := float64(n * plane)
+	xhat := tensor.GetScratch(n * min(bnLanes, chi-clo) * plane)
 	for c := clo; c < chi; c += bnLanes {
-		dgammas, dbetas := bnGradSums(dout, bn.xhat, bnGroup(c, chi, plane), n, bn.C*plane, plane)
-		for k := 0; k < min(bnLanes, chi-c); k++ {
+		g := min(bnLanes, chi-c) // the group's channels; xhat is (n, g, plane)
+		for i := 0; i < n; i++ {
+			for k := 0; k < g; k++ {
+				base := (i*bn.C + c + k) * plane
+				tensor.VecBNXhat(xhat[(i*g+k)*plane:][:plane], x[base:base+plane], bn.mean[c+k], bn.invStd[c+k])
+			}
+		}
+		dgammas, dbetas := bnGradSums(dout, xhat, bnGroup(c, chi, plane), bnGroup(0, g, plane), n, bn.C*plane, g*plane, plane)
+		for k := 0; k < g; k++ {
 			ch, dgamma, dbeta := c+k, dgammas[k], dbetas[k]
 			bn.gamma.G.Data[ch] += float32(dgamma)
 			bn.beta.G.Data[ch] += float32(dbeta)
@@ -226,10 +234,11 @@ func (bn *BatchNorm2D) backwardChannels(clo, chi int) {
 			scale := float64(bn.gamma.W.Data[ch]) * bn.invStd[ch] / cnt
 			for i := 0; i < n; i++ {
 				base := (i*bn.C + ch) * plane
-				tensor.VecBNBwd(dx[base:base+plane], dout[base:base+plane], bn.xhat[base:base+plane], scale, cnt, dbeta, dgamma)
+				tensor.VecBNBwd(dx[base:base+plane], dout[base:base+plane], xhat[(i*g+k)*plane:][:plane], scale, cnt, dbeta, dgamma)
 			}
 		}
 	}
+	tensor.PutScratch(xhat)
 }
 
 // SetChannels gives the layer c channels, as Conv2D.SetChannels does:
@@ -258,9 +267,7 @@ func resliceF32(s []float32, n int) []float32 {
 func (bn *BatchNorm2D) release() {
 	drop(&bn.out)
 	drop(&bn.dx)
-	tensor.PutScratch(bn.xhat)
-	bn.xhat = nil
-	bn.x, bn.in, bn.dout = nil, nil, nil
+	bn.x = nil
 }
 
 // Params implements Layer.

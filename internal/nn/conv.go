@@ -22,8 +22,8 @@ type Conv2D struct {
 	useBias                   bool
 	dims                      tensor.ConvDims
 	haveDims                  bool
-	x                         *tensor.Tensor // cached input for backward
-	out, dx                   *tensor.Tensor // reused activation/gradient buffers
+	x                         *tensor.Tensor // the input, kept in training mode for Backward
+	out, dx                   *tensor.Tensor // output and input gradient (tensor.Reuse)
 
 	// taps[r], r = (ch·K+ky)·K+kx, is where lowered row r starts in the
 	// buffer its views are read from: ch·Hp·Wp + ky·Wp + kx in the
@@ -110,6 +110,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.out = tensor.Reuse(c.out, n, c.OutC, c.dims.OutH, c.dims.OutW)
 	c.x = x
 	tensor.Parallel(n, c.fwd)
+	if !train {
+		c.x = nil
+	}
 	return c.out
 }
 
@@ -193,7 +196,7 @@ func (c *Conv2D) addBias(oi []float32, cols int) {
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	x := c.x
 	if x == nil {
-		panic("nn: Conv2D.Backward before Forward")
+		panic("nn: Conv2D.Backward before training-mode Forward")
 	}
 	n, d := x.Dim(0), c.dims
 	c.dx = tensor.Reuse(c.dx, n, c.InC, d.H, d.W)
@@ -209,6 +212,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 	c.shards = c.shards[:ns]
 	tensor.Parallel(ns, c.bwd)
+	c.dout = nil
 	for i := range c.shards {
 		sh := &c.shards[i]
 		tensor.VecAdd(c.weight.G.Data, sh.dw)

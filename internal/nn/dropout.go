@@ -16,7 +16,7 @@ type Dropout struct {
 	mask []bool
 	n    int64
 
-	out, dx *tensor.Tensor // reused activation/gradient buffers
+	out, dx *tensor.Tensor // output and input gradient (tensor.Reuse)
 }
 
 // NewDropout constructs a dropout layer with its own seeded source; each

@@ -16,8 +16,8 @@ type Linear struct {
 	In, Out int
 	weight  *Param
 	bias    *Param
-	x       *tensor.Tensor
-	out, dx *tensor.Tensor // reused activation/gradient buffers
+	x       *tensor.Tensor // the input, kept in training mode for Backward
+	out, dx *tensor.Tensor // output and input gradient (tensor.Reuse)
 }
 
 // NewLinear constructs a fully connected layer with He-normal weights and
@@ -42,14 +42,17 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for i := 0; i < n; i++ {
 		tensor.VecAdd(out.Data[i*l.Out:(i+1)*l.Out], l.bias.W.Data)
 	}
-	l.x = x
+	l.x = nil
+	if train {
+		l.x = x
+	}
 	return out
 }
 
 // Backward implements Layer.
 func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if l.x == nil {
-		panic("nn: Linear.Backward before Forward")
+		panic("nn: Linear.Backward before training-mode Forward")
 	}
 	// dW += doutᵀ·x ; db += column sums of dout ; dx = dout·W
 	dw := tensor.GetScratch(l.Out * l.In)

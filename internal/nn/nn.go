@@ -41,11 +41,21 @@ func (p *Param) resize(shape ...int) {
 
 // Layer is a differentiable network module.
 //
-// Buffer ownership: layers reuse their output and input-gradient buffers
-// across calls, so a tensor returned by Forward (Backward) is only valid
-// until the same layer's next Forward (Backward) or until the model is
-// released (Release). Callers that need a result to survive a later pass
-// must Clone it.
+// Buffer ownership. In a training pass a layer keeps only what its
+// Backward reads — Conv2D and Linear their input, BatchNorm2D its input
+// and batch statistics, ReLU its output (it runs in place) — and
+// everything else is transient. A layer takes its output and its input
+// gradient with tensor.Reuse, or returns its input's own array (ReLU,
+// Flatten, an evaluation-mode Dropout); a composite returns one of its
+// layers' arrays, never a view of one. The container a tensor is returned
+// to (Sequential, BasicBlock) hands its array back with tensor.Recycle as
+// soon as the next layer has read it: every input gradient, and in
+// evaluation mode every activation. The tensor a composite returns is the
+// exception: it stays valid until that composite's next Forward
+// (Backward) or until the model is released (Release), so a caller may
+// run a second module on it (SPATL's predictor trains on its frozen
+// encoder's output). Callers that need a result to survive a later pass
+// must Clone it, and a Forward may overwrite its input.
 type Layer interface {
 	// Forward runs the layer on a batch. train selects training-mode
 	// behaviour (batch statistics, dropout); layers cache whatever they
@@ -82,20 +92,44 @@ func (s *Sequential) Append(layers ...Layer) {
 	s.Layers = append(s.Layers, layers...)
 }
 
-// Forward implements Layer.
+// Forward implements Layer. In evaluation mode each layer's output goes
+// back to the scratch pool once the next layer has read it, so the chain
+// holds a couple of activations at once; a training pass keeps them for
+// Backward.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	var made *tensor.Tensor // the array x lies in, when a layer of s made it
 	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+		y := l.Forward(x, train)
+		if !sameArray(x, y) {
+			if !train {
+				tensor.Recycle(made)
+			}
+			made = y
+		}
+		x = y
 	}
 	return x
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Each input gradient goes back to the scratch
+// pool once the layer below has read it.
 func (s *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	var made *tensor.Tensor // the array dout lies in, when a layer of s made it
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dout = s.Layers[i].Backward(dout)
+		dx := s.Layers[i].Backward(dout)
+		if !sameArray(dout, dx) {
+			tensor.Recycle(made)
+			made = dx
+		}
+		dout = dx
 	}
 	return dout
+}
+
+// sameArray reports whether a and b lie in one array: a layer that ran in
+// place or returned a view of its input.
+func sameArray(a, b *tensor.Tensor) bool {
+	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
 // Params implements Layer; parameter names are prefixed with the
@@ -193,13 +227,14 @@ func Rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // releaser is a layer that holds buffers between passes.
 type releaser interface{ release() }
 
-// Release ends a pass: l and its descendants return every buffer they hold
-// between passes — activations, gradients, BatchNorm's normalized input —
-// to the scratch pool and drop the inputs they cached for Backward. What
-// stays is what a model is: parameters, running statistics and the
-// geometry FLOPs reports. The next Forward draws zero-filled buffers, so a
-// pass after a release computes exactly what it would have computed
-// without one.
+// Release ends a pass: l and its descendants return every array they
+// still hold — the activations a training pass kept, the tensor a
+// composite returned, gradients no container consumed — to the scratch
+// pool and drop the inputs they kept for Backward. What stays is what a
+// model is: parameters, running statistics and the geometry FLOPs
+// reports. The next Forward draws pooled arrays, which every layer
+// overwrites in full, so a pass after a release computes exactly what it
+// would have computed without one.
 func Release(l Layer) {
 	Walk(l, func(l Layer) {
 		if r, ok := l.(releaser); ok {

@@ -24,17 +24,18 @@ type SGD struct {
 	lr          float64
 	Momentum    float64
 	WeightDecay float64
-	velocity    []*tensor.Tensor
+	// velocity holds every parameter's momentum end to end, in params
+	// order, in one array from the scratch pool (nil without momentum).
+	velocity []float32
 }
 
-// NewSGD constructs an SGD optimizer over params.
+// NewSGD constructs an SGD optimizer over params. Its momentum buffers are
+// drawn from the scratch pool, zeroed; Release hands them back.
 func NewSGD(params []*Param, lr, momentum, weightDecay float64) *SGD {
 	s := &SGD{params: params, lr: lr, Momentum: momentum, WeightDecay: weightDecay}
 	if momentum != 0 {
-		s.velocity = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.New(p.W.Shape()...)
-		}
+		s.velocity = tensor.GetScratch(ParamCount(params))
+		clear(s.velocity)
 	}
 	return s
 }
@@ -46,12 +47,15 @@ func (s *SGD) Step() {
 	lr := float32(s.lr)
 	wd := float32(s.WeightDecay)
 	mu := float32(s.Momentum)
-	for i, p := range s.params {
+	off := 0
+	for _, p := range s.params {
 		if s.velocity == nil {
 			tensor.VecSGDStep(p.W.Data, p.G.Data, lr, wd)
-		} else {
-			tensor.VecSGDMomStep(p.W.Data, s.velocity[i].Data, p.G.Data, lr, wd, mu)
+			continue
 		}
+		n := p.W.Len()
+		tensor.VecSGDMomStep(p.W.Data, s.velocity[off:off+n], p.G.Data, lr, wd, mu)
+		off += n
 	}
 }
 
@@ -63,38 +67,23 @@ func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
 // ResetState zeroes the momentum buffers; federated algorithms call this
 // when a fresh global model is installed at the start of a round.
-func (s *SGD) ResetState() {
-	for _, v := range s.velocity {
-		v.Zero()
-	}
-}
+func (s *SGD) ResetState() { clear(s.velocity) }
 
-// Velocity returns the flattened momentum buffers (nil when momentum is
-// disabled). FedNova ships these so the server can aggregate and
-// redistribute momentum state.
-func (s *SGD) Velocity() []float32 {
-	if s.velocity == nil {
-		return nil
-	}
-	n := 0
-	for _, v := range s.velocity {
-		n += v.Len()
-	}
-	out := make([]float32, 0, n)
-	for _, v := range s.velocity {
-		out = append(out, v.Data...)
-	}
-	return out
-}
+// Velocity returns the momentum buffers, every parameter's end to end
+// (nil when momentum is disabled). The slice is the optimizer's own,
+// valid until Release: a caller that keeps it copies it (FedNova ships
+// it so the server can aggregate and redistribute momentum state).
+func (s *SGD) Velocity() []float32 { return s.velocity }
 
 // SetVelocity installs flattened momentum buffers previously produced by
 // Velocity.
-func (s *SGD) SetVelocity(flat []float32) {
-	off := 0
-	for _, v := range s.velocity {
-		copy(v.Data, flat[off:off+v.Len()])
-		off += v.Len()
-	}
+func (s *SGD) SetVelocity(flat []float32) { copy(s.velocity, flat) }
+
+// Release hands the momentum buffers back to the scratch pool; the
+// optimizer must not step afterwards.
+func (s *SGD) Release() {
+	tensor.PutScratch(s.velocity)
+	s.velocity = nil
 }
 
 // Adam implements the Adam optimizer (Kingma & Ba); the paper uses it to

@@ -14,7 +14,7 @@ type MaxPool2D struct {
 	argmax  []int32
 	inShape []int
 	n       int64
-	out, dx *tensor.Tensor // reused activation/gradient buffers
+	out, dx *tensor.Tensor // output and input gradient (tensor.Reuse)
 }
 
 // NewMaxPool2D constructs a KxK non-overlapping max pool.
@@ -100,7 +100,7 @@ type GlobalAvgPool struct {
 	name    string
 	inShape []int
 	n       int64
-	out, dx *tensor.Tensor // reused activation/gradient buffers
+	out, dx *tensor.Tensor // output and input gradient (tensor.Reuse)
 }
 
 // NewGlobalAvgPool constructs a global average pooling layer.

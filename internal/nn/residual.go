@@ -24,11 +24,8 @@ type BasicBlock struct {
 	scConv *Conv2D      // nil for identity shortcut
 	scBN   *BatchNorm2D // nil for identity shortcut
 
-	// Backward caches.
-	sum    *tensor.Tensor // pre-activation sum for final ReLU backward
-	inSame bool
-
-	out, dsum *tensor.Tensor // reused activation/gradient buffers
+	out  *tensor.Tensor // the training-mode output, the final ReLU's gate
+	dsum *tensor.Tensor // the gradient at the sum (tensor.Reuse)
 }
 
 // NewBasicBlock constructs a basic residual block mapping inC channels to
@@ -54,63 +51,88 @@ func NewBasicBlockInternal(name string, inC, midC, outC, stride int, rng *rand.R
 	return b
 }
 
-// Forward implements Layer.
+// Forward implements Layer. The sum and the final ReLU run in place in
+// bn2's output, which the block returns. In evaluation mode each
+// intermediate goes back to the scratch pool as soon as the next layer has
+// read it; in training mode the layers keep what their Backward reads, and
+// only the projection shortcut's output, read by nothing once added, goes
+// back.
 func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	main := b.conv1.Forward(x, train)
-	main = b.bn1.Forward(main, train)
+	main = forwardConsuming(b.bn1, main, train)
 	main = b.relu1.Forward(main, train)
-	main = b.conv2.Forward(main, train)
-	main = b.bn2.Forward(main, train)
-
-	var short *tensor.Tensor
+	main = forwardConsuming(b.conv2, main, train)
+	main = forwardConsuming(b.bn2, main, train)
 	if b.scConv != nil {
-		short = b.scConv.Forward(x, train)
-		short = b.scBN.Forward(short, train)
+		short := forwardConsuming(b.scBN, b.scConv.Forward(x, train), train)
+		main.AddInPlace(short)
+		tensor.Recycle(short)
 	} else {
-		short = x
+		main.AddInPlace(x)
 	}
-	main.AddInPlace(short)
+	tensor.VecReLU(main.Data, main.Data)
+	b.out = nil
 	if train {
-		b.sum = main
+		b.out = main
 	}
-	out := tensor.Reuse(b.out, main.Shape()...)
-	b.out = out
-	tensor.VecReLU(out.Data, main.Data)
-	return out
+	return main
 }
 
-// Backward implements Layer.
+// forwardConsuming runs l on x, an array the caller's own layer made, and
+// in evaluation mode hands x's array back to the scratch pool once l has
+// read it into an array of its own.
+func forwardConsuming(l Layer, x *tensor.Tensor, train bool) *tensor.Tensor {
+	y := l.Forward(x, train)
+	if !train && !sameArray(x, y) {
+		tensor.Recycle(x)
+	}
+	return y
+}
+
+// backwardConsuming runs l's Backward on dout, an input gradient the
+// caller's own layer drew, and hands dout's array back once l has read it.
+func backwardConsuming(l Layer, dout *tensor.Tensor) *tensor.Tensor {
+	dx := l.Backward(dout)
+	if !sameArray(dout, dx) {
+		tensor.Recycle(dout)
+	}
+	return dx
+}
+
+// Backward implements Layer. Every gradient but the one it returns (conv1's
+// input gradient, with the shortcut's added) goes back to the scratch pool
+// once consumed.
 func (b *BasicBlock) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if b.sum == nil {
+	if b.out == nil {
 		panic("nn: BasicBlock.Backward before training-mode Forward")
 	}
-	// Final ReLU.
-	dsum := tensor.Reuse(b.dsum, dout.Shape()...)
-	b.dsum = dsum
-	tensor.VecReLUBwd(dsum.Data, dout.Data, b.sum.Data)
+	// Final ReLU, gated on its output.
+	b.dsum = tensor.Reuse(b.dsum, dout.Shape()...)
+	dsum := b.dsum
+	tensor.VecReLUBwd(dsum.Data, dout.Data, b.out.Data)
 	// Main path.
 	d := b.bn2.Backward(dsum)
-	d = b.conv2.Backward(d)
-	d = b.relu1.Backward(d)
-	d = b.bn1.Backward(d)
-	dx := b.conv1.Backward(d)
+	d = backwardConsuming(b.conv2, d)
+	d = backwardConsuming(b.relu1, d)
+	d = backwardConsuming(b.bn1, d)
+	dx := backwardConsuming(b.conv1, d)
 	// Shortcut path.
 	if b.scConv != nil {
-		ds := b.scBN.Backward(dsum)
-		ds = b.scConv.Backward(ds)
+		ds := backwardConsuming(b.scConv, b.scBN.Backward(dsum))
 		dx.AddInPlace(ds)
+		tensor.Recycle(ds)
 	} else {
 		dx.AddInPlace(dsum)
 	}
+	tensor.Recycle(dsum)
 	return dx
 }
 
 // release drops the block's own buffers; nn.Release reaches the sublayers
 // through Walk.
 func (b *BasicBlock) release() {
-	drop(&b.out)
 	drop(&b.dsum)
-	b.sum = nil
+	b.out = nil
 }
 
 // Params implements Layer.

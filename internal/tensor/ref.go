@@ -153,7 +153,8 @@ func RefVecF64ToF32(dst []float32, src []float64) {
 	}
 }
 
-// RefVecBNTrain computes the training BatchNorm normalize+affine strip.
+// RefVecBNTrain computes the training BatchNorm normalize+affine strip
+// and the normalized input its Backward reads.
 func RefVecBNTrain(out, xhat, x []float32, mean, inv, g, b float64) {
 	for i, v := range x[:len(out)] {
 		xh := (float64(v) - mean) * inv

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Scratch buffers serve the transient slices the training hot path needs
@@ -15,11 +16,12 @@ import (
 // by the caller until PutScratch; it must not be retained, aliased, or
 // returned to user code afterwards. Scratch may be held across function
 // calls within one logical operation (e.g. for the duration of a
-// convolution backward pass). Layer buffers (Reuse) are drawn from the
-// same pools, zero-filled, and owned by their layer from its first
-// Forward until the model is released, when they come back here.
-// GetScratch contents are unspecified; callers that accumulate must zero
-// first.
+// convolution backward pass). Layer arrays (Reuse, Recycle) are drawn
+// from the same pools with the same unspecified contents: an activation a
+// training pass keeps is its layer's until the model is released, a
+// gradient or an evaluation activation until the container that received
+// it has passed it on. GetScratch contents are unspecified; callers that
+// accumulate must zero first.
 
 // scratchMinBits is the smallest pooled size class (64 floats); tinier
 // requests are allocated directly, they are too cheap to track.
@@ -29,6 +31,30 @@ const scratchMinBits = 6
 // every buffer in class c has cap ≥ 2^c. GetScratch(n) draws from class
 // ceil(log2(n)), guaranteeing cap ≥ n for any hit.
 var scratchPools [32]sync.Pool
+
+// scratchOut is the bytes of pooled size-class arrays GetScratch has
+// handed out and PutScratch has not taken back (process-wide), and
+// scratchPeak its high-water mark since the last ResetScratchPeak. A
+// memory gate reads them: what a pass holds and draws at once is the
+// peak over it, a count that timing and the garbage collector cannot
+// move.
+var scratchOut, scratchPeak atomic.Int64
+
+// trackScratch adds d bytes to scratchOut and raises the peak.
+func trackScratch(d int64) {
+	v := scratchOut.Add(d)
+	for p := scratchPeak.Load(); v > p && !scratchPeak.CompareAndSwap(p, v); p = scratchPeak.Load() {
+	}
+}
+
+// ScratchBytes returns the bytes of pooled arrays out of the scratch pool
+// now and at most since the last ResetScratchPeak. Both count every
+// goroutine's buffers; PutScratch of an array the pool never handed out
+// lowers them, so read differences across a span of one's own work.
+func ScratchBytes() (out, peak int64) { return scratchOut.Load(), scratchPeak.Load() }
+
+// ResetScratchPeak starts a new high-water mark at the bytes out now.
+func ResetScratchPeak() { scratchPeak.Store(scratchOut.Load()) }
 
 // headerPool recycles the slice headers threaded through scratchPools so
 // that a steady-state Get/Put cycle allocates nothing at all.
@@ -48,13 +74,16 @@ func GetScratch(n int) []float32 {
 	if c >= len(scratchPools) {
 		return make([]float32, n)
 	}
+	var s []float32
 	if h, _ := scratchPools[c].Get().(*[]float32); h != nil {
-		s := (*h)[:n]
+		s = (*h)[:n]
 		*h = nil
 		headerPool.Put(h)
-		return s
+	} else {
+		s = make([]float32, n, 1<<c)
 	}
-	return make([]float32, n, 1<<c)
+	trackScratch(4 * int64(cap(s)))
+	return s
 }
 
 // PutScratch returns a buffer obtained from GetScratch (or any float32
@@ -69,6 +98,7 @@ func PutScratch(s []float32) {
 	if c >= len(scratchPools) {
 		return
 	}
+	trackScratch(-4 * int64(cp))
 	h := headerPool.Get().(*[]float32)
 	*h = s[:cp]
 	scratchPools[c].Put(h)

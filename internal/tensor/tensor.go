@@ -42,17 +42,17 @@ func elements(shape []int) int {
 	return n
 }
 
-// Reuse returns t when it already has exactly the given shape — contents
-// preserved, NOT zeroed. On any other shape it returns t reshaped in place
-// and zero-filled: re-sliced when its backing array is large enough,
-// otherwise over an array drawn from the scratch pool, the old one going
-// back to the pool. A nil t gets a new header over a pooled array. Layers
-// use it to recycle activation/gradient buffers across training steps, so
-// t's array must be the caller's outright (a previous Reuse result);
-// callers must fully overwrite (or explicitly zero) the returned data,
-// and must not hand the buffer to code that outlives the next call.
+// Reuse returns t with the given shape over an array whose contents are
+// unspecified: t's own array when it has one large enough (re-sliced, the
+// header reshaped in place), else one drawn from the scratch pool, an
+// array too small going back to the pool. A nil t gets a new header. This
+// is how a layer takes its output and input-gradient arrays: the array is
+// the layer's until it, or the container the tensor was returned to,
+// hands it back with Recycle (or Release ends the pass), so t's array must
+// be the caller's outright, and the caller must fully overwrite (or
+// explicitly zero) what it reads back.
 func Reuse(t *Tensor, shape ...int) *Tensor {
-	if t != nil && slices.Equal(t.shape, shape) {
+	if t != nil && t.Data != nil && slices.Equal(t.shape, shape) {
 		return t
 	}
 	n := elements(shape)
@@ -65,9 +65,19 @@ func Reuse(t *Tensor, shape ...int) *Tensor {
 		PutScratch(t.Data)
 		t.Data = GetScratch(n)
 	}
-	clear(t.Data)
 	t.shape = append(t.shape[:0], shape...)
 	return t
+}
+
+// Recycle returns t's array to the scratch pool and leaves t without one,
+// so t's next Reuse draws a pooled array; a nil t or one without an array
+// is left alone. The array must be t's outright (Reuse's), and nothing may
+// read it afterwards.
+func Recycle(t *Tensor) {
+	if t != nil && t.Data != nil {
+		PutScratch(t.Data)
+		t.Data = nil
+	}
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used

@@ -268,20 +268,35 @@ func VecF64ToF32(dst []float32, src []float64) {
 // VecBNTrain applies the training-mode BatchNorm normalize+affine to one
 // contiguous channel strip, in float64 exactly as the scalar loop:
 //
-//	xh = (float64(x) - mean) * inv ; xhat = float32(xh)
-//	out = float32(g*xh + b)
-func VecBNTrain(out, xhat, x []float32, mean, inv, g, b float64) {
-	xhat = xhat[:len(out)]
+//	xh = (float64(x) - mean) * inv ; out = float32(g*xh + b)
+//
+// The normalized input itself is not kept: Backward recomputes it with
+// VecBNXhat, which forms the same xh.
+func VecBNTrain(out, x []float32, mean, inv, g, b float64) {
 	x = x[:len(out)]
 	if useAVX2 && len(out) >= 8 {
 		n := len(out) &^ 3
-		vecBNTrainAsm(&out[0], &xhat[0], &x[0], n, mean, inv, g, b)
-		out, xhat, x = out[n:], xhat[n:], x[n:]
+		vecBNTrainAsm(&out[0], &x[0], n, mean, inv, g, b)
+		out, x = out[n:], x[n:]
 	}
 	for i, v := range x {
 		xh := (float64(v) - mean) * inv
-		xhat[i] = float32(xh)
 		out[i] = float32(g*xh + b)
+	}
+}
+
+// VecBNXhat writes one channel strip's normalized input,
+// xhat = float32((float64(x) - mean) * inv): the xh VecBNTrain forms,
+// rounded once.
+func VecBNXhat(xhat, x []float32, mean, inv float64) {
+	x = x[:len(xhat)]
+	if useAVX2 && len(xhat) >= 8 {
+		n := len(xhat) &^ 3
+		vecBNXhatAsm(&xhat[0], &x[0], n, mean, inv)
+		xhat, x = xhat[n:], x[n:]
+	}
+	for i, v := range x {
+		xhat[i] = float32((float64(v) - mean) * inv)
 	}
 }
 

@@ -57,7 +57,10 @@ func vecAccumScaledLEAsm(acc *float64, src *byte, n int, w float64)
 func vecF64ToF32Asm(dst *float32, src *float64, n int)
 
 //go:noescape
-func vecBNTrainAsm(out, xhat, x *float32, n int, mean, inv, gv, b float64)
+func vecBNTrainAsm(out, x *float32, n int, mean, inv, gv, b float64)
+
+//go:noescape
+func vecBNXhatAsm(xhat, x *float32, n int, mean, inv float64)
 
 //go:noescape
 func vecBNEvalAsm(out, x *float32, n int, mean, inv, gv, b float64)

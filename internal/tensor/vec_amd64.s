@@ -316,33 +316,51 @@ cvtloop:
 	VZEROUPPER
 	RET
 
-// func vecBNTrainAsm(out, xhat, x *float32, n int, mean, inv, gv, b float64)
-// xh = (float64(x)-mean)*inv; xhat = float32(xh); out = float32(g*xh + b)
-TEXT ·vecBNTrainAsm(SB), NOSPLIT, $0-64
+// func vecBNTrainAsm(out, x *float32, n int, mean, inv, gv, b float64)
+// xh = (float64(x)-mean)*inv; out = float32(g*xh + b)
+TEXT ·vecBNTrainAsm(SB), NOSPLIT, $0-56
 	MOVQ	out+0(FP), DI
-	MOVQ	xhat+8(FP), R8
-	MOVQ	x+16(FP), SI
-	MOVQ	n+24(FP), CX
-	VBROADCASTSD	mean+32(FP), Y0
-	VBROADCASTSD	inv+40(FP), Y1
-	VBROADCASTSD	gv+48(FP), Y2
-	VBROADCASTSD	b+56(FP), Y3
+	MOVQ	x+8(FP), SI
+	MOVQ	n+16(FP), CX
+	VBROADCASTSD	mean+24(FP), Y0
+	VBROADCASTSD	inv+32(FP), Y1
+	VBROADCASTSD	gv+40(FP), Y2
+	VBROADCASTSD	b+48(FP), Y3
 
 bntloop:
 	VCVTPS2PD	(SI), Y4        // x
 	VSUBPD	Y0, Y4, Y4          // x - mean
 	VMULPD	Y1, Y4, Y4          // xh = (x-mean)*inv
-	VCVTPD2PSY	Y4, X5
-	VMOVUPS	X5, (R8)            // xhat = float32(xh)
 	VMULPD	Y4, Y2, Y6          // g*xh
 	VADDPD	Y3, Y6, Y6          // g*xh + b
 	VCVTPD2PSY	Y6, X7
 	VMOVUPS	X7, (DI)
 	ADDQ	$16, SI
 	ADDQ	$16, DI
-	ADDQ	$16, R8
 	SUBQ	$4, CX
 	JNZ	bntloop
+	VZEROUPPER
+	RET
+
+// func vecBNXhatAsm(xhat, x *float32, n int, mean, inv float64)
+// xhat = float32((float64(x)-mean)*inv)
+TEXT ·vecBNXhatAsm(SB), NOSPLIT, $0-40
+	MOVQ	xhat+0(FP), DI
+	MOVQ	x+8(FP), SI
+	MOVQ	n+16(FP), CX
+	VBROADCASTSD	mean+24(FP), Y0
+	VBROADCASTSD	inv+32(FP), Y1
+
+bnxloop:
+	VCVTPS2PD	(SI), Y4        // x
+	VSUBPD	Y0, Y4, Y4          // x - mean
+	VMULPD	Y1, Y4, Y4          // (x-mean)*inv
+	VCVTPD2PSY	Y4, X5
+	VMOVUPS	X5, (DI)
+	ADDQ	$16, SI
+	ADDQ	$16, DI
+	SUBQ	$4, CX
+	JNZ	bnxloop
 	VZEROUPPER
 	RET
 

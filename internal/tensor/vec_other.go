@@ -27,9 +27,10 @@ func vecAccumScaledLEAsm(acc *float64, src *byte, n int, w float64) {
 	panic("tensor: no vector kernel")
 }
 func vecF64ToF32Asm(dst *float32, src *float64, n int) { panic("tensor: no vector kernel") }
-func vecBNTrainAsm(out, xhat, x *float32, n int, mean, inv, gv, b float64) {
+func vecBNTrainAsm(out, x *float32, n int, mean, inv, gv, b float64) {
 	panic("tensor: no vector kernel")
 }
+func vecBNXhatAsm(xhat, x *float32, n int, mean, inv float64) { panic("tensor: no vector kernel") }
 func vecBNEvalAsm(out, x *float32, n int, mean, inv, gv, b float64) {
 	panic("tensor: no vector kernel")
 }

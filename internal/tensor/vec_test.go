@@ -188,7 +188,8 @@ func TestVecKernelsMatchRef(t *testing.T) {
 			g, b := rng.NormFloat64(), rng.NormFloat64()
 			gotO, wantO := make([]float32, n), make([]float32, n)
 			gotH, wantH := make([]float32, n), make([]float32, n)
-			VecBNTrain(gotO, gotH, x, mean, inv, g, b)
+			VecBNTrain(gotO, x, mean, inv, g, b)
+			VecBNXhat(gotH, x, mean, inv)
 			RefVecBNTrain(wantO, wantH, x, mean, inv, g, b)
 			eqBitsF32(t, "VecBNTrain.out", n, gotO, wantO)
 			eqBitsF32(t, "VecBNTrain.xhat", n, gotH, wantH)
@@ -209,6 +210,42 @@ func TestVecKernelsMatchRef(t *testing.T) {
 			RefVecBNBwd(want, y, x, scale, cnt, dbeta, dgamma)
 			eqBitsF32(t, "VecBNBwd", n, got, want)
 		}
+	}
+}
+
+// TestReLUGateOnOutputMatchesInput: ReLU runs in place and its Backward
+// gates on the output, which is sound because out > 0 exactly where
+// x > 0. Over +0, −0, NaN, ±subnormals, ±Inf and mixed-sign vectors, at
+// every length 0…67 (below vecMinLen the scalar loop, above it the AVX2
+// body and its scalar tail), VecReLUBwd gated on VecReLU(x), computed in
+// place, equals it gated on x, bit for bit, and both equal the reference.
+func TestReLUGateOnOutputMatchesInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	edges := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(-math.NaN()),
+		math.Float32frombits(1), math.Float32frombits(0x80000001), // ±smallest subnormal
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff), // ±largest subnormal
+		float32(math.Inf(1)), float32(math.Inf(-1)), 1, -1,
+	}
+	for n := 0; n <= 67; n++ {
+		x, dout := make([]float32, n), make([]float32, n)
+		fillSpecial(rng, x)
+		fillSpecial(rng, dout)
+		for i := range x {
+			if i%3 == 0 {
+				x[i] = edges[rng.Intn(len(edges))]
+			}
+		}
+		want := make([]float32, n)
+		RefVecReLUBwd(want, dout, x)
+		onInput := make([]float32, n)
+		VecReLUBwd(onInput, dout, x)
+		out := cloneF32(x)
+		VecReLU(out, out)
+		onOutput := make([]float32, n)
+		VecReLUBwd(onOutput, dout, out)
+		eqBitsF32(t, "gate on input", n, onInput, want)
+		eqBitsF32(t, "gate on output", n, onOutput, want)
 	}
 }
 

@@ -13,10 +13,12 @@
 #                                allocation gates (a tensor.Reuse hit,
 #                                a resnet20 training step, a 16 → 8 → 16
 #                                batch cycle), the per-pass layer-buffer
-#                                suites (zero-filled reshapes, release
-#                                between steps bitwise, no buffer left
-#                                after a round; models and eval under
-#                                -race), the selection agent's episode
+#                                suites (reshapes within an array,
+#                                release between steps bitwise over a
+#                                NaN-filled pool, the pass memory gate,
+#                                no buffer left after a round; models
+#                                and eval under -race), the ReLU gate on
+#                                its output, the selection agent's episode
 #                                scoring (rl and prune under -race, the
 #                                bitwise extraction suites, a fine-tuning
 #                                update's allocation gate), and the
@@ -182,16 +184,17 @@ if [[ "$mode" == "--hot" ]]; then
         ./internal/tensor ./internal/nn
     hot "transposing lowering, row copies, BatchNorm lanes, client schedule" \
         go test -race -count=1 \
-        -run 'Im2ColPatchMatchesTranspose|CopyRows|BatchNormMatchesPerChannel|LongestFirst|ParallelClientsRuns|ParallelOfferSurvivesBacklog|SimRoundEqualAcrossGOMAXPROCS' \
+        -run 'Im2ColPatchMatchesTranspose|CopyRows|ReLUGateOnOutput|BatchNormMatchesPerChannel|LongestFirst|ParallelClientsRuns|ParallelOfferSurvivesBacklog|SimRoundEqualAcrossGOMAXPROCS' \
         ./internal/tensor ./internal/nn ./internal/fl
     # Counts, not times; without -race, under which sync.Pool drops Puts.
     hot "allocation gates" \
         go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|RolloutAllocationGate' \
         ./internal/tensor ./internal/models ./internal/prune
     # Layer buffers live for one pass and lanes share one pool: a released
-    # buffer changes hands between goroutines.
+    # buffer changes hands between goroutines. The pass memory gate counts
+    # the bytes a pass holds and draws at once, never a time.
     hot "per-pass layer buffers" \
-        go test -count=1 -run 'ReuseShapeChangeZeroFills|ReleaseBetweenStepsIsBitwise|SimRoundLeavesNoLayerBuffers' \
+        go test -count=1 -run 'ReuseShapeChangeKeepsArray|ReleaseBetweenStepsIsBitwise|PassMemoryGate|SimRoundLeavesNoLayerBuffers' \
         ./internal/tensor ./internal/models ./internal/fl
     hot "models and eval under -race" go test -race -count=1 ./internal/models ./internal/eval
     hot "concurrent release hammer x10" \
