@@ -54,6 +54,8 @@ type Aggregator interface {
 	// earlier round, bypassing the cursor entirely: late uploads fold at
 	// their delivery position (FedBuff semantics), even when the same
 	// client is also selected — and separately tracked — this round.
+	// As with Collect, payload may be reused as soon as CollectLate
+	// returns.
 	CollectLate(round int, client uint32, trainSize int, payload []byte)
 	// MarkAbsent tells the reducer a selected client will not deliver
 	// this round (dead connection, straggler deadline, injected drop),

@@ -83,9 +83,13 @@ func (s *ShardBuffer) Add(client uint32, trainSize int, payload []byte) {
 
 // Grow makes room for entries more uploads carrying payloadBytes between
 // them, so that many Reserve or Add calls proceed without moving the
-// buffer.
+// buffer. An empty buffer lets go of its old array before allocating the
+// new one, so the two are never live at once.
 func (s *ShardBuffer) Grow(entries, payloadBytes int) {
 	if need := len(s.buf) + entries*shardEntryHeader + payloadBytes; need > cap(s.buf) {
+		if len(s.buf) == 0 {
+			s.buf = nil
+		}
 		buf := make([]byte, len(s.buf), need)
 		copy(buf, s.buf)
 		s.buf = buf

@@ -3,7 +3,9 @@ package fl
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 
 	"spatl/internal/algo"
 	"spatl/internal/comm"
@@ -29,6 +31,11 @@ import (
 // round closes at quorum: the deterministic late fraction of sampled
 // uploads misses the round and folds into the next one (FedBuff-style),
 // journaled as late_upload events and counted in "fl.late_uploads".
+//
+// A run's memory is the relay frame of its largest on-time shard, reused
+// for every shard, round and call, and nothing that grows with the
+// stragglers: a straggler is recorded as (client, train size) and its
+// upload synthesized when it lands in the next round.
 type MassiveConfig struct {
 	Clients  int // total simulated clients
 	PerRound int // sampled per round (0 = all)
@@ -75,11 +82,83 @@ type MassiveResult struct {
 // batch, not the selection.
 const massiveSynthBatch = 1024
 
-// lateUpload is a straggler's payload carried into the next round.
-type lateUpload struct {
+// straggler is an upload that missed its round's quorum, as RunMassive
+// holds it until it lands: who sent it, with what weight. Its bytes are
+// a pure function of that round's broadcast and (round, client), so
+// they are synthesized when the upload lands, not kept until then — a
+// real server holds nothing of a straggler's payload before it arrives
+// either.
+type straggler struct {
 	client    uint32
 	trainSize int
-	payload   []byte
+}
+
+// massiveArena is what a RunMassive call writes into, drawn from a
+// package-level pool and put back on return, so neither a round nor a
+// call allocates a buffer that grows with the clients. shard is the
+// arena proper: the relay frame, sized for the largest on-time shard
+// any round has had, reused for every shard and, before a round's
+// shards, for the landing stragglers. late and lateBcast are the
+// stragglers awaiting the next round and the broadcast they trained on.
+type massiveArena struct {
+	shard     algo.ShardBuffer
+	entries   []algo.Upload
+	slots     [][]byte      // the synthesis pass's payload slots, by position
+	who       []int         // the client of each slot
+	flat      []algo.Upload // FlatCollect: the pass's on-time uploads
+	perm      []int
+	ids       []uint32
+	late      []straggler
+	lateBcast []byte
+}
+
+var massiveArenas = sync.Pool{New: func() any { return new(massiveArena) }}
+
+// permInto is rand.Perm(n) written into dst's storage: the same draws
+// in the same order, so the selection and the generator's state are
+// rand.Perm's.
+func permInto(dst []int, r *rand.Rand, n int) []int {
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := 0; i < n; i++ {
+		j := r.Intn(i + 1)
+		dst[i] = dst[j]
+		dst[j] = i
+	}
+	return dst
+}
+
+// largestOnTimeShard returns the most on-time uploads any shard of any
+// round of cfg receives. The selections and the lateness draws are
+// functions of the seed, so replaying RunMassive's selection generator
+// finds it before the first round: the arena is sized once per run.
+func largestOnTimeShard(cfg MassiveConfig, perm []int) int {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	counts := make([]int, cfg.Shards)
+	best := 0
+	for round := 0; round < cfg.Rounds; round++ {
+		perm = permInto(perm, rng, cfg.Clients)
+		clear(counts)
+		for _, ci := range perm[:cfg.PerRound] {
+			if massiveOnTime(cfg.Seed, round, ci, cfg.OnTimeFrac) {
+				counts[algo.ShardOf(ci, cfg.Clients, cfg.Shards)]++
+			}
+		}
+		best = max(best, slices.Max(counts))
+	}
+	return best
+}
+
+// synthUploads writes client who[i]'s upload of round into slots[i]: a
+// copy of that round's broadcast with one client-and-round-specific
+// float patched — a valid dense payload without any training.
+func synthUploads(slots [][]byte, who []int, bcast []byte, round, nState int) {
+	tensor.Parallel(len(slots), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ci := who[i]
+			copy(slots[i], bcast)
+			comm.PatchDensePayload(slots[i], ci%nState, float32(round+1)*(1+float32(ci%997)/997))
+		}
+	})
 }
 
 // massiveOnTime deterministically decides whether a sampled client's
@@ -134,51 +213,73 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &MassiveResult{Rounds: cfg.Rounds}
 
-	var pendingLate []lateUpload
-	var sb algo.ShardBuffer
-	var entries []algo.Upload
+	a := massiveArenas.Get().(*massiveArena)
+	defer func() {
+		a.late = a.late[:0] // the last round's stragglers never land
+		massiveArenas.Put(a)
+	}()
+	// The arena holds the run's largest on-time shard and is grown only
+	// when that exceeds every earlier run's: stragglers reserve nothing
+	// in it. Every upload is a dense payload of the whole state.
+	maxOnTime := largestOnTimeShard(cfg, a.perm)
+	sb := &a.shard
+	sb.Reset()
+	if !cfg.FlatCollect {
+		sb.Grow(maxOnTime, maxOnTime*comm.DenseLen(nState))
+	}
 	trainSize := func(ci int) int { return 50 + ci%101 }
-	batch := make([][]byte, 0, massiveSynthBatch)     // this batch's upload slots, by position
-	flat := make([]algo.Upload, 0, massiveSynthBatch) // FlatCollect: the batch's on-time uploads
-	ids := make([]uint32, 0, cfg.PerRound)
 	for round := 0; round < cfg.Rounds; round++ {
 		bcast := agg.Broadcast(round)
-		selected := rng.Perm(cfg.Clients)[:cfg.PerRound]
+		a.perm = permInto(a.perm, rng, cfg.Clients)
+		selected := a.perm[:cfg.PerRound]
 		sort.Ints(selected)
-		ids = ids[:0]
+		a.ids = a.ids[:0]
 		for _, ci := range selected {
-			ids = append(ids, uint32(ci))
+			a.ids = append(a.ids, uint32(ci))
 		}
-		agg.BeginRound(round, ids)
+		agg.BeginRound(round, a.ids)
 		tel.Emit(telemetry.RoundStart(round, len(selected), int64(len(bcast))))
 
 		// Stragglers from the previous round land first: fold them into
-		// this round before its own collect, FedBuff-style. CollectLate
-		// bypasses the streaming cursor, so a late upload never consumes
-		// the slot of a client also selected this round. Each payload is
-		// a pooled buffer held since its synthesis; the fold is its last
-		// use, so it recycles immediately.
-		for _, lu := range pendingLate {
-			lateCtr.Inc()
-			res.Late++
-			res.Folded++
-			res.UpBytes += int64(len(lu.payload))
-			tel.Emit(telemetry.LateUpload(round, int(lu.client), int64(len(lu.payload))))
-			agg.CollectLate(round, lu.client, lu.trainSize, lu.payload)
-			comm.PutBuf(lu.payload)
+		// this round before its own collect, FedBuff-style, in the order
+		// they were deferred. CollectLate bypasses the streaming cursor,
+		// so a late upload never consumes the slot of a client also
+		// selected this round. Each is synthesized as it lands, from the
+		// broadcast it trained on, into the arena: in bounded parallel
+		// passes of at most one on-time shard's worth, each pass's
+		// entries free again once CollectLate has folded them.
+		step := max(1, min(massiveSynthBatch, maxOnTime))
+		n := len(a.lateBcast)
+		for lo := 0; lo < len(a.late); lo += step {
+			landing := a.late[lo:min(lo+step, len(a.late))]
+			sb.Reset()
+			sb.Grow(len(landing), len(landing)*n)
+			a.slots, a.who = a.slots[:0], a.who[:0]
+			for _, s := range landing {
+				a.slots = append(a.slots, sb.Reserve(s.client, s.trainSize, n))
+				a.who = append(a.who, int(s.client))
+			}
+			synthUploads(a.slots, a.who, a.lateBcast, round-1, nState)
+			for i, s := range landing {
+				lateCtr.Inc()
+				res.Late++
+				res.Folded++
+				res.UpBytes += int64(n)
+				tel.Emit(telemetry.LateUpload(round, int(s.client), int64(n)))
+				agg.CollectLate(round, s.client, s.trainSize, a.slots[i])
+			}
+			clear(a.slots)
 		}
-		pendingLate = pendingLate[:0]
+		a.late = a.late[:0]
+		a.lateBcast = append(a.lateBcast[:0], bcast...) // this round's stragglers trained on it
 
 		// Shard-major collection, identical order to a sharded Sim. An
-		// upload is a copy of the broadcast with one client-and-round-
-		// specific float patched — a valid dense payload without any
-		// training — and it is synthesized where it will be read: an
-		// on-time upload directly in its reserved entry of the shard
-		// buffer (sized once per shard), a straggler's in a pooled buffer
-		// it keeps until the next round's late fold. Synthesis runs in
-		// bounded parallel batches; slots are handed out sequentially
-		// first, so entry order is selection order. FlatCollect bypasses
-		// the shard buffer: pooled buffers, one Collect each.
+		// on-time upload is synthesized where it will be read: in its
+		// reserved entry of the arena. A straggler is recorded as who
+		// and how heavy, nothing more. Synthesis runs in bounded
+		// parallel passes; slots are handed out sequentially first, so
+		// entry order is selection order. FlatCollect bypasses the shard
+		// buffer: pooled buffers, one Collect each.
 		onTime := 0
 		collected := 0
 		pos := 0
@@ -192,21 +293,14 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 				continue
 			}
 			sb.Reset()
-			if !cfg.FlatCollect {
-				sb.Grow(pos-lo, (pos-lo)*len(bcast))
-			}
 			for chunkLo := lo; chunkLo < pos; chunkLo += massiveSynthBatch {
-				chunkHi := min(chunkLo+massiveSynthBatch, pos)
-				batch = batch[:chunkHi-chunkLo]
-				flat = flat[:0]
-				for b := range batch {
-					ci := selected[chunkLo+b]
+				a.slots, a.who, a.flat = a.slots[:0], a.who[:0], a.flat[:0]
+				for _, ci := range selected[chunkLo:min(chunkLo+massiveSynthBatch, pos)] {
 					if !massiveOnTime(cfg.Seed, round, ci, cfg.OnTimeFrac) {
 						// Missed the quorum close: folds next round, so this
 						// round's cursor must not wait for it.
 						agg.MarkAbsent(round, uint32(ci))
-						batch[b] = comm.GetBuf(len(bcast))
-						pendingLate = append(pendingLate, lateUpload{client: uint32(ci), trainSize: trainSize(ci), payload: batch[b]})
+						a.late = append(a.late, straggler{client: uint32(ci), trainSize: trainSize(ci)})
 						continue
 					}
 					onTime++
@@ -214,26 +308,24 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 					if cfg.PerClientEvents {
 						tel.Emit(telemetry.ClientUpload(round, ci, int64(len(bcast)), 0))
 					}
+					var slot []byte
 					if cfg.FlatCollect {
-						batch[b] = comm.GetBuf(len(bcast))
-						flat = append(flat, algo.Upload{Client: uint32(ci), TrainSize: trainSize(ci), Payload: batch[b]})
+						slot = comm.GetBuf(len(bcast))
+						a.flat = append(a.flat, algo.Upload{Client: uint32(ci), TrainSize: trainSize(ci), Payload: slot})
 					} else {
-						batch[b] = sb.Reserve(uint32(ci), trainSize(ci), len(bcast))
+						slot = sb.Reserve(uint32(ci), trainSize(ci), len(bcast))
 					}
+					a.slots = append(a.slots, slot)
+					a.who = append(a.who, ci)
 				}
-				tensor.Parallel(len(batch), func(blo, bhi int) {
-					for b := blo; b < bhi; b++ {
-						ci := selected[chunkLo+b]
-						copy(batch[b], bcast)
-						delta := float32(round+1) * (1 + float32(ci%997)/997)
-						comm.PatchDensePayload(batch[b], ci%nState, delta)
-					}
-				})
-				for _, up := range flat {
+				synthUploads(a.slots, a.who, bcast, round, nState)
+				for _, up := range a.flat {
 					agg.Collect(round, up.Client, up.TrainSize, up.Payload)
 					comm.PutBuf(up.Payload)
 				}
-				collected += len(flat)
+				collected += len(a.flat)
+				clear(a.flat)
+				clear(a.slots)
 			}
 			if cfg.FlatCollect {
 				continue
@@ -241,9 +333,10 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 			res.RelayBytes += int64(len(sb.Payload()))
 			res.ShardPushes++
 			tel.Emit(telemetry.ShardPush(round, sh, sb.Len(), int64(len(sb.Payload()))))
-			entries, _ = algo.ShardEntries(entries[:0], sb.Payload())
-			algo.CollectAll(agg, round, entries)
-			collected += len(entries)
+			a.entries, _ = algo.ShardEntries(a.entries[:0], sb.Payload())
+			algo.CollectAll(agg, round, a.entries)
+			collected += len(a.entries)
+			clear(a.entries) // nothing but the shard buffer refers to the arena between shards
 		}
 		res.Folded += int64(collected)
 		if cfg.OnTimeFrac > 0 && cfg.OnTimeFrac < 1 {

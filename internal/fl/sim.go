@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"spatl/internal/algo"
+	"spatl/internal/comm"
 	"spatl/internal/telemetry"
 )
 
@@ -52,6 +53,14 @@ type Sim struct {
 	entries []algo.Upload
 }
 
+// lateUpload is a straggler's upload carried into the next round: a
+// trained payload, so unlike RunMassive's stragglers it cannot be
+// synthesized when it lands and is held in a pooled copy until then.
+type lateUpload struct {
+	straggler
+	payload []byte
+}
+
 // NewSim wires an aggregator and per-client trainers into a Sim,
 // installing the environment's telemetry set (if any) on every core.
 func NewSim(env *Env, agg algo.Aggregator, trainers []algo.Trainer) *Sim {
@@ -87,14 +96,17 @@ func (s *Sim) Round(round int, selected []int) {
 
 	// Stragglers from the previous round land first. CollectLate
 	// bypasses the streaming cursor — a late upload never consumes the
-	// slot of a client also selected this round.
+	// slot of a client also selected this round — and is the payload
+	// copy's last use.
 	collected := 0
 	for _, lu := range s.pending {
 		env.Meter.AddUp(len(lu.payload))
 		tel.Emit(telemetry.LateUpload(round, int(lu.client), int64(len(lu.payload))))
 		s.Agg.CollectLate(round, lu.client, lu.trainSize, lu.payload)
+		comm.PutBuf(lu.payload)
 		collected++
 	}
+	clear(s.pending)
 	s.pending = s.pending[:0]
 
 	ups := make([][]byte, len(selected))
@@ -145,10 +157,12 @@ func (s *Sim) Round(round int, selected []int) {
 				// Missed the quorum close: it folds into the NEXT round's
 				// stream, so this round's cursor must not wait for it. The
 				// payload is owned by the trainer and reused next round, so
-				// defer a copy.
+				// defer a pooled copy.
 				s.Agg.MarkAbsent(round, uint32(ci))
+				cp := comm.GetBuf(len(up))
+				copy(cp, up)
 				s.pending = append(s.pending, lateUpload{
-					client: uint32(ci), trainSize: trainSize, payload: append([]byte(nil), up...),
+					straggler: straggler{client: uint32(ci), trainSize: trainSize}, payload: cp,
 				})
 				continue
 			}

@@ -198,22 +198,25 @@ func (j *Journal) Emit(e Event) {
 	if j == nil {
 		return
 	}
+	// The encoder takes the event's address, which moves it to the heap:
+	// encode a copy made here, so that only a real journal pays.
+	ev := e
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return
 	}
 	if j.zero {
-		e.TS, e.Dur = 0, 0
-	} else if e.TS == 0 {
-		e.TS = time.Now().UnixNano()
+		ev.TS, ev.Dur = 0, 0
+	} else if ev.TS == 0 {
+		ev.TS = time.Now().UnixNano()
 	}
-	if err := j.enc.Encode(&e); err != nil {
+	if err := j.enc.Encode(&ev); err != nil {
 		j.err = err
 		return
 	}
 	j.events.Inc()
-	if e.Ev == EvRoundEnd {
+	if ev.Ev == EvRoundEnd {
 		j.err = j.bw.Flush()
 	}
 }

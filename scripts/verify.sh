@@ -12,7 +12,9 @@
 #                                concurrent one ten times), the
 #                                allocation gates (a tensor.Reuse hit,
 #                                a resnet20 training step, a 16 → 8 → 16
-#                                batch cycle), the per-pass layer-buffer
+#                                batch cycle, a journal-less Emit, the
+#                                massive sim's live heap at a
+#                                straggler-heavy quorum), the per-pass layer-buffer
 #                                suites (reshapes within an array,
 #                                release between steps bitwise over a
 #                                NaN-filled pool, the pass memory gate,
@@ -188,8 +190,8 @@ if [[ "$mode" == "--hot" ]]; then
         ./internal/tensor ./internal/nn ./internal/fl
     # Counts, not times; without -race, under which sync.Pool drops Puts.
     hot "allocation gates" \
-        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|RolloutAllocationGate' \
-        ./internal/tensor ./internal/models ./internal/prune
+        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|RolloutAllocationGate|EmitWithoutJournalAllocatesNothing|MassiveStragglerMemoryGate' \
+        ./internal/tensor ./internal/models ./internal/prune ./internal/telemetry ./internal/fl
     # Layer buffers live for one pass and lanes share one pool: a released
     # buffer changes hands between goroutines. The pass memory gate counts
     # the bytes a pass holds and draws at once, never a time.
