@@ -97,15 +97,14 @@ type straggler struct {
 // package-level pool and put back on return, so neither a round nor a
 // call allocates a buffer that grows with the clients. shard is the
 // arena proper: the relay frame, sized for the largest on-time shard
-// any round has had, reused for every shard and, before a round's
-// shards, for the landing stragglers. late and lateBcast are the
+// of any run it has served, reused for every shard and, before a
+// round's shards, for the landing stragglers. late and lateBcast are the
 // stragglers awaiting the next round and the broadcast they trained on.
 type massiveArena struct {
 	shard     algo.ShardBuffer
 	entries   []algo.Upload
-	slots     [][]byte      // the synthesis pass's payload slots, by position
-	who       []int         // the client of each slot
-	flat      []algo.Upload // FlatCollect: the pass's on-time uploads
+	slots     [][]byte // the synthesis pass's payload slots, by position
+	who       []int    // the client of each slot
 	perm      []int
 	ids       []uint32
 	late      []straggler
@@ -294,7 +293,7 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 			}
 			sb.Reset()
 			for chunkLo := lo; chunkLo < pos; chunkLo += massiveSynthBatch {
-				a.slots, a.who, a.flat = a.slots[:0], a.who[:0], a.flat[:0]
+				a.slots, a.who = a.slots[:0], a.who[:0]
 				for _, ci := range selected[chunkLo:min(chunkLo+massiveSynthBatch, pos)] {
 					if !massiveOnTime(cfg.Seed, round, ci, cfg.OnTimeFrac) {
 						// Missed the quorum close: folds next round, so this
@@ -308,23 +307,21 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 					if cfg.PerClientEvents {
 						tel.Emit(telemetry.ClientUpload(round, ci, int64(len(bcast)), 0))
 					}
-					var slot []byte
 					if cfg.FlatCollect {
-						slot = comm.GetBuf(len(bcast))
-						a.flat = append(a.flat, algo.Upload{Client: uint32(ci), TrainSize: trainSize(ci), Payload: slot})
+						a.slots = append(a.slots, comm.GetBuf(len(bcast)))
 					} else {
-						slot = sb.Reserve(uint32(ci), trainSize(ci), len(bcast))
+						a.slots = append(a.slots, sb.Reserve(uint32(ci), trainSize(ci), len(bcast)))
 					}
-					a.slots = append(a.slots, slot)
 					a.who = append(a.who, ci)
 				}
 				synthUploads(a.slots, a.who, bcast, round, nState)
-				for _, up := range a.flat {
-					agg.Collect(round, up.Client, up.TrainSize, up.Payload)
-					comm.PutBuf(up.Payload)
+				if cfg.FlatCollect {
+					for i, ci := range a.who {
+						agg.Collect(round, uint32(ci), trainSize(ci), a.slots[i])
+						comm.PutBuf(a.slots[i])
+					}
+					collected += len(a.who)
 				}
-				collected += len(a.flat)
-				clear(a.flat)
 				clear(a.slots)
 			}
 			if cfg.FlatCollect {

@@ -67,7 +67,7 @@ func TestMassiveStragglerMemoryGate(t *testing.T) {
 		}
 	}
 	arena := uint64(maxOnTime) * entry
-	const allowance = 2 << 20                  // model, aggregator, index slices, journal buffer
+	const allowance = 2 << 20 // model, aggregator, index slices, journal buffer
 	if held := uint64(late/rounds) * uint64(payload); held < 4*arena {
 		t.Fatalf("config no longer straggler-dominated: %d B of stragglers per round vs a %d B arena", held, arena)
 	}

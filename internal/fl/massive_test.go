@@ -31,11 +31,11 @@ func hashBytes(p []byte) string {
 }
 
 // TestMassiveQuorumPinned pins one sampled quorum federation, sharded
-// and flat, to the values it produced when stragglers were held as
-// payloads from the round they missed until the round they landed: the
-// final state bitwise, the counts, and every byte of the zero-time
-// journal. Synthesizing a straggler when it lands must change no fold
-// and no event.
+// and flat: the final state bitwise, the counts, and every byte of the
+// zero-time journal. The values are those of a driver that held each
+// straggler's payload from the round it missed until the round it
+// landed, so synthesizing a straggler when it lands changes no fold and
+// no event.
 func TestMassiveQuorumPinned(t *testing.T) {
 	for _, tc := range []struct {
 		flat                 bool
