@@ -72,8 +72,9 @@ func TestMassiveStragglerMemoryGate(t *testing.T) {
 		t.Fatalf("config no longer straggler-dominated: %d B of stragglers per round vs a %d B arena", held, arena)
 	}
 
-	// Two collections empty the buffer pools, so the run draws a fresh
-	// arena and the baseline holds nothing an earlier test pooled.
+	// Two collections empty the buffer pools. The baseline may hold the
+	// spare arena an earlier run left; this run takes it over, growing
+	// it by letting go of the old array first, so it does not add to it.
 	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
