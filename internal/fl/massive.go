@@ -82,32 +82,24 @@ type MassiveResult struct {
 // batch, not the selection.
 const massiveSynthBatch = 1024
 
-// straggler is an upload that missed its round's quorum, as RunMassive
-// holds it until it lands: who sent it, with what weight. Its bytes are
-// a pure function of that round's broadcast and (round, client), so
-// they are synthesized when the upload lands, not kept until then — a
-// real server holds nothing of a straggler's payload before it arrives
-// either.
-type straggler struct {
-	client    uint32
-	trainSize int
-}
-
 // massiveArena is what a RunMassive call writes into, drawn from the
 // package's spare and put back on return, so neither a round nor a call
 // allocates a buffer that grows with the clients. shard is the
 // arena proper: the relay frame, sized for the largest on-time shard
 // of any run it has served, reused for every shard and, before a
 // round's shards, for the landing stragglers. late and lateBcast are the
-// stragglers awaiting the next round and the broadcast they trained on.
+// stragglers awaiting the next round and the broadcast they trained on:
+// a straggler is recorded as who sent it and with what weight, its
+// payload nil until it lands. Its bytes are a pure function of that
+// broadcast and (round, client), so they are synthesized then, and as
+// on a real server nothing of a straggler is held before it arrives.
 type massiveArena struct {
 	shard     algo.ShardBuffer
-	entries   []algo.Upload
-	slots     [][]byte // the synthesis pass's payload slots, by position
-	who       []int    // the client of each slot
+	entries   []algo.Upload // a shard's entries, decoded for the fold
+	ups       []algo.Upload // the synthesis pass's on-time uploads
 	perm      []int
 	ids       []uint32
-	late      []straggler
+	late      []algo.Upload
 	lateBcast []byte
 }
 
@@ -176,15 +168,15 @@ func largestOnTimeShard(cfg MassiveConfig, perm []int) int {
 	return best
 }
 
-// synthUploads writes client who[i]'s upload of round into slots[i]: a
-// copy of that round's broadcast with one client-and-round-specific
-// float patched — a valid dense payload without any training.
-func synthUploads(slots [][]byte, who []int, bcast []byte, round, nState int) {
-	tensor.Parallel(len(slots), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := who[i]
-			copy(slots[i], bcast)
-			comm.PatchDensePayload(slots[i], ci%nState, float32(round+1)*(1+float32(ci%997)/997))
+// synthUploads writes each upload's payload for round: a copy of that
+// round's broadcast with one client-and-round-specific float patched —
+// a valid dense payload without any training.
+func synthUploads(ups []algo.Upload, bcast []byte, round, nState int) {
+	tensor.Parallel(len(ups), func(lo, hi int) {
+		for _, up := range ups[lo:hi] {
+			ci := int(up.Client)
+			copy(up.Payload, bcast)
+			comm.PatchDensePayload(up.Payload, ci%nState, float32(round+1)*(1+float32(ci%997)/997))
 		}
 	})
 }
@@ -279,22 +271,20 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 			landing := a.late[lo:min(lo+step, len(a.late))]
 			sb.Reset()
 			sb.Grow(len(landing), len(landing)*n)
-			a.slots, a.who = a.slots[:0], a.who[:0]
-			for _, s := range landing {
-				a.slots = append(a.slots, sb.Reserve(s.client, s.trainSize, n))
-				a.who = append(a.who, int(s.client))
+			for i, up := range landing {
+				landing[i].Payload = sb.Reserve(up.Client, up.TrainSize, n)
 			}
-			synthUploads(a.slots, a.who, a.lateBcast, round-1, nState)
-			for i, s := range landing {
+			synthUploads(landing, a.lateBcast, round-1, nState)
+			for _, up := range landing {
 				lateCtr.Inc()
 				res.Late++
 				res.Folded++
 				res.UpBytes += int64(n)
-				tel.Emit(telemetry.LateUpload(round, int(s.client), int64(n)))
-				agg.CollectLate(round, s.client, s.trainSize, a.slots[i])
+				tel.Emit(telemetry.LateUpload(round, int(up.Client), int64(n)))
+				agg.CollectLate(round, up.Client, up.TrainSize, up.Payload)
 			}
-			clear(a.slots)
 		}
+		clear(a.late)
 		a.late = a.late[:0]
 		a.lateBcast = append(a.lateBcast[:0], bcast...) // this round's stragglers trained on it
 
@@ -319,13 +309,14 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 			}
 			sb.Reset()
 			for chunkLo := lo; chunkLo < pos; chunkLo += massiveSynthBatch {
-				a.slots, a.who = a.slots[:0], a.who[:0]
+				a.ups = a.ups[:0]
 				for _, ci := range selected[chunkLo:min(chunkLo+massiveSynthBatch, pos)] {
+					up := algo.Upload{Client: uint32(ci), TrainSize: trainSize(ci)}
 					if !massiveOnTime(cfg.Seed, round, ci, cfg.OnTimeFrac) {
 						// Missed the quorum close: folds next round, so this
 						// round's cursor must not wait for it.
-						agg.MarkAbsent(round, uint32(ci))
-						a.late = append(a.late, straggler{client: uint32(ci), trainSize: trainSize(ci)})
+						agg.MarkAbsent(round, up.Client)
+						a.late = append(a.late, up)
 						continue
 					}
 					onTime++
@@ -334,21 +325,21 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 						tel.Emit(telemetry.ClientUpload(round, ci, int64(len(bcast)), 0))
 					}
 					if cfg.FlatCollect {
-						a.slots = append(a.slots, comm.GetBuf(len(bcast)))
+						up.Payload = comm.GetBuf(len(bcast))
 					} else {
-						a.slots = append(a.slots, sb.Reserve(uint32(ci), trainSize(ci), len(bcast)))
+						up.Payload = sb.Reserve(up.Client, up.TrainSize, len(bcast))
 					}
-					a.who = append(a.who, ci)
+					a.ups = append(a.ups, up)
 				}
-				synthUploads(a.slots, a.who, bcast, round, nState)
+				synthUploads(a.ups, bcast, round, nState)
 				if cfg.FlatCollect {
-					for i, ci := range a.who {
-						agg.Collect(round, uint32(ci), trainSize(ci), a.slots[i])
-						comm.PutBuf(a.slots[i])
+					for _, up := range a.ups {
+						agg.Collect(round, up.Client, up.TrainSize, up.Payload)
+						comm.PutBuf(up.Payload)
 					}
-					collected += len(a.who)
+					collected += len(a.ups)
 				}
-				clear(a.slots)
+				clear(a.ups)
 			}
 			if cfg.FlatCollect {
 				continue

@@ -48,17 +48,12 @@ type Sim struct {
 	Agg      algo.Aggregator
 	Trainers []algo.Trainer // indexed by client ID
 
-	pending []lateUpload // stragglers' payloads awaiting the next round
+	// pending holds the stragglers' uploads awaiting the next round, each
+	// payload a pooled copy: a trained upload, unlike RunMassive's, cannot
+	// be synthesized when it lands.
+	pending []algo.Upload
 	shard   algo.ShardBuffer
 	entries []algo.Upload
-}
-
-// lateUpload is a straggler's upload carried into the next round: a
-// trained payload, so unlike RunMassive's stragglers it cannot be
-// synthesized when it lands and is held in a pooled copy until then.
-type lateUpload struct {
-	straggler
-	payload []byte
 }
 
 // NewSim wires an aggregator and per-client trainers into a Sim,
@@ -100,10 +95,10 @@ func (s *Sim) Round(round int, selected []int) {
 	// copy's last use.
 	collected := 0
 	for _, lu := range s.pending {
-		env.Meter.AddUp(len(lu.payload))
-		tel.Emit(telemetry.LateUpload(round, int(lu.client), int64(len(lu.payload))))
-		s.Agg.CollectLate(round, lu.client, lu.trainSize, lu.payload)
-		comm.PutBuf(lu.payload)
+		env.Meter.AddUp(len(lu.Payload))
+		tel.Emit(telemetry.LateUpload(round, int(lu.Client), int64(len(lu.Payload))))
+		s.Agg.CollectLate(round, lu.Client, lu.TrainSize, lu.Payload)
+		comm.PutBuf(lu.Payload)
 		collected++
 	}
 	clear(s.pending)
@@ -161,9 +156,7 @@ func (s *Sim) Round(round int, selected []int) {
 				s.Agg.MarkAbsent(round, uint32(ci))
 				cp := comm.GetBuf(len(up))
 				copy(cp, up)
-				s.pending = append(s.pending, lateUpload{
-					straggler: straggler{client: uint32(ci), trainSize: trainSize}, payload: cp,
-				})
+				s.pending = append(s.pending, algo.Upload{Client: uint32(ci), TrainSize: trainSize, Payload: cp})
 				continue
 			}
 			onTime++
