@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatl/internal/telemetry"
@@ -80,7 +81,7 @@ func TestPermIntoIsPerm(t *testing.T) {
 		for rep := 0; rep < 3; rep++ {
 			want := a.Perm(n)
 			buf = permInto(buf, b, n)
-			if fmt.Sprint(buf) != fmt.Sprint(want) {
+			if !slices.Equal(buf, want) {
 				t.Fatalf("n=%d rep %d: permInto %v, rand.Perm %v", n, rep, buf, want)
 			}
 		}
