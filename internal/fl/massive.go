@@ -11,7 +11,6 @@ import (
 	"spatl/internal/comm"
 	"spatl/internal/models"
 	"spatl/internal/telemetry"
-	"spatl/internal/tensor"
 )
 
 // MassiveSim federates hundreds of thousands to a million simulated
@@ -32,9 +31,10 @@ import (
 // uploads misses the round and folds into the next one (FedBuff-style),
 // journaled as late_upload events and counted in "fl.late_uploads".
 //
-// A run's memory is the relay frame of its largest on-time shard, reused
-// for every shard, round and call, and nothing that grows with the
-// stragglers: a straggler is recorded as (client, train size) and its
+// A run's memory is one piece of a shard's relay frame, reused for
+// every piece, shard, round and call, and nothing that grows with the
+// shards or the stragglers: a shard's frame is relayed and folded piece
+// by piece, and a straggler is recorded as (client, train size) and its
 // upload synthesized when it lands in the next round.
 type MassiveConfig struct {
 	Clients  int // total simulated clients
@@ -75,28 +75,29 @@ type MassiveResult struct {
 	ShardPushes int64
 }
 
-// massiveSynthBatch is how many uploads are synthesized per parallel
-// pass. Large enough to keep the synthesis memcpy parallel; under
-// FlatCollect, where every upload is a pooled buffer recycled as soon
-// as it is folded, small enough that round memory is governed by the
-// batch, not the selection.
-const massiveSynthBatch = 1024
+// massivePieceBytes bounds one piece of a relay frame: the uploads
+// synthesized together and folded before the next piece overwrites
+// them. A piece stays in a core's private cache from its synthesis to
+// its fold, so neither the round's speed nor its spread depends on how
+// much of a shared last-level cache other processes leave the run. A
+// whole ingest_10k shard (≈ 59 MB) did not fit that way, and its rounds
+// ran up to 1.4× slower from one run to the next.
+const massivePieceBytes = 512 << 10
 
 // massiveArena is what a RunMassive call writes into, drawn from the
 // package's spare and put back on return, so neither a round nor a call
 // allocates a buffer that grows with the clients. shard is the
-// arena proper: the relay frame, sized for the largest on-time shard
-// of any run it has served, reused for every shard and, before a
-// round's shards, for the landing stragglers. late and lateBcast are the
-// stragglers awaiting the next round and the broadcast they trained on:
-// a straggler is recorded as who sent it and with what weight, its
-// payload nil until it lands. Its bytes are a pure function of that
+// arena proper: one piece of a relay frame, reused for every piece of
+// every shard and, before a round's shards, for the landing stragglers.
+// late and lateBcast are the stragglers awaiting the next round and the
+// broadcast they trained on: a straggler is recorded as who sent it and
+// with what weight, its payload nil until it lands. Its bytes are a pure function of that
 // broadcast and (round, client), so they are synthesized then, and as
 // on a real server nothing of a straggler is held before it arrives.
 type massiveArena struct {
 	shard     algo.ShardBuffer
-	entries   []algo.Upload // a shard's entries, decoded for the fold
-	ups       []algo.Upload // the synthesis pass's on-time uploads
+	entries   []algo.Upload // a piece's entries, decoded for the fold
+	ups       []algo.Upload // the piece's on-time uploads
 	perm      []int
 	ids       []uint32
 	late      []algo.Upload
@@ -106,8 +107,7 @@ type massiveArena struct {
 // massiveSpare is the package's arena pool: the arena the last
 // RunMassive call returned, kept for the next. One slot, not a
 // sync.Pool: a Pool does not show a Put made on one P to a Get on
-// another, and each such miss leaves a second arena live — at
-// ingest_10k's size 59 MB more heap, and twice the GC goal.
+// another, and each such miss would allocate the arena anew.
 var massiveSpare struct {
 	sync.Mutex
 	arena *massiveArena
@@ -147,38 +147,16 @@ func permInto(dst []int, r *rand.Rand, n int) []int {
 	return dst
 }
 
-// largestOnTimeShard returns the most on-time uploads any shard of any
-// round of cfg receives. The selections and the lateness draws are
-// functions of the seed, so replaying RunMassive's selection generator
-// finds it before the first round: the arena is sized once per run.
-func largestOnTimeShard(cfg MassiveConfig, perm []int) int {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	counts := make([]int, cfg.Shards)
-	best := 0
-	for round := 0; round < cfg.Rounds; round++ {
-		perm = permInto(perm, rng, cfg.Clients)
-		clear(counts)
-		for _, ci := range perm[:cfg.PerRound] {
-			if massiveOnTime(cfg.Seed, round, ci, cfg.OnTimeFrac) {
-				counts[algo.ShardOf(ci, cfg.Clients, cfg.Shards)]++
-			}
-		}
-		best = max(best, slices.Max(counts))
-	}
-	return best
-}
-
 // synthUploads writes each upload's payload for round: a copy of that
 // round's broadcast with one client-and-round-specific float patched —
-// a valid dense payload without any training.
+// a valid dense payload without any training. One goroutine writes a
+// whole piece, so it sits in that core's cache when the fold reads it.
 func synthUploads(ups []algo.Upload, bcast []byte, round, nState int) {
-	tensor.Parallel(len(ups), func(lo, hi int) {
-		for _, up := range ups[lo:hi] {
-			ci := int(up.Client)
-			copy(up.Payload, bcast)
-			comm.PatchDensePayload(up.Payload, ci%nState, float32(round+1)*(1+float32(ci%997)/997))
-		}
-	})
+	for _, up := range ups {
+		ci := int(up.Client)
+		copy(up.Payload, bcast)
+		comm.PatchDensePayload(up.Payload, ci%nState, float32(round+1)*(1+float32(ci%997)/997))
+	}
 }
 
 // massiveOnTime deterministically decides whether a sampled client's
@@ -235,15 +213,10 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 
 	a := takeArena()
 	defer returnArena(a)
-	// The arena holds the run's largest on-time shard and is grown only
-	// when that exceeds every earlier run's: stragglers reserve nothing
-	// in it. Every upload is a dense payload of the whole state.
-	maxOnTime := largestOnTimeShard(cfg, a.perm)
+	// Every upload is a dense payload of the whole state; the arena
+	// holds one piece of them, whatever the shard and straggler counts.
+	piece := max(1, massivePieceBytes/comm.DenseLen(nState))
 	sb := &a.shard
-	sb.Reset()
-	if !cfg.FlatCollect {
-		sb.Grow(maxOnTime, maxOnTime*comm.DenseLen(nState))
-	}
 	trainSize := func(ci int) int { return 50 + ci%101 }
 	for round := 0; round < cfg.Rounds; round++ {
 		bcast := agg.Broadcast(round)
@@ -262,13 +235,12 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 		// they were deferred. CollectLate bypasses the streaming cursor,
 		// so a late upload never consumes the slot of a client also
 		// selected this round. Each is synthesized as it lands, from the
-		// broadcast it trained on, into the arena: in bounded parallel
-		// passes of at most one on-time shard's worth, each pass's
-		// entries free again once CollectLate has folded them.
-		step := max(1, min(massiveSynthBatch, maxOnTime))
+		// broadcast it trained on, into the arena: a piece at a time,
+		// each piece's entries free again once CollectLate has folded
+		// them.
 		n := len(a.lateBcast)
-		for lo := 0; lo < len(a.late); lo += step {
-			landing := a.late[lo:min(lo+step, len(a.late))]
+		for lo := 0; lo < len(a.late); lo += piece {
+			landing := a.late[lo:min(lo+piece, len(a.late))]
 			sb.Reset()
 			sb.Grow(len(landing), len(landing)*n)
 			for i, up := range landing {
@@ -288,13 +260,17 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 		a.late = a.late[:0]
 		a.lateBcast = append(a.lateBcast[:0], bcast...) // this round's stragglers trained on it
 
-		// Shard-major collection, identical order to a sharded Sim. An
-		// on-time upload is synthesized where it will be read: in its
-		// reserved entry of the arena. A straggler is recorded as who
-		// and how heavy, nothing more. Synthesis runs in bounded
-		// parallel passes; slots are handed out sequentially first, so
-		// entry order is selection order. FlatCollect bypasses the shard
-		// buffer: pooled buffers, one Collect each.
+		// Shard-major collection, identical order to a sharded Sim. A
+		// shard's relay frame is built and folded a piece at a time: its
+		// on-time uploads are synthesized where they will be read, in
+		// their reserved entries of the arena, and the piece's entries
+		// are decoded and collected before the next piece overwrites
+		// them. The pieces concatenated are the shard's frame byte for
+		// byte, and the fold is chunk-invariant, so the result is that of
+		// one whole frame; the shard is pushed once, when its last piece
+		// is relayed. A straggler is recorded as who and how heavy,
+		// nothing more. FlatCollect bypasses the shard layer: one Collect
+		// per upload, straight from its entry.
 		onTime := 0
 		collected := 0
 		pos := 0
@@ -307,10 +283,12 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 			if pos == lo {
 				continue
 			}
-			sb.Reset()
-			for chunkLo := lo; chunkLo < pos; chunkLo += massiveSynthBatch {
+			pushed, pushedBytes := 0, 0
+			for pieceLo := lo; pieceLo < pos; pieceLo += piece {
+				sb.Reset()
+				sb.Grow(piece, piece*len(bcast))
 				a.ups = a.ups[:0]
-				for _, ci := range selected[chunkLo:min(chunkLo+massiveSynthBatch, pos)] {
+				for _, ci := range selected[pieceLo:min(pieceLo+piece, pos)] {
 					up := algo.Upload{Client: uint32(ci), TrainSize: trainSize(ci)}
 					if !massiveOnTime(cfg.Seed, round, ci, cfg.OnTimeFrac) {
 						// Missed the quorum close: folds next round, so this
@@ -324,33 +302,31 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 					if cfg.PerClientEvents {
 						tel.Emit(telemetry.ClientUpload(round, ci, int64(len(bcast)), 0))
 					}
-					if cfg.FlatCollect {
-						up.Payload = comm.GetBuf(len(bcast))
-					} else {
-						up.Payload = sb.Reserve(up.Client, up.TrainSize, len(bcast))
-					}
+					up.Payload = sb.Reserve(up.Client, up.TrainSize, len(bcast))
 					a.ups = append(a.ups, up)
 				}
 				synthUploads(a.ups, bcast, round, nState)
 				if cfg.FlatCollect {
 					for _, up := range a.ups {
 						agg.Collect(round, up.Client, up.TrainSize, up.Payload)
-						comm.PutBuf(up.Payload)
 					}
 					collected += len(a.ups)
+				} else {
+					a.entries, _ = algo.ShardEntries(a.entries[:0], sb.Payload())
+					algo.CollectAll(agg, round, a.entries)
+					collected += len(a.entries)
+					pushed += sb.Len()
+					pushedBytes += len(sb.Payload())
+					clear(a.entries)
 				}
-				clear(a.ups)
+				clear(a.ups) // nothing but the shard buffer refers to the arena between pieces
 			}
 			if cfg.FlatCollect {
 				continue
 			}
-			res.RelayBytes += int64(len(sb.Payload()))
+			res.RelayBytes += int64(pushedBytes)
 			res.ShardPushes++
-			tel.Emit(telemetry.ShardPush(round, sh, sb.Len(), int64(len(sb.Payload()))))
-			a.entries, _ = algo.ShardEntries(a.entries[:0], sb.Payload())
-			algo.CollectAll(agg, round, a.entries)
-			collected += len(a.entries)
-			clear(a.entries) // nothing but the shard buffer refers to the arena between shards
+			tel.Emit(telemetry.ShardPush(round, sh, pushed, int64(pushedBytes)))
 		}
 		res.Folded += int64(collected)
 		if cfg.OnTimeFrac > 0 && cfg.OnTimeFrac < 1 {
