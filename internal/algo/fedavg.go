@@ -13,36 +13,57 @@ import (
 // data-size-weighted model averaging over dense checkpoint payloads,
 // folded on arrival through the streaming engine — each upload adds its
 // unscaled wᵢ·xᵢ term into the float64 accumulator straight from its
-// wire bytes (see dense.go); FinishRound finalizes with ÷Σw. FedProx
-// shares it — the proximal term is purely client-side.
+// wire bytes (see dense.go); FinishRound finalizes with ÷Σw straight into
+// the global model's parameters, and Broadcast encodes straight from
+// them. FedProx shares it — the proximal term is purely client-side.
 type FedAvgAggregator struct {
 	denseIngest
 	Global *models.SplitModel
 
-	cfg    Config
-	acc    []float64 // unscaled Σ wᵢ·xᵢ, folded on arrival
+	cfg Config
+	// acc is the unscaled Σ wᵢ·xᵢ, folded on arrival. It is all zeros
+	// whenever no upload of the round has been folded: FinishRound
+	// clears it as it reads it, so a round's first fold needs no clear.
+	acc    []float64
 	sumW   float64
 	folded int
-	bcast  []byte    // reusable broadcast body
-	avgBuf []float32 // reusable aggregate, recycled across rounds
+	bcast  []byte // reusable broadcast body
+
+	// Method values bound once: FinishRound's Parallel body and the span
+	// callbacks of Broadcast and FinishRound, whose operands are fields.
+	finishRange func(lo, hi int)
+	finishSpan  func(off int, span []float32)
+	encodeSpan  func(off int, span []float32)
 }
 
 // NewFedAvgAggregator wires the aggregator around the global model.
 func NewFedAvgAggregator(global *models.SplitModel, cfg Config) *FedAvgAggregator {
 	a := &FedAvgAggregator{Global: global, cfg: cfg.WithDefaults()}
 	a.initDense(a.parseUpload, a.foldUploads)
+	a.finishRange, a.finishSpan, a.encodeSpan = a.finishStateRange, a.divideInto, a.encodeFrom
 	return a
 }
 
-// Broadcast implements Aggregator.
+// Broadcast implements Aggregator. At full precision it encodes the
+// model's parameter spans straight into the broadcast body.
 func (a *FedAvgAggregator) Broadcast(round int) []byte {
 	defer a.RoundSpan(round, "agg.broadcast").End()
 	n := a.Global.StateLen(models.ScopeAll)
-	state := a.Global.StateInto(models.ScopeAll, comm.GetF32(n))
-	a.bcast = a.cfg.encodeDenseInto(a.bcast, state)
-	comm.PutF32(state)
+	if a.cfg.HalfPrecision {
+		state := a.Global.StateInto(models.ScopeAll, comm.GetF32(n))
+		a.bcast = comm.EncodeDenseF16Into(a.bcast, state)
+		comm.PutF32(state)
+	} else {
+		a.bcast = comm.DenseHeaderInto(a.bcast, n)
+		a.Global.EachStateRange(models.ScopeAll, 0, n, a.encodeSpan)
+	}
 	a.ObserveSize("payload.down", len(a.bcast))
 	return a.bcast
+}
+
+// encodeFrom is Broadcast's span callback.
+func (a *FedAvgAggregator) encodeFrom(off int, span []float32) {
+	comm.PutDenseValues(a.bcast, off, span)
 }
 
 // parseUpload checks one upload: a single dense payload of the model's
@@ -62,9 +83,8 @@ func (a *FedAvgAggregator) parseUpload(trainSize int, payload []byte) (denseUplo
 // GOMAXPROCS.
 func (a *FedAvgAggregator) foldUploads(run []denseUpload) {
 	defer a.RoundSpan(a.curRound, "agg.fold").End()
-	if a.folded == 0 {
-		a.acc = zeroedAcc(a.acc, a.Global.StateLen(models.ScopeAll))
-		a.sumW = 0
+	if n := a.Global.StateLen(models.ScopeAll); len(a.acc) != n {
+		a.acc = make([]float64, n)
 	}
 	a.folded += len(run)
 	for i := range run {
@@ -74,30 +94,33 @@ func (a *FedAvgAggregator) foldUploads(run []denseUpload) {
 }
 
 // FinishRound implements Aggregator: drain anything still staged, then
-// finalize the accumulated Σwᵢxᵢ with a single ÷Σw per index — bitwise
-// identical to StreamFoldRefFedAvg at any GOMAXPROCS.
+// finalize the accumulated Σwᵢxᵢ with a single ÷Σw per index, written
+// into the global model and clearing the accumulator as it goes —
+// bitwise identical to StreamFoldRefFedAvg at any GOMAXPROCS.
 func (a *FedAvgAggregator) FinishRound(round int) {
 	defer a.RoundSpan(round, "agg.reduce").End()
 	a.curRound = round
 	a.FinishStream()
 	if a.folded == 0 || a.sumW == 0 {
-		a.folded = 0
-		return
+		// Zero-weight folds leave 0·x terms, NaN where x was ±Inf or NaN.
+		clear(a.acc)
+	} else {
+		tensor.Parallel(len(a.acc), a.finishRange)
 	}
-	n := len(a.acc)
-	if cap(a.avgBuf) < n {
-		a.avgBuf = make([]float32, n)
-	}
-	avg := a.avgBuf[:n]
-	tensor.Parallel(n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			avg[j] = float32(a.acc[j] / a.sumW)
-		}
-	})
-	a.avgBuf = avg
-	a.Global.SetState(models.ScopeAll, avg)
 	a.folded = 0
 	a.sumW = 0
+}
+
+// finishStateRange is FinishRound's Parallel body over state indices
+// [lo, hi).
+func (a *FedAvgAggregator) finishStateRange(lo, hi int) {
+	a.Global.EachStateRange(models.ScopeAll, lo, hi, a.finishSpan)
+}
+
+// divideInto is finishStateRange's span callback: span = f32(acc/Σw),
+// acc cleared.
+func (a *FedAvgAggregator) divideInto(off int, span []float32) {
+	tensor.VecDivF64ToF32(span, a.acc[off:off+len(span)], a.sumW, true)
 }
 
 // Final implements Aggregator.

@@ -118,9 +118,7 @@ func (a *FedNovaAggregator) FinishRound(round int) {
 	comm.PutF32(newState)
 	comm.PutF32(globalState)
 	tensor.Parallel(len(a.velocity), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			a.velocity[j] = float32(a.accV[j] / a.sumW)
-		}
+		tensor.VecDivF64ToF32(a.velocity[lo:hi], a.accV[lo:hi], a.sumW, false)
 	})
 	a.folded = 0
 	a.sumW, a.sumWTau = 0, 0

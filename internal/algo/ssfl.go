@@ -293,9 +293,7 @@ func (a *SSFLAggregator) FinishRound(round int) {
 	}
 	avg := a.avgBuf[:a.keptN]
 	tensor.Parallel(a.keptN, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			avg[j] = float32(a.acc[j] / a.sumW)
-		}
+		tensor.VecDivF64ToF32(avg[lo:hi], a.acc[lo:hi], a.sumW, false)
 	})
 	a.avgBuf = avg
 	n := a.Global.StateLen(models.ScopeEncoder)

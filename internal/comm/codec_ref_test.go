@@ -67,6 +67,27 @@ func TestDenseBulkMatchesRef(t *testing.T) {
 		if !bitwiseEqual(got, want) {
 			t.Fatalf("n=%d: bulk DecodeDense differs from reference", n)
 		}
+		// NaN payloads are bits like any other: a signalling NaN with
+		// its own payload at every 5th value survives the round trip.
+		for i := 0; i < n; i += 5 {
+			v[i] = math.Float32frombits(0xff800001 + uint32(i))
+		}
+		got, err = DecodeDense(EncodeDense(v))
+		if err != nil || !bitwiseEqual(got, v) {
+			t.Fatalf("n=%d: NaN payload bits did not survive the round trip", n)
+		}
+		// A span written at a flat offset of a larger payload (byte
+		// offset 5+4·off: never 4-aligned) lands where the reference
+		// puts it and writes nothing else.
+		for off := 0; off < 10; off++ {
+			whole := randVals(rng, off+n+3)
+			buf := EncodeDense(whole)
+			copy(whole[off:], v)
+			PutDenseValues(buf, off, v)
+			if !bytes.Equal(buf, RefEncodeDense(whole)) {
+				t.Fatalf("n=%d: span at offset %d differs from reference", n, off)
+			}
+		}
 	}
 }
 

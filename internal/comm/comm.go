@@ -11,10 +11,11 @@
 // the Meter tracks both directions so downlink can be reported too.
 //
 // The codecs come in two speeds: the scalar reference implementations in
-// ref.go define the format, and the bulk implementations here process
-// eight float32s per loop pass, packing value pairs into single 64-bit
-// little-endian words. Bulk and reference codecs are bitwise-equivalence
-// tested against each other. Every codec has an *Into variant that
+// ref.go define the format, and the bulk implementations here move
+// float32 values with an AVX2 copy on amd64 (little-endian bytes are the
+// values' memory image) and eight per loop pass elsewhere, packing value
+// pairs into single 64-bit little-endian words. Bulk and reference codecs
+// are bitwise-equivalence tested against each other. Every codec has an *Into variant that
 // reuses a caller-supplied buffer (typically from the payload pool in
 // bufpool.go), so steady-state rounds serialize with no allocation.
 package comm
@@ -38,9 +39,13 @@ const (
 // payload — useful for pre-sizing pooled buffers.
 func DenseLen(n int) int { return 1 + 4 + 4*n }
 
-// putF32Bulk stores vals little-endian into dst (len(dst) ≥ 4*len(vals)),
-// eight values per pass, two packed per 64-bit store.
+// putF32Bulk stores vals little-endian into dst (len(dst) ≥ 4*len(vals)):
+// the AVX2 copy kernel takes what it can (tensor.VecPutF32LE, a byte copy
+// on little-endian amd64), and the rest goes eight values per pass, two
+// packed per 64-bit store — all of it on other machines.
 func putF32Bulk(dst []byte, vals []float32) {
+	k := tensor.VecPutF32LE(dst, vals)
+	dst, vals = dst[4*k:], vals[k:]
 	for len(vals) >= 8 {
 		d := dst[:32]
 		binary.LittleEndian.PutUint64(d[0:8], uint64(math.Float32bits(vals[0]))|uint64(math.Float32bits(vals[1]))<<32)
@@ -55,9 +60,12 @@ func putF32Bulk(dst []byte, vals []float32) {
 	}
 }
 
-// getF32Bulk loads len(out) little-endian float32s from src, eight per
-// pass, two unpacked per 64-bit load.
+// getF32Bulk loads len(out) little-endian float32s from src: the AVX2
+// copy kernel takes what it can (tensor.VecGetF32LE), and the rest goes
+// eight per pass, two unpacked per 64-bit load.
 func getF32Bulk(out []float32, src []byte) {
+	k := tensor.VecGetF32LE(out, src)
+	out, src = out[k:], src[4*k:]
 	for len(out) >= 8 {
 		s := src[:32]
 		u0 := binary.LittleEndian.Uint64(s[0:8])
@@ -107,11 +115,25 @@ func EncodeDense(values []float32) []byte {
 // EncodeDenseInto is EncodeDense writing into dst (reused when its
 // capacity suffices, reallocated otherwise). Returns the encoded slice.
 func EncodeDenseInto(dst []byte, values []float32) []byte {
-	buf := sizeBytes(dst, DenseLen(len(values)))
-	buf[0] = magicDense
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(values)))
-	putF32Bulk(buf[5:], values)
+	buf := DenseHeaderInto(dst, len(values))
+	PutDenseValues(buf, 0, values)
 	return buf
+}
+
+// DenseHeaderInto sizes dst (reused when its capacity suffices) for an
+// n-value dense payload and writes its header. The values are written
+// with PutDenseValues, in spans, straight from where they live.
+func DenseHeaderInto(dst []byte, n int) []byte {
+	buf := sizeBytes(dst, DenseLen(n))
+	buf[0] = magicDense
+	binary.LittleEndian.PutUint32(buf[1:5], uint32(n))
+	return buf
+}
+
+// PutDenseValues writes vals as values off … off+len(vals)−1 of the dense
+// payload buf, laid out by DenseHeaderInto.
+func PutDenseValues(buf []byte, off int, vals []float32) {
+	putF32Bulk(buf[5+4*off:], vals)
 }
 
 // DecodeDense parses a payload produced by EncodeDense.

@@ -153,43 +153,55 @@ func (m *SplitModel) State(scope Scope) []float32 {
 // the capacity suffices (so round loops can snapshot state into pooled
 // buffers). Returns the filled slice.
 func (m *SplitModel) StateInto(scope Scope, dst []float32) []float32 {
-	checkScope(scope)
-	l := m.layout()
-	n := l.total[scope]
+	n := m.StateLen(scope)
 	if cap(dst) >= n {
 		dst = dst[:n]
 	} else {
 		dst = make([]float32, n)
 	}
-	off := 0
-	for _, p := range l.params[scope] {
-		off += copy(dst[off:], p.W.Data)
-	}
-	for _, bn := range l.bns[scope] {
-		off += copy(dst[off:], bn.RunMean)
-		off += copy(dst[off:], bn.RunVar)
-	}
+	m.EachStateRange(scope, 0, n, func(off int, span []float32) { copy(dst[off:], span) })
 	return dst
 }
 
 // SetState writes a flat vector produced by State back into the model.
 func (m *SplitModel) SetState(scope Scope, flat []float32) {
-	checkScope(scope)
-	l := m.layout()
-	if want := l.total[scope]; len(flat) != want {
+	if want := m.StateLen(scope); len(flat) != want {
 		panic(fmt.Sprintf("models: SetState length %d, want %d", len(flat), want))
 	}
+	m.EachStateRange(scope, 0, len(flat), func(off int, span []float32) { copy(span, flat[off:]) })
+}
+
+// EachStateRange calls fn, in State order, on each contiguous span of
+// the model's own memory that holds part of the scope's flat state
+// [lo, hi): off is the span's offset in the flat state, and fn may read
+// or write the span. Reading every span of [0, StateLen) is StateInto
+// with no copy, writing them is SetState. It allocates nothing, and
+// calls over disjoint ranges may run at once.
+func (m *SplitModel) EachStateRange(scope Scope, lo, hi int, fn func(off int, span []float32)) {
+	checkScope(scope)
+	l := m.layout()
+	if lo < 0 || lo > hi || hi > l.total[scope] {
+		panic(fmt.Sprintf("models: state range [%d, %d) of %d", lo, hi, l.total[scope]))
+	}
 	off := 0
+	visit := func(s []float32) {
+		if a, b := max(lo, off), min(hi, off+len(s)); a < b {
+			fn(a, s[a-off:b-off])
+		}
+		off += len(s)
+	}
 	for _, p := range l.params[scope] {
-		n := p.W.Len()
-		copy(p.W.Data, flat[off:off+n])
-		off += n
+		if off >= hi {
+			return
+		}
+		visit(p.W.Data)
 	}
 	for _, bn := range l.bns[scope] {
-		copy(bn.RunMean, flat[off:off+bn.C])
-		off += bn.C
-		copy(bn.RunVar, flat[off:off+bn.C])
-		off += bn.C
+		if off >= hi {
+			return
+		}
+		visit(bn.RunMean)
+		visit(bn.RunVar)
 	}
 }
 

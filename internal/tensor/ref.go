@@ -153,6 +153,13 @@ func RefVecF64ToF32(dst []float32, src []float64) {
 	}
 }
 
+// RefVecDivF64ToF32 computes dst[i] = float32(src[i] / d).
+func RefVecDivF64ToF32(dst []float32, src []float64, d float64) {
+	for i, x := range src[:len(dst)] {
+		dst[i] = float32(x / d)
+	}
+}
+
 // RefVecBNTrain computes the training BatchNorm normalize+affine strip
 // and the normalized input its Backward reads.
 func RefVecBNTrain(out, xhat, x []float32, mean, inv, g, b float64) {

@@ -265,6 +265,60 @@ func VecF64ToF32(dst []float32, src []float64) {
 	}
 }
 
+// VecDivF64ToF32 computes dst[i] = float32(src[i] / d): the finalize of
+// the float64 server reductions, ÷Σw then narrow. VDIVPD and VCVTPD2PS
+// are each IEEE-exact per lane, so the 4-wide body is bitwise the scalar
+// expression. With clearSrc every src[i] is zeroed once read, so an
+// accumulator leaves its finalize ready for the next round's fold without
+// a clear pass of its own.
+func VecDivF64ToF32(dst []float32, src []float64, d float64, clearSrc bool) {
+	src = src[:len(dst)]
+	if useAVX2 && len(dst) >= 8 {
+		n := len(dst) &^ 3
+		clr := 0
+		if clearSrc {
+			clr = 1
+		}
+		vecDivF64ToF32Asm(&dst[0], &src[0], n, d, clr)
+		dst, src = dst[n:], src[n:]
+	}
+	for i, x := range src {
+		dst[i] = float32(x / d)
+	}
+	if clearSrc {
+		clear(src)
+	}
+}
+
+// VecPutF32LE writes the longest prefix of src the AVX2 copy kernel
+// takes — a multiple of 8 values, none without AVX2 — into dst as
+// little-endian float32 bytes and returns its length; the caller encodes
+// the rest. Those bytes are the floats' memory image on amd64, so the
+// kernel is a copy, NaN payloads included. dst may start at any byte
+// offset.
+func VecPutF32LE(dst []byte, src []float32) int {
+	if !useAVX2 || len(src) < vecMinLen {
+		return 0
+	}
+	n := len(src) &^ 7
+	dst = dst[:4*n]
+	vecF32ToLEAsm(&dst[0], &src[0], n)
+	return n
+}
+
+// VecGetF32LE is VecPutF32LE's inverse: it reads the longest prefix of
+// dst the copy kernel takes from little-endian float32 bytes at src and
+// returns its length.
+func VecGetF32LE(dst []float32, src []byte) int {
+	if !useAVX2 || len(dst) < vecMinLen {
+		return 0
+	}
+	n := len(dst) &^ 7
+	src = src[:4*n]
+	vecLEToF32Asm(&dst[0], &src[0], n)
+	return n
+}
+
 // VecBNTrain applies the training-mode BatchNorm normalize+affine to one
 // contiguous channel strip, in float64 exactly as the scalar loop:
 //

@@ -57,6 +57,18 @@ func vecAccumScaledLEAsm(acc *float64, src *byte, n int, w float64)
 func vecF64ToF32Asm(dst *float32, src *float64, n int)
 
 //go:noescape
+func vecDivF64ToF32Asm(dst *float32, src *float64, n int, d float64, clr int)
+
+// vecF32ToLEAsm and vecLEToF32Asm copy n float32s between a float32
+// slice and little-endian wire bytes at any byte offset.
+//
+//go:noescape
+func vecF32ToLEAsm(dst *byte, src *float32, n int)
+
+//go:noescape
+func vecLEToF32Asm(dst *float32, src *byte, n int)
+
+//go:noescape
 func vecBNTrainAsm(out, x *float32, n int, mean, inv, gv, b float64)
 
 //go:noescape

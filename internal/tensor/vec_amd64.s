@@ -316,6 +316,92 @@ cvtloop:
 	VZEROUPPER
 	RET
 
+// func vecDivF64ToF32Asm(dst *float32, src *float64, n int, d float64, clr int)
+// dst[i] = float32(src[i] / d); src[i] = 0 after its load when clr != 0.
+// src is the first source of VDIVPD, as x is DIVSD's destination in the
+// scalar x / d, so a NaN operand propagates the same payload.
+TEXT ·vecDivF64ToF32Asm(SB), NOSPLIT, $0-40
+	MOVQ	dst+0(FP), DI
+	MOVQ	src+8(FP), SI
+	MOVQ	n+16(FP), CX
+	VBROADCASTSD	d+24(FP), Y0
+	MOVQ	clr+32(FP), AX
+	TESTQ	AX, AX
+	JNZ	divclr
+
+divloop:
+	VMOVUPD	(SI), Y1
+	VDIVPD	Y0, Y1, Y1          // src / d (IEEE-exact per lane)
+	VCVTPD2PSY	Y1, X1          // round-to-nearest-even
+	VMOVUPS	X1, (DI)
+	ADDQ	$32, SI
+	ADDQ	$16, DI
+	SUBQ	$4, CX
+	JNZ	divloop
+	VZEROUPPER
+	RET
+
+divclr:
+	VXORPD	Y2, Y2, Y2
+
+divclrloop:
+	VMOVUPD	(SI), Y1
+	VMOVUPD	Y2, (SI)            // clear the lane just read
+	VDIVPD	Y0, Y1, Y1
+	VCVTPD2PSY	Y1, X1
+	VMOVUPS	X1, (DI)
+	ADDQ	$32, SI
+	ADDQ	$16, DI
+	SUBQ	$4, CX
+	JNZ	divclrloop
+	VZEROUPPER
+	RET
+
+// func vecLEToF32Asm(dst *float32, src *byte, n int)
+// The decode direction is vecF32ToLEAsm's body, whose frame is identical.
+TEXT ·vecLEToF32Asm(SB), NOSPLIT, $0-24
+	JMP	·vecF32ToLEAsm(SB)
+
+// func vecF32ToLEAsm(dst *byte, src *float32, n int)
+// Little-endian float32 bytes are the floats' memory image on amd64, so
+// both directions of the dense codec are one copy of 4n bytes, unaligned
+// on either side: 32 floats per pass while they last, then 8.
+TEXT ·vecF32ToLEAsm(SB), NOSPLIT, $0-24
+	MOVQ	dst+0(FP), DI
+	MOVQ	src+8(FP), SI
+	MOVQ	n+16(FP), CX
+	CMPQ	CX, $32
+	JLT	cp8
+
+cp32:
+	VMOVUPS	(SI), Y0
+	VMOVUPS	32(SI), Y1
+	VMOVUPS	64(SI), Y2
+	VMOVUPS	96(SI), Y3
+	VMOVUPS	Y0, (DI)
+	VMOVUPS	Y1, 32(DI)
+	VMOVUPS	Y2, 64(DI)
+	VMOVUPS	Y3, 96(DI)
+	ADDQ	$128, SI
+	ADDQ	$128, DI
+	SUBQ	$32, CX
+	CMPQ	CX, $32
+	JGE	cp32
+	TESTQ	CX, CX
+	JZ	cpdone
+
+cp8:
+	VMOVUPS	(SI), Y0
+	VMOVUPS	Y0, (DI)
+	ADDQ	$32, SI
+	ADDQ	$32, DI
+	SUBQ	$8, CX
+	JNZ	cp8
+
+cpdone:
+	VZEROUPPER
+	RET
+
 // func vecBNTrainAsm(out, x *float32, n int, mean, inv, gv, b float64)
 // xh = (float64(x)-mean)*inv; out = float32(g*xh + b)
 TEXT ·vecBNTrainAsm(SB), NOSPLIT, $0-56

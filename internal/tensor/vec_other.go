@@ -27,6 +27,11 @@ func vecAccumScaledLEAsm(acc *float64, src *byte, n int, w float64) {
 	panic("tensor: no vector kernel")
 }
 func vecF64ToF32Asm(dst *float32, src *float64, n int) { panic("tensor: no vector kernel") }
+func vecDivF64ToF32Asm(dst *float32, src *float64, n int, d float64, clr int) {
+	panic("tensor: no vector kernel")
+}
+func vecF32ToLEAsm(dst *byte, src *float32, n int) { panic("tensor: no vector kernel") }
+func vecLEToF32Asm(dst *float32, src *byte, n int) { panic("tensor: no vector kernel") }
 func vecBNTrainAsm(out, x *float32, n int, mean, inv, gv, b float64) {
 	panic("tensor: no vector kernel")
 }

@@ -183,6 +183,27 @@ func TestVecKernelsMatchRef(t *testing.T) {
 			RefVecF64ToF32(want, src)
 			eqBitsF32(t, "VecF64ToF32", n, got, want)
 		}
+		{ // VecDivF64ToF32, with and without clearing its source
+			src := make([]float64, n)
+			fillSpecial64(rng, src)
+			for _, d := range []float64{1e-30, 1e30, -1e-30, -1e30, -1, 3 * rng.NormFloat64()} {
+				for i := 1; i < n; i += 7 {
+					// Quotients that land on float32 subnormals, round
+					// below them, and overflow float32.
+					src[i] = []float64{1e-40 * d, -3e-45 * d, 1e-47 * d, 3.5e38 * d, -1e39 * d}[i%5]
+				}
+				want := make([]float32, n)
+				RefVecDivF64ToF32(want, src, d)
+				got := make([]float32, n)
+				VecDivF64ToF32(got, src, d, false)
+				eqBitsF32(t, "VecDivF64ToF32", n, got, want)
+				acc := cloneF64(src)
+				got = make([]float32, n)
+				VecDivF64ToF32(got, acc, d, true)
+				eqBitsF32(t, "VecDivF64ToF32 clearing", n, got, want)
+				eqBitsF64(t, "VecDivF64ToF32 cleared source", n, acc, make([]float64, n))
+			}
+		}
 		{ // VecBNTrain
 			mean, inv := rng.NormFloat64(), math.Abs(rng.NormFloat64())+0.1
 			g, b := rng.NormFloat64(), rng.NormFloat64()
@@ -287,6 +308,65 @@ func TestVecAccumScaledLEMatchesDecodeThenAccum(t *testing.T) {
 	}
 }
 
+// TestVecF32LEMatchesLittleEndian pins the dense codec's copy kernels to
+// binary.LittleEndian on every remainder lane (lengths 0…67, then two
+// long ones) and at every byte offset 0…7 of the wire side, over NaN
+// payloads, signed zeros, infinities and subnormals: the prefix they
+// report is a multiple of 8 no longer than the input, every byte and
+// float of it matches, and nothing past it is written.
+func TestVecF32LEMatchesLittleEndian(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	lens := []int{1000, 4099}
+	for n := 0; n <= 67; n++ {
+		lens = append(lens, n)
+	}
+	for _, n := range lens {
+		for off := 0; off < 8; off++ {
+			x := make([]float32, n)
+			fillSpecial(rng, x)
+			for i := 3; i < n; i += 11 {
+				x[i] = math.Float32frombits(0x7fa00000 | uint32(i)) // signalling NaN, distinct payload
+			}
+			const guard = 0xA5
+			raw := make([]byte, off+4*n+5)
+			for i := range raw {
+				raw[i] = guard
+			}
+			wire := raw[off : off+4*n]
+			k := VecPutF32LE(wire, x)
+			if k%8 != 0 || k > n || (useAVX2 && n >= vecMinLen && k != n&^7) {
+				t.Fatalf("VecPutF32LE n=%d: prefix %d", n, k)
+			}
+			for i, b := range raw {
+				in := i >= off && i < off+4*k
+				if !in && b != guard {
+					t.Fatalf("VecPutF32LE n=%d off=%d: byte %d outside the prefix written", n, off, i)
+				}
+				if in && binary.LittleEndian.Uint32(raw[off+4*((i-off)/4):]) != math.Float32bits(x[(i-off)/4]) {
+					t.Fatalf("VecPutF32LE n=%d off=%d: value %d differs", n, off, (i-off)/4)
+				}
+			}
+			for i, v := range x {
+				binary.LittleEndian.PutUint32(wire[4*i:], math.Float32bits(v))
+			}
+			got := make([]float32, n+1)
+			got[n] = 42
+			k = VecGetF32LE(got[:n], wire)
+			if k%8 != 0 || k > n || (useAVX2 && n >= vecMinLen && k != n&^7) {
+				t.Fatalf("VecGetF32LE n=%d: prefix %d", n, k)
+			}
+			for i := range got[:n] {
+				if i >= k && got[i] != 0 || i < k && math.Float32bits(got[i]) != math.Float32bits(x[i]) {
+					t.Fatalf("VecGetF32LE n=%d off=%d: [%d] = %x, want %x", n, off, i, math.Float32bits(got[i]), math.Float32bits(x[i]))
+				}
+			}
+			if got[n] != 42 {
+				t.Fatalf("VecGetF32LE n=%d: wrote past its prefix", n)
+			}
+		}
+	}
+}
+
 // TestVecKernelsRaceHammer runs the vec kernels concurrently over
 // disjoint windows of shared backing arrays, the way layer code and the
 // worker pool use them. Run with -race; correctness of the partitioned
@@ -303,9 +383,14 @@ func TestVecKernelsRaceHammer(t *testing.T) {
 	RefVecAxpy(want, x, 0.5)
 	RefVecReLU(want, want)
 	RefVecSGDStep(want, x, 0.01, 1e-4)
+	acc := make([]float64, total)
+	fillSpecial64(rng, acc)
+	wantDiv := make([]float32, total)
+	RefVecDivF64ToF32(wantDiv, acc, -7.5)
 
 	for iter := 0; iter < 50; iter++ {
 		got := cloneF32(base)
+		div, src := make([]float32, total), cloneF64(acc)
 		var wg sync.WaitGroup
 		for p := 0; p < parts; p++ {
 			lo, hi := p*total/parts, (p+1)*total/parts
@@ -315,10 +400,13 @@ func TestVecKernelsRaceHammer(t *testing.T) {
 				VecAxpy(got[lo:hi], x[lo:hi], 0.5)
 				VecReLU(got[lo:hi], got[lo:hi])
 				VecSGDStep(got[lo:hi], x[lo:hi], 0.01, 1e-4)
+				VecDivF64ToF32(div[lo:hi], src[lo:hi], -7.5, true)
 			}(lo, hi)
 		}
 		wg.Wait()
 		eqBitsF32(t, "RaceHammer", total, got, want)
+		eqBitsF32(t, "RaceHammer VecDivF64ToF32", total, div, wantDiv)
+		eqBitsF64(t, "RaceHammer cleared source", total, src, make([]float64, total))
 	}
 }
 

@@ -14,7 +14,8 @@
 #                                a resnet20 training step, a 16 → 8 → 16
 #                                batch cycle, a journal-less Emit, the
 #                                massive sim's live heap at a
-#                                straggler-heavy quorum), the per-pass layer-buffer
+#                                straggler-heavy quorum, a FedAvg
+#                                server round), the per-pass layer-buffer
 #                                suites (reshapes within an array,
 #                                release between steps bitwise over a
 #                                NaN-filled pool, the pass memory gate,
@@ -179,8 +180,8 @@ if [[ "$mode" == "--hot" ]]; then
     hot "streaming-fold hammer" go test -race -count=1 -run 'Stream|Staging|Permutation' \
         ./internal/algo ./internal/fl ./internal/flnet
     hot "fused decode-fold kernel and run fold" \
-        go test -race -count=1 -run 'AccumScaledLE|DenseView|ViewDense|DenseRunFold|DenseMalformed|ShardReserve' \
-        ./internal/tensor ./internal/comm ./internal/algo
+        go test -race -count=1 -run 'AccumScaledLE|DenseView|ViewDense|DenseRunFold|DenseMalformed|ShardReserve|VecKernelsMatchRef|VecKernelsRaceHammer|VecF32LE|DenseBulkMatchesRef|FedAvgAccumulatorInvariant|EachStateRange' \
+        ./internal/tensor ./internal/comm ./internal/algo ./internal/models
     hot "GEMM tile and conv routes" \
         go test -race -count=1 -run 'Gemm|AVX2Panel|MatMul|Im2Col|Col2Im|Conv2D|RawWeightWrite' \
         ./internal/tensor ./internal/nn
@@ -190,8 +191,8 @@ if [[ "$mode" == "--hot" ]]; then
         ./internal/tensor ./internal/nn ./internal/fl
     # Counts, not times; without -race, under which sync.Pool drops Puts.
     hot "allocation gates" \
-        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|RolloutAllocationGate|EmitWithoutJournalAllocatesNothing|MassiveStragglerMemoryGate' \
-        ./internal/tensor ./internal/models ./internal/prune ./internal/telemetry ./internal/fl
+        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|RolloutAllocationGate|EmitWithoutJournalAllocatesNothing|MassiveStragglerMemoryGate|FedAvgServerRoundAllocatesNothing' \
+        ./internal/tensor ./internal/models ./internal/prune ./internal/telemetry ./internal/fl ./internal/algo
     # Layer buffers live for one pass and lanes share one pool: a released
     # buffer changes hands between goroutines. The pass memory gate counts
     # the bytes a pass holds and draws at once, never a time.
