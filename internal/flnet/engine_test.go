@@ -3,9 +3,11 @@ package flnet
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -236,6 +238,7 @@ const (
 	wrongRound                   // answers round `at` with another round's number
 	wrongType                    // answers round `at` with a frame that is no reply
 	unsolicited                  // sends a frame right after its hello, owing nothing
+	wellFramed                   // frames every reply correctly; its content may still be wrong
 )
 
 // misbehave is a scripted downstream peer — a client when replyType is
@@ -261,6 +264,10 @@ func misbehave(t *testing.T, addr string, hello Frame, replyType uint8, kind vio
 		start, err := ReadFrame(conn)
 		if err != nil {
 			return // the server killed the link
+		}
+		if start.Type == MsgDone && kind == wellFramed {
+			start.Release()
+			return // a peer that broke no framing is sent the final model
 		}
 		if start.Type != MsgRoundStart {
 			t.Errorf("peer %d was sent frame type %d after its violation", hello.Client, start.Type)
@@ -573,5 +580,159 @@ func TestQuorumOfAllIsSynchronous(t *testing.T) {
 		if !bytes.Equal(bytes.Join(kept, nil), syncJournal) {
 			t.Fatalf("journals differ beyond quorum_reached:\nsync:\n%s\nquorum:\n%s", syncJournal, qJournal)
 		}
+	}
+}
+
+// TestRootReplyWalk pins the tree root's walk of a pooled shard reply
+// against the span of the selection its edge owns. A scripted edge frames
+// every reply correctly but, in one round, gets its content wrong: an entry
+// for a client the root never selected, two entries out of selection order,
+// a duplicated entry, a truncated ShardBuffer. Each costs the root exactly
+// one error and no edge; a selected client the walk cannot match is
+// journaled as a drop of that round, nothing is folded twice or for a
+// client outside the selection, and the final model is bitwise the
+// in-process run with the same absence set.
+func TestRootReplyWalk(t *testing.T) {
+	const (
+		clients  = 4
+		shards   = 2
+		rounds   = 3
+		seed     = 73
+		at       = 1 // the round the edge's reply goes wrong in
+		badShard = 0 // the scripted edge: clients 0 and 1
+	)
+	fx := newFederation(t, clients, rounds, seed)
+	type entry struct {
+		id  uint32
+		src int // whose upload it carries, an index into the round's uploads
+	}
+	cases := []struct {
+		name    string
+		entries []entry // the reply in round at: client 0's upload is src 0, client 1's src 1
+		cut     int     // bytes cut off the end of the reply
+		absent  []int   // the selected clients the walk leaves unmatched
+	}{
+		{"unselected client", []entry{{0, 0}, {99, 0}, {1, 1}}, 0, []int{1}},
+		{"out of order", []entry{{1, 1}, {0, 0}}, 0, []int{0}},
+		{"duplicate", []entry{{0, 0}, {0, 0}, {1, 1}}, 0, []int{1}},
+		{"truncated", []entry{{0, 0}, {1, 1}}, 5, []int{1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var journal bytes.Buffer
+			tel := telemetry.New(&journal)
+			tel.Journal.SetZeroTime(true)
+			root, err := NewTreeServer(TreeServerConfig{
+				Addr: "127.0.0.1:0", Shards: shards, Clients: clients, Rounds: rounds, Seed: seed,
+				StragglerTimeout: 30 * time.Second, Tel: tel,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			global := fx.global()
+			var wg sync.WaitGroup
+			for sh := 0; sh < shards; sh++ {
+				lo, hi := algo.ShardRange(sh, clients, shards)
+				if sh == badShard {
+					trainers := map[uint32]Trainer{}
+					hello := binary.LittleEndian.AppendUint32(nil, uint32(hi-lo))
+					for i := lo; i < hi; i++ {
+						trainers[uint32(i)] = fx.trainer(i)
+						hello = binary.LittleEndian.AppendUint32(hello, uint32(i))
+						hello = binary.LittleEndian.AppendUint32(hello, uint32(fx.cd[i].Train.Len()))
+					}
+					var sb algo.ShardBuffer
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						misbehave(t, root.Addr(), Frame{Type: MsgEdgeHello, Client: badShard, Payload: hello}, MsgShardUpdate, wellFramed, at,
+							func(start Frame) []byte {
+								parts, err := comm.SplitPayloads(start.Payload)
+								if err != nil || len(parts) != 2 {
+									t.Errorf("scripted edge: malformed round start: %v", err)
+									return nil
+								}
+								var ups [][]byte
+								for off := 0; off < len(parts[0]); off += 4 {
+									id := binary.LittleEndian.Uint32(parts[0][off:])
+									ups = append(ups, append([]byte(nil), trainers[id].LocalUpdate(int(start.Round), parts[1])...))
+								}
+								sb.Reset()
+								if start.Round != at {
+									for i, up := range ups {
+										sb.Add(uint32(lo+i), fx.cd[lo+i].Train.Len(), up)
+									}
+									return sb.Payload()
+								}
+								for _, e := range tc.entries {
+									sb.Add(e.id, fx.cd[e.src].Train.Len(), ups[e.src])
+								}
+								return sb.Payload()[:len(sb.Payload())-tc.cut]
+							})
+					}()
+					continue
+				}
+				edge, err := NewEdge(EdgeConfig{
+					Addr: "127.0.0.1:0", Clients: hi - lo, RootAddr: root.Addr(), Shard: uint32(sh),
+					StragglerTimeout: 30 * time.Second,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := edge.Run(); err != nil {
+						t.Errorf("edge %d: %v", sh, err)
+					}
+				}()
+				for i := lo; i < hi; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if err := RunClient(edge.Addr(), uint32(i), fx.cd[i].Train.Len(), fx.trainer(i)); err != nil {
+							t.Errorf("client %d: %v", i, err)
+						}
+					}()
+				}
+			}
+			if err := root.Run(algo.NewFedAvgAggregator(global, fx.cfg)); err != nil {
+				t.Fatalf("root: %v", err)
+			}
+			wg.Wait()
+			if err := tel.Journal.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			if got := tel.Reg.Snapshot().Counters["flnet.errors"]; got != 1 {
+				t.Errorf("flnet.errors = %d, want exactly 1", got)
+			}
+			want := int64(len(tc.absent))
+			if root.Drops() != want || root.ShardDrops(badShard) != want {
+				t.Errorf("drops = %d, shard %d drops = %d; want %d", root.Drops(), badShard, root.ShardDrops(badShard), want)
+			}
+			var drops []int
+			for _, line := range bytes.Split(bytes.TrimSpace(journal.Bytes()), []byte("\n")) {
+				var ev struct {
+					Ev     string `json:"ev"`
+					Round  int    `json:"round"`
+					Client int    `json:"client"`
+				}
+				if err := json.Unmarshal(line, &ev); err != nil {
+					t.Fatalf("journal line %q: %v", line, err)
+				}
+				if ev.Ev == telemetry.EvDrop {
+					if ev.Round != at {
+						t.Errorf("drop of client %d in round %d; only round %d's reply was wrong", ev.Client, ev.Round, at)
+					}
+					drops = append(drops, ev.Client)
+				}
+			}
+			if !slices.Equal(drops, tc.absent) {
+				t.Errorf("journaled drops of clients %v, want %v", drops, tc.absent)
+			}
+			absent := func(r, c int) bool { return r == at && slices.Contains(tc.absent, c) }
+			sameBits(t, "final model vs the in-process run with the same absence set", fx.simulate(shards, absent), global.State(models.ScopeAll))
+		})
 	}
 }
