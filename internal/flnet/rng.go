@@ -1,6 +1,9 @@
 package flnet
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // newRng builds the server's sampling source.
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -15,11 +18,6 @@ func samplePerm(rng *rand.Rand, n, k int) []int {
 		return out
 	}
 	perm := rng.Perm(n)[:k]
-	// insertion sort — k is small
-	for i := 1; i < len(perm); i++ {
-		for j := i; j > 0 && perm[j] < perm[j-1]; j-- {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
-		}
-	}
+	slices.Sort(perm)
 	return perm
 }
