@@ -101,6 +101,12 @@ func main() {
 		rootAddr = flag.String("root-addr", "localhost:7071", "edge: the tree root's address")
 	)
 	flag.Parse()
+	if *quorum > 0 && *role != "server" {
+		// Only the flat server runs quorum rounds; a tree root or an edge
+		// would silently ignore the flag.
+		fmt.Fprintf(os.Stderr, "spatl-node: -quorum is a server option; -role %s does not take it\n", *role)
+		os.Exit(2)
+	}
 
 	// Telemetry is optional: with neither flag set, tel stays nil and the
 	// whole stack runs with the hooks compiled to a nil-check.

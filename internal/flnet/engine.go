@@ -12,8 +12,10 @@ import (
 // root with its edges. One operation, said once: deliver a frame to these
 // links, obtain at most one reply from each before a deadline, kill or
 // carry whoever still owes. A registrar (register), one reader per link
-// that reads exactly what the link owes (serve), one gather; what a server
-// keeps to itself is what it does with a reply.
+// that reads exactly what the link owes (serve), one gather. The flat
+// Server and the root share the round around it too (runRounds, which
+// folds every reply on arrival); an Edge keeps its own, pooling the
+// replies for the root.
 
 // link is one downstream connection: a client of the flat server or of an
 // edge, an edge of the tree root.
@@ -43,16 +45,6 @@ func (l *link) markDead() {
 func (l *link) owesRound(round uint32) bool {
 	n := len(l.owes)
 	return n > 0 && l.owes[n-1] == round
-}
-
-// allDead reports whether no link is left to federate with.
-func allDead(links []*link) bool {
-	for _, l := range links {
-		if l.alive {
-			return false
-		}
-	}
-	return true
 }
 
 // register accepts n peers on ln. Each must present, before timeout (zero

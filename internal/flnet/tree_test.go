@@ -2,6 +2,7 @@ package flnet
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sync"
@@ -259,6 +260,29 @@ func TestTreeEdgeChurn(t *testing.T) {
 	}
 	if root.Drops() != root.ShardDrops(0)+root.ShardDrops(1) {
 		t.Fatalf("total drops %d != shard sum %d", root.Drops(), root.ShardDrops(0)+root.ShardDrops(1))
+	}
+	// Client-facing downlink is billed for what was delivered to an edge:
+	// both shards in round 1, whose broadcast edge 1 reads before it
+	// churns out, and shard 0's clients alone in round 2, when edge 1 is
+	// dead.
+	var bcast, down [rounds]int64
+	for _, line := range bytes.Split(bytes.TrimSpace(journal.Bytes()), []byte("\n")) {
+		var ev telemetry.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		switch ev.Ev {
+		case telemetry.EvRoundStart:
+			bcast[ev.Round] = ev.Bytes
+		case telemetry.EvRoundEnd:
+			down[ev.Round] = ev.Down
+		}
+	}
+	if got, want := down[1]-down[0], clients*bcast[1]; got != want {
+		t.Errorf("round 1 billed %d downlink bytes, want %d: every client's edge was delivered the broadcast", got, want)
+	}
+	if got, want := down[2]-down[1], int64(lo)*bcast[2]; got != want {
+		t.Errorf("round 2 billed %d downlink bytes, want %d: shard 0's clients only", got, want)
 	}
 }
 

@@ -25,8 +25,11 @@
 #                                scoring (rl and prune under -race, the
 #                                bitwise extraction suites, a fine-tuning
 #                                update's allocation gate), and the
-#                                determinism suites at GOMAXPROCS 1, 2
-#                                and 4
+#                                determinism suites and the TCP
+#                                transport equivalence suites (flnet's
+#                                cross-transport, journal, quorum-of-all,
+#                                protocol-violation and root reply-walk
+#                                tests) at GOMAXPROCS 1, 2 and 4
 #   ./scripts/verify.sh --obs    tier-1 plus the observability battery:
 #                                the -race hammer over the telemetry
 #                                subsystem and the TCP transport that
@@ -217,6 +220,10 @@ if [[ "$mode" == "--hot" ]]; then
             env GOMAXPROCS=$procs go test -count=1 \
             -run 'Deterministic|Conv2DImplicitMatchesLowered|ShardedReduce|PackedReduce|DegenerateEquivalence' \
             ./internal/nn ./internal/algo ./internal/fl ./internal/hetero ./internal/prune
+        hot "transport equivalence suites at GOMAXPROCS=$procs" \
+            env GOMAXPROCS=$procs go test -count=1 \
+            -run 'CrossTransport|JournalDeterministic|QuorumOfAll|ProtocolViolations|RootReplyWalk' \
+            ./internal/flnet
     done
     if (( ${#hot_red[@]} )); then
         echo "verify: hot-path batteries RED:" >&2
