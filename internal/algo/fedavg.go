@@ -90,7 +90,7 @@ func (a *FedAvgAggregator) foldUploads(run []denseUpload) {
 	for i := range run {
 		a.sumW += run[i].w
 	}
-	a.foldDense(a.acc, run, 0)
+	foldDense(a.acc, run, 0)
 }
 
 // FinishRound implements Aggregator: drain anything still staged, then

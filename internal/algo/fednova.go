@@ -89,8 +89,8 @@ func (a *FedNovaAggregator) foldUploads(run []denseUpload) {
 		a.sumW += run[i].w
 		a.sumWTau += run[i].w * run[i].tau
 	}
-	a.foldDense(a.accD, run, 0)
-	a.foldDense(a.accV, run, 1)
+	foldDense(a.accD, run, 0)
+	foldDense(a.accV, run, 1)
 }
 
 // FinishRound implements Aggregator: τ_eff = Σwᵢτᵢ/Σwᵢ ; x_g ← x_g −

@@ -87,8 +87,8 @@ func (a *SCAFFOLDAggregator) foldUploads(run []denseUpload) {
 		a.accC = zeroedAcc(a.accC, len(a.c))
 	}
 	a.folded += len(run)
-	a.foldDense(a.accW, run, 0)
-	a.foldDense(a.accC, run, 1)
+	foldDense(a.accW, run, 0)
+	foldDense(a.accC, run, 1)
 }
 
 // FinishRound implements Aggregator: x ← x_g + (ΣΔw)/|S| ; c ← c +
