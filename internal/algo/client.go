@@ -59,7 +59,7 @@ func LocalSGD(c *Client, opts LocalOpts, rng *rand.Rand) (steps int) {
 		opt.SetVelocity(opts.Velocity)
 	}
 	allParams := c.Model.Params()
-	var x *tensor.Tensor
+	var x, grad *tensor.Tensor
 	var y []int
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		for _, idx := range c.Train.Batches(rng, opts.BatchSize) {
@@ -72,7 +72,7 @@ func LocalSGD(c *Client, opts LocalOpts, rng *rand.Rand) (steps int) {
 			} else {
 				out = c.Model.Forward(x, true)
 			}
-			_, grad := nn.SoftmaxCrossEntropy(out, y)
+			_, grad = nn.SoftmaxCrossEntropyInto(grad, out, y)
 			if opts.FreezeEncoder {
 				c.Model.Predictor.Backward(grad)
 			} else {
@@ -94,5 +94,6 @@ func LocalSGD(c *Client, opts LocalOpts, rng *rand.Rand) (steps int) {
 	opt.Release()
 	c.Model.Release()
 	tensor.Recycle(x)
+	tensor.Recycle(grad)
 	return steps
 }

@@ -159,13 +159,13 @@ func foldDense(acc []float64, run []denseUpload, part int) {
 	}
 }
 
-// zeroedAcc returns acc resized to n and cleared — the start of a
-// round's accumulation.
-func zeroedAcc(acc []float64, n int) []float64 {
-	if cap(acc) < n {
-		return make([]float64, n)
+// zeroed returns s resized to n and cleared — the start of a round's
+// accumulation.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	acc = acc[:n]
-	clear(acc)
-	return acc
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -80,8 +80,8 @@ func (a *FedNovaAggregator) parseUpload(trainSize int, payload []byte) (denseUpl
 func (a *FedNovaAggregator) foldUploads(run []denseUpload) {
 	defer a.RoundSpan(a.curRound, "agg.fold").End()
 	if a.folded == 0 {
-		a.accD = zeroedAcc(a.accD, a.Global.StateLen(models.ScopeAll))
-		a.accV = zeroedAcc(a.accV, len(a.velocity))
+		a.accD = zeroed(a.accD, a.Global.StateLen(models.ScopeAll))
+		a.accV = zeroed(a.accV, len(a.velocity))
 		a.sumW, a.sumWTau = 0, 0
 	}
 	a.folded += len(run)

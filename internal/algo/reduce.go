@@ -112,7 +112,12 @@ func WeightedAverageInto(dst []float32, states [][]float32, weights []float64) [
 // index ranges onto the (prefix) trainable-parameter vector that control
 // variates cover.
 func ClipRanges(ranges []comm.Range, n int) []comm.Range {
-	out := make([]comm.Range, 0, len(ranges))
+	return clipRangesInto(make([]comm.Range, 0, len(ranges)), ranges, n)
+}
+
+// clipRangesInto is ClipRanges appending to dst[:0].
+func clipRangesInto(dst, ranges []comm.Range, n int) []comm.Range {
+	out := dst[:0]
 	for _, r := range ranges {
 		if int(r.Start) >= n {
 			break

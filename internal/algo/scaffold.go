@@ -83,8 +83,8 @@ func (a *SCAFFOLDAggregator) parseUpload(_ int, payload []byte) (denseUpload, bo
 func (a *SCAFFOLDAggregator) foldUploads(run []denseUpload) {
 	defer a.RoundSpan(a.curRound, "agg.fold").End()
 	if a.folded == 0 {
-		a.accW = zeroedAcc(a.accW, a.Global.StateLen(models.ScopeAll))
-		a.accC = zeroedAcc(a.accC, len(a.c))
+		a.accW = zeroed(a.accW, a.Global.StateLen(models.ScopeAll))
+		a.accC = zeroed(a.accC, len(a.c))
 	}
 	a.folded += len(run)
 	foldDense(a.accW, run, 0)

@@ -145,7 +145,7 @@ func DecodeShardPayload(buf []byte, fn func(u Upload)) error {
 		trainSize := binary.LittleEndian.Uint32(buf[4:8])
 		n := binary.LittleEndian.Uint32(buf[8:12])
 		buf = buf[shardEntryHeader:]
-		if int(n) > len(buf) {
+		if uint64(n) > uint64(len(buf)) {
 			return fmt.Errorf("algo: shard entry length %d exceeds remaining %d", n, len(buf))
 		}
 		fn(Upload{Client: client, TrainSize: int(trainSize), Payload: buf[:n]})

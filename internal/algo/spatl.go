@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"encoding/binary"
 	"math/rand"
 
 	"spatl/internal/comm"
@@ -9,7 +10,6 @@ import (
 	"spatl/internal/prune"
 	"spatl/internal/rl"
 	"spatl/internal/telemetry"
-	"spatl/internal/tensor"
 )
 
 // SPATLOptions configures SPATL. The zero value enables everything with
@@ -78,7 +78,10 @@ func (o SPATLOptions) CtrlParams(m *models.SplitModel) []*nn.Param {
 
 // SPATLAggregator is the server side of SPATL: per-index averaged
 // aggregation of salient encoder deltas (eq. 12) and the 1/N-scaled
-// control-variate update at the uploaded indices (eq. 11).
+// control-variate update at the uploaded indices (eq. 11). Each upload
+// folds on the caller in one walk over its ranges; FinishRound averages
+// straight into the global model's parameters and Broadcast encodes
+// straight from them, so a warm server round allocates nothing.
 type SPATLAggregator struct {
 	Telemetered
 	Stream[spatlUpload]
@@ -88,12 +91,16 @@ type SPATLAggregator struct {
 	cfg      Config
 	c        []float32 // server control variate over encoder trainable params
 	bcast    []byte
+	bstate   []byte    // the state part of bcast, while Broadcast encodes it
 	acc      []float64 // per-index Σ of salient deltas, folded on arrival
 	accC     []float64 // per-index Σ of control deltas
 	count    []int32   // per-index contributor count, reused across rounds
 	folded   int
 	curRound int
 	dropped  telemetry.Counter
+
+	// Span callbacks, bound once.
+	averageSpan, encodeSpan func(off int, span []float32)
 }
 
 // spatlUpload is one client's decoded sparse contribution.
@@ -113,10 +120,9 @@ func NewSPATLAggregator(global *models.SplitModel, opts SPATLOptions, cfg Config
 	}
 	a.Init(oneByOne(a.fold), func(u spatlUpload) {
 		comm.PutSparse(u.dW)
-		if u.dC != nil {
-			comm.PutSparse(u.dC)
-		}
+		comm.PutSparse(u.dC)
 	}, nil)
+	a.averageSpan, a.encodeSpan = a.averageInto, a.encodeFrom
 	return a
 }
 
@@ -137,24 +143,43 @@ func (a *SPATLAggregator) SetTelemetry(s *telemetry.Set) {
 }
 
 // Broadcast implements Aggregator: the shared-scope model state, joined
-// with the server control variate unless gradient control is disabled.
+// (comm.JoinPayloads' framing) with the server control variate unless
+// gradient control is disabled. At full precision the state part is
+// encoded straight from the model's parameter spans.
 func (a *SPATLAggregator) Broadcast(round int) []byte {
 	defer a.RoundSpan(round, "agg.broadcast").End()
 	scope := a.Opts.Scope()
 	n := a.Global.StateLen(scope)
-	state := a.Global.StateInto(scope, comm.GetF32(n))
-	encS := a.cfg.encodeDenseInto(comm.GetBuf(a.cfg.denseLen(n)), state)
-	if a.Opts.DisableGradControl {
-		a.bcast = comm.JoinPayloadsInto(a.bcast, encS)
-	} else {
-		encC := a.cfg.encodeDenseInto(comm.GetBuf(a.cfg.denseLen(len(a.c))), a.c)
-		a.bcast = comm.JoinPayloadsInto(a.bcast, encS, encC)
-		comm.PutBuf(encC)
+	stateLen := a.cfg.denseLen(n)
+	size := 4 + stateLen
+	if !a.Opts.DisableGradControl {
+		size += 4 + a.cfg.denseLen(len(a.c))
 	}
-	comm.PutBuf(encS)
-	comm.PutF32(state)
+	if cap(a.bcast) < size {
+		a.bcast = make([]byte, size)
+	}
+	a.bcast = a.bcast[:size]
+	binary.LittleEndian.PutUint32(a.bcast, uint32(stateLen))
+	if a.cfg.HalfPrecision {
+		state := a.Global.StateInto(scope, comm.GetF32(n))
+		comm.EncodeDenseF16Into(a.bcast[4:4], state)
+		comm.PutF32(state)
+	} else {
+		a.bstate = comm.DenseHeaderInto(a.bcast[4:4], n)
+		a.Global.EachStateRange(scope, 0, n, a.encodeSpan)
+		a.bstate = nil
+	}
+	if ctrl := a.bcast[4+stateLen:]; len(ctrl) > 0 {
+		binary.LittleEndian.PutUint32(ctrl, uint32(len(ctrl)-4))
+		a.cfg.encodeDenseInto(ctrl[4:4], a.c)
+	}
 	a.ObserveSize("payload.down", len(a.bcast))
 	return a.bcast
+}
+
+// encodeFrom is Broadcast's span callback.
+func (a *SPATLAggregator) encodeFrom(off int, span []float32) {
+	comm.PutDenseValues(a.bstate, off, span)
 }
 
 // decodeUpload decodes one sparse delta, joined with a sparse control
@@ -163,24 +188,24 @@ func (a *SPATLAggregator) Broadcast(round int) []byte {
 // half of Collect, CollectLate and CollectBatch.
 func (a *SPATLAggregator) decodeUpload(payload []byte) (spatlUpload, bool) {
 	a.ObserveSize("payload.up", len(payload))
-	wantParts := 2
+	var buf [2][]byte
+	parts := buf[:2]
 	if a.Opts.DisableGradControl {
-		wantParts = 1
+		parts = buf[:1]
 	}
-	parts, err := comm.SplitPayloads(payload)
-	if err != nil || len(parts) != wantParts {
+	if comm.SplitPayloadsInto(parts, payload) != nil {
 		a.dropped.Add(1)
 		return spatlUpload{}, false
 	}
-	dW := &comm.Sparse{Values: comm.GetF32(len(parts[0]) / 4)[:0]}
+	dW := comm.GetSparse(len(parts[0]))
 	if err := comm.DecodeSparseAnyInto(dW, parts[0]); err != nil {
 		a.dropped.Add(1)
 		comm.PutSparse(dW)
 		return spatlUpload{}, false
 	}
 	var dC *comm.Sparse
-	if wantParts == 2 {
-		dC = &comm.Sparse{Values: comm.GetF32(len(parts[1]) / 4)[:0]}
+	if len(parts) == 2 {
+		dC = comm.GetSparse(len(parts[1]))
 		if err := comm.DecodeSparseAnyInto(dC, parts[1]); err != nil {
 			comm.PutSparse(dC)
 			dC = nil // keep dW: the model update is still sound
@@ -189,56 +214,23 @@ func (a *SPATLAggregator) decodeUpload(payload []byte) (spatlUpload, bool) {
 	return spatlUpload{dW: dW, dC: dC}, true
 }
 
-// scatterAccumRange folds one sparse upload's values covering [lo,hi)
-// into the float64 accumulator and the per-index contributor count —
-// the streaming float64 counterpart of comm.ScatterAddRange.
-func scatterAccumRange(acc []float64, count []int32, s *comm.Sparse, lo, hi int) {
+// scatterAccum folds one sparse upload into the float64 accumulator — and
+// bumps the per-index contributor count, when count is non-nil — in one
+// walk over its ranges. Indices at or past len(acc) are ignored.
+func scatterAccum(acc []float64, count []int32, s *comm.Sparse) {
 	off := 0
 	for _, r := range s.Ranges {
-		rs := int(r.Start)
-		re := rs + int(r.Len)
-		if rs >= hi {
+		if uint64(r.Start) >= uint64(len(acc)) {
 			return
 		}
-		if re > lo {
-			cs, ce := rs, re
-			if cs < lo {
-				cs = lo
-			}
-			if ce > hi {
-				ce = hi
-			}
-			vals := s.Values[off+(cs-rs) : off+(ce-rs)]
-			for k, v := range vals {
-				acc[cs+k] += float64(v)
-				count[cs+k]++
-			}
+		start := int(r.Start)
+		n := int(min(uint64(r.Len), uint64(len(acc)-start)))
+		for k, v := range s.Values[off : off+n] {
+			acc[start+k] += float64(v)
 		}
-		off += int(r.Len)
-	}
-}
-
-// scatterAccumValsRange is scatterAccumRange without the contributor
-// count — the control-variate fold (eq. 11 sums, it never averages).
-func scatterAccumValsRange(acc []float64, s *comm.Sparse, lo, hi int) {
-	off := 0
-	for _, r := range s.Ranges {
-		rs := int(r.Start)
-		re := rs + int(r.Len)
-		if rs >= hi {
-			return
-		}
-		if re > lo {
-			cs, ce := rs, re
-			if cs < lo {
-				cs = lo
-			}
-			if ce > hi {
-				ce = hi
-			}
-			vals := s.Values[off+(cs-rs) : off+(ce-rs)]
-			for k, v := range vals {
-				acc[cs+k] += float64(v)
+		if count != nil {
+			for k := range count[start : start+n] {
+				count[start+k]++
 			}
 		}
 		off += int(r.Len)
@@ -246,39 +238,20 @@ func scatterAccumValsRange(acc []float64, s *comm.Sparse, lo, hi int) {
 }
 
 // fold scatters one upload's salient deltas into the float64
-// accumulators and bumps the per-index contributor counts.
+// accumulators and bumps the per-index contributor counts. Each index
+// takes one add per upload, in fold order, so the result is the serial
+// reference's (StreamFoldRefSPATL) bit for bit.
 func (a *SPATLAggregator) fold(u spatlUpload) {
 	defer a.RoundSpan(a.curRound, "agg.fold").End()
-	nState := a.Global.StateLen(a.Opts.Scope())
 	if a.folded == 0 {
-		if cap(a.acc) < nState {
-			a.acc = make([]float64, nState)
-		}
-		a.acc = a.acc[:nState]
-		if cap(a.count) < nState {
-			a.count = make([]int32, nState)
-		}
-		a.count = a.count[:nState]
-		for j := range a.acc {
-			a.acc[j] = 0
-			a.count[j] = 0
-		}
-		if cap(a.accC) < len(a.c) {
-			a.accC = make([]float64, len(a.c))
-		}
-		a.accC = a.accC[:len(a.c)]
-		for j := range a.accC {
-			a.accC[j] = 0
-		}
+		nState := a.Global.StateLen(a.Opts.Scope())
+		a.acc, a.count = zeroed(a.acc, nState), zeroed(a.count, nState)
+		a.accC = zeroed(a.accC, len(a.c))
 	}
 	a.folded++
-	tensor.Parallel(nState, func(lo, hi int) {
-		scatterAccumRange(a.acc, a.count, u.dW, lo, hi)
-	})
+	scatterAccum(a.acc, a.count, u.dW)
 	if u.dC != nil && !a.Opts.DisableGradControl {
-		tensor.Parallel(len(a.c), func(lo, hi int) {
-			scatterAccumValsRange(a.accC, u.dC, lo, hi)
-		})
+		scatterAccum(a.accC, nil, u.dC)
 	}
 }
 
@@ -321,9 +294,10 @@ func (a *SPATLAggregator) CollectBatch(round int, ups []Upload) {
 }
 
 // FinishRound implements Aggregator: eq. 12 per-index averaging over
-// the folded salient deltas, then eq. 11 on the control variate — the
-// finalize half of the two-phase reduce, bitwise identical to
-// StreamFoldRefSPATL at any GOMAXPROCS.
+// the folded salient deltas, written straight into the global model's
+// parameters, then eq. 11 on the control variate — the finalize half of
+// the two-phase reduce, one pass on the caller, bitwise identical to
+// StreamFoldRefSPATL.
 func (a *SPATLAggregator) FinishRound(round int) {
 	defer a.RoundSpan(round, "agg.reduce").End()
 	a.curRound = round
@@ -332,31 +306,25 @@ func (a *SPATLAggregator) FinishRound(round int) {
 		return
 	}
 	scope := a.Opts.Scope()
-	nState := a.Global.StateLen(scope)
-	globalState := a.Global.StateInto(scope, comm.GetF32(nState))
-	newState := comm.GetF32(nState)
-	tensor.Parallel(nState, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if a.count[j] > 0 {
-				newState[j] = globalState[j] + float32(a.acc[j]/float64(a.count[j]))
-			} else {
-				newState[j] = globalState[j]
-			}
-		}
-	})
-	a.Global.SetState(scope, newState)
-	comm.PutF32(newState)
-	comm.PutF32(globalState)
-
+	a.Global.EachStateRange(scope, 0, a.Global.StateLen(scope), a.averageSpan)
 	if !a.Opts.DisableGradControl {
 		invN := float64(a.cfg.NumClients)
-		tensor.Parallel(len(a.c), func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				a.c[j] = float32(float64(a.c[j]) + a.accC[j]/invN)
-			}
-		})
+		for j := range a.c {
+			a.c[j] = float32(float64(a.c[j]) + a.accC[j]/invN)
+		}
 	}
 	a.folded = 0
+}
+
+// averageInto is FinishRound's span callback: every index with a
+// contributor moves by the mean of its folded deltas.
+func (a *SPATLAggregator) averageInto(off int, span []float32) {
+	acc, count := a.acc[off:off+len(span)], a.count[off:off+len(span)]
+	for k, n := range count {
+		if n > 0 {
+			span[k] = span[k] + float32(acc[k]/float64(n))
+		}
+	}
 }
 
 // Final implements Aggregator: the shared-scope state, dense.
@@ -384,20 +352,27 @@ func installScope(global, m *models.SplitModel, scope models.Scope) {
 // SPATLTrainer is the client side of SPATL: install the shared encoder,
 // run control-corrected local SGD through the private predictor, run the
 // selection agent on the trained encoder, and upload only the salient
-// parameter deltas and their index ranges.
+// parameter deltas and their index ranges. The selection and the agent's
+// graph and caches live as long as the trainer and are refilled every
+// round; the state-sized buffers of an update come from the comm pool
+// and go back to it, so a client between rounds holds none of them.
 type SPATLTrainer struct {
 	Telemetered
 	Client *Client
 	Opts   SPATLOptions
 
 	// LastSelection records the most recent salient selection, for the
-	// inference-acceleration analysis (§V-D).
+	// inference-acceleration analysis (§V-D). It is the trainer's own and
+	// valid until the next LocalUpdate.
 	LastSelection *prune.Selection
 
 	cfg   Config
 	agent *rl.Agent  // lazily created fine-tuned selection agent
 	env   *prune.Env // the agent's pruning environment, with its workspaces
 	upBuf []byte
+
+	sel        prune.Selection
+	ctrlRanges []comm.Range
 }
 
 // NewSPATLTrainer wires a trainer around a client, initializing its
@@ -419,12 +394,12 @@ func (t *SPATLTrainer) LocalUpdate(round int, payload []byte) []byte {
 	scope := t.Opts.Scope()
 	nState := m.StateLen(scope)
 	gradControl := !t.Opts.DisableGradControl
-	wantParts := 1
+	var buf [2][]byte
+	parts := buf[:1]
 	if gradControl {
-		wantParts = 2
+		parts = buf[:2]
 	}
-	parts, err := comm.SplitPayloads(payload)
-	if err != nil || len(parts) != wantParts {
+	if comm.SplitPayloadsInto(parts, payload) != nil {
 		return nil
 	}
 	// ➊ install the shared encoder (and control variate).
@@ -453,26 +428,27 @@ func (t *SPATLTrainer) LocalUpdate(round int, payload []byte) []byte {
 	if gradControl {
 		opts.Hook = addControl(serverC, c.Control, ctrlP)
 	}
-	gBefore := nn.FlattenParams(ctrlP)
+	gBefore := nn.FlattenParamsInto(comm.GetF32(nCtrl), ctrlP)
 	train := sp.Child("client.train")
 	steps := LocalSGD(c, opts, rng)
 	train.End()
 
 	// Control variate update (option II of SCAFFOLD, over the generic
-	// parameters only).
+	// parameters only), in place.
 	var dC []float32
 	if gradControl {
-		localCtrl := nn.FlattenParams(ctrlP)
+		localCtrl := nn.FlattenParamsInto(comm.GetF32(nCtrl), ctrlP)
 		inv := 1.0 / (float64(steps) * EffectiveLR(t.cfg.LRAt(round), t.cfg.Momentum))
-		newCi := make([]float32, nCtrl)
 		dC = comm.GetF32(nCtrl)
 		for j := 0; j < nCtrl; j++ {
-			newCi[j] = c.Control[j] - serverC[j] + float32(float64(gBefore[j]-localCtrl[j])*inv)
-			dC[j] = newCi[j] - c.Control[j]
+			newCi := c.Control[j] - serverC[j] + float32(float64(gBefore[j]-localCtrl[j])*inv)
+			dC[j] = newCi - c.Control[j]
+			c.Control[j] = newCi
 		}
-		c.Control = newCi
+		comm.PutF32(localCtrl)
 		comm.PutF32(serverC)
 	}
+	comm.PutF32(gBefore)
 
 	// ➌ salient parameter selection on the trained encoder, consuming the
 	// same rng stream as local training so both transports replay the
@@ -490,14 +466,14 @@ func (t *SPATLTrainer) LocalUpdate(round int, payload []byte) []byte {
 	}
 	comm.PutF32(localState)
 	comm.PutF32(globalState)
-	var sw comm.Sparse
+	sw := comm.Sparse{Values: comm.GetF32(nState)[:0]}
 	comm.GatherSparseInto(&sw, dW, sel.Ranges)
 	bufW := t.cfg.encodeSparseInto(comm.GetBuf(t.cfg.sparseLen(&sw)), &sw)
 	comm.PutF32(dW)
 	if gradControl {
-		ctrlRanges := ClipRanges(sel.Ranges, nCtrl)
-		var sc comm.Sparse
-		comm.GatherSparseInto(&sc, dC, ctrlRanges)
+		t.ctrlRanges = clipRangesInto(t.ctrlRanges, sel.Ranges, nCtrl)
+		sc := comm.Sparse{Values: comm.GetF32(nCtrl)[:0]}
+		comm.GatherSparseInto(&sc, dC, t.ctrlRanges)
 		bufC := t.cfg.encodeSparseInto(comm.GetBuf(t.cfg.sparseLen(&sc)), &sc)
 		t.upBuf = comm.JoinPayloadsInto(t.upBuf, bufW, bufC)
 		comm.PutBuf(bufC)
@@ -513,7 +489,8 @@ func (t *SPATLTrainer) LocalUpdate(round int, payload []byte) []byte {
 
 // selectSalient runs the client's selection agent: fine-tune (head-only
 // PPO) during the first FineTuneRounds rounds, then act greedily. With
-// selection disabled, everything is salient.
+// selection disabled, everything is salient. The selection is the
+// trainer's own, refilled every round.
 func (t *SPATLTrainer) selectSalient(round int, rng *rand.Rand) *prune.Selection {
 	m := t.Client.Model
 	units := m.PrunableUnits()
@@ -522,7 +499,7 @@ func (t *SPATLTrainer) selectSalient(round int, rng *rand.Rand) *prune.Selection
 		for i := range ratios {
 			ratios[i] = 1
 		}
-		return prune.Select(m, ratios)
+		return prune.SelectInto(&t.sel, m, ratios)
 	}
 	if t.agent == nil {
 		cfg := t.Opts.AgentCfg
@@ -538,7 +515,7 @@ func (t *SPATLTrainer) selectSalient(round int, rng *rand.Rand) *prune.Selection
 		rl.Train(ppo, t.env, 1, t.Opts.FineTuneEpisodes, rng)
 	}
 	action := rl.BestAction(t.agent, t.env)
-	return prune.Select(m, action)
+	return prune.SelectInto(&t.sel, m, action)
 }
 
 // Finish implements Trainer.

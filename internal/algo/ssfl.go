@@ -447,7 +447,7 @@ func (t *SSFLTrainer) LocalUpdate(round int, payload []byte) []byte {
 	case comm.FrameDense:
 		return t.agreementUpdate(sp, round, payload, nState)
 	case comm.FrameSparse:
-		sw := &comm.Sparse{Values: comm.GetF32(len(payload) / 4)[:0]}
+		sw := comm.GetSparse(len(payload))
 		if err := comm.DecodeSparseAnyInto(sw, payload); err != nil {
 			comm.PutSparse(sw)
 			return nil

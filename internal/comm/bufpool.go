@@ -116,13 +116,28 @@ func PutF32(s []float32) {
 	f32Pools[c].Put(h)
 }
 
-// PutSparse releases a Sparse whose Values buffer came from GetF32 (as
-// DecodeSparseInto produces). Ranges usually alias the decoded payload's
-// backing array and are not pooled.
+// sparsePool recycles decode-target Sparse headers with their Ranges
+// arrays.
+var sparsePool = sync.Pool{New: func() any { return new(Sparse) }}
+
+// GetSparse returns a pooled Sparse to decode an n-byte sparse payload
+// into: Values is a GetF32 buffer with room for every value, and the
+// Ranges array DecodeSparseInto refills is the header's own. Pair with
+// PutSparse.
+func GetSparse(n int) *Sparse {
+	s := sparsePool.Get().(*Sparse)
+	s.Values = GetF32(n / 4)[:0]
+	return s
+}
+
+// PutSparse releases a Sparse from GetSparse: its Values go back to the
+// payload pool, the header and its Ranges array to the header pool. A
+// nil s is ignored; nothing may touch s afterwards.
 func PutSparse(s *Sparse) {
 	if s == nil {
 		return
 	}
 	PutF32(s.Values)
 	s.Values = nil
+	sparsePool.Put(s)
 }

@@ -88,6 +88,20 @@ func getF32Bulk(out []float32, src []byte) {
 	}
 }
 
+// wireCount reads the uint32 element count at b[:4] of a payload of
+// avail bytes whose elements take size bytes each. A count whose
+// elements alone would overrun the payload comes back as avail/size+1:
+// still too many, so every length check rejects it, where the count
+// converted as it stands would, on a 32-bit int, turn negative or wrap
+// its byte length and pass.
+func wireCount(b []byte, size, avail int) int {
+	c := uint64(binary.LittleEndian.Uint32(b))
+	if most := uint64(avail / size); c > most {
+		return int(most) + 1
+	}
+	return int(c)
+}
+
 // sizeBytes returns dst resized to length n, reusing its backing array
 // when the capacity suffices.
 func sizeBytes(dst []byte, n int) []byte {
@@ -147,7 +161,7 @@ func DecodeDenseInto(dst []float32, buf []byte) ([]float32, error) {
 	if len(buf) < 5 || buf[0] != magicDense {
 		return nil, fmt.Errorf("comm: not a dense payload")
 	}
-	n := int(binary.LittleEndian.Uint32(buf[1:5]))
+	n := wireCount(buf[1:5], 4, len(buf))
 	if len(buf) != 5+4*n {
 		return nil, fmt.Errorf("comm: dense payload length %d, want %d", len(buf), 5+4*n)
 	}
@@ -201,19 +215,24 @@ func (s *Sparse) EncodedLen() int {
 
 // Validate checks internal consistency: values length matches ranges, no
 // zero-length or overlapping runs (runs must be sorted by Start).
+// Counts and ends are taken in uint64, so no run length wraps them.
 func (s *Sparse) Validate() error {
-	if s.Count() != len(s.Values) {
-		return fmt.Errorf("comm: sparse payload has %d values for %d indexed elements", len(s.Values), s.Count())
+	var count uint64
+	for _, r := range s.Ranges {
+		count += uint64(r.Len)
 	}
-	prevEnd := uint32(0)
+	if count != uint64(len(s.Values)) {
+		return fmt.Errorf("comm: sparse payload has %d values for %d indexed elements", len(s.Values), count)
+	}
+	prevEnd := uint64(0)
 	for i, r := range s.Ranges {
 		if r.Len == 0 {
 			return fmt.Errorf("comm: zero-length range at %d", i)
 		}
-		if i > 0 && r.Start < prevEnd {
+		if i > 0 && uint64(r.Start) < prevEnd {
 			return fmt.Errorf("comm: ranges overlap or are unsorted at %d", i)
 		}
-		prevEnd = r.Start + r.Len
+		prevEnd = uint64(r.Start) + uint64(r.Len)
 	}
 	return nil
 }
@@ -258,7 +277,7 @@ func DecodeSparseInto(s *Sparse, buf []byte) error {
 	if len(buf) < 5 || buf[0] != magicSparse {
 		return fmt.Errorf("comm: not a sparse payload")
 	}
-	nr := int(binary.LittleEndian.Uint32(buf[1:5]))
+	nr := wireCount(buf[1:5], 8, len(buf))
 	off := 5
 	if len(buf) < off+8*nr+4 {
 		return fmt.Errorf("comm: sparse payload truncated in ranges")
@@ -272,7 +291,7 @@ func DecodeSparseInto(s *Sparse, buf []byte) error {
 		ranges = append(ranges, Range{Start: uint32(u), Len: uint32(u >> 32)})
 		off += 8
 	}
-	nv := int(binary.LittleEndian.Uint32(buf[off:]))
+	nv := wireCount(buf[off:], 4, len(buf))
 	off += 4
 	if len(buf) != off+4*nv {
 		return fmt.Errorf("comm: sparse payload length %d, want %d", len(buf), off+4*nv)

@@ -31,11 +31,11 @@ func ViewDense(buf []byte) (DenseView, error) {
 	if len(buf) < 5 {
 		return DenseView{}, ErrNotDense
 	}
-	n := int(binary.LittleEndian.Uint32(buf[1:5]))
+	n, size := uint64(binary.LittleEndian.Uint32(buf[1:5])), uint64(len(buf))
 	switch {
-	case buf[0] == magicDense && len(buf) == 5+4*n:
+	case buf[0] == magicDense && size == 5+4*n:
 		return DenseView{body: buf[5:]}, nil
-	case buf[0] == magicDenseF16 && len(buf) == 5+2*n:
+	case buf[0] == magicDenseF16 && size == 5+2*n:
 		return DenseView{body: buf[5:], half: true}, nil
 	}
 	return DenseView{}, ErrNotDense

@@ -184,7 +184,7 @@ func decodeSparseF16Into(s *Sparse, buf []byte) error {
 	if len(buf) < 5 || buf[0] != magicSparseF16 {
 		return fmt.Errorf("comm: not a sparse-f16 payload")
 	}
-	nr := int(binary.LittleEndian.Uint32(buf[1:5]))
+	nr := wireCount(buf[1:5], 8, len(buf))
 	off := 5
 	if len(buf) < off+8*nr+4 {
 		return fmt.Errorf("comm: sparse-f16 payload truncated in ranges")
@@ -198,7 +198,7 @@ func decodeSparseF16Into(s *Sparse, buf []byte) error {
 		ranges = append(ranges, Range{Start: uint32(u), Len: uint32(u >> 32)})
 		off += 8
 	}
-	nv := int(binary.LittleEndian.Uint32(buf[off:]))
+	nv := wireCount(buf[off:], 2, len(buf))
 	off += 4
 	if len(buf) != off+2*nv {
 		return fmt.Errorf("comm: sparse-f16 payload length %d, want %d", len(buf), off+2*nv)

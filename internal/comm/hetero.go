@@ -110,7 +110,7 @@ func DecodeHeteroBcastInto(h *HeteroBcast, buf []byte) error {
 		return fmt.Errorf("comm: not a hetero broadcast payload")
 	}
 	k := int(buf[1])
-	n := int(binary.LittleEndian.Uint32(buf[2:6]))
+	n := wireCount(buf[2:6], 1, len(buf))
 	off := 6
 	if len(buf) < off+n+4 {
 		return fmt.Errorf("comm: hetero broadcast truncated in assignment")
@@ -118,7 +118,7 @@ func DecodeHeteroBcastInto(h *HeteroBcast, buf []byte) error {
 	assign := sizeBytes(h.Assign, n)
 	copy(assign, buf[off:off+n])
 	off += n
-	stateLen := int(binary.LittleEndian.Uint32(buf[off:]))
+	stateLen := wireCount(buf[off:], 4*max(k, 1), len(buf))
 	off += 4
 	nv := k * stateLen
 	if len(buf) != off+4*nv {
@@ -203,7 +203,7 @@ func DecodeHeteroUpdateInto(u *HeteroUpdate, buf []byte) error {
 	}
 	cluster := buf[1]
 	widthMilli := binary.LittleEndian.Uint16(buf[2:4])
-	nr := int(binary.LittleEndian.Uint32(buf[4:8]))
+	nr := wireCount(buf[4:8], 8, len(buf))
 	off := 8
 	if len(buf) < off+8*nr+4 {
 		return fmt.Errorf("comm: hetero update truncated in ranges")
@@ -217,7 +217,7 @@ func DecodeHeteroUpdateInto(u *HeteroUpdate, buf []byte) error {
 		ranges = append(ranges, Range{Start: uint32(w), Len: uint32(w >> 32)})
 		off += 8
 	}
-	nv := int(binary.LittleEndian.Uint32(buf[off:]))
+	nv := wireCount(buf[off:], 4, len(buf))
 	off += 4
 	if len(buf) != off+4*nv {
 		return fmt.Errorf("comm: hetero update length %d, want %d", len(buf), off+4*nv)

@@ -50,7 +50,7 @@ func SplitPayloads(buf []byte) ([][]byte, error) {
 		}
 		n := binary.LittleEndian.Uint32(buf[:4])
 		buf = buf[4:]
-		if int(n) > len(buf) {
+		if uint64(n) > uint64(len(buf)) {
 			return nil, fmt.Errorf("comm: payload part length %d exceeds remaining %d", n, len(buf))
 		}
 		out = append(out, buf[:n])

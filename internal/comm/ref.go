@@ -28,7 +28,7 @@ func RefDecodeDense(buf []byte) ([]float32, error) {
 	if len(buf) < 5 || buf[0] != magicDense {
 		return nil, fmt.Errorf("comm: not a dense payload")
 	}
-	n := int(binary.LittleEndian.Uint32(buf[1:5]))
+	n := wireCount(buf[1:5], 4, len(buf))
 	if len(buf) != 5+4*n {
 		return nil, fmt.Errorf("comm: dense payload length %d, want %d", len(buf), 5+4*n)
 	}
@@ -64,7 +64,7 @@ func RefDecodeSparse(buf []byte) (*Sparse, error) {
 	if len(buf) < 5 || buf[0] != magicSparse {
 		return nil, fmt.Errorf("comm: not a sparse payload")
 	}
-	nr := int(binary.LittleEndian.Uint32(buf[1:5]))
+	nr := wireCount(buf[1:5], 8, len(buf))
 	off := 5
 	if len(buf) < off+8*nr+4 {
 		return nil, fmt.Errorf("comm: sparse payload truncated in ranges")
@@ -77,7 +77,7 @@ func RefDecodeSparse(buf []byte) (*Sparse, error) {
 		}
 		off += 8
 	}
-	nv := int(binary.LittleEndian.Uint32(buf[off:]))
+	nv := wireCount(buf[off:], 4, len(buf))
 	off += 4
 	if len(buf) != off+4*nv {
 		return nil, fmt.Errorf("comm: sparse payload length %d, want %d", len(buf), off+4*nv)
@@ -109,7 +109,7 @@ func RefDecodeSparseVals(buf []byte) ([]float32, error) {
 	if len(buf) < 5 || buf[0] != magicSparseVals {
 		return nil, fmt.Errorf("comm: not a sparse-values payload")
 	}
-	n := int(binary.LittleEndian.Uint32(buf[1:5]))
+	n := wireCount(buf[1:5], 4, len(buf))
 	if len(buf) != 5+4*n {
 		return nil, fmt.Errorf("comm: sparse-values payload length %d, want %d", len(buf), 5+4*n)
 	}
@@ -138,7 +138,7 @@ func RefDecodeSparseValsF16(buf []byte) ([]float32, error) {
 	if len(buf) < 5 || buf[0] != magicSparseValsF16 {
 		return nil, fmt.Errorf("comm: not a sparse-values-f16 payload")
 	}
-	n := int(binary.LittleEndian.Uint32(buf[1:5]))
+	n := wireCount(buf[1:5], 2, len(buf))
 	if len(buf) != 5+2*n {
 		return nil, fmt.Errorf("comm: sparse-values-f16 payload length %d, want %d", len(buf), 5+2*n)
 	}
@@ -166,7 +166,7 @@ func RefDecodeDenseF16(buf []byte) ([]float32, error) {
 	if len(buf) < 5 || buf[0] != magicDenseF16 {
 		return nil, fmt.Errorf("comm: not a dense-f16 payload")
 	}
-	n := int(binary.LittleEndian.Uint32(buf[1:5]))
+	n := wireCount(buf[1:5], 2, len(buf))
 	if len(buf) != 5+2*n {
 		return nil, fmt.Errorf("comm: dense-f16 payload length %d, want %d", len(buf), 5+2*n)
 	}
@@ -203,7 +203,7 @@ func RefDecodeSparseF16(buf []byte) (*Sparse, error) {
 	if len(buf) < 5 || buf[0] != magicSparseF16 {
 		return nil, fmt.Errorf("comm: not a sparse-f16 payload")
 	}
-	nr := int(binary.LittleEndian.Uint32(buf[1:5]))
+	nr := wireCount(buf[1:5], 8, len(buf))
 	off := 5
 	if len(buf) < off+8*nr+4 {
 		return nil, fmt.Errorf("comm: sparse-f16 payload truncated in ranges")
@@ -216,7 +216,7 @@ func RefDecodeSparseF16(buf []byte) (*Sparse, error) {
 		}
 		off += 8
 	}
-	nv := int(binary.LittleEndian.Uint32(buf[off:]))
+	nv := wireCount(buf[off:], 2, len(buf))
 	off += 4
 	if len(buf) != off+2*nv {
 		return nil, fmt.Errorf("comm: sparse-f16 payload length %d, want %d", len(buf), off+2*nv)

@@ -94,7 +94,7 @@ func DecodeSparseValsInto(dst []float32, buf []byte) ([]float32, error) {
 	if len(buf) < 5 || buf[0] != magicSparseVals {
 		return nil, fmt.Errorf("comm: not a sparse-values payload")
 	}
-	n := int(binary.LittleEndian.Uint32(buf[1:5]))
+	n := wireCount(buf[1:5], 4, len(buf))
 	if len(buf) != 5+4*n {
 		return nil, fmt.Errorf("comm: sparse-values payload length %d, want %d", len(buf), 5+4*n)
 	}
@@ -123,7 +123,7 @@ func decodeSparseValsF16Into(dst []float32, buf []byte) ([]float32, error) {
 	if len(buf) < 5 || buf[0] != magicSparseValsF16 {
 		return nil, fmt.Errorf("comm: not a sparse-values-f16 payload")
 	}
-	n := int(binary.LittleEndian.Uint32(buf[1:5]))
+	n := wireCount(buf[1:5], 2, len(buf))
 	if len(buf) != 5+2*n {
 		return nil, fmt.Errorf("comm: sparse-values-f16 payload length %d, want %d", len(buf), 5+2*n)
 	}

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"sort"
@@ -117,6 +118,12 @@ func WriteFrame(w io.Writer, f Frame) error {
 // ReadFrame reads one frame from r into a pooled body buffer; call
 // Release on the returned frame once its payload is consumed.
 func ReadFrame(r io.Reader) (Frame, error) { return readFrame(r, maxFrame) }
+
+// trainSizeOf reads a hello's uint32 train size, saturated at
+// math.MaxInt: on a 32-bit int a size past 2^31−1 would turn negative.
+func trainSizeOf(b []byte) int {
+	return int(min(uint64(binary.LittleEndian.Uint32(b)), math.MaxInt))
+}
 
 // readFrame is ReadFrame with the caller's bound on the length prefix,
 // refused before any buffer is taken.
@@ -357,7 +364,7 @@ func registerClients(ln net.Listener, n int, hello time.Duration, maxOwed int, s
 		if len(payload) != helloLen {
 			return fmt.Errorf("%d payload bytes, want the %d of a train size", len(payload), helloLen)
 		}
-		clients = append(clients, &clientConn{link: l, trainSize: int(binary.LittleEndian.Uint32(payload))})
+		clients = append(clients, &clientConn{link: l, trainSize: trainSizeOf(payload)})
 		return nil
 	})
 	if err != nil {

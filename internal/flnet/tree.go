@@ -111,13 +111,13 @@ func (s *TreeServer) acceptEdges() error {
 		if shard >= len(s.edges) || s.edges[shard] != nil {
 			return fmt.Errorf("duplicate or out-of-range shard %d", shard)
 		}
-		if len(payload) < 4 || len(payload) != 4+8*int(binary.LittleEndian.Uint32(payload)) {
+		if len(payload) < 4 || uint64(len(payload)) != 4+8*uint64(binary.LittleEndian.Uint32(payload)) {
 			return fmt.Errorf("shard %d: client count does not match %d payload bytes", shard, len(payload))
 		}
 		for off := 4; off < len(payload); off += 8 {
 			s.clients = append(s.clients, member{
 				id:        binary.LittleEndian.Uint32(payload[off : off+4]),
-				trainSize: int(binary.LittleEndian.Uint32(payload[off+4 : off+8])),
+				trainSize: trainSizeOf(payload[off+4 : off+8]),
 				peer:      shard,
 			})
 		}

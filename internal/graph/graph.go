@@ -12,6 +12,7 @@ import (
 
 	"spatl/internal/models"
 	"spatl/internal/nn"
+	"spatl/internal/tensor"
 )
 
 // OpType enumerates the machine-learning operations that appear as graph
@@ -66,6 +67,37 @@ type Graph struct {
 	NumNodes    int
 	Edges       []Edge
 	NumPrunable int
+
+	// weights lists, per edge, the weight tensors WeightL1 averages over
+	// (none for weightless operations), for Refresh.
+	weights [][]*tensor.Tensor
+}
+
+// Refresh re-reads every edge's WeightL1 from the layers the graph was
+// built from, with the expression FromEncoder uses. The structure and
+// the geometry stay as built: they follow the layer shapes, which
+// training does not change. So a graph refreshed after the weights
+// moved equals a fresh FromEncoder of the same model, edge for edge.
+func (g *Graph) Refresh() {
+	for i, ws := range g.weights {
+		if ws != nil {
+			g.Edges[i].WeightL1 = meanAbs(ws)
+		}
+	}
+}
+
+// meanAbs is the mean |w| over the given tensors together.
+func meanAbs(ws []*tensor.Tensor) float64 {
+	var l1 float64
+	n := 0
+	for _, w := range ws {
+		l1 += w.AbsSum()
+		n += w.Len()
+	}
+	if n > 0 {
+		l1 /= float64(n)
+	}
+	return l1
 }
 
 // Features renders the edge's fixed-size feature vector: a one-hot
@@ -73,6 +105,15 @@ type Graph struct {
 // All entries are kept roughly in [0, 1] so the GNN trains stably.
 func (e *Edge) Features() []float32 {
 	f := make([]float32, FeatureDim)
+	e.FeaturesInto(f)
+	return f
+}
+
+// FeaturesInto writes the edge's feature vector (Features) into
+// f[:FeatureDim].
+func (e *Edge) FeaturesInto(f []float32) {
+	f = f[:FeatureDim]
+	clear(f)
 	f[int(e.Op)] = 1
 	i := int(numOpTypes)
 	f[i+0] = float32(math.Log1p(float64(e.ParamCount)) / 20)
@@ -85,7 +126,6 @@ func (e *Edge) Features() []float32 {
 		f[i+6] = 1
 	}
 	f[i+7] = float32(math.Tanh(e.WeightL1 * 5))
-	return f
 }
 
 // builder tracks node allocation while walking the model.
@@ -98,6 +138,17 @@ func (b *builder) node() int {
 	id := b.g.NumNodes
 	b.g.NumNodes++
 	return id
+}
+
+// edge appends e, whose WeightL1 is the mean |w| over ws.
+func (b *builder) edge(e Edge, ws ...*tensor.Tensor) {
+	if len(ws) > 0 {
+		e.WeightL1 = meanAbs(ws)
+	} else {
+		ws = nil
+	}
+	b.g.Edges = append(b.g.Edges, e)
+	b.g.weights = append(b.g.weights, ws)
 }
 
 // FromEncoder extracts the computational graph of the model's encoder.
@@ -133,49 +184,50 @@ func (b *builder) walkLayer(l nn.Layer, in int) int {
 		return b.walkBlock(v, in)
 	case *nn.Conv2D:
 		out := b.node()
-		b.g.Edges = append(b.g.Edges, b.convEdge(v, in, out))
+		pi := -1
+		if idx, ok := b.prunable[v]; ok {
+			pi = idx
+		}
+		b.edge(Edge{
+			Src: in, Dst: out, Op: OpConv, PrunableIdx: pi,
+			InC: v.InC, OutC: v.OutC, Kernel: v.K, Stride: v.Stride,
+			ParamCount: nn.ParamCount(v.Params()), FLOPs: v.FLOPs(),
+		}, v.Weight().W)
 		return out
 	case *nn.BatchNorm2D:
 		out := b.node()
-		var l1 float64
-		params := v.Params()
-		n := 0
-		for _, p := range params {
-			l1 += p.W.AbsSum()
-			n += p.W.Len()
+		var ws []*tensor.Tensor
+		for _, p := range v.Params() {
+			ws = append(ws, p.W)
 		}
-		if n > 0 {
-			l1 /= float64(n)
-		}
-		b.g.Edges = append(b.g.Edges, Edge{
+		b.edge(Edge{
 			Src: in, Dst: out, Op: OpBatchNorm, PrunableIdx: -1,
-			InC: v.C, OutC: v.C, ParamCount: 2 * v.C, FLOPs: v.FLOPs(), WeightL1: l1,
-		})
+			InC: v.C, OutC: v.C, ParamCount: 2 * v.C, FLOPs: v.FLOPs(),
+		}, ws...)
 		return out
 	case *nn.ReLU:
 		out := b.node()
-		b.g.Edges = append(b.g.Edges, Edge{Src: in, Dst: out, Op: OpReLU, PrunableIdx: -1, FLOPs: v.FLOPs()})
+		b.edge(Edge{Src: in, Dst: out, Op: OpReLU, PrunableIdx: -1, FLOPs: v.FLOPs()})
 		return out
 	case *nn.MaxPool2D:
 		out := b.node()
-		b.g.Edges = append(b.g.Edges, Edge{Src: in, Dst: out, Op: OpMaxPool, PrunableIdx: -1, Kernel: v.K, FLOPs: v.FLOPs()})
+		b.edge(Edge{Src: in, Dst: out, Op: OpMaxPool, PrunableIdx: -1, Kernel: v.K, FLOPs: v.FLOPs()})
 		return out
 	case *nn.GlobalAvgPool:
 		out := b.node()
-		b.g.Edges = append(b.g.Edges, Edge{Src: in, Dst: out, Op: OpGlobalPool, PrunableIdx: -1, FLOPs: v.FLOPs()})
+		b.edge(Edge{Src: in, Dst: out, Op: OpGlobalPool, PrunableIdx: -1, FLOPs: v.FLOPs()})
 		return out
 	case *nn.Flatten:
 		out := b.node()
-		b.g.Edges = append(b.g.Edges, Edge{Src: in, Dst: out, Op: OpFlatten, PrunableIdx: -1})
+		b.edge(Edge{Src: in, Dst: out, Op: OpFlatten, PrunableIdx: -1})
 		return out
 	case *nn.Linear:
 		out := b.node()
-		w := v.Weight()
-		b.g.Edges = append(b.g.Edges, Edge{
+		b.edge(Edge{
 			Src: in, Dst: out, Op: OpLinear, PrunableIdx: -1,
 			InC: v.In, OutC: v.Out, ParamCount: nn.ParamCount(v.Params()),
-			FLOPs: v.FLOPs(), WeightL1: w.W.AbsSum() / float64(w.W.Len()),
-		})
+			FLOPs: v.FLOPs(),
+		}, v.Weight().W)
 		return out
 	default:
 		// Unknown layers pass through without an edge.
@@ -202,25 +254,9 @@ func (b *builder) walkBlock(blk *nn.BasicBlock, in int) int {
 		}
 	}
 	out := b.node()
-	b.g.Edges = append(b.g.Edges,
-		Edge{Src: cur, Dst: out, Op: OpAdd, PrunableIdx: -1, InC: conv2.OutC, OutC: conv2.OutC},
-		Edge{Src: short, Dst: out, Op: OpAdd, PrunableIdx: -1, InC: conv1.InC, OutC: conv2.OutC},
-	)
+	b.edge(Edge{Src: cur, Dst: out, Op: OpAdd, PrunableIdx: -1, InC: conv2.OutC, OutC: conv2.OutC})
+	b.edge(Edge{Src: short, Dst: out, Op: OpAdd, PrunableIdx: -1, InC: conv1.InC, OutC: conv2.OutC})
 	return out
-}
-
-func (b *builder) convEdge(c *nn.Conv2D, in, out int) Edge {
-	pi := -1
-	if idx, ok := b.prunable[c]; ok {
-		pi = idx
-	}
-	w := c.Weight()
-	return Edge{
-		Src: in, Dst: out, Op: OpConv, PrunableIdx: pi,
-		InC: c.InC, OutC: c.OutC, Kernel: c.K, Stride: c.Stride,
-		ParamCount: nn.ParamCount(c.Params()), FLOPs: c.FLOPs(),
-		WeightL1: w.W.AbsSum() / float64(w.W.Len()),
-	}
 }
 
 // PrunableEdges returns the edges that carry a prunable convolution, in

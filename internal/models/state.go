@@ -56,6 +56,9 @@ type stateLayout struct {
 	predParams []*nn.Param          // cap-clipped
 	bns        [2][]*nn.BatchNorm2D // indexed by Scope, stable layer order
 	total      [2]int               // flat state length per scope
+	units      []PrunableUnit       // cap-clipped
+	encParams  map[*tensor.Tensor]Segment
+	encBNStats map[*nn.BatchNorm2D][2]Segment
 }
 
 // layout returns the cached walk, taking it on first use and again
@@ -95,6 +98,9 @@ func (m *SplitModel) layout() *stateLayout {
 		}
 		l.total[scope] = n
 	}
+	units := m.prunableUnits()
+	l.units = units[:len(units):len(units)]
+	l.encParams, l.encBNStats = encoderOffsets(l.params[ScopeEncoder], encBNs)
 	m.cached.Store(l)
 	return l
 }
@@ -221,8 +227,11 @@ type PrunableUnit struct {
 // PrunableUnits enumerates the encoder's prunable units: every
 // basic-block's internal conv1 for ResNets (residual-safe), all VGG convs
 // except the final one (whose width the shared predictor input depends
-// on), and CNN2's first conv.
-func (m *SplitModel) PrunableUnits() []PrunableUnit {
+// on), and CNN2's first conv. The list is taken with the state layout
+// and cached with it: read it, do not store into it.
+func (m *SplitModel) PrunableUnits() []PrunableUnit { return m.layout().units }
+
+func (m *SplitModel) prunableUnits() []PrunableUnit {
 	var units []PrunableUnit
 	switch m.Spec.Arch {
 	case "resnet20", "resnet32", "resnet56", "resnet18":
@@ -275,16 +284,25 @@ func (m *SplitModel) PrunableConvs() []*nn.Conv2D {
 // EncoderOffsets maps each encoder component to its Segment inside the
 // ScopeEncoder state vector: trainable parameters are keyed by their
 // weight tensor; BatchNorm running statistics are returned separately in
-// layer order (mean segment, variance segment per BN).
+// layer order (mean segment, variance segment per BN). The maps are
+// taken with the state layout and cached with it: read them, do not
+// store into them.
 func (m *SplitModel) EncoderOffsets() (params map[*tensor.Tensor]Segment, bnStats map[*nn.BatchNorm2D][2]Segment) {
+	l := m.layout()
+	return l.encParams, l.encBNStats
+}
+
+// encoderOffsets builds EncoderOffsets' maps over the encoder's
+// parameters and BatchNorm layers.
+func encoderOffsets(encParams []*nn.Param, encBNs []*nn.BatchNorm2D) (params map[*tensor.Tensor]Segment, bnStats map[*nn.BatchNorm2D][2]Segment) {
 	params = map[*tensor.Tensor]Segment{}
 	bnStats = map[*nn.BatchNorm2D][2]Segment{}
 	off := 0
-	for _, p := range m.EncoderParams() {
+	for _, p := range encParams {
 		params[p.W] = Segment{Name: p.Name, Off: off, Len: p.W.Len()}
 		off += p.W.Len()
 	}
-	for _, bn := range m.scopeBNs(ScopeEncoder) {
+	for _, bn := range encBNs {
 		mean := Segment{Name: "rmean", Off: off, Len: bn.C}
 		off += bn.C
 		vari := Segment{Name: "rvar", Off: off, Len: bn.C}

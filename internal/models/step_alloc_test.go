@@ -15,9 +15,10 @@ import (
 )
 
 // stepAllocBudget is the most objects one steady-state resnet20 training
-// step may allocate (it allocates 6: the loss gradient and the views the
-// flatten/reshape pair makes; it was 199 when every tensor.Reuse call and
-// every nested tensor.Parallel region allocated).
+// step may allocate (it allocates 3, the fresh loss gradient
+// SoftmaxCrossEntropy returns; it was 6 while Flatten made new views, and
+// 199 when every tensor.Reuse call and every nested tensor.Parallel
+// region allocated).
 const stepAllocBudget = 16
 
 // trainStep returns one SGD step — what algo.LocalSGD runs per batch —
@@ -122,5 +123,50 @@ func TestShortBatchStepAllocationGate(t *testing.T) {
 	t.Logf("steps of %v: %.1f objects per step", sizes, a)
 	if a > stepAllocBudget {
 		t.Errorf("a step in a %v cycle allocates %.1f objects, budget %d", sizes, a, stepAllocBudget)
+	}
+}
+
+// TestReleasedUpdateAllocationGate counts, never times, a local update —
+// two SGD steps, a full batch and a short one, then Release — on a model
+// the previous update released: Release hands every layer's array back
+// to the scratch pool but leaves the layer its tensor header, so the
+// update refills headers from the pool and allocates nothing at all.
+// Before headers survived Release, every layer buffer cost a new header
+// and shape slice once per update.
+func TestReleasedUpdateAllocationGate(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	spec := Spec{Arch: "resnet20", Classes: 10, InC: 3, H: 16, W: 16, Width: 0.25}
+	m := Build(spec, 4)
+	params := m.Params()
+	opt := nn.NewSGD(params, 0.02, 0.9, 1e-4)
+	rng := nn.Rng(5)
+	var xs []*tensor.Tensor
+	var ys [][]int
+	for _, n := range []int{16, 8} {
+		x := tensor.New(n, spec.InC, spec.H, spec.W)
+		x.Randn(rng, 1)
+		y := make([]int, n)
+		for i := range y {
+			y[i] = rng.Intn(spec.Classes)
+		}
+		xs, ys = append(xs, x), append(ys, y)
+	}
+	var grad *tensor.Tensor
+	update := func() {
+		for b := range xs {
+			nn.ZeroGrad(params)
+			_, grad = nn.SoftmaxCrossEntropyInto(grad, m.Forward(xs[b], true), ys[b])
+			m.Backward(grad)
+			opt.Step()
+		}
+		m.Release()
+		tensor.Recycle(grad)
+	}
+	update()
+	a := testing.AllocsPerRun(10, update)
+	t.Logf("%v objects per released update", a)
+	if a != 0 {
+		t.Errorf("an update on a released model allocates %v objects, want 0", a)
 	}
 }

@@ -39,7 +39,7 @@ func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 func (r *ReLU) release() {
-	drop(&r.dx)
+	tensor.Recycle(r.dx)
 	r.out = nil
 }
 
@@ -55,8 +55,9 @@ func (r *ReLU) Name() string { return r.name }
 // Flatten reshapes (N, C, H, W) to (N, C·H·W); it is a no-op for 2-D
 // inputs.
 type Flatten struct {
-	name  string
-	shape []int
+	name    string
+	shape   []int
+	out, dx *tensor.Tensor // views of the input and of dout (tensor.Wrap)
 }
 
 // NewFlatten constructs a Flatten layer.
@@ -65,12 +66,24 @@ func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f.shape = append(f.shape[:0], x.Shape()...)
-	return x.Reshape(x.Dim(0), x.Len()/x.Dim(0))
+	f.out = tensor.Wrap(f.out, x.Data, x.Dim(0), x.Len()/x.Dim(0))
+	return f.out
 }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	return dout.Reshape(f.shape...)
+	f.dx = tensor.Wrap(f.dx, dout.Data, f.shape...)
+	return f.dx
+}
+
+// release forgets the arrays the views point into; they are not the
+// layer's.
+func (f *Flatten) release() {
+	for _, v := range [...]*tensor.Tensor{f.out, f.dx} {
+		if v != nil {
+			v.Data = nil
+		}
+	}
 }
 
 // Params implements Layer.

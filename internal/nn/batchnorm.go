@@ -265,8 +265,8 @@ func resliceF32(s []float32, n int) []float32 {
 }
 
 func (bn *BatchNorm2D) release() {
-	drop(&bn.out)
-	drop(&bn.dx)
+	tensor.Recycle(bn.out)
+	tensor.Recycle(bn.dx)
 	bn.x = nil
 }
 

@@ -366,8 +366,8 @@ func (c *Conv2D) SetChannels(inC, outC int) {
 }
 
 func (c *Conv2D) release() {
-	drop(&c.out)
-	drop(&c.dx)
+	tensor.Recycle(c.out)
+	tensor.Recycle(c.dx)
 	c.x, c.dout = nil, nil
 }
 

@@ -72,8 +72,8 @@ func (d *Dropout) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 func (d *Dropout) release() {
-	drop(&d.out)
-	drop(&d.dx)
+	tensor.Recycle(d.out)
+	tensor.Recycle(d.dx)
 	d.mask = nil
 }
 

@@ -18,6 +18,7 @@ type Linear struct {
 	bias    *Param
 	x       *tensor.Tensor // the input, kept in training mode for Backward
 	out, dx *tensor.Tensor // output and input gradient (tensor.Reuse)
+	dw      *tensor.Tensor // Backward's weight-gradient term, array recycled on return
 }
 
 // NewLinear constructs a fully connected layer with He-normal weights and
@@ -55,10 +56,10 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Linear.Backward before training-mode Forward")
 	}
 	// dW += doutᵀ·x ; db += column sums of dout ; dx = dout·W
-	dw := tensor.GetScratch(l.Out * l.In)
-	tensor.MatMulTransAInto(tensor.FromSlice(dw, l.Out, l.In), dout, l.x)
-	tensor.VecAdd(l.weight.G.Data, dw)
-	tensor.PutScratch(dw)
+	l.dw = tensor.Reuse(l.dw, l.Out, l.In)
+	tensor.MatMulTransAInto(l.dw, dout, l.x)
+	tensor.VecAdd(l.weight.G.Data, l.dw.Data)
+	tensor.Recycle(l.dw)
 	n := dout.Dim(0)
 	for i := 0; i < n; i++ {
 		tensor.VecAdd(l.bias.G.Data, dout.Data[i*l.Out:(i+1)*l.Out])
@@ -71,8 +72,8 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 func (l *Linear) release() {
-	drop(&l.out)
-	drop(&l.dx)
+	tensor.Recycle(l.out)
+	tensor.Recycle(l.dx)
 	l.x = nil
 }
 

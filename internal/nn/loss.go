@@ -11,11 +11,22 @@ import (
 // batch of logits (N,K) against integer labels, returning the loss and
 // the gradient w.r.t. the logits (already divided by N).
 func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	return softmaxCrossEntropy(tensor.New(logits.Dim(0), logits.Dim(1)), logits, labels)
+}
+
+// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing the gradient
+// into grad, taken with tensor.Reuse (every element is overwritten): a
+// training loop holds one gradient header for all its steps and hands
+// the array back with tensor.Recycle when it is done.
+func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	return softmaxCrossEntropy(tensor.Reuse(grad, logits.Dim(0), logits.Dim(1)), logits, labels)
+}
+
+func softmaxCrossEntropy(grad, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	n, k := logits.Dim(0), logits.Dim(1)
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), n))
 	}
-	grad := tensor.New(n, k)
 	var loss float64
 	for i := 0; i < n; i++ {
 		row := logits.Data[i*k : (i+1)*k]

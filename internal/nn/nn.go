@@ -45,17 +45,20 @@ func (p *Param) resize(shape ...int) {
 // Backward reads — Conv2D and Linear their input, BatchNorm2D its input
 // and batch statistics, ReLU its output (it runs in place) — and
 // everything else is transient. A layer takes its output and its input
-// gradient with tensor.Reuse, or returns its input's own array (ReLU,
-// Flatten, an evaluation-mode Dropout); a composite returns one of its
+// gradient with tensor.Reuse into a header it holds for its lifetime, or
+// returns its input's own array (ReLU, an evaluation-mode Dropout, and
+// Flatten through a held view header); a composite returns one of its
 // layers' arrays, never a view of one. The container a tensor is returned
 // to (Sequential, BasicBlock) hands its array back with tensor.Recycle as
 // soon as the next layer has read it: every input gradient, and in
-// evaluation mode every activation. The tensor a composite returns is the
-// exception: it stays valid until that composite's next Forward
-// (Backward) or until the model is released (Release), so a caller may
-// run a second module on it (SPATL's predictor trains on its frozen
-// encoder's output). Callers that need a result to survive a later pass
-// must Clone it, and a Forward may overwrite its input.
+// evaluation mode every activation. Recycle and Release take the array
+// and leave the header with its layer, so a pass after either allocates
+// no header. The tensor a composite returns is the exception: it stays
+// valid until that composite's next Forward (Backward) or until the
+// model is released (Release), after which it holds no array. Until then
+// a caller may run a second module on it (SPATL's predictor trains on its
+// frozen encoder's output). Callers that need a result to survive a later
+// pass must Clone it, and a Forward may overwrite its input.
 type Layer interface {
 	// Forward runs the layer on a batch. train selects training-mode
 	// behaviour (batch statistics, dropout); layers cache whatever they
@@ -189,7 +192,13 @@ func CopyParams(dst, src []*Param) {
 
 // FlattenParams concatenates all weights into one vector (a fresh slice).
 func FlattenParams(params []*Param) []float32 {
-	out := make([]float32, 0, ParamCount(params))
+	return FlattenParamsInto(make([]float32, 0, ParamCount(params)), params)
+}
+
+// FlattenParamsInto is FlattenParams appending to dst[:0], over dst's
+// array when it is large enough.
+func FlattenParamsInto(dst []float32, params []*Param) []float32 {
+	out := dst[:0]
 	for _, p := range params {
 		out = append(out, p.W.Data...)
 	}
@@ -230,25 +239,18 @@ type releaser interface{ release() }
 // Release ends a pass: l and its descendants return every array they
 // still hold — the activations a training pass kept, the tensor a
 // composite returned, gradients no container consumed — to the scratch
-// pool and drop the inputs they kept for Backward. What stays is what a
-// model is: parameters, running statistics and the geometry FLOPs
-// reports. The next Forward draws pooled arrays, which every layer
-// overwrites in full, so a pass after a release computes exactly what it
-// would have computed without one.
+// pool (tensor.Recycle) and drop the inputs they kept for Backward. What
+// stays is what a model is: parameters, running statistics, the geometry
+// FLOPs reports, and the array-less tensor headers, so the next pass's
+// tensor.Reuse refills them without allocating. The next Forward draws
+// pooled arrays, which every layer overwrites in full, so a pass after a
+// release computes exactly what it would have computed without one.
 func Release(l Layer) {
 	Walk(l, func(l Layer) {
 		if r, ok := l.(releaser); ok {
 			r.release()
 		}
 	})
-}
-
-// drop returns a layer's buffer to the scratch pool and forgets it.
-func drop(t **tensor.Tensor) {
-	if *t != nil {
-		tensor.PutScratch((*t).Data)
-		*t = nil
-	}
 }
 
 // Walk visits l and all of its descendants depth-first in forward order.

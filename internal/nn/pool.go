@@ -80,8 +80,8 @@ func (m *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 func (m *MaxPool2D) release() {
-	drop(&m.out)
-	drop(&m.dx)
+	tensor.Recycle(m.out)
+	tensor.Recycle(m.dx)
 	m.argmax = nil
 }
 
@@ -147,8 +147,8 @@ func (g *GlobalAvgPool) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 func (g *GlobalAvgPool) release() {
-	drop(&g.out)
-	drop(&g.dx)
+	tensor.Recycle(g.out)
+	tensor.Recycle(g.dx)
 }
 
 // Params implements Layer.

@@ -23,6 +23,7 @@ type BasicBlock struct {
 
 	scConv *Conv2D      // nil for identity shortcut
 	scBN   *BatchNorm2D // nil for identity shortcut
+	subs   []Layer      // the above in forward order, listed once
 
 	out  *tensor.Tensor // the training-mode output, the final ReLU's gate
 	dsum *tensor.Tensor // the gradient at the sum (tensor.Reuse)
@@ -47,6 +48,10 @@ func NewBasicBlockInternal(name string, inC, midC, outC, stride int, rng *rand.R
 	if stride != 1 || inC != outC {
 		b.scConv = NewConv2D(name+".sc.conv", inC, outC, 1, stride, 0, false, rng)
 		b.scBN = NewBatchNorm2D(name+".sc.bn", outC)
+	}
+	b.subs = []Layer{b.conv1, b.bn1, b.relu1, b.conv2, b.bn2}
+	if b.scConv != nil {
+		b.subs = append(b.subs, b.scConv, b.scBN)
 	}
 	return b
 }
@@ -131,14 +136,14 @@ func (b *BasicBlock) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // release drops the block's own buffers; nn.Release reaches the sublayers
 // through Walk.
 func (b *BasicBlock) release() {
-	drop(&b.dsum)
+	tensor.Recycle(b.dsum)
 	b.out = nil
 }
 
 // Params implements Layer.
 func (b *BasicBlock) Params() []*Param {
 	var ps []*Param
-	for _, l := range b.sublayers() {
+	for _, l := range b.subs {
 		ps = append(ps, l.Params()...)
 	}
 	return ps
@@ -146,20 +151,13 @@ func (b *BasicBlock) Params() []*Param {
 
 // SubLayers returns the block's constituent layers in forward order
 // (main path first, then the projection shortcut when present).
-func (b *BasicBlock) SubLayers() []Layer { return b.sublayers() }
-
-func (b *BasicBlock) sublayers() []Layer {
-	ls := []Layer{b.conv1, b.bn1, b.relu1, b.conv2, b.bn2}
-	if b.scConv != nil {
-		ls = append(ls, b.scConv, b.scBN)
-	}
-	return ls
-}
+// The list is the block's own: read it, do not store into it.
+func (b *BasicBlock) SubLayers() []Layer { return b.subs }
 
 // FLOPs implements Layer.
 func (b *BasicBlock) FLOPs() int64 {
 	var f int64
-	for _, l := range b.sublayers() {
+	for _, l := range b.subs {
 		f += l.FLOPs()
 	}
 	return f

@@ -34,28 +34,34 @@ type Env struct {
 	// Penalty scales the constraint violation term. Default 2.
 	Penalty float64
 
+	graph *graph.Graph // the model's graph, built once, refreshed by State
 	mu    sync.Mutex
 	slots []*workspace // extraction workspace per slot, built on first use
 }
 
-// NewEnv constructs a pruning environment. It runs the model once
-// (Describe) so the layer geometry the FLOPs count reads is in place
-// before any Step.
+// NewEnv constructs a pruning environment. It builds the model's graph,
+// whose forward pass (Describe) also puts in place the layer geometry
+// the FLOPs count reads before any Step.
 func NewEnv(m *models.SplitModel, val *data.Dataset, budget float64) *Env {
-	m.Describe()
-	return &Env{Model: m, Val: val, FLOPsBudget: budget, Penalty: 2}
+	return &Env{Model: m, Val: val, FLOPsBudget: budget, Penalty: 2, graph: graph.FromEncoder(m)}
 }
 
-// State implements rl.Environment: the graph is rebuilt each call so
-// edge weight statistics reflect the model's current parameters.
-func (e *Env) State() *graph.Graph { return graph.FromEncoder(e.Model) }
+// State implements rl.Environment: the Env's one graph, its edge weight
+// statistics refreshed (graph.Refresh) so they reflect the model's
+// current parameters. The structure and geometry were built once by
+// NewEnv; the returned graph is the Env's and changes at the next State.
+func (e *Env) State() *graph.Graph {
+	e.graph.Refresh()
+	return e.graph
+}
 
 // Step implements rl.Environment.
 func (e *Env) Step(slot int, action []float64) float64 {
-	sel := Select(e.Model, action)
+	ws := e.workspace(slot)
+	sel := SelectInto(&ws.sel, e.Model, action)
 	pr, tot := maskedFLOPs(e.Model, sel.Masks)
 	ratio := float64(pr) / float64(tot)
-	r := eval.Accuracy(e.workspace(slot).extract(e.Model, sel), e.Val, scoreBatch)
+	r := eval.Accuracy(ws.extract(e.Model, sel), e.Val, scoreBatch)
 	if ratio > e.FLOPsBudget {
 		r -= e.Penalty * (ratio - e.FLOPsBudget)
 	}

@@ -32,8 +32,9 @@ func Extract(m *models.SplitModel, sel *Selection) *models.SplitModel {
 // SplitModel does not follow a re-slice.
 type workspace struct {
 	m     *models.SplitModel
-	chain bool     // the prunable units are top-level convs (VGG-11, CNN2), not blocks
-	idx   [2][]int // kept channel indices of alternate units
+	chain bool      // the prunable units are top-level convs (VGG-11, CNN2), not blocks
+	idx   [2][]int  // kept channel indices of alternate units
+	sel   Selection // the slot's selection, refilled by each Env.Step
 }
 
 // newWorkspace builds a workspace over m's layer structure.

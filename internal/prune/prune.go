@@ -12,6 +12,7 @@ package prune
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"spatl/internal/comm"
 	"spatl/internal/models"
@@ -44,9 +45,15 @@ func FullMask(n int) Mask {
 // ChannelScores returns each output channel's L1 norm (the salience
 // criterion used by the selection agent's action decoding).
 func ChannelScores(c *nn.Conv2D) []float64 {
+	return channelScoresInto(nil, c)
+}
+
+// channelScoresInto is ChannelScores into dst's array when it is large
+// enough.
+func channelScoresInto(dst []float64, c *nn.Conv2D) []float64 {
 	w := c.Weight().W
 	rows, cols := w.Dim(0), w.Dim(1)
-	scores := make([]float64, rows)
+	scores := resize(dst, rows)
 	for r := 0; r < rows; r++ {
 		var s float64
 		for j := 0; j < cols; j++ {
@@ -66,6 +73,15 @@ func ChannelScores(c *nn.Conv2D) []float64 {
 // NaN channel is never salient unless the keep count forces it, and
 // ties resolve by index as everywhere else.
 func MaskFromScores(scores []float64, ratio float64) Mask {
+	var m Mask
+	maskFromScoresInto(&m, scores, nil, ratio, false)
+	return m
+}
+
+// maskFromScoresInto is MaskFromScores into m, reusing m.Keep's array and
+// order's (scratch, returned) when they are large enough. owned says the
+// scores are the caller's scratch, normalized in place.
+func maskFromScoresInto(m *Mask, scores []float64, order []int, ratio float64, owned bool) []int {
 	n := len(scores)
 	keep := int(math.Ceil(ratio * float64(n)))
 	if keep < 1 {
@@ -74,27 +90,36 @@ func MaskFromScores(scores []float64, ratio float64) Mask {
 	if keep > n {
 		keep = n
 	}
-	normalized := false
 	for i, s := range scores {
 		if math.IsNaN(s) {
-			if !normalized {
+			if !owned {
 				scores = append([]float64(nil), scores...)
-				normalized = true
+				owned = true
 			}
 			scores[i] = math.Inf(-1)
 		}
 	}
-	order := make([]int, n)
+	order = resize(order, n)
 	for i := range order {
 		order[i] = i
 	}
 	topKSelect(order, scores, keep)
-	m := Mask{Keep: make([]bool, n)}
+	m.Keep = resize(m.Keep, n)
+	clear(m.Keep)
 	for _, i := range order[:keep] {
 		m.Keep[i] = true
 	}
 	m.Kept = keep
-	return m
+	return order
+}
+
+// resize returns s with length n, over s's array when it is large enough
+// (contents unspecified) and a new one otherwise.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // scoreLess reports whether channel a precedes channel b in the saliency
@@ -177,7 +202,15 @@ type Selection struct {
 	Ranges []comm.Range
 	// StateLen is the full encoder state length the ranges index into.
 	StateLen int
+
+	// SelectInto's scratch: channel scores and their ranking.
+	scores []float64
+	order  []int
 }
+
+// salientPool recycles selectWithMasksInto's state-sized salience
+// bitmaps, so a Selection a client keeps between rounds holds none.
+var salientPool sync.Pool
 
 // KeepFrac returns the fraction of encoder state elements selected.
 func (s *Selection) KeepFrac() float64 {
@@ -201,25 +234,44 @@ func (s *Selection) Ratios() []float64 {
 // ratios: within each prunable unit the top-L1 channels survive; every
 // encoder state element not owned by a pruned channel is salient.
 func Select(m *models.SplitModel, ratios []float64) *Selection {
+	return SelectInto(new(Selection), m, ratios)
+}
+
+// SelectInto is Select refilling sel — its masks, ranges and scratch
+// arrays reused — and returning it: a caller that selects every round
+// holds one Selection, valid until its next SelectInto.
+func SelectInto(sel *Selection, m *models.SplitModel, ratios []float64) *Selection {
 	units := m.PrunableUnits()
 	if len(ratios) != len(units) {
 		panic(fmt.Sprintf("prune: %d ratios for %d prunable units", len(ratios), len(units)))
 	}
-	masks := make([]Mask, len(units))
+	sel.Masks = resize(sel.Masks, len(units))
 	for i, u := range units {
-		masks[i] = MaskFromScores(ChannelScores(u.Conv), ratios[i])
+		sel.scores = channelScoresInto(sel.scores, u.Conv)
+		sel.order = maskFromScoresInto(&sel.Masks[i], sel.scores, sel.order, ratios[i], true)
 	}
-	return SelectWithMasks(m, masks)
+	return selectWithMasksInto(sel, m, sel.Masks)
 }
 
 // SelectWithMasks builds a Selection from explicit per-unit masks.
 func SelectWithMasks(m *models.SplitModel, masks []Mask) *Selection {
+	return selectWithMasksInto(new(Selection), m, masks)
+}
+
+// selectWithMasksInto is SelectWithMasks refilling sel.
+func selectWithMasksInto(sel *Selection, m *models.SplitModel, masks []Mask) *Selection {
 	units := m.PrunableUnits()
 	if len(masks) != len(units) {
 		panic(fmt.Sprintf("prune: %d masks for %d prunable units", len(masks), len(units)))
 	}
 	total := m.StateLen(models.ScopeEncoder)
-	salient := make([]bool, total)
+	sp, _ := salientPool.Get().(*[]bool)
+	if sp == nil {
+		sp = new([]bool)
+	}
+	defer salientPool.Put(sp)
+	*sp = resize(*sp, total)
+	salient := *sp
 	for i := range salient {
 		salient[i] = true
 	}
@@ -264,7 +316,7 @@ func SelectWithMasks(m *models.SplitModel, masks []Mask) *Selection {
 		}
 	}
 
-	sel := &Selection{Units: units, Masks: masks, StateLen: total}
+	sel.Units, sel.Masks, sel.StateLen, sel.Ranges = units, masks, total, sel.Ranges[:0]
 	// Compress the salience bitmap into maximal ranges.
 	i := 0
 	for i < total {

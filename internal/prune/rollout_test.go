@@ -12,6 +12,7 @@ import (
 	"spatl/internal/eval"
 	"spatl/internal/graph"
 	"spatl/internal/models"
+	"spatl/internal/nn"
 	"spatl/internal/prune"
 	"spatl/internal/rl"
 )
@@ -119,5 +120,43 @@ func TestEnvConcurrentSlotsHammer(t *testing.T) {
 				t.Fatalf("rollout %d episode %d: reward %v, serially %v", r, i, tr.Reward, w)
 			}
 		}
+	}
+}
+
+// TestEnvStateMatchesFreshGraph trains the Env's model for a few SGD
+// steps between two observations: the graph the Env built once and
+// refreshes must then equal a graph built afresh from the trained model,
+// edge for edge — and the steps must have moved the weight statistics
+// the refresh re-reads, or the comparison would hold vacuously.
+func TestEnvStateMatchesFreshGraph(t *testing.T) {
+	m, val := pretrainTask()
+	env := prune.NewEnv(m, val, 0.6)
+	before := slices.Clone(env.State().Edges)
+	params := m.Params()
+	opt := nn.NewSGD(params, 0.1, 0.9, 0)
+	x, y := val.BatchInto(nil, nil, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	for step := 0; step < 3; step++ {
+		nn.ZeroGrad(params)
+		_, grad := nn.SoftmaxCrossEntropy(m.Forward(x, true), y)
+		m.Backward(grad)
+		opt.Step()
+	}
+	m.Release()
+	got, want := env.State(), graph.FromEncoder(m)
+	if got.NumNodes != want.NumNodes || got.NumPrunable != want.NumPrunable || len(got.Edges) != len(want.Edges) {
+		t.Fatalf("refreshed graph: %d nodes, %d prunable, %d edges; fresh: %d, %d, %d",
+			got.NumNodes, got.NumPrunable, len(got.Edges), want.NumNodes, want.NumPrunable, len(want.Edges))
+	}
+	moved := 0
+	for i := range want.Edges {
+		if got.Edges[i] != want.Edges[i] {
+			t.Fatalf("edge %d: refreshed %+v, fresh %+v", i, got.Edges[i], want.Edges[i])
+		}
+		if got.Edges[i].WeightL1 != before[i].WeightL1 {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the SGD steps moved no edge's weight statistics")
 	}
 }

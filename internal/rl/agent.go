@@ -63,19 +63,19 @@ type Agent struct {
 	critR  *nn.ReLU
 	crit2  *nn.Linear
 
-	// forward caches
-	fc *agentCache
+	fc agentCache // forward caches, refilled by every Forward
 }
 
+// agentCache holds one Forward's inputs and outputs for Backward, refilled
+// like the GNN's (gnnCache).
 type agentCache struct {
 	g        *graph.Graph
-	h        *tensor.Tensor
 	actIn    *tensor.Tensor // (K, 2D+F)
 	actRaw   *tensor.Tensor // (K, 1) pre-sigmoid
-	mu       []float64
 	pooled   *tensor.Tensor // (1, D)
-	value    float64
-	prunable []graph.Edge
+	prunable []int          // edge index per prunable unit
+
+	dRaw, dVOut, dH *tensor.Tensor // Backward's gradients
 }
 
 // NewAgent constructs an agent.
@@ -118,30 +118,40 @@ func (a *Agent) SizeBytes() int { return 4 * nn.ParamCount(a.Params()) }
 
 // Forward evaluates the policy on a graph state, producing the per-layer
 // keep-ratio means μ ∈ [MinRatio, 1] and the critic value estimate.
+// mu is a fresh slice, the caller's to keep.
 func (a *Agent) Forward(g *graph.Graph) (mu []float64, value float64) {
 	h := a.gnn.Forward(g)
-	c := &agentCache{g: g, h: h, prunable: g.PrunableEdges()}
+	c := &a.fc
+	c.g = g
+	c.prunable = resize(c.prunable, g.NumPrunable)
+	for i := range g.Edges {
+		if pi := g.Edges[i].PrunableIdx; pi >= 0 {
+			c.prunable[pi] = i
+		}
+	}
 	k := len(c.prunable)
 	d := a.Cfg.Dim
 	in := 2*d + graph.FeatureDim
 
-	c.actIn = tensor.New(maxInt(k, 1), in)
-	for i, e := range c.prunable {
+	c.actIn = zeroed(c.actIn, maxInt(k, 1), in)
+	feat := a.gnn.cache.feat.Data
+	for i, ei := range c.prunable {
+		e := &g.Edges[ei]
 		row := c.actIn.Data[i*in:]
 		copy(row[:d], h.Data[e.Src*d:(e.Src+1)*d])
 		copy(row[d:2*d], h.Data[e.Dst*d:(e.Dst+1)*d])
-		copy(row[2*d:in], e.Features())
+		copy(row[2*d:in], feat[ei*graph.FeatureDim:(ei+1)*graph.FeatureDim])
 	}
 	c.actRaw = a.actor2.Forward(a.actorR.Forward(a.actor1.Forward(c.actIn, true), true), true)
-	c.mu = make([]float64, k)
+	mu = make([]float64, k)
 	for i := 0; i < k; i++ {
 		s := 1 / (1 + math.Exp(-float64(c.actRaw.Data[i])))
-		c.mu[i] = a.Cfg.MinRatio + (1-a.Cfg.MinRatio)*s
+		mu[i] = a.Cfg.MinRatio + (1-a.Cfg.MinRatio)*s
 	}
 
 	// Critic over mean-pooled node states.
 	n := g.NumNodes
-	c.pooled = tensor.New(1, d)
+	c.pooled = zeroed(c.pooled, 1, d)
 	for v := 0; v < n; v++ {
 		for j := 0; j < d; j++ {
 			c.pooled.Data[j] += h.Data[v*d+j]
@@ -152,24 +162,32 @@ func (a *Agent) Forward(g *graph.Graph) (mu []float64, value float64) {
 		c.pooled.Data[j] *= inv
 	}
 	vOut := a.crit2.Forward(a.critR.Forward(a.crit1.Forward(c.pooled, true), true), true)
-	c.value = float64(vOut.Data[0])
-	a.fc = c
-	return c.mu, c.value
+	return mu, float64(vOut.Data[0])
+}
+
+// resize returns s with length n, over s's array when it is large
+// enough (contents unspecified).
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Backward propagates loss gradients w.r.t. the actor means (dMu) and
 // the critic value (dV) through heads and GNN, accumulating parameter
 // gradients. Must follow Forward on the same state.
 func (a *Agent) Backward(dMu []float64, dV float64) {
-	c := a.fc
-	if c == nil {
+	c := &a.fc
+	if c.g == nil {
 		panic("rl: Agent.Backward before Forward")
 	}
 	d := a.Cfg.Dim
 	k := len(c.prunable)
 
 	// Actor: dμ/draw = (1−MinRatio)·s·(1−s).
-	dRaw := tensor.New(maxInt(k, 1), 1)
+	c.dRaw = zeroed(c.dRaw, maxInt(k, 1), 1)
+	dRaw := c.dRaw
 	for i := 0; i < k; i++ {
 		s := 1 / (1 + math.Exp(-float64(c.actRaw.Data[i])))
 		dRaw.Data[i] = float32(dMu[i] * (1 - a.Cfg.MinRatio) * s * (1 - s))
@@ -177,14 +195,16 @@ func (a *Agent) Backward(dMu []float64, dV float64) {
 	dActIn := a.actor1.Backward(a.actorR.Backward(a.actor2.Backward(dRaw)))
 
 	// Critic.
-	dVOut := tensor.New(1, 1)
+	c.dVOut = zeroed(c.dVOut, 1, 1)
+	dVOut := c.dVOut
 	dVOut.Data[0] = float32(dV)
 	dPooled := a.crit1.Backward(a.critR.Backward(a.crit2.Backward(dVOut)))
 
 	// Assemble dH: pooled gradient spreads 1/N to every node; actor
 	// input gradient scatters to src/dst node rows.
 	n := c.g.NumNodes
-	dH := tensor.New(n, d)
+	c.dH = zeroed(c.dH, n, d)
+	dH := c.dH
 	inv := float32(1 / float64(n))
 	for v := 0; v < n; v++ {
 		for j := 0; j < d; j++ {
@@ -192,7 +212,8 @@ func (a *Agent) Backward(dMu []float64, dV float64) {
 		}
 	}
 	in := 2*d + graph.FeatureDim
-	for i, e := range c.prunable {
+	for i, ei := range c.prunable {
+		e := &c.g.Edges[ei]
 		row := dActIn.Data[i*in:]
 		for j := 0; j < d; j++ {
 			dH.Data[e.Src*d+j] += row[j]

@@ -32,6 +32,7 @@ type PPO struct {
 	opt    *nn.Adam
 	allP   []*nn.Param
 	trainP []*nn.Param
+	dMu    []float64 // Update's per-transition ∂L/∂μ
 }
 
 // NewPPO constructs a PPO trainer over the agent.
@@ -111,7 +112,8 @@ func (p *PPO) Update(batch []Transition) float64 {
 			total += loss
 
 			// dL/dμᵢ = −dObj/dlogp · ∂logp/∂μᵢ ; ∂logp/∂μᵢ = (aᵢ−μᵢ)/σ².
-			dMu := make([]float64, len(mu))
+			p.dMu = resize(p.dMu, len(mu))
+			dMu := p.dMu
 			for j := range mu {
 				dMu[j] = -dObjDLogp * (t.Action[j] - mu[j]) / s2
 			}

@@ -320,3 +320,64 @@ func TestTrainResultLengthsAndFiniteness(t *testing.T) {
 		}
 	}
 }
+
+// TestAgentCacheMatchesFreshAcrossGraphs runs one agent on graph A, then
+// on B (another architecture, other sizes), then on A again: every
+// forward refills the caches the last one left, and must equal a fresh
+// agent's forward on the same graph exactly.
+func TestAgentCacheMatchesFreshAcrossGraphs(t *testing.T) {
+	cfg := AgentConfig{Seed: 31}
+	ga := testGraph(t)
+	gb := graph.FromEncoder(models.Build(models.Spec{Arch: "vgg11", Classes: 10, InC: 3, H: 32, W: 32, Width: 0.25}, 2))
+	a := NewAgent(cfg)
+	for i, g := range []*graph.Graph{ga, gb, ga} {
+		mu, v := a.Forward(g)
+		wantMu, wantV := NewAgent(cfg).Forward(g)
+		if v != wantV {
+			t.Fatalf("forward %d: value %v, a fresh agent's %v", i, v, wantV)
+		}
+		if len(mu) != len(wantMu) {
+			t.Fatalf("forward %d: %d means, a fresh agent's %d", i, len(mu), len(wantMu))
+		}
+		for j := range mu {
+			if mu[j] != wantMu[j] {
+				t.Fatalf("forward %d: mu[%d] = %v, a fresh agent's %v", i, j, mu[j], wantMu[j])
+			}
+		}
+	}
+}
+
+// TestPPOUpdateAfterReusedForwardsMatchesFresh updates two copies of one
+// agent — all parameters, so the GNN's backward runs too — on the same
+// batch: one whose caches a forward on another architecture's graph has
+// just resized, one fresh. Two updates in a row must leave both with the
+// same parameters bit for bit.
+func TestPPOUpdateAfterReusedForwardsMatchesFresh(t *testing.T) {
+	cfg := AgentConfig{Seed: 32, LR: 1e-2}
+	ga := testGraph(t)
+	gb := graph.FromEncoder(models.Build(models.Spec{Arch: "resnet56", Classes: 10, InC: 3, H: 8, W: 8, Width: 0.25}, 3))
+	reused, fresh := NewAgent(cfg), NewAgent(cfg)
+	reused.Forward(gb)
+	reused.Forward(ga)
+	reused.Forward(gb)
+	mu, v := NewAgent(cfg).Forward(ga)
+	rng := rand.New(rand.NewSource(33))
+	var batch []Transition
+	for i := 0; i < 3; i++ {
+		action, logp := fresh.Sample(mu, rng)
+		batch = append(batch, Transition{State: ga, Action: action, Reward: rng.Float64(), LogProb: logp, Value: v})
+	}
+	pr, pf := NewPPO(reused, false), NewPPO(fresh, false)
+	for u := 0; u < 2; u++ {
+		lr, lf := pr.Update(batch), pf.Update(batch)
+		if lr != lf {
+			t.Fatalf("update %d: loss %v after reused forwards, %v fresh", u, lr, lf)
+		}
+		wr, wf := reused.Save(), fresh.Save()
+		for j := range wf {
+			if math.Float32bits(wr[j]) != math.Float32bits(wf[j]) {
+				t.Fatalf("update %d: parameter %d is %v after reused forwards, %v fresh", u, j, wr[j], wf[j])
+			}
+		}
+	}
+}

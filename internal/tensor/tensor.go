@@ -93,6 +93,22 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{Data: data, shape: append([]int(nil), shape...)}
 }
 
+// Wrap is FromSlice into the header t, reshaped in place (a nil t gets a
+// new header): a layer that returns a view of an array it does not own
+// (Flatten) holds one header and re-points it on every call, allocating
+// nothing once the header exists.
+func Wrap(t *Tensor, data []float32, shape ...int) *Tensor {
+	if n := elements(shape); len(data) != n {
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), append([]int(nil), shape...), n))
+	}
+	if t == nil {
+		t = &Tensor{}
+	}
+	t.Data = data
+	t.shape = append(t.shape[:0], shape...)
+	return t
+}
+
 // Shape returns the tensor's dimensions. The returned slice must not be
 // mutated by the caller.
 func (t *Tensor) Shape() []int { return t.shape }

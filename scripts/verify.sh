@@ -16,7 +16,13 @@
 #                                massive sim's live heap at a
 #                                straggler-heavy quorum, a FedAvg
 #                                server round, a massive round's folds
-#                                at two cores), the per-pass layer-buffer
+#                                at two cores, a SPATL server round at
+#                                two cores, a greedy SPATL local update,
+#                                an update on a released model), the
+#                                selection caches and the SPATL caller
+#                                fold under -race, comm and algo built
+#                                for GOARCH=386 (32-bit int wire
+#                                lengths), the per-pass layer-buffer
 #                                suites (reshapes within an array,
 #                                release between steps bitwise over a
 #                                NaN-filled pool, the pass memory gate,
@@ -195,8 +201,18 @@ if [[ "$mode" == "--hot" ]]; then
         ./internal/tensor ./internal/nn ./internal/fl
     # Counts, not times; without -race, under which sync.Pool drops Puts.
     hot "allocation gates" \
-        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|RolloutAllocationGate|EmitWithoutJournalAllocatesNothing|MassiveStragglerMemoryGate|FedAvgServerRoundAllocatesNothing|FedAvgMassiveFoldsAllocateNothing' \
+        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|ReleasedUpdateAllocationGate|RolloutAllocationGate|EmitWithoutJournalAllocatesNothing|MassiveStragglerMemoryGate|FedAvgServerRoundAllocatesNothing|FedAvgMassiveFoldsAllocateNothing|SPATLServerRoundAllocatesNothing|SPATLGreedyUpdateAllocationGate' \
         ./internal/tensor ./internal/models ./internal/prune ./internal/telemetry ./internal/fl ./internal/algo
+    # What the selection agent and the SPATL server keep between rounds
+    # must compute what a fresh build computes: the Env's refreshed graph,
+    # the agent's refilled caches, the caller fold and span broadcast.
+    hot "selection caches and SPATL caller fold" \
+        go test -race -count=1 -run 'EnvStateMatchesFreshGraph|AgentCacheMatchesFresh|PPOUpdateAfterReusedForwards|SPATLCallerFoldMatchesRef|SPATLBroadcastMatchesJoin' \
+        ./internal/prune ./internal/rl ./internal/algo
+    # A 32-bit int: a uint32 wire length converted as it stands turns
+    # negative and passes a bounds check; the committed fuzz crashers
+    # replay here.
+    hot "comm and algo at GOARCH=386" env GOARCH=386 go test -count=1 ./internal/comm ./internal/algo
     # Layer buffers live for one pass and lanes share one pool: a released
     # buffer changes hands between goroutines. The pass memory gate counts
     # the bytes a pass holds and draws at once, never a time.
