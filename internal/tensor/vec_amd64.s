@@ -284,6 +284,10 @@ TEXT ·vecAccumScaledLEAsm(SB), NOSPLIT, $0-32
 	MOVQ	src+8(FP), SI
 	MOVQ	n+16(FP), CX
 	VBROADCASTSD	w+24(FP), Y0
+	// The loop is the whole of a dense fold. Aligned, its ≈ 34 bytes sit
+	// in one 64-byte line wherever the linker places the function; a
+	// line-crossing placement ran ingest_10k's rounds ≈ 15 % slower.
+	PCALIGN	$64
 
 accloop:
 	VCVTPS2PD	(SI), Y1        // widen 4 floats (exact)
