@@ -1,13 +1,11 @@
 package algo
 
-import (
-	"spatl/internal/comm"
-	"spatl/internal/telemetry"
-)
+import "spatl/internal/comm"
 
-// The dense upload path, shared by FedAvg/FedProx, FedNova and
-// SCAFFOLD. An upload is one or two dense vectors (FedAvg: the state;
-// FedNova: d and v; SCAFFOLD: Δw and Δc) and each is folded as
+// The dense upload path, shared by FedAvg/FedProx, FedNova, SCAFFOLD and
+// SSFL. An upload is one or two dense-layout vectors (FedAvg: the state;
+// FedNova: d and v; SCAFFOLD: Δw and Δc; SSFL: the saliency scores, then
+// the packed kept values of a values-only frame) and each is folded as
 // acc[j] += wᵢ·f64(xᵢ[j]) in the stream engine's fold order. The path
 // is one pass over the wire bytes: a header check that takes no buffer,
 // then a fused decode→fold kernel reading the values where the
@@ -31,115 +29,27 @@ type denseUpload struct {
 	tau   float64           // FedNova's local step count τᵢ
 }
 
-// denseIngest is the server-side upload path of a dense aggregator: the
-// stream engine over denseUpload, the drop counter, and the Collect
-// entry points. The embedding aggregator supplies parse (its payload
-// framing and length checks — header reads only) and the engine's
-// foldRun (its accumulators), and gets Collect, CollectLate,
-// CollectBatch, Dropped and SetTelemetry promoted.
-type denseIngest struct {
-	Telemetered
-	Stream[denseUpload]
-
-	// parse checks one payload's framing and every dense header in it
-	// against the model and returns the views. It must take no buffer
-	// and allocate nothing: a rejected upload costs only the check.
-	parse func(trainSize int, payload []byte) (denseUpload, bool)
-
-	curRound int
-	dropped  telemetry.Counter
-}
-
-// initDense wires the engine; called once from the aggregator's
-// constructor.
-func (d *denseIngest) initDense(parse func(int, []byte) (denseUpload, bool), foldRun func([]denseUpload)) {
-	d.parse = parse
-	release := func(u denseUpload) {
-		if u.owned {
-			comm.PutBuf(u.raw)
-		}
-	}
-	// Parking is the one place an upload outlives its Collect call: copy
-	// the bytes into a pooled buffer and re-take the views over the copy.
-	own := func(u denseUpload) denseUpload {
+// initDense wires a dense aggregator's engine, once, from its
+// constructor: parse is the aggregator's payload framing and length
+// checks — header reads only, no buffer taken — and foldRun its
+// accumulators. An upload is folded from the caller's bytes; the one
+// that parks is copied into a pooled buffer and parsed again over the
+// copy.
+func initDense(s *Stream[denseUpload], parse func(uint32, int, []byte) (denseUpload, bool), foldRun func([]denseUpload)) {
+	s.Init(parse, foldRun, releaseDense, func(u denseUpload) denseUpload {
 		buf := comm.GetBuf(len(u.raw))
 		copy(buf, u.raw)
-		own, _ := d.parse(0, buf) // same bytes: passes as u did
+		own, _ := parse(0, 0, buf) // same bytes: passes as u did
 		own.owned, own.w = true, u.w
 		return own
-	}
-	d.Init(foldRun, release, own)
+	})
 }
 
-// Dropped reports how many malformed uploads have been discarded since
-// construction; surfaced so operators can tell a skewed aggregate from a
-// healthy one.
-func (d *denseIngest) Dropped() int64 { return d.dropped.Value() }
-
-// SetTelemetry implements Wirer, additionally exposing the drop counter
-// and the stream gauges through the registry — the same counter Dropped
-// reads.
-func (d *denseIngest) SetTelemetry(s *telemetry.Set) {
-	d.Telemetered.SetTelemetry(s)
-	if s != nil && s.Reg != nil {
-		s.Reg.Attach("algo.uploads_dropped", &d.dropped)
-		d.WireStream(s.Reg)
+// releaseDense returns a parked upload's pooled copy.
+func releaseDense(u denseUpload) {
+	if u.owned {
+		comm.PutBuf(u.raw)
 	}
-}
-
-// admit is the front half of every Collect: observe the size, check the
-// headers. A rejected upload is counted and, when it came from a
-// selected client, its position resolved as absent — the cursor never
-// waits for a contribution that was refused.
-func (d *denseIngest) admit(client uint32, trainSize int, payload []byte) (denseUpload, bool) {
-	d.ObserveSize("payload.up", len(payload))
-	u, ok := d.parse(trainSize, payload)
-	if !ok {
-		d.dropped.Add(1)
-		d.skip(client)
-	}
-	return u, ok
-}
-
-// Collect implements Aggregator: check the upload's headers and hand it
-// to the streaming engine — folded from the caller's bytes when it is
-// at the cursor, parked as a pooled byte copy when it is early. payload
-// may be reused as soon as Collect returns.
-func (d *denseIngest) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer d.RoundSpan(round, "agg.collect").End()
-	d.curRound = round
-	if u, ok := d.admit(client, trainSize, payload); ok {
-		d.route(client, u)
-	}
-	d.flush()
-}
-
-// CollectLate implements Aggregator: a carried-over straggler
-// upload folds at its delivery position, outside the cursor.
-func (d *denseIngest) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer d.RoundSpan(round, "agg.collect").End()
-	d.curRound = round
-	d.ObserveSize("payload.up", len(payload))
-	if u, ok := d.parse(trainSize, payload); ok {
-		d.FoldNow(u)
-	} else {
-		d.dropped.Add(1)
-	}
-}
-
-// CollectBatch implements BatchCollector: equivalent to Collect called
-// on each upload in order, with every upload the cursor can reach folded
-// as one run — for a shard's entries in selection order, the whole
-// batch.
-func (d *denseIngest) CollectBatch(round int, ups []Upload) {
-	defer d.RoundSpan(round, "agg.collect").End()
-	d.curRound = round
-	for _, up := range ups {
-		if u, ok := d.admit(up.Client, up.TrainSize, up.Payload); ok {
-			d.route(up.Client, u)
-		}
-	}
-	d.flush()
 }
 
 // foldDense accumulates acc[j] += wᵢ·f64(xᵢ[j]) for part of every

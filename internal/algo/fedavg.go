@@ -17,7 +17,7 @@ import (
 // the global model's parameters, and Broadcast encodes straight from
 // them. FedProx shares it — the proximal term is purely client-side.
 type FedAvgAggregator struct {
-	denseIngest
+	Stream[denseUpload]
 	Global *models.SplitModel
 
 	cfg Config
@@ -39,7 +39,7 @@ type FedAvgAggregator struct {
 // NewFedAvgAggregator wires the aggregator around the global model.
 func NewFedAvgAggregator(global *models.SplitModel, cfg Config) *FedAvgAggregator {
 	a := &FedAvgAggregator{Global: global, cfg: cfg.WithDefaults()}
-	a.initDense(a.parseUpload, a.foldUploads)
+	initDense(&a.Stream, a.parseUpload, a.foldUploads)
 	a.finishRange, a.finishSpan, a.encodeSpan = a.finishStateRange, a.divideInto, a.encodeFrom
 	return a
 }
@@ -68,7 +68,7 @@ func (a *FedAvgAggregator) encodeFrom(off int, span []float32) {
 
 // parseUpload checks one upload: a single dense payload of the model's
 // state length.
-func (a *FedAvgAggregator) parseUpload(trainSize int, payload []byte) (denseUpload, bool) {
+func (a *FedAvgAggregator) parseUpload(_ uint32, trainSize int, payload []byte) (denseUpload, bool) {
 	v, err := comm.ViewDense(payload)
 	if err != nil || v.Len() != a.Global.StateLen(models.ScopeAll) {
 		return denseUpload{}, false
@@ -82,7 +82,6 @@ func (a *FedAvgAggregator) parseUpload(trainSize int, payload []byte) (denseUplo
 // accumulation is independent, so the chain is bitwise identical at any
 // GOMAXPROCS.
 func (a *FedAvgAggregator) foldUploads(run []denseUpload) {
-	defer a.RoundSpan(a.curRound, "agg.fold").End()
 	if n := a.Global.StateLen(models.ScopeAll); len(a.acc) != n {
 		a.acc = make([]float64, n)
 	}
@@ -99,8 +98,7 @@ func (a *FedAvgAggregator) foldUploads(run []denseUpload) {
 // bitwise identical to StreamFoldRefFedAvg at any GOMAXPROCS.
 func (a *FedAvgAggregator) FinishRound(round int) {
 	defer a.RoundSpan(round, "agg.reduce").End()
-	a.curRound = round
-	a.FinishStream()
+	a.FinishStream(round)
 	if a.folded == 0 || a.sumW == 0 {
 		// Zero-weight folds leave 0·x terms, NaN where x was ±Inf or NaN.
 		clear(a.acc)

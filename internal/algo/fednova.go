@@ -16,7 +16,7 @@ import (
 // their momentum buffers, the server averages and redistributes them
 // (the ≈2× per-round uplink the SPATL paper reports for FedNova).
 type FedNovaAggregator struct {
-	denseIngest
+	Stream[denseUpload]
 	Global *models.SplitModel
 
 	cfg      Config
@@ -36,7 +36,7 @@ func NewFedNovaAggregator(global *models.SplitModel, cfg Config) *FedNovaAggrega
 		cfg:      cfg.WithDefaults(),
 		velocity: make([]float32, nn.ParamCount(global.Params())),
 	}
-	a.initDense(a.parseUpload, a.foldUploads)
+	initDense(&a.Stream, a.parseUpload, a.foldUploads)
 	return a
 }
 
@@ -61,7 +61,7 @@ func (a *FedNovaAggregator) Broadcast(round int) []byte {
 
 // parseUpload checks one three-part upload — normalized update d,
 // momentum buffer, and the local step count τ as 4-byte little-endian.
-func (a *FedNovaAggregator) parseUpload(trainSize int, payload []byte) (denseUpload, bool) {
+func (a *FedNovaAggregator) parseUpload(_ uint32, trainSize int, payload []byte) (denseUpload, bool) {
 	var parts [3][]byte
 	if comm.SplitPayloadsInto(parts[:], payload) != nil || len(parts[2]) != 4 {
 		return denseUpload{}, false
@@ -78,7 +78,6 @@ func (a *FedNovaAggregator) parseUpload(trainSize int, payload []byte) (denseUpl
 // foldUploads adds a run's unscaled wᵢ·dᵢ and wᵢ·vᵢ terms into the
 // float64 accumulators and tallies the τ_eff numerator, in run order.
 func (a *FedNovaAggregator) foldUploads(run []denseUpload) {
-	defer a.RoundSpan(a.curRound, "agg.fold").End()
 	if a.folded == 0 {
 		a.accD = zeroed(a.accD, a.Global.StateLen(models.ScopeAll))
 		a.accV = zeroed(a.accV, len(a.velocity))
@@ -99,8 +98,7 @@ func (a *FedNovaAggregator) foldUploads(run []denseUpload) {
 // GOMAXPROCS.
 func (a *FedNovaAggregator) FinishRound(round int) {
 	defer a.RoundSpan(round, "agg.reduce").End()
-	a.curRound = round
-	a.FinishStream()
+	a.FinishStream(round)
 	if a.folded == 0 || a.sumW == 0 {
 		a.folded = 0
 		return

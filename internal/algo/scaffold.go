@@ -15,7 +15,7 @@ import (
 // the model, and folds the uploaded (Δw, Δc) pairs with
 // x += (1/|S|)·ΣΔw and c += (1/N)·ΣΔc.
 type SCAFFOLDAggregator struct {
-	denseIngest
+	Stream[denseUpload]
 	Global *models.SplitModel
 
 	cfg    Config
@@ -39,7 +39,7 @@ func NewSCAFFOLDAggregator(global *models.SplitModel, cfg Config) *SCAFFOLDAggre
 		cfg:    cfg,
 		c:      make([]float32, nn.ParamCount(global.Params())),
 	}
-	a.initDense(a.parseUpload, a.foldUploads)
+	initDense(&a.Stream, a.parseUpload, a.foldUploads)
 	return a
 }
 
@@ -65,7 +65,7 @@ func (a *SCAFFOLDAggregator) Broadcast(round int) []byte {
 // parseUpload checks one joined (Δw, Δc) upload. SCAFFOLD weights every
 // arrived upload equally, so the fold weight is 1 whatever the data
 // size — the 1/|S| scaling happens at finalize.
-func (a *SCAFFOLDAggregator) parseUpload(_ int, payload []byte) (denseUpload, bool) {
+func (a *SCAFFOLDAggregator) parseUpload(_ uint32, _ int, payload []byte) (denseUpload, bool) {
 	var parts [2][]byte
 	if comm.SplitPayloadsInto(parts[:], payload) != nil {
 		return denseUpload{}, false
@@ -81,7 +81,6 @@ func (a *SCAFFOLDAggregator) parseUpload(_ int, payload []byte) (denseUpload, bo
 // foldUploads adds a run's unscaled ΣΔw / ΣΔc terms into the float64
 // accumulators, in run order.
 func (a *SCAFFOLDAggregator) foldUploads(run []denseUpload) {
-	defer a.RoundSpan(a.curRound, "agg.fold").End()
 	if a.folded == 0 {
 		a.accW = zeroed(a.accW, a.Global.StateLen(models.ScopeAll))
 		a.accC = zeroed(a.accC, len(a.c))
@@ -97,8 +96,7 @@ func (a *SCAFFOLDAggregator) foldUploads(run []denseUpload) {
 // identical to StreamFoldRefSCAFFOLD at any GOMAXPROCS.
 func (a *SCAFFOLDAggregator) FinishRound(round int) {
 	defer a.RoundSpan(round, "agg.reduce").End()
-	a.curRound = round
-	a.FinishStream()
+	a.FinishStream(round)
 	if a.folded == 0 {
 		return
 	}

@@ -3,29 +3,24 @@ package algo
 import (
 	"encoding/binary"
 	"fmt"
-
-	"spatl/internal/tensor"
 )
 
-// Sharded aggregation: at 10k+ sampled clients per round, a single
-// sequential collect pass is the serial bottleneck of a federation — every
-// upload must be decoded and validated before the (already parallel)
-// reduction runs. The shard layer partitions the selection into contiguous
-// shards, lets each shard buffer its uploads independently (edge
-// aggregators over TCP, concurrent collectors in-process), and folds the
-// pooled shard payloads back into the flat aggregator in fixed shard-ID
-// order.
+// Sharded aggregation: at 10k+ sampled clients per round, the uploads of
+// a round arrive through many connections at once. The shard layer
+// partitions the selection into contiguous shards, lets each shard buffer
+// its uploads independently (edge aggregators over TCP, concurrent
+// collectors in-process), and folds the pooled shard payloads back into
+// the flat aggregator in fixed shard-ID order.
 //
 // Determinism contract: shards partition the selection *contiguously in
 // selection order*, and the fold replays uploads in (shard ID, within-shard
 // arrival) order — which is exactly the flat selection order. Every
-// aggregator buffers uploads in Collect and reduces in FinishRound, so the
-// pending order (and therefore the floating-point reduction) is identical
-// to the flat path: the sharded fold is bitwise identical to the flat
-// collect at any shard count. The batch decode path (BatchCollector)
-// parallelizes only the per-upload decode — order-independent work — and
-// appends results in upload order, preserving the same guarantee at any
-// GOMAXPROCS.
+// aggregator folds through the stream cursor (stream.go), so the fold
+// order (and therefore the floating-point reduction) is identical to the
+// flat path: the sharded fold is bitwise identical to the flat collect at
+// any shard count. The batch path (BatchCollector) hands a shard's
+// entries to the cursor in one call, so the uploads the cursor can reach
+// fold as one run.
 
 // Upload is one client's round contribution as a transport delivered it:
 // the identity and data weight from the hello handshake plus the opaque
@@ -162,17 +157,16 @@ func ShardEntries(dst []Upload, buf []byte) ([]Upload, error) {
 }
 
 // BatchCollector is the optional fast path of an Aggregator: deliver a
-// whole batch of uploads at once so the per-upload decode — the serial
-// bottleneck of a flat collect pass at 10k+ clients — parallelizes
-// across the worker pool. Implementations must buffer results in upload
-// order, making CollectBatch equivalent to calling Collect sequentially.
+// whole batch of uploads at once, so every upload the cursor can reach
+// folds as one run instead of one run per Collect. CollectBatch must be
+// equivalent to calling Collect on each upload in order; the stream
+// engine's is, and every aggregator here embeds it.
 type BatchCollector interface {
 	CollectBatch(round int, ups []Upload)
 }
 
-// CollectAll feeds uploads to agg in order, through the parallel batch
-// decode when the aggregator supports it and the sequential Collect
-// contract otherwise.
+// CollectAll feeds uploads to agg in order, through CollectBatch when
+// the aggregator has one and the sequential Collect contract otherwise.
 func CollectAll(agg Aggregator, round int, ups []Upload) {
 	if len(ups) == 0 {
 		return
@@ -205,25 +199,4 @@ func FoldShards(agg Aggregator, round int, shards []*ShardBuffer) (int, error) {
 	}
 	CollectAll(agg, round, all)
 	return len(all), firstErr
-}
-
-// decodeBatch decodes every upload concurrently on the worker pool,
-// preserving upload order in the result and dropping entries decode
-// rejects. decode runs concurrently: it must only touch the upload it
-// was handed, pooled scratch, and atomic counters.
-func decodeBatch[T any](ups []Upload, decode func(Upload) (T, bool)) []T {
-	res := make([]T, len(ups))
-	keep := make([]bool, len(ups))
-	tensor.Parallel(len(ups), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			res[i], keep[i] = decode(ups[i])
-		}
-	})
-	out := res[:0]
-	for i := range res {
-		if keep[i] {
-			out = append(out, res[i])
-		}
-	}
-	return out
 }

@@ -9,7 +9,6 @@ import (
 	"spatl/internal/nn"
 	"spatl/internal/prune"
 	"spatl/internal/rl"
-	"spatl/internal/telemetry"
 )
 
 // SPATLOptions configures SPATL. The zero value enables everything with
@@ -83,21 +82,18 @@ func (o SPATLOptions) CtrlParams(m *models.SplitModel) []*nn.Param {
 // straight into the global model's parameters and Broadcast encodes
 // straight from them, so a warm server round allocates nothing.
 type SPATLAggregator struct {
-	Telemetered
 	Stream[spatlUpload]
 	Global *models.SplitModel
 	Opts   SPATLOptions
 
-	cfg      Config
-	c        []float32 // server control variate over encoder trainable params
-	bcast    []byte
-	bstate   []byte    // the state part of bcast, while Broadcast encodes it
-	acc      []float64 // per-index Σ of salient deltas, folded on arrival
-	accC     []float64 // per-index Σ of control deltas
-	count    []int32   // per-index contributor count, reused across rounds
-	folded   int
-	curRound int
-	dropped  telemetry.Counter
+	cfg    Config
+	c      []float32 // server control variate over encoder trainable params
+	bcast  []byte
+	bstate []byte    // the state part of bcast, while Broadcast encodes it
+	acc    []float64 // per-index Σ of salient deltas, folded on arrival
+	accC   []float64 // per-index Σ of control deltas
+	count  []int32   // per-index contributor count, reused across rounds
+	folded int
 
 	// Span callbacks, bound once.
 	averageSpan, encodeSpan func(off int, span []float32)
@@ -118,7 +114,7 @@ func NewSPATLAggregator(global *models.SplitModel, opts SPATLOptions, cfg Config
 		cfg:    cfg.WithDefaults(),
 		c:      make([]float32, nn.ParamCount(opts.CtrlParams(global))),
 	}
-	a.Init(oneByOne(a.fold), func(u spatlUpload) {
+	a.Init(a.parseUpload, a.fold, func(u spatlUpload) {
 		comm.PutSparse(u.dW)
 		comm.PutSparse(u.dC)
 	}, nil)
@@ -128,19 +124,6 @@ func NewSPATLAggregator(global *models.SplitModel, opts SPATLOptions, cfg Config
 
 // ControlVariate exposes the server control variate c (read-only use).
 func (a *SPATLAggregator) ControlVariate() []float32 { return a.c }
-
-// Dropped reports how many malformed uploads have been discarded.
-func (a *SPATLAggregator) Dropped() int64 { return a.dropped.Value() }
-
-// SetTelemetry implements Wirer, additionally exposing the drop counter
-// through the registry — the same counter Dropped reads.
-func (a *SPATLAggregator) SetTelemetry(s *telemetry.Set) {
-	a.Telemetered.SetTelemetry(s)
-	if s != nil && s.Reg != nil {
-		s.Reg.Attach("algo.uploads_dropped", &a.dropped)
-		a.WireStream(s.Reg)
-	}
-}
 
 // Broadcast implements Aggregator: the shared-scope model state, joined
 // (comm.JoinPayloads' framing) with the server control variate unless
@@ -182,24 +165,21 @@ func (a *SPATLAggregator) encodeFrom(off int, span []float32) {
 	comm.PutDenseValues(a.bstate, off, span)
 }
 
-// decodeUpload decodes one sparse delta, joined with a sparse control
-// delta unless gradient control is disabled. A bad control part keeps
-// the weight delta — the model update is still sound. The shared front
-// half of Collect, CollectLate and CollectBatch.
-func (a *SPATLAggregator) decodeUpload(payload []byte) (spatlUpload, bool) {
-	a.ObserveSize("payload.up", len(payload))
+// parseUpload decodes one sparse delta, joined with a sparse control
+// delta unless gradient control is disabled, into pooled buffers the
+// upload owns. A bad control part keeps the weight delta — the model
+// update is still sound.
+func (a *SPATLAggregator) parseUpload(_ uint32, _ int, payload []byte) (spatlUpload, bool) {
 	var buf [2][]byte
 	parts := buf[:2]
 	if a.Opts.DisableGradControl {
 		parts = buf[:1]
 	}
 	if comm.SplitPayloadsInto(parts, payload) != nil {
-		a.dropped.Add(1)
 		return spatlUpload{}, false
 	}
 	dW := comm.GetSparse(len(parts[0]))
 	if err := comm.DecodeSparseAnyInto(dW, parts[0]); err != nil {
-		a.dropped.Add(1)
 		comm.PutSparse(dW)
 		return spatlUpload{}, false
 	}
@@ -237,59 +217,22 @@ func scatterAccum(acc []float64, count []int32, s *comm.Sparse) {
 	}
 }
 
-// fold scatters one upload's salient deltas into the float64
-// accumulators and bumps the per-index contributor counts. Each index
-// takes one add per upload, in fold order, so the result is the serial
-// reference's (StreamFoldRefSPATL) bit for bit.
-func (a *SPATLAggregator) fold(u spatlUpload) {
-	defer a.RoundSpan(a.curRound, "agg.fold").End()
+// fold scatters a run's salient deltas into the float64 accumulators
+// and bumps the per-index contributor counts, one upload at a time on
+// the caller. Each index takes one add per upload, in fold order, so the
+// result is the serial reference's (StreamFoldRefSPATL) bit for bit.
+func (a *SPATLAggregator) fold(run []spatlUpload) {
 	if a.folded == 0 {
 		nState := a.Global.StateLen(a.Opts.Scope())
 		a.acc, a.count = zeroed(a.acc, nState), zeroed(a.count, nState)
 		a.accC = zeroed(a.accC, len(a.c))
 	}
-	a.folded++
-	scatterAccum(a.acc, a.count, u.dW)
-	if u.dC != nil && !a.Opts.DisableGradControl {
-		scatterAccum(a.accC, nil, u.dC)
-	}
-}
-
-// Collect implements Aggregator: decode, then fold through the
-// streaming cursor; the sparse buffers release right after the fold.
-func (a *SPATLAggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.RoundSpan(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(payload); ok {
-		a.Ingest(client, u)
-	}
-}
-
-// CollectLate implements Aggregator: a carried-over straggler
-// upload folds at its delivery position, outside the cursor.
-func (a *SPATLAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.RoundSpan(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(payload); ok {
-		a.FoldNow(u)
-	}
-}
-
-// CollectBatch implements BatchCollector: the Collect decode run
-// concurrently over a whole batch, then ingested in upload order.
-func (a *SPATLAggregator) CollectBatch(round int, ups []Upload) {
-	defer a.RoundSpan(round, "agg.collect").End()
-	a.curRound = round
-	type entry struct {
-		client uint32
-		u      spatlUpload
-	}
-	entries := decodeBatch(ups, func(up Upload) (entry, bool) {
-		u, ok := a.decodeUpload(up.Payload)
-		return entry{client: up.Client, u: u}, ok
-	})
-	for _, e := range entries {
-		a.Ingest(e.client, e.u)
+	a.folded += len(run)
+	for _, u := range run {
+		scatterAccum(a.acc, a.count, u.dW)
+		if u.dC != nil && !a.Opts.DisableGradControl {
+			scatterAccum(a.accC, nil, u.dC)
+		}
 	}
 }
 
@@ -300,8 +243,7 @@ func (a *SPATLAggregator) CollectBatch(round int, ups []Upload) {
 // StreamFoldRefSPATL.
 func (a *SPATLAggregator) FinishRound(round int) {
 	defer a.RoundSpan(round, "agg.reduce").End()
-	a.curRound = round
-	a.FinishStream()
+	a.FinishStream(round)
 	if a.folded == 0 {
 		return
 	}
@@ -368,6 +310,7 @@ type SPATLTrainer struct {
 
 	cfg   Config
 	agent *rl.Agent  // lazily created fine-tuned selection agent
+	ppo   *rl.PPO    // the agent's fine-tuner, reset at each fine-tune round
 	env   *prune.Env // the agent's pruning environment, with its workspaces
 	upBuf []byte
 
@@ -511,8 +454,14 @@ func (t *SPATLTrainer) selectSalient(round int, rng *rand.Rand) *prune.Selection
 		t.env = prune.NewEnv(m, t.Client.Val, t.Opts.FLOPsBudget)
 	}
 	if round < t.Opts.FineTuneRounds {
-		ppo := rl.NewPPO(t.agent, t.Opts.Pretrained != nil)
-		rl.Train(ppo, t.env, 1, t.Opts.FineTuneEpisodes, rng)
+		// Each round fine-tunes with a fresh optimizer, as a new PPO
+		// would, without building one.
+		if t.ppo == nil {
+			t.ppo = rl.NewPPO(t.agent, t.Opts.Pretrained != nil)
+		} else {
+			t.ppo.Reset()
+		}
+		rl.Train(t.ppo, t.env, 1, t.Opts.FineTuneEpisodes, rng)
 	}
 	action := rl.BestAction(t.agent, t.env)
 	return prune.SelectInto(&t.sel, m, action)

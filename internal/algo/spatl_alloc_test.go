@@ -104,3 +104,52 @@ func TestSPATLServerRoundAllocatesNothing(t *testing.T) {
 		t.Fatalf("every warm SPATL server round allocated: %v objects", counts)
 	}
 }
+
+// TestSSFLServerRoundAllocatesNothing is the SPATL gate's twin for SSFL's
+// mask-static rounds: a warm values-only round at the benchmark's
+// geometry — Broadcast, four Collects of values-only frames, three of
+// them staged, FinishRound — allocates nothing at two cores, counted the
+// same way.
+func TestSSFLServerRoundAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	spec := models.Spec{Arch: "resnet20", Classes: 10, InC: 3, H: 16, W: 16, Width: 0.25}
+	agg := NewSSFLAggregator(models.Build(spec, 3), SSFLOptions{}, Config{NumClients: 8})
+	agreeSyntheticMask(t, agg, 4, 5)
+	rng := rand.New(rand.NewSource(4))
+	ids := []uint32{0, 2, 5, 7}
+	ups := make([][]byte, len(ids))
+	for i := range ups {
+		vals := make([]float32, agg.keptN)
+		for j := range vals {
+			vals[j] = float32(rng.NormFloat64())
+		}
+		ups[i] = comm.EncodeSparseVals(vals)
+	}
+	round := func(r int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		agg.Broadcast(r)
+		agg.BeginRound(r, ids)
+		for i := len(ids) - 1; i >= 0; i-- { // all but the last arrive early and are staged
+			agg.Collect(r, ids[i], 100, ups[i])
+		}
+		agg.FinishRound(r)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	round(1) // the one full sparse broadcast
+	round(2) // warm: the values-only broadcast body and the pools
+	var counts []uint64
+	for r := 3; r <= 7; r++ {
+		counts = append(counts, round(r))
+	}
+	if agg.Dropped() != 0 || agg.StagingPeak() != 3 {
+		t.Fatalf("%d uploads dropped, %d staged at most: the rounds did not run as meant",
+			agg.Dropped(), agg.StagingPeak())
+	}
+	if slices.Min(counts) != 0 {
+		t.Fatalf("every warm SSFL server round allocated: %v objects", counts)
+	}
+}

@@ -24,9 +24,10 @@ import (
 //     carries the index ranges exactly once (a full sparse frame); from
 //     then on both directions move values-only frames — just the packed
 //     masked values, no indices, no dense vector anywhere on the path.
-//     The server reduce runs directly on the packed value vectors
-//     (WeightedAverageInto over packed uploads) and only the final apply
-//     writes the kept entries back into the model.
+//     A values-only frame is a dense-layout vector under its own magic
+//     bytes, so the server folds the packed values on the dense upload
+//     path (dense.go), straight from the wire bytes, and only the final
+//     apply writes the kept entries back into the model.
 //
 // The mask is decided once, then it is data: it never participates in
 // floating-point order, so the packed reduce is bitwise identical to the
@@ -74,16 +75,16 @@ func ssflScoresInto(dst []float32, m *models.SplitModel) []float32 {
 	return dst
 }
 
-// SSFLAggregator is the server side of SSFL.
+// SSFLAggregator is the server side of SSFL. Both phases upload one
+// dense-layout vector — the saliency scores, then the packed kept
+// values — so it rides the dense upload path.
 type SSFLAggregator struct {
-	Telemetered
-	Stream[ssflUpload]
+	Stream[denseUpload]
 	Global *models.SplitModel
 	Opts   SSFLOptions
 
-	cfg    Config
-	bcast  []byte
-	avgBuf []float32
+	cfg   Config
+	bcast []byte
 
 	// Mask state, fixed at the end of the agreement round.
 	sel       *prune.Selection
@@ -99,17 +100,8 @@ type SSFLAggregator struct {
 	sumW   float64
 	folded int
 
-	curRound   int
-	dropped    telemetry.Counter
 	sparseUp   telemetry.Counter // values-only uplink bytes accepted
 	sparseDown telemetry.Counter // sparse downlink bytes broadcast
-}
-
-// ssflUpload is one client's decoded round contribution: a score or
-// packed value vector and its data-size weight.
-type ssflUpload struct {
-	vec []float32
-	w   float64
 }
 
 // NewSSFLAggregator wires the aggregator around the global model.
@@ -120,25 +112,20 @@ func NewSSFLAggregator(global *models.SplitModel, opts SSFLOptions, cfg Config) 
 		cfg:       cfg.WithDefaults(),
 		maskRound: -1,
 	}
-	a.Init(oneByOne(a.fold), func(u ssflUpload) { comm.PutF32(u.vec) }, nil)
+	initDense(&a.Stream, a.parseUpload, a.fold)
 	return a
 }
-
-// Dropped reports how many malformed uploads have been discarded.
-func (a *SSFLAggregator) Dropped() int64 { return a.dropped.Value() }
 
 // Selection exposes the agreed global selection (nil before agreement).
 func (a *SSFLAggregator) Selection() *prune.Selection { return a.sel }
 
-// SetTelemetry implements Wirer, additionally exposing the drop counter
-// and the sparse wire-byte counters through the registry.
+// SetTelemetry implements Wirer, additionally exposing the sparse
+// wire-byte counters through the registry.
 func (a *SSFLAggregator) SetTelemetry(s *telemetry.Set) {
-	a.Telemetered.SetTelemetry(s)
+	a.Stream.SetTelemetry(s)
 	if s != nil && s.Reg != nil {
-		s.Reg.Attach("algo.uploads_dropped", &a.dropped)
 		s.Reg.Attach("comm.sparse_up_bytes", &a.sparseUp)
 		s.Reg.Attach("comm.sparse_down_bytes", &a.sparseDown)
-		a.WireStream(s.Reg)
 	}
 }
 
@@ -152,7 +139,7 @@ func (a *SSFLAggregator) Broadcast(round int) []byte {
 	if a.sel == nil {
 		a.bcast = a.cfg.encodeDenseInto(a.bcast, state)
 	} else {
-		var sw comm.Sparse
+		sw := comm.Sparse{Values: comm.GetF32(a.keptN)[:0]}
 		comm.GatherSparseInto(&sw, state, a.ranges)
 		if round == a.maskRound+1 {
 			a.bcast = a.cfg.encodeSparseInto(a.bcast, &sw)
@@ -162,121 +149,58 @@ func (a *SSFLAggregator) Broadcast(round int) []byte {
 			a.bcast = comm.EncodeSparseValsInto(a.bcast, sw.Values)
 		}
 		a.sparseDown.Add(int64(len(a.bcast)))
+		comm.PutF32(sw.Values)
 	}
 	comm.PutF32(state)
 	a.ObserveSize("payload.down", len(a.bcast))
 	return a.bcast
 }
 
-// collectScores decodes one agreement-round score upload.
-func (a *SSFLAggregator) collectScores(payload []byte) ([]float32, bool) {
-	want := ssflScoreLen(a.Global)
-	scores, err := comm.DecodeDensePooled(payload, want)
-	if err != nil {
-		a.dropped.Add(1)
-		return nil, false
-	}
-	return scores, true
-}
-
-// collectPacked decodes one values-only sparse-round upload.
-func (a *SSFLAggregator) collectPacked(payload []byte) ([]float32, bool) {
-	vals, err := comm.DecodeSparseValsAnyInto(comm.GetF32(a.keptN), payload)
-	if err != nil || len(vals) != a.keptN {
-		a.dropped.Add(1)
-		comm.PutF32(vals)
-		return nil, false
-	}
-	a.sparseUp.Add(int64(len(payload)))
-	return vals, true
-}
-
-// decodeUpload decodes one upload for the current phase; the shared
-// front half of Collect, CollectLate and CollectBatch.
-func (a *SSFLAggregator) decodeUpload(trainSize int, payload []byte) (ssflUpload, bool) {
-	a.ObserveSize("payload.up", len(payload))
-	var vec []float32
-	var ok bool
+// parseUpload checks one upload against the round's phase: a dense
+// score vector before agreement, a values-only frame of exactly the
+// kept entries after it. A stale score upload arriving once the mask is
+// agreed fails the check and counts as dropped.
+func (a *SSFLAggregator) parseUpload(_ uint32, trainSize int, payload []byte) (denseUpload, bool) {
+	var v comm.DenseView
+	var err error
+	want := a.keptN
 	if a.sel == nil {
-		vec, ok = a.collectScores(payload)
+		v, err = comm.ViewDense(payload)
+		want = ssflScoreLen(a.Global)
 	} else {
-		vec, ok = a.collectPacked(payload)
+		v, err = comm.ViewSparseVals(payload)
 	}
-	if !ok {
-		return ssflUpload{}, false
+	if err != nil || v.Len() != want {
+		return denseUpload{}, false
 	}
-	return ssflUpload{vec: vec, w: float64(trainSize)}, true
+	return denseUpload{raw: payload, part: [2]comm.DenseView{v}, w: float64(trainSize)}, true
 }
 
-// fold adds one upload's unscaled wᵢ·xᵢ term into the float64
-// accumulator — the same fold for both phases, since the vector length
-// (score vs packed) is fixed within a round and the phase only flips in
-// FinishRound after the stream drained.
-func (a *SSFLAggregator) fold(u ssflUpload) {
-	defer a.RoundSpan(a.curRound, "agg.fold").End()
-	n := len(u.vec)
+// fold adds a run's unscaled wᵢ·xᵢ terms into the float64 accumulator —
+// the same fold for both phases, since the vector length (score vs
+// packed) is fixed within a round and the phase only flips in
+// FinishRound after the stream drained. A values-only upload counts
+// toward the sparse uplink bytes here, where it is accepted, so the
+// parse stays free of side effects.
+func (a *SSFLAggregator) fold(run []denseUpload) {
 	if a.folded == 0 {
-		if cap(a.acc) < n {
-			a.acc = make([]float64, n)
-		}
-		a.acc = a.acc[:n]
-		for j := range a.acc {
-			a.acc[j] = 0
-		}
+		a.acc = zeroed(a.acc, run[0].part[0].Len())
 		a.sumW = 0
 	}
-	a.folded++
-	a.sumW += u.w
-	tensor.Parallel(n, func(lo, hi int) {
-		tensor.VecAccumScaled(a.acc[lo:hi], u.vec[lo:hi], u.w)
-	})
-}
-
-// Collect implements Aggregator: decode, then fold through the
-// streaming cursor; buffers release right after the fold.
-func (a *SSFLAggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.RoundSpan(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.Ingest(client, u)
+	a.folded += len(run)
+	for i := range run {
+		a.sumW += run[i].w
+		if a.sel != nil {
+			a.sparseUp.Add(int64(len(run[i].raw)))
+		}
 	}
-}
-
-// CollectLate implements Aggregator: a carried-over straggler
-// upload folds at its delivery position, outside the cursor. A stale
-// score upload arriving after the mask was agreed fails the packed
-// decode and counts as dropped, same as the buffered path.
-func (a *SSFLAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.RoundSpan(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.FoldNow(u)
-	}
-}
-
-// CollectBatch implements BatchCollector: the Collect decode run
-// concurrently over a whole batch, then ingested in upload order.
-func (a *SSFLAggregator) CollectBatch(round int, ups []Upload) {
-	defer a.RoundSpan(round, "agg.collect").End()
-	a.curRound = round
-	type entry struct {
-		client uint32
-		u      ssflUpload
-	}
-	entries := decodeBatch(ups, func(up Upload) (entry, bool) {
-		u, ok := a.decodeUpload(up.TrainSize, up.Payload)
-		return entry{client: up.Client, u: u}, ok
-	})
-	for _, e := range entries {
-		a.Ingest(e.client, e.u)
-	}
+	foldDense(a.acc, run, 0)
 }
 
 // FinishRound implements Aggregator.
 func (a *SSFLAggregator) FinishRound(round int) {
 	defer a.RoundSpan(round, "agg.reduce").End()
-	a.curRound = round
-	a.FinishStream()
+	a.FinishStream(round)
 	if a.sel == nil {
 		a.agreeMask(round)
 		return
@@ -288,19 +212,14 @@ func (a *SSFLAggregator) FinishRound(round int) {
 	// The fold ran entirely on packed vectors; only this apply touches a
 	// dense view, and only at the kept indices — the complement stays
 	// the zeros ZeroPruned wrote at agreement.
-	if cap(a.avgBuf) < a.keptN {
-		a.avgBuf = make([]float32, a.keptN)
-	}
-	avg := a.avgBuf[:a.keptN]
-	tensor.Parallel(a.keptN, func(lo, hi int) {
-		tensor.VecDivF64ToF32(avg[lo:hi], a.acc[lo:hi], a.sumW, false)
-	})
-	a.avgBuf = avg
+	avg := comm.GetF32(a.keptN)
+	tensor.VecDivF64ToF32(avg, a.acc[:a.keptN], a.sumW, false)
 	n := a.Global.StateLen(models.ScopeEncoder)
 	state := a.Global.StateInto(models.ScopeEncoder, comm.GetF32(n))
 	comm.ScatterCopy(state, avg, a.ranges)
 	a.Global.SetState(models.ScopeEncoder, state)
 	comm.PutF32(state)
+	comm.PutF32(avg)
 	a.folded = 0
 	a.sumW = 0
 }
@@ -462,9 +381,8 @@ func (t *SSFLTrainer) LocalUpdate(round int, payload []byte) []byte {
 		if t.ranges == nil {
 			return nil
 		}
-		vals, err := comm.DecodeSparseValsAnyInto(comm.GetF32(t.keptN), payload)
-		if err != nil || len(vals) != t.keptN {
-			comm.PutF32(vals)
+		vals, err := comm.DecodeSparseValsPooled(payload, t.keptN)
+		if err != nil {
 			return nil
 		}
 		up := t.sparseUpdate(sp, round, vals, nState)
@@ -525,14 +443,14 @@ func (t *SSFLTrainer) sparseUpdate(sp *telemetry.Span, round int, vals []float32
 	train.End()
 
 	local := m.StateInto(models.ScopeEncoder, comm.GetF32(nState))
-	var sw comm.Sparse
+	sw := comm.Sparse{Values: comm.GetF32(t.keptN)[:0]}
 	comm.GatherSparseInto(&sw, local, t.ranges)
 	if t.cfg.HalfPrecision {
 		t.upBuf = comm.EncodeSparseValsF16Into(t.upBuf, sw.Values)
 	} else {
 		t.upBuf = comm.EncodeSparseValsInto(t.upBuf, sw.Values)
 	}
-	comm.PutF32(sw.Values[:0])
+	comm.PutF32(sw.Values)
 	comm.PutF32(local)
 	return t.upBuf
 }

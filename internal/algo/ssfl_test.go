@@ -106,7 +106,7 @@ func TestSSFLAggregatorCountsDrops(t *testing.T) {
 	agg.FinishRound(1)
 }
 
-// TestSSFLCollectBatchMatchesSequential: batch decoding must fold the
+// TestSSFLCollectBatchMatchesSequential: CollectBatch must fold the
 // same vectors in the same order as sequential Collect calls — the two
 // aggregates finish bitwise identical.
 func TestSSFLCollectBatchMatchesSequential(t *testing.T) {

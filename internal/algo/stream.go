@@ -43,21 +43,26 @@ type stagedEntry[U any] struct {
 }
 
 // Stream is the generic fold-on-arrival engine embedded by every
-// aggregator, in this package and outside it (internal/hetero).
-// Embedding it gives an aggregator BeginRound, MarkAbsent,
-// SetStagingLimit, StagingPeak and StagingOverflow; the aggregator wires
-// its callbacks with Init in its constructor, routes decoded uploads
-// through Ingest (cursor discipline) or FoldNow (the CollectLate path),
-// and calls FinishStream at the top of FinishRound. Fold order is the
-// engine's contract, the arithmetic is the aggregator's.
+// aggregator, in this package and outside it (internal/hetero), and the
+// whole of their upload front end. Embedding it gives an aggregator
+// Collect, CollectLate, CollectBatch, BeginRound, MarkAbsent,
+// SetStagingLimit, StagingPeak, StagingOverflow, Dropped, SetTelemetry
+// and the Telemetered hooks. The aggregator wires its parse and its fold
+// with Init in its constructor and calls FinishStream at the top of
+// FinishRound. Fold order is the engine's contract; the framing and the
+// arithmetic are the aggregator's.
 type Stream[U any] struct {
+	Telemetered
+
+	parse     func(client uint32, trainSize int, payload []byte) (U, bool)
 	foldRun   func([]U) // fold a run of uploads, in order, into the accumulators
 	releaseFn func(U)   // return the upload's pooled buffers
 	// ownFn detaches an upload from memory the Collect caller may reuse,
 	// called on the one path where an upload outlives the call: parking.
-	// nil when uploads own their memory from decode on.
+	// nil when uploads own their memory from parse on.
 	ownFn func(U) U
 
+	round   int              // round of the call in progress, for the fold span
 	order   []uint32         // canonical fold order (ascending client ID)
 	arrived []bool           // position resolved: folded, staged or absent
 	cursor  int              // next position owed a fold
@@ -65,43 +70,109 @@ type Stream[U any] struct {
 	staged  []stagedEntry[U] // parked out-of-order uploads (unordered)
 	limit   int              // staging bound; <=0 means len(order)
 
+	dropped  telemetry.Counter // "algo.uploads_dropped": uploads parse refused
 	inflight telemetry.Gauge   // "agg.inflight": selected uploads not yet resolved
 	stagedG  telemetry.Gauge   // "agg.staged": currently parked uploads
 	peak     telemetry.Counter // "agg.peak_staged": high-water mark of staged
 	overflow telemetry.Counter // "agg.staged_overflow": uploads evicted at the bound
 }
 
-// oneByOne adapts a per-upload fold to the engine's run contract, for
-// aggregators whose fold gains nothing from seeing a run whole.
-func oneByOne[U any](fold func(U)) func([]U) {
-	return func(run []U) {
-		for _, u := range run {
-			fold(u)
-		}
-	}
-}
-
 // Init wires the engine's callbacks, once, from the embedding
-// aggregator's constructor: foldRun merges a run of uploads, in order,
-// into the aggregator's accumulators; release returns an upload's pooled
-// buffers; own (nil when uploads own their memory from decode on)
-// detaches an upload that is about to park from the caller's bytes.
-func (s *Stream[U]) Init(foldRun func([]U), release func(U), own func(U) U) {
-	s.foldRun, s.releaseFn, s.ownFn = foldRun, release, own
+// aggregator's constructor. parse checks one payload's framing against
+// the model and returns the upload, or false to refuse it, and a refused
+// upload should cost only the check. An own that parses the parked copy
+// again (the dense path's does) runs parse twice on one upload, so such
+// an aggregator counts what it accepts in foldRun, not in parse. foldRun merges
+// a run of uploads, in order, into the aggregator's accumulators;
+// release returns an upload's pooled buffers; own (nil when uploads own
+// their memory from parse on) detaches an upload that is about to park
+// from the caller's bytes.
+func (s *Stream[U]) Init(parse func(client uint32, trainSize int, payload []byte) (U, bool),
+	foldRun func([]U), release func(U), own func(U) U) {
+	s.parse, s.foldRun, s.releaseFn, s.ownFn = parse, foldRun, release, own
 }
 
-// WireStream exposes the engine's gauges and counters through the
-// registry; called from each aggregator's SetTelemetry.
-func (s *Stream[U]) WireStream(reg *telemetry.Registry) {
+// SetTelemetry implements Wirer, additionally exposing the drop counter
+// and the engine's gauges and counters through the registry.
+func (s *Stream[U]) SetTelemetry(set *telemetry.Set) {
+	s.Telemetered.SetTelemetry(set)
+	if set == nil || set.Reg == nil {
+		return
+	}
+	reg := set.Reg
+	reg.Attach("algo.uploads_dropped", &s.dropped)
 	reg.AttachGauge("agg.inflight", &s.inflight)
 	reg.AttachGauge("agg.staged", &s.stagedG)
 	reg.Attach("agg.peak_staged", &s.peak)
 	reg.Attach("agg.staged_overflow", &s.overflow)
 }
 
+// Dropped reports how many malformed uploads have been discarded since
+// construction; surfaced so operators can tell a skewed aggregate from a
+// healthy one.
+func (s *Stream[U]) Dropped() int64 { return s.dropped.Value() }
+
+// admit is the front half of Collect and CollectBatch: observe the size,
+// parse. A refused upload is counted and, when it came from a selected
+// client, its position resolved as absent — the cursor never waits for a
+// contribution that was refused.
+func (s *Stream[U]) admit(client uint32, trainSize int, payload []byte) (U, bool) {
+	s.ObserveSize("payload.up", len(payload))
+	u, ok := s.parse(client, trainSize, payload)
+	if !ok {
+		s.dropped.Add(1)
+		s.skip(client)
+	}
+	return u, ok
+}
+
+// Collect implements Aggregator: parse the upload and hand it to the
+// cursor — folded from the caller's bytes when it is at the cursor,
+// parked when it is early. payload may be reused as soon as Collect
+// returns.
+func (s *Stream[U]) Collect(round int, client uint32, trainSize int, payload []byte) {
+	defer s.RoundSpan(round, "agg.collect").End()
+	s.round = round
+	if u, ok := s.admit(client, trainSize, payload); ok {
+		s.route(client, u)
+	}
+	s.flush()
+}
+
+// CollectLate implements Aggregator: a carried-over straggler upload
+// folds at its delivery position, outside the cursor.
+func (s *Stream[U]) CollectLate(round int, client uint32, trainSize int, payload []byte) {
+	defer s.RoundSpan(round, "agg.collect").End()
+	s.round = round
+	s.ObserveSize("payload.up", len(payload))
+	u, ok := s.parse(client, trainSize, payload)
+	if !ok {
+		s.dropped.Add(1)
+		return
+	}
+	s.run = append(s.run, u)
+	s.flush()
+}
+
+// CollectBatch implements BatchCollector: equivalent to Collect called
+// on each upload in order, with every upload the cursor can reach folded
+// as one run — for a shard's entries in selection order, the whole
+// batch.
+func (s *Stream[U]) CollectBatch(round int, ups []Upload) {
+	defer s.RoundSpan(round, "agg.collect").End()
+	s.round = round
+	for _, up := range ups {
+		if u, ok := s.admit(up.Client, up.TrainSize, up.Payload); ok {
+			s.route(up.Client, u)
+		}
+	}
+	s.flush()
+}
+
 // BeginRound implements Aggregator (promoted). The selection
 // is copied and sorted ascending — the canonical fold order.
 func (s *Stream[U]) BeginRound(round int, selected []uint32) {
+	s.round = round
 	s.order = append(s.order[:0], selected...)
 	sorted := true
 	for i := 1; i < len(s.order); i++ {
@@ -140,6 +211,7 @@ func (s *Stream[U]) StagingOverflow() int64 { return s.overflow.Value() }
 // selected client's position without a fold so the cursor can pass it,
 // and fold whatever parked uploads that frees.
 func (s *Stream[U]) MarkAbsent(round int, client uint32) {
+	s.round = round
 	s.skip(client)
 	s.flush()
 }
@@ -162,13 +234,6 @@ func (s *Stream[U]) skip(client uint32) {
 func (s *Stream[U]) find(client uint32) (int, bool) {
 	pos := sort.Search(len(s.order), func(i int) bool { return s.order[i] >= client })
 	return pos, pos < len(s.order) && s.order[pos] == client
-}
-
-// Ingest routes one upload and folds the run it completes: the
-// one-upload-per-call path of Collect.
-func (s *Stream[U]) Ingest(client uint32, u U) {
-	s.route(client, u)
-	s.flush()
 }
 
 // route places one upload: into the run when it is foldable now — at
@@ -196,21 +261,17 @@ func (s *Stream[U]) route(client uint32, u U) {
 	s.inflight.Set(int64(len(s.order) - s.cursor))
 }
 
-// FoldNow folds an upload immediately, outside the cursor discipline —
-// the CollectLate path.
-func (s *Stream[U]) FoldNow(u U) {
-	s.run = append(s.run, u)
-	s.flush()
-}
-
-// flush hands the run to the aggregator as one fold and releases its
-// uploads. Every entry point that can extend the run ends with it, so a
-// run never outlives the caller's bytes it may alias.
+// flush hands the run to the aggregator as one fold, under one
+// "agg.fold" span, and releases its uploads. Every entry point that can
+// extend the run ends with it, so a run never outlives the caller's
+// bytes it may alias.
 func (s *Stream[U]) flush() {
 	if len(s.run) == 0 {
 		return
 	}
+	sp := s.RoundSpan(s.round, "agg.fold")
 	s.foldRun(s.run)
+	sp.End()
 	var zero U
 	for i, u := range s.run {
 		s.releaseFn(u)
@@ -284,7 +345,8 @@ func (s *Stream[U]) advance() {
 // predecessors never arrived — as one run in position order, then resets
 // the round state. Called at the top of every FinishRound, before
 // finalization.
-func (s *Stream[U]) FinishStream() {
+func (s *Stream[U]) FinishStream(round int) {
+	s.round = round
 	if len(s.staged) > 0 {
 		sort.Slice(s.staged, func(i, j int) bool { return s.staged[i].pos < s.staged[j].pos })
 		for i := range s.staged {

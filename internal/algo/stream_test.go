@@ -593,8 +593,8 @@ func TestStreamRaceHammer(t *testing.T) {
 }
 
 // TestStreamBatchCollectMatchesSerialRef routes the same round through
-// CollectBatch — the concurrent-decode fast path every shard transport
-// uses — and demands the identical bitwise result.
+// CollectBatch — the one-call path every shard transport uses — and
+// demands the identical bitwise result.
 func TestStreamBatchCollectMatchesSerialRef(t *testing.T) {
 	fx := fedavgFixture(42)
 	agg := fx.agg.(*FedAvgAggregator)
@@ -837,6 +837,55 @@ func TestDenseMalformedMidRunCostsNothing(t *testing.T) {
 					t.Fatalf("malformed %d: a rejected upload allocated %v times", mi, n)
 				}
 				fx.agg.FinishRound(1)
+			}
+		})
+	}
+}
+
+// TestStreamRefusedUploadFreesCursor: a refused upload from the client
+// at the cursor resolves that client's position, on every aggregator.
+// Selection {0, 2, 5, 7}; client 0 sends garbage, then 2, 5 and 7 send
+// well-formed uploads in order. Nothing may park behind the refusal,
+// and the round must end bitwise as one where client 0 was marked
+// absent — compared on the next broadcast (state and control variates)
+// and the final payload.
+func TestStreamRefusedUploadFreesCursor(t *testing.T) {
+	ids := []uint32{0, 2, 5, 7}
+	garbage := []byte{0xFF, 0x01, 0x02}
+	for _, tc := range streamCases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(refuse bool) (next, final []byte) {
+				fx := tc.make(77)
+				agg := fx.agg.(interface {
+					Aggregator
+					Dropped() int64
+					StagingPeak() int64
+				})
+				agg.BeginRound(fx.round, ids)
+				if refuse {
+					agg.Collect(fx.round, ids[0], fx.sizes[0], garbage)
+				} else {
+					agg.MarkAbsent(fx.round, ids[0])
+				}
+				for i := 1; i < len(ids); i++ {
+					agg.Collect(fx.round, ids[i], fx.sizes[i], fx.payloads[i])
+				}
+				if refuse {
+					if d := agg.Dropped(); d != 1 {
+						t.Fatalf("Dropped() = %d, want 1", d)
+					}
+					if p := agg.StagingPeak(); p != 0 {
+						t.Fatalf("%d uploads parked behind the refused one", p)
+					}
+				}
+				agg.FinishRound(fx.round)
+				next = append([]byte(nil), agg.Broadcast(fx.round+1)...)
+				return next, append([]byte(nil), agg.Final()...)
+			}
+			wantNext, wantFinal := run(false)
+			gotNext, gotFinal := run(true)
+			if !slices.Equal(gotNext, wantNext) || !slices.Equal(gotFinal, wantFinal) {
+				t.Fatal("the round with a refused upload differs from the round with it absent")
 			}
 		})
 	}

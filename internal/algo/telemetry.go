@@ -11,8 +11,10 @@ import "spatl/internal/telemetry"
 // Span vocabulary (trace ID = round+1):
 //
 //	agg.broadcast  encode the round broadcast        (server)
-//	agg.collect    decode + buffer one upload        (server)
-//	agg.fold       fold one upload into the running accumulators (server)
+//	agg.collect    one Collect, CollectLate or CollectBatch call:
+//	               parse, route, and the run it completes (server)
+//	agg.fold       fold one run of uploads into the accumulators,
+//	               inside the call that completed it (server)
 //	agg.reduce     finalize the round's accumulators  (server)
 //	client.update  one full LocalUpdate               (client)
 //	client.train   the LocalSGD inside it             (client)
@@ -22,11 +24,12 @@ import "spatl/internal/telemetry"
 // bytes per collected upload — both observed server-side so the sim's
 // shared set counts each payload exactly once.
 //
-// Streaming vocabulary (see stream.go): gauges "agg.inflight" (selected
-// uploads not yet resolved this round) and "agg.staged" (uploads parked
-// ahead of the fold cursor); counters "agg.peak_staged" (high-water
-// mark of the staged set) and "agg.staged_overflow" (uploads evicted at
-// the staging bound).
+// Streaming vocabulary (see stream.go), the same for every aggregator:
+// gauges "agg.inflight" (selected uploads not yet resolved this round)
+// and "agg.staged" (uploads parked ahead of the fold cursor); counters
+// "algo.uploads_dropped" (uploads parse refused), "agg.peak_staged"
+// (high-water mark of the staged set) and "agg.staged_overflow" (uploads
+// evicted at the staging bound).
 
 // Telemetered is the embeddable telemetry hook shared by every
 // aggregator and trainer. Its zero value is inert.

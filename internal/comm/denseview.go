@@ -12,12 +12,18 @@ import (
 // length. A fixed value, so rejecting a hostile upload allocates nothing.
 var ErrNotDense = errors.New("comm: not a well-formed dense payload")
 
-// DenseView is a dense payload at either precision whose header — magic,
-// count, exact length — has been checked and whose values are still the
-// wire bytes. The server's dense aggregators fold from it directly
-// (AccumScaled), so an upload is read once, where it arrived, with no
-// intermediate []float32. A view aliases the payload it was taken of
-// and is valid only as long as those bytes are.
+// ErrNotSparseVals is ViewSparseVals' one error, ErrNotDense's twin for
+// values-only frames.
+var ErrNotSparseVals = errors.New("comm: not a well-formed values-only payload")
+
+// DenseView is a dense-layout payload at either precision — a dense
+// vector, or a values-only frame, which is the same layout under its own
+// magic bytes — whose header (magic, count, exact length) has been
+// checked and whose values are still the wire bytes. The server's dense
+// aggregators fold from it directly (AccumScaled), so an upload is read
+// once, where it arrived, with no intermediate []float32. A view aliases
+// the payload it was taken of and is valid only as long as those bytes
+// are.
 type DenseView struct {
 	body []byte // values, little-endian: 4 bytes each, 2 when half
 	half bool
@@ -28,17 +34,30 @@ type DenseView struct {
 // DecodeDenseAnyInto is ViewDense plus a decode — and takes no buffer,
 // pooled or otherwise.
 func ViewDense(buf []byte) (DenseView, error) {
+	return viewValues(buf, magicDense, magicDenseF16, ErrNotDense)
+}
+
+// ViewSparseVals is ViewDense for a values-only frame at either
+// precision — DecodeSparseValsAny is ViewSparseVals plus a decode.
+func ViewSparseVals(buf []byte) (DenseView, error) {
+	return viewValues(buf, magicSparseVals, magicSparseValsF16, ErrNotSparseVals)
+}
+
+// viewValues checks a dense-layout header — tag f32 or f16, a uint32
+// count, exactly that many values — and views the values, or returns
+// bad.
+func viewValues(buf []byte, f32, f16 byte, bad error) (DenseView, error) {
 	if len(buf) < 5 {
-		return DenseView{}, ErrNotDense
+		return DenseView{}, bad
 	}
 	n, size := uint64(binary.LittleEndian.Uint32(buf[1:5])), uint64(len(buf))
 	switch {
-	case buf[0] == magicDense && size == 5+4*n:
+	case buf[0] == f32 && size == 5+4*n:
 		return DenseView{body: buf[5:]}, nil
-	case buf[0] == magicDenseF16 && size == 5+2*n:
+	case buf[0] == f16 && size == 5+2*n:
 		return DenseView{body: buf[5:], half: true}, nil
 	}
-	return DenseView{}, ErrNotDense
+	return DenseView{}, bad
 }
 
 // DecodeDensePooled decodes a dense payload that must hold exactly n
@@ -50,6 +69,16 @@ func DecodeDensePooled(buf []byte, n int) ([]float32, error) {
 	v, err := ViewDense(buf)
 	if err != nil || v.Len() != n {
 		return nil, ErrNotDense
+	}
+	return v.decodeInto(GetF32(n)), nil
+}
+
+// DecodeSparseValsPooled is DecodeDensePooled for a values-only frame:
+// the count is checked before a buffer leaves the pool.
+func DecodeSparseValsPooled(buf []byte, n int) ([]float32, error) {
+	v, err := ViewSparseVals(buf)
+	if err != nil || v.Len() != n {
+		return nil, ErrNotSparseVals
 	}
 	return v.decodeInto(GetF32(n)), nil
 }

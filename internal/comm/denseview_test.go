@@ -144,33 +144,47 @@ func TestViewDenseRejectsWithoutAllocating(t *testing.T) {
 // of the server's rejected-upload regression: a malformed or mis-sized
 // dense payload is refused with ErrNotDense before a buffer is taken, so
 // the refusal allocates nothing — which a Get from a pool the buffer is
-// never returned to would, every time.
+// never returned to would, every time. DecodeSparseValsPooled keeps the
+// same rule for values-only frames.
 func TestDecodeDensePooledRefusalCostsNoPoolTraffic(t *testing.T) {
 	const n = 1 << 10
 	vals := make([]float32, n)
-	good := EncodeDense(vals)
-	bad := [][]byte{
-		nil,
-		good[:len(good)-1],
-		append(append([]byte(nil), good...), 0),
-		EncodeDense(vals[:n-1]),    // well-formed, wrong count
-		EncodeDenseF16(vals[:n/2]), // well-formed f16, wrong count
-	}
-	for i, b := range bad {
-		if got, err := DecodeDensePooled(b, n); err != ErrNotDense || got != nil {
-			t.Fatalf("case %d: got %d values, err %v; want nil, ErrNotDense", i, len(got), err)
+	for _, tc := range []struct {
+		decode      func([]byte, int) ([]float32, error)
+		enc, encF16 func([]float32) []byte
+		other       func([]float32) []byte // the other frame family, same count
+		refusal     error
+	}{
+		{DecodeDensePooled, EncodeDense, EncodeDenseF16, EncodeSparseVals, ErrNotDense},
+		{DecodeSparseValsPooled, EncodeSparseVals, EncodeSparseValsF16, EncodeDense, ErrNotSparseVals},
+	} {
+		good := tc.enc(vals)
+		bad := [][]byte{
+			nil,
+			good[:len(good)-1],
+			append(append([]byte(nil), good...), 0),
+			tc.enc(vals[:n-1]),    // well-formed, wrong count
+			tc.encF16(vals[:n/2]), // well-formed f16, wrong count
+			tc.other(vals),        // right count, wrong frame kind
+		}
+		for i, b := range bad {
+			if got, err := tc.decode(b, n); err != tc.refusal || got != nil {
+				t.Fatalf("case %d: got %d values, err %v; want nil, %v", i, len(got), err, tc.refusal)
+			}
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			for _, b := range bad {
+				_, _ = tc.decode(b, n)
+			}
+		}); a != 0 {
+			t.Fatalf("refusals allocated %v times per run", a)
+		}
+		for _, b := range [][]byte{good, tc.encF16(vals)} {
+			got, err := tc.decode(b, n)
+			if err != nil || len(got) != n {
+				t.Fatalf("well-formed payload: %d values, err %v", len(got), err)
+			}
+			PutF32(got)
 		}
 	}
-	if a := testing.AllocsPerRun(100, func() {
-		for _, b := range bad {
-			_, _ = DecodeDensePooled(b, n)
-		}
-	}); a != 0 {
-		t.Fatalf("refusals allocated %v times per run", a)
-	}
-	got, err := DecodeDensePooled(good, n)
-	if err != nil || len(got) != n {
-		t.Fatalf("well-formed payload: %d values, err %v", len(got), err)
-	}
-	PutF32(got)
 }

@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Values-only sparse frames: once both ends of a mask-static federation
 // (algo.SSFL) have agreed on the index ranges, re-shipping them every
@@ -85,22 +82,11 @@ func EncodeSparseValsInto(dst []byte, values []float32) []byte {
 
 // DecodeSparseVals parses a payload produced by EncodeSparseVals.
 func DecodeSparseVals(buf []byte) ([]float32, error) {
-	return DecodeSparseValsInto(nil, buf)
-}
-
-// DecodeSparseValsInto is DecodeSparseVals writing into dst (reused when
-// its capacity suffices, reallocated otherwise).
-func DecodeSparseValsInto(dst []float32, buf []byte) ([]float32, error) {
-	if len(buf) < 5 || buf[0] != magicSparseVals {
-		return nil, fmt.Errorf("comm: not a sparse-values payload")
+	v, err := ViewSparseVals(buf)
+	if err != nil || v.half {
+		return nil, ErrNotSparseVals
 	}
-	n := wireCount(buf[1:5], 4, len(buf))
-	if len(buf) != 5+4*n {
-		return nil, fmt.Errorf("comm: sparse-values payload length %d, want %d", len(buf), 5+4*n)
-	}
-	out := sizeF32(dst, n)
-	getF32Bulk(out, buf[5:])
-	return out, nil
+	return v.decodeInto(nil), nil
 }
 
 // EncodeSparseValsF16 serializes a packed value vector at half precision.
@@ -118,32 +104,13 @@ func EncodeSparseValsF16Into(dst []byte, values []float32) []byte {
 	return buf
 }
 
-// decodeSparseValsF16Into parses an EncodeSparseValsF16 payload into dst.
-func decodeSparseValsF16Into(dst []float32, buf []byte) ([]float32, error) {
-	if len(buf) < 5 || buf[0] != magicSparseValsF16 {
-		return nil, fmt.Errorf("comm: not a sparse-values-f16 payload")
-	}
-	n := wireCount(buf[1:5], 2, len(buf))
-	if len(buf) != 5+2*n {
-		return nil, fmt.Errorf("comm: sparse-values-f16 payload length %d, want %d", len(buf), 5+2*n)
-	}
-	out := sizeF32(dst, n)
-	getF16Bulk(out, buf[5:])
-	return out, nil
-}
-
 // DecodeSparseValsAny parses a values-only frame at either precision.
 func DecodeSparseValsAny(buf []byte) ([]float32, error) {
-	return DecodeSparseValsAnyInto(nil, buf)
-}
-
-// DecodeSparseValsAnyInto parses a values-only frame at either precision
-// into dst (reused when its capacity suffices, reallocated otherwise).
-func DecodeSparseValsAnyInto(dst []float32, buf []byte) ([]float32, error) {
-	if len(buf) > 0 && buf[0] == magicSparseValsF16 {
-		return decodeSparseValsF16Into(dst, buf)
+	v, err := ViewSparseVals(buf)
+	if err != nil {
+		return nil, err
 	}
-	return DecodeSparseValsInto(dst, buf)
+	return v.decodeInto(nil), nil
 }
 
 // ScatterCopy overwrites the covered runs of dst with the packed values,

@@ -35,7 +35,6 @@ type heteroUpload struct {
 // slices both sums collapse to FedAvg's Σwx and Σw — the degenerate
 // federation is bitwise FedAvg.
 type Aggregator struct {
-	algo.Telemetered
 	algo.Stream[heteroUpload]
 	Global *models.SplitModel
 
@@ -46,15 +45,13 @@ type Aggregator struct {
 	slices   map[uint16]*SliceSpec
 	milli    []uint16 // per-client width milli
 
-	modelsFlat []float32   // K×stateLen cluster models, cluster-major
-	acc        [][]float64 // per-cluster Σ wᵢ·xᵢ over covered indices
-	wsum       [][]float64 // per-cluster Σ wᵢ per covered index
-	folded     []int       // uploads folded per cluster this round
-	curRound   int
+	modelsFlat []float32         // K×stateLen cluster models, cluster-major
+	acc        [][]float64       // per-cluster Σ wᵢ·xᵢ over covered indices
+	wsum       [][]float64       // per-cluster Σ wᵢ per covered index
+	folded     []int             // uploads folded per cluster this round
 	bcast      []byte            // reusable broadcast body
 	upd        comm.HeteroUpdate // decode scratch (values handed off per upload)
 
-	dropped telemetry.Counter
 	upBytes map[uint16]*telemetry.Counter // per-width uplink payload bytes
 	sizes   []telemetry.Gauge             // per-cluster member counts
 }
@@ -104,7 +101,7 @@ func NewAggregator(global *models.SplitModel, opts Options, cfg algo.Config) *Ag
 		a.acc[k] = make([]float64, a.stateLen)
 		a.wsum[k] = make([]float64, a.stateLen)
 	}
-	a.Init(a.foldRun, func(u heteroUpload) { comm.PutF32(u.vals) }, nil)
+	a.Init(a.parseUpload, a.fold, func(u heteroUpload) { comm.PutF32(u.vals) }, nil)
 	return a
 }
 
@@ -131,11 +128,6 @@ func (a *Aggregator) Assignments() []uint8 { return a.cl.Assign }
 // Slice returns the server's SliceSpec for a width (by milli key).
 func (a *Aggregator) Slice(milli uint16) *SliceSpec { return a.slices[milli] }
 
-// Dropped reports how many uploads failed validation (malformed frame,
-// unknown width, wrong cluster, or a slice spec that does not match the
-// server's) and were discarded.
-func (a *Aggregator) Dropped() int64 { return a.dropped.Value() }
-
 // UpBytes reports the accepted uplink payload bytes for one width pool
 // entry (by milli key).
 func (a *Aggregator) UpBytes(milli uint16) int64 {
@@ -145,17 +137,14 @@ func (a *Aggregator) UpBytes(milli uint16) int64 {
 	return 0
 }
 
-// SetTelemetry implements algo.Wirer, exposing the drop counter, the
-// streaming gauges, the per-width uplink byte counters
-// ("hetero.up_bytes.w<milli>") and the per-cluster size gauges
-// ("hetero.cluster_size.<k>").
+// SetTelemetry implements algo.Wirer, additionally exposing the
+// per-width uplink byte counters ("hetero.up_bytes.w<milli>") and the
+// per-cluster size gauges ("hetero.cluster_size.<k>").
 func (a *Aggregator) SetTelemetry(s *telemetry.Set) {
-	a.Telemetered.SetTelemetry(s)
+	a.Stream.SetTelemetry(s)
 	if s == nil || s.Reg == nil {
 		return
 	}
-	s.Reg.Attach("algo.uploads_dropped", &a.dropped)
-	a.WireStream(s.Reg)
 	for m, c := range a.upBytes {
 		s.Reg.Attach(fmt.Sprintf("hetero.up_bytes.w%d", m), c)
 	}
@@ -178,14 +167,13 @@ func (a *Aggregator) Broadcast(round int) []byte {
 	return a.bcast
 }
 
-// decodeUpload decodes and validates one upload; the shared front half
-// of Collect and CollectLate. The frame's values move into a pooled
-// buffer owned by the returned upload; its ranges are checked against
-// the server's own SliceSpec and discarded.
-func (a *Aggregator) decodeUpload(client uint32, trainSize int, payload []byte) (heteroUpload, bool) {
-	a.ObserveSize("payload.up", len(payload))
+// parseUpload decodes and validates one upload: the frame's values move
+// into a pooled buffer owned by the returned upload; its ranges are
+// checked against the server's own SliceSpec and discarded. An upload
+// is refused for a malformed frame, an unknown client or width, the
+// wrong cluster, or a slice spec that does not match the server's.
+func (a *Aggregator) parseUpload(client uint32, trainSize int, payload []byte) (heteroUpload, bool) {
 	if int(client) >= len(a.milli) {
-		a.dropped.Add(1)
 		return heteroUpload{}, false
 	}
 	milli := a.milli[client]
@@ -195,7 +183,6 @@ func (a *Aggregator) decodeUpload(client uint32, trainSize int, payload []byte) 
 		a.upd.WidthMilli != milli ||
 		a.upd.Cluster != a.cl.Assign[client] ||
 		!sl.RangesEqual(a.upd.Ranges) {
-		a.dropped.Add(1)
 		comm.PutF32(a.upd.Values)
 		a.upd.Values = nil
 		return heteroUpload{}, false
@@ -208,50 +195,22 @@ func (a *Aggregator) decodeUpload(client uint32, trainSize int, payload []byte) 
 	return u, true
 }
 
-// foldRun merges a run of uploads, one at a time, into their clusters'
-// accumulators.
-func (a *Aggregator) foldRun(run []heteroUpload) {
+// fold merges a run of uploads, one at a time, into their clusters'
+// accumulators and feeds the assigner's signature sketch. Folds run only
+// on the collect goroutine in canonical order; per index the
+// accumulation chain is fixed, so the fold is bitwise reproducible at
+// any GOMAXPROCS.
+func (a *Aggregator) fold(run []heteroUpload) {
 	for _, u := range run {
-		a.fold(u)
-	}
-}
-
-// fold merges one upload into its cluster's accumulators and feeds the
-// assigner's signature sketch. Folds run only on the collect goroutine
-// in canonical order; per index the accumulation chain is fixed, so the
-// fold is bitwise reproducible at any GOMAXPROCS.
-func (a *Aggregator) fold(u heteroUpload) {
-	defer a.RoundSpan(a.curRound, "agg.fold").End()
-	k := int(u.cluster)
-	if a.folded[k] == 0 {
-		for j := range a.acc[k] {
-			a.acc[k][j] = 0
-			a.wsum[k][j] = 0
+		k := int(u.cluster)
+		if a.folded[k] == 0 {
+			clear(a.acc[k])
+			clear(a.wsum[k])
 		}
-	}
-	a.folded[k]++
-	sl := a.slices[a.milli[u.client]]
-	a.cl.Observe(u.client, u.vals, sl.Ranges, a.Model(k))
-	foldRanges(a.acc[k], a.wsum[k], u.vals, sl.Ranges, u.w)
-}
-
-// Collect implements algo.Aggregator: decode, validate, and hand the
-// upload to the streaming engine.
-func (a *Aggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.RoundSpan(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(client, trainSize, payload); ok {
-		a.Ingest(client, u)
-	}
-}
-
-// CollectLate implements algo.Aggregator: a carried-over
-// straggler upload folds at its delivery position, outside the cursor.
-func (a *Aggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.RoundSpan(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(client, trainSize, payload); ok {
-		a.FoldNow(u)
+		a.folded[k]++
+		sl := a.slices[a.milli[u.client]]
+		a.cl.Observe(u.client, u.vals, sl.Ranges, a.Model(k))
+		foldRanges(a.acc[k], a.wsum[k], u.vals, sl.Ranges, u.w)
 	}
 }
 
@@ -261,8 +220,7 @@ func (a *Aggregator) CollectLate(round int, client uint32, trainSize int, payloa
 // model, and run the periodic reassignment.
 func (a *Aggregator) FinishRound(round int) {
 	defer a.RoundSpan(round, "agg.reduce").End()
-	a.curRound = round
-	a.FinishStream()
+	a.FinishStream(round)
 	for k := 0; k < a.opts.Clusters; k++ {
 		if a.folded[k] == 0 {
 			continue

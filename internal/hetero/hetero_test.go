@@ -325,6 +325,52 @@ func TestDroppedCountsMalformedUploads(t *testing.T) {
 	}
 }
 
+// TestStreamRefusedUploadFreesCursor is algo's test of the same name on
+// the hetero aggregator: selection {0, 2, 5, 7}, client 0 sends garbage,
+// 2, 5 and 7 well-formed slices in order. Nothing may park behind the
+// refusal, and the final broadcast must equal, byte for byte, that of a
+// round where client 0 was marked absent.
+func TestStreamRefusedUploadFreesCursor(t *testing.T) {
+	const clients, seed = 8, 9
+	opts := Options{Clusters: 1, Widths: []float64{0.5}}
+	ids := []uint32{0, 2, 5, 7}
+	run := func(refuse bool) []byte {
+		env := testEnv(t, "resnet20", 0.25, clients, seed)
+		a := NewAggregator(env.Global, opts, env.AlgoConfig())
+		a.Broadcast(0)
+		sl := a.Slice(500)
+		rng := rand.New(rand.NewSource(seed))
+		a.BeginRound(0, ids)
+		if refuse {
+			a.Collect(0, ids[0], 10, []byte("not a frame"))
+		} else {
+			a.MarkAbsent(0, ids[0])
+		}
+		for _, id := range ids[1:] {
+			vals := make([]float32, sl.Count())
+			for j := range vals {
+				vals[j] = float32(rng.NormFloat64())
+			}
+			a.Collect(0, id, 10+int(id), comm.EncodeHeteroUpdate(&comm.HeteroUpdate{
+				Cluster: a.Assignments()[id], WidthMilli: 500,
+				Sparse: comm.Sparse{Ranges: sl.Ranges, Values: vals}}))
+		}
+		if refuse {
+			if d := a.Dropped(); d != 1 {
+				t.Fatalf("Dropped() = %d, want 1", d)
+			}
+			if p := a.StagingPeak(); p != 0 {
+				t.Fatalf("%d uploads parked behind the refused one", p)
+			}
+		}
+		a.FinishRound(0)
+		return append([]byte(nil), a.Final()...)
+	}
+	if !bytes.Equal(run(true), run(false)) {
+		t.Fatal("the round with a refused upload differs from the round with it absent")
+	}
+}
+
 // TestWidthSlicedRoundMovesOnlySlice pins the width pillar end to end:
 // a half-width client's upload carries exactly the slice, and after a
 // round the cluster model changed only where some slice covered it.

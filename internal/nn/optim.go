@@ -131,6 +131,16 @@ func (a *Adam) Step() {
 	}
 }
 
+// Reset zeroes the moment estimates and the step count, so the next
+// Step is the first step of a fresh NewAdam over the same parameters.
+func (a *Adam) Reset() {
+	a.t = 0
+	for i := range a.m {
+		clear(a.m[i].Data)
+		clear(a.v[i].Data)
+	}
+}
+
 // LR implements Optimizer.
 func (a *Adam) LR() float64 { return a.lr }
 

@@ -48,6 +48,11 @@ func NewPPO(agent *Agent, headOnly bool) *PPO {
 	return p
 }
 
+// Reset restarts the optimizer, making p the trainer a fresh NewPPO over
+// the same agent would be — for a caller that keeps one PPO across
+// separate fine-tuning sessions.
+func (p *PPO) Reset() { p.opt.Reset() }
+
 // Update runs PPO optimization epochs over a batch of transitions and
 // returns the mean clipped-surrogate+value loss of the final epoch.
 func (p *PPO) Update(batch []Transition) float64 {

@@ -381,3 +381,28 @@ func TestPPOUpdateAfterReusedForwardsMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestPPOResetMatchesFresh fine-tunes two copies of one agent head-only
+// over two sessions of Train: one keeps its PPO and resets it between
+// sessions, one builds a new PPO per session. Both must end with the
+// same parameters bit for bit.
+func TestPPOResetMatchesFresh(t *testing.T) {
+	cfg := AgentConfig{Seed: 34, LR: 1e-2}
+	env := &toyEnv{g: testGraph(t), target: 0.7}
+	kept, fresh := NewAgent(cfg), NewAgent(cfg)
+	rk, rf := rand.New(rand.NewSource(35)), rand.New(rand.NewSource(35))
+	ppo := NewPPO(kept, true)
+	for session := 0; session < 2; session++ {
+		if session > 0 {
+			ppo.Reset()
+		}
+		Train(ppo, env, 1, 3, rk)
+		Train(NewPPO(fresh, true), env, 1, 3, rf)
+		wk, wf := kept.Save(), fresh.Save()
+		for j := range wf {
+			if math.Float32bits(wk[j]) != math.Float32bits(wf[j]) {
+				t.Fatalf("session %d: parameter %d is %v with a reset PPO, %v with a new one", session, j, wk[j], wf[j])
+			}
+		}
+	}
+}

@@ -16,8 +16,9 @@
 #                                massive sim's live heap at a
 #                                straggler-heavy quorum, a FedAvg
 #                                server round, a massive round's folds
-#                                at two cores, a SPATL server round at
-#                                two cores, a greedy SPATL local update,
+#                                at two cores, a SPATL and an SSFL
+#                                server round at two cores, a greedy
+#                                SPATL local update,
 #                                an update on a released model), the
 #                                selection caches and the SPATL caller
 #                                fold under -race, comm and algo built
@@ -201,13 +202,13 @@ if [[ "$mode" == "--hot" ]]; then
         ./internal/tensor ./internal/nn ./internal/fl
     # Counts, not times; without -race, under which sync.Pool drops Puts.
     hot "allocation gates" \
-        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|ReleasedUpdateAllocationGate|RolloutAllocationGate|EmitWithoutJournalAllocatesNothing|MassiveStragglerMemoryGate|FedAvgServerRoundAllocatesNothing|FedAvgMassiveFoldsAllocateNothing|SPATLServerRoundAllocatesNothing|SPATLGreedyUpdateAllocationGate' \
+        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|ReleasedUpdateAllocationGate|RolloutAllocationGate|EmitWithoutJournalAllocatesNothing|MassiveStragglerMemoryGate|FedAvgServerRoundAllocatesNothing|FedAvgMassiveFoldsAllocateNothing|SPATLServerRoundAllocatesNothing|SSFLServerRoundAllocatesNothing|SPATLGreedyUpdateAllocationGate' \
         ./internal/tensor ./internal/models ./internal/prune ./internal/telemetry ./internal/fl ./internal/algo
     # What the selection agent and the SPATL server keep between rounds
     # must compute what a fresh build computes: the Env's refreshed graph,
     # the agent's refilled caches, the caller fold and span broadcast.
     hot "selection caches and SPATL caller fold" \
-        go test -race -count=1 -run 'EnvStateMatchesFreshGraph|AgentCacheMatchesFresh|PPOUpdateAfterReusedForwards|SPATLCallerFoldMatchesRef|SPATLBroadcastMatchesJoin' \
+        go test -race -count=1 -run 'EnvStateMatchesFreshGraph|AgentCacheMatchesFresh|PPOUpdateAfterReusedForwards|PPOResetMatchesFresh|SPATLCallerFoldMatchesRef|SPATLBroadcastMatchesJoin' \
         ./internal/prune ./internal/rl ./internal/algo
     # A 32-bit int: a uint32 wire length converted as it stands turns
     # negative and passes a bounds check; the committed fuzz crashers
