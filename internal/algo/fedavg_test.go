@@ -121,12 +121,12 @@ func TestFedAvgServerRoundAllocatesNothing(t *testing.T) {
 // RunMassive's default MLP, a warm FedAvg aggregator's collect — a
 // piece of stragglers through CollectLate, then the round as 17-upload
 // CollectBatch runs, a 512 KiB relay-frame piece each — must not
-// allocate. Every fold is walked on the caller; a fold dispatched to
-// the pool would allocate the pool's job. AllocsPerRun cannot see that
-// (it sets GOMAXPROCS 1, where Parallel runs inline), so the gate
-// counts runtime.MemStats.Mallocs itself. It calls CollectBatch on the
-// concrete type: CollectAll's interface assertion allocates its call
-// site's type cache at a random one of its first ~1000 calls.
+// allocate. Every fold is walked on the caller. AllocsPerRun cannot see
+// the pool's dispatch path (it sets GOMAXPROCS 1, where Parallel runs
+// inline), so the gate counts runtime.MemStats.Mallocs itself. It calls
+// CollectBatch on the concrete type: CollectAll's interface assertion
+// allocates its call site's type cache at a random one of its first
+// ~1000 calls.
 func TestFedAvgMassiveFoldsAllocateNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	spec := models.Spec{Arch: "mlp", Classes: 10, InC: 3, H: 8, W: 8, Width: 0.5}

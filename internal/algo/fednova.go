@@ -26,7 +26,10 @@ type FedNovaAggregator struct {
 	accV     []float64 // unscaled Σ wᵢ·vᵢ
 	sumW     float64
 	sumWTau  float64 // Σ wᵢ·τᵢ (τ_eff numerator)
+	tauEff   float64 // Σ wᵢ·τᵢ / Σ wᵢ, set by FinishRound for stepSpan
 	folded   int
+
+	stepSpan func(off int, span []float32) // stepInto, bound once
 }
 
 // NewFedNovaAggregator wires the aggregator around the global model.
@@ -37,6 +40,7 @@ func NewFedNovaAggregator(global *models.SplitModel, cfg Config) *FedNovaAggrega
 		velocity: make([]float32, nn.ParamCount(global.Params())),
 	}
 	initDense(&a.Stream, a.parseUpload, a.foldUploads)
+	a.stepSpan = a.stepInto
 	return a
 }
 
@@ -94,8 +98,8 @@ func (a *FedNovaAggregator) foldUploads(run []denseUpload) {
 
 // FinishRound implements Aggregator: τ_eff = Σwᵢτᵢ/Σwᵢ ; x_g ← x_g −
 // τ_eff·(Σwᵢdᵢ/Σwᵢ) ; velocity = Σwᵢvᵢ/Σwᵢ — the finalize half of the
-// two-phase reduce, bitwise identical to StreamFoldRefFedNova at any
-// GOMAXPROCS.
+// two-phase reduce, written straight into the global model on the caller,
+// bitwise identical to StreamFoldRefFedNova at any GOMAXPROCS.
 func (a *FedNovaAggregator) FinishRound(round int) {
 	defer a.RoundSpan(round, "agg.reduce").End()
 	a.FinishStream(round)
@@ -103,23 +107,20 @@ func (a *FedNovaAggregator) FinishRound(round int) {
 		a.folded = 0
 		return
 	}
-	tauEff := a.sumWTau / a.sumW
-	nState := len(a.accD)
-	globalState := a.Global.StateInto(models.ScopeAll, comm.GetF32(nState))
-	newState := comm.GetF32(nState)
-	tensor.Parallel(nState, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			newState[j] = float32(float64(globalState[j]) - tauEff*(a.accD[j]/a.sumW))
-		}
-	})
-	a.Global.SetState(models.ScopeAll, newState)
-	comm.PutF32(newState)
-	comm.PutF32(globalState)
-	tensor.Parallel(len(a.velocity), func(lo, hi int) {
-		tensor.VecDivF64ToF32(a.velocity[lo:hi], a.accV[lo:hi], a.sumW, false)
-	})
+	a.tauEff = a.sumWTau / a.sumW
+	a.Global.EachStateRange(models.ScopeAll, 0, len(a.accD), a.stepSpan)
+	tensor.VecDivF64ToF32(a.velocity, a.accV, a.sumW, false)
 	a.folded = 0
 	a.sumW, a.sumWTau = 0, 0
+}
+
+// stepInto is FinishRound's span callback: span = f32(f64(span) −
+// τ_eff·(Σwᵢdᵢ/Σwᵢ)).
+func (a *FedNovaAggregator) stepInto(off int, span []float32) {
+	acc := a.accD[off : off+len(span)]
+	for j := range span {
+		span[j] = float32(float64(span[j]) - a.tauEff*(acc[j]/a.sumW))
+	}
 }
 
 // Final implements Aggregator.

@@ -7,7 +7,6 @@ import (
 	"spatl/internal/comm"
 	"spatl/internal/models"
 	"spatl/internal/nn"
-	"spatl/internal/tensor"
 )
 
 // SCAFFOLDAggregator is the server side of SCAFFOLD (Karimireddy et
@@ -24,6 +23,8 @@ type SCAFFOLDAggregator struct {
 	accW   []float64 // unscaled ΣΔwᵢ, folded on arrival
 	accC   []float64 // unscaled ΣΔcᵢ
 	folded int
+
+	stepSpan func(off int, span []float32) // stepInto, bound once
 }
 
 // NewSCAFFOLDAggregator wires the aggregator around the global model.
@@ -40,6 +41,7 @@ func NewSCAFFOLDAggregator(global *models.SplitModel, cfg Config) *SCAFFOLDAggre
 		c:      make([]float32, nn.ParamCount(global.Params())),
 	}
 	initDense(&a.Stream, a.parseUpload, a.foldUploads)
+	a.stepSpan = a.stepInto
 	return a
 }
 
@@ -92,33 +94,31 @@ func (a *SCAFFOLDAggregator) foldUploads(run []denseUpload) {
 
 // FinishRound implements Aggregator: x ← x_g + (ΣΔw)/|S| ; c ← c +
 // (ΣΔc)/N, where S is the set of clients whose uploads actually
-// arrived — the finalize half of the two-phase reduce, bitwise
-// identical to StreamFoldRefSCAFFOLD at any GOMAXPROCS.
+// arrived — the finalize half of the two-phase reduce, written straight
+// into the global model on the caller, bitwise identical to
+// StreamFoldRefSCAFFOLD at any GOMAXPROCS.
 func (a *SCAFFOLDAggregator) FinishRound(round int) {
 	defer a.RoundSpan(round, "agg.reduce").End()
 	a.FinishStream(round)
 	if a.folded == 0 {
 		return
 	}
-	nState := len(a.accW)
-	globalState := a.Global.StateInto(models.ScopeAll, comm.GetF32(nState))
-	newState := comm.GetF32(nState)
-	invS := float64(a.folded)
-	tensor.Parallel(nState, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			newState[j] = float32(float64(globalState[j]) + a.accW[j]/invS)
-		}
-	})
-	a.Global.SetState(models.ScopeAll, newState)
-	comm.PutF32(newState)
-	comm.PutF32(globalState)
+	a.Global.EachStateRange(models.ScopeAll, 0, len(a.accW), a.stepSpan)
 	invN := float64(a.cfg.NumClients)
-	tensor.Parallel(len(a.c), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			a.c[j] = float32(float64(a.c[j]) + a.accC[j]/invN)
-		}
-	})
+	for j := range a.c {
+		a.c[j] = float32(float64(a.c[j]) + a.accC[j]/invN)
+	}
 	a.folded = 0
+}
+
+// stepInto is FinishRound's span callback: span = f32(f64(span) +
+// (ΣΔw)/|S|).
+func (a *SCAFFOLDAggregator) stepInto(off int, span []float32) {
+	acc := a.accW[off : off+len(span)]
+	invS := float64(a.folded)
+	for j := range span {
+		span[j] = float32(float64(span[j]) + acc[j]/invS)
+	}
 }
 
 // Final implements Aggregator.

@@ -895,8 +895,8 @@ func TestStreamRefusedUploadFreesCursor(t *testing.T) {
 // the dense path: with telemetry off, an in-order Collect — header
 // check, fold from the caller's bytes, cursor advance — allocates
 // nothing, on a small and a conv model. (AllocsPerRun measures at
-// GOMAXPROCS 1, where the block loop runs inline; with workers a fold
-// costs the pool job it is dispatched as.)
+// GOMAXPROCS 1; TestFedAvgMassiveFoldsAllocateNothing counts folds at
+// two cores.)
 func TestFedAvgCollectAtCursorDoesNotAllocate(t *testing.T) {
 	specs := []models.Spec{
 		{Arch: "mlp", Classes: 10, InC: 3, H: 8, W: 8, Width: 0.5},

@@ -60,6 +60,12 @@ const (
 // maxFrame bounds a frame to guard against corrupt length prefixes.
 const maxFrame = 1 << 30
 
+// frameChunk is the most of a frame's body readFrame takes before the peer
+// has sent any of it: the body buffer starts at this size and doubles as
+// bytes arrive, so a length prefix alone cannot make the reader allocate
+// what it claims. A body up to this size costs one pooled buffer.
+const frameChunk = 4 << 20
+
 // helloLen is the payload of a client's MsgHello: its train size.
 const helloLen = 4
 
@@ -126,7 +132,8 @@ func trainSizeOf(b []byte) int {
 }
 
 // readFrame is ReadFrame with the caller's bound on the length prefix,
-// refused before any buffer is taken.
+// refused before any buffer is taken. The body is read in a buffer that
+// grows with what has arrived, from frameChunk.
 func readFrame(r io.Reader, maxLen uint32) (Frame, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -136,9 +143,22 @@ func readFrame(r io.Reader, maxLen uint32) (Frame, error) {
 	if n < frameBodyMin || n > maxLen {
 		return Frame{}, fmt.Errorf("flnet: implausible frame length %d (at most %d here)", n, maxLen)
 	}
-	body := comm.GetBuf(int(n))
-	if _, err := io.ReadFull(r, body); err != nil {
+	body := comm.GetBuf(int(min(n, frameChunk)))
+	got, err := io.ReadFull(r, body)
+	for err == nil && got < int(n) {
+		grown := comm.GetBuf(min(int(n), 2*got))
+		copy(grown, body)
 		comm.PutBuf(body)
+		body = grown
+		var k int
+		k, err = io.ReadFull(r, body[got:])
+		got += k
+	}
+	if err != nil {
+		comm.PutBuf(body)
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return Frame{}, err
 	}
 	return Frame{

@@ -3,11 +3,15 @@ package flnet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"spatl/internal/algo"
@@ -86,6 +90,42 @@ func TestReadFrameMalformed(t *testing.T) {
 	}
 	if f.Type != MsgHello || f.Client != 1 || f.Round != 2 || len(f.Payload) != 0 {
 		t.Fatalf("minimal frame decoded wrong: %+v", f)
+	}
+	f.Release()
+}
+
+// TestReadFrameAllocatesWhatArrives: a length prefix claiming the most a
+// frame may hold, followed by 16 bytes and EOF, makes the reader take at
+// most one frameChunk — not the gigabyte the prefix claims — and a body
+// longer than a chunk, arriving in pieces, grows its buffer and reads back
+// whole.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	var hostile [4 + 16]byte
+	binary.LittleEndian.PutUint32(hostile[:4], maxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hostile[:]))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a 16-byte body under a %d-byte prefix read as %v, want unexpected EOF", maxFrame, err)
+	}
+	const slack = 64 << 10 // the reader, the error and the runtime's own few objects
+	if b := after.TotalAlloc - before.TotalAlloc; b > frameChunk+slack {
+		t.Fatalf("16 bytes of body made the reader allocate %d bytes, at most one %d-byte chunk expected", b, frameChunk)
+	}
+
+	payload := make([]byte, 2*frameChunk+frameChunk/3)
+	rand.New(rand.NewSource(3)).Read(payload)
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, Frame{Type: MsgUpdate, Client: 5, Round: 8, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadFrame(iotest.HalfReader(&buf))
+	if err != nil {
+		t.Fatalf("a %d-byte frame read in pieces: %v", len(payload), err)
+	}
+	if f.Type != MsgUpdate || f.Client != 5 || f.Round != 8 || !bytes.Equal(f.Payload, payload) {
+		t.Fatal("a frame longer than a chunk read back changed")
 	}
 	f.Release()
 }

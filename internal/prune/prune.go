@@ -382,41 +382,35 @@ func MaskedFLOPs(m *models.SplitModel, masks []Mask) (pruned, total int64) {
 }
 
 // maskedFLOPs is MaskedFLOPs over the geometry m's layers already hold:
-// it only reads m.
+// it only reads m. A layer's multipliers come from the units it belongs
+// to, found by a scan over the few units, so a step builds no lookup.
 func maskedFLOPs(m *models.SplitModel, masks []Mask) (pruned, total int64) {
 	units := m.PrunableUnits()
-	outMult := map[*nn.Conv2D]float64{}
-	inMult := map[*nn.Conv2D]float64{}
-	bnMult := map[*nn.BatchNorm2D]float64{}
-	for i, u := range units {
-		f := masks[i].Frac()
-		outMult[u.Conv] = f
-		if u.Next != nil {
-			inMult[u.Next] = f
-		}
-		if u.BN != nil {
-			bnMult[u.BN] = f
-		}
-	}
 	nn.Walk(m.Encoder, func(l nn.Layer) {
 		switch v := l.(type) {
 		case *nn.Conv2D:
 			f := v.FLOPs()
 			total += f
 			mult := 1.0
-			if o, ok := outMult[v]; ok {
-				mult *= o
+			for i := range units { // kept output fraction
+				if units[i].Conv == v {
+					mult *= masks[i].Frac()
+				}
 			}
-			if in, ok := inMult[v]; ok {
-				mult *= in
+			for i := range units { // kept input fraction
+				if units[i].Next == v {
+					mult *= masks[i].Frac()
+				}
 			}
 			pruned += int64(float64(f) * mult)
 		case *nn.BatchNorm2D:
 			f := v.FLOPs()
 			total += f
 			mult := 1.0
-			if b, ok := bnMult[v]; ok {
-				mult = b
+			for i := range units {
+				if units[i].BN == v {
+					mult = masks[i].Frac()
+				}
 			}
 			pruned += int64(float64(f) * mult)
 		case *nn.Sequential, *nn.BasicBlock:

@@ -142,6 +142,83 @@ func TestKeepFracMonotone(t *testing.T) {
 	}
 }
 
+// mapMaskedFLOPs is maskedFLOPs as it was written first, with the
+// multipliers looked up in maps keyed by layer: the reference the
+// map-free scan must equal.
+func mapMaskedFLOPs(m *models.SplitModel, masks []Mask) (pruned, total int64) {
+	outMult := map[*nn.Conv2D]float64{}
+	inMult := map[*nn.Conv2D]float64{}
+	bnMult := map[*nn.BatchNorm2D]float64{}
+	for i, u := range m.PrunableUnits() {
+		f := masks[i].Frac()
+		outMult[u.Conv] = f
+		if u.Next != nil {
+			inMult[u.Next] = f
+		}
+		if u.BN != nil {
+			bnMult[u.BN] = f
+		}
+	}
+	nn.Walk(m.Encoder, func(l nn.Layer) {
+		switch v := l.(type) {
+		case *nn.Conv2D:
+			f := v.FLOPs()
+			total += f
+			mult := 1.0
+			if o, ok := outMult[v]; ok {
+				mult *= o
+			}
+			if in, ok := inMult[v]; ok {
+				mult *= in
+			}
+			pruned += int64(float64(f) * mult)
+		case *nn.BatchNorm2D:
+			f := v.FLOPs()
+			total += f
+			mult := 1.0
+			if b, ok := bnMult[v]; ok {
+				mult = b
+			}
+			pruned += int64(float64(f) * mult)
+		case *nn.Sequential, *nn.BasicBlock:
+		default:
+			f := l.FLOPs()
+			total += f
+			pruned += f
+		}
+	})
+	pf := m.Predictor.FLOPs()
+	return pruned + pf, total + pf
+}
+
+// TestMaskedFLOPsMatchesMapLookup pins the unit scan to the map lookup
+// on resnet20 and vgg11 — a residual family whose consumer convs are not
+// units, and a chain whose convs are both a unit and a consumer — over
+// random per-unit keep ratios.
+func TestMaskedFLOPsMatchesMapLookup(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, arch := range []string{"resnet20", "vgg11"} {
+		// 16×16 input: VGG-11's pooling stack needs it.
+		m := models.Build(models.Spec{Arch: arch, Classes: 10, InC: 3, H: 16, W: 16, Width: 0.25}, 1)
+		ratios := make([]float64, len(m.PrunableUnits()))
+		for trial := 0; trial < 20; trial++ {
+			for i := range ratios {
+				ratios[i] = 0.05 + 0.95*rng.Float64()
+			}
+			masks := Select(m, ratios).Masks
+			pr, tot := MaskedFLOPs(m, masks)
+			wantPr, wantTot := mapMaskedFLOPs(m, masks)
+			if pr != wantPr || tot != wantTot {
+				t.Fatalf("%s trial %d: scan gives %d of %d FLOPs, map lookup %d of %d",
+					arch, trial, pr, tot, wantPr, wantTot)
+			}
+			if trial == 0 && pr == tot {
+				t.Fatalf("%s: the masks pruned nothing", arch)
+			}
+		}
+	}
+}
+
 func TestMaskedFLOPsBounds(t *testing.T) {
 	m := testModel(t, "resnet20")
 	k := len(m.PrunableUnits())

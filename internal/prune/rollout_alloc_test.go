@@ -18,15 +18,16 @@ import (
 
 // rolloutAllocBudget is the most objects one steady-state fine-tuning
 // update (rl.Train of one round of two episodes) may allocate: the count
-// (58 on this test's data) plus 10 %. The Env keeps its graph and
+// (40 on this test's data) plus 10 %. The Env keeps its graph and
 // refreshes only the weight statistics, the agent refills its forward
-// caches, and each episode selects into its slot's Selection and scores
-// in its slot's extraction workspace. The update allocated 3044 objects
-// when the state was rebuilt — a batch-1 forward, a feature slice per
-// edge — and the agent's tensors drawn fresh on every forward; building
-// a new sub-network for each episode costs about 740 objects more per
-// episode.
-const rolloutAllocBudget = 63
+// caches, each episode selects into its slot's Selection and scores in
+// its slot's extraction workspace, and a step's FLOPs count scans the
+// units instead of building three maps (58 objects with the maps). The
+// update allocated 3044 objects when the state was rebuilt — a batch-1
+// forward, a feature slice per edge — and the agent's tensors drawn
+// fresh on every forward; building a new sub-network for each episode
+// costs about 740 objects more per episode.
+const rolloutAllocBudget = 44
 
 // TestRolloutAllocationGate counts, never times, a client's head-only
 // fine-tuning update at the benchmark's geometry.

@@ -9,15 +9,19 @@
 #                                tile, conv-route, transposing-lowering,
 #                                row-copy, BatchNorm-lane and client-
 #                                schedule suites under -race (the
-#                                concurrent one ten times), the
-#                                allocation gates (a tensor.Reuse hit,
+#                                concurrent one ten times), the worker
+#                                pool's reused job slots under -race (a
+#                                late helper claims only live chunks),
+#                                the allocation gates (a tensor.Reuse
+#                                hit, a region dispatched to the pool,
 #                                a resnet20 training step, a 16 → 8 → 16
 #                                batch cycle, a journal-less Emit, the
 #                                massive sim's live heap at a
 #                                straggler-heavy quorum, a FedAvg
 #                                server round, a massive round's folds
-#                                at two cores, a SPATL and an SSFL
-#                                server round at two cores, a greedy
+#                                at two cores, a SPATL, an SSFL, a
+#                                FedNova and a SCAFFOLD server round at
+#                                two cores, a greedy
 #                                SPATL local update,
 #                                an update on a released model), the
 #                                selection caches and the SPATL caller
@@ -196,13 +200,13 @@ if [[ "$mode" == "--hot" ]]; then
     hot "GEMM tile and conv routes" \
         go test -race -count=1 -run 'Gemm|AVX2Panel|MatMul|Im2Col|Col2Im|Conv2D|RawWeightWrite' \
         ./internal/tensor ./internal/nn
-    hot "transposing lowering, row copies, BatchNorm lanes, client schedule" \
+    hot "transposing lowering, row copies, BatchNorm lanes, client schedule, pool slots" \
         go test -race -count=1 \
-        -run 'Im2ColPatchMatchesTranspose|CopyRows|ReLUGateOnOutput|BatchNormMatchesPerChannel|LongestFirst|ParallelClientsRuns|ParallelOfferSurvivesBacklog|SimRoundEqualAcrossGOMAXPROCS' \
+        -run 'Im2ColPatchMatchesTranspose|CopyRows|ReLUGateOnOutput|BatchNormMatchesPerChannel|LongestFirst|ParallelClientsRuns|ParallelOfferSurvivesBacklog|ParallelLateHelperClaimsOnlyLiveChunks|SimRoundEqualAcrossGOMAXPROCS' \
         ./internal/tensor ./internal/nn ./internal/fl
     # Counts, not times; without -race, under which sync.Pool drops Puts.
     hot "allocation gates" \
-        go test -count=1 -run 'ReuseHitAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|ReleasedUpdateAllocationGate|RolloutAllocationGate|EmitWithoutJournalAllocatesNothing|MassiveStragglerMemoryGate|FedAvgServerRoundAllocatesNothing|FedAvgMassiveFoldsAllocateNothing|SPATLServerRoundAllocatesNothing|SSFLServerRoundAllocatesNothing|SPATLGreedyUpdateAllocationGate' \
+        go test -count=1 -run 'ReuseHitAllocatesNothing|ParallelDispatchAllocatesNothing|TrainStepAllocationGate|ShortBatchStepAllocationGate|ReleasedUpdateAllocationGate|RolloutAllocationGate|EmitWithoutJournalAllocatesNothing|MassiveStragglerMemoryGate|FedAvgServerRoundAllocatesNothing|FedAvgMassiveFoldsAllocateNothing|SPATLServerRoundAllocatesNothing|SSFLServerRoundAllocatesNothing|FedNovaServerRoundAllocatesNothing|SCAFFOLDServerRoundAllocatesNothing|SPATLGreedyUpdateAllocationGate' \
         ./internal/tensor ./internal/models ./internal/prune ./internal/telemetry ./internal/fl ./internal/algo
     # What the selection agent and the SPATL server keep between rounds
     # must compute what a fresh build computes: the Env's refreshed graph,
@@ -213,7 +217,7 @@ if [[ "$mode" == "--hot" ]]; then
     # A 32-bit int: a uint32 wire length converted as it stands turns
     # negative and passes a bounds check; the committed fuzz crashers
     # replay here.
-    hot "comm and algo at GOARCH=386" env GOARCH=386 go test -count=1 ./internal/comm ./internal/algo
+    hot "tensor, comm and algo at GOARCH=386" env GOARCH=386 go test -count=1 ./internal/tensor ./internal/comm ./internal/algo
     # Layer buffers live for one pass and lanes share one pool: a released
     # buffer changes hands between goroutines. The pass memory gate counts
     # the bytes a pass holds and draws at once, never a time.
