@@ -3,6 +3,7 @@ package algo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatl/internal/comm"
@@ -147,35 +148,6 @@ func TestFedAvgAggregatorMatchesSerial(t *testing.T) {
 
 // TestWeightedAverageMatchesSerial pits the parallel reduction against
 // the serial reference on awkward sizes, including nil (lost) states.
-func TestWeightedAverageMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{1, 7, 1023, 4096, 10001} {
-		states := make([][]float32, 6)
-		weights := make([]float64, 6)
-		for i := range states {
-			if i == 3 {
-				continue // a lost client
-			}
-			st := make([]float32, n)
-			for j := range st {
-				st[j] = float32(rng.NormFloat64())
-			}
-			states[i] = st
-			weights[i] = float64(10 + i)
-		}
-		want := WeightedAverageSerial(states, weights)
-		got := WeightedAverage(states, weights)
-		for j := range want {
-			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-				t.Fatalf("n=%d: [%d] differs bitwise", n, j)
-			}
-		}
-	}
-	if WeightedAverage(make([][]float32, 4), make([]float64, 4)) != nil {
-		t.Fatal("all-nil states must reduce to nil")
-	}
-}
-
 func TestClipRanges(t *testing.T) {
 	in := []comm.Range{{Start: 0, Len: 4}, {Start: 10, Len: 6}, {Start: 20, Len: 3}}
 	got := ClipRanges(in, 12)
@@ -190,5 +162,32 @@ func TestClipRanges(t *testing.T) {
 	}
 	if n := len(ClipRanges(in, 0)); n != 0 {
 		t.Fatalf("clip to 0 kept %d ranges", n)
+	}
+}
+
+// TestSampleSorted: a selection is the sorted prefix of what rand.Perm
+// draws from the same generator, which it leaves where rand.Perm leaves
+// it, and a selection drawn into the last one's storage allocates
+// nothing.
+func TestSampleSorted(t *testing.T) {
+	var sel []int
+	for _, nk := range [][2]int{{1, 1}, {2, 1}, {7, 7}, {10, 4}, {100, 31}, {20000, 10000}} {
+		n, k := nk[0], nk[1]
+		a, b := rand.New(rand.NewSource(int64(n)+3)), rand.New(rand.NewSource(int64(n)+3))
+		for rep := 0; rep < 3; rep++ {
+			want := a.Perm(n)[:k]
+			slices.Sort(want)
+			sel = SampleSorted(sel, b, n, k)
+			if !slices.Equal(sel, want) {
+				t.Fatalf("n=%d k=%d rep %d: not the sorted prefix of rand.Perm", n, k, rep)
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("n=%d k=%d: generators diverged", n, k)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	if allocs := testing.AllocsPerRun(20, func() { sel = SampleSorted(sel, r, 1000, 100) }); allocs != 0 {
+		t.Fatalf("a selection into held storage allocated %v objects", allocs)
 	}
 }

@@ -23,6 +23,9 @@
 package algo
 
 import (
+	"math/rand"
+	"slices"
+
 	"spatl/internal/comm"
 	"spatl/internal/nn"
 )
@@ -146,6 +149,24 @@ func (c Config) LRAt(round int) float64 {
 // bitwise-equivalent.
 func ClientSeed(seed int64, round, clientID int) int64 {
 	return seed*1_000_003 + int64(round)*10_007 + int64(clientID)*101 + 17
+}
+
+// SampleSorted draws a round's selection: k distinct indices from
+// [0, n), the first k of rand.Perm(n) taken from r with the same draws,
+// sorted ascending. The permutation is written into dst's storage and the
+// selection is its prefix, so a caller that passes the last result back
+// samples every round without allocating. Every round driver samples
+// through it: fl.Env.SampleClients, fl.RunMassive and the TCP server.
+func SampleSorted(dst []int, r *rand.Rand, n, k int) []int {
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := 0; i < n; i++ {
+		j := r.Intn(i + 1)
+		dst[i] = dst[j]
+		dst[j] = i
+	}
+	sel := dst[:k]
+	slices.Sort(sel)
+	return sel
 }
 
 // localOpts builds the LocalOpts for one round of client training.

@@ -61,7 +61,7 @@ func TestDenseFoldMatchesSerialRef(t *testing.T) {
 		}
 		late := []Upload{
 			{Client: 1, TrainSize: 11, Payload: ups[len(ups)-1].Payload},
-			{Client: 2, TrainSize: 23, Payload: comm.EncodeDenseF16(states[0])},
+			{Client: 2, TrainSize: 23, Payload: comm.EncodeDenseF16Into(nil, states[0])},
 		}
 		rounds := []struct {
 			ids       []uint32
@@ -75,7 +75,7 @@ func TestDenseFoldMatchesSerialRef(t *testing.T) {
 				var ref [][]float32
 				var ws []float64
 				for _, up := range append(slices.Clone(rd.late), rd.ups...) {
-					st, _ := comm.DecodeDenseAny(up.Payload)
+					st, _ := comm.DecodeDenseAnyInto(nil, up.Payload)
 					ref = append(ref, st)
 					ws = append(ws, float64(up.TrainSize))
 				}

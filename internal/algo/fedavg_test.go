@@ -65,10 +65,10 @@ func TestFedAvgAccumulatorInvariant(t *testing.T) {
 			}
 			payload := comm.EncodeDense(st)
 			if rd.half {
-				payload = comm.EncodeDenseF16(st)
+				payload = comm.EncodeDenseF16Into(nil, st)
 			}
 			// The reference folds what the wire carries.
-			dec, err := comm.DecodeDenseAny(payload)
+			dec, err := comm.DecodeDenseAnyInto(nil, payload)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,24 +39,6 @@ func ShardRange(s, total, numShards int) (lo, hi int) {
 	return s * total / numShards, (s + 1) * total / numShards
 }
 
-// ShardOf returns the shard owning selection position pos (0 ≤ pos <
-// total) under the ShardRange partition. When numShards > total some
-// shards are empty; ShardOf always lands on the non-empty owner.
-func ShardOf(pos, total, numShards int) int {
-	s := pos * numShards / total // floor-error off by at most a step
-	for {
-		lo, hi := ShardRange(s, total, numShards)
-		switch {
-		case pos < lo:
-			s--
-		case pos >= hi:
-			s++
-		default:
-			return s
-		}
-	}
-}
-
 // shardEntryHeader is the per-entry wire overhead inside a pooled shard
 // payload: client ID, train size and payload length, little-endian.
 const shardEntryHeader = 4 + 4 + 4
@@ -178,25 +160,4 @@ func CollectAll(agg Aggregator, round int, ups []Upload) {
 	for _, u := range ups {
 		agg.Collect(round, u.Client, u.TrainSize, u.Payload)
 	}
-}
-
-// FoldShards replays every shard's pooled uploads into agg in shard-ID
-// order — the canonical fold. Because shards partition the selection
-// contiguously, (shard ID, arrival order) is the flat selection order,
-// so the fold is bitwise identical to a flat sequential collect. Returns
-// the number of uploads folded and the first decode error (a malformed
-// shard payload contributes its valid prefix and is otherwise skipped —
-// consistent with the per-upload drop semantics of the aggregators).
-func FoldShards(agg Aggregator, round int, shards []*ShardBuffer) (int, error) {
-	var all []Upload
-	var firstErr error
-	for _, sh := range shards {
-		var err error
-		all, err = ShardEntries(all, sh.Payload())
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	CollectAll(agg, round, all)
-	return len(all), firstErr
 }

@@ -132,7 +132,7 @@ func TestSSFLServerRoundAllocatesNothing(t *testing.T) {
 		for j := range vals {
 			vals[j] = float32(rng.NormFloat64())
 		}
-		ups[i] = comm.EncodeSparseVals(vals)
+		ups[i] = comm.EncodeSparseValsInto(nil, vals)
 	}
 	// Warm: round 1 is the one full sparse broadcast, round 2 fills the
 	// values-only broadcast body and the pools.

@@ -114,7 +114,7 @@ func TestSPATLBroadcastMatchesJoin(t *testing.T) {
 			}
 			enc := comm.EncodeDense
 			if tc.half {
-				enc = comm.EncodeDenseF16
+				enc = encodeDenseF16
 			}
 			parts := [][]byte{enc(global.State(tc.opts.Scope()))}
 			if !tc.opts.DisableGradControl {

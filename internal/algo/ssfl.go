@@ -303,28 +303,6 @@ func (a *SSFLAggregator) InstallClientModel(_ int, m *models.SplitModel) {
 	installScope(a.Global, m, models.ScopeEncoder)
 }
 
-// SSFLReduceReference is the retained dense reference for the packed
-// sparse reduce: densify every upload onto the global state, run the
-// serial dense streaming fold, return the new state (nil when nothing
-// survived). FinishRound's packed reduction must match it bitwise at any
-// GOMAXPROCS — the complement contributes exact zeros to every term, and
-// at the kept indices both reductions fold clients in ascending order in
-// float64.
-func SSFLReduceReference(global []float32, packed [][]float32, weights []float64, ranges []comm.Range) []float32 {
-	states := make([][]float32, len(packed))
-	for i, p := range packed {
-		if p == nil {
-			continue
-		}
-		st := append([]float32(nil), global...)
-		if !comm.ScatterCopy(st, p, ranges) {
-			continue
-		}
-		states[i] = st
-	}
-	return StreamFoldRefFedAvg(states, weights)
-}
-
 // SSFLTrainer is the client side of SSFL.
 type SSFLTrainer struct {
 	Telemetered

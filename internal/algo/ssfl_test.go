@@ -53,7 +53,7 @@ func TestSSFLPackedReduceMatchesReference(t *testing.T) {
 			}
 			packed[i] = vals
 			weights[i] = float64(40 + i*7)
-			agg.Collect(1, uint32(i), int(weights[i]), comm.EncodeSparseVals(vals))
+			agg.Collect(1, uint32(i), int(weights[i]), comm.EncodeSparseValsInto(nil, vals))
 		}
 		want := SSFLReduceReference(state0, packed, weights, agg.ranges)
 		agg.FinishRound(1)
@@ -77,9 +77,9 @@ func TestSSFLAggregatorCountsDrops(t *testing.T) {
 	global := models.Build(ssflSpec, 3)
 	agg := NewSSFLAggregator(global, SSFLOptions{}, Config{NumClients: 2})
 
-	agg.Collect(0, 0, 10, []byte{0xFF, 0x01})                     // garbage frame
-	agg.Collect(0, 1, 10, comm.EncodeDense([]float32{1, 2, 3}))   // wrong score length
-	agg.Collect(0, 2, 10, comm.EncodeSparseVals([]float32{1, 2})) // wrong frame kind for phase
+	agg.Collect(0, 0, 10, []byte{0xFF, 0x01})                              // garbage frame
+	agg.Collect(0, 1, 10, comm.EncodeDense([]float32{1, 2, 3}))            // wrong score length
+	agg.Collect(0, 2, 10, comm.EncodeSparseValsInto(nil, []float32{1, 2})) // wrong frame kind for phase
 	if got := agg.Dropped(); got != 3 {
 		t.Fatalf("Dropped() = %d, want 3", got)
 	}
@@ -93,10 +93,10 @@ func TestSSFLAggregatorCountsDrops(t *testing.T) {
 		t.Fatal("no-survivor agreement round must still fix a mask")
 	}
 
-	agg.Collect(1, 0, 10, comm.EncodeSparseVals([]float32{1, 2})) // wrong count
-	agg.Collect(1, 1, 10, []byte{0x56, 4, 0, 0, 0, 7, 0})         // truncated values frame
+	agg.Collect(1, 0, 10, comm.EncodeSparseValsInto(nil, []float32{1, 2})) // wrong count
+	agg.Collect(1, 1, 10, []byte{0x56, 4, 0, 0, 0, 7, 0})                  // truncated values frame
 	vals := make([]float32, agg.keptN)
-	agg.Collect(1, 2, 10, comm.EncodeSparseVals(vals)) // well-formed
+	agg.Collect(1, 2, 10, comm.EncodeSparseValsInto(nil, vals)) // well-formed
 	if got := agg.Dropped(); got != 5 {
 		t.Fatalf("Dropped() = %d, want 5", got)
 	}
@@ -123,7 +123,7 @@ func TestSSFLCollectBatchMatchesSequential(t *testing.T) {
 		for j := range vals {
 			vals[j] = float32(rng.NormFloat64())
 		}
-		payload := comm.EncodeSparseVals(vals)
+		payload := comm.EncodeSparseValsInto(nil, vals)
 		ups = append(ups, Upload{Client: uint32(i), TrainSize: 30 + i, Payload: payload})
 		a1.Collect(1, uint32(i), 30+i, payload)
 	}
@@ -272,7 +272,7 @@ func TestSSFLProtocolPhases(t *testing.T) {
 func TestSSFLValuesOnlyBeforeRangesSitsOut(t *testing.T) {
 	f := newSSFLFixture(9)
 	tr := f.trainers[0]
-	if up := tr.LocalUpdate(2, comm.EncodeSparseVals(make([]float32, 10))); up != nil {
+	if up := tr.LocalUpdate(2, comm.EncodeSparseValsInto(nil, make([]float32, 10))); up != nil {
 		t.Fatal("values-only frame without ranges must be unusable")
 	}
 }

@@ -96,6 +96,9 @@ func fedavgFixture(seed int64) *streamFixture { return fedavgFixtureEnc(seed, co
 // fedavgFixtureEnc is the FedAvg fixture over a chosen wire precision;
 // the reference folds what the payloads decode to, so a binary16 fixture
 // checks the f16 fold path against the f16 decoder.
+// encodeDenseF16 is the one-argument half-precision dense encoder.
+func encodeDenseF16(v []float32) []byte { return comm.EncodeDenseF16Into(nil, v) }
+
 func fedavgFixtureEnc(seed int64, enc func([]float32) []byte) *streamFixture {
 	global := models.Build(denseSpec, 7)
 	agg := NewFedAvgAggregator(global, Config{NumClients: 64})
@@ -107,7 +110,7 @@ func fedavgFixtureEnc(seed int64, enc func([]float32) []byte) *streamFixture {
 	payloads := make([][]byte, k)
 	for i := range states {
 		payloads[i] = enc(states[i])
-		states[i], _ = comm.DecodeDenseAny(payloads[i])
+		states[i], _ = comm.DecodeDenseAnyInto(nil, payloads[i])
 	}
 	ref := func(seq []foldStep) func(t *testing.T) {
 		sts := make([][]float32, len(seq))
@@ -683,7 +686,7 @@ var denseCases = []struct {
 	make func(seed int64) *streamFixture
 }{
 	{"fedavg", fedavgFixture},
-	{"fedavg-f16", func(seed int64) *streamFixture { return fedavgFixtureEnc(seed, comm.EncodeDenseF16) }},
+	{"fedavg-f16", func(seed int64) *streamFixture { return fedavgFixtureEnc(seed, encodeDenseF16) }},
 	{"fednova", fednovaFixture},
 	{"scaffold", scaffoldFixture},
 }

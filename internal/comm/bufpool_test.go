@@ -46,7 +46,7 @@ func TestPoolHammer(t *testing.T) {
 				b[0], b[n-1] = stamp, stamp
 				f[0], f[n-1] = float32(w), float32(w)
 				enc := EncodeDenseInto(GetBuf(DenseLen(n)), f)
-				dec, err := DecodeDenseInto(GetF32(n), enc)
+				dec, err := DecodeDenseAnyInto(GetF32(n), enc)
 				if err != nil {
 					t.Error(err)
 					return

@@ -60,19 +60,19 @@ func TestDenseBulkMatchesRef(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeDense(ref)
+		got, err := DecodeDenseAnyInto(nil, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bitwiseEqual(got, want) {
-			t.Fatalf("n=%d: bulk DecodeDense differs from reference", n)
+			t.Fatalf("n=%d: bulk DecodeDenseAnyInto differs from reference", n)
 		}
 		// NaN payloads are bits like any other: a signalling NaN with
 		// its own payload at every 5th value survives the round trip.
 		for i := 0; i < n; i += 5 {
 			v[i] = math.Float32frombits(0xff800001 + uint32(i))
 		}
-		got, err = DecodeDense(EncodeDense(v))
+		got, err = DecodeDenseAnyInto(nil, EncodeDense(v))
 		if err != nil || !bitwiseEqual(got, v) {
 			t.Fatalf("n=%d: NaN payload bits did not survive the round trip", n)
 		}
@@ -97,14 +97,14 @@ func TestDenseF16BulkMatchesRef(t *testing.T) {
 	for _, n := range codecLens {
 		v := randVals(rng, n)
 		ref := RefEncodeDenseF16(v)
-		if got := EncodeDenseF16(v); !bytes.Equal(got, ref) {
-			t.Fatalf("n=%d: bulk EncodeDenseF16 differs from reference", n)
+		if got := EncodeDenseF16Into(nil, v); !bytes.Equal(got, ref) {
+			t.Fatalf("n=%d: bulk EncodeDenseF16Into differs from reference", n)
 		}
 		want, err := RefDecodeDenseF16(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeDenseAny(ref)
+		got, err := DecodeDenseAnyInto(nil, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,23 +127,23 @@ func TestSparseBulkMatchesRef(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeSparse(ref)
+		got, err := decodeSparse(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sparseEqual(got, want) {
-			t.Fatalf("n=%d: bulk DecodeSparse differs from reference", n)
+			t.Fatalf("n=%d: bulk DecodeSparseAnyInto differs from reference", n)
 		}
 
 		ref16 := RefEncodeSparseF16(s)
-		if got := EncodeSparseF16(s); !bytes.Equal(got, ref16) {
-			t.Fatalf("n=%d: bulk EncodeSparseF16 differs from reference", n)
+		if got := EncodeSparseF16Into(nil, s); !bytes.Equal(got, ref16) {
+			t.Fatalf("n=%d: bulk EncodeSparseF16Into differs from reference", n)
 		}
 		want16, err := RefDecodeSparseF16(ref16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got16, err := DecodeSparseAny(ref16)
+		got16, err := decodeSparse(ref16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,15 +175,15 @@ func TestIntoVariantsReuseBuffers(t *testing.T) {
 	PutBuf(enc)
 
 	dst := GetF32(len(v))
-	dec, err := DecodeDenseInto(dst, ref)
+	dec, err := DecodeDenseAnyInto(dst, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &dec[0] != &dst[0] {
-		t.Fatal("DecodeDenseInto did not reuse a sufficient buffer")
+		t.Fatal("DecodeDenseAnyInto did not reuse a sufficient buffer")
 	}
 	if !bitwiseEqual(dec, v) {
-		t.Fatal("DecodeDenseInto values differ")
+		t.Fatal("DecodeDenseAnyInto values differ")
 	}
 	PutF32(dec)
 

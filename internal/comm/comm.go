@@ -150,26 +150,6 @@ func PutDenseValues(buf []byte, off int, vals []float32) {
 	putF32Bulk(buf[5+4*off:], vals)
 }
 
-// DecodeDense parses a payload produced by EncodeDense.
-func DecodeDense(buf []byte) ([]float32, error) {
-	return DecodeDenseInto(nil, buf)
-}
-
-// DecodeDenseInto is DecodeDense writing into dst (reused when its
-// capacity suffices, reallocated otherwise). Returns the decoded slice.
-func DecodeDenseInto(dst []float32, buf []byte) ([]float32, error) {
-	if len(buf) < 5 || buf[0] != magicDense {
-		return nil, fmt.Errorf("comm: not a dense payload")
-	}
-	n := wireCount(buf[1:5], 4, len(buf))
-	if len(buf) != 5+4*n {
-		return nil, fmt.Errorf("comm: dense payload length %d, want %d", len(buf), 5+4*n)
-	}
-	out := sizeF32(dst, n)
-	getF32Bulk(out, buf[5:])
-	return out, nil
-}
-
 // PatchDensePayload overwrites element i of an encoded float32 dense
 // payload in place — the cheap way to derive many distinct valid
 // payloads from one template (massive-scale simulation). It is a no-op
@@ -260,18 +240,9 @@ func EncodeSparseInto(dst []byte, s *Sparse) []byte {
 	return buf
 }
 
-// DecodeSparse parses a payload produced by EncodeSparse.
-func DecodeSparse(buf []byte) (*Sparse, error) {
-	s := &Sparse{}
-	if err := DecodeSparseInto(s, buf); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// DecodeSparseInto is DecodeSparse decoding into s, reusing s.Ranges and
-// s.Values when their capacities suffice. On error the fields of s keep
-// their prior lengths (though backing contents may have been scribbled),
+// DecodeSparseInto parses a payload produced by EncodeSparse into s,
+// reusing s.Ranges and s.Values when their capacities suffice. On error
+// the fields of s keep their prior lengths (though backing contents may have been scribbled),
 // so the buffers remain reusable.
 func DecodeSparseInto(s *Sparse, buf []byte) error {
 	if len(buf) < 5 || buf[0] != magicSparse {
@@ -379,75 +350,6 @@ func scatterSpan(d, v []float32) {
 	}
 }
 
-// ScatterAddRange is ScatterAdd restricted to destination indices in
-// [lo, hi). Ranges must be sorted by Start (as Validate enforces). The
-// parallel server reduction shards the parameter dimension into disjoint
-// [lo, hi) chunks and replays every client's payload per chunk, so each
-// index still accumulates clients in a fixed order.
-func ScatterAddRange(dst []float32, count []int32, s *Sparse, lo, hi int) {
-	off := 0
-	for _, r := range s.Ranges {
-		rs, re := int(r.Start), int(r.Start)+int(r.Len)
-		if rs >= hi {
-			return
-		}
-		if re > lo {
-			cs, ce := rs, re
-			if cs < lo {
-				cs = lo
-			}
-			if ce > hi {
-				ce = hi
-			}
-			if count == nil {
-				scatterSpan(dst[cs:ce], s.Values[off+(cs-rs):off+(ce-rs)])
-			} else {
-				d := dst[cs:ce]
-				c := count[cs:ce]
-				v := s.Values[off+(cs-rs) : off+(ce-rs)]
-				for i := range d {
-					d[i] += v[i]
-					c[i]++
-				}
-			}
-		}
-		off += int(r.Len)
-	}
-}
-
-// ScatterAddScaledRange adds scale·value into dst at each sparse index
-// within [lo, hi) — the sharded form of the server's control-variate
-// update (eq. 11), which scales every client delta by 1/N.
-func ScatterAddScaledRange(dst []float32, s *Sparse, scale float32, lo, hi int) {
-	off := 0
-	for _, r := range s.Ranges {
-		rs, re := int(r.Start), int(r.Start)+int(r.Len)
-		if rs >= hi {
-			return
-		}
-		if re > lo {
-			cs, ce := rs, re
-			if cs < lo {
-				cs = lo
-			}
-			if ce > hi {
-				ce = hi
-			}
-			d := dst[cs:ce]
-			v := s.Values[off+(cs-rs) : off+(ce-rs)]
-			if len(d) >= scatterSpanMin {
-				tensor.VecAxpy(d, v, scale)
-			} else {
-				// Same separate multiply-then-add chain as VecAxpy.
-				for i, x := range v {
-					d[i] += scale * x
-				}
-			}
-		}
-		off += int(r.Len)
-	}
-}
-
 // Meter accumulates communication volume on lock-free atomic counters —
 // it is hammered concurrently by every client inside a parallel round.
 // The counters are telemetry.Counters, so Bind can expose them through
@@ -512,6 +414,3 @@ func (m *Meter) Reset() {
 
 // MB formats a byte count as mebibytes.
 func MB(n int64) float64 { return float64(n) / (1024 * 1024) }
-
-// GB formats a byte count as gibibytes.
-func GB(n int64) float64 { return float64(n) / (1024 * 1024 * 1024) }

@@ -13,7 +13,7 @@ func TestDenseRoundTrip(t *testing.T) {
 	if len(buf) != 1+4+4*len(in) {
 		t.Fatalf("encoded length %d", len(buf))
 	}
-	out, err := DecodeDense(buf)
+	out, err := DecodeDenseAnyInto(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestDenseRoundTrip(t *testing.T) {
 
 func TestDenseRoundTripProperty(t *testing.T) {
 	f := func(vals []float32) bool {
-		out, err := DecodeDense(EncodeDense(vals))
+		out, err := DecodeDenseAnyInto(nil, EncodeDense(vals))
 		if err != nil || len(out) != len(vals) {
 			return false
 		}
@@ -45,16 +45,16 @@ func TestDenseRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeDenseRejectsGarbage(t *testing.T) {
-	if _, err := DecodeDense([]byte{1, 2, 3}); err == nil {
+	if _, err := DecodeDenseAnyInto(nil, []byte{1, 2, 3}); err == nil {
 		t.Fatal("expected error for short buffer")
 	}
 	buf := EncodeDense([]float32{1, 2})
 	buf[0] = 0xFF
-	if _, err := DecodeDense(buf); err == nil {
+	if _, err := DecodeDenseAnyInto(nil, buf); err == nil {
 		t.Fatal("expected error for wrong tag")
 	}
 	buf = EncodeDense([]float32{1, 2})
-	if _, err := DecodeDense(buf[:len(buf)-1]); err == nil {
+	if _, err := DecodeDenseAnyInto(nil, buf[:len(buf)-1]); err == nil {
 		t.Fatal("expected error for truncated buffer")
 	}
 }
@@ -65,7 +65,7 @@ func TestSparseRoundTrip(t *testing.T) {
 		Values: []float32{1, 2, 3, 4},
 	}
 	buf := EncodeSparse(s)
-	out, err := DecodeSparse(buf)
+	out, err := decodeSparse(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestGatherScatterProperty(t *testing.T) {
 		if s.Validate() != nil {
 			return false
 		}
-		dec, err := DecodeSparse(EncodeSparse(s))
+		dec, err := decodeSparse(EncodeSparse(s))
 		if err != nil {
 			return false
 		}
@@ -219,7 +219,21 @@ func TestByteFormatters(t *testing.T) {
 	if MB(1024*1024) != 1 {
 		t.Fatal("MB wrong")
 	}
-	if GB(1024*1024*1024) != 1 {
-		t.Fatal("GB wrong")
+}
+
+// decodeSparse decodes a sparse payload at either precision into a
+// fresh Sparse.
+func decodeSparse(buf []byte) (*Sparse, error) {
+	s := &Sparse{}
+	return s, DecodeSparseAnyInto(s, buf)
+}
+
+// decodeSparseVals decodes a values-only frame at either precision into
+// a fresh slice.
+func decodeSparseVals(buf []byte) ([]float32, error) {
+	v, err := ViewSparseVals(buf)
+	if err != nil {
+		return nil, err
 	}
+	return v.decodeInto(nil), nil
 }

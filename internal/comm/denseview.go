@@ -38,7 +38,7 @@ func ViewDense(buf []byte) (DenseView, error) {
 }
 
 // ViewSparseVals is ViewDense for a values-only frame at either
-// precision — DecodeSparseValsAny is ViewSparseVals plus a decode.
+// precision.
 func ViewSparseVals(buf []byte) (DenseView, error) {
 	return viewValues(buf, magicSparseVals, magicSparseValsF16, ErrNotSparseVals)
 }

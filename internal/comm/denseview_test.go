@@ -51,7 +51,7 @@ func TestDenseViewAccumMatchesDecodeThenAccum(t *testing.T) {
 	encoders := []struct {
 		name string
 		enc  func([]float32) []byte
-	}{{"f32", EncodeDense}, {"f16", EncodeDenseF16}}
+	}{{"f32", EncodeDense}, {"f16", encodeDenseF16}}
 	for _, e := range encoders {
 		for n := 0; n <= 67; n++ {
 			for off := 0; off < 8; off++ {
@@ -90,7 +90,7 @@ func TestDenseViewAccumMatchesDecodeThenAccum(t *testing.T) {
 func TestDenseViewLongF16(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	vals := specialF32(rng, 1000)
-	payload := EncodeDenseF16(vals)
+	payload := EncodeDenseF16Into(nil, vals)
 	v, err := ViewDense(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestDenseViewLongF16(t *testing.T) {
 // the fixed error and no allocation.
 func TestViewDenseRejectsWithoutAllocating(t *testing.T) {
 	good := EncodeDense([]float32{1, 2, 3})
-	goodH := EncodeDenseF16([]float32{1, 2, 3})
+	goodH := EncodeDenseF16Into(nil, []float32{1, 2, 3})
 	bad := [][]byte{
 		nil,
 		{magicDense},
@@ -155,8 +155,8 @@ func TestDecodeDensePooledRefusalCostsNoPoolTraffic(t *testing.T) {
 		other       func([]float32) []byte // the other frame family, same count
 		refusal     error
 	}{
-		{DecodeDensePooled, EncodeDense, EncodeDenseF16, EncodeSparseVals, ErrNotDense},
-		{DecodeSparseValsPooled, EncodeSparseVals, EncodeSparseValsF16, EncodeDense, ErrNotSparseVals},
+		{DecodeDensePooled, EncodeDense, encodeDenseF16, encodeSparseVals, ErrNotDense},
+		{DecodeSparseValsPooled, encodeSparseVals, encodeSparseValsF16, EncodeDense, ErrNotSparseVals},
 	} {
 		good := tc.enc(vals)
 		bad := [][]byte{
@@ -188,3 +188,8 @@ func TestDecodeDensePooledRefusalCostsNoPoolTraffic(t *testing.T) {
 		}
 	}
 }
+
+// The one-argument encoders, for tables of frame families.
+func encodeDenseF16(v []float32) []byte      { return EncodeDenseF16Into(nil, v) }
+func encodeSparseVals(v []float32) []byte    { return EncodeSparseValsInto(nil, v) }
+func encodeSparseValsF16(v []float32) []byte { return EncodeSparseValsF16Into(nil, v) }

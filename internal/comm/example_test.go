@@ -17,7 +17,8 @@ func ExampleGatherSparse() {
 	payload := comm.EncodeSparse(comm.GatherSparse(state, ranges))
 	fmt.Println("wire bytes:", len(payload), "vs dense:", len(comm.EncodeDense(state)))
 
-	sparse, _ := comm.DecodeSparse(payload)
+	sparse := &comm.Sparse{}
+	comm.DecodeSparseAnyInto(sparse, payload)
 	sum := make([]float32, len(state))
 	count := make([]int32, len(state))
 	comm.ScatterAdd(sum, count, sparse)
@@ -29,14 +30,14 @@ func ExampleGatherSparse() {
 	// count: [0 1 1 0 1 0]
 }
 
-// ExampleEncodeDenseF16 shows the half-precision wire format: half the
+// ExampleEncodeDenseF16Into shows the half-precision wire format: half the
 // bytes, values quantized to binary16.
-func ExampleEncodeDenseF16() {
+func ExampleEncodeDenseF16Into() {
 	vals := []float32{0.5, -1.25, 3}
 	full := comm.EncodeDense(vals)
-	half := comm.EncodeDenseF16(vals)
+	half := comm.EncodeDenseF16Into(nil, vals)
 	fmt.Println("f32 bytes:", len(full), "f16 bytes:", len(half))
-	back, _ := comm.DecodeDenseAny(half)
+	back, _ := comm.DecodeDenseAnyInto(nil, half)
 	fmt.Println("round trip:", back)
 	// Output:
 	// f32 bytes: 17 f16 bytes: 11

@@ -25,7 +25,7 @@ const (
 // DenseF16Len returns the encoded size of an n-element dense f16 payload.
 func DenseF16Len(n int) int { return 1 + 4 + 2*n }
 
-// EncodedLenF16 returns the size of the payload EncodeSparseF16 produces.
+// EncodedLenF16 returns the size of the payload EncodeSparseF16Into produces.
 func (s *Sparse) EncodedLenF16() int {
 	return 1 + 4 + 8*len(s.Ranges) + 4 + 2*len(s.Values)
 }
@@ -140,13 +140,9 @@ func getF16Bulk(out []float32, src []byte) {
 	}
 }
 
-// EncodeDenseF16 serializes a flat vector at half precision.
-func EncodeDenseF16(values []float32) []byte {
-	return EncodeDenseF16Into(nil, values)
-}
-
-// EncodeDenseF16Into is EncodeDenseF16 writing into dst (reused when its
-// capacity suffices, reallocated otherwise). Returns the encoded slice.
+// EncodeDenseF16Into serializes a flat vector at half precision into dst
+// (reused when its capacity suffices, reallocated otherwise). Returns the
+// encoded slice.
 func EncodeDenseF16Into(dst []byte, values []float32) []byte {
 	buf := sizeBytes(dst, DenseF16Len(len(values)))
 	buf[0] = magicDenseF16
@@ -155,14 +151,9 @@ func EncodeDenseF16Into(dst []byte, values []float32) []byte {
 	return buf
 }
 
-// EncodeSparseF16 serializes a sparse payload with half-precision values
-// (index ranges stay 32-bit).
-func EncodeSparseF16(s *Sparse) []byte {
-	return EncodeSparseF16Into(nil, s)
-}
-
-// EncodeSparseF16Into is EncodeSparseF16 writing into dst (reused when
-// its capacity suffices, reallocated otherwise).
+// EncodeSparseF16Into serializes a sparse payload with half-precision
+// values (index ranges stay 32-bit) into dst (reused when its capacity
+// suffices, reallocated otherwise).
 func EncodeSparseF16Into(dst []byte, s *Sparse) []byte {
 	buf := sizeBytes(dst, s.EncodedLenF16())
 	buf[0] = magicSparseF16
@@ -178,8 +169,8 @@ func EncodeSparseF16Into(dst []byte, s *Sparse) []byte {
 	return buf
 }
 
-// decodeSparseF16Into parses an EncodeSparseF16 payload into s, reusing
-// its buffers as DecodeSparseInto does.
+// decodeSparseF16Into parses an EncodeSparseF16Into payload into s,
+// reusing its buffers as DecodeSparseInto does.
 func decodeSparseF16Into(s *Sparse, buf []byte) error {
 	if len(buf) < 5 || buf[0] != magicSparseF16 {
 		return fmt.Errorf("comm: not a sparse-f16 payload")
@@ -212,11 +203,6 @@ func decodeSparseF16Into(s *Sparse, buf []byte) error {
 	return nil
 }
 
-// DecodeDenseAny parses a dense payload at either precision.
-func DecodeDenseAny(buf []byte) ([]float32, error) {
-	return DecodeDenseAnyInto(nil, buf)
-}
-
 // DecodeDenseAnyInto parses a dense payload at either precision into dst
 // (reused when its capacity suffices, reallocated otherwise). Validation
 // is ViewDense's; a refused payload returns ErrNotDense.
@@ -240,15 +226,6 @@ func (d DenseView) decodeInto(dst []float32) []float32 {
 		getF32Bulk(out, d.body)
 	}
 	return out
-}
-
-// DecodeSparseAny parses a sparse payload at either precision.
-func DecodeSparseAny(buf []byte) (*Sparse, error) {
-	s := &Sparse{}
-	if err := DecodeSparseAnyInto(s, buf); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // DecodeSparseAnyInto parses a sparse payload at either precision into s,

@@ -86,7 +86,7 @@ func TestF16IdempotentProperty(t *testing.T) {
 
 func TestDenseF16RoundTripAndSize(t *testing.T) {
 	vals := []float32{0.5, -1.25, 3.0, 0}
-	buf := EncodeDenseF16(vals)
+	buf := EncodeDenseF16Into(nil, vals)
 	if len(buf) != 1+4+2*len(vals) {
 		t.Fatalf("f16 payload size %d", len(buf))
 	}
@@ -94,7 +94,7 @@ func TestDenseF16RoundTripAndSize(t *testing.T) {
 	if len(buf) >= len(full) {
 		t.Fatal("f16 payload must be smaller than f32")
 	}
-	out, err := DecodeDenseAny(buf)
+	out, err := DecodeDenseAnyInto(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,17 +103,17 @@ func TestDenseF16RoundTripAndSize(t *testing.T) {
 			t.Fatalf("round trip mismatch at %d: %v vs %v", i, out[i], vals[i])
 		}
 	}
-	// DecodeDenseAny must also still accept f32 payloads.
-	out2, err := DecodeDenseAny(full)
+	// DecodeDenseAnyInto must also still accept f32 payloads.
+	out2, err := DecodeDenseAnyInto(nil, full)
 	if err != nil || out2[1] != vals[1] {
-		t.Fatal("DecodeDenseAny must accept f32 payloads")
+		t.Fatal("DecodeDenseAnyInto must accept f32 payloads")
 	}
 }
 
 func TestSparseF16RoundTrip(t *testing.T) {
 	s := &Sparse{Ranges: []Range{{Start: 1, Len: 2}}, Values: []float32{0.25, -2}}
-	buf := EncodeSparseF16(s)
-	out, err := DecodeSparseAny(buf)
+	buf := EncodeSparseF16Into(nil, s)
+	out, err := decodeSparse(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSparseF16RoundTrip(t *testing.T) {
 		t.Fatal("f16 sparse payload must be smaller")
 	}
 	// And f32 sparse still decodes through Any.
-	if _, err := DecodeSparseAny(EncodeSparse(s)); err != nil {
+	if _, err := decodeSparse(EncodeSparse(s)); err != nil {
 		t.Fatal(err)
 	}
 }

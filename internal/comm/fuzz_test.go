@@ -5,13 +5,14 @@ import (
 	"testing"
 )
 
-// FuzzDecodeDense ensures arbitrary byte input never panics and that
-// valid encodings round-trip.
+// FuzzDecodeDense ensures arbitrary byte input never panics the dense
+// view and decoder a server runs on an upload, and that valid float32
+// encodings round-trip.
 func FuzzDecodeDense(f *testing.F) {
 	f.Add(EncodeDense([]float32{1, 2, 3}))
 	f.Add([]byte{})
 	f.Add([]byte{magicDense, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add(EncodeDenseF16([]float32{1, 2, 3}))
+	f.Add(EncodeDenseF16Into(nil, []float32{1, 2, 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The header-only check must accept exactly what the scalar
 		// reference decoders (the format's definition) accept.
@@ -22,19 +23,24 @@ func FuzzDecodeDense(f *testing.F) {
 		if v, errView := ViewDense(data); (errView == nil) != (errRef == nil) || (errView == nil && v.Len() != len(ref)) {
 			t.Fatalf("ViewDense (%d values, %v) disagrees with the reference decoders (%d values, %v)", v.Len(), errView, len(ref), errRef)
 		}
-		vals, err := DecodeDense(data)
+		vals, err := DecodeDenseAnyInto(nil, data)
 		if err != nil {
 			return
 		}
-		re := EncodeDense(vals)
-		if !bytes.Equal(re, data) {
+		if !bitwiseEqual(vals, ref) {
+			t.Fatalf("DecodeDenseAnyInto differs from the reference decoders")
+		}
+		if data[0] != magicDense {
+			return
+		}
+		if re := EncodeDense(vals); !bytes.Equal(re, data) {
 			t.Fatalf("valid dense payload did not round-trip")
 		}
 	})
 }
 
-// FuzzDecodeSparse ensures arbitrary byte input never panics and that
-// accepted payloads validate. The corpus seeds the malformed shapes the
+// FuzzDecodeSparse ensures arbitrary byte input at either precision
+// never panics DecodeSparseAnyInto and that accepted payloads validate. The corpus seeds the malformed shapes the
 // mask-static wire path must survive: a frame truncated mid-index-block
 // (range count promises more runs than the buffer holds) and a
 // values-only frame arriving where a full sparse frame is expected.
@@ -43,10 +49,10 @@ func FuzzDecodeSparse(f *testing.F) {
 	f.Add([]byte{magicSparse, 0, 0, 0, 0})
 	// Truncated index block: claims 4 ranges, carries half of one.
 	f.Add([]byte{magicSparse, 4, 0, 0, 0, 7, 0, 0, 0})
-	f.Add(EncodeSparseVals([]float32{1, 2, 3}))
+	f.Add(EncodeSparseValsInto(nil, []float32{1, 2, 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSparse(data)
-		if err != nil {
+		s := &Sparse{}
+		if err := DecodeSparseAnyInto(s, data); err != nil {
 			return
 		}
 		if err := s.Validate(); err != nil {
@@ -73,8 +79,8 @@ func FuzzDecodeHeteroBcast(f *testing.F) {
 	// Assignment out of range for the declared cluster count.
 	f.Add([]byte{magicHeteroBcast, 1, 1, 0, 0, 0, 5, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := DecodeHeteroBcast(data)
-		if err != nil {
+		h := &HeteroBcast{}
+		if err := DecodeHeteroBcastInto(h, data); err != nil {
 			return
 		}
 		if err := h.Validate(); err != nil {
@@ -95,7 +101,7 @@ func FuzzDecodeHeteroBcast(f *testing.F) {
 // validation is the aggregator's job, against its own width table), so
 // the seed documents that the frame layer alone cannot reject it.
 func FuzzDecodeHeteroUpdate(f *testing.F) {
-	f.Add(EncodeHeteroUpdate(&HeteroUpdate{
+	f.Add(EncodeHeteroUpdateInto(nil, &HeteroUpdate{
 		Cluster: 1, WidthMilli: 500,
 		Sparse: Sparse{Ranges: []Range{{0, 2}}, Values: []float32{1, 2}},
 	}))
@@ -103,29 +109,30 @@ func FuzzDecodeHeteroUpdate(f *testing.F) {
 	// Truncated slice spec: claims 4 ranges, carries half of one.
 	f.Add([]byte{magicHeteroUpdate, 0, 250, 0, 4, 0, 0, 0, 7, 0, 0, 0})
 	// Unknown width (3000‰) on a structurally valid frame.
-	f.Add(EncodeHeteroUpdate(&HeteroUpdate{
+	f.Add(EncodeHeteroUpdateInto(nil, &HeteroUpdate{
 		Cluster: 0, WidthMilli: 3000,
 		Sparse: Sparse{Ranges: []Range{{0, 1}}, Values: []float32{9}},
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		u, err := DecodeHeteroUpdate(data)
-		if err != nil {
+		u := &HeteroUpdate{}
+		if err := DecodeHeteroUpdateInto(u, data); err != nil {
 			return
 		}
 		if err := u.Validate(); err != nil {
 			t.Fatalf("decoded hetero update fails validation: %v", err)
 		}
-		if re := EncodeHeteroUpdate(u); !bytes.Equal(re, data) {
+		if re := EncodeHeteroUpdateInto(nil, u); !bytes.Equal(re, data) {
 			t.Fatalf("valid hetero update did not round-trip")
 		}
 	})
 }
 
 // FuzzDecodeSparseVals ensures arbitrary byte input never panics the
-// values-only decoder and that valid f32 encodings round-trip.
+// values-only view and decode a server runs on an upload, and that valid
+// f32 encodings round-trip.
 func FuzzDecodeSparseVals(f *testing.F) {
-	f.Add(EncodeSparseVals([]float32{1, 2, 3}))
-	f.Add(EncodeSparseValsF16([]float32{1, 2, 3}))
+	f.Add(EncodeSparseValsInto(nil, []float32{1, 2, 3}))
+	f.Add(EncodeSparseValsF16Into(nil, []float32{1, 2, 3}))
 	f.Add([]byte{magicSparseVals, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{magicSparseValsF16, 2, 0, 0, 0, 1})
 	// A full sparse frame and a truncated index block must both be
@@ -133,12 +140,13 @@ func FuzzDecodeSparseVals(f *testing.F) {
 	f.Add(EncodeSparse(&Sparse{Ranges: []Range{{0, 2}}, Values: []float32{1, 2}}))
 	f.Add([]byte{magicSparse, 4, 0, 0, 0, 7, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vals, err := DecodeSparseValsAny(data)
+		v, err := ViewSparseVals(data)
 		if err != nil {
 			return
 		}
+		vals := v.decodeInto(nil)
 		if len(data) > 0 && data[0] == magicSparseVals {
-			if re := EncodeSparseVals(vals); !bytes.Equal(re, data) {
+			if re := EncodeSparseValsInto(nil, vals); !bytes.Equal(re, data) {
 				t.Fatalf("valid values-only payload did not round-trip")
 			}
 		}

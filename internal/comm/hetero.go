@@ -92,19 +92,10 @@ func EncodeHeteroBcastInto(dst []byte, h *HeteroBcast) []byte {
 	return buf
 }
 
-// DecodeHeteroBcast parses a payload produced by EncodeHeteroBcast.
-func DecodeHeteroBcast(buf []byte) (*HeteroBcast, error) {
-	h := &HeteroBcast{}
-	if err := DecodeHeteroBcastInto(h, buf); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// DecodeHeteroBcastInto is DecodeHeteroBcast decoding into h, reusing
-// h.Assign and h.Models when their capacities suffice. On error the
-// fields of h keep their prior lengths (though backing contents may have
-// been scribbled), so the buffers remain reusable.
+// DecodeHeteroBcastInto parses a payload produced by EncodeHeteroBcast
+// into h, reusing h.Assign and h.Models when their capacities suffice.
+// On error the fields of h keep their prior lengths (though backing
+// contents may have been scribbled), so the buffers remain reusable.
 func DecodeHeteroBcastInto(h *HeteroBcast, buf []byte) error {
 	if len(buf) < 6 || buf[0] != magicHeteroBcast {
 		return fmt.Errorf("comm: not a hetero broadcast payload")
@@ -152,21 +143,16 @@ func HeteroUpdateLen(nRanges, nVals int) int {
 	return 1 + 1 + 2 + 4 + 8*nRanges + 4 + 4*nVals
 }
 
-// EncodedLen returns the size of the payload EncodeHeteroUpdate produces.
+// EncodedLen returns the size of the payload EncodeHeteroUpdateInto produces.
 func (u *HeteroUpdate) EncodedLen() int {
 	return HeteroUpdateLen(len(u.Ranges), len(u.Values))
 }
 
-// EncodeHeteroUpdate serializes a slice upload: tag, uint8 cluster,
+// EncodeHeteroUpdateInto serializes a slice upload into dst (reused when
+// its capacity suffices, reallocated otherwise): tag, uint8 cluster,
 // uint16 width-milli, then the EncodeSparse range/value layout (uint32
 // range count, packed (start,len) pairs, uint32 value count, float32
 // values).
-func EncodeHeteroUpdate(u *HeteroUpdate) []byte {
-	return EncodeHeteroUpdateInto(nil, u)
-}
-
-// EncodeHeteroUpdateInto is EncodeHeteroUpdate writing into dst (reused
-// when its capacity suffices, reallocated otherwise).
 func EncodeHeteroUpdateInto(dst []byte, u *HeteroUpdate) []byte {
 	buf := sizeBytes(dst, u.EncodedLen())
 	buf[0] = magicHeteroUpdate
@@ -184,19 +170,11 @@ func EncodeHeteroUpdateInto(dst []byte, u *HeteroUpdate) []byte {
 	return buf
 }
 
-// DecodeHeteroUpdate parses a payload produced by EncodeHeteroUpdate.
-func DecodeHeteroUpdate(buf []byte) (*HeteroUpdate, error) {
-	u := &HeteroUpdate{}
-	if err := DecodeHeteroUpdateInto(u, buf); err != nil {
-		return nil, err
-	}
-	return u, nil
-}
-
-// DecodeHeteroUpdateInto is DecodeHeteroUpdate decoding into u, reusing
-// u.Ranges and u.Values when their capacities suffice. On error the
-// fields of u keep their prior lengths (though backing contents may have
-// been scribbled), so the buffers remain reusable.
+// DecodeHeteroUpdateInto parses a payload produced by
+// EncodeHeteroUpdateInto into u, reusing u.Ranges and u.Values when
+// their capacities suffice. On error the fields of u keep their prior
+// lengths (though backing contents may have been scribbled), so the
+// buffers remain reusable.
 func DecodeHeteroUpdateInto(u *HeteroUpdate, buf []byte) error {
 	if len(buf) < 8 || buf[0] != magicHeteroUpdate {
 		return fmt.Errorf("comm: not a hetero update payload")

@@ -31,7 +31,8 @@ func TestHeteroBcastRoundTrip(t *testing.T) {
 	if len(buf) != h.EncodedLen() {
 		t.Fatalf("encoded length %d, want %d", len(buf), h.EncodedLen())
 	}
-	got, err := DecodeHeteroBcast(buf)
+	got := &HeteroBcast{}
+	err := DecodeHeteroBcastInto(got, buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -72,7 +73,7 @@ func TestHeteroBcastRejects(t *testing.T) {
 		"truncated models": good[:len(good)-1],
 	}
 	for name, buf := range cases {
-		if _, err := DecodeHeteroBcast(buf); err == nil {
+		if err := DecodeHeteroBcastInto(&HeteroBcast{}, buf); err == nil {
 			t.Errorf("%s: decode accepted malformed payload", name)
 		}
 	}
@@ -80,11 +81,12 @@ func TestHeteroBcastRejects(t *testing.T) {
 
 func TestHeteroUpdateRoundTrip(t *testing.T) {
 	u := sampleUpdate()
-	buf := EncodeHeteroUpdate(u)
+	buf := EncodeHeteroUpdateInto(nil, u)
 	if len(buf) != u.EncodedLen() {
 		t.Fatalf("encoded length %d, want %d", len(buf), u.EncodedLen())
 	}
-	got, err := DecodeHeteroUpdate(buf)
+	got := &HeteroUpdate{}
+	err := DecodeHeteroUpdateInto(got, buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -99,14 +101,14 @@ func TestHeteroUpdateRoundTrip(t *testing.T) {
 			t.Fatalf("value %d: %v != %v", i, got.Values[i], u.Values[i])
 		}
 	}
-	if re := EncodeHeteroUpdate(got); !bytes.Equal(re, buf) {
+	if re := EncodeHeteroUpdateInto(nil, got); !bytes.Equal(re, buf) {
 		t.Fatalf("round-trip re-encode differs")
 	}
 }
 
 func TestHeteroUpdateRejects(t *testing.T) {
 	u := sampleUpdate()
-	good := EncodeHeteroUpdate(u)
+	good := EncodeHeteroUpdateInto(nil, u)
 	overlap := &HeteroUpdate{Cluster: 0, WidthMilli: 1000, Sparse: Sparse{
 		Ranges: []Range{{0, 4}, {2, 2}}, Values: []float32{1, 2, 3, 4, 5, 6},
 	}}
@@ -116,10 +118,10 @@ func TestHeteroUpdateRejects(t *testing.T) {
 		"truncated header": good[:6],
 		"truncated ranges": good[:12],
 		"truncated values": good[:len(good)-2],
-		"overlapping runs": EncodeHeteroUpdate(overlap),
+		"overlapping runs": EncodeHeteroUpdateInto(nil, overlap),
 	}
 	for name, buf := range cases {
-		if _, err := DecodeHeteroUpdate(buf); err == nil {
+		if err := DecodeHeteroUpdateInto(&HeteroUpdate{}, buf); err == nil {
 			t.Errorf("%s: decode accepted malformed payload", name)
 		}
 	}
@@ -129,11 +131,11 @@ func TestHeteroKindOf(t *testing.T) {
 	if k := KindOf(EncodeHeteroBcast(sampleBcast())); k != FrameHeteroBcast {
 		t.Fatalf("broadcast kind = %v", k)
 	}
-	if k := KindOf(EncodeHeteroUpdate(sampleUpdate())); k != FrameHeteroUpdate {
+	if k := KindOf(EncodeHeteroUpdateInto(nil, sampleUpdate())); k != FrameHeteroUpdate {
 		t.Fatalf("update kind = %v", k)
 	}
 	// Cross-kind rejection: each decoder refuses the other family.
-	if err := DecodeHeteroBcastInto(&HeteroBcast{}, EncodeHeteroUpdate(sampleUpdate())); err == nil {
+	if err := DecodeHeteroBcastInto(&HeteroBcast{}, EncodeHeteroUpdateInto(nil, sampleUpdate())); err == nil {
 		t.Fatalf("broadcast decoder accepted an update frame")
 	}
 	if err := DecodeHeteroUpdateInto(&HeteroUpdate{}, EncodeHeteroBcast(sampleBcast())); err == nil {

@@ -63,15 +63,10 @@ func SparseValsLen(n int) int { return 1 + 4 + 4*n }
 // values-only frame.
 func SparseValsF16Len(n int) int { return 1 + 4 + 2*n }
 
-// EncodeSparseVals serializes a packed value vector: tag, uint32 count,
-// little-endian float32 values. The index ranges are deliberately
-// absent — the receiver must already hold them.
-func EncodeSparseVals(values []float32) []byte {
-	return EncodeSparseValsInto(nil, values)
-}
-
-// EncodeSparseValsInto is EncodeSparseVals writing into dst (reused when
-// its capacity suffices, reallocated otherwise).
+// EncodeSparseValsInto serializes a packed value vector into dst (reused
+// when its capacity suffices, reallocated otherwise): tag, uint32 count,
+// little-endian float32 values. The index ranges are deliberately absent
+// — the receiver must already hold them.
 func EncodeSparseValsInto(dst []byte, values []float32) []byte {
 	buf := sizeBytes(dst, SparseValsLen(len(values)))
 	buf[0] = magicSparseVals
@@ -80,37 +75,13 @@ func EncodeSparseValsInto(dst []byte, values []float32) []byte {
 	return buf
 }
 
-// DecodeSparseVals parses a payload produced by EncodeSparseVals.
-func DecodeSparseVals(buf []byte) ([]float32, error) {
-	v, err := ViewSparseVals(buf)
-	if err != nil || v.half {
-		return nil, ErrNotSparseVals
-	}
-	return v.decodeInto(nil), nil
-}
-
-// EncodeSparseValsF16 serializes a packed value vector at half precision.
-func EncodeSparseValsF16(values []float32) []byte {
-	return EncodeSparseValsF16Into(nil, values)
-}
-
-// EncodeSparseValsF16Into is EncodeSparseValsF16 writing into dst (reused
-// when its capacity suffices, reallocated otherwise).
+// EncodeSparseValsF16Into is EncodeSparseValsInto at half precision.
 func EncodeSparseValsF16Into(dst []byte, values []float32) []byte {
 	buf := sizeBytes(dst, SparseValsF16Len(len(values)))
 	buf[0] = magicSparseValsF16
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(values)))
 	putF16Bulk(buf[5:], values)
 	return buf
-}
-
-// DecodeSparseValsAny parses a values-only frame at either precision.
-func DecodeSparseValsAny(buf []byte) ([]float32, error) {
-	v, err := ViewSparseVals(buf)
-	if err != nil {
-		return nil, err
-	}
-	return v.decodeInto(nil), nil
 }
 
 // ScatterCopy overwrites the covered runs of dst with the packed values,

@@ -14,30 +14,30 @@ func TestSparseValsBulkMatchesRef(t *testing.T) {
 	for _, n := range codecLens {
 		v := randVals(rng, n)
 		ref := RefEncodeSparseVals(v)
-		if got := EncodeSparseVals(v); !bytes.Equal(got, ref) {
-			t.Fatalf("n=%d: bulk EncodeSparseVals differs from reference", n)
+		if got := EncodeSparseValsInto(nil, v); !bytes.Equal(got, ref) {
+			t.Fatalf("n=%d: bulk EncodeSparseValsInto differs from reference", n)
 		}
 		want, err := RefDecodeSparseVals(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeSparseVals(ref)
+		got, err := decodeSparseVals(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bitwiseEqual(got, want) {
-			t.Fatalf("n=%d: bulk DecodeSparseVals differs from reference", n)
+			t.Fatalf("n=%d: bulk values-only decode differs from reference", n)
 		}
 
 		ref16 := RefEncodeSparseValsF16(v)
-		if got := EncodeSparseValsF16(v); !bytes.Equal(got, ref16) {
-			t.Fatalf("n=%d: bulk EncodeSparseValsF16 differs from reference", n)
+		if got := EncodeSparseValsF16Into(nil, v); !bytes.Equal(got, ref16) {
+			t.Fatalf("n=%d: bulk EncodeSparseValsF16Into differs from reference", n)
 		}
 		want16, err := RefDecodeSparseValsF16(ref16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got16, err := DecodeSparseValsAny(ref16)
+		got16, err := decodeSparseVals(ref16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,20 +52,20 @@ func TestSparseValsBulkMatchesRef(t *testing.T) {
 // thing distinguishing a values-only frame from a dense one.
 func TestSparseValsRejectsOtherFrames(t *testing.T) {
 	v := []float32{1, 2, 3}
-	if _, err := DecodeSparseValsAny(EncodeDense(v)); err == nil {
+	if _, err := decodeSparseVals(EncodeDense(v)); err == nil {
 		t.Fatal("values-only decoder accepted a dense frame")
 	}
-	if _, err := DecodeDenseAny(EncodeSparseVals(v)); err == nil {
+	if _, err := DecodeDenseAnyInto(nil, EncodeSparseValsInto(nil, v)); err == nil {
 		t.Fatal("dense decoder accepted a values-only frame")
 	}
 	s := &Sparse{Ranges: []Range{{0, 3}}, Values: v}
-	if _, err := DecodeSparseValsAny(EncodeSparse(s)); err == nil {
+	if _, err := decodeSparseVals(EncodeSparse(s)); err == nil {
 		t.Fatal("values-only decoder accepted a full sparse frame")
 	}
-	if _, err := DecodeSparseValsAny(nil); err == nil {
+	if _, err := decodeSparseVals(nil); err == nil {
 		t.Fatal("values-only decoder accepted an empty frame")
 	}
-	if _, err := DecodeSparseValsAny([]byte{magicSparseVals, 9, 0, 0, 0, 1}); err == nil {
+	if _, err := decodeSparseVals([]byte{magicSparseVals, 9, 0, 0, 0, 1}); err == nil {
 		t.Fatal("values-only decoder accepted a truncated frame")
 	}
 }

@@ -68,7 +68,7 @@ func TestSPATLPerRoundUplinkComparableToFedAvg(t *testing.T) {
 	// salient selection keeps its per-round uplink in FedAvg's ballpark
 	// (the paper's own ratios span 1.0×–1.46× across models) and well
 	// below SCAFFOLD's 2×.
-	upOf := func(alg fl.Algorithm) int64 {
+	upOf := func(alg *fl.Federation) int64 {
 		env := spatlEnv(t, 3, 2)
 		res := fl.Run(env, alg, fl.RunOpts{Rounds: 2})
 		return res.Records[len(res.Records)-1].CumUp

@@ -41,7 +41,7 @@ func ssfl(opts algo.SSFLOptions) *fl.Federation {
 // runMetered runs an algorithm for the given rounds with full
 // participation and returns per-round (uplink, downlink) meter deltas
 // plus the telemetry set for counter/journal assertions.
-func runMetered(t *testing.T, alg fl.Algorithm, spec models.Spec, cd []fl.ClientData,
+func runMetered(t *testing.T, alg *fl.Federation, spec models.Spec, cd []fl.ClientData,
 	rounds int, seed int64, journal *bytes.Buffer) (up, down []int64, tel *telemetry.Set) {
 	t.Helper()
 	clients := len(cd)

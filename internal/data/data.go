@@ -84,15 +84,6 @@ func (d *Dataset) Split(frac float64) (train, val *Dataset) {
 	return d.Subset(idx[:cut]), d.Subset(idx[cut:])
 }
 
-// ClassCounts tallies examples per label.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Y {
-		counts[y]++
-	}
-	return counts
-}
-
 // Batches returns successive index slices of the given size covering a
 // shuffled permutation of the dataset.
 func (d *Dataset) Batches(rng *rand.Rand, batchSize int) [][]int {

@@ -69,16 +69,6 @@ func TestSynthCIFARClassesAreSeparable(t *testing.T) {
 	}
 }
 
-func TestSynthCIFARBalanced(t *testing.T) {
-	ds := SynthCIFARBalanced(SynthCIFARConfig{}, 7, 1, 2)
-	counts := ds.ClassCounts()
-	for k, c := range counts {
-		if c != 7 {
-			t.Fatalf("class %d has %d examples, want 7", k, c)
-		}
-	}
-}
-
 func TestBatchAndSubset(t *testing.T) {
 	ds := SynthCIFAR(SynthCIFARConfig{}, 10, 1, 2)
 	x, y := ds.Batch([]int{3, 7})

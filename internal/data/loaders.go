@@ -1,9 +1,7 @@
 package data
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,16 +9,11 @@ import (
 	"spatl/internal/tensor"
 )
 
-// This file provides loaders for the real datasets the paper uses, for
-// environments that have them on disk. The experiment harness defaults
-// to the synthetic stand-ins (this repository must work fully offline),
-// but the loaders make the pipeline directly usable with:
-//
-//   - CIFAR-10 in its standard binary layout (data_batch_*.bin /
-//     test_batch.bin: 1 coarse label byte + 3072 pixel bytes per record,
-//     CHW order, 10000 records per file);
-//   - FEMNIST in LEAF's JSON shard format ({"users": [...],
-//     "user_data": {user: {"x": [[784 floats]...], "y": [labels...]}}).
+// This file loads CIFAR-10 in its standard binary layout
+// (data_batch_*.bin / test_batch.bin: 1 coarse label byte + 3072 pixel
+// bytes per record, CHW order, 10000 records per file), for environments
+// that have it on disk. The experiment harness defaults to the synthetic
+// stand-ins (this repository must work fully offline).
 
 // cifarRecord is 1 label byte + 3×32×32 pixels.
 const cifarRecord = 1 + 3*32*32
@@ -98,72 +91,4 @@ func concat(a, b *Dataset) *Dataset {
 	out.Y = append(out.Y, a.Y...)
 	out.Y = append(out.Y, b.Y...)
 	return out
-}
-
-// leafShard mirrors LEAF's FEMNIST JSON schema.
-type leafShard struct {
-	Users    []string `json:"users"`
-	UserData map[string]struct {
-		X [][]float64 `json:"x"`
-		Y []int       `json:"y"`
-	} `json:"user_data"`
-}
-
-// LoadLEAFFEMNIST parses a LEAF FEMNIST JSON shard from r, returning the
-// examples with their writer attribution (writer ids are assigned in the
-// file's "users" order).
-func LoadLEAFFEMNIST(r io.Reader) (*FEMNISTSet, error) {
-	var shard leafShard
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&shard); err != nil {
-		return nil, fmt.Errorf("data: LEAF JSON: %w", err)
-	}
-	total := 0
-	for _, u := range shard.Users {
-		ud, ok := shard.UserData[u]
-		if !ok {
-			return nil, fmt.Errorf("data: LEAF user %q missing from user_data", u)
-		}
-		if len(ud.X) != len(ud.Y) {
-			return nil, fmt.Errorf("data: LEAF user %q has %d examples but %d labels", u, len(ud.X), len(ud.Y))
-		}
-		total += len(ud.Y)
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("data: LEAF shard contains no examples")
-	}
-	set := &FEMNISTSet{
-		Dataset: &Dataset{X: tensor.New(total, 1, 28, 28), Y: make([]int, 0, total), Classes: 62},
-		Writer:  make([]int, 0, total),
-	}
-	idx := 0
-	for wi, u := range shard.Users {
-		ud := shard.UserData[u]
-		for e := range ud.Y {
-			if len(ud.X[e]) != 28*28 {
-				return nil, fmt.Errorf("data: LEAF user %q example %d has %d pixels, want 784", u, e, len(ud.X[e]))
-			}
-			if ud.Y[e] < 0 || ud.Y[e] >= 62 {
-				return nil, fmt.Errorf("data: LEAF user %q example %d label %d out of [0,62)", u, e, ud.Y[e])
-			}
-			base := idx * 28 * 28
-			for j, v := range ud.X[e] {
-				set.X.Data[base+j] = float32(v)
-			}
-			set.Y = append(set.Y, ud.Y[e])
-			set.Writer = append(set.Writer, wi)
-			idx++
-		}
-	}
-	return set, nil
-}
-
-// LoadLEAFFEMNISTFile parses a LEAF FEMNIST JSON shard file.
-func LoadLEAFFEMNISTFile(path string) (*FEMNISTSet, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadLEAFFEMNIST(f)
 }

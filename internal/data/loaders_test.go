@@ -116,50 +116,6 @@ func leafPixels() string {
 	return strings.Join(vals, ",")
 }
 
-func TestLoadLEAFFEMNIST(t *testing.T) {
-	px := leafPixels()
-	doc := strings.ReplaceAll(leafSample, "%s", px)
-	set, err := LoadLEAFFEMNIST(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Len() != 3 {
-		t.Fatalf("loaded %d examples, want 3", set.Len())
-	}
-	if set.Writer[0] != 0 || set.Writer[1] != 1 || set.Writer[2] != 1 {
-		t.Fatalf("writer attribution %v", set.Writer)
-	}
-	if set.Y[0] != 3 || set.Y[2] != 61 {
-		t.Fatalf("labels %v", set.Y)
-	}
-	if set.X.At(0, 0, 0, 0) != 0.5 {
-		t.Fatal("pixel values wrong")
-	}
-}
-
-func TestLoadLEAFFEMNISTRejects(t *testing.T) {
-	if _, err := LoadLEAFFEMNIST(strings.NewReader("not json")); err == nil {
-		t.Fatal("expected error for invalid JSON")
-	}
-	if _, err := LoadLEAFFEMNIST(strings.NewReader(`{"users":["u"],"user_data":{}}`)); err == nil {
-		t.Fatal("expected error for missing user data")
-	}
-	if _, err := LoadLEAFFEMNIST(strings.NewReader(`{"users":[],"user_data":{}}`)); err == nil {
-		t.Fatal("expected error for empty shard")
-	}
-	// Wrong pixel count.
-	bad := `{"users":["u"],"user_data":{"u":{"x":[[1,2,3]],"y":[0]}}}`
-	if _, err := LoadLEAFFEMNIST(strings.NewReader(bad)); err == nil {
-		t.Fatal("expected error for wrong pixel count")
-	}
-	// Label out of range.
-	px := leafPixels()
-	bad2 := `{"users":["u"],"user_data":{"u":{"x":[[` + px + `]],"y":[99]}}}`
-	if _, err := LoadLEAFFEMNIST(strings.NewReader(bad2)); err == nil {
-		t.Fatal("expected error for bad label")
-	}
-}
-
 func TestLoadedCIFARWorksWithPartitioner(t *testing.T) {
 	dir := t.TempDir()
 	writeFakeCIFAR(t, filepath.Join(dir, "data_batch_1.bin"), 200, 5)

@@ -69,24 +69,6 @@ func SynthCIFAR(cfg SynthCIFARConfig, n int, classSeed, instanceSeed int64) *Dat
 	return ds
 }
 
-// SynthCIFARBalanced generates exactly perClass examples of each class in
-// shuffled order — used for held-out evaluation splits.
-func SynthCIFARBalanced(cfg SynthCIFARConfig, perClass int, classSeed, instanceSeed int64) *Dataset {
-	cfg = cfg.withDefaults()
-	protos := cifarPrototypes(cfg, classSeed)
-	rng := rand.New(rand.NewSource(instanceSeed))
-	n := perClass * cfg.Classes
-	ds := &Dataset{X: tensor.New(n, 3, cfg.H, cfg.W), Y: make([]int, n), Classes: cfg.Classes}
-	order := rng.Perm(n)
-	stride := 3 * cfg.H * cfg.W
-	for j, slot := range order {
-		y := j % cfg.Classes
-		ds.Y[slot] = y
-		renderCIFAR(ds.X.Data[slot*stride:(slot+1)*stride], protos[y], cfg, rng)
-	}
-	return ds
-}
-
 func cifarPrototypes(cfg SynthCIFARConfig, seed int64) []cifarClass {
 	prng := rand.New(rand.NewSource(seed))
 	protos := make([]cifarClass, cfg.Classes)

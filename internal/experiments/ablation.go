@@ -11,7 +11,7 @@ import (
 )
 
 // spatlVariant builds a SPATL instance with one ablation switch applied.
-func spatlVariant(o Options, disable func(*core.Options)) fl.Algorithm {
+func spatlVariant(o Options, disable func(*core.Options)) *fl.Federation {
 	opts := core.Options{
 		FLOPsBudget:      o.Scale.FLOPsBudget,
 		AgentCfg:         agentCfg(o.Scale, o.Seed),

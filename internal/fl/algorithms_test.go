@@ -104,10 +104,9 @@ func TestSCAFFOLDControlVariatesSumProperty(t *testing.T) {
 }
 
 func TestAggregationWeightedBySize(t *testing.T) {
-	// weightedAverage must weight by the provided sizes: verify with a
-	// contrived two-client state.
-	got := algo.WeightedAverage([][]float32{{0}, {10}}, []float64{9, 1})
-	if math.Abs(float64(got[0])-1.0) > 1e-6 {
+	// A FedAvg round must weight by the clients' training-set sizes:
+	// verify with a contrived two-client state.
+	if got := fedAvgRound(t, filledStates(0, 10), []int{9, 1}); math.Abs(float64(got[0])-1.0) > 1e-6 {
 		t.Fatalf("weighted average %v, want 1.0", got[0])
 	}
 }

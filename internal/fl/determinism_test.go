@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"spatl/internal/algo"
 	"testing"
 
 	"spatl/internal/models"
@@ -41,45 +40,61 @@ func TestFedAvgDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestWeightedAverageMatchesSerial demands the parallel reduction be
-// bitwise identical to the retained serial reference across sizes that
-// exercise chunk boundaries, including nil states from failure
-// injection.
+// TestWeightedAverageMatchesSerial demands a FedAvg round be bitwise
+// identical, at GOMAXPROCS 1, 2 and 4, to the serial reduction it
+// implements — per index Σ nᵢ·xᵢ in float64 over the uploads in
+// ascending client order, then one division by Σ nᵢ — with dropped
+// uploads among them.
 func TestWeightedAverageMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 7, 63, 64, 65, 1000, 4097} {
-		for _, clients := range []int{1, 3, 10} {
-			states := make([][]float32, clients)
-			weights := make([]float64, clients)
-			for c := range states {
-				if c%4 == 3 {
-					continue // dropped upload
-				}
-				st := make([]float32, n)
-				for i := range st {
-					st[i] = float32(rng.NormFloat64())
-				}
-				states[c] = st
-				weights[c] = float64(1 + rng.Intn(100))
+	n := models.Build(fedAvgSpec, 3).StateLen(models.ScopeAll)
+	for _, clients := range []int{1, 3, 10} {
+		states := make([][]float32, clients)
+		sizes := make([]int, clients)
+		for c := range states {
+			sizes[c] = 1 + rng.Intn(100)
+			if c%4 == 3 {
+				continue // dropped upload
 			}
-			got := algo.WeightedAverage(states, weights)
-			want := algo.WeightedAverageSerial(states, weights)
-			if (got == nil) != (want == nil) {
-				t.Fatalf("n=%d clients=%d: nil mismatch", n, clients)
+			states[c] = make([]float32, n)
+			for i := range states[c] {
+				states[c][i] = float32(rng.NormFloat64())
 			}
+		}
+		want := make([]float32, n)
+		for i := range want {
+			var acc, sum float64
+			for c, st := range states {
+				if st != nil {
+					acc += float64(sizes[c]) * float64(st[i])
+					sum += float64(sizes[c])
+				}
+			}
+			want[i] = float32(acc / sum)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := fedAvgRound(t, states, sizes)
+			runtime.GOMAXPROCS(prev)
 			for i := range want {
 				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("n=%d clients=%d: index %d differs bitwise: %x vs %x",
-						n, clients, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					t.Fatalf("clients=%d GOMAXPROCS=%d: index %d differs bitwise: %x vs %x",
+						clients, procs, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 				}
 			}
 		}
 	}
 }
 
-// TestWeightedAverageAllNil covers the every-client-dropped round.
+// TestWeightedAverageAllNil covers the every-client-dropped round: a
+// FedAvg round whose selected clients are all absent leaves the global
+// state as it was.
 func TestWeightedAverageAllNil(t *testing.T) {
-	if got := algo.WeightedAverage(make([][]float32, 4), make([]float64, 4)); got != nil {
-		t.Fatalf("expected nil, got %v", got)
+	before := models.Build(fedAvgSpec, 3).State(models.ScopeAll)
+	after := fedAvgRound(t, make([][]float32, 4), make([]int, 4))
+	for i := range before {
+		if math.Float32bits(after[i]) != math.Float32bits(before[i]) {
+			t.Fatalf("state[%d] moved from %v to %v in a round without uploads", i, before[i], after[i])
+		}
 	}
 }

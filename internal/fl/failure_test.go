@@ -38,7 +38,7 @@ func TestClientFailedDeterministicAndRateful(t *testing.T) {
 }
 
 func TestAlgorithmsSurvivePartialFailures(t *testing.T) {
-	for _, algo := range []Algorithm{fedAvg(), fedProx(), scaffold(), fedNova()} {
+	for _, algo := range []*Federation{fedAvg(), fedProx(), scaffold(), fedNova()} {
 		t.Run(algo.Name(), func(t *testing.T) {
 			env := testEnv(t, 4, quickCfg(51))
 			env.Cfg.DropRate = 0.4

@@ -153,7 +153,7 @@ func NewEnv(spec models.Spec, cfg Config, cd []ClientData) *Env {
 
 // SampleClients draws the participating client set for a round: a
 // uniform sample without replacement of ceil(ratio·N) clients, at least
-// one.
+// one, sorted ascending. The slice is fresh: Run keeps it in its record.
 func (e *Env) SampleClients() []int {
 	n := int(float64(e.Cfg.NumClients)*e.Cfg.SampleRatio + 0.5)
 	if n < 1 {
@@ -162,15 +162,7 @@ func (e *Env) SampleClients() []int {
 	if n > e.Cfg.NumClients {
 		n = e.Cfg.NumClients
 	}
-	perm := e.Rng.Perm(e.Cfg.NumClients)
-	sel := append([]int(nil), perm[:n]...)
-	// Sort for deterministic iteration order downstream.
-	for i := 1; i < len(sel); i++ {
-		for j := i; j > 0 && sel[j] < sel[j-1]; j-- {
-			sel[j], sel[j-1] = sel[j-1], sel[j]
-		}
-	}
-	return sel
+	return algo.SampleSorted(nil, e.Rng, e.Cfg.NumClients, n)
 }
 
 // LRAt returns the learning rate for a communication round, honouring
@@ -212,24 +204,9 @@ func (e *Env) ClientFailed(round, clientID int) bool {
 	return rng.Float64() < e.Cfg.DropRate
 }
 
-// Algorithm is one federated-learning method. Round executes a full
-// communication round over the selected clients, mutating the
-// environment (global model, client state, communication meter).
-type Algorithm interface {
-	Name() string
-	// Setup is called once before the first round.
-	Setup(env *Env)
-	// Round runs one communication round.
-	Round(env *Env, round int, selected []int)
-	// EvalModel returns the model that client c would deploy — the
-	// global model for the uniform-model baselines, the personalized
-	// encoder+predictor composition for SPATL.
-	EvalModel(env *Env, c *Client) *models.SplitModel
-}
-
-// Federation is the one implementation of Algorithm: an aggregator and
-// one trainer per client, built from the environment by two
-// constructors and run on the one Sim. Every algorithm — the registry's
+// Federation is one federated-learning method: an aggregator and one
+// trainer per client, built from the environment by two constructors and
+// run on the one Sim. Every algorithm — the registry's
 // (internal/scenario) and ad-hoc variants alike — is a Federation; what
 // differs between them is the pair of cores.
 type Federation struct {
@@ -239,7 +216,7 @@ type Federation struct {
 	sim        *Sim
 }
 
-// NewAlgorithm names a pair of core constructors as an Algorithm. The
+// NewAlgorithm names a pair of core constructors as a Federation. The
 // constructors may return their concrete types, so the cores' own
 // (algo.NewFedAvgAggregator, algo.NewFedAvgTrainer) pass as they are.
 func NewAlgorithm[A algo.Aggregator, T algo.Trainer](name string,
@@ -252,11 +229,12 @@ func NewAlgorithm[A algo.Aggregator, T algo.Trainer](name string,
 	}
 }
 
-// Name implements Algorithm.
+// Name returns the algorithm's name.
 func (f *Federation) Name() string { return f.name }
 
-// Setup implements Algorithm: build the cores around the environment's
-// global model and clients and wire them into a Sim.
+// Setup builds the cores around the environment's global model and
+// clients and wires them into a Sim. Call it once before the first
+// round.
 func (f *Federation) Setup(env *Env) {
 	cfg := env.AlgoConfig()
 	trainers := make([]algo.Trainer, len(env.Clients))
@@ -266,11 +244,14 @@ func (f *Federation) Setup(env *Env) {
 	f.sim = NewSim(env, f.newAgg(env.Global, cfg), trainers)
 }
 
-// Round implements Algorithm.
+// Round runs one communication round over the selected clients,
+// mutating the environment (global model, client state, communication
+// meter).
 func (f *Federation) Round(env *Env, round int, selected []int) { f.sim.Round(round, selected) }
 
-// EvalModel implements Algorithm by asking the aggregator (see
-// DeployedModel).
+// EvalModel returns the model client c would deploy — the global model
+// for the uniform-model baselines, the personalized encoder+predictor
+// composition for SPATL — by asking the aggregator (see DeployedModel).
 func (f *Federation) EvalModel(env *Env, c *Client) *models.SplitModel {
 	return DeployedModel(f.sim.Agg, env.Global, c)
 }

@@ -6,6 +6,7 @@ import (
 	"spatl/internal/algo"
 	"testing"
 
+	"spatl/internal/comm"
 	"spatl/internal/data"
 	"spatl/internal/models"
 	"spatl/internal/nn"
@@ -71,11 +72,59 @@ func TestSampleClientsAtLeastOne(t *testing.T) {
 	}
 }
 
+// TestWeightedAverage: a FedAvg round weights each upload by its
+// client's training-set size.
 func TestWeightedAverage(t *testing.T) {
-	got := algo.WeightedAverage([][]float32{{1, 2}, {3, 6}}, []float64{1, 3})
-	if math.Abs(float64(got[0])-2.5) > 1e-6 || math.Abs(float64(got[1])-5) > 1e-6 {
-		t.Fatalf("weightedAverage = %v", got)
+	for i, v := range fedAvgRound(t, filledStates(1, 3), []int{1, 3}) {
+		if math.Abs(float64(v)-2.5) > 1e-6 {
+			t.Fatalf("state[%d] = %v, want 2.5", i, v)
+		}
 	}
+}
+
+// fedAvgSpec is the model fedAvgRound's global is built from.
+var fedAvgSpec = models.Spec{Arch: "mlp", Classes: 10, InC: 3, H: 8, W: 8, Width: 0.5}
+
+// fedAvgRound runs one FedAvg server round on fedAvgSpec's global (seed
+// 3) in which client i uploads states[i] over sizes[i] training
+// examples, or is absent when states[i] is nil. It returns the global
+// state the round leaves.
+func fedAvgRound(t *testing.T, states [][]float32, sizes []int) []float32 {
+	t.Helper()
+	agg := algo.NewFedAvgAggregator(models.Build(fedAvgSpec, 3), algo.Config{NumClients: len(states)})
+	ids := make([]uint32, len(states))
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	agg.Broadcast(0)
+	agg.BeginRound(0, ids)
+	for i, st := range states {
+		if st == nil {
+			agg.MarkAbsent(0, ids[i])
+			continue
+		}
+		agg.Collect(0, ids[i], sizes[i], comm.EncodeDense(st))
+	}
+	agg.FinishRound(0)
+	got, err := comm.DecodeDenseAnyInto(nil, agg.Final())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// filledStates returns a state of fedAvgSpec's length per value, every
+// element of state i vals[i].
+func filledStates(vals ...float32) [][]float32 {
+	n := models.Build(fedAvgSpec, 3).StateLen(models.ScopeAll)
+	states := make([][]float32, len(vals))
+	for i, v := range vals {
+		states[i] = make([]float32, n)
+		for j := range states[i] {
+			states[i][j] = v
+		}
+	}
+	return states
 }
 
 func TestNewEnvClientsStartFromGlobal(t *testing.T) {
@@ -129,7 +178,7 @@ func TestFedNovaLearnsAboveChance(t *testing.T) {
 func TestCommunicationCostRatios(t *testing.T) {
 	// SCAFFOLD and FedNova must cost ≈2× FedAvg uplink per round — the
 	// relationship the paper's Table I is built on.
-	upOf := func(algo Algorithm, seed int64) int64 {
+	upOf := func(algo *Federation, seed int64) int64 {
 		env := testEnv(t, 4, quickCfg(seed))
 		env.Cfg.LocalEpochs = 1
 		res := Run(env, algo, RunOpts{Rounds: 2})

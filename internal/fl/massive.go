@@ -3,8 +3,6 @@ package fl
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"sort"
 	"sync"
 
 	"spatl/internal/algo"
@@ -26,7 +24,8 @@ import (
 // a scale where per-upload overhead dominates.
 //
 // Rounds run through the sharded collection tree (algo.ShardBuffer →
-// FoldShards order) exactly as a sharded Sim does. With OnTimeFrac < 1 the
+// ShardEntries → CollectAll, shard by shard in shard-ID order) exactly
+// as a sharded Sim does. With OnTimeFrac < 1 the
 // round closes at quorum: the deterministic late fraction of sampled
 // uploads misses the round and folds into the next one (FedBuff-style),
 // journaled as late_upload events and counted in "fl.late_uploads".
@@ -98,7 +97,7 @@ type massiveArena struct {
 	shard     algo.ShardBuffer
 	entries   []algo.Upload // a piece's entries, decoded for the fold
 	ups       []algo.Upload // the piece's on-time uploads
-	perm      []int
+	perm      []int         // the round's selection, a prefix of a permutation of every client
 	ids       []uint32
 	late      []algo.Upload
 	lateBcast []byte
@@ -132,19 +131,6 @@ func returnArena(a *massiveArena) {
 	massiveSpare.Lock()
 	massiveSpare.arena = a
 	massiveSpare.Unlock()
-}
-
-// permInto is rand.Perm(n) written into dst's storage: the same draws
-// in the same order, so the selection and the generator's state are
-// rand.Perm's.
-func permInto(dst []int, r *rand.Rand, n int) []int {
-	dst = slices.Grow(dst[:0], n)[:n]
-	for i := 0; i < n; i++ {
-		j := r.Intn(i + 1)
-		dst[i] = dst[j]
-		dst[j] = i
-	}
-	return dst
 }
 
 // synthUploads writes each upload's payload for round: a copy of that
@@ -220,9 +206,8 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 	trainSize := func(ci int) int { return 50 + ci%101 }
 	for round := 0; round < cfg.Rounds; round++ {
 		bcast := agg.Broadcast(round)
-		a.perm = permInto(a.perm, rng, cfg.Clients)
-		selected := a.perm[:cfg.PerRound]
-		sort.Ints(selected)
+		a.perm = algo.SampleSorted(a.perm, rng, cfg.Clients, cfg.PerRound)
+		selected := a.perm
 		a.ids = a.ids[:0]
 		for _, ci := range selected {
 			a.ids = append(a.ids, uint32(ci))

@@ -104,7 +104,7 @@ type RunOpts struct {
 // (one record per round), early stop at the target accuracy, and
 // divergence-tolerant accounting (a diverged model simply keeps
 // reporting chance-level accuracy, as in the paper's SCAFFOLD rows).
-func Run(env *Env, algo Algorithm, opts RunOpts) *Result {
+func Run(env *Env, algo *Federation, opts RunOpts) *Result {
 	algo.Setup(env)
 	res := &Result{}
 	for round := 0; round < opts.Rounds; round++ {

@@ -70,11 +70,6 @@ func NewSim(env *Env, agg algo.Aggregator, trainers []algo.Trainer) *Sim {
 	return &Sim{Env: env, Agg: agg, Trainers: trainers}
 }
 
-// Pending reports how many straggler uploads are waiting to fold into
-// the next round (uploads deferred at the end of the federation are
-// never folded, matching the TCP server's behavior at shutdown).
-func (s *Sim) Pending() int { return len(s.pending) }
-
 // Round runs one communication round over the selected clients (sorted
 // ascending).
 func (s *Sim) Round(round int, selected []int) {

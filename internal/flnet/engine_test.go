@@ -736,3 +736,8 @@ func TestRootReplyWalk(t *testing.T) {
 		})
 	}
 }
+
+// PostFinalUploads reports how many uploads arrived after the last round
+// had closed — the same counter the registry exposes as
+// "flnet.post_final_uploads".
+func (s *Server) PostFinalUploads() int64 { return s.postFinal.Value() }

@@ -204,7 +204,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 			if err := tcpTel.Journal.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if simTel.Journal.Events() == 0 {
+			if simJournal.Len() == 0 {
 				t.Fatal("sim journal is empty")
 			}
 			if !bytes.Equal(simJournal.Bytes(), tcpJournal.Bytes()) {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"slices"
 	"sort"
@@ -336,11 +337,6 @@ func (s *Server) Errors() int64 { return s.errs.Value() }
 // exposes as "flnet.late_uploads".
 func (s *Server) LateUploads() int64 { return s.late.Value() }
 
-// PostFinalUploads reports how many uploads arrived after the last round
-// had closed — the same counter the registry exposes as
-// "flnet.post_final_uploads".
-func (s *Server) PostFinalUploads() int64 { return s.postFinal.Value() }
-
 // NewServer starts listening (so clients can connect before Run).
 func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{}
@@ -487,7 +483,7 @@ type span struct {
 // byte-identical across runs, transports and topologies.
 func (s *serverCore) runRounds(agg Aggregator) error {
 	tel, d := s.cfg.Tel, s.down
-	rng := newRng(s.cfg.Seed)
+	rng := rand.New(rand.NewSource(s.cfg.Seed))
 	// The round's journal in order: each span's positions, then the event
 	// closing it (an edge's shard_push or shard_drop) — slot pos+k for
 	// position pos of span k, hi+k for its close. A slot still blank at
@@ -497,9 +493,10 @@ func (s *serverCore) runRounds(agg Aggregator) error {
 	spans := make([]span, len(d.links)) // by peer
 	var sel []byte
 	var entries []algo.Upload
+	var selected []int
 	for round := 0; round < s.cfg.Rounds; round++ {
 		payload := agg.Broadcast(round)
-		selected := samplePerm(rng, len(s.clients), s.cfg.PerRound)
+		selected = algo.SampleSorted(selected, rng, len(s.clients), s.cfg.PerRound)
 		ids := make([]uint32, len(selected))
 		sel = sel[:0] // the selection on the wire; an edge's round start carries its span
 		for i, ci := range selected {

@@ -100,17 +100,10 @@ func meanAbs(ws []*tensor.Tensor) float64 {
 	return l1
 }
 
-// Features renders the edge's fixed-size feature vector: a one-hot
-// operation type followed by normalized geometry and cost descriptors.
-// All entries are kept roughly in [0, 1] so the GNN trains stably.
-func (e *Edge) Features() []float32 {
-	f := make([]float32, FeatureDim)
-	e.FeaturesInto(f)
-	return f
-}
-
-// FeaturesInto writes the edge's feature vector (Features) into
-// f[:FeatureDim].
+// FeaturesInto writes the edge's fixed-size feature vector into
+// f[:FeatureDim]: a one-hot operation type followed by normalized
+// geometry and cost descriptors. All entries are kept roughly in [0, 1]
+// so the GNN trains stably.
 func (e *Edge) FeaturesInto(f []float32) {
 	f = f[:FeatureDim]
 	clear(f)
@@ -256,17 +249,5 @@ func (b *builder) walkBlock(blk *nn.BasicBlock, in int) int {
 	out := b.node()
 	b.edge(Edge{Src: cur, Dst: out, Op: OpAdd, PrunableIdx: -1, InC: conv2.OutC, OutC: conv2.OutC})
 	b.edge(Edge{Src: short, Dst: out, Op: OpAdd, PrunableIdx: -1, InC: conv1.InC, OutC: conv2.OutC})
-	return out
-}
-
-// PrunableEdges returns the edges that carry a prunable convolution, in
-// prunable-index order.
-func (g *Graph) PrunableEdges() []Edge {
-	out := make([]Edge, g.NumPrunable)
-	for _, e := range g.Edges {
-		if e.PrunableIdx >= 0 {
-			out[e.PrunableIdx] = e
-		}
-	}
 	return out
 }

@@ -80,7 +80,8 @@ func TestConvEdgesCarryCost(t *testing.T) {
 func TestFeatureVectorShapeAndRange(t *testing.T) {
 	_, g := buildGraph(t, "resnet20")
 	for _, e := range g.Edges {
-		f := e.Features()
+		f := make([]float32, FeatureDim)
+		e.FeaturesInto(f)
 		if len(f) != FeatureDim {
 			t.Fatalf("feature dim %d, want %d", len(f), FeatureDim)
 		}
@@ -106,17 +107,21 @@ func TestFeatureVectorShapeAndRange(t *testing.T) {
 
 func TestPrunableEdgesOrdered(t *testing.T) {
 	_, g := buildGraph(t, "resnet20")
-	pe := g.PrunableEdges()
-	if len(pe) != g.NumPrunable {
-		t.Fatalf("PrunableEdges length %d", len(pe))
-	}
-	for i, e := range pe {
-		if e.PrunableIdx != i {
-			t.Fatalf("prunable edge %d has index %d", i, e.PrunableIdx)
+	next := 0
+	for _, e := range g.Edges {
+		if e.PrunableIdx < 0 {
+			continue
+		}
+		if e.PrunableIdx != next {
+			t.Fatalf("prunable edge %d has index %d", next, e.PrunableIdx)
 		}
 		if e.Op != OpConv {
 			t.Fatal("prunable edge must be a conv")
 		}
+		next++
+	}
+	if next != g.NumPrunable {
+		t.Fatalf("%d prunable edges, NumPrunable %d", next, g.NumPrunable)
 	}
 }
 

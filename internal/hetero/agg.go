@@ -122,9 +122,6 @@ func (a *Aggregator) InstallClientModel(id int, m *models.SplitModel) {
 	m.SetState(models.ScopeAll, a.ClientModel(id))
 }
 
-// Assignments returns the live per-client cluster assignment.
-func (a *Aggregator) Assignments() []uint8 { return a.cl.Assign }
-
 // Slice returns the server's SliceSpec for a width (by milli key).
 func (a *Aggregator) Slice(milli uint16) *SliceSpec { return a.slices[milli] }
 

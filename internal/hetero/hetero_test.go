@@ -44,7 +44,7 @@ func newFL(opts Options) *fl.Federation {
 
 // runRounds drives an algorithm for the given number of rounds with
 // full participation, mirroring fl.Run minus evaluation.
-func runRounds(env *fl.Env, alg fl.Algorithm, rounds int) {
+func runRounds(env *fl.Env, alg *fl.Federation, rounds int) {
 	alg.Setup(env)
 	for r := 0; r < rounds; r++ {
 		alg.Round(env, r, env.SampleClients())
@@ -184,7 +184,7 @@ func TestSliceCutsEveryPrunableConv(t *testing.T) {
 // GOMAXPROCS.
 func TestDegenerateEquivalenceFedAvg(t *testing.T) {
 	const clients, rounds, seed = 4, 3, 21
-	run := func(alg fl.Algorithm, procs int) []float32 {
+	run := func(alg *fl.Federation, procs int) []float32 {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
 		env := testEnv(t, "mlp", 0.5, clients, seed)
@@ -302,7 +302,7 @@ func TestDroppedCountsMalformedUploads(t *testing.T) {
 		u := &comm.HeteroUpdate{Cluster: 0, WidthMilli: 500,
 			Sparse: comm.Sparse{Ranges: sl.Ranges, Values: goodVals}}
 		mut(u)
-		return comm.EncodeHeteroUpdate(u)
+		return comm.EncodeHeteroUpdateInto(nil, u)
 	}
 	cases := [][]byte{
 		[]byte("not a frame"),
@@ -351,7 +351,7 @@ func TestStreamRefusedUploadFreesCursor(t *testing.T) {
 			for j := range vals {
 				vals[j] = float32(rng.NormFloat64())
 			}
-			a.Collect(0, id, 10+int(id), comm.EncodeHeteroUpdate(&comm.HeteroUpdate{
+			a.Collect(0, id, 10+int(id), comm.EncodeHeteroUpdateInto(nil, &comm.HeteroUpdate{
 				Cluster: a.Assignments()[id], WidthMilli: 500,
 				Sparse: comm.Sparse{Ranges: sl.Ranges, Values: vals}}))
 		}
@@ -384,8 +384,8 @@ func TestWidthSlicedRoundMovesOnlySlice(t *testing.T) {
 	bcast := a.Broadcast(0)
 	tr := NewTrainer(env.Clients[0], opts, cfg)
 	up := tr.LocalUpdate(0, bcast)
-	dec, err := comm.DecodeHeteroUpdate(up)
-	if err != nil {
+	dec := &comm.HeteroUpdate{}
+	if err := comm.DecodeHeteroUpdateInto(dec, up); err != nil {
 		t.Fatalf("upload does not decode: %v", err)
 	}
 	if !tr.Slice().RangesEqual(dec.Ranges) || dec.WidthMilli != 500 {
@@ -414,3 +414,6 @@ func TestWidthSlicedRoundMovesOnlySlice(t *testing.T) {
 		t.Fatal("round changed nothing inside the slice")
 	}
 }
+
+// Assignments returns the live per-client cluster assignment.
+func (a *Aggregator) Assignments() []uint8 { return a.cl.Assign }

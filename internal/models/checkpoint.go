@@ -74,15 +74,6 @@ func (m *SplitModel) SaveFile(path string) error {
 	return os.WriteFile(path, m.Save(), 0o644)
 }
 
-// LoadFile reads a checkpoint from disk.
-func LoadFile(path string) (*SplitModel, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Load(blob)
-}
-
 func writeInts(buf *bytes.Buffer, vals ...int) {
 	for _, v := range vals {
 		binary.Write(buf, binary.LittleEndian, int32(v))

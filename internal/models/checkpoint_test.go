@@ -1,6 +1,7 @@
 package models
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -42,7 +43,11 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err := m.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := LoadFile(path)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Load(blob)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -400,9 +400,6 @@ func (c *Conv2D) Name() string { return c.name }
 // pruning subsystem to rank filters.
 func (c *Conv2D) Weight() *Param { return c.weight }
 
-// OutDims returns the cached convolution geometry (valid after Forward).
-func (c *Conv2D) OutDims() (tensor.ConvDims, bool) { return c.dims, c.haveDims }
-
 // shardImages is how many consecutive images of a batch accumulate their
 // dW/db contributions into one shard buffer in Conv2D.Backward. A
 // constant, so where the per-shard sums are cut — and hence their

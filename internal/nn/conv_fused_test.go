@@ -63,7 +63,7 @@ func perImageConvBackward(c *Conv2D, x, dout *tensor.Tensor) (dx *tensor.Tensor,
 		sdb := make([]float64, c.OutC)
 		for i := lo; i < hi; i++ {
 			tensor.Im2Col(col.Data, x.Data[i*inStride:(i+1)*inStride], d)
-			gi := tensor.FromSlice(dout.Data[i*outStride:(i+1)*outStride], c.OutC, cols)
+			gi := tensor.Wrap(nil, dout.Data[i*outStride:(i+1)*outStride], c.OutC, cols)
 			for j, v := range tensor.RefMatMulTransB(gi, col).Data {
 				sdw[j] += v
 			}
@@ -133,7 +133,7 @@ func TestConv2DBatchFusedBitwise(t *testing.T) {
 			// Nothing derived from the weights may outlive a weight
 			// write: a second Forward has to match a fresh reference of
 			// the new weights.
-			c.weight.W.Set(c.weight.W.At(0, 0)+1, 0, 0)
+			c.weight.W.Set(c.weight.W.Data[0]+1, 0, 0)
 			x := tensor.New(tc.n, tc.inC, tc.h, tc.w)
 			x.Randn(rng, 1)
 			compareBits(t, "forward after weight mutation",
@@ -204,7 +204,9 @@ func TestRawWeightWriteSeenByNextForward(t *testing.T) {
 	linearRef := func(x *tensor.Tensor) []float32 {
 		y := tensor.RefMatMulTransB(x, l.weight.W)
 		for i := 0; i < x.Dim(0); i++ {
-			tensor.RefVecAdd(y.Data[i*l.Out:(i+1)*l.Out], l.bias.W.Data)
+			for j, b := range l.bias.W.Data {
+				y.Data[i*l.Out+j] += b
+			}
 		}
 		return y.Data
 	}
@@ -261,9 +263,9 @@ func TestConvLinearConcurrentHammer(t *testing.T) {
 			ZeroGrad(conv.Params())
 			ZeroGrad(lin.Params())
 			h := conv.Forward(x, true)
-			y := lin.Forward(h.Reshape(n, outC*hw*hw), true)
+			y := lin.Forward(tensor.Wrap(nil, h.Data, n, outC*hw*hw), true)
 			dh := lin.Backward(g)
-			dx := conv.Backward(dh.Reshape(n, outC, hw, hw))
+			dx := conv.Backward(tensor.Wrap(nil, dh.Data, n, outC, hw, hw))
 			res = append(res, y.Data...)
 			res = append(res, dx.Data...)
 			res = append(res, conv.weight.G.Data...)

@@ -21,7 +21,7 @@ func refConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	outStride := c.OutC * cols
 	for i := 0; i < n; i++ {
 		tensor.Im2Col(col.Data, x.Data[i*inStride:(i+1)*inStride], d)
-		prod := tensor.RefMatMul(c.weight.W.Reshape(c.OutC, colRows), col)
+		prod := tensor.RefMatMul(tensor.Wrap(nil, c.weight.W.Data, c.OutC, colRows), col)
 		oi := out.Data[i*outStride : (i+1)*outStride]
 		copy(oi, prod.Data)
 		if c.useBias {

@@ -14,7 +14,7 @@ import (
 func lossOf(l Layer, x *tensor.Tensor, labels []int) float64 {
 	out := l.Forward(x.Clone(), true)
 	if out.Rank() > 2 {
-		out = out.Reshape(out.Dim(0), out.Len()/out.Dim(0))
+		out = tensor.Wrap(nil, out.Data, out.Dim(0), out.Len()/out.Dim(0))
 	}
 	loss, _ := SoftmaxCrossEntropy(out, labels)
 	return loss
@@ -28,11 +28,11 @@ func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, labels []int, 
 	out := l.Forward(x.Clone(), true)
 	flatOut := out
 	if out.Rank() > 2 {
-		flatOut = out.Reshape(out.Dim(0), out.Len()/out.Dim(0))
+		flatOut = tensor.Wrap(nil, out.Data, out.Dim(0), out.Len()/out.Dim(0))
 	}
 	_, dlogits := SoftmaxCrossEntropy(flatOut, labels)
 	if out.Rank() > 2 {
-		dlogits = dlogits.Reshape(out.Shape()...)
+		dlogits = tensor.Wrap(nil, dlogits.Data, out.Shape()...)
 	}
 	dx := l.Backward(dlogits)
 
@@ -126,7 +126,9 @@ func TestBatchNormGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	bn := NewBatchNorm2D("bn", 3)
 	// Perturb gamma/beta away from defaults so gradients are generic.
-	bn.gamma.W.Uniform(rng, 0.5, 1.5)
+	for i := range bn.gamma.W.Data {
+		bn.gamma.W.Data[i] = float32(0.5 + rng.Float64())
+	}
 	bn.beta.W.Randn(rng, 0.3)
 	seq := NewSequential("net", bn, NewFlatten("flat"), NewLinear("fc", 3*2*2, 3, rng))
 	x := tensor.New(4, 3, 2, 2)

@@ -179,17 +179,6 @@ func ParamCount(params []*Param) int {
 	return n
 }
 
-// CopyParams copies weights from src into dst (matched by position;
-// shapes must agree).
-func CopyParams(dst, src []*Param) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("nn: CopyParams length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i := range dst {
-		dst[i].W.CopyFrom(src[i].W)
-	}
-}
-
 // FlattenParams concatenates all weights into one vector (a fresh slice).
 func FlattenParams(params []*Param) []float32 {
 	return FlattenParamsInto(make([]float32, 0, ParamCount(params)), params)
@@ -219,15 +208,6 @@ func UnflattenParams(params []*Param, flat []float32) {
 	if off != len(flat) {
 		panic(fmt.Sprintf("nn: UnflattenParams vector length %d, consumed %d", len(flat), off))
 	}
-}
-
-// FlattenGrads concatenates all gradients into one vector.
-func FlattenGrads(params []*Param) []float32 {
-	out := make([]float32, 0, ParamCount(params))
-	for _, p := range params {
-		out = append(out, p.G.Data...)
-	}
-	return out
 }
 
 // Rng is a convenience constructor for a seeded random source.

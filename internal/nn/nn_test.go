@@ -17,11 +17,11 @@ func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {
 		t.Fatalf("loss = %v, want ln4 = %v", loss, math.Log(4))
 	}
 	want := float32(0.25 / 2)
-	if math.Abs(float64(grad.At(0, 0)-want)) > 1e-6 {
-		t.Fatalf("grad(0,0) = %v, want %v", grad.At(0, 0), want)
+	if math.Abs(float64(grad.Data[0]-want)) > 1e-6 {
+		t.Fatalf("grad(0,0) = %v, want %v", grad.Data[0], want)
 	}
-	if math.Abs(float64(grad.At(0, 1)-(want-0.5))) > 1e-6 {
-		t.Fatalf("grad at label = %v, want %v", grad.At(0, 1), want-0.5)
+	if math.Abs(float64(grad.Data[1]-(want-0.5))) > 1e-6 {
+		t.Fatalf("grad at label = %v, want %v", grad.Data[1], want-0.5)
 	}
 }
 
@@ -33,7 +33,7 @@ func TestSoftmaxCrossEntropyGradSumsToZero(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		var s float64
 		for j := 0; j < 7; j++ {
-			s += float64(grad.At(i, j))
+			s += float64(grad.Data[i*7+j])
 		}
 		if math.Abs(s) > 1e-5 {
 			t.Fatalf("row %d gradient sums to %v, want 0", i, s)
@@ -42,7 +42,7 @@ func TestSoftmaxCrossEntropyGradSumsToZero(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropyNumericalStability(t *testing.T) {
-	logits := tensor.FromSlice([]float32{1000, -1000, 0, 500}, 1, 4)
+	logits := tensor.Wrap(nil, []float32{1000, -1000, 0, 500}, 1, 4)
 	loss, grad := SoftmaxCrossEntropy(logits, []int{0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss not finite: %v", loss)
@@ -55,7 +55,7 @@ func TestSoftmaxCrossEntropyNumericalStability(t *testing.T) {
 }
 
 func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float32{
+	logits := tensor.Wrap(nil, []float32{
 		1, 5, 2, // pred 1
 		9, 0, 0, // pred 0
 		0, 0, 3, // pred 2
@@ -86,12 +86,6 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	opt.Step() // v=1.9, w=-2.9
 	if math.Abs(float64(p.W.Data[0])+2.9) > 1e-6 {
 		t.Fatalf("momentum step gave %v, want -2.9", p.W.Data[0])
-	}
-	opt.ResetState()
-	p.G.Data[0] = 0
-	opt.Step()
-	if math.Abs(float64(p.W.Data[0])+2.9) > 1e-6 {
-		t.Fatal("ResetState must clear velocity")
 	}
 }
 
@@ -192,19 +186,6 @@ func TestSequentialParamNamesUniqueAndPrefixed(t *testing.T) {
 	}
 }
 
-func TestCopyParamsIndependence(t *testing.T) {
-	a := NewLinear("fc", 3, 2, Rng(5))
-	b := NewLinear("fc", 3, 2, Rng(6))
-	CopyParams(b.Params(), a.Params())
-	if a.weight.W.Data[0] != b.weight.W.Data[0] {
-		t.Fatal("CopyParams did not copy")
-	}
-	b.weight.W.Data[0] += 1
-	if a.weight.W.Data[0] == b.weight.W.Data[0] {
-		t.Fatal("CopyParams must not alias")
-	}
-}
-
 func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	bn := NewBatchNorm2D("bn", 2)
@@ -218,7 +199,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	// With converged running stats, eval output should be ~normalized.
 	var mean float64
 	for i := 0; i < 8; i++ {
-		mean += float64(y.At(i, 0, 1, 1))
+		mean += float64(y.Data[i*2*3*3+1*3+1])
 	}
 	_ = mean // smoke: mainly assert no panic and finite values
 	for _, v := range y.Data {
@@ -252,7 +233,7 @@ func TestBatchNormTrainNormalizes(t *testing.T) {
 }
 
 func TestMaxPoolForwardValues(t *testing.T) {
-	x := tensor.FromSlice([]float32{
+	x := tensor.Wrap(nil, []float32{
 		1, 2, 5, 6,
 		3, 4, 7, 8,
 		9, 1, 2, 3,
@@ -269,10 +250,10 @@ func TestMaxPoolForwardValues(t *testing.T) {
 }
 
 func TestGlobalAvgPoolForwardValues(t *testing.T) {
-	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
+	x := tensor.Wrap(nil, []float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
 	g := NewGlobalAvgPool("gap")
 	y := g.Forward(x, true)
-	if y.At(0, 0) != 2.5 || y.At(0, 1) != 25 {
+	if y.Data[0] != 2.5 || y.Data[1] != 25 {
 		t.Fatalf("gap gave %v", y.Data)
 	}
 }
@@ -392,10 +373,4 @@ func TestAdamLRAccessors(t *testing.T) {
 	if a.LR() != 0.01 {
 		t.Fatal("LR getter")
 	}
-	a.SetLR(0.5)
-	if a.LR() != 0.5 {
-		t.Fatal("LR setter")
-	}
-	var s Optimizer = a
-	_ = s
 }

@@ -6,16 +6,6 @@ import (
 	"spatl/internal/tensor"
 )
 
-// Optimizer updates a fixed parameter list from accumulated gradients.
-type Optimizer interface {
-	// Step applies one update from the parameters' current gradients.
-	Step()
-	// LR returns the current learning rate.
-	LR() float64
-	// SetLR changes the learning rate.
-	SetLR(lr float64)
-}
-
 // SGD implements stochastic gradient descent with classical momentum and
 // decoupled-from-loss L2 weight decay (decay is added to the gradient, as
 // in the reference implementations of the FL baselines).
@@ -40,9 +30,9 @@ func NewSGD(params []*Param, lr, momentum, weightDecay float64) *SGD {
 	return s
 }
 
-// Step implements Optimizer. The update runs through the SIMD step
-// kernels (same per-element operation chains as the scalar loops they
-// replaced).
+// Step applies one update from the parameters' current gradients. The
+// update runs through the SIMD step kernels (same per-element operation
+// chains as the scalar loops they replaced).
 func (s *SGD) Step() {
 	lr := float32(s.lr)
 	wd := float32(s.WeightDecay)
@@ -59,15 +49,8 @@ func (s *SGD) Step() {
 	}
 }
 
-// LR implements Optimizer.
+// LR returns the learning rate.
 func (s *SGD) LR() float64 { return s.lr }
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// ResetState zeroes the momentum buffers; federated algorithms call this
-// when a fresh global model is installed at the start of a round.
-func (s *SGD) ResetState() { clear(s.velocity) }
 
 // Velocity returns the momentum buffers, every parameter's end to end
 // (nil when momentum is disabled). The slice is the optimizer's own,
@@ -111,7 +94,7 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step applies one update from the parameters' current gradients.
 func (a *Adam) Step() {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
@@ -141,11 +124,8 @@ func (a *Adam) Reset() {
 	}
 }
 
-// LR implements Optimizer.
+// LR returns the learning rate.
 func (a *Adam) LR() float64 { return a.lr }
-
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
 // ClipGradNorm scales all gradients so their global L2 norm does not
 // exceed maxNorm; returns the pre-clip norm. A no-op when maxNorm <= 0.

@@ -33,15 +33,6 @@ func (m Mask) Frac() float64 {
 	return float64(m.Kept) / float64(len(m.Keep))
 }
 
-// FullMask keeps every channel.
-func FullMask(n int) Mask {
-	k := Mask{Keep: make([]bool, n), Kept: n}
-	for i := range k.Keep {
-		k.Keep[i] = true
-	}
-	return k
-}
-
 // ChannelScores returns each output channel's L1 norm (the salience
 // criterion used by the selection agent's action decoding).
 func ChannelScores(c *nn.Conv2D) []float64 {

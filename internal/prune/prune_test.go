@@ -278,7 +278,10 @@ func TestMaskedChannelsProduceZeroOutput(t *testing.T) {
 	units := m.PrunableUnits()
 	masks := make([]Mask, len(units))
 	for i, u := range units {
-		masks[i] = FullMask(u.Conv.OutC)
+		masks[i] = Mask{Keep: make([]bool, u.Conv.OutC), Kept: u.Conv.OutC}
+		for c := range masks[i].Keep {
+			masks[i].Keep[c] = true
+		}
 	}
 	// Prune channel 0 of unit 0.
 	masks[0].Keep[0] = false

@@ -104,9 +104,6 @@ type Net struct {
 	ComputeSpread float64 `json:"compute_spread,omitempty"`
 }
 
-// Enabled reports whether a time model is configured.
-func (n Net) Enabled() bool { return n.Profile != "" || n.UpMbps > 0 }
-
 // Params carries the per-algorithm hyperparameters routed through the
 // algorithm registry — one bag shared by the in-process and TCP
 // constructors, so spatl-bench cells and spatl-node flags configure the

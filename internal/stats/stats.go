@@ -63,27 +63,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// MovingAvg smooths xs with a trailing window of the given size.
-func MovingAvg(xs []float64, window int) []float64 {
-	if window < 1 {
-		window = 1
-	}
-	out := make([]float64, len(xs))
-	var sum float64
-	for i, x := range xs {
-		sum += x
-		if i >= window {
-			sum -= xs[i-window]
-		}
-		n := window
-		if i+1 < window {
-			n = i + 1
-		}
-		out[i] = sum / float64(n)
-	}
-	return out
-}
-
 // Series is a named sequence of (x, y) points.
 type Series struct {
 	Name string

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -27,21 +26,6 @@ func TestMinMax(t *testing.T) {
 	}
 	if Min(nil) != 0 || Max(nil) != 0 {
 		t.Fatal("empty input must give 0")
-	}
-}
-
-func TestMovingAvg(t *testing.T) {
-	got := MovingAvg([]float64{1, 2, 3, 4}, 2)
-	want := []float64{1, 1.5, 2.5, 3.5}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("MovingAvg[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Window 0 clamps to 1 (identity).
-	got = MovingAvg([]float64{5, 6}, 0)
-	if got[0] != 5 || got[1] != 6 {
-		t.Fatal("window<1 must behave as identity")
 	}
 }
 

@@ -221,14 +221,6 @@ func (j *Journal) Emit(e Event) {
 	}
 }
 
-// Events returns how many events have been emitted.
-func (j *Journal) Events() int64 {
-	if j == nil {
-		return 0
-	}
-	return j.events.Value()
-}
-
 // Flush forces buffered events to the sink.
 func (j *Journal) Flush() error {
 	if j == nil {

@@ -164,3 +164,11 @@ func TestJournalStickyError(t *testing.T) {
 		t.Fatal("expected a sticky write error")
 	}
 }
+
+// Events returns how many events have been emitted.
+func (j *Journal) Events() int64 {
+	if j == nil {
+		return 0
+	}
+	return j.events.Value()
+}

@@ -83,14 +83,6 @@ func (s *Span) Child(name string) *Span {
 	return s.tracer.start(s.trace, name, s)
 }
 
-// TraceID returns the span's trace ID (0 for a nil span).
-func (s *Span) TraceID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.trace
-}
-
 // Name returns the span's name ("" for a nil span).
 func (s *Span) Name() string {
 	if s == nil {

@@ -89,3 +89,11 @@ func TestSpanSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state span costs %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TraceID returns the span's trace ID (0 for a nil span).
+func (s *Span) TraceID() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.trace
+}

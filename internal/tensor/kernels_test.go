@@ -72,13 +72,6 @@ func TestMatMulKernelEquivalence(t *testing.T) {
 			zeroOut(a, rng, zf)
 			want := RefMatMul(a, b)
 
-			got := MatMul(a, b)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("MatMul(%dx%dx%d)[%d] = %v, ref %v", s.m, s.k, s.n, i, got.Data[i], want.Data[i])
-				}
-			}
-
 			into := New(s.m, s.n)
 			fillRand(into, rng) // must be fully overwritten
 			MatMulInto(into, a, b)
@@ -108,10 +101,11 @@ func TestMatMulTransBKernelEquivalence(t *testing.T) {
 		fillRand(b, rng)
 		want := RefMatMulTransB(a, b)
 
-		got := MatMulTransB(a, b)
+		got := make([]float32, s.m*s.n)
+		MatMulTransBSlice(got, a.Data, b.Data, s.m, s.k, s.n)
 		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("MatMulTransB(%dx%dx%d)[%d] = %v, ref %v", s.m, s.k, s.n, i, got.Data[i], want.Data[i])
+			if got[i] != want.Data[i] {
+				t.Fatalf("MatMulTransBSlice(%dx%dx%d)[%d] = %v, ref %v", s.m, s.k, s.n, i, got[i], want.Data[i])
 			}
 		}
 
@@ -126,6 +120,9 @@ func TestMatMulTransBKernelEquivalence(t *testing.T) {
 	}
 }
 
+// TestMatMulTransBAccBitwise: Gemm with acc over a transposed B forms
+// each dot product first and adds it to C once, so C += A·Bᵀ is bitwise
+// the product computed apart and then added.
 func TestMatMulTransBAccBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, s := range oddShapes {
@@ -146,10 +143,12 @@ func TestMatMulTransBAccBitwise(t *testing.T) {
 
 		got := make([]float32, s.m*s.n)
 		copy(got, init.Data)
-		MatMulTransBAccSlice(got, a.Data, b.Data, s.m, s.k, s.n)
+		bt := make([]float32, s.k*s.n)
+		TransposeSlice(bt, b.Data, s.n, s.k)
+		Gemm(got, s.n, a.Data, s.k, 1, bt, s.n, nil, s.m, s.k, s.n, true)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("MatMulTransBAccSlice(%dx%dx%d)[%d] = %v, want %v", s.m, s.k, s.n, i, got[i], want[i])
+				t.Fatalf("Gemm acc (%dx%dx%d)[%d] = %v, want %v", s.m, s.k, s.n, i, got[i], want[i])
 			}
 		}
 	}
@@ -177,10 +176,11 @@ func TestMatMulSparsePath(t *testing.T) {
 		}
 
 		want := RefMatMul(a, b)
-		got := MatMul(a, b)
+		got := New(s.m, s.n)
+		MatMulInto(got, a, b)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("sparse MatMul(%dx%dx%d)[%d] = %v, ref %v", s.m, s.k, s.n, i, got.Data[i], want.Data[i])
+				t.Fatalf("sparse MatMulInto(%dx%dx%d)[%d] = %v, ref %v", s.m, s.k, s.n, i, got.Data[i], want.Data[i])
 			}
 		}
 
@@ -207,13 +207,6 @@ func TestMatMulTransAKernelEquivalence(t *testing.T) {
 			fillRand(b, rng)
 			zeroOut(a, rng, zf)
 			want := RefMatMulTransA(a, b)
-
-			got := MatMulTransA(a, b)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("MatMulTransA(%dx%dx%d)[%d] = %v, ref %v", s.m, s.k, s.n, i, got.Data[i], want.Data[i])
-				}
-			}
 
 			into := New(s.m, s.n)
 			fillRand(into, rng)
@@ -537,7 +530,7 @@ func TestScratchPoolHammer(t *testing.T) {
 }
 
 func TestGetScratchEdgeSizes(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 1 << scratchMinBits, (1 << 20) + 1} {
+	for _, n := range []int{0, 1, 63, 64, 65, 1 << poolMinBits, (1 << 20) + 1} {
 		s := GetScratch(n)
 		if len(s) != n {
 			t.Fatalf("GetScratch(%d) returned len %d", n, len(s))

@@ -101,21 +101,6 @@ func gemmGo(c []float32, ldc int, a []float32, ars, aks int, b []float32, ldb in
 	}
 }
 
-// MatMul computes C = A·B for A of shape (m,k) and B of shape (k,n),
-// returning a new (m,n) tensor. Rows of C are computed in parallel when
-// the problem is large enough; each row is owned by exactly one goroutine
-// so the result is deterministic.
-func MatMul(a, b *Tensor) *Tensor {
-	m, k := a.Dim(0), a.Dim(1)
-	k2, n := b.Dim(0), b.Dim(1)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	c := New(m, n)
-	MatMulInto(c, a, b)
-	return c
-}
-
 // MatMulInto computes C = A·B into an existing output tensor, avoiding an
 // allocation. C must have shape (m,n).
 func MatMulInto(c, a, b *Tensor) {
@@ -173,16 +158,6 @@ func TransposeSlice(dst, src []float32, rows, cols int) {
 	}
 }
 
-// MatMulTransB computes C = A·Bᵀ for A (m,k) and B (n,k) into a new (m,n)
-// tensor.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m := a.Dim(0)
-	n := b.Dim(0)
-	c := New(m, n)
-	MatMulTransBInto(c, a, b)
-	return c
-}
-
 // MatMulTransBInto computes C = A·Bᵀ into an existing (m,n) output tensor,
 // avoiding an allocation.
 func MatMulTransBInto(c, a, b *Tensor) {
@@ -202,32 +177,10 @@ func MatMulTransBInto(c, a, b *Tensor) {
 // k, so this is the one product shape whose vector side must be
 // transposed first.
 func MatMulTransBSlice(c, a, b []float32, m, k, n int) {
-	matmulTransB(c, a, b, m, k, n, false)
-}
-
-// MatMulTransBAccSlice computes C += A·Bᵀ on raw slices: each dot product
-// is formed in a register in ascending-k order and then added once to the
-// existing C element, so the result is bitwise identical to computing the
-// product into a temporary and adding it.
-func MatMulTransBAccSlice(c, a, b []float32, m, k, n int) {
-	matmulTransB(c, a, b, m, k, n, true)
-}
-
-func matmulTransB(c, a, b []float32, m, k, n int, acc bool) {
 	bt := GetScratch(k * n)
 	TransposeSlice(bt, b, n, k)
-	Gemm(c, n, a, k, 1, bt, n, nil, m, k, n, acc)
+	Gemm(c, n, a, k, 1, bt, n, nil, m, k, n, false)
 	PutScratch(bt)
-}
-
-// MatMulTransA computes C = Aᵀ·B for A (k,m) and B (k,n) into a new (m,n)
-// tensor.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	m := a.Dim(1)
-	n := b.Dim(1)
-	c := New(m, n)
-	MatMulTransAInto(c, a, b)
-	return c
 }
 
 // MatMulTransAInto computes C = Aᵀ·B into an existing (m,n) output tensor,

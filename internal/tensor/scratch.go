@@ -6,31 +6,92 @@ import (
 	"sync/atomic"
 )
 
+// Pool recycles slices of E through power-of-two size classes backed by
+// sync.Pool, so a steady state of Get/Put pairs allocates nothing while
+// idle memory stays reclaimable by the GC. The zero value is ready to
+// use. The scratch pool below and comm's payload pools are instances.
+//
+// Ownership: a slice from Get is exclusively the caller's until Put; it
+// must not be retained or aliased afterwards. Contents at Get are
+// unspecified; callers that accumulate must zero first. Put also takes a
+// slice the caller allocated itself: the pool looks only at capacity.
+type Pool[E any] struct {
+	// classes[c] holds released slices with floor(log2(cap)) == c, so
+	// every slice in class c has cap ≥ 2^c. Get(n) draws from class
+	// ceil(log2(n)), guaranteeing cap ≥ n for any hit.
+	classes [32]sync.Pool
+	// headers recycles the slice headers threaded through classes, so a
+	// Get/Put cycle allocates nothing at all.
+	headers sync.Pool
+	// track, when set, is told the capacity of every pooled slice Get
+	// hands out, and its negation for every one Put takes back.
+	track func(elems int)
+}
+
+// poolMinBits is the smallest pooled size class (64 elements); tinier
+// requests are allocated directly, they are too cheap to track.
+const poolMinBits = 6
+
+// Get returns a slice of length n with unspecified contents, drawn from
+// the pool when possible. Pair every call with Put.
+func (p *Pool[E]) Get(n int) []E {
+	if n <= 0 {
+		return nil
+	}
+	c := max(bits.Len(uint(n-1)), poolMinBits) // ceil(log2(n))
+	if c >= len(p.classes) {
+		return make([]E, n)
+	}
+	var s []E
+	if h, _ := p.classes[c].Get().(*[]E); h != nil {
+		s = (*h)[:n]
+		*h = nil
+		p.headers.Put(h)
+	} else {
+		s = make([]E, n, 1<<c)
+	}
+	if p.track != nil {
+		p.track(cap(s))
+	}
+	return s
+}
+
+// Put returns s to the pool. The caller must not touch s afterwards.
+func (p *Pool[E]) Put(s []E) {
+	cp := cap(s)
+	if cp < 1<<poolMinBits {
+		return
+	}
+	c := bits.Len(uint(cp)) - 1 // floor(log2(cap))
+	if c >= len(p.classes) {
+		return
+	}
+	if p.track != nil {
+		p.track(-cp)
+	}
+	h, _ := p.headers.Get().(*[]E)
+	if h == nil {
+		h = new([]E)
+	}
+	*h = s[:cp]
+	p.classes[c].Put(h)
+}
+
 // Scratch buffers serve the transient slices the training hot path needs
 // thousands of times per round (im2col columns, gradient panels, partial
-// weight gradients). Buffers are recycled through power-of-two size
-// classes backed by sync.Pool, so steady-state training does near-zero
-// transient allocation while idle memory remains reclaimable by the GC.
+// weight gradients), through one Pool.
 //
-// Ownership rules: a buffer obtained from GetScratch is exclusively owned
-// by the caller until PutScratch; it must not be retained, aliased, or
-// returned to user code afterwards. Scratch may be held across function
-// calls within one logical operation (e.g. for the duration of a
-// convolution backward pass). Layer arrays (Reuse, Recycle) are drawn
-// from the same pools with the same unspecified contents: an activation a
-// training pass keeps is its layer's until the model is released, a
-// gradient or an evaluation activation until the container that received
-// it has passed it on. GetScratch contents are unspecified; callers that
-// accumulate must zero first.
+// Ownership rules are Pool's: a buffer obtained from GetScratch is
+// exclusively owned by the caller until PutScratch. Scratch may be held
+// across function calls within one logical operation (e.g. for the
+// duration of a convolution backward pass). Layer arrays (Reuse, Recycle)
+// are drawn from the same pool with the same unspecified contents: an
+// activation a training pass keeps is its layer's until the model is
+// released, a gradient or an evaluation activation until the container
+// that received it has passed it on.
 
-// scratchMinBits is the smallest pooled size class (64 floats); tinier
-// requests are allocated directly, they are too cheap to track.
-const scratchMinBits = 6
-
-// scratchPools[c] holds released buffers with floor(log2(cap)) == c, so
-// every buffer in class c has cap ≥ 2^c. GetScratch(n) draws from class
-// ceil(log2(n)), guaranteeing cap ≥ n for any hit.
-var scratchPools [32]sync.Pool
+// scratchPool is the pool behind GetScratch, counting its bytes out.
+var scratchPool = Pool[float32]{track: func(n int) { trackScratch(4 * int64(n)) }}
 
 // scratchOut is the bytes of pooled size-class arrays GetScratch has
 // handed out and PutScratch has not taken back (process-wide), and
@@ -56,97 +117,12 @@ func ScratchBytes() (out, peak int64) { return scratchOut.Load(), scratchPeak.Lo
 // ResetScratchPeak starts a new high-water mark at the bytes out now.
 func ResetScratchPeak() { scratchPeak.Store(scratchOut.Load()) }
 
-// headerPool recycles the slice headers threaded through scratchPools so
-// that a steady-state Get/Put cycle allocates nothing at all.
-var headerPool = sync.Pool{New: func() any { return new([]float32) }}
-
 // GetScratch returns a float32 buffer of length n with unspecified
 // contents, drawn from the scratch pool when possible. Pair every call
 // with PutScratch.
-func GetScratch(n int) []float32 {
-	if n <= 0 {
-		return nil
-	}
-	c := bits.Len(uint(n - 1)) // ceil(log2(n))
-	if c < scratchMinBits {
-		c = scratchMinBits
-	}
-	if c >= len(scratchPools) {
-		return make([]float32, n)
-	}
-	var s []float32
-	if h, _ := scratchPools[c].Get().(*[]float32); h != nil {
-		s = (*h)[:n]
-		*h = nil
-		headerPool.Put(h)
-	} else {
-		s = make([]float32, n, 1<<c)
-	}
-	trackScratch(4 * int64(cap(s)))
-	return s
-}
+func GetScratch(n int) []float32 { return scratchPool.Get(n) }
 
 // PutScratch returns a buffer obtained from GetScratch (or any float32
 // slice the caller owns outright) to the pool. The caller must not touch
 // the slice afterwards.
-func PutScratch(s []float32) {
-	cp := cap(s)
-	if cp < 1<<scratchMinBits {
-		return
-	}
-	c := bits.Len(uint(cp)) - 1 // floor(log2(cap))
-	if c >= len(scratchPools) {
-		return
-	}
-	trackScratch(-4 * int64(cp))
-	h := headerPool.Get().(*[]float32)
-	*h = s[:cp]
-	scratchPools[c].Put(h)
-}
-
-// Float64 scratch: the same size-classed pools for the double-precision
-// accumulators of the server reductions (WeightedAverage). Contents are
-// unspecified — reductions that start from zero must clear the buffer,
-// which also keeps them bitwise identical to a freshly allocated one
-// (no stale -0 or NaN can leak into an accumulation chain).
-
-var scratchPoolsF64 [32]sync.Pool
-
-var headerPoolF64 = sync.Pool{New: func() any { return new([]float64) }}
-
-// GetScratchF64 returns a float64 buffer of length n with unspecified
-// contents. Pair every call with PutScratchF64.
-func GetScratchF64(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	c := bits.Len(uint(n - 1))
-	if c < scratchMinBits {
-		c = scratchMinBits
-	}
-	if c >= len(scratchPoolsF64) {
-		return make([]float64, n)
-	}
-	if h, _ := scratchPoolsF64[c].Get().(*[]float64); h != nil {
-		s := (*h)[:n]
-		*h = nil
-		headerPoolF64.Put(h)
-		return s
-	}
-	return make([]float64, n, 1<<c)
-}
-
-// PutScratchF64 returns a buffer obtained from GetScratchF64 to the pool.
-func PutScratchF64(s []float64) {
-	cp := cap(s)
-	if cp < 1<<scratchMinBits {
-		return
-	}
-	c := bits.Len(uint(cp)) - 1
-	if c >= len(scratchPoolsF64) {
-		return
-	}
-	h := headerPoolF64.Get().(*[]float64)
-	*h = s[:cp]
-	scratchPoolsF64[c].Put(h)
-}
+func PutScratch(s []float32) { scratchPool.Put(s) }

@@ -3,9 +3,9 @@
 // tensors, one strided GEMM tile, im2col/col2im for convolution
 // lowering, elementwise kernels and reductions. Everything is stdlib-only.
 //
-// Tensors are mutable value containers: the Data slice is shared on View
-// and Reshape, copied on Clone. Shapes are immutable after construction
-// except through Reshape, which validates the element count.
+// Tensors are mutable value containers: the Data slice is shared by Wrap
+// and copied by Clone. A header's shape changes only through Reuse and
+// Wrap, which validate the element count.
 package tensor
 
 import (
@@ -80,23 +80,11 @@ func Recycle(t *Tensor) {
 	}
 }
 
-// FromSlice wraps data in a tensor of the given shape. The slice is used
-// directly (not copied); its length must equal the shape's element count.
-func FromSlice(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), shape, n))
-	}
-	return &Tensor{Data: data, shape: append([]int(nil), shape...)}
-}
-
-// Wrap is FromSlice into the header t, reshaped in place (a nil t gets a
-// new header): a layer that returns a view of an array it does not own
-// (Flatten) holds one header and re-points it on every call, allocating
-// nothing once the header exists.
+// Wrap points the header t at data with the given shape, reshaped in
+// place (a nil t gets a new header). data is used, not copied, and its
+// length must equal the shape's element count. A layer that returns a
+// view of an array it does not own (Flatten) holds one header and
+// re-points it on every call, allocating nothing once the header exists.
 func Wrap(t *Tensor, data []float32, shape ...int) *Tensor {
 	if n := elements(shape); len(data) != n {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), append([]int(nil), shape...), n))
@@ -122,11 +110,6 @@ func (t *Tensor) Rank() int { return len(t.shape) }
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.Data[t.offset(idx)]
-}
-
 // Set stores v at the given multi-index.
 func (t *Tensor) Set(v float32, idx ...int) {
 	t.Data[t.offset(idx)] = v
@@ -151,19 +134,6 @@ func (t *Tensor) Clone() *Tensor {
 	c := New(t.shape...)
 	copy(c.Data, t.Data)
 	return c
-}
-
-// Reshape returns a tensor sharing t's data with a new shape of equal
-// element count.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elements) to %v (%d elements)", t.shape, len(t.Data), shape, n))
-	}
-	return &Tensor{Data: t.Data, shape: append([]int(nil), shape...)}
 }
 
 // Zero sets all elements to 0 in place.
@@ -195,13 +165,6 @@ func (t *Tensor) Randn(rng *rand.Rand, std float64) {
 	}
 }
 
-// Uniform fills t with U(lo, hi) samples from rng.
-func (t *Tensor) Uniform(rng *rand.Rand, lo, hi float64) {
-	for i := range t.Data {
-		t.Data[i] = float32(lo + rng.Float64()*(hi-lo))
-	}
-}
-
 // KaimingNormal fills t with He-normal initialization for a layer with the
 // given fan-in (suitable for ReLU networks).
 func (t *Tensor) KaimingNormal(rng *rand.Rand, fanIn int) {
@@ -221,23 +184,9 @@ func (t *Tensor) SubInPlace(other *Tensor) {
 	VecSub(t.Data, other.Data)
 }
 
-// MulInPlace computes t *= other elementwise.
-func (t *Tensor) MulInPlace(other *Tensor) {
-	checkSameLen(t, other, "MulInPlace")
-	for i, v := range other.Data {
-		t.Data[i] *= v
-	}
-}
-
 // Scale computes t *= s.
 func (t *Tensor) Scale(s float32) {
 	VecScale(t.Data, s)
-}
-
-// Axpy computes t += a*x (like BLAS axpy).
-func (t *Tensor) Axpy(a float32, x *Tensor) {
-	checkSameLen(t, x, "Axpy")
-	VecAxpy(t.Data, x.Data, a)
 }
 
 // Add returns t + other as a new tensor.
@@ -252,16 +201,6 @@ func (t *Tensor) Sub(other *Tensor) *Tensor {
 	out := t.Clone()
 	out.SubInPlace(other)
 	return out
-}
-
-// Dot returns the inner product of t and other viewed as flat vectors.
-func (t *Tensor) Dot(other *Tensor) float64 {
-	checkSameLen(t, other, "Dot")
-	var s float64
-	for i, v := range t.Data {
-		s += float64(v) * float64(other.Data[i])
-	}
-	return s
 }
 
 // Sum returns the sum of all elements in float64 precision.
@@ -280,26 +219,6 @@ func (t *Tensor) AbsSum() float64 {
 		s += math.Abs(float64(v))
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) Norm2() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
-// MaxIndex returns the index of the maximum element of the flat tensor.
-func (t *Tensor) MaxIndex() int {
-	best, bi := float32(math.Inf(-1)), 0
-	for i, v := range t.Data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
 }
 
 // Equal reports whether two tensors have identical shape and data.

@@ -209,7 +209,7 @@ func VecAxpyDiff(dst, a, b []float32, m float32) {
 }
 
 // VecAccumScaled computes acc[i] += w*float64(v[i]) — the inner loop of
-// the float64 server reduction (WeightedAverage). The float32→float64
+// the float64 server reduction. The float32→float64
 // widening is exact and the multiply/add are IEEE double ops, so the
 // 4-wide body matches the scalar loop bit for bit; client-order
 // determinism is preserved because the kernel touches one client at a
@@ -248,20 +248,6 @@ func VecAccumScaledLE(acc []float64, src []byte, w float64) {
 func vecAccumScaledLEScalar(acc []float64, src []byte, w float64) {
 	for i := range acc {
 		acc[i] += w * float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
-	}
-}
-
-// VecF64ToF32 narrows src into dst with round-to-nearest-even, the same
-// conversion Go's float32(x) performs.
-func VecF64ToF32(dst []float32, src []float64) {
-	src = src[:len(dst)]
-	if useAVX2 && len(dst) >= 8 {
-		n := len(dst) &^ 3
-		vecF64ToF32Asm(&dst[0], &src[0], n)
-		dst, src = dst[n:], src[n:]
-	}
-	for i, x := range src {
-		dst[i] = float32(x)
 	}
 }
 

@@ -54,9 +54,6 @@ func vecAccumScaledAsm(acc *float64, v *float32, n int, w float64)
 func vecAccumScaledLEAsm(acc *float64, src *byte, n int, w float64)
 
 //go:noescape
-func vecF64ToF32Asm(dst *float32, src *float64, n int)
-
-//go:noescape
 func vecDivF64ToF32Asm(dst *float32, src *float64, n int, d float64, clr int)
 
 // vecF32ToLEAsm and vecLEToF32Asm copy n float32s between a float32

@@ -302,24 +302,6 @@ accloop:
 	VZEROUPPER
 	RET
 
-// func vecF64ToF32Asm(dst *float32, src *float64, n int)
-// dst[i] = float32(src[i])
-TEXT ·vecF64ToF32Asm(SB), NOSPLIT, $0-24
-	MOVQ	dst+0(FP), DI
-	MOVQ	src+8(FP), SI
-	MOVQ	n+16(FP), CX
-
-cvtloop:
-	VMOVUPD	(SI), Y1
-	VCVTPD2PSY	Y1, X1          // round-to-nearest-even
-	VMOVUPS	X1, (DI)
-	ADDQ	$32, SI
-	ADDQ	$16, DI
-	SUBQ	$4, CX
-	JNZ	cvtloop
-	VZEROUPPER
-	RET
-
 // func vecDivF64ToF32Asm(dst *float32, src *float64, n int, d float64, clr int)
 // dst[i] = float32(src[i] / d); src[i] = 0 after its load when clr != 0.
 // src is the first source of VDIVPD, as x is DIVSD's destination in the

@@ -26,7 +26,6 @@ func vecAccumScaledAsm(acc *float64, v *float32, n int, w float64) {
 func vecAccumScaledLEAsm(acc *float64, src *byte, n int, w float64) {
 	panic("tensor: no vector kernel")
 }
-func vecF64ToF32Asm(dst *float32, src *float64, n int) { panic("tensor: no vector kernel") }
 func vecDivF64ToF32Asm(dst *float32, src *float64, n int, d float64, clr int) {
 	panic("tensor: no vector kernel")
 }

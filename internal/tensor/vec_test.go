@@ -175,14 +175,6 @@ func TestVecKernelsMatchRef(t *testing.T) {
 			RefVecAccumScaled(want, x, w)
 			eqBitsF64(t, "VecAccumScaled", n, got, want)
 		}
-		{ // VecF64ToF32
-			src := make([]float64, n)
-			fillSpecial64(rng, src)
-			got, want := make([]float32, n), make([]float32, n)
-			VecF64ToF32(got, src)
-			RefVecF64ToF32(want, src)
-			eqBitsF32(t, "VecF64ToF32", n, got, want)
-		}
 		{ // VecDivF64ToF32, with and without clearing its source
 			src := make([]float64, n)
 			fillSpecial64(rng, src)

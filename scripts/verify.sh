@@ -41,7 +41,10 @@
 #                                transport equivalence suites (flnet's
 #                                cross-transport, journal, quorum-of-all,
 #                                protocol-violation and root reply-walk
-#                                tests) at GOMAXPROCS 1, 2 and 4
+#                                tests) at GOMAXPROCS 1, 2 and 4; a
+#                                step whose -run pattern has an
+#                                |-alternative matching no test of its
+#                                packages (go test -list) fails
 #   ./scripts/verify.sh --obs    tier-1 plus the observability battery:
 #                                the -race hammer over the telemetry
 #                                subsystem and the TCP transport that
@@ -181,16 +184,41 @@ if [[ "$mode" == "--hot" ]]; then
     # Every battery runs even when an earlier one fails; the failed
     # ones are listed at the end.
     hot_red=()
+    # run_matches <pattern> <go test flags and packages...>: every
+    # |-alternative of a -run pattern must name at least one test of the
+    # packages (its top-level part, before any /), or the step would pass
+    # having run nothing.
+    run_matches() {
+        local pattern="$1" alt listed
+        shift
+        listed=$(go test -list . "$@" | grep -E '^(Test|Fuzz|Example|Benchmark)') || return 1
+        local IFS='|'
+        for alt in $pattern; do
+            if ! grep -qE -- "${alt%%/*}" <<<"$listed"; then
+                echo "verify: -run alternative '$alt' matches no test in the step's packages" >&2
+                return 1
+            fi
+        done
+    }
     hot() {
-        local name="$1"
+        local name="$1" arg prev="" pattern="" list=()
         shift
         echo "== hot path: $name =="
+        for arg in "$@"; do
+            [[ "$prev" == "-run" ]] && pattern="$arg"
+            [[ "$arg" == "-race" || "$arg" == ./* ]] && list+=("$arg")
+            prev="$arg"
+        done
+        if [[ -n "$pattern" ]] && ! run_matches "$pattern" "${list[@]}"; then
+            hot_red+=("$name (a -run alternative matches no test)")
+            return
+        fi
         "$@" || hot_red+=("$name")
     }
     hot "vet" go vet ./...
     hot "race hammer" go test -race ./internal/tensor ./internal/nn ./internal/algo ./internal/flnet
     hot "shard/quorum/sparse hammer" \
-        go test -race -run 'Shard|Tree|Async|Quorum|Massive|SSFL|MaskAgree|MaskPat|RawWeightWrite' \
+        go test -race -run 'Shard|Tree|Async|Quorum|Massive|SSFL|MaskPat|RawWeightWrite' \
         ./internal/algo ./internal/flnet ./internal/fl ./internal/nn ./internal/tensor
     hot "streaming-fold hammer" go test -race -count=1 -run 'Stream|Staging|Permutation' \
         ./internal/algo ./internal/fl ./internal/flnet
